@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -195,7 +196,7 @@ def _cmd_entropy(args, report):
     report.annotate("primitivity_power", mix.p0)
     if args.check:
         n = args.depth if args.depth is not None else 12
-        approx = float(np.log(sft.count_words(n)) / n)
+        approx = math.log(sft.count_words(n)) / n
         report.result(f"log_word_count_over_n(n={n})", approx, "nats",
                       "variational")
         report.certificate("entropy_cross_check", ["spectral", "variational"],
@@ -307,8 +308,11 @@ def _cmd_periodic(args, report):
     report.input(model)
     sft = modelio.build_sft(model)
     count = sft.periodic_count(args.n)
-    report.result(f"periodic_count(n={args.n})", float(count), "count",
-                  "spectral")
+    try:
+        value = float(count)
+    except OverflowError:   # reported as "inf"; exact_count keeps the digits
+        value = math.inf
+    report.result(f"periodic_count(n={args.n})", value, "count", "spectral")
     report.annotate("exact_count", str(count))
     if args.check:
         if sft.count_words(args.n) > args.budget:
@@ -414,26 +418,24 @@ def _cmd_hofbauer_scan(args, report):
     report.result("weighted_tail_bound", diag.weighted_tail_bound,
                   "dimensionless", "renewal")
     report.annotate("truncation_K", diag.truncation_K)
-    betas = [float(s) for s in args.betas.split(",") if s.strip()]
     pressures = []
-    for beta in betas:
+    for beta in args.betas:
         p = pressure_renewal(fam, beta, tol=tol)
         pressures.append(p)
         report.result(f"pressure(beta={beta:g})", p, "nats", "renewal")
     if args.check:
-        for beta, p in zip(betas, pressures):
+        for beta, p in zip(args.betas, pressures):
             oracle = pressure_periodic(fam, beta, n=18)
             report.certificate(f"pressure(beta={beta:g})",
                                ["renewal", "variational"], [p, oracle], "nats")
-        steps = [float(s) for s in args.steps.split(",") if s.strip()]
-        curve = pressure_curve(fam, betas, kink=args.kink,
-                               kink_steps=tuple(steps), tol=tol)
+        curve = pressure_curve(fam, args.betas, kink=args.kink,
+                               kink_steps=tuple(args.steps), tol=tol)
         for h, q in sorted(curve.left_quotients.items()):
             report.result(f"left_quotient(h={h:g})", q, "nats", "renewal")
         for h, q in sorted(curve.right_quotients.items()):
             report.result(f"right_quotient(h={h:g})", q, "nats", "renewal")
     if args.out:
-        rows = list(zip(betas, pressures))
+        rows = list(zip(args.betas, pressures))
         n_rows = _write_csv(args.out, ["beta", "pressure"], rows)
         report.artifact(args.out, ["beta", "pressure"], n_rows)
 
@@ -502,12 +504,25 @@ def _cmd_pn_scan(args, report):
 # -- argument wiring ------------------------------------------------------------
 
 
+def _floats(text):
+    """argparse type: comma-separated floats (empty items are skipped)."""
+    return [float(s) for s in text.split(",") if s.strip()]
+
+
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _common(sp, *names, seed_required=False):
     if "tol" in names:
         sp.add_argument("--tol", type=float, default=None,
                         help="residual tolerance (per-command default)")
     if "depth" in names:
-        sp.add_argument("--depth", type=int, default=None,
+        sp.add_argument("--depth", type=_positive_int, default=None,
                         help="cylinder depth / path length")
     if "budget" in names:
         sp.add_argument("--budget", type=int, default=10 ** 7,
@@ -578,7 +593,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("periodic", help="periodic point counts")
     sp.add_argument("sft")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     _common(sp, "budget", "check", "out")
     sp.set_defaults(fn=_cmd_periodic)
 
@@ -590,7 +605,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("lattice", help="finite-ring equilibrium pressure")
     sp.add_argument("sft")
     sp.add_argument("potential")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--budget", type=int, default=2 ** 22,
                     help="ring configuration budget")
@@ -599,7 +614,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("ising", help="nearest-neighbour spin chain")
     sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--n", type=int, default=None,
+    sp.add_argument("--n", type=_positive_int, default=None,
                     help="also compute the ring value at this size")
     sp.add_argument("--target", type=float, default=None,
                     help="solve for the beta matching this correlation")
@@ -609,10 +624,10 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("hofbauer-scan",
                         help="renewal pressure scan of a run-length family")
     sp.add_argument("family")
-    sp.add_argument("--betas", default="0.8,0.9,1.0,1.1,1.2",
+    sp.add_argument("--betas", type=_floats, default="0.8,0.9,1.0,1.1,1.2",
                     help="comma-separated inverse temperatures")
     sp.add_argument("--kink", type=float, default=1.0)
-    sp.add_argument("--steps", default="1e-2,1e-3,1e-4",
+    sp.add_argument("--steps", type=_floats, default="1e-2,1e-3,1e-4",
                     help="difference-quotient steps used with --check")
     _common(sp, "tol", "check", "out")
     sp.set_defaults(fn=_cmd_hofbauer_scan)
@@ -631,7 +646,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("pn-scan", help="finite pressure approximants P_n/n")
     sp.add_argument("sft")
     sp.add_argument("potential")
-    sp.add_argument("--n-max", type=int, default=12)
+    sp.add_argument("--n-max", type=_positive_int, default=12)
     sp.add_argument("--beta", type=float, default=1.0)
     _common(sp, "budget", "out")
     sp.set_defaults(fn=_cmd_pn_scan)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
+from ._numerics import bracketed_root, log_trace_power, zeta
 from .errors import OutOfRange, TailUncertified, UndeterminedTail
 from .sft import full_shift
 
@@ -69,10 +69,6 @@ class HofbauerPotential:
 
     # -- pointwise values and Birkhoff sums ------------------------------------
 
-    def value_on_run(self, k):
-        """phi on the cylinder with exactly k leading ones then a zero."""
-        return self.a(k)
-
     def var_k(self, k):
         """Oscillation over points sharing the first k symbols.
 
@@ -111,9 +107,6 @@ class HofbauerPotential:
 
     def birkhoff_sup(self, word):
         return self.birkhoff_extremes(word)[0]
-
-    def birkhoff_inf(self, word):
-        return self.birkhoff_extremes(word)[1]
 
     def slack_exact(self, word):
         """sup - inf on the cylinder: sum of var_j over the trailing ones run."""
@@ -308,12 +301,10 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
         raise OutOfRange("beta must be nonnegative")
     # phase 1: compare the P = 0 series with 1
     K = 4096
-    root_exists = False
     while True:
         s = potential.s_array(K)
         partial = float(np.exp(beta * s).sum())
         if partial > 1.0 + 2.0 * tol:
-            root_exists = True
             break
         tail = potential.tail_bound(beta, K, 0.0)
         if np.isfinite(tail) and partial + tail <= 1.0 + 2.0 * tol:
@@ -326,24 +317,14 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
                 f"series vs 1 undecided at K={K_max} (enclosure "
                 f"[{partial}, {partial + tail}])")
         K *= 2
-    assert root_exists
 
-    def g_ge_1(P):
+    def deficit(P):
         partial, tail, _ = _series_at(potential, beta, P, K_max=K_max)
-        return partial + 0.5 * tail >= 1.0
+        return 1.0 - (partial + 0.5 * tail)
 
-    lo, hi = 0.0, 1.0
-    while g_ge_1(hi):
-        lo, hi = hi, hi * 2.0
-        if hi > 2 ** 40:
-            raise TailUncertified("renewal root escaped the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g_ge_1(mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    # G(0) > 1 was just certified, so the root lies above P = 0
+    return float(bracketed_root(deficit, 0.0, 1.0, xtol=tol,
+                                f_lo=1.0 - partial)[0])
 
 
 def _runlength_matrix(potential, beta, states):
@@ -381,26 +362,7 @@ def pressure_periodic(potential: HofbauerPotential, beta, n, states=64) -> float
     if n < 1:
         raise OutOfRange("period must be at least 1")
     T = _runlength_matrix(potential, beta, max(int(states), int(n)))
-    # repeated squaring with rescaling; entries stay in [0, 1] only for
-    # beta * a <= 0, but path counts grow like 2^n
-    result, rlog = np.eye(len(T)), 0.0
-    base, blog = T.copy(), 0.0
-    m = int(n)
-    while m:
-        if m & 1:
-            result = result @ base
-            rlog += blog
-            peak = result.max()
-            result /= peak
-            rlog += np.log(peak)
-        m >>= 1
-        if m:
-            base = base @ base
-            blog *= 2.0
-            peak = base.max()
-            base /= peak
-            blog += np.log(peak)
-    log_trace = float(np.log(np.trace(result)) + rlog)
+    log_trace = log_trace_power(T, n)
     return float(np.logaddexp(log_trace, 0.0) / n)
 
 

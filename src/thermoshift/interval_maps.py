@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DepthTooLarge, IsRepeller, NoConvergence, NotExpanding,
-                     NotMarkov)
+from ._numerics import bracketed_root
+from .errors import DepthTooLarge, IsRepeller, NotExpanding, NotMarkov
 from .potentials import LocallyConstantPotential
 from .sft import Alphabet, SubshiftOfFiniteType
 from .transfer import gibbs_measure
@@ -282,8 +282,8 @@ class DimensionResult:
 
     dimension: float
     residual: float
-    iterations: int
-    bracket: tuple
+    iterations: int     # pressure evaluations of the root search
+    bracket: tuple      # the interval the search started from
 
 
 def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12,
@@ -298,33 +298,19 @@ def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12,
     """
     coded = code(imap)
     sft, pot = coded.sft, coded.potential
+    residual = []
 
-    def pressure_at(s):
+    def minus_pressure(s):
         g = gibbs_measure(sft, pot.scale(s))
-        return g.pressure, g
+        residual[:] = [abs(g.pressure)]
+        return -g.pressure, -g.expectation(pot)
 
     alpha = min(float(abs(imap.branches[i].slope)) for i in imap.branch_ids)
-    p0, _ = pressure_at(0.0)
+    p0 = gibbs_measure(sft, pot.scale(0.0)).pressure
     if p0 <= 0:
         raise IsRepeller("pressure at s = 0 is not positive; nothing to bisect")
-    lo, hi = 0.0, p0 / np.log(alpha) + 1.0
-    p_hi, _ = pressure_at(hi)
-    if p_hi > 0:
-        raise NoConvergence("upper bracket end has positive pressure")
-    s = 0.5 * (lo + hi)
-    for it in range(1, max_iter + 1):
-        p, g = pressure_at(s)
-        if abs(p) <= tol:
-            return DimensionResult(dimension=float(s), residual=abs(p),
-                                   iterations=it, bracket=(lo, hi))
-        if p > 0:
-            lo = s
-        else:
-            hi = s
-        slope = g.expectation(pot)  # d pressure / d s, strictly negative
-        newton = s - p / slope if slope < 0 else None
-        if hi - lo < 1e-3 and newton is not None and lo < newton < hi:
-            s = newton
-        else:
-            s = 0.5 * (lo + hi)
-    raise NoConvergence(f"dimension residual above {tol} after {max_iter} steps")
+    bracket = (0.0, p0 / np.log(alpha) + 1.0)
+    s, steps = bracketed_root(minus_pressure, *bracket, ftol=tol,
+                              with_slope=True, f_lo=-p0, max_steps=max_iter)
+    return DimensionResult(dimension=float(s), residual=residual[0],
+                           iterations=steps, bracket=bracket)

@@ -9,7 +9,6 @@ entropy 0 log(0/0) = 0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,16 +224,6 @@ class CylinderTable:
 
     def total(self):
         return float(sum(self.masses.values()))
-
-    def to_csv(self, path, alphabet=None):
-        """Write word,probability rows (17 significant digits, CRLF)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(["word", "probability"])
-            for word in sorted(self.masses):
-                label = (alphabet.word_string(word) if alphabet is not None
-                         else "".join(map(str, word)))
-                writer.writerow([label, format(self.masses[word], ".17g")])
 
 
 @dataclass

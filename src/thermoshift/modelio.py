@@ -107,8 +107,9 @@ def parse(path) -> ModelFile:
     except UnicodeDecodeError as exc:
         raise ModelSyntaxError(f"{path}: not valid UTF-8 ({exc})") from None
     try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
+        node = yaml.compose(text, Loader=yaml.SafeLoader)
+        data = (None if node is None
+                else yaml.constructor.SafeConstructor().construct_document(node))
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         raise ModelSyntaxError(

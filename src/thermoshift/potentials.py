@@ -152,9 +152,6 @@ class LocallyConstantPotential:
     def birkhoff_sup(self, word):
         return self.birkhoff_extremes(word)[0]
 
-    def birkhoff_inf(self, word):
-        return self.birkhoff_extremes(word)[1]
-
     def slack_bound(self, n):
         """Upper bound for sup - inf of S_n on any n-cylinder.
 

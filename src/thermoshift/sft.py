@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoConvergence, NotPrimitive, PeriodTooLarge, ZeroRowOrColumn
+from .errors import NotPrimitive, PeriodTooLarge, ZeroRowOrColumn
 
 Word = tuple  # tuple of symbol indices
 
@@ -206,9 +206,10 @@ class SubshiftOfFiniteType:
         Requires primitivity.  ``tol`` is the relative residual on both the
         left and right eigenvector equations.
         """
+        from .transfer import leading_eigen   # deferred: transfer imports sft
         self.require_primitive()
-        lam = _power_radius(self.transition.astype(float), tol, max_iter)
-        return float(np.log(lam))
+        eig = leading_eigen(self.transition.astype(float), tol, max_iter)
+        return float(np.log(eig.lam))
 
     def __repr__(self):
         return (f"SubshiftOfFiniteType(m={self.m}, "
@@ -248,31 +249,3 @@ def _int_matmul(A, B):
     cols = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
-
-def _power_radius(A, tol, max_iter):
-    """Spectral radius of a primitive nonnegative matrix by power iteration.
-
-    Iterates left and right vectors simultaneously and stops when both
-    residuals fall below tol * lambda.  Deterministic uniform start.
-    """
-    m = A.shape[0]
-    v = np.full(m, 1.0 / m)
-    u = np.full(m, 1.0 / m)
-    lam = 1.0
-    for _ in range(max_iter):
-        Av = A @ v
-        uA = u @ A
-        lam = float(u @ Av) / float(u @ v)
-        nv = Av.sum()
-        nu = uA.sum()
-        if nv <= 0 or nu <= 0:
-            raise NoConvergence("power iteration collapsed to zero")
-        v_new = Av / nv
-        u_new = uA / nu
-        res_v = np.max(np.abs(Av - lam * v))
-        res_u = np.max(np.abs(uA - lam * u))
-        v, u = v_new, u_new
-        if res_v <= tol * lam and res_u <= tol * lam:
-            return lam
-    raise NoConvergence(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations")

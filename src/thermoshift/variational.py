@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._numerics import bracketed_root, log_trace_power, logsumexp
 from .errors import (DegenerateObservable, DepthTooLarge, OutOfRange,
                      TargetOutOfRange)
 from .measures import GibbsMeasure
 from .potentials import LocallyConstantPotential
 from .sft import SubshiftOfFiniteType, full_shift
-from .transfer import gibbs_measure, leading_eigen
+from .transfer import build, gibbs_measure
 
 
 @dataclass
@@ -53,7 +53,7 @@ class FiniteEquilibrium:
 def finite_equilibrium(system: FiniteSystem) -> FiniteEquilibrium:
     """Exact equilibrium of a finite system: softmax weights at beta."""
     z = system.beta * system.U
-    p = float(logsumexp(z))
+    p = logsumexp(z)
     mu = np.exp(z - p)
     return FiniteEquilibrium(mu=mu, log_partition=p, beta=system.beta)
 
@@ -73,6 +73,7 @@ def solve_beta(system: FiniteSystem, target, tol=1e-12, max_expand=200):
     a non-constant U, so the solution exists and is unique for any target
     strictly inside that interval.  Bisection brackets the root; Newton steps
     (the derivative is the energy variance) accelerate once inside.
+    ``max_expand`` caps the evaluations of <U>.
     """
     U = system.U
     lo_val, hi_val = float(U.min()), float(U.max())
@@ -81,32 +82,13 @@ def solve_beta(system: FiniteSystem, target, tol=1e-12, max_expand=200):
     if not (lo_val < target < hi_val):
         raise TargetOutOfRange(
             f"target {target} outside the open range ({lo_val}, {hi_val})")
-    lo, hi = -1.0, 1.0
-    for _ in range(max_expand):
-        if mean_energy_at(U, lo) < target:
-            break
-        lo *= 2.0
-    for _ in range(max_expand):
-        if mean_energy_at(U, hi) > target:
-            break
-        hi *= 2.0
-    beta = 0.5 * (lo + hi)
-    for _ in range(300):
+
+    def excess(beta):
         eq = finite_equilibrium(FiniteSystem(U, beta))
-        f = eq.mean_energy(U) - target
-        if abs(f) <= tol:
-            return float(beta)
-        if f < 0:
-            lo = beta
-        else:
-            hi = beta
-        var = eq.var_energy(U)
-        newton = beta - f / var if var > 0 else None
-        if newton is not None and lo < newton < hi:
-            beta = newton
-        else:
-            beta = 0.5 * (lo + hi)
-    return float(beta)
+        return eq.mean_energy(U) - target, eq.var_energy(U)
+
+    return float(bracketed_root(excess, -1.0, 1.0, ftol=tol, with_slope=True,
+                                max_steps=max_expand)[0])
 
 
 # -- cyclic lattice ring -------------------------------------------------------
@@ -149,7 +131,7 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22,
     for word in words:
         sums.append(beta * _ring_sum(word, potential, n))
     sums = np.array(sums)
-    log_z = float(logsumexp(sums))
+    log_z = logsumexp(sums)
     masses = None
     if with_masses:
         weights = np.exp(sums - log_z)
@@ -169,15 +151,8 @@ def lattice_pressure_trace(n, potential, beta) -> float:
         raise OutOfRange("trace route needs range <= 2")
     if n < 1:
         raise OutOfRange("ring size must be >= 1")
-    pot2 = potential.scale(beta).with_range(2)
-    m = sft.m
-    A = np.zeros((m, m))
-    for (a, b), val in pot2.table.items():
-        A[a, b] = np.exp(val)
-    # scale by the spectral radius for overflow safety, restore in the log
-    lam = leading_eigen(A).lam
-    T = np.linalg.matrix_power(A / lam, n)
-    return float((np.log(np.trace(T)) + n * np.log(lam)) / n)
+    A = build(sft, potential.scale(beta)).A
+    return log_trace_power(A, n) / n
 
 
 def _require_full(sft):
@@ -215,7 +190,7 @@ def pressure_Pn(sft, potential, n, budget=10 ** 7, with_points=False) -> PnResul
         else:
             s = potential.birkhoff_sup(word)
         sups.append(s)
-    value = float(logsumexp(np.array(sups)) / n)
+    value = logsumexp(sups) / n
     return PnResult(n=n, value=value, points=points)
 
 
@@ -250,25 +225,11 @@ def ising_match(target_correlation, tol=1e-12):
     if not (-1.0 < target_correlation < 1.0):
         raise TargetOutOfRange("correlation must lie strictly inside (-1, 1)")
 
-    def correlation(beta):
+    def excess(beta):
         meas = gibbs_measure(ising_potential(1.0).sft, ising_potential(beta))
-        return meas.expectation(ising_potential(1.0))
+        return meas.expectation(ising_potential(1.0)) - target_correlation
 
-    lo, hi = -1.0, 1.0
-    while correlation(lo) > target_correlation:
-        lo *= 2.0
-    while correlation(hi) < target_correlation:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        c = correlation(mid)
-        if abs(c - target_correlation) <= tol or hi - lo < tol:
-            return float(mid)
-        if c < target_correlation:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return float(bracketed_root(excess, -1.0, 1.0, xtol=tol, ftol=tol)[0])
 
 
 def markov_as_gibbs(Q, labels=None, tol=1e-13) -> GibbsMeasure:

@@ -3,6 +3,7 @@ digest stability, CSV artifacts."""
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from thermoshift import golden_mean_shift
 from thermoshift.cli import main
 
 MODELS = Path(__file__).parent.parent / "demos" / "models"
@@ -75,6 +77,17 @@ def test_entropy_check_certificate(capsys):
     assert cert["discrepancy"] == pytest.approx(
         max(cert["values"]) - min(cert["values"]), abs=1e-15)
     assert 0.0 <= cert["discrepancy"] < 5e-2
+
+
+def test_entropy_check_past_the_int64_range(capsys):
+    # the word count at depth 100 is a Fibonacci number above 2^63
+    code, doc = run(capsys, "entropy", MODELS / "golden-mean.yaml",
+                    "--check", "--depth", "100")
+    assert code == 0
+    count = golden_mean_shift().count_words(100)
+    assert count > 2 ** 63
+    assert (result(doc, "log_word_count_over_n(n=100)")["value"]
+            == math.log(count) / 100)
 
 
 def test_bits_flag_rescales(capsys):
@@ -228,6 +241,28 @@ def test_malformed_model_exit_3(capsys, tmp_path):
     assert err.startswith("syntax error:") and "line" in err
 
 
+@pytest.mark.parametrize("text", [
+    "version: v1\nkind: sft\nlabels: !!python/object:os.system {}\n",
+    "version: v1\nkind: sft\n---\nversion: v1\nkind: sft\n",
+])
+def test_unsafe_tag_or_second_document_exit_3(capsys, tmp_path, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["entropy", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("syntax error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hofbauer-scan", str(MODELS / "cubic-family.yaml"), "--betas", "0.8,x"],
+    ["periodic", str(MODELS / "golden-mean.yaml"), "--n", "0"],
+    ["aep", str(MODELS / "lazy-coin.yaml"), "--depth", "0"],
+])
+def test_bad_number_lists_and_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+
+
 def test_schema_violation_exit_4(capsys, tmp_path):
     bad = tmp_path / "future.yaml"
     bad.write_text(
@@ -271,6 +306,14 @@ def test_periodic_counts_and_csv(capsys, tmp_path):
     assert lines[0] == "n,count"
     assert len(lines) == 11
     assert lines[-1] == "10,123"
+
+
+def test_periodic_count_past_the_float_range(capsys):
+    code, doc = run(capsys, "periodic", MODELS / "full-shift.yaml",
+                    "--n", "1100")
+    assert code == 0
+    assert doc["payload"]["annotations"]["exact_count"] == str(2 ** 1100)
+    assert result(doc, "periodic_count(n=1100)")["value"] == "inf"
 
 
 def test_production_three_cycle(capsys):
@@ -380,3 +423,12 @@ def test_module_invocation_subprocess():
     entry = next(e for e in doc["payload"]["results"]
                  if e["name"] == "topological_entropy")
     assert abs(entry["value"] - np.log(2.0)) < 1e-12
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the command line must not pull it in
+    code = ("import sys, thermoshift.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

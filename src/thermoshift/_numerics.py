@@ -19,6 +19,15 @@ def logsumexp(a) -> float:
     return float(np.log1p(rest / k) + np.log(k) + top)
 
 
+def ordered_sum(values, start=0.0):
+    """start + v_0 + v_1 + ..., added left to right as a Python loop would.
+
+    Carry the result into the next call to continue the same sum.  np.sum
+    adds pairwise and the built-in sum compensates on Python >= 3.12, so
+    neither reproduces the loop bit for bit."""
+    return np.cumsum(np.concatenate(([start], values)))[-1]
+
+
 ZETA_N = 10
 _BERNOULLI_DIV = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,   # (2k)!/B_2k
                   -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12)

@@ -38,6 +38,7 @@ from .hofbauer import (diagnose, pressure_curve, pressure_periodic,
 from .interval_maps import acim, bowen_dimension
 from .measures import (aep_partition, relative_entropy,
                        relative_entropy_direct, smb_estimate)
+from .sft import _check_budget, _word_blocks
 from .transfer import gibbs_bounds, gibbs_measure
 from .transfer import pressure as spectral_pressure
 from .variational import (ising_match, ising_potential, ising_pressure_exact,
@@ -315,11 +316,10 @@ def _cmd_periodic(args, report):
     report.result(f"periodic_count(n={args.n})", value, "count", "spectral")
     report.annotate("exact_count", str(count))
     if args.check:
-        if sft.count_words(args.n) > args.budget:
-            raise BudgetError(f"explicit cycle enumeration at n={args.n} "
-                              f"exceeds budget {args.budget}")
-        brute = sum(1 for w in sft.cylinders(args.n)
-                    if sft.transition[w[-1], w[0]])
+        T = sft.transition
+        _check_budget(T, args.n, args.budget)
+        brute = sum(int(T[w[:, -1], w[:, 0]].sum())
+                    for w in _word_blocks(T, args.n))
         report.result(f"periodic_count_brute(n={args.n})", float(brute),
                       "count", "enumeration")
         report.certificate("periodic_cross_check", ["spectral", "enumeration"],

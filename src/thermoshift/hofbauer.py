@@ -108,6 +108,11 @@ class HofbauerPotential:
     def birkhoff_sup(self, word):
         return self.birkhoff_extremes(word)[0]
 
+    def birkhoff_sups(self, words):
+        """birkhoff_extremes' sup and tail (None) for each row of a word array."""
+        ext = [self.birkhoff_extremes(word) for word in words.tolist()]
+        return np.array([e[0] for e in ext]), [e[2] for e in ext]
+
     def slack_exact(self, word):
         """sup - inf on the cylinder: sum of var_j over the trailing ones run."""
         sup, inf, _, _ = self.birkhoff_extremes(word)

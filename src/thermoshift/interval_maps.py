@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._numerics import bracketed_root
-from .errors import DepthTooLarge, IsRepeller, NotExpanding, NotMarkov
+from .errors import IsRepeller, NotExpanding, NotMarkov
 from .potentials import LocallyConstantPotential
-from .sft import Alphabet, SubshiftOfFiniteType
+from .sft import Alphabet, SubshiftOfFiniteType, _check_budget, _word_blocks
 from .transfer import gibbs_measure
 
 
@@ -217,8 +217,7 @@ class DistortionCertificate:
 
 
 def distortion_certificate(coded: CodedSystem, n, budget=10 ** 6) -> DistortionCertificate:
-    if coded.sft.count_words(n) > budget:
-        raise DepthTooLarge(f"distortion enumeration at depth {n} over budget")
+    _check_budget(coded.sft.transition, n, budget)
     imap = coded.map
     lo = hi = None
     normalized_ok = True
@@ -248,12 +247,14 @@ class AcimResult:
 
     def certificate(self, depth, budget=10 ** 6):
         """Enumerated extremes of mass(w) / |I_w| at the given depth."""
-        if self.coded.sft.count_words(depth) > budget:
-            raise DepthTooLarge("certificate depth over budget")
+        T = self.coded.sft.transition
+        _check_budget(T, depth, budget)
         lo, hi = np.inf, -np.inf
-        for word in self.coded.sft.cylinders(depth):
-            ratio = self.measure.cylinder(word) / float(self.coded.cylinder_length(word))
-            lo, hi = min(lo, ratio), max(hi, ratio)
+        for words in _word_blocks(T, depth):
+            lengths = [float(self.coded.cylinder_length(word))
+                       for word in words.tolist()]
+            ratio = self.measure.markov._masses(words) / np.array(lengths)
+            lo, hi = min(lo, ratio.min()), max(hi, ratio.max())
         return float(lo), float(hi)
 
 

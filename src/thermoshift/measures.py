@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DepthTooLarge, OutOfRange, SupportMismatch, ZeroMassPath)
-from .sft import SubshiftOfFiniteType
+from ._numerics import ordered_sum
+from .errors import OutOfRange, SupportMismatch, ZeroMassPath
+from .sft import SubshiftOfFiniteType, _check_budget, _count_words, _word_blocks
 
 # matches the documented row-stochasticity tolerance: a row-sum defect of
 # eps forces a stationarity residual of the same order, so a stricter check
@@ -105,34 +106,29 @@ class MarkovMeasure:
 
     def support_words(self, n):
         """Yield (word, mass) for all n-words of positive mass, lex order."""
-        m = self.m
-        succ = [np.flatnonzero(self.P[a] > 0).tolist() for a in range(m)]
-        starts = np.flatnonzero(self.pi > 0).tolist()
+        for words, mass in self._support_blocks(n):
+            yield from zip(map(tuple, words.tolist()), mass)
 
-        def rec(word, mass, pos):
-            if pos == n:
-                yield tuple(word), mass
-                return
-            if pos == 0:
-                for a in starts:
-                    yield from rec([a], self.pi[a], 1)
-                return
-            a = word[-1]
-            for b in succ[a]:
-                yield from rec(word + [b], mass * self.P[a, b], pos + 1)
+    def _support_blocks(self, n):
+        """support_words as (words, masses) array blocks (see sft._word_blocks)."""
+        for words in _word_blocks(self.P > 0, n, self.pi > 0):
+            yield words, self._masses(words)
 
-        yield from rec([], 1.0, 0)
+    def _masses(self, words):
+        """Cylinder masses of the rows of a word array, multiplied as in cylinder."""
+        mass = self.pi[words[:, 0]]
+        for j in range(1, words.shape[1]):
+            mass = mass * self.P[words[:, j - 1], words[:, j]]
+        return mass
 
     def count_support_words(self, n) -> int:
-        B = (self.P > 0).astype(object)
-        vec = [1 if self.pi[a] > 0 else 0 for a in range(self.m)]
-        for _ in range(n - 1):
-            vec = [sum(vec[a] * B[a][b] for a in range(self.m)) for b in range(self.m)]
-        return sum(vec)
+        return _count_words(self.P > 0, n, self.pi > 0)
+
+    def _guard_depth(self, n, budget):
+        _check_budget(self.P > 0, n, budget, self.pi > 0)
 
     def cylinder_table(self, n, budget=10 ** 7):
-        if self.count_support_words(n) > budget:
-            raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
+        self._guard_depth(n, budget)
         return CylinderTable(n, dict(self.support_words(n)))
 
     # -- information quantities -------------------------------------------------
@@ -288,14 +284,13 @@ class BlockEntropies:
 
 def entropy_by_blocks(measure, n_max, budget=10 ** 7) -> BlockEntropies:
     """Block entropies H_n for n = 1..n_max by exact cylinder enumeration."""
-    if measure.count_support_words(n_max) > budget:
-        raise DepthTooLarge(f"block entropy at depth {n_max} exceeds budget")
+    measure._guard_depth(n_max, budget)
     h_n = []
     for n in range(1, n_max + 1):
         total = 0.0
-        for _, mass in measure.support_words(n):
-            if mass > 0:
-                total -= mass * np.log(mass)
+        for _, mass in measure._support_blocks(n):
+            mass = mass[mass > 0]
+            total = ordered_sum(-(mass * np.log(mass)), total)
         h_n.append(float(total))
     rates = [h_n[i] / (i + 1) for i in range(len(h_n))]
     increments = [h_n[i + 1] - h_n[i] for i in range(len(h_n) - 1)]
@@ -320,17 +315,21 @@ def relative_entropy(nu: MarkovMeasure, mu: GibbsMeasure) -> float:
 def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
                             budget=10 ** 7) -> float:
     """H_n(nu | mu)/n by exact depth-n cylinder enumeration."""
-    if nu.count_support_words(n) > budget:
-        raise DepthTooLarge(f"relative entropy at depth {n} exceeds budget")
+    nu._guard_depth(n, budget)
+    with np.errstate(divide="ignore"):
+        log_pi, log_P = np.log(mu.markov.pi), np.log(mu.markov.P)
     total = 0.0
-    for word, mass in nu.support_words(n):
-        if mass <= 0:
-            continue
-        log_mu = mu.markov.log_cylinder(word)
-        if log_mu == -np.inf:
-            raise SupportMismatch(
-                f"nu charges the mu-null cylinder {word}")
-        total += mass * (np.log(mass) - log_mu)
+    for words, mass in nu._support_blocks(n):
+        words, mass = words[mass > 0], mass[mass > 0]
+        # the terms of mu.markov.log_cylinder, one row per word
+        logs = np.column_stack((log_pi[words[:, 0]],
+                                log_P[words[:, :-1], words[:, 1:]]))
+        null = np.isneginf(logs).any(axis=1)
+        if null.any():
+            word = tuple(words[np.argmax(null)].tolist())
+            raise SupportMismatch(f"nu charges the mu-null cylinder {word}")
+        log_mu = np.array([math.fsum(row) for row in logs.tolist()])
+        total = ordered_sum(mass * (np.log(mass) - log_mu), total)
     return float(total / n)
 
 
@@ -377,19 +376,18 @@ def aep_partition(measure: MarkovMeasure, n, alpha, budget=10 ** 7) -> AepPartit
     """Classify depth-n cylinders as typical or exceptional at level alpha."""
     if alpha <= 0:
         raise OutOfRange("alpha must be positive")
-    if measure.count_support_words(n) > budget:
-        raise DepthTooLarge(f"AEP partition at depth {n} exceeds budget")
+    measure._guard_depth(n, budget)
     h = measure.entropy()
     lo, hi = -n * (h + alpha), -n * (h - alpha)
     typical, t_mass, e_mass, count = [], 0.0, 0.0, 0
-    for word, mass in measure.support_words(n):
-        count += 1
-        log_mass = np.log(mass)
-        if lo <= log_mass <= hi:
-            typical.append(word)
-            t_mass += mass
-        else:
-            e_mass += mass
+    for words, mass in measure._support_blocks(n):
+        count += len(words)
+        with np.errstate(divide="ignore"):
+            log_mass = np.log(mass)
+        inside = (lo <= log_mass) & (log_mass <= hi)
+        typical.extend(map(tuple, words[inside].tolist()))
+        t_mass = ordered_sum(mass[inside], t_mass)
+        e_mass = ordered_sum(mass[~inside], e_mass)
     return AepPartition(depth=n, alpha=alpha, entropy_rate=h, typical=typical,
                         typical_mass=float(t_mass),
                         exceptional_mass=float(e_mass),

@@ -45,6 +45,10 @@ _FIELDS = {
 
 _STOCHASTIC_TOL = 1e-9
 
+# libyaml composes the same nodes, with the same marks, several times faster;
+# PyYAML builds without it fall back to the pure-Python composer
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 @dataclass
 class ModelFile:
@@ -107,7 +111,7 @@ def parse(path) -> ModelFile:
     except UnicodeDecodeError as exc:
         raise ModelSyntaxError(f"{path}: not valid UTF-8 ({exc})") from None
     try:
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
+        node = yaml.compose(text, Loader=_LOADER)
         data = (None if node is None
                 else yaml.constructor.SafeConstructor().construct_document(node))
     except yaml.MarkedYAMLError as exc:

@@ -10,11 +10,12 @@ for two-sided certification).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import RangeTooLarge
-from .sft import Alphabet, SubshiftOfFiniteType
+from .sft import _BLOCK_ROWS, Alphabet, SubshiftOfFiniteType
 
 
 class LocallyConstantPotential:
@@ -56,6 +57,13 @@ class LocallyConstantPotential:
 
     def value(self, word):
         return self.table[tuple(word)]
+
+    @cached_property
+    def dense_table(self):
+        """The table as an array indexed by r symbols, NaN off the admissible words."""
+        dense = np.full((self.sft.m,) * self.r, np.nan)
+        dense[tuple(np.array(list(self.table)).T)] = list(self.table.values())
+        return dense
 
     # -- algebra (used for beta scaling and subgradient perturbations) --------
 
@@ -142,7 +150,9 @@ class LocallyConstantPotential:
         best_tail = worst_tail = None
         for tail in self._tails(word[-1]):
             ext = word + tail
-            s = sum(self.table[ext[i:i + self.r]] for i in range(start_var, n))
+            s = 0.0
+            for i in range(start_var, n):
+                s += self.table[ext[i:i + self.r]]
             if best is None or s > best:
                 best, best_tail = s, tail
             if worst is None or s < worst:
@@ -151,6 +161,46 @@ class LocallyConstantPotential:
 
     def birkhoff_sup(self, word):
         return self.birkhoff_extremes(word)[0]
+
+    def birkhoff_sups(self, words):
+        """birkhoff_extremes' sup and argmax tail for each row of a (k, n) array.
+
+        Same additions in the same order as birkhoff_extremes, so the sups
+        agree bit for bit.  The sup over tails depends on a word only through
+        its last min(n, r-1) symbols, so it is solved once per distinct end.
+        """
+        k, n = words.shape
+        r, phi = self.r, self.dense_table
+        fixed = np.zeros(k)
+        for i in range(n - r + 1):
+            fixed = fixed + phi[tuple(words[:, i:i + r].T)]
+        if r == 1:
+            return fixed, [()] * k
+        ends, end_of = np.unique(words[:, max(0, n - r + 1):], axis=0,
+                                 return_inverse=True)
+        end_of = end_of.reshape(-1)
+        span = ends.shape[1]
+        best = np.empty(len(ends))
+        best_tail = [None] * len(ends)
+        for last in np.unique(ends[:, -1]).tolist():
+            tails = self._tails(last)
+            rows = np.flatnonzero(ends[:, -1] == last)
+            step = max(1, _BLOCK_ROWS // len(tails))
+            for lo in range(0, len(rows), step):
+                chunk = rows[lo:lo + step]
+                shape = (len(chunk), len(tails))
+                ext = np.concatenate((
+                    np.broadcast_to(ends[chunk][:, None, :], shape + (span,)),
+                    np.broadcast_to(np.array(tails), shape + (r - 1,))), axis=2)
+                s = np.zeros(ext.shape[:2])
+                for i in range(span):
+                    s = s + phi[tuple(np.moveaxis(ext[:, :, i:i + r], 2, 0))]
+                # argmax keeps the first maximum: lexicographic tie-break
+                top = s.argmax(axis=1)
+                best[chunk] = s[np.arange(len(chunk)), top]
+                for row, j in zip(chunk.tolist(), top.tolist()):
+                    best_tail[row] = tails[j]
+        return fixed + best[end_of], [best_tail[i] for i in end_of.tolist()]
 
     def slack_bound(self, n):
         """Upper bound for sup - inf of S_n on any n-cylinder.

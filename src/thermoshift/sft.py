@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotPrimitive, PeriodTooLarge, ZeroRowOrColumn
+from .errors import DepthTooLarge, NotPrimitive, PeriodTooLarge, ZeroRowOrColumn
 
 Word = tuple  # tuple of symbol indices
 
@@ -133,30 +133,14 @@ class SubshiftOfFiniteType:
 
     def cylinders(self, n):
         """Yield all admissible words of length n in lexicographic order."""
-        if n <= 0:
-            raise ValueError("cylinder depth must be >= 1")
-        word = [0] * n
-        succ = self._succ
-
-        def rec(pos):
-            if pos == n:
-                yield tuple(word)
-                return
-            choices = range(self.m) if pos == 0 else succ[word[pos - 1]]
-            for a in choices:
-                word[pos] = a
-                yield from rec(pos + 1)
-
-        yield from rec(0)
+        for block in _word_blocks(self.transition, n):
+            yield from map(tuple, block.tolist())
 
     def count_words(self, n) -> int:
         """Exact number of admissible n-words: total of the entries of M^(n-1)."""
         if n <= 0:
             raise ValueError("word length must be >= 1")
-        if n == 1:
-            return self.m
-        P = _int_matrix_power(self.transition.astype(object).tolist(), n - 1)
-        return sum(sum(row) for row in P)
+        return _count_words(self.transition, n)
 
     def periodic_count(self, n, cap=4096) -> int:
         """Number of points of period n (not necessarily least): trace of M^n.
@@ -227,6 +211,87 @@ def full_shift(symbols=2, labels=None) -> SubshiftOfFiniteType:
 def golden_mean_shift() -> SubshiftOfFiniteType:
     """Binary shift forbidding the word 11."""
     return SubshiftOfFiniteType(Alphabet(["0", "1"]), [[1, 1], [1, 0]])
+
+
+# most rows in one block of _word_blocks; bounds the memory of every
+# enumeration at about _BLOCK_ROWS * (depth + alphabet size) integers
+_BLOCK_ROWS = 1 << 12
+
+
+def _word_blocks(T, n, starts=None):
+    """Yield the length-n paths of the 0/1 matrix T as (k, n) int arrays.
+
+    A path starts at a symbol where ``starts`` is true (any symbol when
+    omitted) and steps a -> b only where T[a, b] is nonzero.  Rows come in
+    lexicographic order, at most _BLOCK_ROWS per block: the frontier of
+    prefixes is expanded depth-first, a slice at a time, through the
+    successor lists of T.
+    """
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    T = np.asarray(T) != 0
+    succ = np.nonzero(T)[1]              # row-major: ascending within a row
+    first = np.concatenate(([0], np.cumsum(T.sum(axis=1))))
+    m = T.shape[0]
+    pending = [(np.arange(m) if starts is None
+                else np.flatnonzero(starts))[:, None]]
+    while pending:
+        block = pending.pop()
+        if block.shape[1] == n:
+            for lo in range(0, len(block), _BLOCK_ROWS):
+                yield block[lo:lo + _BLOCK_ROWS]
+            continue
+        last = block[:, -1]
+        deg = first[last + 1] - first[last]
+        ends = np.cumsum(deg)
+        cut = max(1, int(np.searchsorted(ends, _BLOCK_ROWS, side="right")))
+        if cut < len(block):
+            pending.append(block[cut:])
+        total = int(ends[cut - 1]) if len(block) else 0
+        if total == 0:
+            continue
+        deg = deg[:cut]
+        parent = np.repeat(np.arange(cut), deg)
+        # position of each child's symbol in succ: its parent's row start
+        # plus its rank among the parent's children
+        rank = np.arange(total) - np.repeat(ends[:cut] - deg, deg)
+        child = succ[first[last[parent]] + rank]
+        pending.append(np.column_stack((block[parent], child)))
+
+
+def _count_words(T, n, starts=None, stop_above=None):
+    """Exact number of length-n paths of the 0/1 matrix T (see _word_blocks).
+
+    Iterates the vector of path counts per end symbol in Python integers,
+    so the count never overflows.  With ``stop_above`` the iteration stops
+    once the count of some shorter length exceeds it, and that count is
+    returned; every symbol must then have a successor in T, so counts never
+    decrease with the length and the true count exceeds ``stop_above`` too.
+    """
+    T = np.asarray(T) != 0
+    m = T.shape[0]
+    vec = (np.ones(m, dtype=np.int64) if starts is None
+           else (np.asarray(starts) != 0).astype(np.int64)).astype(object)
+    # predecessor lists, grouped by end symbol
+    end, src = np.nonzero(T.T)
+    indeg = np.bincount(end, minlength=m)
+    seg = (np.cumsum(indeg) - indeg)[indeg > 0]
+    count = sum(vec.tolist())
+    for _ in range(n - 1):
+        if stop_above is not None and count > stop_above:
+            break
+        nxt = np.zeros(m, dtype=object)
+        if len(src):
+            nxt[indeg > 0] = np.add.reduceat(vec[src], seg)
+        vec = nxt
+        count = sum(vec.tolist())
+    return count
+
+
+def _check_budget(T, n, budget, starts=None):
+    """The enumeration budget guard: DepthTooLarge when over budget n-paths."""
+    if _count_words(T, n, starts, stop_above=budget) > budget:
+        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
 
 
 def _int_matrix_power(M, n):

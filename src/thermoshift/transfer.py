@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthTooLarge, NoConvergence, RangeTooLarge
+from .errors import NoConvergence, RangeTooLarge
 from .measures import GibbsMeasure, MarkovMeasure
 from .potentials import LocallyConstantPotential, recode_range2
+from .sft import _check_budget, _word_blocks
 
 
 @dataclass
@@ -141,27 +142,29 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     1.0 up to rounding).
     """
     sft = measure.sft
-    if sft.count_words(n) > budget:
-        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
+    _check_budget(sft.transition, n, budget)
     pot2 = measure.potential.with_range(2)
     p = measure.pressure
     with np.errstate(divide="ignore"):
         log_pi = np.log(measure.markov.pi)
         log_P = np.log(measure.markov.P)
-    step = {(a, b): log_P[a, b] - val + p for (a, b), val in pot2.table.items()}
-    tail = [p - max(pot2.table[(a, b)] for b in sft.successors(a))
-            for a in range(sft.m)]
+    # admissible entries only are read: phi is NaN off the subshift
+    step = log_P - pot2.dense_table + p
+    tail = np.array([p - max(pot2.table[(a, b)] for b in sft.successors(a))
+                     for a in range(sft.m)])
     c_min, c_max = np.inf, -np.inf
     argmin = argmax = None
-    for word in sft.cylinders(n):
-        log_ratio = log_pi[word[0]] + tail[word[-1]]
-        for a, b in zip(word, word[1:]):
-            log_ratio += step[(a, b)]
+    for words in _word_blocks(sft.transition, n):
+        log_ratio = log_pi[words[:, 0]] + tail[words[:, -1]]
+        for j in range(1, n):
+            log_ratio = log_ratio + step[words[:, j - 1], words[:, j]]
         ratio = np.exp(log_ratio)
-        if ratio < c_min:
-            c_min, argmin = ratio, word
-        if ratio > c_max:
-            c_max, argmax = ratio, word
+        lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
+        # first occurrence, so ties go to the lexicographically first word
+        if ratio[lo] < c_min:
+            c_min, argmin = ratio[lo], tuple(words[lo].tolist())
+        if ratio[hi] > c_max:
+            c_max, argmax = ratio[hi], tuple(words[hi].tolist())
     return GibbsBounds(depth=n, c_min=float(c_min), c_max=float(c_max),
                        argmin=argmin, argmax=argmax)
 

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import bracketed_root, log_trace_power, logsumexp
-from .errors import (DegenerateObservable, DepthTooLarge, OutOfRange,
-                     TargetOutOfRange)
+from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
 from .measures import GibbsMeasure
 from .potentials import LocallyConstantPotential
-from .sft import SubshiftOfFiniteType, full_shift
+from .sft import SubshiftOfFiniteType, _check_budget, _word_blocks, full_shift
 from .transfer import build, gibbs_measure
 
 
@@ -103,16 +102,6 @@ class LatticeEquilibrium:
     masses: dict | None
 
 
-def _ring_sum(word, pot, n):
-    """Birkhoff sum around the ring: indices wrap modulo n."""
-    r = pot.r
-    total = 0.0
-    for i in range(n):
-        key = tuple(word[(i + j) % n] for j in range(r))
-        total += pot.table[key]
-    return total
-
-
 def lattice_equilibrium(n, potential, beta, budget=2 ** 22,
                         with_masses=True) -> LatticeEquilibrium:
     """Exact ring equilibrium by enumeration of the m^n configurations.
@@ -124,18 +113,25 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22,
     _require_full(sft)
     if n < potential.r:
         raise OutOfRange(f"ring size {n} below potential range {potential.r}")
-    if sft.m ** n > budget:
-        raise DepthTooLarge(f"{sft.m}^{n} ring configurations exceed budget")
-    sums = []
-    words = list(sft.cylinders(n))
-    for word in words:
-        sums.append(beta * _ring_sum(word, potential, n))
-    sums = np.array(sums)
+    _check_budget(sft.transition, n, budget)
+    phi = potential.dense_table
+    sums, words = [], []
+    for block in _word_blocks(sft.transition, n):
+        # Birkhoff sum around the ring: site i reads sites i..i+r-1 mod n
+        total = np.zeros(len(block))
+        for i in range(n):
+            total = total + phi[tuple(block[:, (i + j) % n]
+                                      for j in range(potential.r))]
+        sums.append(beta * total)
+        if with_masses:
+            words.append(block)
+    sums = np.concatenate(sums)
     log_z = logsumexp(sums)
     masses = None
     if with_masses:
         weights = np.exp(sums - log_z)
-        masses = {w: float(p) for w, p in zip(words, weights)}
+        masses = dict(zip(map(tuple, np.concatenate(words).tolist()),
+                          weights.tolist()))
     return LatticeEquilibrium(n=n, pressure=log_z / n, masses=masses)
 
 
@@ -177,20 +173,17 @@ def pressure_Pn(sft, potential, n, budget=10 ** 7, with_points=False) -> PnResul
 
     One point per admissible n-cylinder, chosen to maximize the Birkhoff sum
     (ties broken lexicographically in the continuation); only the value
-    enters P_n.  Works for any potential exposing birkhoff_sup.
+    enters P_n.  Works for any potential exposing birkhoff_sups.
     """
-    if sft.count_words(n) > budget:
-        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
+    _check_budget(sft.transition, n, budget)
     sups = []
     points = [] if with_points else None
-    for word in sft.cylinders(n):
-        if with_points and hasattr(potential, "birkhoff_extremes"):
-            s, _, tail, _ = potential.birkhoff_extremes(word)
-            points.append((word, tail, float(s)))
-        else:
-            s = potential.birkhoff_sup(word)
+    for words in _word_blocks(sft.transition, n):
+        s, tails = potential.birkhoff_sups(words)
         sups.append(s)
-    value = logsumexp(sups) / n
+        if with_points:
+            points.extend(zip(map(tuple, words.tolist()), tails, s.tolist()))
+    value = logsumexp(np.concatenate(sups)) / n
     return PnResult(n=n, value=value, points=points)
 
 

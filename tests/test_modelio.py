@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from thermoshift.errors import (ModelSchemaError, ModelSemanticError,
                                 ModelSyntaxError)
@@ -63,6 +64,29 @@ def test_mark_reports_line_and_column():
     line, col = model.mark("transition", 1, 0)
     assert line == 7 and col >= 5
     assert model.mark("no-such-field") == (None, None)
+
+
+def test_parse_matches_pure_python_loader_on_every_demo_model():
+    """Data and marks agree with PyYAML's pure-Python SafeLoader, whichever
+    composer parse uses."""
+    def paths(node, prefix=()):
+        yield prefix, node
+        if isinstance(node, yaml.MappingNode):
+            for key, value in node.value:
+                yield from paths(value, prefix + (key.value,))
+        elif isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                yield from paths(item, prefix + (i,))
+
+    for f in sorted(MODELS.glob("*.yaml")):
+        ref = yaml.compose(f.read_text(), Loader=yaml.SafeLoader)
+        data = yaml.constructor.SafeConstructor().construct_document(ref)
+        model = parse(f)
+        assert {"version": model.version, "kind": model.kind,
+                **model.body} == data
+        for path, node in paths(ref):
+            assert model.mark(*path) == (node.start_mark.line + 1,
+                                         node.start_mark.column + 1), (f, path)
 
 
 # -- syntax layer -------------------------------------------------------------------

@@ -142,8 +142,12 @@ class MarkovMeasure:
     def expectation(self, potential) -> float:
         """Integral of a locally constant potential against the measure."""
         total = 0.0
-        for word, mass in self.support_words(potential.r):
-            total += mass * potential.table[word]
+        for words, mass in self._support_blocks(potential.r):
+            values = potential.dense_table[tuple(words.T)]
+            if np.isnan(values).any():
+                word = tuple(words[np.argmax(np.isnan(values))].tolist())
+                raise ValueError(f"the potential is not defined on {word}")
+            total = ordered_sum(mass * values, total)
         return float(total)
 
     def time_reversal(self) -> "MarkovMeasure":

@@ -1,16 +1,18 @@
 """Locally constant potentials on a subshift.
 
-A potential of range r is a function of the first r coordinates, stored as an
-exact table over the admissible r-words.  Birkhoff sums over an n-cylinder
-are computed with the sup convention: the at most r-1 coordinates that stick
-out past the word are maximized over admissible continuations (inf variant
-for two-sided certification).
+A potential of range r is a function of the first r coordinates, stored as a
+dense array indexed by the r symbols of a word, NaN off the admissible
+words.  Birkhoff sums over an n-cylinder are computed with the sup
+convention: the at most r-1 coordinates that stick out past the word are
+maximized over admissible continuations (inf variant for two-sided
+certification).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,6 +23,11 @@ from .sft import _BLOCK_ROWS, Alphabet, SubshiftOfFiniteType
 class LocallyConstantPotential:
     """Range-r potential given by a finite table on admissible r-words.
 
+    The only stored form is ``dense_table``, a read-only float array of shape
+    (m,) * r holding phi(w) at index w for every admissible r-word w and NaN
+    elsewhere; lifts, algebra, recoding and the transfer matrix are all
+    derived from it.  ``table`` is a read-only dict view built on first use.
+
     Parameters
     ----------
     sft : SubshiftOfFiniteType
@@ -28,52 +35,66 @@ class LocallyConstantPotential:
     r : int
         Range; the potential depends on coordinates 0..r-1 only.
     table : dict
-        Maps every admissible r-word (tuple of symbol indices) to a float.
-        Coverage must be exact: no missing and no extra keys.
+        Maps every admissible r-word (tuple of symbol indices) to a finite
+        float.  Coverage must be exact: no missing and no extra keys.
     """
 
     def __init__(self, sft, r, table):
         if r < 1:
             raise ValueError("range must be >= 1")
-        admissible = set(sft.cylinders(r))
-        keys = set(table)
-        if keys != admissible:
-            missing = sorted(admissible - keys)[:4]
-            extra = sorted(keys - admissible)[:4]
+        words = np.argwhere(sft.admissible_mask(r))
+        keys = list(map(tuple, words.tolist()))
+        admissible, given = set(keys), set(table)
+        if given != admissible:
+            missing = sorted(admissible - given)[:4]
+            extra = sorted(given - admissible)[:4]
             raise ValueError(
                 f"table must cover admissible {r}-words exactly; "
                 f"missing {missing}, extra {extra}")
-        self.sft = sft
-        self.r = r
-        self.table = {w: float(v) for w, v in table.items()}
+        values = np.array([table[w] for w in keys], dtype=float)
+        if not np.isfinite(values).all():
+            i = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"potential values must be finite; "
+                             f"got {values[i]} on {keys[i]}")
+        dense = np.full((sft.m,) * r, np.nan)
+        dense[tuple(words.T)] = values
+        self.sft, self.r, self.dense_table = sft, r, dense
+        dense.flags.writeable = False
+
+    @classmethod
+    def _from_dense(cls, sft, dense):
+        """A potential on ``sft`` whose dense table is ``dense`` (not copied)."""
+        pot = cls.__new__(cls)
+        pot.sft, pot.r, pot.dense_table = sft, dense.ndim, dense
+        dense.flags.writeable = False
+        return pot
 
     @classmethod
     def from_function(cls, sft, r, fn):
-        return cls(sft, r, {w: fn(w) for w in sft.cylinders(r)})
+        words = np.argwhere(sft.admissible_mask(r)).tolist()
+        return cls(sft, r, {w: fn(w) for w in map(tuple, words)})
 
     @classmethod
     def zero(cls, sft, r=1):
-        return cls.from_function(sft, r, lambda w: 0.0)
+        return cls._from_dense(sft, np.where(sft.admissible_mask(r), 0.0, np.nan))
+
+    @cached_property
+    def table(self):
+        """Read-only dict view: admissible r-word -> value, in lex order."""
+        words = np.argwhere(~np.isnan(self.dense_table))
+        values = self.dense_table[tuple(words.T)].tolist()
+        return MappingProxyType(dict(zip(map(tuple, words.tolist()), values)))
 
     def value(self, word):
         return self.table[tuple(word)]
 
-    @cached_property
-    def dense_table(self):
-        """The table as an array indexed by r symbols, NaN off the admissible words."""
-        dense = np.full((self.sft.m,) * self.r, np.nan)
-        dense[tuple(np.array(list(self.table)).T)] = list(self.table.values())
-        return dense
-
     # -- algebra (used for beta scaling and subgradient perturbations) --------
 
     def scale(self, c):
-        return LocallyConstantPotential(
-            self.sft, self.r, {w: c * v for w, v in self.table.items()})
+        return self._from_dense(self.sft, c * self.dense_table)
 
     def shift(self, c):
-        return LocallyConstantPotential(
-            self.sft, self.r, {w: v + c for w, v in self.table.items()})
+        return self._from_dense(self.sft, self.dense_table + c)
 
     def with_range(self, r2):
         """Same potential written as a table of range r2 >= r."""
@@ -81,16 +102,21 @@ class LocallyConstantPotential:
             raise ValueError("cannot lower the range")
         if r2 == self.r:
             return self
-        return LocallyConstantPotential.from_function(
-            self.sft, r2, lambda w: self.table[w[:self.r]])
+        lifted = self.dense_table[(...,) + (None,) * (r2 - self.r)]
+        return self._from_dense(
+            self.sft, np.where(self.sft.admissible_mask(r2), lifted, np.nan))
 
     def __add__(self, other):
         if self.sft is not other.sft and self.sft.alphabet != other.sft.alphabet:
             raise ValueError("potentials live on different subshifts")
         r = max(self.r, other.r)
-        a, b = self.with_range(r), other.with_range(r)
-        return LocallyConstantPotential(
-            self.sft, r, {w: a.table[w] + b.table[w] for w in a.table})
+        a = self.with_range(r).dense_table
+        b = other.with_range(r).dense_table
+        uncovered = ~np.isnan(a) & np.isnan(b)
+        if uncovered.any():
+            raise ValueError("the second potential does not cover the admissible "
+                             f"word {tuple(np.argwhere(uncovered)[0].tolist())}")
+        return self._from_dense(self.sft, a + b)
 
     # -- variation ------------------------------------------------------------
 
@@ -104,11 +130,9 @@ class LocallyConstantPotential:
             raise ValueError("k must be >= 0")
         if k >= self.r:
             return 0.0
-        groups = {}
-        for w, v in self.table.items():
-            lo, hi = groups.get(w[:k], (np.inf, -np.inf))
-            groups[w[:k]] = (min(lo, v), max(hi, v))
-        return max(hi - lo for lo, hi in groups.values())
+        groups = self.dense_table.reshape(self.sft.m ** k, -1)
+        groups = groups[~np.isnan(groups).all(axis=1)]
+        return float(np.max(np.nanmax(groups, axis=1) - np.nanmin(groups, axis=1)))
 
     def variation_bounds(self, k_max):
         """var_k for k = 0..k_max, plus whether the computed part is summable."""
@@ -122,20 +146,8 @@ class LocallyConstantPotential:
         n_tails = self.sft.m ** (self.r - 1)
         if n_tails > budget:
             raise RangeTooLarge(f"{n_tails} tail continuations exceed budget {budget}")
-        tails = [()]
-        for _ in range(self.r - 1):
-            tails = [t + (b,) for t in tails
-                     for b in self.sft.successors(t[-1] if t else last)]
-        return tails
-
-    def _birkhoff_split(self, word):
-        word = tuple(word)
-        n = len(word)
-        fixed = 0.0
-        for i in range(0, n - self.r + 1):
-            fixed += self.table[word[i:i + self.r]]
-        start_var = max(0, n - self.r + 1)
-        return word, n, fixed, start_var
+        tails = np.argwhere(~np.isnan(self.dense_table[last]))
+        return list(map(tuple, tails.tolist()))
 
     def birkhoff_extremes(self, word):
         """(sup, inf, argmax tail, argmin tail) of S_n over the cylinder [word].
@@ -143,21 +155,27 @@ class LocallyConstantPotential:
         Ties in the maximizing and minimizing tails are broken
         lexicographically (first admissible tail in lex order wins).
         """
-        word, n, fixed, start_var = self._birkhoff_split(word)
-        if self.r == 1:
-            return fixed, fixed, (), ()
+        word, r, phi = tuple(word), self.r, self.dense_table
+        if not self.sft.is_admissible(word):
+            raise ValueError(f"word {word} is not admissible")
+        n = len(word)
+        fixed = 0.0
+        for i in range(n - r + 1):
+            fixed += phi[word[i:i + r]]
+        if r == 1:
+            return float(fixed), float(fixed), (), ()
         best = worst = None
         best_tail = worst_tail = None
         for tail in self._tails(word[-1]):
             ext = word + tail
             s = 0.0
-            for i in range(start_var, n):
-                s += self.table[ext[i:i + self.r]]
+            for i in range(max(0, n - r + 1), n):
+                s += phi[ext[i:i + r]]
             if best is None or s > best:
                 best, best_tail = s, tail
             if worst is None or s < worst:
                 worst, worst_tail = s, tail
-        return fixed + best, fixed + worst, best_tail, worst_tail
+        return float(fixed + best), float(fixed + worst), best_tail, worst_tail
 
     def birkhoff_sup(self, word):
         return self.birkhoff_extremes(word)[0]
@@ -256,22 +274,20 @@ def recode_range2(potential) -> Recoding:
         return Recoding(sft=sft, potential=potential, blocks=blocks,
                         block_index={b: i for i, b in enumerate(blocks)},
                         original_sft=sft, original_range=max(r, 2))
-    blocks = tuple(sft.cylinders(r - 1))
+    words = np.argwhere(sft.admissible_mask(r - 1))
+    blocks = tuple(map(tuple, words.tolist()))
     index = {b: i for i, b in enumerate(blocks)}
-    n2 = len(blocks)
-    M2 = np.zeros((n2, n2), dtype=np.int8)
-    for i, b in enumerate(blocks):
-        for j, c in enumerate(blocks):
-            if b[1:] == c[:-1]:
-                M2[i, j] = 1
-    labels = _block_labels(sft.alphabet, blocks)
-    sft2 = SubshiftOfFiniteType(Alphabet(labels), M2)
-    table2 = {}
-    for i, b in enumerate(blocks):
-        for j in np.flatnonzero(M2[i]):
-            c = blocks[int(j)]
-            table2[(i, int(j))] = potential.table[b + (c[-1],)]
-    pot2 = LocallyConstantPotential(sft2, 2, table2)
+    # block i may precede block j iff the last r-2 symbols of i are the
+    # first r-2 of j; compare those overlaps by their integer codes
+    overlap = (sft.m,) * (r - 2)
+    tail = np.ravel_multi_index(tuple(words[:, 1:].T), overlap)
+    head = np.ravel_multi_index(tuple(words[:, :-1].T), overlap)
+    M2 = (tail[:, None] == head[None, :]).astype(np.int8)
+    sft2 = SubshiftOfFiniteType(Alphabet(_block_labels(sft.alphabet, blocks)), M2)
+    i, j = np.nonzero(M2)
+    dense2 = np.full(M2.shape, np.nan)
+    dense2[i, j] = potential.dense_table[tuple(words[i].T) + (words[j, -1],)]
+    pot2 = LocallyConstantPotential._from_dense(sft2, dense2)
     return Recoding(sft=sft2, potential=pot2, blocks=blocks, block_index=index,
                     original_sft=sft, original_range=r)
 

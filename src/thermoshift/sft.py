@@ -136,6 +136,17 @@ class SubshiftOfFiniteType:
         for block in _word_blocks(self.transition, n):
             yield from map(tuple, block.tolist())
 
+    def admissible_mask(self, r):
+        """Boolean array of shape (m,) * r, true exactly at the admissible r-words."""
+        if r < 1:
+            raise ValueError("word length must be >= 1")
+        T = self.transition != 0
+        mask = np.ones(self.m, dtype=bool)
+        for _ in range(r - 1):
+            # mask[..., a, b] = mask[..., a] and T[a, b]
+            mask = mask[..., None] & T
+        return mask
+
     def count_words(self, n) -> int:
         """Exact number of admissible n-words: total of the entries of M^(n-1)."""
         if n <= 0:
@@ -152,8 +163,7 @@ class SubshiftOfFiniteType:
             raise ValueError("period must be >= 1")
         if n > cap:
             raise PeriodTooLarge(f"period {n} exceeds cap {cap}")
-        P = _int_matrix_power(self.transition.astype(object).tolist(), n)
-        return sum(P[i][i] for i in range(self.m))
+        return int(np.trace(np.linalg.matrix_power(self.transition.astype(object), n)))
 
     def periodic_count_with_prefix(self, n, prefix, cap=4096):
         """Exact count of n-periodic points whose first symbols equal ``prefix``."""
@@ -173,8 +183,8 @@ class SubshiftOfFiniteType:
         # the first (for k == n this closes the word directly).
         if k == n:
             return 1 if self.transition[prefix[-1], prefix[0]] else 0
-        P = _int_matrix_power(self.transition.astype(object).tolist(), n - k + 1)
-        return P[prefix[-1]][prefix[0]]
+        P = np.linalg.matrix_power(self.transition.astype(object), n - k + 1)
+        return int(P[prefix[-1], prefix[0]])
 
     def periodic_fraction(self, n, prefix, cap=4096) -> Fraction:
         """Exact fraction of n-periodic points starting with ``prefix``."""
@@ -292,25 +302,4 @@ def _check_budget(T, n, budget, starts=None):
     """The enumeration budget guard: DepthTooLarge when over budget n-paths."""
     if _count_words(T, n, starts, stop_above=budget) > budget:
         raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
-
-
-def _int_matrix_power(M, n):
-    """M^n for a square matrix given as lists of Python ints (exact)."""
-    size = len(M)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = [list(map(int, row)) for row in M]
-    e = n
-    while e:
-        if e & 1:
-            result = _int_matmul(result, base)
-        e >>= 1
-        if e:
-            base = _int_matmul(base, base)
-    return result
-
-
-def _int_matmul(A, B):
-    size = len(A)
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoConvergence, RangeTooLarge
 from .measures import GibbsMeasure, MarkovMeasure
-from .potentials import LocallyConstantPotential, recode_range2
+from .potentials import recode_range2
 from .sft import _check_budget, _word_blocks
 
 
@@ -51,11 +51,8 @@ def build(sft, potential) -> TransferMatrix:
     if potential.r > 2:
         raise RangeTooLarge("matrix form needs range <= 2; recode first")
     sft.require_primitive()
-    m = sft.m
-    A = np.zeros((m, m))
-    pot2 = potential.with_range(2)
-    for (a, b), val in pot2.table.items():
-        A[a, b] = np.exp(val)
+    A = np.where(sft.transition != 0,
+                 np.exp(potential.with_range(2).dense_table), 0.0)
     return TransferMatrix(sft=sft, potential=potential, A=A)
 
 
@@ -143,15 +140,14 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     """
     sft = measure.sft
     _check_budget(sft.transition, n, budget)
-    pot2 = measure.potential.with_range(2)
+    phi = measure.potential.with_range(2).dense_table
     p = measure.pressure
     with np.errstate(divide="ignore"):
         log_pi = np.log(measure.markov.pi)
         log_P = np.log(measure.markov.P)
     # admissible entries only are read: phi is NaN off the subshift
-    step = log_P - pot2.dense_table + p
-    tail = np.array([p - max(pot2.table[(a, b)] for b in sft.successors(a))
-                     for a in range(sft.m)])
+    step = log_P - phi + p
+    tail = p - np.nanmax(phi, axis=1)
     c_min, c_max = np.inf, -np.inf
     argmin = argmax = None
     for words in _word_blocks(sft.transition, n):

@@ -192,15 +192,9 @@ def pressure_Pn(sft, potential, n, budget=10 ** 7, with_points=False) -> PnResul
 
 def ising_potential(beta=1.0) -> LocallyConstantPotential:
     """Nearest-neighbour spin product phi(x) = x0 x1 on the full 2-shift, scaled."""
-    spins = {"+": 1.0, "-": -1.0}
-    shift = full_shift(labels=["+", "-"])
-    table = {}
-    for a in range(2):
-        for b in range(2):
-            sa = spins[shift.alphabet.label(a)]
-            sb = spins[shift.alphabet.label(b)]
-            table[(a, b)] = beta * sa * sb
-    return LocallyConstantPotential(shift, 2, table)
+    spin = (1.0, -1.0)   # of the symbols "+" and "-"
+    return LocallyConstantPotential.from_function(
+        full_shift(labels=["+", "-"]), 2, lambda w: beta * spin[w[0]] * spin[w[1]])
 
 
 def ising_pressure_exact(beta) -> float:
@@ -244,10 +238,5 @@ def markov_as_gibbs(Q, labels=None, tol=1e-13) -> GibbsMeasure:
         labels = [str(i) for i in range(m)]
     sft = SubshiftOfFiniteType(labels, (Q > 0).astype(np.int8))
     sft.require_primitive()
-    table = {}
-    for a in range(m):
-        for b in range(m):
-            if Q[a, b] > 0:
-                table[(a, b)] = float(np.log(Q[a, b]))
-    pot = LocallyConstantPotential(sft, 2, table)
+    pot = LocallyConstantPotential.from_function(sft, 2, lambda w: np.log(Q[w]))
     return gibbs_measure(sft, pot, tol=tol)

@@ -287,6 +287,18 @@ def test_kind_mismatch_exit_5(capsys):
     assert "[field: kind]" in err
 
 
+@pytest.mark.parametrize("bad", ["-.inf", ".inf", ".nan"])
+def test_non_finite_potential_value_exit_5(capsys, tmp_path, bad):
+    weights = tmp_path / "weights.yaml"
+    weights.write_text(f'version: v1\nkind: potential\nrange: 2\nvalues:\n'
+                       f'  "00": -0.2\n  "01": {bad}\n  "10": 0.4\n')
+    code = main(["pressure", str(MODELS / "golden-mean.yaml"), str(weights)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("semantic error:")
+    assert "must be finite" in err and "[field: values]" in err
+
+
 def test_budget_exhaustion_exit_2(capsys):
     code = main(["periodic", str(MODELS / "full-shift.yaml"), "--n", "30",
                  "--check", "--budget", "1000"])

@@ -1,5 +1,6 @@
 """Markov measures: information quantities against hand-derived closed forms."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -342,3 +343,21 @@ def test_production_zero_iff_reversible(seed):
         assert abs(value) < 1e-10
     else:
         assert value > 0.0
+
+
+def test_cylinder_original_matches_the_range4_lift():
+    sft = golden_mean_shift()
+    pot = LocallyConstantPotential.from_function(
+        sft, 3, lambda w: 0.3 * w[0] - 0.2 * w[1] + 0.15 * w[2] - 0.1 * w[0] * w[2])
+    mu3 = gibbs_measure(sft, pot)
+    # an independent route: the range-4 lift recodes to a different block shift
+    mu4 = gibbs_measure(sft, pot.with_range(4))
+    assert mu3.sft.m == 3 and mu4.sft.m == 5
+    for n in range(1, 6):
+        masses = []
+        for word in itertools.product(range(2), repeat=n):
+            mass = mu3.cylinder_original(word)
+            assert abs(mass - mu4.cylinder_original(word)) < 1e-12
+            assert mass > 0 if sft.is_admissible(word) else mass == 0.0
+            masses.append(mass)
+        assert abs(math.fsum(masses) - 1.0) < 1e-12

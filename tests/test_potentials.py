@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from thermoshift import (LocallyConstantPotential, full_shift,
-                         golden_mean_shift, pressure, recode_range2)
+from thermoshift import (LocallyConstantPotential, SubshiftOfFiniteType,
+                         full_shift, golden_mean_shift, pressure, recode_range2)
+from thermoshift.transfer import build
 
 
 def run_weights():
@@ -170,3 +173,126 @@ def test_zero_potential_constructor():
     sft = full_shift(3)
     z = LocallyConstantPotential.zero(sft)
     assert z.r == 1 and set(z.table.values()) == {0.0}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_are_refused(bad):
+    sft = golden_mean_shift()
+    with pytest.raises(ValueError, match="finite"):
+        LocallyConstantPotential(sft, 2, {(0, 0): -0.2, (0, 1): bad, (1, 0): 0.4})
+
+
+def test_add_across_subshifts_needs_coverage():
+    sft, pot = run_weights()
+    full = LocallyConstantPotential(full_shift(2), 1, {(0,): 1.0, (1,): -1.0})
+    # the full shift covers every golden-mean word, not the other way round
+    total = pot + full
+    assert total.sft is sft
+    assert total.table == {(0, 0): -0.2 + 1.0, (0, 1): -0.7 + 1.0, (1, 0): 0.4 - 1.0}
+    with pytest.raises(ValueError, match=r"does not cover .* \(1, 1\)"):
+        full + pot
+
+
+def test_table_is_a_read_only_view():
+    sft, pot = run_weights()
+    with pytest.raises(TypeError):
+        pot.table[(0, 0)] = 1.0
+    with pytest.raises(ValueError):
+        pot.dense_table[0, 0] = 1.0
+
+
+# -- the dense table against the dict loops it replaced -------------------------
+
+
+def brute_words(T, n):
+    return [w for w in itertools.product(range(len(T)), repeat=n)
+            if all(T[a][b] for a, b in zip(w, w[1:]))]
+
+
+def ref_lift(T, table, r, r2):
+    return {w: table[w[:r]] for w in brute_words(T, r2)}
+
+
+def ref_var_k(table, k, r):
+    if k >= r:
+        return 0.0
+    groups = {}
+    for w, v in table.items():
+        lo, hi = groups.get(w[:k], (np.inf, -np.inf))
+        groups[w[:k]] = (min(lo, v), max(hi, v))
+    return max(hi - lo for lo, hi in groups.values())
+
+
+def ref_recoding(T, table, r):
+    blocks = tuple(brute_words(T, r - 1))
+    n2 = len(blocks)
+    M2 = np.zeros((n2, n2), dtype=np.int8)
+    for i, b in enumerate(blocks):
+        for j, c in enumerate(blocks):
+            if b[1:] == c[:-1]:
+                M2[i, j] = 1
+    table2 = {}
+    for i, b in enumerate(blocks):
+        for j in np.flatnonzero(M2[i]):
+            table2[(i, int(j))] = table[b + (blocks[int(j)][-1],)]
+    return blocks, M2, table2
+
+
+def ref_transfer_matrix(m, table2):
+    A = np.zeros((m, m))
+    for (a, b), val in table2.items():
+        A[a, b] = np.exp(val)
+    return A
+
+
+@st.composite
+def tabled_potentials(draw):
+    """A primitive subshift on m <= 4 symbols and two tables on it, r <= 3."""
+    m = draw(st.integers(2, 4))
+    flat = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    T = np.array(flat, dtype=np.int8).reshape(m, m)
+    assume(T.sum(axis=0).all() and T.sum(axis=1).all())
+    sft = SubshiftOfFiniteType([str(a) for a in range(m)], T)
+    assume(sft.validate().primitive)
+    # a coarse grid next to arbitrary floats, so that values tie
+    value = st.one_of(st.integers(-4, 4).map(lambda i: i * 0.25),
+                      st.floats(-50, 50, allow_nan=False))
+    tables = []
+    for _ in range(2):
+        r = draw(st.integers(1, 3))
+        tables.append({w: draw(value) for w in brute_words(T, r)})
+    return sft, tables, draw(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tabled_potentials())
+def test_dense_table_algebra_matches_the_dict_loops(case):
+    sft, (t1, t2), c = case
+    T = sft.transition
+    r1, r2 = len(next(iter(t1))), len(next(iter(t2)))
+    pot, other = (LocallyConstantPotential(sft, r1, t1),
+                  LocallyConstantPotential(sft, r2, t2))
+    assert pot.table == t1 and list(pot.table) == brute_words(T, r1)
+    for r in range(r1, 5):
+        assert pot.with_range(r).table == ref_lift(T, t1, r1, r)
+    assert pot.scale(c).table == {w: c * v for w, v in t1.items()}
+    assert pot.shift(c).table == {w: v + c for w, v in t1.items()}
+    r = max(r1, r2)
+    a, b = ref_lift(T, t1, r1, r), ref_lift(T, t2, r2, r)
+    assert (pot + other).table == {w: a[w] + b[w] for w in a}
+    assert LocallyConstantPotential.zero(sft, r2).table == {w: 0.0 for w in t2}
+    for k in range(5):
+        assert pot.var_k(k) == ref_var_k(t1, k, r1)
+
+    rec = recode_range2(pot)
+    if r1 <= 2:
+        assert rec.potential is pot
+        table2 = ref_lift(T, t1, r1, 2)
+    else:
+        blocks, M2, table2 = ref_recoding(T, t1, r1)
+        assert rec.blocks == blocks
+        assert rec.block_index == {b: i for i, b in enumerate(blocks)}
+        assert np.array_equal(rec.sft.transition, M2)
+        assert rec.potential.table == table2
+    A = build(rec.sft, rec.potential).A
+    assert np.array_equal(A, ref_transfer_matrix(rec.sft.m, table2))

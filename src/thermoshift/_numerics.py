@@ -56,27 +56,30 @@ def zeta(q) -> float:
     return 1.0 + tail
 
 
+def rescaled_product(X, Y):
+    """(X @ Y / peak, log peak) for nonnegative X, Y, where peak is the largest
+    entry of the product: the step of every matrix power that must not
+    overflow however fast the powers grow."""
+    product = X @ Y
+    peak = product.max()
+    product /= peak
+    return product, np.log(peak)
+
+
 def log_trace_power(A, n) -> float:
-    """log trace(A^n), A nonnegative square, n >= 1, by repeated squaring that
-    divides every product by its largest entry and carries that entry's log,
-    so nothing overflows however fast A^n grows."""
+    """log trace(A^n), A nonnegative square, n >= 1, by repeated squaring with
+    ``rescaled_product``, carrying the logs of the dropped scales."""
     result, rlog = np.eye(len(A)), 0.0
     base, blog = np.array(A, dtype=float), 0.0
     m = int(n)
     while m:
         if m & 1:
-            result = result @ base
-            rlog += blog
-            peak = result.max()
-            result /= peak
-            rlog += np.log(peak)
+            result, log_peak = rescaled_product(result, base)
+            rlog = rlog + blog + log_peak
         m >>= 1
         if m:
-            base = base @ base
-            blog *= 2.0
-            peak = base.max()
-            base /= peak
-            blog += np.log(peak)
+            base, log_peak = rescaled_product(base, base)
+            blog = blog * 2.0 + log_peak
     return float(np.log(np.trace(result)) + rlog)
 
 

@@ -10,6 +10,7 @@ entropy 0 log(0/0) = 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -172,14 +173,19 @@ class MarkovMeasure:
             raise ValueError("path length must be >= 1")
         if not (0 <= int(seed) < 2 ** 64):
             raise OutOfRange("seed must fit in 64 bits")
-        u = _uniforms(int(seed), length)
-        cum_pi = np.cumsum(self.pi)
-        cum_P = np.cumsum(self.P, axis=1)
-        path = np.empty(length, dtype=np.int64)
-        path[0] = _pick(cum_pi, u[0])
-        for t in range(1, length):
-            path[t] = _pick(cum_P[path[t - 1]], u[t])
-        return path.tolist()
+        u = _uniforms(int(seed), length).tolist()
+        # bisect on Python floats makes searchsorted's comparisons, per step
+        # without numpy's call overhead
+        cum_P = np.cumsum(self.P, axis=1).tolist()
+        last = self.m - 1
+        state = min(bisect_right(np.cumsum(self.pi).tolist(), u[0]), last)
+        path = [state]
+        for x in u[1:]:
+            state = bisect_right(cum_P[state], x)
+            if state > last:         # the uniform passed a row sum below 1
+                state = last
+            path.append(state)
+        return path
 
     def __repr__(self):
         return f"MarkovMeasure(m={self.m})"
@@ -208,11 +214,6 @@ def _uniforms(seed, count):
     gen = np.random.Generator(np.random.Philox(key=seed))
     raw = gen.integers(0, 2 ** 64, size=count, dtype=np.uint64)
     return (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-
-def _pick(cdf, u):
-    j = int(np.searchsorted(cdf, u, side="right"))
-    return min(j, len(cdf) - 1)
 
 
 @dataclass

@@ -195,10 +195,11 @@ class SubshiftOfFiniteType:
     # -- entropy ---------------------------------------------------------------
 
     def topological_entropy(self, tol=1e-14, max_iter=10 ** 6) -> float:
-        """log of the spectral radius of M, by power iteration.
+        """log of the spectral radius of M, from ``transfer.leading_eigen``
+        (power steps, then squared powers of M for a small spectral gap).
 
         Requires primitivity.  ``tol`` is the relative residual on both the
-        left and right eigenvector equations.
+        left and right eigenvector equations; ``max_iter`` caps the rounds.
         """
         from .transfer import leading_eigen   # deferred: transfer imports sft
         self.require_primitive()

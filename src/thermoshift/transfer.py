@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import rescaled_product
 from .errors import NoConvergence, RangeTooLarge
 from .measures import GibbsMeasure, MarkovMeasure
 from .potentials import recode_range2
@@ -37,6 +38,8 @@ class EigenData:
     lam is the spectral radius; v the entrywise positive right eigenvector
     normalized to sum 1; u the left eigenvector normalized by u . v = 1.
     residual is the final sup-norm residual of both eigen equations.
+    iterations counts the rounds, each one evaluation of both residuals, and
+    squarings the matrix squarings among them (see ``leading_eigen``).
     """
 
     lam: float
@@ -44,6 +47,7 @@ class EigenData:
     u: np.ndarray
     residual: float
     iterations: int
+    squarings: int = 0
 
 
 def build(sft, potential) -> TransferMatrix:
@@ -56,16 +60,44 @@ def build(sft, potential) -> TransferMatrix:
     return TransferMatrix(sft=sft, potential=potential, A=A)
 
 
-def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
-    """Power iteration for the leading eigenvalue and both eigenvectors.
+# power steps before any squaring: a gap that lets them converge this soon
+# (|lambda_2| / lambda <= 0.6 at tol 1e-13) never pays for a matrix product
+_PLAIN_ROUNDS = 64
+# A^(2^64) resolves every gap a double can hold, so squaring stops there
+_MAX_SQUARINGS = 64
 
-    Deterministic uniform start; stops when the sup-norm residuals of
-    A v = lam v and u A = lam u both fall below tol * lam.
+
+def _positive(x) -> bool:
+    return bool(np.all((x > 0) & np.isfinite(x)))
+
+
+def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
+    """Leading eigenvalue and both eigenvectors of a primitive matrix A.
+
+    Each round evaluates Av, uA, lam = u.Av / u.v and the sup-norm residuals
+    of A v = lam v and u A = lam u.  The result is returned once both are at
+    most tol * lam with Av and uA entrywise positive: a positive vector that
+    passes this test is the Perron vector.
+
+    The first max(m, 64) rounds (m the size of A) are power steps from the
+    uniform start, so a gap that lets them converge never pays for a matrix
+    product, which costs about m matrix-vector products.  Each later round
+    squares B once and moves the iterates to Bv and uB, where B is A^(2^k) in
+    the scale of the iterate v0 of the first squaring, diag(v0)^-1 A^(2^k)
+    diag(v0), divided by its largest entry before every product
+    (``rescaled_product``).  A spectral gap g then costs about log2(1/g)
+    rounds instead of log(1/tol) / g.  In that scale the entries of A are at
+    most (A v0)_i / v0_i, so wide weights do not underflow in the products;
+    should Bv or uB still have a zero or non-finite entry, squaring stops for
+    good, as it does after ``_MAX_SQUARINGS``, and power steps go on.
+    ``max_iter`` caps the rounds.
     """
     A = tm.A if isinstance(tm, TransferMatrix) else np.asarray(tm, dtype=float)
     m = A.shape[0]
     v = np.full(m, 1.0 / m)
     u = np.full(m, 1.0 / m)
+    B, squarings, accelerate = None, 0, True
+    plain = max(m, _PLAIN_ROUNDS)
     for it in range(1, max_iter + 1):
         Av = A @ v
         uA = u @ A
@@ -75,14 +107,32 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
         sv, su = Av.sum(), uA.sum()
         if sv <= 0 or su <= 0 or not np.isfinite(lam):
             raise NoConvergence("power iteration collapsed")
-        v = Av / sv
-        u = uA / su
         if res <= tol * lam:
+            if not (_positive(Av) and _positive(uA)):
+                raise NoConvergence("an entry of the Perron vectors underflowed")
+            v = Av / sv
+            u = uA / su
             v = v / v.sum()
             u = u / float(u @ v)
-            return EigenData(lam=lam, v=v, u=u, residual=res, iterations=it)
+            return EigenData(lam=lam, v=v, u=u, residual=res, iterations=it,
+                             squarings=squarings)
+        if it > plain and accelerate and squarings < _MAX_SQUARINGS:
+            if B is None:
+                scale = v
+                B = A * scale[None, :] / scale[:, None]
+                B = B / B.max()
+            B = rescaled_product(B, B)[0]
+            squarings += 1
+            Bv, uB = scale * (B @ (v / scale)), (u * scale) @ B / scale
+            if _positive(Bv) and _positive(uB):
+                v = Bv / Bv.sum()
+                u = uB / uB.sum()
+                continue
+            accelerate = False
+        v = Av / sv
+        u = uA / su
     raise NoConvergence(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations")
+        f"no Perron eigendata within tol={tol} in {max_iter} rounds")
 
 
 def pressure(sft, potential, tol=1e-13) -> float:
@@ -178,8 +228,7 @@ def rpf_convergence(tm, f, n, eigen=None) -> float:
     f = np.asarray(f, dtype=float)
     iterate = f.copy()
     for _ in range(n):
-        iterate = A.T @ iterate
-    iterate = iterate / eigen.lam ** n
+        iterate = A.T @ iterate / eigen.lam
     limit = float(f @ eigen.v) * eigen.u
     return float(np.max(np.abs(iterate - limit)))
 

@@ -159,6 +159,58 @@ def test_sample_path_frequencies_near_stationary():
     assert abs(freq0 - mu.pi[0]) < 0.02
 
 
+def philox_uniforms(seed, count):
+    """The sampler's documented uniforms: Philox keyed by the seed, raw 64-bit
+    words mapped by (raw >> 11) * 2**-53."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    raw = gen.integers(0, 2 ** 64, size=count, dtype=np.uint64)
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def searchsorted_walk(mu, u):
+    """One np.searchsorted per step over the cumulative rows, clamped to the
+    last symbol: the sampling rule written out step by step."""
+    m = len(mu.pi)
+    cum_P = np.cumsum(mu.P, axis=1)
+    path = [min(int(np.searchsorted(np.cumsum(mu.pi), u[0], side="right")), m - 1)]
+    for x in u[1:]:
+        path.append(min(int(np.searchsorted(cum_P[path[-1]], x, side="right")), m - 1))
+    return path
+
+
+def sparse_chain(m, seed):
+    """A random irreducible chain with about half its transitions at zero."""
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(0.0, 1.0, (m, m)) * (rng.random((m, m)) < 0.5)
+    P[np.arange(m), (np.arange(m) + 1) % m] += 0.5
+    return MarkovMeasure.from_transition(P / P.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("m", [2, 5, 100, 400])
+def test_sample_path_equals_the_searchsorted_walk(m):
+    mu = sparse_chain(m, m)
+    assert (mu.P == 0).any()
+    for seed in (0, 7, 2 ** 64 - 1):
+        path = mu.sample_path(3000, seed=seed)
+        assert all(type(s) is int for s in path)
+        assert path == searchsorted_walk(mu, philox_uniforms(seed, 3000))
+
+
+def test_sample_path_at_ties_and_past_the_row_sum(monkeypatch):
+    # rows summing to 1 - 1e-10 (inside the 1e-9 tolerance) leave uniforms
+    # above the last cumulative mass, which go to the last symbol; a uniform
+    # equal to a cumulative mass goes to the next symbol
+    P = np.array([[0.5, 0.5 - 1e-10, 0.0], [0.0, 0.5, 0.5 - 1e-10],
+                  [0.5 - 1e-10, 0.0, 0.5]])
+    mu = MarkovMeasure(np.full(3, 1.0 / 3.0), P)
+    u = np.array([1.0 - 2.0 ** -53, 0.2, 1.0 - 2.0 ** -53, 0.7, 1.0 - 1e-11,
+                  0.0, 0.5])
+    monkeypatch.setattr("thermoshift.measures._uniforms", lambda seed, n: u[:n])
+    path = mu.sample_path(len(u), seed=1)
+    assert path == searchsorted_walk(mu, u)
+    assert path == [2, 0, 2, 2, 2, 0, 1]
+
+
 # -- Shannon-McMillan-Breiman -------------------------------------------------------
 
 

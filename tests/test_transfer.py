@@ -1,8 +1,11 @@
 """Spectral pressure and Gibbs states against dense eigensolves.
 
-The oracle throughout is numpy's full eigendecomposition of the weighted
-transition matrix, which shares no code with the power iteration under test.
+The oracles are numpy's full eigendecomposition of the weighted transition
+matrix, closed-form eigendata and a plain power loop written here; none of
+them shares code with ``leading_eigen``'s power steps and rescaled squarings.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from thermoshift import (LocallyConstantPotential, full_shift,
                          gibbs_bounds, gibbs_measure, golden_mean_shift,
                          pressure)
-from thermoshift.errors import DepthTooLarge, RangeTooLarge
+from thermoshift import transfer
+from thermoshift.errors import DepthTooLarge, NoConvergence, RangeTooLarge
 from thermoshift.sft import SubshiftOfFiniteType
 from thermoshift.transfer import (build, leading_eigen, rpf_convergence,
                                   spectral_ratio)
@@ -167,6 +171,18 @@ def test_iterates_converge_at_the_spectral_rate():
     assert rate <= spectral_ratio(tm) * 1.05
 
 
+def test_rpf_convergence_does_not_overflow():
+    # lam = 2 e^5 on the full 2-shift: lam^130 alone is past the float range
+    sft = full_shift(2)
+    pot = LocallyConstantPotential(
+        sft, 2, {(0, 0): 5.0, (0, 1): 5.3, (1, 0): 4.8, (1, 1): 5.1})
+    tm = build(sft, pot)
+    f = np.array([1.0, 0.3])
+    with np.errstate(over="raise", invalid="raise"):
+        far, near = rpf_convergence(tm, f, 500), rpf_convergence(tm, f, 30)
+    assert np.isfinite(far) and far <= near
+
+
 def random_range2(seed):
     rng = np.random.default_rng(seed)
     if rng.integers(2):
@@ -194,3 +210,130 @@ def test_random_gibbs_states_are_equilibria(seed):
     mu = gibbs_measure(sft, pot)
     assert np.max(np.abs(mu.markov.pi @ mu.markov.P - mu.markov.pi)) < 1e-12
     assert abs(mu.entropy() + mu.expectation() - mu.pressure) < 1e-8
+
+
+# -- the Perron engine: closed forms, the plain loop, dense eig ----------------
+
+EPS = np.finfo(float).eps
+
+
+def gap_matrix(c, d, pi, g):
+    """c D ((1 - g) I + g 1 pi^T) D^-1: Perron root c with right vector D 1,
+    every other eigenvalue c (1 - g)."""
+    m = len(d)
+    M = (1.0 - g) * np.eye(m) + g * np.outer(np.ones(m), pi)
+    return c * (d[:, None] * M / d[None, :])
+
+
+@given(st.integers(2, 6), st.floats(-8.0, -1.0), st.floats(0.0, 150.0),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gap_family_meets_its_closed_form(m, log10_gap, spread, seed):
+    rng = np.random.default_rng(seed)
+    g = 10.0 ** log10_gap
+    c = float(rng.uniform(0.1, 10.0))
+    d = np.exp(rng.uniform(-spread, spread, m))
+    pi = rng.dirichlet(np.ones(m))
+    A = gap_matrix(c, d, pi, g)
+    eig = leading_eigen(A)
+    lam, v = eig.lam, eig.v
+    assert abs(lam - c) <= 1e-13 * c
+    assert eig.residual <= 1e-13 * lam
+    assert np.all(v > 0) and np.all(eig.u > 0)
+    # w = D^-1 v = alpha 1 + z with pi . z = 0, and M z = (1 - g) z, so the
+    # residual r = A v - lam v gives ((1 - g) - lam / c) z = (I - 1 pi^T) D^-1 r / c
+    # and |z| <= 2 |D^-1 r| / (c (g - |lam / c - 1|)).  r is its computed value
+    # plus the rounding of the residual and of the ~6 operations building A.
+    r = np.abs(A @ v - lam * v) + (m + 8) * EPS * (np.abs(A) @ v + lam * v)
+    z_bound = 2.0 * np.max(r / d) / (c * (g - abs(lam / c - 1.0)))
+    w = v / d
+    alpha = float(pi @ w)
+    assert np.max(np.abs(w - alpha)) <= z_bound + 4 * EPS * np.max(w)
+
+
+def plain_power_loop(A, tol=1e-13):
+    """Power steps until both residuals are <= tol * lam: the engine as it
+    stood before squaring."""
+    m = A.shape[0]
+    v = np.full(m, 1.0 / m)
+    u = np.full(m, 1.0 / m)
+    for it in itertools.count(1):
+        Av, uA = A @ v, u @ A
+        lam = float(u @ Av) / float(u @ v)
+        res = max(float(np.max(np.abs(Av - lam * v))),
+                  float(np.max(np.abs(uA - lam * u))))
+        v, u = Av / Av.sum(), uA / uA.sum()
+        if res <= tol * lam:
+            v = v / v.sum()
+            return lam, v, u / float(u @ v), res, it
+
+
+def test_fast_gaps_never_square_and_match_the_plain_loop():
+    rng = np.random.default_rng(5)
+    chain = rng.uniform(0.0, 1.0, (100, 100)) * (rng.random((100, 100)) < 0.3)
+    chain[np.arange(100), (np.arange(100) + 1) % 100] += 1.0
+    golden = golden_mean_shift().transition.astype(float)
+    for A in (chain, golden):
+        eig = leading_eigen(A)
+        lam, v, u, res, it = plain_power_loop(A)
+        assert eig.squarings == 0 and eig.iterations == it
+        assert eig.lam == lam and eig.residual == res
+        assert np.array_equal(eig.v, v) and np.array_equal(eig.u, u)
+    assert 1 < it <= 64   # the golden mean takes tens of power steps
+
+
+def dense_perron(A):
+    w, V = np.linalg.eig(A)
+    k = int(np.argmax(w.real))
+    v = np.abs(V[:, k].real)
+    second = np.sort(np.abs(w))[-2]
+    return float(w[k].real), v / v.sum(), 1.0 - second / w[k].real
+
+
+def assert_matches_dense_eig(A, eig):
+    lam, v, gap = dense_perron(A)
+    assert abs(eig.lam - lam) <= 1e-13 * lam
+    # eigenvector error ~ residual / (lam * gap), plus eig's own rounding
+    assert np.max(np.abs(eig.v - v)) <= 4 * 1e-13 / gap + 1e-14
+
+
+def test_weights_spanning_e300_square_in_the_iterate_scale():
+    d = np.exp([150.0, 0.0, -150.0])
+    A = gap_matrix(1.3, d, np.full(3, 1.0 / 3.0), 1e-3)
+    assert A.max() / A.min() > np.exp(590.0)
+    eig = leading_eigen(A)
+    assert eig.squarings > 0 and eig.iterations < 100
+    assert_matches_dense_eig(A, eig)
+
+
+def test_underflowed_squares_fall_back_to_power_steps():
+    # state 1 is coupled by e^-400, so its Gibbs mass u_1 v_1 ~ e^-800 is not
+    # a double and the first squared step has a zero entry
+    tiny, g = np.exp(-400.0), 0.05
+    A = np.array([[1.0, tiny, g], [tiny, 1e-3, tiny], [g, tiny, 1.0 - g]])
+    eig = leading_eigen(A)
+    # the first squared step already has the zero, and squaring stops for good
+    assert eig.squarings == 1
+    assert eig.iterations > transfer._PLAIN_ROUNDS + 2
+    assert np.all(eig.v > 0) and np.all(eig.u > 0)
+    assert_matches_dense_eig(A, eig)
+
+
+def test_perron_entry_below_the_float_range_is_refused():
+    # a path 0 - 1 - 2 with couplings 1e-200 puts v_2 near 1e-400
+    A = np.array([[1.0, 1e-200, 0.0], [1e-200, 0.0, 1e-200], [0.0, 1e-200, 0.0]])
+    with pytest.raises(NoConvergence):
+        leading_eigen(A)
+
+
+def test_leading_eigen_calls_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("leading_eigen called a dense eigensolver")
+
+    A = gap_matrix(2.0, np.array([1.0, 3.0]), np.array([0.4, 0.6]), 1e-6)
+    for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    eig = leading_eigen(A)
+    monkeypatch.undo()
+    assert eig.squarings > 0
+    assert_matches_dense_eig(A, eig)

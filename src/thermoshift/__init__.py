@@ -6,6 +6,8 @@ dimension of piecewise linear Markov repellers.  Every headline quantity can
 be computed by at least two independent routes so results certify each other.
 """
 
+from importlib import import_module
+
 from .errors import (BudgetError, ComputationError, DegenerateObservable,
                      DepthTooLarge, IsRepeller, ModelSchemaError,
                      ModelSemanticError, ModelSyntaxError, NoConvergence,
@@ -13,26 +15,46 @@ from .errors import (BudgetError, ComputationError, DegenerateObservable,
                      PeriodTooLarge, RangeTooLarge, SupportMismatch,
                      TailUncertified, TargetOutOfRange, ThermoshiftError,
                      UndeterminedTail, ZeroMassPath, ZeroRowOrColumn)
-from .hofbauer import (CriticalPowerFamily, HofbauerPotential,
-                       InverseSquareFamily, diagnose, pressure_curve,
-                       pressure_periodic, pressure_renewal)
-from .interval_maps import (PiecewiseLinearMarkovMap, acim, bowen_dimension,
-                            code, distortion_certificate)
-from .measures import (AepPartition, GibbsMeasure, MarkovMeasure,
-                       aep_partition, entropy_by_blocks, entropy_production,
-                       periodic_approximation, relative_entropy,
-                       relative_entropy_direct, smb_estimate,
-                       stationary_vector)
-from .potentials import LocallyConstantPotential, recode_range2
-from .sft import (Alphabet, MixingReport, SubshiftOfFiniteType, full_shift,
-                  golden_mean_shift)
-from .transfer import (build, gibbs_bounds, gibbs_measure, leading_eigen,
-                       pressure, rpf_convergence, spectral_ratio)
-from .variational import (FiniteSystem, finite_equilibrium, ising_match,
-                          ising_potential, ising_pressure_exact,
-                          lattice_equilibrium, lattice_pressure_trace,
-                          markov_as_gibbs, mean_energy_at, pressure_Pn,
-                          solve_beta)
+
+# public name -> engine module, imported on first access (PEP 562), so that
+# `import thermoshift` or a CLI call loads only the engines it uses
+_ENGINES = {
+    "hofbauer": ("CriticalPowerFamily", "HofbauerPotential",
+                 "InverseSquareFamily", "diagnose", "pressure_curve",
+                 "pressure_periodic", "pressure_renewal"),
+    "interval_maps": ("PiecewiseLinearMarkovMap", "acim", "bowen_dimension",
+                      "code", "distortion_certificate"),
+    "measures": ("AepPartition", "GibbsMeasure", "MarkovMeasure",
+                 "aep_partition", "entropy_by_blocks", "entropy_production",
+                 "periodic_approximation", "relative_entropy",
+                 "relative_entropy_direct", "smb_estimate",
+                 "stationary_vector"),
+    "potentials": ("LocallyConstantPotential", "recode_range2"),
+    "sft": ("Alphabet", "MixingReport", "SubshiftOfFiniteType", "full_shift",
+            "golden_mean_shift"),
+    "transfer": ("build", "gibbs_bounds", "gibbs_measure", "leading_eigen",
+                 "pressure", "rpf_convergence", "spectral_ratio"),
+    "variational": ("FiniteSystem", "finite_equilibrium", "ising_match",
+                    "ising_potential", "ising_pressure_exact",
+                    "lattice_equilibrium", "lattice_pressure_trace",
+                    "markov_as_gibbs", "mean_energy_at", "pressure_Pn",
+                    "solve_beta"),
+}
+_LAZY = {name: module for module, names in _ENGINES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NoConvergence
@@ -54,6 +56,80 @@ def zeta(q) -> float:
     for k in range(ZETA_N, 1, -1):
         tail += float(k) ** -q
     return 1.0 + tail
+
+
+EXPINT_RTOL = 1e-14
+
+
+def _expint_cf(p, z):
+    """E_p(z) for z >= 1 by the continued fraction DLMF 8.19.17, evaluated
+    with the modified Lentz method until a step changes it by < 1e-16."""
+    b = z + p
+    c, d = 1.0 / 1e-300, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (p + i - 1.0)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = c * d
+        h *= step
+        if abs(step - 1.0) < 1e-16:
+            return h * math.exp(-z)
+    raise NoConvergence(f"E_{p}({z}): continued fraction did not settle")
+
+
+def expint(p, z) -> float:
+    """Generalised exponential integral E_p(z) = int_1^inf exp(-z t) t^-p dt
+    (DLMF 8.19.1) for real p >= 0 and z >= 0, with z > 0 when p <= 1.
+
+    For z >= 1 it is the continued fraction DLMF 8.19.17.  Below 1 the order
+    p is first lowered by an integer n to p0 in [1, 2) (or kept, if p < 1),
+    and with a = 1 - p0, L = -log z, E_p0(z) = z^-a Gamma(a, z) is
+
+        z^-a E_p0(1) + sum_j (-1)^j / j! * (z^-a - z^j) / (a + j),
+
+    the sum being z^-a int_z^1 t^(a-1) e^-t dt expanded in e^-t.  Where
+    |(a + j) L| < 1 the quotient is z^j expm1((a + j) L) / (a + j) (L at
+    a + j = 0), so no term cancels however close p is to an integer.  The forward recurrence E_(q+1) = (e^-z - z E_q) / q
+    (DLMF 8.19.12) then climbs back to p; for z < 1 and q >= 1 it damps
+    errors by z / q and cancels at most a factor 2.5.  The relative error
+    is below EXPINT_RTOL = 1e-14 for 1 < p <= 6 and 0 <= z <= 700 (checked
+    against mpmath in the tests).  E_p(0) = 1 / (p - 1), and E_0(z) = e^-z / z.
+    """
+    p, z = float(p), float(z)
+    if not (p >= 0.0 and z >= 0.0) or (z == 0.0 and p <= 1.0):
+        raise ValueError(f"expint needs p >= 0 and z >= 0 (z > 0 for p <= 1), "
+                         f"got p={p}, z={z}")
+    if z == 0.0:
+        return 1.0 / (p - 1.0)
+    if p == 0.0:
+        return math.exp(-z) / z
+    if z >= 1.0:
+        return _expint_cf(p, z)
+    steps = max(int(math.floor(p)) - 1, 0)
+    q = p - steps
+    a, L = 1.0 - q, -math.log(z)
+    za = math.exp(a * L)
+    series, coef, j = 0.0, 1.0, 0
+    while True:
+        c, zj = a + j, z ** j
+        if abs(c * L) < 1.0:
+            quotient = zj * math.expm1(c * L) / c if c != 0.0 else L
+        else:
+            quotient = (za - zj) / c
+        term = coef * quotient
+        series += term
+        if abs(term) <= 1e-17 * abs(series):
+            break
+        j += 1
+        coef /= -j
+    value = za * _expint_cf(q, 1.0) + series
+    decay = math.exp(-z)
+    for _ in range(steps):
+        value = (decay - z * value) / q
+        q += 1.0
+    return value
 
 
 def rescaled_product(X, Y):

@@ -26,24 +26,16 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from . import modelio
 from .errors import (BudgetError, ModelSchemaError, ModelSemanticError,
                      ModelSyntaxError, ThermoshiftError)
-from .hofbauer import (diagnose, pressure_curve, pressure_periodic,
-                       pressure_renewal)
-from .interval_maps import acim, bowen_dimension
-from .measures import (aep_partition, relative_entropy,
-                       relative_entropy_direct, smb_estimate)
-from .sft import _check_budget, _word_blocks
-from .transfer import gibbs_bounds, gibbs_measure
-from .transfer import pressure as spectral_pressure
-from .variational import (ising_match, ising_potential, ising_pressure_exact,
-                          lattice_equilibrium, lattice_pressure_trace,
-                          markov_as_gibbs, pressure_Pn)
+# each handler imports the engines it calls, so a call loads no other engine
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -138,22 +130,42 @@ class Report:
         print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
 
 
-def _write_csv(path, columns, rows):
-    """RFC 4180 table: CRLF endings, header row, floats at 17 significant digits."""
-
-    def cell(x):
-        if isinstance(x, bool):
-            return str(x)
-        if isinstance(x, (float, np.floating)):
-            return format(float(x), ".17g")
+def _cell(x):
+    """One CSV field: floats at 17 significant digits, anything else by str."""
+    if isinstance(x, (str, int)):      # bools too: str(True) is "True"
         return str(x)
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
 
+
+def _fields(column):
+    """A column's CSV fields, formatted lazily.  A numeric, bool or string
+    array is formatted by its dtype in one pass: floats map to 17
+    significant digits, and bools, ints and strings go to the csv writer as
+    they are, which applies str itself.  A range or an iterator (a ``map``
+    over the caller's data, say) is taken to yield finished fields, ints or
+    strings, and goes to the writer as it is too.  Any other sequence is
+    formatted field by field."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biufU":
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return map(format, values, repeat(".17g"))
+        return values
+    if isinstance(column, (range, Iterator)):
+        return column
+    return map(_cell, column)
+
+
+def _write_csv(path, header, columns):
+    """RFC 4180 table from equal-length columns: CRLF endings, header row,
+    floats at 17 significant digits.  Rows are streamed, never built.
+    Returns the row count."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([cell(x) for x in row])
-    return len(rows)
+        writer.writerow(header)
+        writer.writerows(zip(*map(_fields, columns)))
+    return len(columns[0])
 
 
 def _load(path, kind):
@@ -205,6 +217,9 @@ def _cmd_entropy(args, report):
 
 
 def _cmd_pressure(args, report):
+    from .transfer import pressure as spectral_pressure
+    from .variational import pressure_Pn
+
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
     tol = args.tol if args.tol is not None else 1e-13
     p = spectral_pressure(sft, pot, tol=tol)
@@ -218,6 +233,8 @@ def _cmd_pressure(args, report):
 
 
 def _cmd_gibbs(args, report):
+    from .transfer import gibbs_measure
+
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
     tol = args.tol if args.tol is not None else 1e-13
     g = gibbs_measure(sft, pot, tol=tol)
@@ -236,13 +253,14 @@ def _cmd_gibbs(args, report):
     report.annotate("eigen_residual", float(g.eigen.residual))
     if args.out:
         cols = ["state", "stationary"] + [f"to_{lab}" for lab in labels]
-        rows = [[lab, float(g.markov.pi[i])] + [float(x) for x in g.markov.P[i]]
-                for i, lab in enumerate(labels)]
-        n_rows = _write_csv(args.out, cols, rows)
+        n_rows = _write_csv(args.out, cols,
+                            [labels, g.markov.pi, *g.markov.P.T])
         report.artifact(args.out, cols, n_rows)
 
 
 def _cmd_bounds(args, report):
+    from .transfer import gibbs_bounds, gibbs_measure
+
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
     g = gibbs_measure(sft, pot)
     n = args.depth if args.depth is not None else 8
@@ -255,6 +273,9 @@ def _cmd_bounds(args, report):
 
 
 def _cmd_relent(args, report):
+    from .measures import relative_entropy, relative_entropy_direct
+    from .transfer import gibbs_measure
+
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
     nu, labels = _chain(args, report)
     mu = gibbs_measure(sft, pot)
@@ -271,6 +292,8 @@ def _cmd_relent(args, report):
 
 
 def _cmd_sample(args, report):
+    from .measures import smb_estimate
+
     nu, labels = _chain(args, report)
     length = args.depth if args.depth is not None else 1000
     path = nu.sample_path(length, args.seed)
@@ -284,12 +307,15 @@ def _cmd_sample(args, report):
     report.annotate("length", length)
     report.annotate("path_prefix", "".join(labels[s] for s in path[:200]))
     if args.out:
-        rows = [(i, int(s), labels[s]) for i, s in enumerate(path)]
-        n_rows = _write_csv(args.out, ["step", "symbol", "label"], rows)
+        n_rows = _write_csv(args.out, ["step", "symbol", "label"],
+                            [range(len(path)), np.asarray(path),
+                             map(labels.__getitem__, path)])
         report.artifact(args.out, ["step", "symbol", "label"], n_rows)
 
 
 def _cmd_aep(args, report):
+    from .measures import aep_partition
+
     nu, labels = _chain(args, report)
     n = args.depth if args.depth is not None else 10
     part = aep_partition(nu, n, args.alpha, budget=args.budget)
@@ -305,6 +331,8 @@ def _cmd_aep(args, report):
 
 
 def _cmd_periodic(args, report):
+    from .sft import _check_budget, _word_blocks
+
     model = _load(args.sft, "sft")
     report.input(model)
     sft = modelio.build_sft(model)
@@ -325,12 +353,16 @@ def _cmd_periodic(args, report):
         report.certificate("periodic_cross_check", ["spectral", "enumeration"],
                            [float(count), float(brute)], "count")
     if args.out:
-        rows = [(k, str(sft.periodic_count(k))) for k in range(1, args.n + 1)]
-        n_rows = _write_csv(args.out, ["n", "count"], rows)
+        ns = range(1, args.n + 1)
+        n_rows = _write_csv(args.out, ["n", "count"],
+                            [ns, map(sft.periodic_count, ns)])
         report.artifact(args.out, ["n", "count"], n_rows)
 
 
 def _cmd_production(args, report):
+    from .measures import relative_entropy, relative_entropy_direct
+    from .variational import markov_as_gibbs
+
     nu, labels = _chain(args, report)
     forward = markov_as_gibbs(nu.P, labels=labels)
     reversed_chain = nu.time_reversal()
@@ -351,6 +383,8 @@ def _cmd_production(args, report):
 
 
 def _cmd_lattice(args, report):
+    from .variational import lattice_equilibrium, lattice_pressure_trace
+
     sft, pot = _sft_and_potential(args, report)
     eq = lattice_equilibrium(args.n, pot, args.beta, budget=args.budget,
                              with_masses=bool(args.out))
@@ -363,13 +397,19 @@ def _cmd_lattice(args, report):
         report.certificate("lattice_cross_check", ["variational", "spectral"],
                            [eq.pressure, trace_val], "nats")
     if args.out:
-        rows = [(sft.alphabet.word_string(w), m)
-                for w, m in sorted(eq.masses.items())]
-        n_rows = _write_csv(args.out, ["configuration", "mass"], rows)
+        words, masses = zip(*sorted(eq.masses.items()))
+        n_rows = _write_csv(args.out, ["configuration", "mass"],
+                            [[sft.alphabet.word_string(w) for w in words],
+                             np.array(masses)])
         report.artifact(args.out, ["configuration", "mass"], n_rows)
 
 
 def _cmd_ising(args, report):
+    from .transfer import gibbs_measure
+    from .transfer import pressure as spectral_pressure
+    from .variational import (ising_match, ising_potential, ising_pressure_exact,
+                              lattice_pressure_trace)
+
     beta = args.beta
     pot = ising_potential(beta)
     sft = pot.sft
@@ -403,6 +443,9 @@ def _cmd_ising(args, report):
 
 
 def _cmd_hofbauer_scan(args, report):
+    from .hofbauer import (diagnose, pressure_curve, pressure_periodic,
+                           pressure_renewal)
+
     model = _load(args.family, "hofbauer-family")
     report.input(model)
     fam = modelio.build_hofbauer(model)
@@ -429,18 +472,21 @@ def _cmd_hofbauer_scan(args, report):
             report.certificate(f"pressure(beta={beta:g})",
                                ["renewal", "variational"], [p, oracle], "nats")
         curve = pressure_curve(fam, args.betas, kink=args.kink,
-                               kink_steps=tuple(args.steps), tol=tol)
+                               kink_steps=tuple(args.steps), tol=tol,
+                               pressures=pressures)
         for h, q in sorted(curve.left_quotients.items()):
             report.result(f"left_quotient(h={h:g})", q, "nats", "renewal")
         for h, q in sorted(curve.right_quotients.items()):
             report.result(f"right_quotient(h={h:g})", q, "nats", "renewal")
     if args.out:
-        rows = list(zip(args.betas, pressures))
-        n_rows = _write_csv(args.out, ["beta", "pressure"], rows)
+        n_rows = _write_csv(args.out, ["beta", "pressure"],
+                            [args.betas, pressures])
         report.artifact(args.out, ["beta", "pressure"], n_rows)
 
 
 def _cmd_dimension(args, report):
+    from .interval_maps import bowen_dimension
+
     model = _load(args.map, "markov-map")
     report.input(model)
     imap = modelio.build_interval_map(model)
@@ -458,6 +504,8 @@ def _cmd_dimension(args, report):
 
 
 def _cmd_acim(args, report):
+    from .interval_maps import acim
+
     model = _load(args.map, "markov-map")
     report.input(model)
     imap = modelio.build_interval_map(model)
@@ -478,13 +526,17 @@ def _cmd_acim(args, report):
         report.certificate("density_ratio_extremes", ["enumeration"],
                            [lo, hi], "density")
     if args.out:
-        rows = [(iv[0], iv[1], res.densities[s])
-                for s, iv in enumerate(intervals)]
-        n_rows = _write_csv(args.out, ["left", "right", "density"], rows)
+        lefts, rights = zip(*intervals)
+        n_rows = _write_csv(args.out, ["left", "right", "density"],
+                            [lefts, rights,
+                             [res.densities[s] for s in range(len(intervals))]])
         report.artifact(args.out, ["left", "right", "density"], n_rows)
 
 
 def _cmd_pn_scan(args, report):
+    from .transfer import pressure as spectral_pressure
+    from .variational import pressure_Pn
+
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
     ref = spectral_pressure(sft, pot)
     report.result("pressure", ref, "nats", "spectral")
@@ -496,8 +548,9 @@ def _cmd_pn_scan(args, report):
     report.certificate(f"Pn_vs_spectral(n={args.n_max})",
                        ["variational", "spectral"], [values[-1], ref], "nats")
     if args.out:
-        rows = [(n, v, ref) for n, v in enumerate(values, start=1)]
-        n_rows = _write_csv(args.out, ["n", "pn_over_n", "spectral"], rows)
+        n_rows = _write_csv(args.out, ["n", "pn_over_n", "spectral"],
+                            [range(1, len(values) + 1), values,
+                             [ref] * len(values)])
         report.artifact(args.out, ["n", "pn_over_n", "spectral"], n_rows)
 
 

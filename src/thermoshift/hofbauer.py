@@ -6,20 +6,26 @@ With s_k = a_0 + ... + a_k, the equilibrium state of phi is non-unique
 exactly when sum_k exp(s_k) = 1 and sum_k (k+1) exp(s_k) < infinity; the
 pressure of beta * phi solves the renewal equation
 
-    sum_k exp(beta s_k - (k+1) P) = 1
+    G(P) = sum_k exp(beta s_k - (k+1) P) = 1
 
-whenever sum_k exp(beta s_k) > 1, and is 0 otherwise.  All series are
-evaluated with certified analytic tail bounds; no result is reported from a
-bare truncation.
+whenever sum_k exp(beta s_k) > 1, and is 0 otherwise.  One ``RenewalSeries``
+per potential and beta evaluates G: a partial sum over a cached array of
+exp(beta s_k) plus the family's estimate of the dropped tail with a
+certified bound on its error (``HofbauerPotential.tail``).  By default that
+estimate centres an analytic upper bound; ``CriticalPowerFamily`` sums its
+tail by Euler-Maclaurin, so its depth stays fixed however close the root is
+to 0.  No result is reported from a bare truncation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import bracketed_root, log_trace_power, zeta
+from ._numerics import (_BERNOULLI_DIV, EXPINT_RTOL, bracketed_root, expint,
+                        log_trace_power, zeta)
 from .errors import OutOfRange, TailUncertified, UndeterminedTail
 from .sft import full_shift
 
@@ -42,22 +48,33 @@ class HofbauerPotential:
     def s_array(self, K):
         return np.cumsum(self.a_array(K))
 
-    def tail_bound(self, beta, K, P=0.0):
+    def tail_bound(self, beta, K, P=0.0, s_K=None):
         """Certified upper bound for sum_{k >= K} exp(beta s_k - (k+1) P).
 
-        Combines the geometric bound from monotone s_k with any family
-        integral bound; returns inf when nothing certifies.  The inf case is
-        kept out of the arithmetic: inf times an underflowed exp would be nan.
+        Combines any family integral bound with, for P > 0 and a given s_K,
+        the geometric bound from nonincreasing s_k; returns inf when nothing
+        certifies.  The inf case is kept out of the arithmetic: inf times an
+        underflowed exp would be nan.
         """
         bounds = []
         fam = self._family_tail(beta, K)
         if np.isfinite(fam):
             bounds.append(fam * np.exp(-(K + 1) * P))
-        if P > 0:
-            s_K = float(self.s_array(K + 1)[K])
+        if P > 0 and s_K is not None:
             geom = np.exp(beta * s_K) * np.exp(-(K + 1) * P) / (-np.expm1(-P))
             bounds.append(geom)
         return float(min(bounds)) if bounds else float("inf")
+
+    def tail(self, beta, K, P, s_K):
+        """(estimate, error, slope) for T = sum_{k >= K} exp(beta s_k - (k+1) P).
+
+        |T - estimate| <= error, and slope approximates dT/dP; it only steers
+        Newton steps.  This default centres the certified ``tail_bound`` b:
+        estimate and error are b / 2, and slope is -(K+1) b / 2, since every
+        weight k + 1 in dT/dP is at least K + 1.
+        """
+        half = 0.5 * self.tail_bound(beta, K, P, s_K)
+        return half, half, -(K + 1) * half
 
     def _family_tail(self, beta, K):
         """Upper bound for sum_{k >= K} exp(beta s_k); inf if uncertified."""
@@ -146,6 +163,44 @@ class _ScaledHofbauer(HofbauerPotential):
         return self.base.weighted_tail_bound(beta * self.beta, K)
 
 
+_EM_TERMS = 4   # Bernoulli terms of the Euler-Maclaurin tails
+_ULP = 2.0 ** -52
+
+
+def _power_exp_tail(r, P, N):
+    """(estimate, error) for sum_{n >= N} f(n), f(x) = x^-r e^-Px, r >= 0.
+
+    Euler-Maclaurin (DLMF 2.10.1) with m = _EM_TERMS Bernoulli terms:
+
+        sum = N^(1-r) E_r(PN) + f(N) / 2 + t_1 + ... + t_m + R,
+        t_s = -B_2s / (2s)! f^(2s-1)(N)
+            = B_2s / (2s)! f(N) N^(1-2s) sum_i C(2s-1, i) (r)_i (PN)^(2s-1-i),
+
+    the integral being DLMF 8.19.1 for E_r.  f is completely monotone, so
+    f^(2m) >= 0, and B_2m - B~_2m(x) has the sign of B_2m and modulus at most
+    2 |B_2m| (DLMF 24.9.1): the remainder after t_(m-1), int_N^inf
+    (B_2m - B~_2m(x)) / (2m)! f^(2m)(x) dx, lies between 0 and 2 t_m, so
+    |R| <= |t_m|.  The error adds EXPINT_RTOL of the integral term and
+    2 (1 + PN) ulps of the sum, the rounding of PN carried through e^-PN and
+    E_r(PN).  Needs P > 0, or P = 0 and r > 1 (the zeta tail, as in
+    ``zeta``).
+    """
+    y = P * N
+    head = N ** -r * math.exp(-y)
+    integral = N ** (1.0 - r) * expint(r, y)
+    rising = [1.0]
+    for i in range(2 * _EM_TERMS - 1):
+        rising.append(rising[-1] * (r + i))
+    total, last = integral + 0.5 * head, 0.0
+    for s in range(1, _EM_TERMS + 1):
+        j = 2 * s - 1
+        poly = sum(math.comb(j, i) * rising[i] * y ** (j - i) for i in range(j + 1))
+        last = head * N ** -j * poly / _BERNOULLI_DIV[s - 1]
+        total += last
+    rounding = 2.0 * (1.0 + y) * _ULP * total
+    return total, abs(last) + EXPINT_RTOL * integral + rounding
+
+
 class CriticalPowerFamily(HofbauerPotential):
     """a_k = -q log((k+1)/k) for k >= 1, a_0 = -log zeta(q) - depression.
 
@@ -193,6 +248,25 @@ class CriticalPowerFamily(HofbauerPotential):
             return np.inf
         return self._coef(beta) * K ** (2.0 - p) / (p - 2.0)
 
+    def tail(self, beta, K, P, s_K):
+        """Euler-Maclaurin estimate of T = C sum_{n > K} n^-p e^-nP, with
+        C = exp(beta a_0) and p = q beta; see ``_power_exp_tail`` for the
+        remainder bound.  T diverges at P = 0 when p <= 1 (estimate and error
+        inf), and the slope -C sum_{n > K} n^(1-p) e^-nP is -inf at P = 0 when
+        p <= 2; for p < 1 it falls back to -(K+1) times the estimate.
+        """
+        p, coef = self.exponent * beta, self._coef(beta)
+        if P == 0.0 and p <= 1.0:
+            return np.inf, np.inf, -np.inf
+        estimate, error = _power_exp_tail(p, P, K + 1)
+        if P == 0.0 and p <= 2.0:
+            slope = -np.inf
+        elif p >= 1.0:
+            slope = -_power_exp_tail(p - 1.0, P, K + 1)[0]
+        else:
+            slope = -(K + 1) * estimate
+        return coef * estimate, coef * error, coef * slope
+
     def series_closed_form(self, beta):
         """sum_k exp(beta s_k) = exp(beta a_0) zeta(q beta), for q beta > 1."""
         p = self.exponent * beta
@@ -234,17 +308,73 @@ class TransitionDiagnostic:
     tol: float
 
 
+class RenewalSeries:
+    """G(P) = sum_k exp(beta s_k - (k+1) P) for one potential and one beta.
+
+    exp(beta s_k) is read through ``potential.s_array`` once and kept; when
+    the depth K must grow, the cached array is extended, never rebuilt.  An
+    evaluation at P sums the first K terms and their slope weights (k + 1)
+    in one pass and adds the family's tail estimate, whose error bound is
+    the error of G up to rounding.
+    """
+
+    def __init__(self, potential, beta, K_max=2 ** 23):
+        self.potential = potential
+        self.beta = float(beta)
+        self.K = 4096           # the first depth evaluations try
+        self.K_max = K_max
+        self._s = np.empty(0)
+        self._terms = np.empty(0)
+
+    def terms(self, K):
+        """exp(beta s_k) for k < K; s_K is cached too, for the tail."""
+        done = len(self._s)
+        if done <= K:
+            s = self.potential.s_array(K + 1)
+            self._terms = np.concatenate((self._terms, np.exp(self.beta * s[done:])))
+            self._s = s
+        return self._terms[:K]
+
+    def __call__(self, P, settled):
+        """(partial, tail estimate, tail error, G'(P)) at the current depth K,
+        doubled first until ``settled(partial, estimate, error)`` holds.
+
+        Raises UndeterminedTail when the family has no tail bound and
+        TailUncertified when K would pass K_max.
+        """
+        while True:
+            K = self.K
+            n = np.arange(1.0, K + 1.0)
+            weighted = self.terms(K) * np.exp(-P * n)
+            partial = float(weighted.sum())
+            estimate, error, d_tail = self.potential.tail(
+                self.beta, K, P, float(self._s[K]))
+            if settled(partial, estimate, error):
+                return partial, estimate, error, d_tail - float(n @ weighted)
+            if K >= self.K_max:
+                if not np.isfinite(error):
+                    raise UndeterminedTail(
+                        "family has no analytic tail bound for this series")
+                raise TailUncertified(
+                    f"tail error {error} not certified at K={K} "
+                    f"(beta={self.beta}, P={P})")
+            self.K = 2 * K
+
+
 def diagnose(potential: HofbauerPotential, tol=1e-8, K_max=2 ** 22) -> TransitionDiagnostic:
     """Decide uniqueness from the two series, with certified tails.
 
-    Truncation depth adapts: K doubles until either the partial sum provably
-    exceeds 1 (unique), or the tail bound is below tol/10 and the enclosure
-    settles the comparison with 1.
+    Truncation depth adapts: K doubles from 1024 until either the partial sum
+    provably exceeds 1 (unique), or the certified upper bound ``tail_bound``
+    of the dropped tail is below tol/10 and the enclosure settles the
+    comparison with 1.  The partial sums read the cached terms of a
+    ``RenewalSeries`` at beta = 1; the reported tail is the bound, not an
+    estimate.
     """
+    series = RenewalSeries(potential, 1.0)
     K = 1024
     while True:
-        s = potential.s_array(K)
-        terms = np.exp(s)
+        terms = series.terms(K)
         partial = float(terms.sum())
         weighted_partial = float((np.arange(1, K + 1) * terms).sum())
         if partial > 1.0 + tol:
@@ -275,61 +405,67 @@ def diagnose(potential: HofbauerPotential, tol=1e-8, K_max=2 ** 22) -> Transitio
         K *= 2
 
 
-def _series_at(potential, beta, P, K_start=2048, K_max=2 ** 23):
-    """(partial, tail bound, K) for sum_k exp(beta s_k - (k+1) P)."""
-    K = K_start
-    while True:
-        s = potential.s_array(K)
-        partial = float(np.exp(beta * s - np.arange(1, K + 1) * P).sum())
-        tail = potential.tail_bound(beta, K, P)
-        if np.isfinite(tail) and tail <= 1e-15 * (partial + 1.0):
-            return partial, tail, K
-        if K >= K_max:
-            if not np.isfinite(tail):
-                raise UndeterminedTail(
-                    "family has no analytic tail bound for this series")
-            raise TailUncertified(
-                f"tail bound {tail} not certified at K={K_max} (beta={beta}, P={P})")
-        K *= 2
+# bound on |computed G - G| where G is near 1: the settled tail error,
+# at most 5e-16 (G + 1), plus the rounding of exp, product and pairwise
+# sum over at most 2^23 terms (about 32 roundings deep)
+_G_ERROR = 2e-14
+
+
+def _tail_settled(partial, estimate, error):
+    return error <= 5e-16 * (partial + 1.0)
 
 
 def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
                      K_max=2 ** 23) -> float:
     """Pressure of beta * phi from the renewal equation, certified.
 
-    Returns 0 when the certified series sum_k exp(beta s_k) is at most
-    1 + 2 tol (the true root is then at most log of that, below 2 tol).
-    Otherwise brackets the unique positive root of the strictly decreasing
-    G(P) = sum_k exp(beta s_k - (k+1) P) and bisects to width tol.
+    Every evaluation of G(P) = sum_k exp(beta s_k - (k+1) P) comes from one
+    ``RenewalSeries``: the partial sum to depth K (4096 to start) plus the
+    family's tail estimate, K doubling until the tail error is at most
+    5e-16 (partial + 1).  For ``CriticalPowerFamily`` the Euler-Maclaurin
+    tail meets that at K = 4096 for every P >= 0.
+
+    Returns 0 when G(0) = sum_k exp(beta s_k) is certified at most 1 + 2 tol
+    (the true root is then at most log of that, below 2 tol).  Otherwise the
+    strictly decreasing, convex G has a unique positive root of 1 - G, found
+    by Newton steps guarded by bisection from [0, 1].  Newton reaches the
+    root of this concave deficit from one side, so it also stops once
+    |1 - G(P)| <= tol / (1 + tol) - _G_ERROR: as |G'| >= G (every weight
+    k + 1 >= 1), that certifies |P - root| <= tol.  The value returned is
+    the Newton point of that last evaluation: from the left it lies between
+    the evaluated point and the root, from the right it falls short of the
+    root by at most |1 - G| / |G'| <= tol, so the certificate holds and the
+    error is Newton's, far below tol.
     """
     if beta < 0:
         raise OutOfRange("beta must be nonnegative")
+    series = RenewalSeries(potential, beta, K_max=K_max)
+    cut = 1.0 + 2.0 * tol
+
+    def decided(partial, estimate, error):
+        # a partial sum above the cut needs no tail; an infinite error
+        # makes the tail enclosure nan or inf, which decides nothing
+        return (partial > cut or partial + estimate - error > cut
+                or partial + estimate + error <= cut)
+
     # phase 1: compare the P = 0 series with 1
-    K = 4096
-    while True:
-        s = potential.s_array(K)
-        partial = float(np.exp(beta * s).sum())
-        if partial > 1.0 + 2.0 * tol:
-            break
-        tail = potential.tail_bound(beta, K, 0.0)
-        if np.isfinite(tail) and partial + tail <= 1.0 + 2.0 * tol:
-            return 0.0
-        if K >= K_max:
-            if not np.isfinite(tail):
-                raise UndeterminedTail(
-                    "family has no analytic tail bound at P = 0")
-            raise TailUncertified(
-                f"series vs 1 undecided at K={K_max} (enclosure "
-                f"[{partial}, {partial + tail}])")
-        K *= 2
+    partial, estimate, error, _ = series(0.0, decided)
+    if partial + estimate + error <= cut:
+        return 0.0
+
+    evaluations = {}
 
     def deficit(P):
-        partial, tail, _ = _series_at(potential, beta, P, K_max=K_max)
-        return 1.0 - (partial + 0.5 * tail)
+        partial, estimate, _, slope = series(P, _tail_settled)
+        evaluations[P] = (1.0 - (partial + estimate), -slope)
+        return evaluations[P]
 
     # G(0) > 1 was just certified, so the root lies above P = 0
-    return float(bracketed_root(deficit, 0.0, 1.0, xtol=tol,
-                                f_lo=1.0 - partial)[0])
+    ftol = max(tol / (1.0 + tol) - _G_ERROR, 0.0)
+    P, _ = bracketed_root(deficit, 0.0, 1.0, xtol=tol, ftol=ftol,
+                          with_slope=True, f_lo=-1.0)
+    value, slope = evaluations.get(P, (0.0, 0.0))
+    return float(P - value / slope) if slope > 0 else float(P)
 
 
 def _runlength_matrix(potential, beta, states):
@@ -393,21 +529,34 @@ class PressureCurve:
 
 
 def pressure_curve(potential: HofbauerPotential, betas, kink=1.0,
-                   kink_steps=(1e-2, 1e-3, 1e-4), tol=1e-12) -> PressureCurve:
+                   kink_steps=(1e-2, 1e-3, 1e-4), tol=1e-12,
+                   pressures=None) -> PressureCurve:
     """Evaluate the renewal pressure on a grid and probe the kink.
+
+    ``pressures``, when given, are the renewal pressures already computed at
+    ``betas`` (same order, same tol); they and the kink, when it lies on the
+    grid, are not solved again.  Every other value is ``pressure_renewal``,
+    so it carries that function's certified tail.
 
     The left quotient (P(kink - h) - P(kink)) / h stays above a positive
     constant while the right quotient is identically zero past a first-order
     transition; both are difference-quotient estimates, reported with their
     step, not certified derivatives.
     """
+    known = {} if pressures is None else dict(zip(betas, pressures))
+
+    def at(beta):
+        if beta not in known:
+            known[beta] = pressure_renewal(potential, beta, tol=tol)
+        return known[beta]
+
     betas = np.asarray(sorted(betas), dtype=float)
-    pressures = np.array([pressure_renewal(potential, b, tol=tol) for b in betas])
-    p0 = pressure_renewal(potential, kink, tol=tol)
+    values = np.array([at(b) for b in betas])
+    p0 = at(kink)
     left, right = {}, {}
     for h in kink_steps:
-        left[h] = (pressure_renewal(potential, kink - h, tol=tol) - p0) / h
-        right[h] = (pressure_renewal(potential, kink + h, tol=tol) - p0) / h
-    return PressureCurve(betas=betas, pressures=pressures, kink=kink,
+        left[h] = (at(kink - h) - p0) / h
+        right[h] = (at(kink + h) - p0) / h
+    return PressureCurve(betas=betas, pressures=values, kink=kink,
                          kink_steps=tuple(kink_steps), left_quotients=left,
                          right_quotients=right)

@@ -26,11 +26,6 @@ import yaml
 
 from .errors import (ModelSchemaError, ModelSemanticError, ModelSyntaxError,
                      NotExpanding, NotMarkov, OutOfRange, ZeroRowOrColumn)
-from .hofbauer import CriticalPowerFamily, InverseSquareFamily
-from .interval_maps import PiecewiseLinearMarkovMap
-from .measures import MarkovMeasure, stationary_vector
-from .potentials import LocallyConstantPotential
-from .sft import Alphabet, SubshiftOfFiniteType
 
 VERSION = "v1"
 KINDS = ("sft", "potential", "markov-map", "hofbauer-family", "markov-chain")
@@ -193,6 +188,8 @@ def _check_sft(model):
 
 
 def build_sft(model: ModelFile) -> SubshiftOfFiniteType:
+    from .sft import Alphabet, SubshiftOfFiniteType
+
     labels = model.body["labels"]
     M = np.array(model.body["transition"], dtype=np.int8)
     return SubshiftOfFiniteType(Alphabet(labels), M)
@@ -225,6 +222,8 @@ def bind_potential(model: ModelFile, sft: SubshiftOfFiniteType) -> LocallyConsta
     Word keys are strings of concatenated labels, so every label must be a
     single character; the table must cover exactly the admissible words.
     """
+    from .potentials import LocallyConstantPotential
+
     if model.kind != "potential":
         raise ModelSemanticError(f"{model.path}: expected a potential file, "
                                  f"got kind {model.kind!r}")
@@ -310,6 +309,8 @@ def _check_markov_chain(model):
 
 
 def build_markov_chain(model: ModelFile) -> MarkovMeasure:
+    from .measures import MarkovMeasure, stationary_vector
+
     P = np.array(model.body["transition"], dtype=float)
     pi = model.body.get("pi")
     if pi is None:
@@ -325,6 +326,8 @@ def chain_labels(model: ModelFile):
 
 
 def _check_markov_map(model):
+    from .interval_maps import PiecewiseLinearMarkovMap
+
     pts = _require(model, "breakpoints", list, "a list of numbers or 'p/q' "
                                                "strings")
     for i, x in enumerate(pts):
@@ -366,6 +369,8 @@ def _check_markov_map(model):
 
 
 def build_interval_map(model: ModelFile) -> PiecewiseLinearMarkovMap:
+    from .interval_maps import PiecewiseLinearMarkovMap
+
     specs = [None if e is None else (e["slope"], tuple(e["image"]))
              for e in model.body["branches"]]
     return PiecewiseLinearMarkovMap(model.body["breakpoints"], specs)
@@ -399,6 +404,8 @@ def _check_hofbauer(model):
 
 
 def build_hofbauer(model: ModelFile):
+    from .hofbauer import CriticalPowerFamily, InverseSquareFamily
+
     if model.body["family"] == "critical-power":
         return CriticalPowerFamily(exponent=model.body.get("exponent", 3.0),
                                    depression=model.body.get("depression", 0.0))

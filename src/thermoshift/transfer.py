@@ -18,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import rescaled_product
-from .errors import NoConvergence, RangeTooLarge
-from .measures import GibbsMeasure, MarkovMeasure
-from .potentials import recode_range2
+from .errors import NoConvergence, OutOfRange, RangeTooLarge
 from .sft import _check_budget, _word_blocks
 
 
@@ -51,12 +49,26 @@ class EigenData:
 
 
 def build(sft, potential) -> TransferMatrix:
-    """Assemble the matrix form of the operator for a range <= 2 potential."""
+    """Assemble the matrix form of the operator for a range <= 2 potential.
+
+    Raises OutOfRange when the weight exp(phi) of an admissible transition
+    is 0 or not finite as a double: the matrix would drop that transition
+    or carry inf, and the spectral data would be wrong or undefined.
+    """
     if potential.r > 2:
         raise RangeTooLarge("matrix form needs range <= 2; recode first")
     sft.require_primitive()
-    A = np.where(sft.transition != 0,
-                 np.exp(potential.with_range(2).dense_table), 0.0)
+    phi = potential.with_range(2).dense_table
+    admissible = sft.transition != 0
+    with np.errstate(over="ignore"):
+        weights = np.exp(phi)
+    lost = admissible & ~((weights > 0.0) & (weights < np.inf))
+    if lost.any():
+        a, b = np.argwhere(lost)[0]
+        raise OutOfRange(
+            f"transition {a} -> {b}: weight exp({phi[a, b]}) is not a "
+            "positive finite double")
+    A = np.where(admissible, weights, 0.0)
     return TransferMatrix(sft=sft, potential=potential, A=A)
 
 
@@ -141,6 +153,8 @@ def pressure(sft, potential, tol=1e-13) -> float:
     Range > 2 potentials are block-recoded internally; the value is
     log of the spectral radius of the transfer matrix either way.
     """
+    from .potentials import recode_range2
+
     rec = recode_range2(potential)
     eig = leading_eigen(build(rec.sft, rec.potential), tol=tol)
     return float(np.log(eig.lam))
@@ -154,6 +168,9 @@ def gibbs_measure(sft, potential, tol=1e-13) -> GibbsMeasure:
     constants read off the eigenvectors.  For range > 2 the state lives on
     the block recoding (see ``GibbsMeasure.cylinder_original``).
     """
+    from .measures import GibbsMeasure, MarkovMeasure
+    from .potentials import recode_range2
+
     rec = recode_range2(potential)
     tm = build(rec.sft, rec.potential)
     eig = leading_eigen(tm, tol=tol)

@@ -1,6 +1,7 @@
 """End-to-end checks of the batch front-end: exit codes, report shape,
 digest stability, CSV artifacts."""
 
+import csv
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from thermoshift import golden_mean_shift
+from thermoshift import cli
 from thermoshift.cli import main
 
 MODELS = Path(__file__).parent.parent / "demos" / "models"
@@ -438,9 +440,85 @@ def test_module_invocation_subprocess():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; the command line must not pull it in
+    # scipy is a test-only oracle; the command line must not pull it in, and
+    # each call loads only the engines its handler uses
     code = ("import sys, thermoshift.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print(sorted(m for m in sys.modules if m.startswith('thermoshift')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    scipy_mods, ours = proc.stdout.splitlines()
+    assert scipy_mods == "[]"
+    assert ours == str(["thermoshift", "thermoshift.cli", "thermoshift.errors",
+                        "thermoshift.modelio"])
+    code = ("import io, sys, contextlib; from thermoshift.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['entropy', {str(MODELS / 'golden-mean.yaml')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('thermoshift')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    loaded = proc.stdout.strip()
+    for engine in ("hofbauer", "interval_maps", "variational", "measures"):
+        assert f"'thermoshift.{engine}'" not in loaded
+    assert "'thermoshift.sft'" in loaded
+
+
+def test_package_names_load_on_first_access():
+    import thermoshift
+
+    assert set(thermoshift.__all__) <= set(dir(thermoshift))
+    code = ("import sys, thermoshift; from thermoshift import *; "
+            "print(all(name in globals() for name in thermoshift.__all__))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "True"
+    with pytest.raises(AttributeError):
+        thermoshift.no_such_name
+
+
+def _write_csv_per_cell(path, columns, rows):
+    """The per-cell writer the column writer replaced, kept as the reference."""
+
+    def cell(x):
+        if isinstance(x, bool):
+            return str(x)
+        if isinstance(x, (float, np.floating)):
+            return format(float(x), ".17g")
+        return str(x)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cell(x) for x in row])
+    return len(rows)
+
+
+def test_csv_columns_are_byte_identical_to_the_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    floats = rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, size=7)
+    words = ["a,b", 'say "hi"', "plain", "", "line\nbreak", "x", "y"]
+
+    def columns():
+        return [
+            [True, False, True, True, False, False, True],
+            np.array([True, False, True, True, False, False, True]),
+            [np.float64(x) for x in floats],
+            floats,
+            np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1.0]),
+            [math.inf, -math.inf, math.nan, 0.1, 1e22, 3, 2 ** 70],
+            np.arange(-3, 4),
+            [0, -1, 10 ** 30, 7, 8, 9, 10],
+            range(10, 17),
+            words,
+            np.array(words),
+            map(str.upper, words),
+            map(lambda k: 3 ** (40 * k), range(7)),
+        ]
+
+    header = [f"c{i}" for i in range(len(columns()))]
+    rows = list(zip(*columns()))
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    assert cli._write_csv(new, header, columns()) == len(rows) == 7
+    _write_csv_per_cell(old, header, rows)
+    assert new.read_bytes() == old.read_bytes()

@@ -1,15 +1,19 @@
 """Renewal pressure, phase transition diagnosis, and the periodic cross-check."""
 
 import itertools
+import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 from thermoshift import (CriticalPowerFamily, InverseSquareFamily, diagnose,
                          pressure_curve, pressure_periodic, pressure_renewal)
+from thermoshift import hofbauer
 from thermoshift.errors import OutOfRange, UndeterminedTail
-from thermoshift.hofbauer import HofbauerPotential
+from thermoshift.hofbauer import HofbauerPotential, RenewalSeries
 
 P_08 = 0.10838656549867665  # renewal root for the cubic family at beta = 0.8
 
@@ -122,6 +126,26 @@ def test_missing_tail_bound_is_refused_not_guessed():
         pressure_renewal(BareCubic(), 1.0, K_max=2 ** 13)
 
 
+def test_default_tail_centres_the_certified_bound():
+    fam = InverseSquareFamily(scale=1.0)
+    s_K = float(fam.s_array(101)[100])
+    bound = fam.tail_bound(0.5, 100, 0.01, s_K)
+    assert np.isfinite(bound)
+    estimate, error, slope = fam.tail(0.5, 100, 0.01, s_K)
+    assert estimate == error == 0.5 * bound
+    assert slope == -101 * estimate
+    # nothing certifies the bare family at P = 0
+    assert BareCubic().tail(1.0, 100, 0.0, s_K) == (np.inf, np.inf, -np.inf)
+
+
+def test_inverse_square_pressures_unchanged():
+    fam = InverseSquareFamily(scale=1.0)
+    frozen = {0.5: 0.4321727899646248, 1.0: 0.238230097448195,
+              2.0: 0.04940908970320379, 4.0: 0.0014659289422525035}
+    for beta, p in frozen.items():
+        assert abs(pressure_renewal(fam, beta) - p) < 1e-12
+
+
 def test_positive_pressure_needs_no_family_tail():
     # for P > 0 the geometric tail certifies on its own, so the bare family
     # reproduces the closed-form route wherever the root is positive
@@ -143,6 +167,88 @@ def test_pressure_vanishes_past_the_transition():
 
 def test_pressure_frozen_value_below_transition():
     assert abs(pressure_renewal(cubic(), 0.8) - P_08) < 1e-9
+    assert abs(pressure_renewal(cubic(), 0.9) - 0.05203476018186848) < 1e-12
+
+
+# -- the certified series evaluator --------------------------------------------------
+
+
+def mp_series(p, P, coef):
+    """coef * sum_{n >= 1} n^-p e^-nP = coef Li_p(e^-P), in mpmath."""
+    return coef * mpmath.polylog(p, mpmath.exp(-mpmath.mpf(P)))
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8, 1.0 - 1e-6, 1.0, 1.4])
+def test_series_matches_lerch_oracle_within_remainder_bound(beta):
+    mpmath.mp.dps = 30
+    fam = cubic()
+    series = RenewalSeries(fam, beta)
+    # the family's own coefficient and exponent, so that only the summation
+    # of the tail is under test
+    coef = mpmath.mpf(math.exp(beta * fam.a0))
+    p, N = mpmath.mpf(fam.exponent * beta), series.K + 1
+    for P in (0.0, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, math.log(2.0)):
+        partial, estimate, error, slope = series(P, lambda *_: True)
+        x = mpmath.exp(-mpmath.mpf(P))
+        # sum_{n >= N} n^-p x^n = x^N Phi(x, p, N), the Lerch transcendent
+        tail = coef * (mpmath.zeta(p, N) if P == 0.0
+                       else x ** N * mpmath.lerchphi(x, p, N))
+        assert abs(estimate - float(tail)) <= error, P
+        total = float(mp_series(p, P, coef))
+        assert abs(partial + estimate - total) <= error + 2e-14 * total
+        d_total = -float(coef * mpmath.polylog(p - 1, x)) if P > 0 else None
+        if d_total is not None:
+            assert abs(slope - d_total) <= 1e-12 * abs(d_total)
+
+
+@pytest.mark.parametrize("j", [4, 5, 6, 7, 8])
+def test_roots_near_the_kink_are_fast_and_within_tol(j):
+    mpmath.mp.dps = 30
+    beta = 1.0 - 10.0 ** -j
+    fam = cubic()
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        P = pressure_renewal(fam, beta)
+        elapsed.append(time.perf_counter() - t0)
+    p = 3 * mpmath.mpf(beta)
+    coef = mpmath.zeta(3) ** -mpmath.mpf(beta)
+    root = mpmath.findroot(lambda x: mp_series(p, x, coef) - 1, P)
+    assert abs(P - float(root)) <= 1e-12
+    assert min(elapsed) < 0.05
+
+
+def test_cubic_family_evaluations_stay_at_depth_4096(monkeypatch):
+    fam = cubic()
+    depths = []
+    call = RenewalSeries.__call__
+
+    def spy(self, P, settled):
+        out = call(self, P, settled)
+        depths.append(self.K)
+        return out
+
+    monkeypatch.setattr(RenewalSeries, "__call__", spy)
+    for beta in (0.0, 0.3, 0.8, 0.9, 1.0 - 1e-8, 1.0, 1.5):
+        pressure_renewal(fam, beta)
+    # and directly at every scale of P down to 0, for p = 3 beta >= 1.5
+    for beta in (0.5, 0.8, 1.0 - 1e-8, 1.0, 2.0):
+        series = RenewalSeries(fam, beta)
+        for P in (0.0, 1e-300, 1e-12, 1e-6, 1e-2, 1.0):
+            series(P, hofbauer._tail_settled)
+    assert max(depths) == 4096
+    # diagnose keeps its own schedule
+    assert diagnose(fam).truncation_K == 32768
+
+
+def test_periodic_oracle_never_uses_the_series_evaluator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not call the renewal series")
+
+    monkeypatch.setattr(RenewalSeries, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        pressure_renewal(cubic(), 0.8)
+    assert abs(pressure_periodic(cubic(), 0.8, 18) - 0.11553570842560774) < 1e-12
 
 
 def test_pressure_monotone_convex_nonnegative():
@@ -234,6 +340,28 @@ def test_kink_quotients():
         assert abs(curve.left_quotients[h] - q) < 1e-8
     assert np.all(np.diff(curve.pressures) <= 1e-12)
     assert curve.pressures[-1] == 0.0
+
+
+def test_pressure_curve_reuses_the_computed_grid(monkeypatch):
+    fam = cubic()
+    betas = [0.8, 1.0, 0.9]
+    grid = [pressure_renewal(fam, b) for b in betas]
+    solved = []
+    real = hofbauer.pressure_renewal
+
+    def spy(potential, beta, tol=1e-12):
+        solved.append(beta)
+        return real(potential, beta, tol=tol)
+
+    monkeypatch.setattr(hofbauer, "pressure_renewal", spy)
+    curve = pressure_curve(fam, betas, kink_steps=(1e-2,), pressures=grid)
+    assert solved == [1.0 - 1e-2, 1.0 + 1e-2]
+    assert list(curve.betas) == [0.8, 0.9, 1.0]
+    assert list(curve.pressures) == [grid[0], grid[2], grid[1]]
+    solved.clear()
+    again = pressure_curve(fam, betas, kink_steps=(1e-2,))
+    assert sorted(solved) == [0.8, 0.9, 1.0 - 1e-2, 1.0, 1.0 + 1e-2]
+    assert again.left_quotients == curve.left_quotients
 
 
 def test_grid_quotients_shape():

@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from thermoshift._numerics import (ZETA_N, bracketed_root, log_trace_power,
-                                   logsumexp, zeta)
+from thermoshift._numerics import (EXPINT_RTOL, ZETA_N, bracketed_root, expint,
+                                   log_trace_power, logsumexp, zeta)
 from thermoshift.errors import NoConvergence
 
 # ties with the maximum come from the sampled values
@@ -36,6 +37,32 @@ def test_zeta_matches_scipy_with_certified_remainder():
     assert zeta(3.0) == float(scipy.special.zeta(3.0))
     with pytest.raises(ValueError):
         zeta(1.0)
+
+
+def test_expint_matches_mpmath_within_its_stated_error():
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(8)
+    orders = np.concatenate([rng.uniform(1.0, 6.0, 12),
+                             [1.0 + 1e-9, 1.5, 2.0, 2.0 - 1e-12, 2.0 + 1e-12,
+                              3.0, 3.0 - 1e-12, 3.0 + 1e-12, 4.0, 6.0]])
+    args = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 0.5, 1.0 - 1e-12, 1.0,
+                            2.0, 700.0],
+                           10.0 ** rng.uniform(-9.0, 0.0, 10),
+                           rng.uniform(1.0, 700.0, 6)])
+    for p in orders:
+        for z in args:
+            mp_p, mp_z = mpmath.mpf(float(p)), mpmath.mpf(float(z))
+            ref = 1 / (mp_p - 1) if z == 0 else mpmath.expint(mp_p, mp_z)
+            assert abs(expint(p, z) - ref) <= EXPINT_RTOL * ref, (p, z)
+    # the orders below 1 that the Euler-Maclaurin slopes use, and E_0
+    for p, z in ((0.5, 0.3), (0.999, 2e-4), (1e-9, 0.7), (0.5, 3.0)):
+        ref = mpmath.expint(mpmath.mpf(p), mpmath.mpf(z))
+        assert abs(expint(p, z) - ref) <= 1e-13 * ref
+    assert expint(0.0, 2.0) == math.exp(-2.0) / 2.0
+    with pytest.raises(ValueError):
+        expint(1.0, 0.0)
+    with pytest.raises(ValueError):
+        expint(2.0, -1.0)
 
 
 def test_bracketed_root_expands_a_bracket_that_misses():

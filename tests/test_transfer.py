@@ -6,6 +6,7 @@ them shares code with ``leading_eigen``'s power steps and rescaled squarings.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from thermoshift import (LocallyConstantPotential, full_shift,
                          gibbs_bounds, gibbs_measure, golden_mean_shift,
                          pressure)
 from thermoshift import transfer
-from thermoshift.errors import DepthTooLarge, NoConvergence, RangeTooLarge
+from thermoshift.errors import (DepthTooLarge, NoConvergence, OutOfRange,
+                               RangeTooLarge)
 from thermoshift.sft import SubshiftOfFiniteType
 from thermoshift.transfer import (build, leading_eigen, rpf_convergence,
                                   spectral_ratio)
@@ -81,6 +83,25 @@ def test_build_rejects_wide_potentials():
     pot = LocallyConstantPotential.from_function(sft, 3, lambda w: 0.1 * w[0])
     with pytest.raises(RangeTooLarge):
         build(sft, pot)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_build_refuses_weights_outside_the_float_range(sign):
+    # exp(-800) underflows to 0 and exp(800) overflows: either would drop a
+    # transition or poison the matrix, so both raise, with no RuntimeWarning
+    sft = full_shift(3)
+    pot = LocallyConstantPotential.from_function(
+        sft, 2, lambda w: sign * 800.0 * (w[0] != w[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange):
+            build(sft, pot)
+        with pytest.raises(OutOfRange):
+            gibbs_measure(sft, pot)
+    # a weight just inside the range is kept
+    near = LocallyConstantPotential.from_function(
+        sft, 2, lambda w: sign * 700.0 * (w[0] != w[1]))
+    assert np.all(build(sft, near).A > 0)
 
 
 def test_gibbs_measure_is_stationary():

@@ -52,8 +52,7 @@ with tempfile.TemporaryDirectory() as tmp:
         "  - [0.5, 0.5]\n"
         "  - [0.3, 0.6]\n")
     try:
-        chain = modelio.parse(lopsided)
-        modelio.build_markov_chain(chain)
+        modelio.parse(lopsided)
     except ModelSemanticError as exc:
         print(f"  semantic (exit 5): {exc}")
         print("  (rows must sum to 1 within 1e-9; renormalization is refused)")

@@ -13,8 +13,8 @@ same quantity the report includes their discrepancy.  Curves and tables go
 to CSV (RFC 4180: CRLF, headers always) via --out.
 
 Exit codes: 0 success, 1 computation error, 2 budget exceeded, 3 syntax
-(invocation, unreadable file, or malformed model text), 4 schema violation,
-5 semantic invariant violation.
+(invocation, unreadable model file, unwritable --out path, or malformed
+model text), 4 schema violation, 5 semantic invariant violation.
 """
 
 from __future__ import annotations
@@ -157,50 +157,56 @@ def _fields(column):
     return map(_cell, column)
 
 
+class _FileError(Exception):
+    """A model file that cannot be read or an --out path that cannot be
+    written; the message says which."""
+
+
 def _write_csv(path, header, columns):
     """RFC 4180 table from equal-length columns: CRLF endings, header row,
     floats at 17 significant digits.  Rows are streamed, never built.
     Returns the row count."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_fields, columns)))
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(header)
+            writer.writerows(zip(*map(_fields, columns)))
+    except OSError as exc:
+        raise _FileError(f"cannot write output: {exc}") from None
     return len(columns[0])
 
 
-def _load(path, kind):
-    model = modelio.parse(path)
+def _load(report, path, kind):
+    """Parse a model file of the given kind and record its digest."""
+    try:
+        model = modelio.parse(path)
+    except OSError as exc:
+        raise _FileError(f"cannot read input: {exc}") from None
     if model.kind != kind:
         raise ModelSemanticError(
             f"{path}: expected kind {kind!r}, got {model.kind!r}", field="kind")
+    report.input(model)
     return model
 
 
 def _sft_and_potential(args, report, beta=None):
-    sft_model = _load(args.sft, "sft")
-    pot_model = _load(args.potential, "potential")
-    report.input(sft_model)
-    report.input(pot_model)
-    sft = modelio.build_sft(sft_model)
-    pot = modelio.bind_potential(pot_model, sft)
+    sft = _load(report, args.sft, "sft").obj
+    pot = modelio.bind_potential(_load(report, args.potential, "potential"), sft)
     if beta is not None and beta != 1.0:
         pot = pot.scale(beta)
     return sft, pot
 
 
-def _chain(args, report, attr="chain"):
-    model = _load(getattr(args, attr), "markov-chain")
-    report.input(model)
-    return modelio.build_markov_chain(model), modelio.chain_labels(model)
+def _chain(args, report):
+    model = _load(report, args.chain, "markov-chain")
+    return model.obj, modelio.chain_labels(model)
 
 
 # -- command handlers ----------------------------------------------------------
 
 
 def _cmd_entropy(args, report):
-    model = _load(args.sft, "sft")
-    report.input(model)
-    sft = modelio.build_sft(model)
+    sft = _load(report, args.sft, "sft").obj
     tol = args.tol if args.tol is not None else 1e-14
     h = sft.topological_entropy(tol=tol)
     report.result("topological_entropy", h, "nats", "spectral")
@@ -333,9 +339,7 @@ def _cmd_aep(args, report):
 def _cmd_periodic(args, report):
     from .sft import _check_budget, _word_blocks
 
-    model = _load(args.sft, "sft")
-    report.input(model)
-    sft = modelio.build_sft(model)
+    sft = _load(report, args.sft, "sft").obj
     count = sft.periodic_count(args.n)
     try:
         value = float(count)
@@ -446,9 +450,7 @@ def _cmd_hofbauer_scan(args, report):
     from .hofbauer import (diagnose, pressure_curve, pressure_periodic,
                            pressure_renewal)
 
-    model = _load(args.family, "hofbauer-family")
-    report.input(model)
-    fam = modelio.build_hofbauer(model)
+    fam = _load(report, args.family, "hofbauer-family").obj
     tol = args.tol if args.tol is not None else 1e-12
     diag = diagnose(fam)
     report.annotate("classification", diag.classification)
@@ -487,9 +489,7 @@ def _cmd_hofbauer_scan(args, report):
 def _cmd_dimension(args, report):
     from .interval_maps import bowen_dimension
 
-    model = _load(args.map, "markov-map")
-    report.input(model)
-    imap = modelio.build_interval_map(model)
+    imap = _load(report, args.map, "markov-map").obj
     tol = args.tol if args.tol is not None else 1e-12
     res = bowen_dimension(imap, tol=tol)
     report.result("dimension", res.dimension, "dimensionless", "spectral")
@@ -506,9 +506,7 @@ def _cmd_dimension(args, report):
 def _cmd_acim(args, report):
     from .interval_maps import acim
 
-    model = _load(args.map, "markov-map")
-    report.input(model)
-    imap = modelio.build_interval_map(model)
+    imap = _load(report, args.map, "markov-map").obj
     tol = args.tol if args.tol is not None else 1e-13
     res = acim(imap, tol=tol)
     report.result("pressure_residual", res.pressure_residual, "nats",
@@ -740,8 +738,8 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    except _FileError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_SYNTAX
     except (ThermoshiftError, ValueError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)

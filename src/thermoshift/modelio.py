@@ -13,6 +13,11 @@ Diagnostics name the first offending field and, where the YAML node tree
 provides one, its line and column.  Numeric tolerances follow the library:
 probability rows must sum to 1 within 1e-9, and renormalization is never
 applied silently.
+
+The semantic layer is checked by constructing the engine object, and that
+object is kept on the returned ModelFile as ``obj``: a file is parsed and
+built once.  A potential needs its subshift, so it is built later by
+bind_potential and its ``obj`` stays None.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ class ModelFile:
     body: dict
     digest: str                      # sha256 of the raw file bytes
     node: object = field(repr=False, default=None)
+    # SubshiftOfFiniteType, MarkovMeasure, PiecewiseLinearMarkovMap or a
+    # Hofbauer family; None for a potential
+    obj: object = field(repr=False, default=None)
 
     def mark(self, *path):
         """1-based (line, column) of a field, or (None, None) if untracked."""
@@ -95,9 +103,10 @@ def _semantic(node, message, *path):
 def parse(path) -> ModelFile:
     """Read, syntax-check and validate a model file.
 
-    Self-contained semantic invariants are checked here as well, so a
-    returned ModelFile is ready for its builder.  Potential files still need
-    binding to a subshift before use; see bind_potential.
+    Self-contained semantic invariants are checked here as well, by building
+    the engine object, which the returned ModelFile carries as ``obj``.
+    Potential files still need binding to a subshift before use; see
+    bind_potential.
     """
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
@@ -138,7 +147,7 @@ def parse(path) -> ModelFile:
     body = {k: v for k, v in data.items() if k not in ("version", "kind")}
     model = ModelFile(path=str(path), kind=kind, version=VERSION, body=body,
                       digest=digest, node=node)
-    _VALIDATORS[kind](model)
+    model.obj = _VALIDATORS[kind](model)
     return model
 
 
@@ -181,18 +190,13 @@ def _check_sft(model):
             if x not in (0, 1):
                 raise _semantic(model.node, f"{model.path}: transition entries "
                                             "must be 0/1", "transition", i, j)
-    try:
-        build_sft(model)
-    except ZeroRowOrColumn as exc:
-        raise _semantic(model.node, f"{model.path}: {exc}", "transition") from None
-
-
-def build_sft(model: ModelFile) -> SubshiftOfFiniteType:
     from .sft import Alphabet, SubshiftOfFiniteType
 
-    labels = model.body["labels"]
-    M = np.array(model.body["transition"], dtype=np.int8)
-    return SubshiftOfFiniteType(Alphabet(labels), M)
+    try:
+        return SubshiftOfFiniteType(Alphabet(labels),
+                                    np.array(rows, dtype=np.int8))
+    except ZeroRowOrColumn as exc:
+        raise _semantic(model.node, f"{model.path}: {exc}", "transition") from None
 
 
 def _check_potential(model):
@@ -301,21 +305,13 @@ def _check_markov_chain(model):
         if np.any(v < 0) or abs(v.sum() - 1.0) > _STOCHASTIC_TOL:
             raise _semantic(model.node, f"{model.path}: pi is not a probability "
                                         "vector", "pi")
+    from .measures import MarkovMeasure, stationary_vector
+
     try:
-        build_markov_chain(model)
+        return MarkovMeasure(v if pi is not None else stationary_vector(P), P)
     except ValueError as exc:
         raise _semantic(model.node, f"{model.path}: {exc}",
                         "pi" if pi is not None else "transition") from None
-
-
-def build_markov_chain(model: ModelFile) -> MarkovMeasure:
-    from .measures import MarkovMeasure, stationary_vector
-
-    P = np.array(model.body["transition"], dtype=float)
-    pi = model.body.get("pi")
-    if pi is None:
-        pi = stationary_vector(P)
-    return MarkovMeasure(np.asarray(pi, dtype=float), P)
 
 
 def chain_labels(model: ModelFile):
@@ -362,18 +358,10 @@ def _check_markov_map(model):
                                       "interval indices", "branches", i, "image")
         specs.append((slope, tuple(image)))
     try:
-        PiecewiseLinearMarkovMap(pts, specs)
+        return PiecewiseLinearMarkovMap(pts, specs)
     except (NotMarkov, NotExpanding, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise _semantic(model.node, f"{model.path}: {exc}", "branches") from None
-
-
-def build_interval_map(model: ModelFile) -> PiecewiseLinearMarkovMap:
-    from .interval_maps import PiecewiseLinearMarkovMap
-
-    specs = [None if e is None else (e["slope"], tuple(e["image"]))
-             for e in model.body["branches"]]
-    return PiecewiseLinearMarkovMap(model.body["breakpoints"], specs)
 
 
 _FAMILIES = ("critical-power", "inverse-square")
@@ -396,20 +384,16 @@ def _check_hofbauer(model):
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise _schema(model.node, f"{model.path}: field {name!r} must "
                                           "be a number", name)
+    from .hofbauer import CriticalPowerFamily, InverseSquareFamily
+
     try:
-        build_hofbauer(model)
+        if fam == "critical-power":
+            return CriticalPowerFamily(exponent=model.body.get("exponent", 3.0),
+                                       depression=model.body.get("depression", 0.0))
+        return InverseSquareFamily(scale=model.body.get("scale", 1.0))
     except OutOfRange as exc:
         bad = "exponent" if fam == "critical-power" else "scale"
         raise _semantic(model.node, f"{model.path}: {exc}", bad) from None
-
-
-def build_hofbauer(model: ModelFile):
-    from .hofbauer import CriticalPowerFamily, InverseSquareFamily
-
-    if model.body["family"] == "critical-power":
-        return CriticalPowerFamily(exponent=model.body.get("exponent", 3.0),
-                                   depression=model.body.get("depression", 0.0))
-    return InverseSquareFamily(scale=model.body.get("scale", 1.0))
 
 
 _VALIDATORS = {

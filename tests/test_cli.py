@@ -234,6 +234,55 @@ def test_missing_file_maps_to_syntax_exit(capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+def test_directory_as_model_maps_to_syntax_exit(capsys, tmp_path):
+    code = main(["entropy", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read input: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", [".", "missing/path.csv"])
+def test_unwritable_out_maps_to_syntax_exit(capsys, tmp_path, out):
+    # "." is the directory itself; the second path's parent does not exist
+    code = main(["sample", str(MODELS / "lazy-coin.yaml"), "--seed", "1",
+                 "--out", str(tmp_path / out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write output: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, counted", [
+    (["entropy", "golden-mean.yaml"], ["sft"]),
+    (["relent", "full-shift.yaml", "site-energy.yaml", "lazy-coin.yaml"],
+     ["sft", "stationary"]),
+    (["sample", "lazy-coin.yaml", "--seed", "1"], ["stationary"]),
+    (["dimension", "cantor-thirds.yaml"], ["map"]),
+])
+def test_each_model_file_is_built_once(capsys, monkeypatch, argv, counted):
+    from thermoshift import interval_maps, measures, sft
+
+    calls = {"sft": 0, "stationary": 0, "map": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(sft.SubshiftOfFiniteType, "__init__", "sft")
+    counting(measures, "stationary_vector", "stationary")
+    counting(interval_maps.PiecewiseLinearMarkovMap, "__init__", "map")
+    cmd, *files = argv
+    args = [cmd] + [str(MODELS / a) if a.endswith(".yaml") else a for a in files]
+    code, _ = run(capsys, *args)
+    assert code == 0
+    assert {k: calls[k] for k in counted} == {k: 1 for k in counted}
+
+
 def test_malformed_model_exit_3(capsys, tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text('version: v1\nkind: sft\nlabels: ["0"\n')

@@ -1,4 +1,5 @@
-"""Model file parsing: schema layers, field diagnostics, and the builders."""
+"""Model file parsing: schema layers, field diagnostics, and the engine
+object each file carries."""
 
 import hashlib
 from pathlib import Path
@@ -9,9 +10,7 @@ import yaml
 
 from thermoshift.errors import (ModelSchemaError, ModelSemanticError,
                                 ModelSyntaxError)
-from thermoshift.modelio import (bind_potential, build_hofbauer,
-                                 build_interval_map, build_markov_chain,
-                                 build_sft, chain_labels, parse)
+from thermoshift.modelio import bind_potential, chain_labels, parse
 
 MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
@@ -25,20 +24,81 @@ def write(tmp_path, text):
 # -- the valid corpus ---------------------------------------------------------------
 
 
+# -- reference builders: each rebuilds a file's engine object from its body,
+# the way the front-end did before parse kept the object it validates ------
+
+
+def _reference_sft(body):
+    from thermoshift.sft import Alphabet, SubshiftOfFiniteType
+
+    M = np.array(body["transition"], dtype=np.int8)
+    return SubshiftOfFiniteType(Alphabet(body["labels"]), M)
+
+
+def _reference_chain(body):
+    from thermoshift.measures import MarkovMeasure, stationary_vector
+
+    P = np.array(body["transition"], dtype=float)
+    pi = body.get("pi")
+    if pi is None:
+        pi = stationary_vector(P)
+    return MarkovMeasure(np.asarray(pi, dtype=float), P)
+
+
+def _reference_map(body):
+    from thermoshift.interval_maps import PiecewiseLinearMarkovMap
+
+    specs = [None if e is None else (e["slope"], tuple(e["image"]))
+             for e in body["branches"]]
+    return PiecewiseLinearMarkovMap(body["breakpoints"], specs)
+
+
+def _reference_family(body):
+    from thermoshift.hofbauer import CriticalPowerFamily, InverseSquareFamily
+
+    if body["family"] == "critical-power":
+        return CriticalPowerFamily(exponent=body.get("exponent", 3.0),
+                                   depression=body.get("depression", 0.0))
+    return InverseSquareFamily(scale=body.get("scale", 1.0))
+
+
+def test_stored_object_equals_a_fresh_build_from_the_body():
+    kinds = set()
+    for f in sorted(MODELS.glob("*.yaml")):
+        model = parse(f)
+        obj = model.obj
+        kinds.add(model.kind)
+        if model.kind == "sft":
+            ref = _reference_sft(model.body)
+            assert obj.alphabet.labels == ref.alphabet.labels
+            assert obj.transition.dtype == ref.transition.dtype
+            assert np.array_equal(obj.transition, ref.transition)
+        elif model.kind == "markov-chain":
+            ref = _reference_chain(model.body)
+            assert obj.pi.dtype == ref.pi.dtype and obj.P.dtype == ref.P.dtype
+            assert np.array_equal(obj.pi, ref.pi), f
+            assert np.array_equal(obj.P, ref.P), f
+        elif model.kind == "markov-map":
+            ref = _reference_map(model.body)
+            assert obj.breakpoints == ref.breakpoints
+            assert obj.branches == ref.branches
+        elif model.kind == "hofbauer-family":
+            ref = _reference_family(model.body)
+            assert type(obj) is type(ref)
+            params = (("exponent", "depression", "a0")
+                      if model.body["family"] == "critical-power" else ("c",))
+            for name in params:
+                assert getattr(obj, name) == getattr(ref, name), (f, name)
+        else:
+            assert model.kind == "potential" and obj is None
+    assert kinds == {"sft", "potential", "markov-chain", "markov-map",
+                     "hofbauer-family"}
+
+
 def test_all_demo_models_parse_and_build():
     files = sorted(MODELS.glob("*.yaml"))
     assert len(files) == 12
-    built = {}
-    for f in files:
-        model = parse(f)
-        if model.kind == "sft":
-            built[f.stem] = build_sft(model)
-        elif model.kind == "markov-chain":
-            built[f.stem] = build_markov_chain(model)
-        elif model.kind == "markov-map":
-            built[f.stem] = build_interval_map(model)
-        elif model.kind == "hofbauer-family":
-            built[f.stem] = build_hofbauer(model)
+    built = {f.stem: parse(f).obj for f in files}
     golden = built["golden-mean"]
     assert abs(golden.topological_entropy() -
                np.log((1 + np.sqrt(5)) / 2)) < 1e-10
@@ -48,7 +108,7 @@ def test_all_demo_models_parse_and_build():
 
 
 def test_potential_binding_against_demo_subshift():
-    sft = build_sft(parse(MODELS / "golden-mean.yaml"))
+    sft = parse(MODELS / "golden-mean.yaml").obj
     pot = bind_potential(parse(MODELS / "run-weights.yaml"), sft)
     assert pot.table == {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4}
 
@@ -189,7 +249,7 @@ def test_pi_must_be_stationary(tmp_path):
     model = parse(write(tmp_path, "version: v1\nkind: markov-chain\n"
                                   "transition:\n  - [0.5, 0.5]\n"
                                   "  - [0.5, 0.5]\npi: [0.5, 0.5]\n"))
-    chain = build_markov_chain(model)
+    chain = model.obj
     assert np.array_equal(chain.pi, [0.5, 0.5])
 
 
@@ -228,7 +288,7 @@ def test_hofbauer_family_fields(tmp_path):
 
 
 def test_bind_rejects_unknown_and_inadmissible_words(tmp_path):
-    sft = build_sft(parse(MODELS / "golden-mean.yaml"))
+    sft = parse(MODELS / "golden-mean.yaml").obj
     with pytest.raises(ModelSemanticError) as exc:
         bind_potential(parse(write(tmp_path,
                                    "version: v1\nkind: potential\nrange: 2\n"
@@ -242,7 +302,7 @@ def test_bind_rejects_unknown_and_inadmissible_words(tmp_path):
 
 
 def test_bind_requires_exact_coverage(tmp_path):
-    sft = build_sft(parse(MODELS / "golden-mean.yaml"))
+    sft = parse(MODELS / "golden-mean.yaml").obj
     with pytest.raises(ModelSemanticError):
         bind_potential(parse(write(tmp_path,
                                    "version: v1\nkind: potential\nrange: 2\n"
@@ -255,12 +315,12 @@ def test_bind_needs_single_character_labels(tmp_path):
                                       "transition: [[1, 1], [1, 0]]\n"))
     pot_model = parse(MODELS / "run-weights.yaml")
     with pytest.raises(ModelSemanticError) as exc:
-        bind_potential(pot_model, build_sft(sft_model))
+        bind_potential(pot_model, sft_model.obj)
     assert "single" in str(exc.value)
 
 
 def test_bind_rejects_wrong_kind():
     chain_model = parse(MODELS / "three-cycle.yaml")
-    sft = build_sft(parse(MODELS / "golden-mean.yaml"))
+    sft = parse(MODELS / "golden-mean.yaml").obj
     with pytest.raises(ModelSemanticError):
         bind_potential(chain_model, sft)

@@ -212,6 +212,8 @@ class CriticalPowerFamily(HofbauerPotential):
 
     def __init__(self, exponent=3.0, depression=0.0):
         super().__init__()
+        if not (math.isfinite(exponent) and math.isfinite(depression)):
+            raise OutOfRange("exponent and depression must be finite")
         if exponent <= 1.0:
             raise OutOfRange("exponent must exceed 1")
         self.exponent = float(exponent)
@@ -285,6 +287,8 @@ class InverseSquareFamily(HofbauerPotential):
 
     def __init__(self, scale=1.0):
         super().__init__()
+        if not math.isfinite(scale):
+            raise OutOfRange("scale must be finite")
         if scale <= 0:
             raise OutOfRange("scale must be positive")
         self.c = float(scale)

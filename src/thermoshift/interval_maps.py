@@ -6,11 +6,14 @@ partition intervals.  Geometry is done in exact rational arithmetic, so the
 Markov consistency checks, cylinder lengths and distortion identities are
 not subject to rounding.  Intervals without a branch are holes: the map is
 then a repeller and only the dimension theory applies, not the invariant
-density.
+density.  A branch image is a contiguous run of partition intervals, held as
+a ``range`` of their indices, so its endpoints are two breakpoints.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,24 +26,16 @@ from .sft import Alphabet, SubshiftOfFiniteType, _check_budget, _word_blocks
 from .transfer import gibbs_measure
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)   # exact binary value
-    raise TypeError(f"cannot convert {x!r} to an exact rational")
-
-
 @dataclass
 class Branch:
-    """Affine branch: signed slope and the contiguous run of image intervals."""
+    """Affine branch: signed slope and the contiguous run of image intervals.
+
+    The image is the ``range`` of the partition indices it covers, so the
+    image interval is [u_start, u_stop].
+    """
 
     slope: Fraction
-    image: tuple   # indices of the partition intervals the branch maps onto
+    image: range
 
 
 class PiecewiseLinearMarkovMap:
@@ -58,7 +53,9 @@ class PiecewiseLinearMarkovMap:
     """
 
     def __init__(self, breakpoints, branches):
-        pts = [_frac(x) for x in breakpoints]
+        if any(isinstance(x, float) and not math.isfinite(x) for x in breakpoints):
+            raise NotMarkov("breakpoints must be finite numbers")
+        pts = [Fraction(x) for x in breakpoints]
         if len(pts) < 2 or pts[0] != 0 or pts[-1] != 1:
             raise NotMarkov("breakpoints must run from 0 to 1")
         if any(a >= b for a, b in zip(pts, pts[1:])):
@@ -74,7 +71,9 @@ class PiecewiseLinearMarkovMap:
                 parsed.append(None)
                 continue
             slope, image = entry
-            slope = _frac(slope)
+            if isinstance(slope, float) and not math.isfinite(slope):
+                raise NotMarkov(f"branch {i} slope {slope} is not finite")
+            slope = Fraction(slope)
             image = tuple(int(j) for j in image)
             if abs(slope) <= 1:
                 raise NotExpanding(f"branch {i} has |slope| {abs(slope)} <= 1")
@@ -82,14 +81,15 @@ class PiecewiseLinearMarkovMap:
                 raise NotMarkov(f"branch {i} has an empty image")
             if any(not 0 <= j < n_int for j in image):
                 raise NotMarkov(f"branch {i} image indices out of range")
-            if list(image) != list(range(image[0], image[-1] + 1)):
+            span = range(image[0], image[-1] + 1)
+            if image != tuple(span):
                 raise NotMarkov(f"branch {i} image is not a contiguous run")
-            img_len = sum(self.lengths[j] for j in image)
+            img_len = pts[span.stop] - pts[span.start]
             if abs(slope) * self.lengths[i] != img_len:
                 raise NotMarkov(
                     f"branch {i}: |slope| * length = {abs(slope) * self.lengths[i]} "
                     f"but image length = {img_len}")
-            parsed.append(Branch(slope=slope, image=image))
+            parsed.append(Branch(slope=slope, image=span))
         self.branches = tuple(parsed)
         self.branch_ids = tuple(i for i, b in enumerate(self.branches)
                                 if b is not None)
@@ -104,8 +104,8 @@ class PiecewiseLinearMarkovMap:
         return self.breakpoints[i], self.breakpoints[i + 1]
 
     def image_span(self, i):
-        b = self.branches[i]
-        return self.breakpoints[b.image[0]], self.breakpoints[b.image[-1] + 1]
+        image = self.branches[i].image
+        return self.breakpoints[image.start], self.breakpoints[image.stop]
 
     def image_length(self, i) -> Fraction:
         lo, hi = self.image_span(i)
@@ -134,29 +134,16 @@ class PiecewiseLinearMarkovMap:
         Branch intervals of the square are the 2-cylinders; their images are
         the original branch images, re-expressed in the refined partition.
         """
-        cyl = {}
-        for a in self.branch_ids:
-            for b in self.branch_ids:
-                if b in self.branches[a].image:
-                    lo, hi = self.interval(b)
-                    cyl[(a, b)] = self.preimage_in_branch(a, lo, hi)
-        points = set(self.breakpoints)
-        for lo, hi in cyl.values():
-            points.add(lo)
-            points.add(hi)
-        pts = sorted(points)
-        index_of = {}
-        for k in range(len(pts) - 1):
-            index_of[(pts[k], pts[k + 1])] = k
-        n_new = len(pts) - 1
-        branches = [None] * n_new
-        for (a, b), (lo, hi) in cyl.items():
-            i_new = index_of[(lo, hi)]
+        cyl = [(a, b, self.preimage_in_branch(a, *self.interval(b)))
+               for a in self.branch_ids for b in self.branches[a].image
+               if self.branches[b] is not None]
+        pts = sorted(set(self.breakpoints).union(*(span for _, _, span in cyl)))
+        branches = [None] * (len(pts) - 1)
+        for a, b, (lo, _) in cyl:
             img_lo, img_hi = self.image_span(b)
-            image = tuple(k for k in range(n_new)
-                          if img_lo <= pts[k] and pts[k + 1] <= img_hi)
             slope = self.branches[a].slope * self.branches[b].slope
-            branches[i_new] = (slope, image)
+            branches[bisect_left(pts, lo)] = (
+                slope, range(bisect_left(pts, img_lo), bisect_left(pts, img_hi)))
         return PiecewiseLinearMarkovMap(pts, branches)
 
 
@@ -186,12 +173,8 @@ def code(imap: PiecewiseLinearMarkovMap) -> CodedSystem:
     n = len(ids)
     if n < 2:
         raise NotMarkov("coding needs at least two branch intervals")
-    M = np.zeros((n, n), dtype=np.int8)
-    for si, i in enumerate(ids):
-        img = set(imap.branches[i].image)
-        for sj, j in enumerate(ids):
-            if j in img:
-                M[si, sj] = 1
+    M = np.array([[j in imap.branches[i].image for j in ids] for i in ids],
+                 dtype=np.int8)
     labels = [f"I{i}" for i in ids]
     sft = SubshiftOfFiniteType(Alphabet(labels), M)
     table = {(s,): float(-np.log(float(abs(imap.branches[i].slope))))

@@ -47,6 +47,8 @@ class MarkovMeasure:
         m = len(pi)
         if P.shape != (m, m):
             raise ValueError("pi and P have mismatched sizes")
+        if not (np.isfinite(pi).all() and np.isfinite(P).all()):
+            raise ValueError("pi and P must be finite")
         if (pi < -1e-15).any() or abs(pi.sum() - 1.0) > 1e-9:
             raise ValueError("pi must be a probability vector")
         rows = P.sum(axis=1)

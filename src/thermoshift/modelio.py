@@ -23,6 +23,7 @@ bind_potential and its ``obj`` stays None.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,6 +152,13 @@ def parse(path) -> ModelFile:
     return model
 
 
+def _require_finite(model, x, what, *path):
+    """Refuse an infinite or NaN number at the field it came from."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise _semantic(model.node, f"{model.path}: {what} must be finite, "
+                                    f"got {x}", *path)
+
+
 def _require(model, name, types, type_name):
     if name not in model.body:
         raise _schema(model.node, f"{model.path}: missing required field "
@@ -168,8 +176,12 @@ def _check_sft(model):
         if not isinstance(lab, str) or not lab:
             raise _schema(model.node, f"{model.path}: labels must be non-empty "
                                       "strings", "labels", i)
-    if len(set(labels)) != len(labels):
-        raise _semantic(model.node, f"{model.path}: duplicate labels", "labels")
+    from .sft import Alphabet, SubshiftOfFiniteType
+
+    try:
+        alphabet = Alphabet(labels)
+    except ValueError as exc:
+        raise _semantic(model.node, f"{model.path}: {exc}", "labels") from None
     rows = _require(model, "transition", list, "a matrix (list of rows)")
     n = len(labels)
     if len(rows) != n:
@@ -190,11 +202,8 @@ def _check_sft(model):
             if x not in (0, 1):
                 raise _semantic(model.node, f"{model.path}: transition entries "
                                             "must be 0/1", "transition", i, j)
-    from .sft import Alphabet, SubshiftOfFiniteType
-
     try:
-        return SubshiftOfFiniteType(Alphabet(labels),
-                                    np.array(rows, dtype=np.int8))
+        return SubshiftOfFiniteType(alphabet, np.array(rows, dtype=np.int8))
     except ZeroRowOrColumn as exc:
         raise _semantic(model.node, f"{model.path}: {exc}", "transition") from None
 
@@ -275,6 +284,7 @@ def _check_markov_chain(model):
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise _schema(model.node, f"{model.path}: transition entries "
                                           "must be numbers", "transition", i, j)
+            _require_finite(model, x, "transition entries", "transition", i, j)
             if x < 0:
                 raise _semantic(model.node, f"{model.path}: transition entries "
                                             "must be >= 0", "transition", i, j)
@@ -301,6 +311,8 @@ def _check_markov_chain(model):
         if len(pi) != n:
             raise _semantic(model.node, f"{model.path}: pi has {len(pi)} entries "
                                         f"for {n} states", "pi")
+        for i, x in enumerate(pi):
+            _require_finite(model, x, "pi entries", "pi", i)
         v = np.array(pi, dtype=float)
         if np.any(v < 0) or abs(v.sum() - 1.0) > _STOCHASTIC_TOL:
             raise _semantic(model.node, f"{model.path}: pi is not a probability "
@@ -331,6 +343,7 @@ def _check_markov_map(model):
             raise _schema(model.node, f"{model.path}: breakpoints must be "
                                       "numbers or 'p/q' strings",
                           "breakpoints", i)
+        _require_finite(model, x, "breakpoints", "breakpoints", i)
     branches = _require(model, "branches", list, "a list of branch entries")
     specs = []
     for i, entry in enumerate(branches):
@@ -351,6 +364,7 @@ def _check_markov_map(model):
         if isinstance(slope, bool) or not isinstance(slope, (int, float, str)):
             raise _schema(model.node, f"{model.path}: slope must be a number or "
                                       "'p/q' string", "branches", i, "slope")
+        _require_finite(model, slope, "slope", "branches", i, "slope")
         image = entry["image"]
         if not isinstance(image, list) or any(
                 isinstance(j, bool) or not isinstance(j, int) for j in image):
@@ -384,6 +398,7 @@ def _check_hofbauer(model):
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise _schema(model.node, f"{model.path}: field {name!r} must "
                                           "be a number", name)
+            _require_finite(model, val, f"field {name!r}", name)
     from .hofbauer import CriticalPowerFamily, InverseSquareFamily
 
     try:

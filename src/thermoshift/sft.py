@@ -105,18 +105,29 @@ class SubshiftOfFiniteType:
         return all(M[word[i], word[i + 1]] for i in range(len(word) - 1))
 
     def validate(self) -> MixingReport:
-        """Check primitivity by exact boolean powers up to the Wielandt bound."""
+        """Check primitivity by boolean squares up to the Wielandt bound.
+
+        M has no zero column, so M^p > 0 implies M^(p+1) > 0: the exponent
+        is one past the largest p with a zero in M^p.  Squaring stops at the
+        first positive M^(2^k), or at 2^k >= the bound, which decides
+        primitivity; a descent through the squares then finds that p bit by
+        bit.  Boolean products are float products thresholded at > 0, exact
+        for entries up to m.
+        """
         if self._mixing is None:
             m = self.m
             bound = (m - 1) ** 2 + 1
-            B = self.transition.astype(bool)
-            power = B.copy()
+            squares = [self.transition.astype(float)]
+            while not squares[-1].all() and 2 ** (len(squares) - 1) < bound:
+                squares.append((squares[-1] @ squares[-1] > 0).astype(float))
             p0 = None
-            for p in range(1, bound + 1):
-                if power.all():
-                    p0 = p
-                    break
-                power = (power.astype(np.int64) @ B.astype(np.int64)) > 0
+            if squares[-1].all():
+                power, p = np.eye(m), 0
+                for k in reversed(range(len(squares) - 1)):
+                    trial = (power @ squares[k] > 0).astype(float)
+                    if not trial.all():
+                        power, p = trial, p + 2 ** k
+                p0 = p + 1
             self._mixing = MixingReport(primitive=p0 is not None, p0=p0,
                                         wielandt_bound=bound)
         return self._mixing

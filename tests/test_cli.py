@@ -1,6 +1,7 @@
 """End-to-end checks of the batch front-end: exit codes, report shape,
 digest stability, CSV artifacts."""
 
+import copy
 import csv
 import hashlib
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from thermoshift import golden_mean_shift
 from thermoshift import cli
@@ -348,6 +350,72 @@ def test_non_finite_potential_value_exit_5(capsys, tmp_path, bad):
     err = capsys.readouterr().err
     assert err.startswith("semantic error:")
     assert "must be finite" in err and "[field: values]" in err
+
+
+# the subcommand that loads each kind of model file, with its other arguments
+_LOADED_BY = {
+    "sft": ["entropy", "{}"],
+    "potential": ["pressure", str(MODELS / "golden-mean.yaml"), "{}"],
+    "markov-chain": ["sample", "{}", "--seed", "1"],
+    "markov-map": ["dimension", "{}"],
+    "hofbauer-family": ["hofbauer-scan", "{}"],
+}
+
+
+def _scalar_paths(data, path=()):
+    """Paths to the scalars of a YAML document, the first 3 items of a list."""
+    if isinstance(data, dict):
+        for key, val in data.items():
+            yield from _scalar_paths(val, path + (key,))
+    elif isinstance(data, list):
+        for i, val in enumerate(data[:3]):
+            yield from _scalar_paths(val, path + (i,))
+    elif data is not None:
+        yield path
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.yaml")))
+def test_non_finite_scalar_in_a_model_is_refused(capsys, tmp_path, name):
+    data = yaml.safe_load((MODELS / name).read_text())
+    argv = _LOADED_BY[data["kind"]]
+    outcomes = []
+    for path in _scalar_paths(data):
+        for bad in (math.inf, -math.inf, math.nan):
+            doc = copy.deepcopy(data)
+            node = doc
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = bad
+            model = tmp_path / name
+            model.write_text(yaml.safe_dump(doc))
+            code = main([a.format(model) for a in argv])
+            capsys.readouterr()
+            outcomes.append((path, bad, code))
+    assert len(outcomes) >= 9
+    assert [o for o in outcomes if o[2] not in (4, 5)] == []
+
+
+def test_one_label_subshift_exit_5(capsys, tmp_path):
+    shift = tmp_path / "one.yaml"
+    shift.write_text('version: v1\nkind: sft\nlabels: ["a"]\ntransition: [[1]]\n')
+    assert main(["entropy", str(shift)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("semantic error:") and "[field: labels]" in err
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("breakpoints", '["0", .inf, "1"]'), ("branches.0.slope", None)])
+def test_non_finite_map_number_names_its_field(capsys, tmp_path, field, bad):
+    text = (MODELS / "doubling.yaml").read_text()
+    if bad is None:
+        text = text.replace("{slope: 2,", "{slope: .nan,", 1)
+    else:
+        text = text.replace('["0", "1/2", "1"]', bad)
+    imap = tmp_path / "map.yaml"
+    imap.write_text(text)
+    assert main(["dimension", str(imap)]) == 5
+    err = capsys.readouterr().err
+    assert "must be finite" in err and f"[field: {field}" in err
 
 
 def test_budget_exhaustion_exit_2(capsys):

@@ -74,6 +74,16 @@ def test_scale_is_linear_on_extremes():
         InverseSquareFamily(scale=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_families_reject_non_finite_parameters(bad):
+    with pytest.raises(OutOfRange, match="finite"):
+        CriticalPowerFamily(exponent=bad)
+    with pytest.raises(OutOfRange, match="finite"):
+        CriticalPowerFamily(depression=bad)
+    with pytest.raises(OutOfRange, match="finite"):
+        InverseSquareFamily(scale=bad)
+
+
 # -- uniqueness diagnosis ---------------------------------------------------------------
 
 

@@ -1,17 +1,21 @@
 """Piecewise linear Markov maps: exact geometry, densities, and dimensions."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from thermoshift import modelio
 from thermoshift.errors import (DepthTooLarge, IsRepeller, NotExpanding,
                                 NotMarkov)
 from thermoshift.interval_maps import (PiecewiseLinearMarkovMap, acim,
                                        bowen_dimension, code,
                                        distortion_certificate)
+
+MODELS = Path(__file__).parent.parent / "demos" / "models"
 
 
 def cantor_map():
@@ -105,6 +109,86 @@ def test_squared_map_refines_the_partition():
     sq2 = doubling_map().squared()
     assert len(sq2.branch_ids) == 4
     assert sq2.covering
+
+
+def squared_by_partition_scan(imap):
+    """The square built by scanning the refined partition for every cylinder
+    and every image: the reference for PiecewiseLinearMarkovMap.squared."""
+    cyl = {}
+    for a in imap.branch_ids:
+        for b in imap.branch_ids:
+            if b in imap.branches[a].image:
+                lo, hi = imap.interval(b)
+                cyl[(a, b)] = imap.preimage_in_branch(a, lo, hi)
+    points = set(imap.breakpoints)
+    for lo, hi in cyl.values():
+        points.add(lo)
+        points.add(hi)
+    pts = sorted(points)
+    index_of = {}
+    for k in range(len(pts) - 1):
+        index_of[(pts[k], pts[k + 1])] = k
+    n_new = len(pts) - 1
+    branches = [None] * n_new
+    for (a, b), (lo, hi) in cyl.items():
+        i_new = index_of[(lo, hi)]
+        img_lo, img_hi = imap.image_span(b)
+        image = tuple(k for k in range(n_new)
+                      if img_lo <= pts[k] and pts[k + 1] <= img_hi)
+        slope = imap.branches[a].slope * imap.branches[b].slope
+        branches[i_new] = (slope, image)
+    return PiecewiseLinearMarkovMap(pts, branches)
+
+
+def geometry(imap):
+    return imap.breakpoints, [None if b is None else (b.slope, tuple(b.image))
+                              for b in imap.branches]
+
+
+def grid_map(seed, n, holes, signed):
+    """n equal intervals, ``holes`` of them holes (never interval 0); each
+    branch maps onto a random run of k >= 2 intervals with slope +-k."""
+    rng = np.random.default_rng(seed)
+    branches = [None] * n
+    for i in [0] + (1 + rng.permutation(n - 1)[holes:]).tolist():
+        k = int(rng.integers(2, n + 1))
+        start = int(rng.integers(0, n - k + 1))
+        sign = -1 if signed and rng.random() < 0.5 else 1
+        branches[i] = (sign * k, range(start, start + k))
+    return PiecewiseLinearMarkovMap([Fraction(i, n) for i in range(n + 1)],
+                                    branches)
+
+
+SHIPPED_MAPS = [path.name for path in sorted(MODELS.glob("*.yaml"))
+                if modelio.parse(path).kind == "markov-map"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_MAPS)
+def test_square_of_shipped_map_matches_partition_scan(name):
+    imap = modelio.parse(MODELS / name).obj
+    sq = imap.squared()
+    assert geometry(sq) == geometry(squared_by_partition_scan(imap))
+    assert geometry(sq.squared()) == geometry(squared_by_partition_scan(sq))
+
+
+@pytest.mark.parametrize("n, holes, signed, seed", [
+    (20, 5, False, 1), (12, 3, False, 0), (12, 3, True, 2), (8, 2, True, 3),
+    (6, 1, True, 4), (6, 0, True, 5)])
+def test_square_of_generated_map_matches_partition_scan(n, holes, signed, seed):
+    imap = grid_map(seed, n, holes, signed)
+    assert any(b.slope < 0 for b in imap.branches if b) == signed
+    sq = imap.squared()
+    assert geometry(sq) == geometry(squared_by_partition_scan(imap))
+    if n <= 8:
+        assert geometry(sq.squared()) == geometry(squared_by_partition_scan(sq))
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_breakpoint_or_slope_is_not_markov(bad):
+    with pytest.raises(NotMarkov, match="finite"):
+        PiecewiseLinearMarkovMap([0, bad, 1], [(2, (0, 1)), (2, (0, 1))])
+    with pytest.raises(NotMarkov, match="finite"):
+        PiecewiseLinearMarkovMap(["0", "1/2", "1"], [(bad, (0, 1)), (2, (0, 1))])
 
 
 def test_distortion_is_trivial_for_linear_maps():

@@ -61,6 +61,14 @@ def test_constructor_rejects_bad_input():
                       sft=golden_mean_shift())
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_constructor_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MarkovMeasure([0.5, 0.5], [[0.5, 0.5], [bad, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        MarkovMeasure([bad, 0.5], np.full((2, 2), 0.5))
+
+
 # -- cylinder masses ---------------------------------------------------------------
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (Alphabet, NotPrimitive, SubshiftOfFiniteType,
-                         ZeroRowOrColumn, full_shift, golden_mean_shift)
+from thermoshift import (Alphabet, MixingReport, NotPrimitive,
+                         SubshiftOfFiniteType, ZeroRowOrColumn, full_shift,
+                         golden_mean_shift)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -146,6 +147,52 @@ def test_mixing_report():
     assert not swap.validate().primitive
     with pytest.raises(NotPrimitive):
         swap.require_primitive()
+
+
+def primitivity_exponent_by_steps(M):
+    """Smallest p <= (m-1)^2 + 1 with M^p > 0, one boolean power at a time."""
+    m = len(M)
+    B = np.asarray(M).astype(bool)
+    power = B.copy()
+    for p in range(1, (m - 1) ** 2 + 2):
+        if power.all():
+            return p
+        power = (power.astype(np.int64) @ B.astype(np.int64)) > 0
+    return None
+
+
+def test_mixing_report_matches_power_steps():
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 400:
+        m = int(rng.integers(2, 9))
+        M = (rng.random((m, m)) < rng.uniform(0.1, 0.7)).astype(np.int8)
+        if not (M.sum(axis=0).all() and M.sum(axis=1).all()):
+            continue
+        report = SubshiftOfFiniteType(Alphabet([str(i) for i in range(m)]),
+                                      M).validate()
+        assert report.p0 == primitivity_exponent_by_steps(M)
+        assert report.primitive == (report.p0 is not None)
+        assert report.wielandt_bound == (m - 1) ** 2 + 1
+        checked += 1
+    # Wielandt's matrices attain the bound
+    for m in range(2, 13):
+        W = np.zeros((m, m), dtype=np.int8)
+        W[np.arange(m - 1), np.arange(1, m)] = 1
+        W[m - 1, :2] = 1
+        report = SubshiftOfFiniteType(Alphabet([str(i) for i in range(m)]),
+                                      W).validate()
+        assert report.p0 == (m - 1) ** 2 + 1 == primitivity_exponent_by_steps(W)
+
+
+def test_large_bipartite_shift_is_not_primitive():
+    B = np.zeros((160, 160), dtype=np.int8)
+    B[:80, 80:] = B[80:, :80] = 1
+    sft = SubshiftOfFiniteType(Alphabet([f"s{i}" for i in range(160)]), B)
+    assert sft.validate() == MixingReport(primitive=False, p0=None,
+                                          wielandt_bound=159 ** 2 + 1)
+    with pytest.raises(NotPrimitive):
+        sft.require_primitive()
 
 
 def test_stranded_symbol_rejected():

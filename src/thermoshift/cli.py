@@ -207,14 +207,13 @@ def _chain(args, report):
 
 def _cmd_entropy(args, report):
     sft = _load(report, args.sft, "sft").obj
-    tol = args.tol if args.tol is not None else 1e-14
-    h = sft.topological_entropy(tol=tol)
+    h = sft.topological_entropy(tol=args.tol)
     report.result("topological_entropy", h, "nats", "spectral")
     mix = sft.validate()
     report.annotate("primitive", mix.primitive)
     report.annotate("primitivity_power", mix.p0)
     if args.check:
-        n = args.depth if args.depth is not None else 12
+        n = args.depth
         approx = math.log(sft.count_words(n)) / n
         report.result(f"log_word_count_over_n(n={n})", approx, "nats",
                       "variational")
@@ -227,11 +226,10 @@ def _cmd_pressure(args, report):
     from .variational import pressure_Pn
 
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
-    tol = args.tol if args.tol is not None else 1e-13
-    p = spectral_pressure(sft, pot, tol=tol)
+    p = spectral_pressure(sft, pot, tol=args.tol)
     report.result("pressure", p, "nats", "spectral")
     if args.check:
-        n = args.depth if args.depth is not None else 12
+        n = args.depth
         pn = pressure_Pn(sft, pot, n, budget=args.budget).value
         report.result(f"Pn_over_n(n={n})", pn, "nats", "variational")
         report.certificate("pressure_cross_check", ["spectral", "variational"],
@@ -242,8 +240,7 @@ def _cmd_gibbs(args, report):
     from .transfer import gibbs_measure
 
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
-    tol = args.tol if args.tol is not None else 1e-13
-    g = gibbs_measure(sft, pot, tol=tol)
+    g = gibbs_measure(sft, pot, tol=args.tol)
     h = g.entropy()
     mean = g.expectation()
     report.result("pressure", g.pressure, "nats", "spectral")
@@ -269,8 +266,7 @@ def _cmd_bounds(args, report):
 
     sft, pot = _sft_and_potential(args, report, beta=args.beta)
     g = gibbs_measure(sft, pot)
-    n = args.depth if args.depth is not None else 8
-    b = gibbs_bounds(g, n, budget=args.budget)
+    b = gibbs_bounds(g, args.depth, budget=args.budget)
     report.result("c_min", b.c_min, "ratio", "enumeration")
     report.result("c_max", b.c_max, "ratio", "enumeration")
     report.annotate("depth", b.depth)
@@ -289,7 +285,7 @@ def _cmd_relent(args, report):
     report.result("relative_entropy", closed, "nats", "spectral")
     report.annotate("chain_states", labels)
     if args.check:
-        n = args.depth if args.depth is not None else 12
+        n = args.depth
         direct = relative_entropy_direct(nu, mu, n, budget=args.budget)
         report.result(f"relative_entropy_direct(n={n})", direct, "nats",
                       "enumeration")
@@ -301,7 +297,7 @@ def _cmd_sample(args, report):
     from .measures import smb_estimate
 
     nu, labels = _chain(args, report)
-    length = args.depth if args.depth is not None else 1000
+    length = args.depth
     path = nu.sample_path(length, args.seed)
     est = smb_estimate(nu, path)
     h = nu.entropy()
@@ -323,7 +319,7 @@ def _cmd_aep(args, report):
     from .measures import aep_partition
 
     nu, labels = _chain(args, report)
-    n = args.depth if args.depth is not None else 10
+    n = args.depth
     part = aep_partition(nu, n, args.alpha, budget=args.budget)
     report.result("typical_count", float(part.typical_count), "count",
                   "enumeration")
@@ -376,7 +372,7 @@ def _cmd_production(args, report):
     reversible = bool(np.max(np.abs(nu.P - reversed_chain.P)) <= 1e-12)
     report.annotate("reversible", reversible)
     if args.check:
-        n = args.depth if args.depth is not None else 12
+        n = args.depth
         direct = relative_entropy_direct(forward.markov, backward, n,
                                          budget=args.budget)
         report.result(f"entropy_production_direct(n={n})", direct, "nats",
@@ -417,14 +413,13 @@ def _cmd_ising(args, report):
     beta = args.beta
     pot = ising_potential(beta)
     sft = pot.sft
-    tol = args.tol if args.tol is not None else 1e-13
-    p = spectral_pressure(sft, pot, tol=tol)
+    p = spectral_pressure(sft, pot, tol=args.tol)
     exact = ising_pressure_exact(beta)
     report.result("pressure", p, "nats", "spectral")
     report.result("pressure_closed_form", exact, "nats", "variational")
     report.certificate("ising_pressure", ["spectral", "variational"],
                        [p, exact], "nats")
-    g = gibbs_measure(sft, pot, tol=tol)
+    g = gibbs_measure(sft, pot, tol=args.tol)
     corr = g.expectation(ising_potential(1.0))
     report.result("correlation", corr, "dimensionless", "spectral")
     report.result("correlation_closed_form", float(np.tanh(beta)),
@@ -451,7 +446,6 @@ def _cmd_hofbauer_scan(args, report):
                            pressure_renewal)
 
     fam = _load(report, args.family, "hofbauer-family").obj
-    tol = args.tol if args.tol is not None else 1e-12
     diag = diagnose(fam)
     report.annotate("classification", diag.classification)
     report.result("series_partial_sum", diag.sum_partial, "dimensionless",
@@ -465,7 +459,7 @@ def _cmd_hofbauer_scan(args, report):
     report.annotate("truncation_K", diag.truncation_K)
     pressures = []
     for beta in args.betas:
-        p = pressure_renewal(fam, beta, tol=tol)
+        p = pressure_renewal(fam, beta, tol=args.tol)
         pressures.append(p)
         report.result(f"pressure(beta={beta:g})", p, "nats", "renewal")
     if args.check:
@@ -474,7 +468,7 @@ def _cmd_hofbauer_scan(args, report):
             report.certificate(f"pressure(beta={beta:g})",
                                ["renewal", "variational"], [p, oracle], "nats")
         curve = pressure_curve(fam, args.betas, kink=args.kink,
-                               kink_steps=tuple(args.steps), tol=tol,
+                               kink_steps=tuple(args.steps), tol=args.tol,
                                pressures=pressures)
         for h, q in sorted(curve.left_quotients.items()):
             report.result(f"left_quotient(h={h:g})", q, "nats", "renewal")
@@ -490,13 +484,12 @@ def _cmd_dimension(args, report):
     from .interval_maps import bowen_dimension
 
     imap = _load(report, args.map, "markov-map").obj
-    tol = args.tol if args.tol is not None else 1e-12
-    res = bowen_dimension(imap, tol=tol)
+    res = bowen_dimension(imap, tol=args.tol)
     report.result("dimension", res.dimension, "dimensionless", "spectral")
     report.result("pressure_residual", res.residual, "nats", "spectral")
     report.annotate("iterations", res.iterations)
     if args.check:
-        res2 = bowen_dimension(imap.squared(), tol=tol)
+        res2 = bowen_dimension(imap.squared(), tol=args.tol)
         report.result("dimension_of_square", res2.dimension, "dimensionless",
                       "spectral")
         report.certificate("square_recoding", ["spectral", "spectral"],
@@ -507,8 +500,7 @@ def _cmd_acim(args, report):
     from .interval_maps import acim
 
     imap = _load(report, args.map, "markov-map").obj
-    tol = args.tol if args.tol is not None else 1e-13
-    res = acim(imap, tol=tol)
+    res = acim(imap, tol=args.tol)
     report.result("pressure_residual", res.pressure_residual, "nats",
                   "spectral")
     report.result("entropy", res.measure.entropy(), "nats", "spectral")
@@ -519,7 +511,7 @@ def _cmd_acim(args, report):
         report.result(f"density[{s}]", res.densities[s], "density", "spectral")
     report.annotate("intervals", intervals)
     if args.check:
-        n = args.depth if args.depth is not None else 8
+        n = args.depth
         lo, hi = res.certificate(n, budget=args.budget)
         report.certificate("density_ratio_extremes", ["enumeration"],
                            [lo, hi], "density")
@@ -555,153 +547,131 @@ def _cmd_pn_scan(args, report):
 # -- argument wiring ------------------------------------------------------------
 
 
-def _floats(text):
-    """argparse type: comma-separated floats (empty items are skipped)."""
-    return [float(s) for s in text.split(",") if s.strip()]
+def _typed(convert, accept, expected):
+    """argparse type: ``convert`` the text and refuse a value ``accept``
+    rejects, so a bad number is a usage error before any engine runs."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _comma_list(item):
+    """Comma-separated values, each converted by ``item``; empty items are
+    skipped."""
+    return lambda text: [item(s) for s in text.split(",") if s.strip()]
 
 
-def _common(sp, *names, seed_required=False):
-    if "tol" in names:
-        sp.add_argument("--tol", type=float, default=None,
-                        help="residual tolerance (per-command default)")
-    if "depth" in names:
-        sp.add_argument("--depth", type=_positive_int, default=None,
-                        help="cylinder depth / path length")
-    if "budget" in names:
-        sp.add_argument("--budget", type=int, default=10 ** 7,
-                        help="enumeration budget")
-    if "seed" in names:
-        sp.add_argument("--seed", type=int, required=seed_required,
-                        help="64-bit RNG seed")
-    if "check" in names:
-        sp.add_argument("--check", action="store_true",
-                        help="run the second-method cross-validation")
-    if "out" in names:
-        sp.add_argument("--out", metavar="PATH.CSV", default=None,
-                        help="write the tabular artifact here")
-    sp.add_argument("--bits", action="store_true",
-                    help="report nats-valued quantities in bits")
+_finite = _typed(float, math.isfinite, "a finite number")
+_positive = _typed(float, lambda x: 0 < x < math.inf, "a positive finite number")
+_count = _typed(int, lambda n: n >= 1, "an integer >= 1")
+
+# flag -> add_argument keywords
+_FLAGS = {
+    "beta": {"type": _finite},
+    "alpha": {"type": _positive},
+    "n": {"type": _count, "help": "period or ring size"},
+    "n-max": {"type": _count},
+    "target": {"type": _finite,
+               "help": "solve for the beta matching this correlation"},
+    "betas": {"type": _typed(_comma_list(_finite), bool,
+                             "a comma list of finite numbers"),
+              "help": "comma-separated inverse temperatures"},
+    "kink": {"type": _finite},
+    "steps": {"type": _typed(_comma_list(_positive), bool,
+                             "a comma list of positive finite numbers"),
+              "help": "difference-quotient steps used with --check"},
+    "tol": {"type": _positive,
+            "help": "residual tolerance (default %(default)s)"},
+    "depth": {"type": _count,
+              "help": "cylinder depth / path length (default %(default)s)"},
+    "budget": {"type": _count, "help": "enumeration budget"},
+    "seed": {"type": int, "help": "64-bit RNG seed"},
+    "check": {"action": "store_true",
+              "help": "run the second-method cross-validation"},
+    "out": {"metavar": "PATH.CSV", "help": "write the tabular artifact here"},
+    "bits": {"action": "store_true",
+             "help": "report nats-valued quantities in bits"},
+}
+
+_REQUIRED = object()     # the default of a flag the command cannot run without
+_BUDGET = 10 ** 7
+
+# command -> (handler, help, model-file positionals, {flag: default}); the
+# flags appear in this order in the usage line, and every command ends with
+# --bits
+_COMMANDS = {
+    "entropy": (_cmd_entropy, "topological entropy of a subshift", ["sft"],
+                {"tol": 1e-14, "depth": 12, "check": False}),
+    "pressure": (_cmd_pressure, "topological pressure of a potential",
+                 ["sft", "potential"],
+                 {"beta": 1.0, "tol": 1e-13, "depth": 12, "budget": _BUDGET,
+                  "check": False}),
+    "gibbs": (_cmd_gibbs, "equilibrium state in Markov form",
+              ["sft", "potential"], {"beta": 1.0, "tol": 1e-13, "out": None}),
+    "bounds": (_cmd_bounds, "enumerated Gibbs ratio envelope",
+               ["sft", "potential"],
+               {"beta": 1.0, "depth": 8, "budget": _BUDGET}),
+    "relent": (_cmd_relent, "relative entropy rate h(chain | gibbs)",
+               ["sft", "potential", "chain"],
+               {"beta": 1.0, "depth": 12, "budget": _BUDGET, "check": False}),
+    "sample": (_cmd_sample, "seeded sample path and SMB estimate", ["chain"],
+               {"depth": 1000, "seed": _REQUIRED, "out": None}),
+    "aep": (_cmd_aep, "typical-set partition at depth n", ["chain"],
+            {"alpha": 0.1, "depth": 10, "budget": _BUDGET}),
+    "periodic": (_cmd_periodic, "periodic point counts", ["sft"],
+                 {"n": _REQUIRED, "budget": _BUDGET, "check": False,
+                  "out": None}),
+    "production": (_cmd_production, "entropy production of a chain", ["chain"],
+                   {"depth": 12, "budget": _BUDGET, "check": False}),
+    "lattice": (_cmd_lattice, "finite-ring equilibrium pressure",
+                ["sft", "potential"],
+                {"n": _REQUIRED, "beta": 1.0, "budget": 2 ** 22,
+                 "check": False, "out": None}),
+    "ising": (_cmd_ising, "nearest-neighbour spin chain", [],
+              {"beta": 1.0, "n": None, "target": None, "tol": 1e-13}),
+    "hofbauer-scan": (_cmd_hofbauer_scan,
+                      "renewal pressure scan of a run-length family",
+                      ["family"],
+                      {"betas": "0.8,0.9,1.0,1.1,1.2", "kink": 1.0,
+                       "steps": "1e-2,1e-3,1e-4", "tol": 1e-12,
+                       "check": False, "out": None}),
+    "dimension": (_cmd_dimension,
+                  "Hausdorff dimension via the pressure equation", ["map"],
+                  {"tol": 1e-12, "check": False}),
+    "acim": (_cmd_acim, "invariant density of a covering map", ["map"],
+             {"tol": 1e-13, "depth": 8, "budget": _BUDGET, "check": False,
+              "out": None}),
+    "pn-scan": (_cmd_pn_scan, "finite pressure approximants P_n/n",
+                ["sft", "potential"],
+                {"n-max": 12, "beta": 1.0, "budget": _BUDGET, "out": None}),
+}
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The parser for ``argv``.  Every command is listed with its help, but
+    only the command ``argv`` names gets its arguments and handler."""
     parser = _Parser(prog="thermoshift",
                      description="thermodynamic formalism on subshifts: "
                                  "pressure, equilibrium states, dimensions")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("entropy", help="topological entropy of a subshift")
-    sp.add_argument("sft")
-    _common(sp, "tol", "depth", "check")
-    sp.set_defaults(fn=_cmd_entropy)
-
-    sp = sub.add_parser("pressure", help="topological pressure of a potential")
-    sp.add_argument("sft")
-    sp.add_argument("potential")
-    sp.add_argument("--beta", type=float, default=1.0)
-    _common(sp, "tol", "depth", "budget", "check")
-    sp.set_defaults(fn=_cmd_pressure)
-
-    sp = sub.add_parser("gibbs", help="equilibrium state in Markov form")
-    sp.add_argument("sft")
-    sp.add_argument("potential")
-    sp.add_argument("--beta", type=float, default=1.0)
-    _common(sp, "tol", "out")
-    sp.set_defaults(fn=_cmd_gibbs)
-
-    sp = sub.add_parser("bounds", help="enumerated Gibbs ratio envelope")
-    sp.add_argument("sft")
-    sp.add_argument("potential")
-    sp.add_argument("--beta", type=float, default=1.0)
-    _common(sp, "depth", "budget")
-    sp.set_defaults(fn=_cmd_bounds)
-
-    sp = sub.add_parser("relent", help="relative entropy rate h(chain | gibbs)")
-    sp.add_argument("sft")
-    sp.add_argument("potential")
-    sp.add_argument("chain")
-    sp.add_argument("--beta", type=float, default=1.0)
-    _common(sp, "depth", "budget", "check")
-    sp.set_defaults(fn=_cmd_relent)
-
-    sp = sub.add_parser("sample", help="seeded sample path and SMB estimate")
-    sp.add_argument("chain")
-    _common(sp, "depth", "seed", "out", seed_required=True)
-    sp.set_defaults(fn=_cmd_sample)
-
-    sp = sub.add_parser("aep", help="typical-set partition at depth n")
-    sp.add_argument("chain")
-    sp.add_argument("--alpha", type=float, default=0.1)
-    _common(sp, "depth", "budget")
-    sp.set_defaults(fn=_cmd_aep)
-
-    sp = sub.add_parser("periodic", help="periodic point counts")
-    sp.add_argument("sft")
-    sp.add_argument("--n", type=_positive_int, required=True)
-    _common(sp, "budget", "check", "out")
-    sp.set_defaults(fn=_cmd_periodic)
-
-    sp = sub.add_parser("production", help="entropy production of a chain")
-    sp.add_argument("chain")
-    _common(sp, "depth", "budget", "check")
-    sp.set_defaults(fn=_cmd_production)
-
-    sp = sub.add_parser("lattice", help="finite-ring equilibrium pressure")
-    sp.add_argument("sft")
-    sp.add_argument("potential")
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--budget", type=int, default=2 ** 22,
-                    help="ring configuration budget")
-    _common(sp, "check", "out")
-    sp.set_defaults(fn=_cmd_lattice)
-
-    sp = sub.add_parser("ising", help="nearest-neighbour spin chain")
-    sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--n", type=_positive_int, default=None,
-                    help="also compute the ring value at this size")
-    sp.add_argument("--target", type=float, default=None,
-                    help="solve for the beta matching this correlation")
-    _common(sp, "tol")
-    sp.set_defaults(fn=_cmd_ising)
-
-    sp = sub.add_parser("hofbauer-scan",
-                        help="renewal pressure scan of a run-length family")
-    sp.add_argument("family")
-    sp.add_argument("--betas", type=_floats, default="0.8,0.9,1.0,1.1,1.2",
-                    help="comma-separated inverse temperatures")
-    sp.add_argument("--kink", type=float, default=1.0)
-    sp.add_argument("--steps", type=_floats, default="1e-2,1e-3,1e-4",
-                    help="difference-quotient steps used with --check")
-    _common(sp, "tol", "check", "out")
-    sp.set_defaults(fn=_cmd_hofbauer_scan)
-
-    sp = sub.add_parser("dimension", help="Hausdorff dimension via the "
-                                          "pressure equation")
-    sp.add_argument("map")
-    _common(sp, "tol", "check")
-    sp.set_defaults(fn=_cmd_dimension)
-
-    sp = sub.add_parser("acim", help="invariant density of a covering map")
-    sp.add_argument("map")
-    _common(sp, "tol", "depth", "budget", "check", "out")
-    sp.set_defaults(fn=_cmd_acim)
-
-    sp = sub.add_parser("pn-scan", help="finite pressure approximants P_n/n")
-    sp.add_argument("sft")
-    sp.add_argument("potential")
-    sp.add_argument("--n-max", type=_positive_int, default=12)
-    sp.add_argument("--beta", type=float, default=1.0)
-    _common(sp, "budget", "out")
-    sp.set_defaults(fn=_cmd_pn_scan)
-
+    chosen = next((a for a in argv if not a.startswith("-")), None)
+    for name, (fn, text, models, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        if name != chosen:
+            continue
+        for model in models:
+            sp.add_argument(model)
+        for flag, default in {**flags, "bits": False}.items():
+            given = ({"required": True} if default is _REQUIRED
+                     else {"default": default})
+            sp.add_argument(f"--{flag}", **given, **_FLAGS[flag])
+        sp.set_defaults(fn=fn)
     return parser
 
 
@@ -720,7 +690,7 @@ def _diag(exc):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     report = Report(args.cmd, argv)
     start = time.perf_counter()

@@ -130,11 +130,6 @@ class HofbauerPotential:
         ext = [self.birkhoff_extremes(word) for word in words.tolist()]
         return np.array([e[0] for e in ext]), [e[2] for e in ext]
 
-    def slack_exact(self, word):
-        """sup - inf on the cylinder: sum of var_j over the trailing ones run."""
-        sup, inf, _, _ = self.birkhoff_extremes(word)
-        return sup - inf
-
     def scale(self, beta):
         if beta <= 0:
             raise OutOfRange("scale factor must be positive")
@@ -268,13 +263,6 @@ class CriticalPowerFamily(HofbauerPotential):
         else:
             slope = -(K + 1) * estimate
         return coef * estimate, coef * error, coef * slope
-
-    def series_closed_form(self, beta):
-        """sum_k exp(beta s_k) = exp(beta a_0) zeta(q beta), for q beta > 1."""
-        p = self.exponent * beta
-        if p <= 1.0:
-            return np.inf
-        return self._coef(beta) * float(zeta(p))
 
 
 class InverseSquareFamily(HofbauerPotential):
@@ -439,10 +427,13 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
     the Newton point of that last evaluation: from the left it lies between
     the evaluated point and the root, from the right it falls short of the
     root by at most |1 - G| / |G'| <= tol, so the certificate holds and the
-    error is Newton's, far below tol.
+    error is Newton's, far below tol.  A tol that is not a positive finite
+    number raises OutOfRange.
     """
     if beta < 0:
         raise OutOfRange("beta must be nonnegative")
+    if not 0 < tol < np.inf:
+        raise OutOfRange(f"tol must be a positive finite number, got {tol}")
     series = RenewalSeries(potential, beta, K_max=K_max)
     cut = 1.0 + 2.0 * tol
 
@@ -521,15 +512,6 @@ class PressureCurve:
     kink_steps: tuple
     left_quotients: dict     # step -> (P(kink-h) - P(kink)) / h
     right_quotients: dict    # step -> (P(kink+h) - P(kink)) / h
-
-    def grid_quotients(self):
-        """Per-point one-sided slopes along the sampled grid (nan at the ends)."""
-        b, p = self.betas, self.pressures
-        left = np.full_like(p, np.nan)
-        right = np.full_like(p, np.nan)
-        left[1:] = (p[1:] - p[:-1]) / (b[1:] - b[:-1])
-        right[:-1] = (p[1:] - p[:-1]) / (b[1:] - b[:-1])
-        return left, right
 
 
 def pressure_curve(potential: HofbauerPotential, betas, kink=1.0,

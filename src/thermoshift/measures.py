@@ -18,7 +18,7 @@ import numpy as np
 
 from ._numerics import ordered_sum
 from .errors import OutOfRange, SupportMismatch, ZeroMassPath
-from .sft import SubshiftOfFiniteType, _check_budget, _count_words, _word_blocks
+from .sft import SubshiftOfFiniteType, _check_budget, _word_blocks
 
 # matches the documented row-stochasticity tolerance: a row-sum defect of
 # eps forces a stationarity residual of the same order, so a stricter check
@@ -124,15 +124,8 @@ class MarkovMeasure:
             mass = mass * self.P[words[:, j - 1], words[:, j]]
         return mass
 
-    def count_support_words(self, n) -> int:
-        return _count_words(self.P > 0, n, self.pi > 0)
-
     def _guard_depth(self, n, budget):
         _check_budget(self.P > 0, n, budget, self.pi > 0)
-
-    def cylinder_table(self, n, budget=10 ** 7):
-        self._guard_depth(n, budget)
-        return CylinderTable(n, dict(self.support_words(n)))
 
     # -- information quantities -------------------------------------------------
 
@@ -219,17 +212,6 @@ def _uniforms(seed, count):
 
 
 @dataclass
-class CylinderTable:
-    """Finite table of cylinder masses at a fixed depth."""
-
-    depth: int
-    masses: dict
-
-    def total(self):
-        return float(sum(self.masses.values()))
-
-
-@dataclass
 class GibbsMeasure:
     """Gibbs/equilibrium state of a locally constant potential.
 
@@ -284,9 +266,6 @@ class BlockEntropies:
     h_n: list
     rates: list          # H_n / n
     increments: list     # H_{n+1} - H_n
-
-    def limit_agrees(self, h, tol):
-        return abs(self.rates[-1] - h) <= tol
 
 
 def entropy_by_blocks(measure, n_max, budget=10 ** 7) -> BlockEntropies:

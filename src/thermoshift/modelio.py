@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,18 @@ def _require_finite(model, x, what, *path):
     if isinstance(x, float) and not math.isfinite(x):
         raise _semantic(model.node, f"{model.path}: {what} must be finite, "
                                     f"got {x}", *path)
+
+
+def _rational(model, x, what, *path):
+    """A number as the map reads it, a 'p/q' string as its Fraction; a
+    string that is no rational is refused at the field it came from."""
+    if not isinstance(x, str):
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise _semantic(model.node, f"{model.path}: {what} {x!r} is not a "
+                                    "rational number", *path) from None
 
 
 def _require(model, name, types, type_name):
@@ -336,14 +349,15 @@ def chain_labels(model: ModelFile):
 def _check_markov_map(model):
     from .interval_maps import PiecewiseLinearMarkovMap
 
-    pts = _require(model, "breakpoints", list, "a list of numbers or 'p/q' "
-                                               "strings")
+    pts = list(_require(model, "breakpoints", list, "a list of numbers or "
+                                                    "'p/q' strings"))
     for i, x in enumerate(pts):
         if isinstance(x, bool) or not isinstance(x, (int, float, str)):
             raise _schema(model.node, f"{model.path}: breakpoints must be "
                                       "numbers or 'p/q' strings",
                           "breakpoints", i)
         _require_finite(model, x, "breakpoints", "breakpoints", i)
+        pts[i] = _rational(model, x, "breakpoint", "breakpoints", i)
     branches = _require(model, "branches", list, "a list of branch entries")
     specs = []
     for i, entry in enumerate(branches):
@@ -365,6 +379,7 @@ def _check_markov_map(model):
             raise _schema(model.node, f"{model.path}: slope must be a number or "
                                       "'p/q' string", "branches", i, "slope")
         _require_finite(model, slope, "slope", "branches", i, "slope")
+        slope = _rational(model, slope, "slope", "branches", i, "slope")
         image = entry["image"]
         if not isinstance(image, list) or any(
                 isinstance(j, bool) or not isinstance(j, int) for j in image):

@@ -134,11 +134,6 @@ class LocallyConstantPotential:
         groups = groups[~np.isnan(groups).all(axis=1)]
         return float(np.max(np.nanmax(groups, axis=1) - np.nanmin(groups, axis=1)))
 
-    def variation_bounds(self, k_max):
-        """var_k for k = 0..k_max, plus whether the computed part is summable."""
-        vals = [self.var_k(k) for k in range(k_max + 1)]
-        return vals, float(sum(vals))
-
     # -- Birkhoff sums ----------------------------------------------------------
 
     def _tails(self, last, budget=10 ** 6):
@@ -219,15 +214,6 @@ class LocallyConstantPotential:
                 for row, j in zip(chunk.tolist(), top.tolist()):
                     best_tail[row] = tails[j]
         return fixed + best[end_of], [best_tail[i] for i in end_of.tolist()]
-
-    def slack_bound(self, n):
-        """Upper bound for sup - inf of S_n on any n-cylinder.
-
-        Term i of the sum sees coordinates i..i+r-1; inside an n-cylinder the
-        first n are pinned, so term i oscillates by at most var_{n-i}.  Only
-        the last min(n, r-1) terms contribute.
-        """
-        return float(sum(self.var_k(k) for k in range(1, min(n, self.r - 1) + 1)))
 
     def __repr__(self):
         return f"LocallyConstantPotential(r={self.r}, m={self.sft.m})"

@@ -88,15 +88,11 @@ class SubshiftOfFiniteType:
             raise ZeroRowOrColumn(f"stranded symbols (no successor or no predecessor): {bad}")
         self.alphabet = alphabet
         self.transition = M
-        self._succ = [tuple(np.flatnonzero(M[a]).tolist()) for a in range(m)]
         self._mixing = None
 
     @property
     def m(self):
         return len(self.alphabet)
-
-    def successors(self, a):
-        return self._succ[a]
 
     def is_admissible(self, word) -> bool:
         if any(not (0 <= a < self.m) for a in word):

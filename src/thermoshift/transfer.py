@@ -102,8 +102,11 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
     most (A v0)_i / v0_i, so wide weights do not underflow in the products;
     should Bv or uB still have a zero or non-finite entry, squaring stops for
     good, as it does after ``_MAX_SQUARINGS``, and power steps go on.
-    ``max_iter`` caps the rounds.
+    ``max_iter`` caps the rounds.  A tol that is not a positive finite
+    number raises OutOfRange.
     """
+    if not 0 < tol < np.inf:
+        raise OutOfRange(f"tol must be a positive finite number, got {tol}")
     A = tm.A if isinstance(tm, TransferMatrix) else np.asarray(tm, dtype=float)
     m = A.shape[0]
     v = np.full(m, 1.0 / m)

@@ -1,6 +1,7 @@
 """End-to-end checks of the batch front-end: exit codes, report shape,
 digest stability, CSV artifacts."""
 
+import argparse
 import copy
 import csv
 import hashlib
@@ -8,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +318,100 @@ def test_bad_number_lists_and_counts_are_usage_errors(capsys, argv):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["pressure", "golden-mean.yaml", "run-weights.yaml", "--tol", "0"],
+    ["gibbs", "golden-mean.yaml", "run-weights.yaml", "--tol", "-1"],
+    ["entropy", "golden-mean.yaml", "--tol", "-1"],
+    ["hofbauer-scan", "cubic-family.yaml", "--tol", "-1"],
+    ["hofbauer-scan", "cubic-family.yaml", "--check", "--steps", "0"],
+    ["hofbauer-scan", "cubic-family.yaml", "--check", "--steps=-0.01"],
+    ["hofbauer-scan", "cubic-family.yaml", "--betas", ","],
+    ["lattice", "golden-mean.yaml", "run-weights.yaml", "--n", "4",
+     "--beta", "nan"],
+    ["aep", "lazy-coin.yaml", "--alpha", "nan"],
+    ["periodic", "golden-mean.yaml", "--n", "4", "--check", "--budget", "-3"],
+])
+def test_out_of_range_numbers_exit_3_fast(capsys, argv):
+    argv = [str(MODELS / a) if a.endswith(".yaml") else a for a in argv]
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 2.0
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+# each command's arguments as the hand-written subparsers built them
+USAGE = {
+    "entropy": "[-h] [--tol TOL] [--depth DEPTH] [--check] [--bits] sft",
+    "pressure": "[-h] [--beta BETA] [--tol TOL] [--depth DEPTH] "
+                "[--budget BUDGET] [--check] [--bits] sft potential",
+    "gibbs": "[-h] [--beta BETA] [--tol TOL] [--out PATH.CSV] [--bits] "
+             "sft potential",
+    "bounds": "[-h] [--beta BETA] [--depth DEPTH] [--budget BUDGET] [--bits] "
+              "sft potential",
+    "relent": "[-h] [--beta BETA] [--depth DEPTH] [--budget BUDGET] [--check] "
+              "[--bits] sft potential chain",
+    "sample": "[-h] [--depth DEPTH] --seed SEED [--out PATH.CSV] [--bits] chain",
+    "aep": "[-h] [--alpha ALPHA] [--depth DEPTH] [--budget BUDGET] [--bits] "
+           "chain",
+    "periodic": "[-h] --n N [--budget BUDGET] [--check] [--out PATH.CSV] "
+                "[--bits] sft",
+    "production": "[-h] [--depth DEPTH] [--budget BUDGET] [--check] [--bits] "
+                  "chain",
+    "lattice": "[-h] --n N [--beta BETA] [--budget BUDGET] [--check] "
+               "[--out PATH.CSV] [--bits] sft potential",
+    "ising": "[-h] [--beta BETA] [--n N] [--target TARGET] [--tol TOL] [--bits]",
+    "hofbauer-scan": "[-h] [--betas BETAS] [--kink KINK] [--steps STEPS] "
+                     "[--tol TOL] [--check] [--out PATH.CSV] [--bits] family",
+    "dimension": "[-h] [--tol TOL] [--check] [--bits] map",
+    "acim": "[-h] [--tol TOL] [--depth DEPTH] [--budget BUDGET] [--check] "
+            "[--out PATH.CSV] [--bits] map",
+    "pn-scan": "[-h] [--n-max N_MAX] [--beta BETA] [--budget BUDGET] "
+               "[--out PATH.CSV] [--bits] sft potential",
+}
+
+# the defaults the handlers applied themselves before the parser held them
+DEFAULTS = {
+    "tol": {"entropy": 1e-14, "pressure": 1e-13, "gibbs": 1e-13,
+            "ising": 1e-13, "acim": 1e-13, "hofbauer-scan": 1e-12,
+            "dimension": 1e-12},
+    "depth": {"entropy": 12, "pressure": 12, "relent": 12, "production": 12,
+              "bounds": 8, "acim": 8, "aep": 10, "sample": 1000},
+    "budget": {"lattice": 2 ** 22, **dict.fromkeys(
+        ["pressure", "bounds", "relent", "aep", "periodic", "production",
+         "acim", "pn-scan"], 10 ** 7)},
+    "beta": dict.fromkeys(["pressure", "gibbs", "bounds", "relent", "lattice",
+                           "ising", "pn-scan"], 1.0),
+    "alpha": {"aep": 0.1},
+    "n_max": {"pn-scan": 12},
+    "kink": {"hofbauer-scan": 1.0},
+    "betas": {"hofbauer-scan": [0.8, 0.9, 1.0, 1.1, 1.2]},
+    "steps": {"hofbauer-scan": [1e-2, 1e-3, 1e-4]},
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(USAGE))
+def test_parser_keeps_each_commands_arguments_and_defaults(cmd):
+    parser = cli.build_parser([cmd])
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(USAGE)
+    # only the named command gets its arguments
+    assert [c for c, sp in sub.choices.items() if len(sp._actions) > 1] == [cmd]
+    sp = sub.choices[cmd]
+    usage = " ".join(sp.format_usage().split())
+    assert usage == f"usage: thermoshift {cmd} {USAGE[cmd]}"
+    positionals = [a.dest for a in sp._actions if not a.option_strings]
+    required = {"sample": ["--seed", "1"], "periodic": ["--n", "2"],
+                "lattice": ["--n", "2"]}
+    args = sp.parse_args(positionals + required.get(cmd, []))
+    for dest, by_cmd in DEFAULTS.items():
+        if cmd in by_cmd:
+            assert getattr(args, dest) == by_cmd[cmd], dest
+
+
 def test_schema_violation_exit_4(capsys, tmp_path):
     bad = tmp_path / "future.yaml"
     bad.write_text(
@@ -416,6 +512,20 @@ def test_non_finite_map_number_names_its_field(capsys, tmp_path, field, bad):
     assert main(["dimension", str(imap)]) == 5
     err = capsys.readouterr().err
     assert "must be finite" in err and f"[field: {field}" in err
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ('"1/2"', '"half"', "breakpoints.1"),
+    ('"1/2"', '"1/0"', "breakpoints.1"),
+    ("{slope: 2,", '{slope: "two",', "branches.0.slope"),
+])
+def test_malformed_map_rational_names_its_field(capsys, tmp_path, old, new,
+                                                field):
+    imap = tmp_path / "map.yaml"
+    imap.write_text((MODELS / "doubling.yaml").read_text().replace(old, new, 1))
+    assert main(["dimension", str(imap)]) == 5
+    err = capsys.readouterr().err
+    assert "is not a rational number" in err and f"[field: {field}]" in err
 
 
 def test_budget_exhaustion_exit_2(capsys):

@@ -16,6 +16,7 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          smb_estimate, stationary_vector)
 from thermoshift.errors import (DepthTooLarge, OutOfRange, SupportMismatch,
                                 ZeroMassPath)
+from thermoshift.sft import _count_words
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 LOG_GOLDEN = float(np.log(GOLDEN))
@@ -90,16 +91,16 @@ def test_support_words_partition_unit_mass():
     mu = parry().markov
     for n in range(1, 7):
         words = list(mu.support_words(n))
-        assert len(words) == mu.count_support_words(n)
+        assert len(words) == _count_words(mu.P > 0, n, mu.pi > 0)
         assert [w for w, _ in words] == sorted(w for w, _ in words)
         assert abs(math.fsum(m for _, m in words) - 1.0) < 1e-14
 
 
-def test_cylinder_table_budget():
+def test_support_depth_budget():
     mu = bernoulli(0.5)
-    assert abs(mu.cylinder_table(10).total() - 1.0) < 1e-12
+    assert abs(sum(m for _, m in mu.support_words(10)) - 1.0) < 1e-12
     with pytest.raises(DepthTooLarge):
-        mu.cylinder_table(30, budget=1000)
+        entropy_by_blocks(mu, 30, budget=1000)
 
 
 # -- entropy and expectations --------------------------------------------------------
@@ -250,8 +251,8 @@ def test_block_entropy_increments_are_exact_for_markov():
     # H_n = H(pi) + (n-1) h for a Markov chain, so increments equal h
     assert all(abs(inc - h) < 1e-12 for inc in blocks.increments)
     assert all(b > a for a, b in zip(blocks.rates[1:], blocks.rates))
-    assert blocks.limit_agrees(h, tol=(blocks.h_n[0] - h) / 8 + 1e-12)
-    assert not blocks.limit_agrees(h, tol=1e-3)
+    assert abs(blocks.rates[-1] - h) <= (blocks.h_n[0] - h) / 8 + 1e-12
+    assert abs(blocks.rates[-1] - h) > 1e-3
 
 
 # -- relative entropy ---------------------------------------------------------------

@@ -50,13 +50,12 @@ def test_add_mixed_ranges():
 
 def test_var_k_vanishes_at_the_range():
     sft, pot = run_weights()
-    vals, total = pot.variation_bounds(5)
+    vals = [pot.var_k(k) for k in range(6)]
     assert vals[2] == vals[3] == vals[4] == vals[5] == 0.0
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     # k = 1: words sharing one symbol; prefix 0 realizes {-0.2, -0.7}
     assert vals[1] == pytest.approx(0.5)
     assert vals[0] == pytest.approx(1.1)
-    assert total == pytest.approx(sum(vals))
 
 
 def test_with_range_identity_and_lift():
@@ -93,6 +92,16 @@ def test_birkhoff_extremes_match_brute_force():
             assert inf == pytest.approx(b_inf, abs=1e-14)
 
 
+def slack_bound(pot, n):
+    """Upper bound for sup - inf of S_n on any n-cylinder.
+
+    Term i of the sum sees coordinates i..i+r-1; inside an n-cylinder the
+    first n are pinned, so term i oscillates by at most var_{n-i}.  Only the
+    last min(n, r-1) terms contribute.
+    """
+    return sum(pot.var_k(k) for k in range(1, min(n, pot.r - 1) + 1))
+
+
 def test_birkhoff_range3_potential():
     sft = full_shift(2)
     pot = LocallyConstantPotential.from_function(
@@ -102,7 +111,7 @@ def test_birkhoff_range3_potential():
         b_sup, b_inf = brute_birkhoff_extremes(sft, pot, word, 2)
         assert sup == pytest.approx(b_sup, abs=1e-14)
         assert inf == pytest.approx(b_inf, abs=1e-14)
-        assert sup - inf <= pot.slack_bound(len(word)) + 1e-14
+        assert sup - inf <= slack_bound(pot, len(word)) + 1e-14
 
 
 def test_range1_has_no_tail_freedom():

@@ -96,8 +96,7 @@ def test_admissibility():
     assert sft.is_admissible((0, 1, 0, 1))
     assert not sft.is_admissible((0, 1, 1))
     assert sft.is_admissible(())
-    assert sft.successors(1) == (0,)
-    assert sft.successors(0) == (0, 1)
+    assert sft.transition.tolist() == [[1, 1], [1, 0]]
 
 
 def test_entropy_golden_mean():

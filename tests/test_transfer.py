@@ -6,15 +6,16 @@ them shares code with ``leading_eigen``'s power steps and rescaled squarings.
 """
 
 import itertools
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermoshift import (LocallyConstantPotential, full_shift,
-                         gibbs_bounds, gibbs_measure, golden_mean_shift,
-                         pressure)
+from thermoshift import (CriticalPowerFamily, LocallyConstantPotential,
+                         full_shift, gibbs_bounds, gibbs_measure,
+                         golden_mean_shift, pressure, pressure_renewal)
 from thermoshift import transfer
 from thermoshift.errors import (DepthTooLarge, NoConvergence, OutOfRange,
                                RangeTooLarge)
@@ -104,6 +105,19 @@ def test_build_refuses_weights_outside_the_float_range(sign):
     assert np.all(build(sft, near).A > 0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tolerance_that_is_not_positive_finite_is_refused(tol):
+    # tol 0 would spin max_iter power rounds, a negative tol divides by zero
+    # in the renewal root's stopping rule
+    sft, pot = run_weights()
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange):
+        pressure(sft, pot, tol=tol)
+    with pytest.raises(OutOfRange):
+        pressure_renewal(CriticalPowerFamily(exponent=3.0), 1.0, tol=tol)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_gibbs_measure_is_stationary():
     sft, pot = run_weights()
     mu = gibbs_measure(sft, pot)
@@ -152,7 +166,7 @@ def envelope(mu):
     pot2 = mu.potential.with_range(2)
     sft = mu.sft
     tail = np.array([np.exp(mu.pressure -
-                            max(pot2.table[(a, b)] for b in sft.successors(a)))
+                            max(v for w, v in pot2.table.items() if w[0] == a))
                      for a in range(sft.m)])
     last = eig.v * tail
     return (float(eig.u.min() * last.min()), float(eig.u.max() * last.max()))
@@ -212,7 +226,7 @@ def random_range2(seed):
         sft = full_shift(2)
     table = {}
     for a in range(sft.m):
-        for b in sft.successors(a):
+        for b in np.flatnonzero(sft.transition[a]).tolist():
             table[(a, b)] = float(rng.uniform(-1.5, 1.5))
     return sft, LocallyConstantPotential(sft, 2, table)
 

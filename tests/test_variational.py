@@ -238,7 +238,7 @@ def base_cases():
 def random_direction(sft, rng):
     table = {}
     for a in range(sft.m):
-        for b in sft.successors(a):
+        for b in np.flatnonzero(sft.transition[a]).tolist():
             table[(a, b)] = float(rng.uniform(-0.5, 0.5))
     return LocallyConstantPotential(sft, 2, table)
 

@@ -58,28 +58,7 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet", "SubshiftOfFiniteType", "MixingReport", "full_shift",
-    "golden_mean_shift",
-    "LocallyConstantPotential", "recode_range2",
-    "build", "leading_eigen", "pressure", "gibbs_measure", "gibbs_bounds",
-    "rpf_convergence", "spectral_ratio",
-    "MarkovMeasure", "GibbsMeasure", "stationary_vector", "entropy_by_blocks",
-    "relative_entropy", "relative_entropy_direct", "smb_estimate",
-    "AepPartition", "aep_partition", "periodic_approximation",
-    "entropy_production",
-    "FiniteSystem", "finite_equilibrium", "mean_energy_at", "solve_beta",
-    "lattice_equilibrium",
-    "lattice_pressure_trace", "pressure_Pn", "ising_potential",
-    "ising_pressure_exact", "ising_match", "markov_as_gibbs",
-    "HofbauerPotential", "CriticalPowerFamily", "InverseSquareFamily",
-    "diagnose", "pressure_renewal", "pressure_periodic", "pressure_curve",
-    "PiecewiseLinearMarkovMap", "code", "acim", "bowen_dimension",
-    "distortion_certificate",
-    "ThermoshiftError", "ComputationError", "BudgetError", "ZeroRowOrColumn",
-    "NotPrimitive", "RangeTooLarge", "NoConvergence", "DepthTooLarge",
-    "SupportMismatch", "ZeroMassPath", "PeriodTooLarge", "TargetOutOfRange",
-    "DegenerateObservable", "OutOfRange", "UndeterminedTail", "TailUncertified",
-    "NotMarkov", "NotExpanding", "IsRepeller", "ModelSyntaxError",
-    "ModelSchemaError", "ModelSemanticError",
-]
+# the exception classes imported above, then every engine name
+__all__ = [name for name, value in list(globals().items())
+           if isinstance(value, type) and issubclass(value, ThermoshiftError)]
+__all__ += _LAZY

@@ -105,7 +105,10 @@ class Report:
     def annotate(self, key, value):
         self.payload["annotations"][key] = value
 
-    def artifact(self, path, columns, rows):
+    def table(self, path, columns, data):
+        """Write ``data``, one sequence per column, as a CSV artifact under
+        the header ``columns``, and record it."""
+        rows = _write_csv(path, columns, data)
         self.payload["artifacts"].append(
             {"path": str(path), "columns": list(columns), "rows": rows})
 
@@ -176,8 +179,16 @@ def _write_csv(path, header, columns):
     return len(columns[0])
 
 
-def _load(report, path, kind):
-    """Parse a model file of the given kind and record its digest."""
+# model-file positional -> the kind of file it names
+_KINDS = {"sft": "sft", "potential": "potential", "chain": "markov-chain",
+          "map": "markov-map", "family": "hofbauer-family"}
+
+
+def _load(report, path, kind, loaded):
+    """Parse a model file of the given kind, record its digest and return
+    what the handler takes from it: the engine object, bound to the subshift
+    loaded before it if it is a potential, and followed by the labels if it
+    is a chain."""
     try:
         model = modelio.parse(path)
     except OSError as exc:
@@ -186,27 +197,17 @@ def _load(report, path, kind):
         raise ModelSemanticError(
             f"{path}: expected kind {kind!r}, got {model.kind!r}", field="kind")
     report.input(model)
-    return model
-
-
-def _sft_and_potential(args, report, beta=None):
-    sft = _load(report, args.sft, "sft").obj
-    pot = modelio.bind_potential(_load(report, args.potential, "potential"), sft)
-    if beta is not None and beta != 1.0:
-        pot = pot.scale(beta)
-    return sft, pot
-
-
-def _chain(args, report):
-    model = _load(report, args.chain, "markov-chain")
-    return model.obj, modelio.chain_labels(model)
+    if kind == "potential":
+        return [modelio.bind_potential(model, loaded[-1])]
+    if kind == "markov-chain":
+        return [model.obj, modelio.chain_labels(model)]
+    return [model.obj]
 
 
 # -- command handlers ----------------------------------------------------------
 
 
-def _cmd_entropy(args, report):
-    sft = _load(report, args.sft, "sft").obj
+def _cmd_entropy(args, report, sft):
     h = sft.topological_entropy(tol=args.tol)
     report.result("topological_entropy", h, "nats", "spectral")
     mix = sft.validate()
@@ -221,11 +222,11 @@ def _cmd_entropy(args, report):
                            [h, approx], "nats")
 
 
-def _cmd_pressure(args, report):
+def _cmd_pressure(args, report, sft, pot):
     from .transfer import pressure as spectral_pressure
     from .variational import pressure_Pn
 
-    sft, pot = _sft_and_potential(args, report, beta=args.beta)
+    pot = pot.scale(args.beta)
     p = spectral_pressure(sft, pot, tol=args.tol)
     report.result("pressure", p, "nats", "spectral")
     if args.check:
@@ -236,11 +237,10 @@ def _cmd_pressure(args, report):
                            [p, pn], "nats")
 
 
-def _cmd_gibbs(args, report):
+def _cmd_gibbs(args, report, sft, pot):
     from .transfer import gibbs_measure
 
-    sft, pot = _sft_and_potential(args, report, beta=args.beta)
-    g = gibbs_measure(sft, pot, tol=args.tol)
+    g = gibbs_measure(sft, pot.scale(args.beta), tol=args.tol)
     h = g.entropy()
     mean = g.expectation()
     report.result("pressure", g.pressure, "nats", "spectral")
@@ -255,17 +255,15 @@ def _cmd_gibbs(args, report):
                                    for row in g.markov.P])
     report.annotate("eigen_residual", float(g.eigen.residual))
     if args.out:
-        cols = ["state", "stationary"] + [f"to_{lab}" for lab in labels]
-        n_rows = _write_csv(args.out, cols,
-                            [labels, g.markov.pi, *g.markov.P.T])
-        report.artifact(args.out, cols, n_rows)
+        report.table(args.out,
+                     ["state", "stationary", *(f"to_{lab}" for lab in labels)],
+                     [labels, g.markov.pi, *g.markov.P.T])
 
 
-def _cmd_bounds(args, report):
+def _cmd_bounds(args, report, sft, pot):
     from .transfer import gibbs_bounds, gibbs_measure
 
-    sft, pot = _sft_and_potential(args, report, beta=args.beta)
-    g = gibbs_measure(sft, pot)
+    g = gibbs_measure(sft, pot.scale(args.beta))
     b = gibbs_bounds(g, args.depth, budget=args.budget)
     report.result("c_min", b.c_min, "ratio", "enumeration")
     report.result("c_max", b.c_max, "ratio", "enumeration")
@@ -274,13 +272,11 @@ def _cmd_bounds(args, report):
     report.annotate("argmax_word", g.sft.alphabet.word_string(b.argmax))
 
 
-def _cmd_relent(args, report):
+def _cmd_relent(args, report, sft, pot, nu, labels):
     from .measures import relative_entropy, relative_entropy_direct
     from .transfer import gibbs_measure
 
-    sft, pot = _sft_and_potential(args, report, beta=args.beta)
-    nu, labels = _chain(args, report)
-    mu = gibbs_measure(sft, pot)
+    mu = gibbs_measure(sft, pot.scale(args.beta))
     closed = relative_entropy(nu, mu)
     report.result("relative_entropy", closed, "nats", "spectral")
     report.annotate("chain_states", labels)
@@ -293,10 +289,9 @@ def _cmd_relent(args, report):
                            [closed, direct], "nats")
 
 
-def _cmd_sample(args, report):
+def _cmd_sample(args, report, nu, labels):
     from .measures import smb_estimate
 
-    nu, labels = _chain(args, report)
     length = args.depth
     path = nu.sample_path(length, args.seed)
     est = smb_estimate(nu, path)
@@ -309,16 +304,14 @@ def _cmd_sample(args, report):
     report.annotate("length", length)
     report.annotate("path_prefix", "".join(labels[s] for s in path[:200]))
     if args.out:
-        n_rows = _write_csv(args.out, ["step", "symbol", "label"],
-                            [range(len(path)), np.asarray(path),
-                             map(labels.__getitem__, path)])
-        report.artifact(args.out, ["step", "symbol", "label"], n_rows)
+        report.table(args.out, ["step", "symbol", "label"],
+                     [range(len(path)), np.asarray(path),
+                      map(labels.__getitem__, path)])
 
 
-def _cmd_aep(args, report):
+def _cmd_aep(args, report, nu, _labels):
     from .measures import aep_partition
 
-    nu, labels = _chain(args, report)
     n = args.depth
     part = aep_partition(nu, n, args.alpha, budget=args.budget)
     report.result("typical_count", float(part.typical_count), "count",
@@ -332,10 +325,9 @@ def _cmd_aep(args, report):
     report.annotate("depth", n)
 
 
-def _cmd_periodic(args, report):
+def _cmd_periodic(args, report, sft):
     from .sft import _check_budget, _word_blocks
 
-    sft = _load(report, args.sft, "sft").obj
     count = sft.periodic_count(args.n)
     try:
         value = float(count)
@@ -354,16 +346,13 @@ def _cmd_periodic(args, report):
                            [float(count), float(brute)], "count")
     if args.out:
         ns = range(1, args.n + 1)
-        n_rows = _write_csv(args.out, ["n", "count"],
-                            [ns, map(sft.periodic_count, ns)])
-        report.artifact(args.out, ["n", "count"], n_rows)
+        report.table(args.out, ["n", "count"], [ns, map(sft.periodic_count, ns)])
 
 
-def _cmd_production(args, report):
+def _cmd_production(args, report, nu, labels):
     from .measures import relative_entropy, relative_entropy_direct
     from .variational import markov_as_gibbs
 
-    nu, labels = _chain(args, report)
     forward = markov_as_gibbs(nu.P, labels=labels)
     reversed_chain = nu.time_reversal()
     backward = markov_as_gibbs(reversed_chain.P, labels=labels)
@@ -382,10 +371,9 @@ def _cmd_production(args, report):
                            "nats")
 
 
-def _cmd_lattice(args, report):
+def _cmd_lattice(args, report, sft, pot):
     from .variational import lattice_equilibrium, lattice_pressure_trace
 
-    sft, pot = _sft_and_potential(args, report)
     eq = lattice_equilibrium(args.n, pot, args.beta, budget=args.budget,
                              with_masses=bool(args.out))
     report.result(f"ring_pressure(n={args.n})", eq.pressure, "nats",
@@ -398,10 +386,9 @@ def _cmd_lattice(args, report):
                            [eq.pressure, trace_val], "nats")
     if args.out:
         words, masses = zip(*sorted(eq.masses.items()))
-        n_rows = _write_csv(args.out, ["configuration", "mass"],
-                            [[sft.alphabet.word_string(w) for w in words],
-                             np.array(masses)])
-        report.artifact(args.out, ["configuration", "mass"], n_rows)
+        report.table(args.out, ["configuration", "mass"],
+                     [[sft.alphabet.word_string(w) for w in words],
+                      np.array(masses)])
 
 
 def _cmd_ising(args, report):
@@ -441,11 +428,10 @@ def _cmd_ising(args, report):
                            "dimensionless")
 
 
-def _cmd_hofbauer_scan(args, report):
+def _cmd_hofbauer_scan(args, report, fam):
     from .hofbauer import (diagnose, pressure_curve, pressure_periodic,
                            pressure_renewal)
 
-    fam = _load(report, args.family, "hofbauer-family").obj
     diag = diagnose(fam)
     report.annotate("classification", diag.classification)
     report.result("series_partial_sum", diag.sum_partial, "dimensionless",
@@ -475,15 +461,12 @@ def _cmd_hofbauer_scan(args, report):
         for h, q in sorted(curve.right_quotients.items()):
             report.result(f"right_quotient(h={h:g})", q, "nats", "renewal")
     if args.out:
-        n_rows = _write_csv(args.out, ["beta", "pressure"],
-                            [args.betas, pressures])
-        report.artifact(args.out, ["beta", "pressure"], n_rows)
+        report.table(args.out, ["beta", "pressure"], [args.betas, pressures])
 
 
-def _cmd_dimension(args, report):
+def _cmd_dimension(args, report, imap):
     from .interval_maps import bowen_dimension
 
-    imap = _load(report, args.map, "markov-map").obj
     res = bowen_dimension(imap, tol=args.tol)
     report.result("dimension", res.dimension, "dimensionless", "spectral")
     report.result("pressure_residual", res.residual, "nats", "spectral")
@@ -496,10 +479,9 @@ def _cmd_dimension(args, report):
                            [res.dimension, res2.dimension], "dimensionless")
 
 
-def _cmd_acim(args, report):
+def _cmd_acim(args, report, imap):
     from .interval_maps import acim
 
-    imap = _load(report, args.map, "markov-map").obj
     res = acim(imap, tol=args.tol)
     report.result("pressure_residual", res.pressure_residual, "nats",
                   "spectral")
@@ -517,17 +499,16 @@ def _cmd_acim(args, report):
                            [lo, hi], "density")
     if args.out:
         lefts, rights = zip(*intervals)
-        n_rows = _write_csv(args.out, ["left", "right", "density"],
-                            [lefts, rights,
-                             [res.densities[s] for s in range(len(intervals))]])
-        report.artifact(args.out, ["left", "right", "density"], n_rows)
+        report.table(args.out, ["left", "right", "density"],
+                     [lefts, rights,
+                      [res.densities[s] for s in range(len(intervals))]])
 
 
-def _cmd_pn_scan(args, report):
+def _cmd_pn_scan(args, report, sft, pot):
     from .transfer import pressure as spectral_pressure
     from .variational import pressure_Pn
 
-    sft, pot = _sft_and_potential(args, report, beta=args.beta)
+    pot = pot.scale(args.beta)
     ref = spectral_pressure(sft, pot)
     report.result("pressure", ref, "nats", "spectral")
     values = []
@@ -538,10 +519,8 @@ def _cmd_pn_scan(args, report):
     report.certificate(f"Pn_vs_spectral(n={args.n_max})",
                        ["variational", "spectral"], [values[-1], ref], "nats")
     if args.out:
-        n_rows = _write_csv(args.out, ["n", "pn_over_n", "spectral"],
-                            [range(1, len(values) + 1), values,
-                             [ref] * len(values)])
-        report.artifact(args.out, ["n", "pn_over_n", "spectral"], n_rows)
+        report.table(args.out, ["n", "pn_over_n", "spectral"],
+                     [range(1, len(values) + 1), values, [ref] * len(values)])
 
 
 # -- argument wiring ------------------------------------------------------------
@@ -591,7 +570,9 @@ _FLAGS = {
     "depth": {"type": _count,
               "help": "cylinder depth / path length (default %(default)s)"},
     "budget": {"type": _count, "help": "enumeration budget"},
-    "seed": {"type": int, "help": "64-bit RNG seed"},
+    "seed": {"type": _typed(int, lambda s: 0 <= s < 2 ** 64,
+                            "an integer in [0, 2^64)"),
+             "help": "64-bit RNG seed"},
     "check": {"action": "store_true",
               "help": "run the second-method cross-validation"},
     "out": {"metavar": "PATH.CSV", "help": "write the tabular artifact here"},
@@ -602,9 +583,10 @@ _FLAGS = {
 _REQUIRED = object()     # the default of a flag the command cannot run without
 _BUDGET = 10 ** 7
 
-# command -> (handler, help, model-file positionals, {flag: default}); the
-# flags appear in this order in the usage line, and every command ends with
-# --bits
+# command -> (handler, help, model-file positionals, {flag: default}); main
+# loads the model files in this order and calls the handler with their engine
+# objects.  The flags appear in this order in the usage line, and every
+# command ends with --bits
 _COMMANDS = {
     "entropy": (_cmd_entropy, "topological entropy of a subshift", ["sft"],
                 {"tol": 1e-14, "depth": 12, "check": False}),
@@ -655,13 +637,13 @@ _COMMANDS = {
 
 def build_parser(argv=()) -> _Parser:
     """The parser for ``argv``.  Every command is listed with its help, but
-    only the command ``argv`` names gets its arguments and handler."""
+    only the command ``argv`` names gets its arguments."""
     parser = _Parser(prog="thermoshift",
                      description="thermodynamic formalism on subshifts: "
                                  "pressure, equilibrium states, dimensions")
     sub = parser.add_subparsers(dest="cmd", required=True)
     chosen = next((a for a in argv if not a.startswith("-")), None)
-    for name, (fn, text, models, flags) in _COMMANDS.items():
+    for name, (_, text, models, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         if name != chosen:
             continue
@@ -671,11 +653,25 @@ def build_parser(argv=()) -> _Parser:
             given = ({"required": True} if default is _REQUIRED
                      else {"default": default})
             sp.add_argument(f"--{flag}", **given, **_FLAGS[flag])
-        sp.set_defaults(fn=fn)
     return parser
 
 
+# error class -> (exit code, what its diagnostic starts with); the first
+# class the error is an instance of decides
+_EXITS = {
+    ModelSyntaxError: (EXIT_SYNTAX, "syntax error: "),
+    ModelSchemaError: (EXIT_SCHEMA, "schema error: "),
+    ModelSemanticError: (EXIT_SEMANTIC, "semantic error: "),
+    BudgetError: (EXIT_BUDGET, "budget exceeded: "),
+    _FileError: (EXIT_SYNTAX, ""),
+    ThermoshiftError: (EXIT_COMPUTE, "computation error: "),
+    ValueError: (EXIT_COMPUTE, "computation error: "),
+}
+
+
 def _diag(exc):
+    """The error's message, then its line and column and its field where
+    it carries them."""
     parts = [str(exc)]
     line = getattr(exc, "line", None)
     column = getattr(exc, "column", None)
@@ -690,30 +686,19 @@ def _diag(exc):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
+    fn, _, positionals, _ = _COMMANDS[args.cmd]
     report = Report(args.cmd, argv)
     start = time.perf_counter()
     try:
-        args.fn(args, report)
-    except ModelSyntaxError as exc:
-        print(f"syntax error: {_diag(exc)}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except ModelSchemaError as exc:
-        print(f"schema error: {_diag(exc)}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ModelSemanticError as exc:
-        print(f"semantic error: {_diag(exc)}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except _FileError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_SYNTAX
-    except (ThermoshiftError, ValueError) as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        models = []
+        for name in positionals:
+            models += _load(report, getattr(args, name), _KINDS[name], models)
+        fn(args, report, *models)
+    except tuple(_EXITS) as exc:
+        code, label = next(_EXITS[cls] for cls in _EXITS if isinstance(exc, cls))
+        print(label + _diag(exc), file=sys.stderr)
+        return code
     if args.bits:
         report.to_bits()
     report.emit(time.perf_counter() - start)

@@ -98,30 +98,24 @@ class IsRepeller(ComputationError):
 
 # -- model files / CLI --------------------------------------------------------
 
-class ModelSyntaxError(ThermoshiftError):
+class _ModelError(ThermoshiftError):
+    """A fault in a model file, located by its field and its line and column
+    where those are known."""
+
+    def __init__(self, message, field=None, line=None, column=None):
+        super().__init__(message)
+        self.field = field
+        self.line = line
+        self.column = column
+
+
+class ModelSyntaxError(_ModelError):
     """The model file is not well-formed structured text."""
 
-    def __init__(self, message, line=None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
-
-class ModelSchemaError(ThermoshiftError):
+class ModelSchemaError(_ModelError):
     """The model file parses but violates the declared schema."""
 
-    def __init__(self, message, field=None, line=None, column=None):
-        super().__init__(message)
-        self.field = field
-        self.line = line
-        self.column = column
 
-
-class ModelSemanticError(ThermoshiftError):
+class ModelSemanticError(_ModelError):
     """The model file matches the schema but violates a semantic invariant."""
-
-    def __init__(self, message, field=None, line=None, column=None):
-        super().__init__(message)
-        self.field = field
-        self.line = line
-        self.column = column

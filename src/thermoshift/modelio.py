@@ -26,6 +26,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,16 +91,22 @@ def _mark(node, path):
     return (cur.start_mark.line + 1, cur.start_mark.column + 1)
 
 
-def _schema(model_or_node, message, *path):
-    line, col = _mark(model_or_node, path)
-    return ModelSchemaError(message, field=".".join(str(p) for p in path) or None,
-                            line=line, column=col)
+def _fault(kind, model, message, *path):
+    """A ``kind`` error on the model's file: the message is prefixed with its
+    path, and the field at ``path``, if any, is marked and named dotted."""
+    line, col = _mark(model.node, path) if path else (None, None)
+    return kind(f"{model.path}: {message}",
+                field=".".join(map(str, path)) or None, line=line, column=col)
 
 
-def _semantic(node, message, *path):
-    line, col = _mark(node, path)
-    return ModelSemanticError(message, field=".".join(str(p) for p in path) or None,
-                              line=line, column=col)
+_schema = partial(_fault, ModelSchemaError)
+_semantic = partial(_fault, ModelSemanticError)
+
+
+def _is_number(x, types=(int, float)):
+    """Whether x is one of ``types``; YAML's true and false are bools, which
+    count as none of them."""
+    return isinstance(x, types) and not isinstance(x, bool)
 
 
 def parse(path) -> ModelFile:
@@ -129,35 +136,34 @@ def parse(path) -> ModelFile:
     except yaml.YAMLError as exc:
         raise ModelSyntaxError(f"{path}: {exc}") from None
 
+    model = ModelFile(path=str(path), kind=None, version=VERSION, body=data,
+                      digest=digest, node=node)
     if not isinstance(data, dict):
-        raise ModelSchemaError(f"{path}: top level must be a mapping")
+        raise _schema(model, "top level must be a mapping")
     if "version" not in data:
-        raise _schema(node, f"{path}: missing required field 'version'", "version")
+        raise _schema(model, "missing required field 'version'", "version")
     if data["version"] != VERSION:
-        raise _schema(node, f"{path}: unsupported version {data['version']!r}, "
-                            f"expected {VERSION!r}", "version")
+        raise _schema(model, f"unsupported version {data['version']!r}, "
+                             f"expected {VERSION!r}", "version")
     if "kind" not in data:
-        raise _schema(node, f"{path}: missing required field 'kind'", "kind")
-    kind = data["kind"]
-    if kind not in KINDS:
-        raise _schema(node, f"{path}: unknown kind {kind!r}", "kind")
-    allowed = _FIELDS[kind] | {"version", "kind"}
+        raise _schema(model, "missing required field 'kind'", "kind")
+    model.kind = data["kind"]
+    if model.kind not in KINDS:
+        raise _schema(model, f"unknown kind {model.kind!r}", "kind")
+    allowed = _FIELDS[model.kind] | {"version", "kind"}
     for key in data:
         if key not in allowed:
-            raise _schema(node, f"{path}: unknown field {key!r} for kind {kind}",
+            raise _schema(model, f"unknown field {key!r} for kind {model.kind}",
                           key)
-    body = {k: v for k, v in data.items() if k not in ("version", "kind")}
-    model = ModelFile(path=str(path), kind=kind, version=VERSION, body=body,
-                      digest=digest, node=node)
-    model.obj = _VALIDATORS[kind](model)
+    model.body = {k: v for k, v in data.items() if k not in ("version", "kind")}
+    model.obj = _VALIDATORS[model.kind](model)
     return model
 
 
 def _require_finite(model, x, what, *path):
     """Refuse an infinite or NaN number at the field it came from."""
     if isinstance(x, float) and not math.isfinite(x):
-        raise _semantic(model.node, f"{model.path}: {what} must be finite, "
-                                    f"got {x}", *path)
+        raise _semantic(model, f"{what} must be finite, got {x}", *path)
 
 
 def _rational(model, x, what, *path):
@@ -168,78 +174,78 @@ def _rational(model, x, what, *path):
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError):
-        raise _semantic(model.node, f"{model.path}: {what} {x!r} is not a "
-                                    "rational number", *path) from None
+        raise _semantic(model, f"{what} {x!r} is not a rational number",
+                        *path) from None
 
 
 def _require(model, name, types, type_name):
     if name not in model.body:
-        raise _schema(model.node, f"{model.path}: missing required field "
-                                  f"{name!r}", name)
+        raise _schema(model, f"missing required field {name!r}", name)
     val = model.body[name]
-    if not isinstance(val, types) or isinstance(val, bool):
-        raise _schema(model.node, f"{model.path}: field {name!r} must be "
-                                  f"{type_name}", name)
+    if not _is_number(val, types):
+        raise _schema(model, f"field {name!r} must be {type_name}", name)
     return val
+
+
+def _entries(model, rows, n):
+    """(i, j, x) for each entry of the n x n ``transition`` list, in
+    row-major order.  A row is checked to be a list of n entries, and an
+    entry to be a number, before the caller's own check of that entry."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise _schema(model, "transition rows must be lists", "transition", i)
+        if len(row) != n:
+            raise _semantic(model, f"transition row {i} has {len(row)} entries, "
+                                   f"expected {n}", "transition", i)
+        for j, x in enumerate(row):
+            if not _is_number(x):
+                raise _schema(model, "transition entries must be numbers",
+                              "transition", i, j)
+            yield i, j, x
 
 
 def _check_sft(model):
     labels = _require(model, "labels", list, "a list of symbol labels")
     for i, lab in enumerate(labels):
         if not isinstance(lab, str) or not lab:
-            raise _schema(model.node, f"{model.path}: labels must be non-empty "
-                                      "strings", "labels", i)
+            raise _schema(model, "labels must be non-empty strings", "labels", i)
     from .sft import Alphabet, SubshiftOfFiniteType
 
     try:
         alphabet = Alphabet(labels)
     except ValueError as exc:
-        raise _semantic(model.node, f"{model.path}: {exc}", "labels") from None
+        raise _semantic(model, str(exc), "labels") from None
     rows = _require(model, "transition", list, "a matrix (list of rows)")
     n = len(labels)
     if len(rows) != n:
-        raise _semantic(model.node, f"{model.path}: transition has {len(rows)} "
-                                    f"rows but there are {n} labels", "transition")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise _schema(model.node, f"{model.path}: transition rows must be "
-                                      "lists", "transition", i)
-        if len(row) != n:
-            raise _semantic(model.node, f"{model.path}: transition row {i} has "
-                                        f"{len(row)} entries, expected {n}",
-                            "transition", i)
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise _schema(model.node, f"{model.path}: transition entries "
-                                          "must be numbers", "transition", i, j)
-            if x not in (0, 1):
-                raise _semantic(model.node, f"{model.path}: transition entries "
-                                            "must be 0/1", "transition", i, j)
+        raise _semantic(model, f"transition has {len(rows)} rows but there are "
+                               f"{n} labels", "transition")
+    for i, j, x in _entries(model, rows, n):
+        if x not in (0, 1):
+            raise _semantic(model, "transition entries must be 0/1",
+                            "transition", i, j)
     try:
         return SubshiftOfFiniteType(alphabet, np.array(rows, dtype=np.int8))
     except ZeroRowOrColumn as exc:
-        raise _semantic(model.node, f"{model.path}: {exc}", "transition") from None
+        raise _semantic(model, str(exc), "transition") from None
 
 
 def _check_potential(model):
     r = _require(model, "range", int, "a positive integer")
     if r < 1:
-        raise _semantic(model.node, f"{model.path}: range must be >= 1", "range")
+        raise _semantic(model, "range must be >= 1", "range")
     values = _require(model, "values", dict, "a mapping word -> value")
     if not values:
-        raise _semantic(model.node, f"{model.path}: values must not be empty",
-                        "values")
+        raise _semantic(model, "values must not be empty", "values")
     for word, val in values.items():
         if not isinstance(word, str):
-            raise _schema(model.node, f"{model.path}: word keys must be strings",
-                          "values")
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise _schema(model.node, f"{model.path}: potential values must be "
-                                      "numbers", "values", word)
+            raise _schema(model, "word keys must be strings", "values")
+        if not _is_number(val):
+            raise _schema(model, "potential values must be numbers",
+                          "values", word)
         if len(word) != r:
-            raise _semantic(model.node, f"{model.path}: word {word!r} has length "
-                                        f"{len(word)}, expected range {r}",
-                            "values", word)
+            raise _semantic(model, f"word {word!r} has length {len(word)}, "
+                                   f"expected range {r}", "values", word)
 
 
 def bind_potential(model: ModelFile, sft: SubshiftOfFiniteType) -> LocallyConstantPotential:
@@ -251,13 +257,12 @@ def bind_potential(model: ModelFile, sft: SubshiftOfFiniteType) -> LocallyConsta
     from .potentials import LocallyConstantPotential
 
     if model.kind != "potential":
-        raise ModelSemanticError(f"{model.path}: expected a potential file, "
-                                 f"got kind {model.kind!r}")
+        raise _semantic(model, f"expected a potential file, got kind "
+                               f"{model.kind!r}")
     labels = sft.alphabet.labels
     if any(len(lab) != 1 for lab in labels):
-        raise _semantic(model.node, f"{model.path}: word keys need single-"
-                                    "character subshift labels, got "
-                                    f"{list(labels)}", "values")
+        raise _semantic(model, "word keys need single-character subshift "
+                               f"labels, got {list(labels)}", "values")
     index = {lab: i for i, lab in enumerate(labels)}
     r = model.body["range"]
     table = {}
@@ -265,77 +270,60 @@ def bind_potential(model: ModelFile, sft: SubshiftOfFiniteType) -> LocallyConsta
         try:
             key = tuple(index[ch] for ch in word)
         except KeyError as exc:
-            raise _semantic(model.node, f"{model.path}: word {word!r} uses "
-                                        f"unknown label {exc.args[0]!r}",
-                            "values", word) from None
+            raise _semantic(model, f"word {word!r} uses unknown label "
+                                   f"{exc.args[0]!r}", "values", word) from None
         if not sft.is_admissible(key):
-            raise _semantic(model.node, f"{model.path}: word {word!r} is not "
-                                        "admissible", "values", word)
+            raise _semantic(model, f"word {word!r} is not admissible",
+                            "values", word)
         table[key] = float(val)
     try:
         return LocallyConstantPotential(sft, r, table)
     except ValueError as exc:
-        raise _semantic(model.node, f"{model.path}: {exc}", "values") from None
+        raise _semantic(model, str(exc), "values") from None
 
 
 def _check_markov_chain(model):
     rows = _require(model, "transition", list, "a matrix (list of rows)")
     n = len(rows)
     if n == 0:
-        raise _semantic(model.node, f"{model.path}: transition must not be "
-                                    "empty", "transition")
+        raise _semantic(model, "transition must not be empty", "transition")
     P = np.zeros((n, n))
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise _schema(model.node, f"{model.path}: transition rows must be "
-                                      "lists", "transition", i)
-        if len(row) != n:
-            raise _semantic(model.node, f"{model.path}: transition row {i} has "
-                                        f"{len(row)} entries, expected {n}",
-                            "transition", i)
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise _schema(model.node, f"{model.path}: transition entries "
-                                          "must be numbers", "transition", i, j)
-            _require_finite(model, x, "transition entries", "transition", i, j)
-            if x < 0:
-                raise _semantic(model.node, f"{model.path}: transition entries "
-                                            "must be >= 0", "transition", i, j)
-            P[i, j] = x
-        if abs(P[i].sum() - 1.0) > _STOCHASTIC_TOL:
-            raise _semantic(model.node, f"{model.path}: transition row {i} sums "
-                                        f"to {P[i].sum():.12g}, not 1 within "
-                                        f"{_STOCHASTIC_TOL}; renormalization is "
-                                        "refused", "transition", i)
+    for i, j, x in _entries(model, rows, n):
+        _require_finite(model, x, "transition entries", "transition", i, j)
+        if x < 0:
+            raise _semantic(model, "transition entries must be >= 0",
+                            "transition", i, j)
+        P[i, j] = x
+        if j == n - 1 and abs(P[i].sum() - 1.0) > _STOCHASTIC_TOL:
+            raise _semantic(model, f"transition row {i} sums to "
+                                   f"{P[i].sum():.12g}, not 1 within "
+                                   f"{_STOCHASTIC_TOL}; renormalization is "
+                                   "refused", "transition", i)
     labels = model.body.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or any(not isinstance(x, str) for x in labels):
-            raise _schema(model.node, f"{model.path}: labels must be a list of "
-                                      "strings", "labels")
+            raise _schema(model, "labels must be a list of strings", "labels")
         if len(labels) != n:
-            raise _semantic(model.node, f"{model.path}: {len(labels)} labels for "
-                                        f"{n} states", "labels")
+            raise _semantic(model, f"{len(labels)} labels for {n} states",
+                            "labels")
     pi = model.body.get("pi")
     if pi is not None:
-        if not isinstance(pi, list) or any(
-                isinstance(x, bool) or not isinstance(x, (int, float)) for x in pi):
-            raise _schema(model.node, f"{model.path}: pi must be a list of "
-                                      "numbers", "pi")
+        if not isinstance(pi, list) or not all(map(_is_number, pi)):
+            raise _schema(model, "pi must be a list of numbers", "pi")
         if len(pi) != n:
-            raise _semantic(model.node, f"{model.path}: pi has {len(pi)} entries "
-                                        f"for {n} states", "pi")
+            raise _semantic(model, f"pi has {len(pi)} entries for {n} states",
+                            "pi")
         for i, x in enumerate(pi):
             _require_finite(model, x, "pi entries", "pi", i)
         v = np.array(pi, dtype=float)
         if np.any(v < 0) or abs(v.sum() - 1.0) > _STOCHASTIC_TOL:
-            raise _semantic(model.node, f"{model.path}: pi is not a probability "
-                                        "vector", "pi")
+            raise _semantic(model, "pi is not a probability vector", "pi")
     from .measures import MarkovMeasure, stationary_vector
 
     try:
         return MarkovMeasure(v if pi is not None else stationary_vector(P), P)
     except ValueError as exc:
-        raise _semantic(model.node, f"{model.path}: {exc}",
+        raise _semantic(model, str(exc),
                         "pi" if pi is not None else "transition") from None
 
 
@@ -352,9 +340,8 @@ def _check_markov_map(model):
     pts = list(_require(model, "breakpoints", list, "a list of numbers or "
                                                     "'p/q' strings"))
     for i, x in enumerate(pts):
-        if isinstance(x, bool) or not isinstance(x, (int, float, str)):
-            raise _schema(model.node, f"{model.path}: breakpoints must be "
-                                      "numbers or 'p/q' strings",
+        if not _is_number(x, (int, float, str)):
+            raise _schema(model, "breakpoints must be numbers or 'p/q' strings",
                           "breakpoints", i)
         _require_finite(model, x, "breakpoints", "breakpoints", i)
         pts[i] = _rational(model, x, "breakpoint", "breakpoints", i)
@@ -365,65 +352,63 @@ def _check_markov_map(model):
             specs.append(None)
             continue
         if not isinstance(entry, dict):
-            raise _schema(model.node, f"{model.path}: branch entries must be "
-                                      "null or mappings", "branches", i)
+            raise _schema(model, "branch entries must be null or mappings",
+                          "branches", i)
         extra = set(entry) - {"slope", "image"}
         if extra:
-            raise _schema(model.node, f"{model.path}: unknown branch field "
-                                      f"{sorted(extra)[0]!r}", "branches", i)
+            raise _schema(model, f"unknown branch field {sorted(extra)[0]!r}",
+                          "branches", i)
         if "slope" not in entry or "image" not in entry:
-            raise _schema(model.node, f"{model.path}: branch {i} needs 'slope' "
-                                      "and 'image'", "branches", i)
+            raise _schema(model, f"branch {i} needs 'slope' and 'image'",
+                          "branches", i)
         slope = entry["slope"]
-        if isinstance(slope, bool) or not isinstance(slope, (int, float, str)):
-            raise _schema(model.node, f"{model.path}: slope must be a number or "
-                                      "'p/q' string", "branches", i, "slope")
+        if not _is_number(slope, (int, float, str)):
+            raise _schema(model, "slope must be a number or 'p/q' string",
+                          "branches", i, "slope")
         _require_finite(model, slope, "slope", "branches", i, "slope")
         slope = _rational(model, slope, "slope", "branches", i, "slope")
         image = entry["image"]
-        if not isinstance(image, list) or any(
-                isinstance(j, bool) or not isinstance(j, int) for j in image):
-            raise _schema(model.node, f"{model.path}: image must be a list of "
-                                      "interval indices", "branches", i, "image")
+        if not isinstance(image, list) or not all(
+                _is_number(j, int) for j in image):
+            raise _schema(model, "image must be a list of interval indices",
+                          "branches", i, "image")
         specs.append((slope, tuple(image)))
     try:
         return PiecewiseLinearMarkovMap(pts, specs)
     except (NotMarkov, NotExpanding, TypeError, ValueError,
             ZeroDivisionError) as exc:
-        raise _semantic(model.node, f"{model.path}: {exc}", "branches") from None
+        raise _semantic(model, str(exc), "branches") from None
 
 
-_FAMILIES = ("critical-power", "inverse-square")
+# family -> {numeric field: default}; the first field is the one the family
+# refuses out of range
+_FAMILIES = {"critical-power": {"exponent": 3.0, "depression": 0.0},
+             "inverse-square": {"scale": 1.0}}
 
 
 def _check_hofbauer(model):
     fam = _require(model, "family", str, "one of " + ", ".join(_FAMILIES))
     if fam not in _FAMILIES:
-        raise _schema(model.node, f"{model.path}: unknown family {fam!r}",
-                      "family")
-    numeric = {"exponent", "depression", "scale"}
-    relevant = {"critical-power": {"exponent", "depression"},
-                "inverse-square": {"scale"}}[fam]
-    for name in numeric:
-        if name in model.body:
-            if name not in relevant:
-                raise _schema(model.node, f"{model.path}: field {name!r} does "
-                                          f"not apply to family {fam}", name)
-            val = model.body[name]
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise _schema(model.node, f"{model.path}: field {name!r} must "
-                                          "be a number", name)
-            _require_finite(model, val, f"field {name!r}", name)
+        raise _schema(model, f"unknown family {fam!r}", "family")
+    defaults = _FAMILIES[fam]
+    for name, val in model.body.items():    # file order: the first fault is named
+        if name == "family":
+            continue
+        if name not in defaults:
+            raise _schema(model, f"field {name!r} does not apply to family "
+                                 f"{fam}", name)
+        if not _is_number(val):
+            raise _schema(model, f"field {name!r} must be a number", name)
+        _require_finite(model, val, f"field {name!r}", name)
     from .hofbauer import CriticalPowerFamily, InverseSquareFamily
 
+    family = (CriticalPowerFamily if fam == "critical-power"
+              else InverseSquareFamily)
     try:
-        if fam == "critical-power":
-            return CriticalPowerFamily(exponent=model.body.get("exponent", 3.0),
-                                       depression=model.body.get("depression", 0.0))
-        return InverseSquareFamily(scale=model.body.get("scale", 1.0))
+        return family(**{name: model.body.get(name, default)
+                         for name, default in defaults.items()})
     except OutOfRange as exc:
-        bad = "exponent" if fam == "critical-power" else "scale"
-        raise _semantic(model.node, f"{model.path}: {exc}", bad) from None
+        raise _semantic(model, str(exc), next(iter(defaults))) from None
 
 
 _VALIDATORS = {

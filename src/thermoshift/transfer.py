@@ -19,7 +19,7 @@ import numpy as np
 
 from ._numerics import rescaled_product
 from .errors import NoConvergence, OutOfRange, RangeTooLarge
-from .sft import _check_budget, _word_blocks
+from .sft import _check_budget, _check_own_shift, _word_blocks
 
 
 @dataclass
@@ -102,8 +102,10 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
     most (A v0)_i / v0_i, so wide weights do not underflow in the products;
     should Bv or uB still have a zero or non-finite entry, squaring stops for
     good, as it does after ``_MAX_SQUARINGS``, and power steps go on.
-    ``max_iter`` caps the rounds.  A tol that is not a positive finite
-    number raises OutOfRange.
+    Once squaring has stopped, max(m, 64) rounds in a row that bring the
+    residual to no new minimum raise NoConvergence: the tol is below what
+    rounding lets the residual reach.  ``max_iter`` caps the rounds.  A tol
+    that is not a positive finite number raises OutOfRange.
     """
     if not 0 < tol < np.inf:
         raise OutOfRange(f"tol must be a positive finite number, got {tol}")
@@ -113,6 +115,7 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
     u = np.full(m, 1.0 / m)
     B, squarings, accelerate = None, 0, True
     plain = max(m, _PLAIN_ROUNDS)
+    best, best_it = np.inf, 0
     for it in range(1, max_iter + 1):
         Av = A @ v
         uA = u @ A
@@ -131,6 +134,13 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
             u = u / float(u @ v)
             return EigenData(lam=lam, v=v, u=u, residual=res, iterations=it,
                              squarings=squarings)
+        if res < best:
+            best, best_it = res, it
+        elif (it - best_it >= plain
+              and not (accelerate and squarings < _MAX_SQUARINGS)):
+            raise NoConvergence(
+                f"no Perron eigendata within tol={tol}: the residual stalled "
+                f"at {best:.2g} after {it} rounds")
         if it > plain and accelerate and squarings < _MAX_SQUARINGS:
             if B is None:
                 scale = v
@@ -154,10 +164,12 @@ def pressure(sft, potential, tol=1e-13) -> float:
     """Topological pressure of a locally constant potential (nats).
 
     Range > 2 potentials are block-recoded internally; the value is
-    log of the spectral radius of the transfer matrix either way.
+    log of the spectral radius of the transfer matrix either way.  ``sft``
+    must be the potential's subshift or an equal copy (else ValueError).
     """
     from .potentials import recode_range2
 
+    _check_own_shift(sft, potential)
     rec = recode_range2(potential)
     eig = leading_eigen(build(rec.sft, rec.potential), tol=tol)
     return float(np.log(eig.lam))
@@ -169,11 +181,13 @@ def gibbs_measure(sft, potential, tol=1e-13) -> GibbsMeasure:
     P[a, b] = A[a, b] v_b / (lam v_a) and pi_a = u_a v_a; cylinder masses of
     the returned measure satisfy the two-sided Gibbs inequalities with
     constants read off the eigenvectors.  For range > 2 the state lives on
-    the block recoding (see ``GibbsMeasure.cylinder_original``).
+    the block recoding (see ``GibbsMeasure.cylinder_original``).  ``sft``
+    must be the potential's subshift or an equal copy (else ValueError).
     """
     from .measures import GibbsMeasure, MarkovMeasure
     from .potentials import recode_range2
 
+    _check_own_shift(sft, potential)
     rec = recode_range2(potential)
     tm = build(rec.sft, rec.potential)
     eig = leading_eigen(tm, tol=tol)

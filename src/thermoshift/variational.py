@@ -16,7 +16,8 @@ from ._numerics import bracketed_root, log_trace_power, logsumexp
 from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
 from .measures import GibbsMeasure
 from .potentials import LocallyConstantPotential
-from .sft import SubshiftOfFiniteType, _check_budget, _word_blocks, full_shift
+from .sft import (SubshiftOfFiniteType, _check_budget, _check_own_shift,
+                  _word_blocks, full_shift)
 from .transfer import build, gibbs_measure
 
 
@@ -173,8 +174,10 @@ def pressure_Pn(sft, potential, n, budget=10 ** 7, with_points=False) -> PnResul
 
     One point per admissible n-cylinder, chosen to maximize the Birkhoff sum
     (ties broken lexicographically in the continuation); only the value
-    enters P_n.  Works for any potential exposing birkhoff_sups.
+    enters P_n.  Works for any potential exposing birkhoff_sups on ``sft``
+    or an equal copy of it (else ValueError).
     """
+    _check_own_shift(sft, potential)
     _check_budget(sft.transition, n, budget)
     sups = []
     points = [] if with_points else None

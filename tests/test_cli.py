@@ -330,6 +330,8 @@ def test_bad_number_lists_and_counts_are_usage_errors(capsys, argv):
      "--beta", "nan"],
     ["aep", "lazy-coin.yaml", "--alpha", "nan"],
     ["periodic", "golden-mean.yaml", "--n", "4", "--check", "--budget", "-3"],
+    ["sample", "lazy-coin.yaml", "--seed", "-1"],
+    ["sample", "lazy-coin.yaml", "--seed", str(2 ** 64)],
 ])
 def test_out_of_range_numbers_exit_3_fast(capsys, argv):
     argv = [str(MODELS / a) if a.endswith(".yaml") else a for a in argv]
@@ -340,6 +342,25 @@ def test_out_of_range_numbers_exit_3_fast(capsys, argv):
     assert exc.value.code == 3
     err = capsys.readouterr().err
     assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_largest_seed_runs(capsys):
+    code, doc = run(capsys, "sample", MODELS / "lazy-coin.yaml",
+                    "--seed", 2 ** 64 - 1, "--depth", "10")
+    assert code == 0
+    assert doc["payload"]["annotations"]["seed"] == 2 ** 64 - 1
+
+
+def test_unreachable_tolerance_fails_fast(capsys):
+    # rounding keeps the residual near 1e-16, so the solver must stop once
+    # it no longer falls rather than run its 10^6 rounds
+    start = time.perf_counter()
+    code = main(["pressure", str(MODELS / "golden-mean.yaml"),
+                 str(MODELS / "run-weights.yaml"), "--tol", "1e-300"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("computation error:") and "stalled at" in err
 
 
 # each command's arguments as the hand-written subparsers built them

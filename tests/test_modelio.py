@@ -284,6 +284,19 @@ def test_hofbauer_family_fields(tmp_path):
     assert exc.value.field == "exponent"
 
 
+@pytest.mark.parametrize("fields, first", [
+    ("exponent: true\nscale: 2.0\n", "exponent"),
+    ("scale: 2.0\nexponent: true\n", "scale"),
+])
+def test_hofbauer_fields_are_checked_in_file_order(tmp_path, fields, first):
+    # both faults in either order: the diagnostic names the first in the
+    # file, whatever the hash seed
+    with pytest.raises(ModelSchemaError) as exc:
+        parse(write(tmp_path, "version: v1\nkind: hofbauer-family\n"
+                              "family: critical-power\n" + fields))
+    assert exc.value.field == first
+
+
 # -- binding --------------------------------------------------------------------------
 
 

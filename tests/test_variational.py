@@ -184,6 +184,26 @@ def test_pn_collects_maximizing_points():
         pressure_Pn(sft, pot, 40, budget=1000)
 
 
+@pytest.mark.parametrize("route", [
+    lambda sft, pot: pressure(sft, pot),
+    lambda sft, pot: gibbs_measure(sft, pot).pressure,
+    lambda sft, pot: pressure_Pn(sft, pot, 6).value,
+], ids=["pressure", "gibbs_measure", "pressure_Pn"])
+def test_a_subshift_that_is_not_the_potentials_is_refused(route):
+    golden = LocallyConstantPotential(
+        golden_mean_shift(), 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
+    flat = LocallyConstantPotential.zero(full_shift(2))
+    # the spectral routes read the potential's subshift and the enumerator
+    # the one given: on a mismatch the two sides of a check read two systems
+    for other, pot in ((full_shift(2), golden), (golden_mean_shift(), flat)):
+        with pytest.raises(ValueError, match="not the potential's own"):
+            route(other, pot)
+    # an equal but distinct copy is the same system
+    for copy, pot in ((golden_mean_shift(), golden), (full_shift(2), flat)):
+        assert copy is not pot.sft
+        assert route(copy, pot) == route(pot.sft, pot)
+
+
 # -- named chains ------------------------------------------------------------------------
 
 

@@ -48,41 +48,30 @@ class HofbauerPotential:
     def s_array(self, K):
         return np.cumsum(self.a_array(K))
 
-    def tail_bound(self, beta, K, P=0.0, s_K=None):
-        """Certified upper bound for sum_{k >= K} exp(beta s_k - (k+1) P).
-
-        Combines any family integral bound with, for P > 0 and a given s_K,
-        the geometric bound from nonincreasing s_k; returns inf when nothing
-        certifies.  The inf case is kept out of the arithmetic: inf times an
-        underflowed exp would be nan.
-        """
-        bounds = []
-        fam = self._family_tail(beta, K)
-        if np.isfinite(fam):
-            bounds.append(fam * np.exp(-(K + 1) * P))
-        if P > 0 and s_K is not None:
-            geom = np.exp(beta * s_K) * np.exp(-(K + 1) * P) / (-np.expm1(-P))
-            bounds.append(geom)
-        return float(min(bounds)) if bounds else float("inf")
+    def tail_bounds(self, beta, K):
+        """Certified upper bounds for sum_{k >= K} exp(beta s_k) and for
+        sum_{k >= K} (k+1) exp(beta s_k); inf where nothing certifies."""
+        return np.inf, np.inf
 
     def tail(self, beta, K, P, s_K):
         """(estimate, error, slope) for T = sum_{k >= K} exp(beta s_k - (k+1) P).
 
         |T - estimate| <= error, and slope approximates dT/dP; it only steers
-        Newton steps.  This default centres the certified ``tail_bound`` b:
-        estimate and error are b / 2, and slope is -(K+1) b / 2, since every
-        weight k + 1 in dT/dP is at least K + 1.
+        Newton steps.  This default centres a certified bound b on T, the
+        smaller of the family bound times e^-(K+1)P and, for P > 0, the
+        geometric bound from nonincreasing s_k; b is inf if neither certifies
+        (an inf family bound stays out of the product, where an underflowed
+        exp would make it nan).  Estimate and error are b / 2, and slope is
+        -(K+1) b / 2, since every weight k + 1 in dT/dP is at least K + 1.
         """
-        half = 0.5 * self.tail_bound(beta, K, P, s_K)
+        bounds = []
+        family = self.tail_bounds(beta, K)[0]
+        if np.isfinite(family):
+            bounds.append(family * np.exp(-(K + 1) * P))
+        if P > 0:
+            bounds.append(np.exp(beta * s_K) * np.exp(-(K + 1) * P) / (-np.expm1(-P)))
+        half = 0.5 * float(min(bounds, default=np.inf))
         return half, half, -(K + 1) * half
-
-    def _family_tail(self, beta, K):
-        """Upper bound for sum_{k >= K} exp(beta s_k); inf if uncertified."""
-        return np.inf
-
-    def weighted_tail_bound(self, beta, K):
-        """Upper bound for sum_{k >= K} (k+1) exp(beta s_k); inf if uncertified."""
-        return np.inf
 
     # -- pointwise values and Birkhoff sums ------------------------------------
 
@@ -151,11 +140,8 @@ class _ScaledHofbauer(HofbauerPotential):
         sup, inf, tmax, tmin = self.base.birkhoff_extremes(word)
         return self.beta * sup, self.beta * inf, tmax, tmin
 
-    def _family_tail(self, beta, K):
-        return self.base._family_tail(beta * self.beta, K)
-
-    def weighted_tail_bound(self, beta, K):
-        return self.base.weighted_tail_bound(beta * self.beta, K)
+    def tail_bounds(self, beta, K):
+        return self.base.tail_bounds(beta * self.beta, K)
 
 
 _EM_TERMS = 4   # Bernoulli terms of the Euler-Maclaurin tails
@@ -179,13 +165,21 @@ def _power_exp_tail(r, P, N):
     2 (1 + PN) ulps of the sum, the rounding of PN carried through e^-PN and
     E_r(PN).  Needs P > 0, or P = 0 and r > 1 (the zeta tail, as in
     ``zeta``).
+
+    Past r ~ 1.1e44 the rising factorial (r)_(2m-1) overflows, and the sum
+    is below the least subnormal: f(n) <= f(N) (N/n)^r gives sum_{n > N}
+    f(n) <= f(N) N / (r - 1) <= f(N), so the sum is at most 2 f(N) <=
+    2^(1-r) for N >= 2 (the callers' N = K + 1 exceeds 4096).  There the
+    estimate is 0 and the error that least subnormal.
     """
-    y = P * N
-    head = N ** -r * math.exp(-y)
-    integral = N ** (1.0 - r) * expint(r, y)
     rising = [1.0]
     for i in range(2 * _EM_TERMS - 1):
         rising.append(rising[-1] * (r + i))
+    if rising[-1] == math.inf:
+        return 0.0, math.ulp(0.0)
+    y = P * N
+    head = N ** -r * math.exp(-y)
+    integral = N ** (1.0 - r) * expint(r, y)
     total, last = integral + 0.5 * head, 0.0
     for s in range(1, _EM_TERMS + 1):
         j = 2 * s - 1
@@ -233,17 +227,12 @@ class CriticalPowerFamily(HofbauerPotential):
     def _coef(self, beta):
         return float(np.exp(beta * self.a0))
 
-    def _family_tail(self, beta, K):
-        p = self.exponent * beta
-        if p <= 1.0 or K < 1:
-            return np.inf
-        return self._coef(beta) * K ** (1.0 - p) / (p - 1.0)
-
-    def weighted_tail_bound(self, beta, K):
-        p = self.exponent * beta
-        if p <= 2.0 or K < 1:
-            return np.inf
-        return self._coef(beta) * K ** (2.0 - p) / (p - 2.0)
+    def tail_bounds(self, beta, K):
+        p, coef = self.exponent * beta, self._coef(beta)
+        if K < 1:
+            return np.inf, np.inf
+        return (coef * K ** (1.0 - p) / (p - 1.0) if p > 1.0 else np.inf,
+                coef * K ** (2.0 - p) / (p - 2.0) if p > 2.0 else np.inf)
 
     def tail(self, beta, K, P, s_K):
         """Euler-Maclaurin estimate of T = C sum_{n > K} n^-p e^-nP, with
@@ -357,37 +346,33 @@ def diagnose(potential: HofbauerPotential, tol=1e-8, K_max=2 ** 22) -> Transitio
     """Decide uniqueness from the two series, with certified tails.
 
     Truncation depth adapts: K doubles from 1024 until either the partial sum
-    provably exceeds 1 (unique), or the certified upper bound ``tail_bound``
-    of the dropped tail is below tol/10 and the enclosure settles the
-    comparison with 1.  The partial sums read the cached terms of a
-    ``RenewalSeries`` at beta = 1; the reported tail is the bound, not an
-    estimate.
+    provably exceeds 1 (unique), or the certified upper bound
+    ``tail_bounds`` gives for the dropped tail is below tol/10 and the
+    enclosure settles the comparison with 1.  The partial sums read the
+    cached terms of a ``RenewalSeries`` at beta = 1; the reported tail is the
+    bound, not an estimate.  A tol that is not a positive finite number
+    raises OutOfRange.
     """
+    if not 0 < tol < np.inf:
+        raise OutOfRange(f"tol must be a positive finite number, got {tol}")
     series = RenewalSeries(potential, 1.0)
     K = 1024
     while True:
         terms = series.terms(K)
         partial = float(terms.sum())
         weighted_partial = float((np.arange(1, K + 1) * terms).sum())
+        tail, wtail = map(float, potential.tail_bounds(1.0, K))
         if partial > 1.0 + tol:
-            return TransitionDiagnostic(
-                classification="unique", sum_partial=partial,
-                sum_tail_bound=0.0, weighted_partial=weighted_partial,
-                weighted_tail_bound=float(potential.weighted_tail_bound(1.0, K)),
-                truncation_K=K, tol=tol)
-        tail = potential.tail_bound(1.0, K, 0.0)
+            cls, tail = "unique", 0.0
+            break
         if np.isfinite(tail) and tail <= tol / 10.0:
-            wtail = float(potential.weighted_tail_bound(1.0, K))
             if partial + tail < 1.0 - tol:
                 cls = "unique"
             elif partial >= 1.0 - tol and partial + tail <= 1.0 + tol:
                 cls = "non-unique" if np.isfinite(wtail) else "unique"
             else:
                 cls = "undetermined"
-            return TransitionDiagnostic(
-                classification=cls, sum_partial=partial, sum_tail_bound=tail,
-                weighted_partial=weighted_partial, weighted_tail_bound=wtail,
-                truncation_K=K, tol=tol)
+            break
         if K >= K_max:
             if not np.isfinite(tail):
                 raise UndeterminedTail(
@@ -395,12 +380,23 @@ def diagnose(potential: HofbauerPotential, tol=1e-8, K_max=2 ** 22) -> Transitio
             raise TailUncertified(
                 f"tail bound {tail} not below {tol / 10} at K={K_max}")
         K *= 2
+    return TransitionDiagnostic(
+        classification=cls, sum_partial=partial, sum_tail_bound=tail,
+        weighted_partial=weighted_partial, weighted_tail_bound=wtail,
+        truncation_K=K, tol=tol)
 
 
 # bound on |computed G - G| where G is near 1: the settled tail error,
 # at most 5e-16 (G + 1), plus the rounding of exp, product and pairwise
 # sum over at most 2^23 terms (about 32 roundings deep)
 _G_ERROR = 2e-14
+
+
+def _check_beta(beta):
+    if not beta < np.inf:
+        raise OutOfRange(f"beta must be finite, got {beta}")
+    if beta < 0:
+        raise OutOfRange("beta must be nonnegative")
 
 
 def _tail_settled(partial, estimate, error):
@@ -428,10 +424,10 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
     the evaluated point and the root, from the right it falls short of the
     root by at most |1 - G| / |G'| <= tol, so the certificate holds and the
     error is Newton's, far below tol.  A tol that is not a positive finite
-    number raises OutOfRange.
+    number, or a beta that is not a nonnegative finite one, raises
+    OutOfRange.
     """
-    if beta < 0:
-        raise OutOfRange("beta must be nonnegative")
+    _check_beta(beta)
     if not 0 < tol < np.inf:
         raise OutOfRange(f"tol must be a positive finite number, got {tol}")
     series = RenewalSeries(potential, beta, K_max=K_max)
@@ -471,12 +467,9 @@ def _runlength_matrix(potential, beta, states):
     exp(beta * a_source), so weighted cycle sums reproduce Birkhoff sums of
     beta * phi over periodic points that contain a zero.
     """
-    a = potential.a_array(states)
-    w = np.exp(beta * a)
-    T = np.zeros((states, states))
+    w = np.exp(beta * potential.a_array(states))
+    T = np.diag(w[1:], -1)
     T[0, :] = w[0]
-    for k in range(1, states):
-        T[k, k - 1] = w[k]
     return T
 
 
@@ -491,10 +484,10 @@ def pressure_periodic(potential: HofbauerPotential, beta, n, states=64) -> float
     count >= n gives the identical value.
 
     Serves as the independent cross-check for pressure_renewal; the two agree
-    up to the O(1/n) defect of finite-period sums.
+    up to the O(1/n) defect of finite-period sums.  A beta that is not a
+    nonnegative finite number raises OutOfRange.
     """
-    if beta < 0:
-        raise OutOfRange("beta must be nonnegative")
+    _check_beta(beta)
     if n < 1:
         raise OutOfRange("period must be at least 1")
     T = _runlength_matrix(potential, beta, max(int(states), int(n)))

@@ -270,8 +270,7 @@ class DimensionResult:
     bracket: tuple      # the interval the search started from
 
 
-def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12,
-                    max_iter=200) -> DimensionResult:
+def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResult:
     """Hausdorff dimension of the invariant set from the pressure equation.
 
     The map s -> P(-s log|T'|) is strictly decreasing (slope at most
@@ -295,6 +294,6 @@ def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12,
         raise IsRepeller("pressure at s = 0 is not positive; nothing to bisect")
     bracket = (0.0, p0 / np.log(alpha) + 1.0)
     s, steps = bracketed_root(minus_pressure, *bracket, ftol=tol,
-                              with_slope=True, f_lo=-p0, max_steps=max_iter)
+                              with_slope=True, f_lo=-p0)
     return DimensionResult(dimension=float(s), residual=residual[0],
                            iterations=steps, bracket=bracket)

@@ -82,30 +82,21 @@ class MarkovMeasure:
     # -- cylinder masses -------------------------------------------------------
 
     def log_cylinder(self, word):
-        """log of the cylinder mass; -inf when the mass is zero.
-
-        Summed with math.fsum so the value is the correctly rounded log-mass,
-        independent of word order; for dyadic masses and power-of-two lengths
-        the SMB estimator then reproduces the entropy rate bit for bit.
-        """
-        idx = np.asarray(tuple(word), dtype=np.intp)
-        if idx.size == 0:
-            return 0.0
-        with np.errstate(divide="ignore"):
-            start = np.log(self.pi[idx[0]])
-            steps = np.log(self.P[idx[:-1], idx[1:]])
-        if np.isneginf(start) or np.isneginf(steps).any():
-            return float("-inf")
-        return math.fsum([float(start), *steps.tolist()])
+        """log of the cylinder mass; -inf when the mass is zero (``_log_masses``)."""
+        word = tuple(word)
+        return float(self._log_masses(self._row(word))[0]) if word else 0.0
 
     def cylinder(self, word):
         word = tuple(word)
-        if not word:
-            return 1.0
-        val = self.pi[word[0]]
-        for a, b in zip(word, word[1:]):
-            val *= self.P[a, b]
-        return float(val)
+        return float(self._masses(self._row(word))[0]) if word else 1.0
+
+    def _row(self, word):
+        """A nonempty word as a one-row word array; ValueError for a non-symbol."""
+        row = np.array([word], dtype=np.intp)
+        outside = (row < 0) | (row >= self.m)
+        if outside.any():
+            raise ValueError(f"symbol {row[outside][0]} is outside 0..{self.m - 1}")
+        return row
 
     def support_words(self, n):
         """Yield (word, mass) for all n-words of positive mass, lex order."""
@@ -118,11 +109,25 @@ class MarkovMeasure:
             yield words, self._masses(words)
 
     def _masses(self, words):
-        """Cylinder masses of the rows of a word array, multiplied as in cylinder."""
+        """Cylinder masses of the rows of a word array: pi of the first symbol
+        times each step, left to right."""
         mass = self.pi[words[:, 0]]
         for j in range(1, words.shape[1]):
             mass = mass * self.P[words[:, j - 1], words[:, j]]
         return mass
+
+    def _log_masses(self, words):
+        """log cylinder masses of the rows of a word array; -inf for a null one.
+
+        Each row's log start and log steps are summed with math.fsum, so the
+        value is the correctly rounded log-mass, independent of word order;
+        for dyadic masses and power-of-two lengths the SMB estimator then
+        reproduces the entropy rate bit for bit.
+        """
+        with np.errstate(divide="ignore"):
+            logs = np.column_stack((np.log(self.pi[words[:, 0]]),
+                                    np.log(self.P[words[:, :-1], words[:, 1:]])))
+        return np.array([math.fsum(row) for row in logs.tolist()])
 
     def _guard_depth(self, n, budget):
         _check_budget(self.P > 0, n, budget, self.pi > 0)
@@ -302,19 +307,13 @@ def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
                             budget=10 ** 7) -> float:
     """H_n(nu | mu)/n by exact depth-n cylinder enumeration."""
     nu._guard_depth(n, budget)
-    with np.errstate(divide="ignore"):
-        log_pi, log_P = np.log(mu.markov.pi), np.log(mu.markov.P)
     total = 0.0
     for words, mass in nu._support_blocks(n):
         words, mass = words[mass > 0], mass[mass > 0]
-        # the terms of mu.markov.log_cylinder, one row per word
-        logs = np.column_stack((log_pi[words[:, 0]],
-                                log_P[words[:, :-1], words[:, 1:]]))
-        null = np.isneginf(logs).any(axis=1)
-        if null.any():
-            word = tuple(words[np.argmax(null)].tolist())
+        log_mu = mu.markov._log_masses(words)
+        if np.isneginf(log_mu).any():   # argmin: the first null cylinder
+            word = tuple(words[np.argmin(log_mu)].tolist())
             raise SupportMismatch(f"nu charges the mu-null cylinder {word}")
-        log_mu = np.array([math.fsum(row) for row in logs.tolist()])
         total = ordered_sum(mass * (np.log(mass) - log_mu), total)
     return float(total / n)
 
@@ -338,6 +337,8 @@ def _check_support(nu, mu):
 
 def smb_estimate(measure: MarkovMeasure, path) -> float:
     """-(1/n) log of the path's cylinder mass (the entropy-rate estimator)."""
+    if len(path) == 0:
+        raise ValueError("the path is empty")
     log_mass = measure.log_cylinder(path)
     if log_mass == -np.inf:
         raise ZeroMassPath("the path has probability zero under the measure")

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import RangeTooLarge
 from .sft import _BLOCK_ROWS, Alphabet, SubshiftOfFiniteType
 
+_TAIL_BUDGET = 10 ** 6   # tail continuations a Birkhoff sup may search
+
 
 class LocallyConstantPotential:
     """Range-r potential given by a finite table on admissible r-words.
@@ -136,11 +138,12 @@ class LocallyConstantPotential:
 
     # -- Birkhoff sums ----------------------------------------------------------
 
-    def _tails(self, last, budget=10 ** 6):
+    def _tails(self, last):
         """Admissible continuations of length r-1 after symbol ``last``, lex order."""
         n_tails = self.sft.m ** (self.r - 1)
-        if n_tails > budget:
-            raise RangeTooLarge(f"{n_tails} tail continuations exceed budget {budget}")
+        if n_tails > _TAIL_BUDGET:
+            raise RangeTooLarge(
+                f"{n_tails} tail continuations exceed budget {_TAIL_BUDGET}")
         tails = np.argwhere(~np.isnan(self.dense_table[last]))
         return list(map(tuple, tails.tolist()))
 
@@ -148,39 +151,28 @@ class LocallyConstantPotential:
         """(sup, inf, argmax tail, argmin tail) of S_n over the cylinder [word].
 
         Ties in the maximizing and minimizing tails are broken
-        lexicographically (first admissible tail in lex order wins).
+        lexicographically (first admissible tail in lex order wins).  The sup
+        side is ``birkhoff_sups`` on one row, the inf side the sup side of
+        -phi: negation commutes with rounding, and the first maximum of -S_n
+        is the first minimum of S_n.  The inf is 0.0 minus that sup, so a
+        zero inf is 0.0, never -0.0.
         """
-        word, r, phi = tuple(word), self.r, self.dense_table
+        word = tuple(word)
         if not self.sft.is_admissible(word):
             raise ValueError(f"word {word} is not admissible")
-        n = len(word)
-        fixed = 0.0
-        for i in range(n - r + 1):
-            fixed += phi[word[i:i + r]]
-        if r == 1:
-            return float(fixed), float(fixed), (), ()
-        best = worst = None
-        best_tail = worst_tail = None
-        for tail in self._tails(word[-1]):
-            ext = word + tail
-            s = 0.0
-            for i in range(max(0, n - r + 1), n):
-                s += phi[ext[i:i + r]]
-            if best is None or s > best:
-                best, best_tail = s, tail
-            if worst is None or s < worst:
-                worst, worst_tail = s, tail
-        return float(fixed + best), float(fixed + worst), best_tail, worst_tail
+        row = np.array([word])
+        (sup,), (best_tail,) = self.birkhoff_sups(row)
+        (neg,), (worst_tail,) = self.scale(-1.0).birkhoff_sups(row)
+        return float(sup), 0.0 - float(neg), best_tail, worst_tail
 
     def birkhoff_sup(self, word):
         return self.birkhoff_extremes(word)[0]
 
     def birkhoff_sups(self, words):
-        """birkhoff_extremes' sup and argmax tail for each row of a (k, n) array.
+        """Sup of S_n and its argmax tail for each row of a (k, n) word array.
 
-        Same additions in the same order as birkhoff_extremes, so the sups
-        agree bit for bit.  The sup over tails depends on a word only through
-        its last min(n, r-1) symbols, so it is solved once per distinct end.
+        The sup over tails depends on a word only through its last
+        min(n, r-1) symbols, so it is solved once per distinct end.
         """
         k, n = words.shape
         r, phi = self.r, self.dense_table

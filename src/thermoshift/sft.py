@@ -160,31 +160,25 @@ class SubshiftOfFiniteType:
             raise ValueError("word length must be >= 1")
         return _count_words(self.transition, n)
 
-    def periodic_count(self, n, cap=4096) -> int:
+    def periodic_count(self, n) -> int:
         """Number of points of period n (not necessarily least): trace of M^n.
 
-        Exact in arbitrary precision.  ``cap`` guards against accidental huge
-        requests; the arithmetic itself has no overflow.
+        Exact in arbitrary precision.  ``_PERIOD_CAP`` guards against
+        accidental huge requests; the arithmetic itself has no overflow.
         """
-        if n <= 0:
-            raise ValueError("period must be >= 1")
-        if n > cap:
-            raise PeriodTooLarge(f"period {n} exceeds cap {cap}")
+        _check_period(n)
         return int(np.trace(np.linalg.matrix_power(self.transition.astype(object), n)))
 
-    def periodic_count_with_prefix(self, n, prefix, cap=4096):
+    def periodic_count_with_prefix(self, n, prefix):
         """Exact count of n-periodic points whose first symbols equal ``prefix``."""
-        if n <= 0:
-            raise ValueError("period must be >= 1")
-        if n > cap:
-            raise PeriodTooLarge(f"period {n} exceeds cap {cap}")
+        _check_period(n)
         k = len(prefix)
         if k > n:
             raise ValueError("prefix longer than the period")
         if not self.is_admissible(prefix):
             return 0
         if k == 0:
-            return self.periodic_count(n, cap=cap)
+            return self.periodic_count(n)
         # transitions inside the prefix are already checked; close the loop
         # with a path of n - k + 1 steps from the last prefix symbol back to
         # the first (for k == n this closes the word directly).
@@ -193,24 +187,24 @@ class SubshiftOfFiniteType:
         P = np.linalg.matrix_power(self.transition.astype(object), n - k + 1)
         return int(P[prefix[-1], prefix[0]])
 
-    def periodic_fraction(self, n, prefix, cap=4096) -> Fraction:
+    def periodic_fraction(self, n, prefix) -> Fraction:
         """Exact fraction of n-periodic points starting with ``prefix``."""
-        total = self.periodic_count(n, cap=cap)
-        hits = self.periodic_count_with_prefix(n, prefix, cap=cap)
+        total = self.periodic_count(n)
+        hits = self.periodic_count_with_prefix(n, prefix)
         return Fraction(hits, total)
 
     # -- entropy ---------------------------------------------------------------
 
-    def topological_entropy(self, tol=1e-14, max_iter=10 ** 6) -> float:
+    def topological_entropy(self, tol=1e-14) -> float:
         """log of the spectral radius of M, from ``transfer.leading_eigen``
         (power steps, then squared powers of M for a small spectral gap).
 
         Requires primitivity.  ``tol`` is the relative residual on both the
-        left and right eigenvector equations; ``max_iter`` caps the rounds.
+        left and right eigenvector equations.
         """
         from .transfer import leading_eigen   # deferred: transfer imports sft
         self.require_primitive()
-        eig = leading_eigen(self.transition.astype(float), tol, max_iter)
+        eig = leading_eigen(self.transition.astype(float), tol)
         return float(np.log(eig.lam))
 
     def __repr__(self):
@@ -234,6 +228,7 @@ def golden_mean_shift() -> SubshiftOfFiniteType:
 # most rows in one block of _word_blocks; bounds the memory of every
 # enumeration at about _BLOCK_ROWS * (depth + alphabet size) integers
 _BLOCK_ROWS = 1 << 12
+_PERIOD_CAP = 4096   # periodic counts refuse larger periods
 
 
 def _word_blocks(T, n, starts=None):
@@ -304,6 +299,13 @@ def _count_words(T, n, starts=None, stop_above=None):
         vec = nxt
         count = sum(vec.tolist())
     return count
+
+
+def _check_period(n):
+    if n <= 0:
+        raise ValueError("period must be >= 1")
+    if n > _PERIOD_CAP:
+        raise PeriodTooLarge(f"period {n} exceeds cap {_PERIOD_CAP}")
 
 
 def _check_budget(T, n, budget, starts=None):

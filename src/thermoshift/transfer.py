@@ -77,13 +77,14 @@ def build(sft, potential) -> TransferMatrix:
 _PLAIN_ROUNDS = 64
 # A^(2^64) resolves every gap a double can hold, so squaring stops there
 _MAX_SQUARINGS = 64
+_MAX_ROUNDS = 10 ** 6
 
 
 def _positive(x) -> bool:
     return bool(np.all((x > 0) & np.isfinite(x)))
 
 
-def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
+def leading_eigen(tm: TransferMatrix, tol=1e-13) -> EigenData:
     """Leading eigenvalue and both eigenvectors of a primitive matrix A.
 
     Each round evaluates Av, uA, lam = u.Av / u.v and the sup-norm residuals
@@ -104,7 +105,7 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
     good, as it does after ``_MAX_SQUARINGS``, and power steps go on.
     Once squaring has stopped, max(m, 64) rounds in a row that bring the
     residual to no new minimum raise NoConvergence: the tol is below what
-    rounding lets the residual reach.  ``max_iter`` caps the rounds.  A tol
+    rounding lets the residual reach.  ``_MAX_ROUNDS`` caps the rounds.  A tol
     that is not a positive finite number raises OutOfRange.
     """
     if not 0 < tol < np.inf:
@@ -116,7 +117,7 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
     B, squarings, accelerate = None, 0, True
     plain = max(m, _PLAIN_ROUNDS)
     best, best_it = np.inf, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ROUNDS + 1):
         Av = A @ v
         uA = u @ A
         lam = float(u @ Av) / float(u @ v)
@@ -157,7 +158,7 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13, max_iter=10 ** 6) -> EigenData:
         v = Av / sv
         u = uA / su
     raise NoConvergence(
-        f"no Perron eigendata within tol={tol} in {max_iter} rounds")
+        f"no Perron eigendata within tol={tol} in {_MAX_ROUNDS} rounds")
 
 
 def pressure(sft, potential, tol=1e-13) -> float:
@@ -249,7 +250,7 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
                        argmin=argmin, argmax=argmax)
 
 
-def rpf_convergence(tm, f, n, eigen=None) -> float:
+def rpf_convergence(tm, f, n) -> float:
     """Sup-norm distance between lam^-n L^n f and its limit.
 
     The limit is (sum_a f_a v_a) u, the projection onto the leading
@@ -257,8 +258,7 @@ def rpf_convergence(tm, f, n, eigen=None) -> float:
     decays like (|second eigenvalue| / lam)^n.
     """
     A = tm.A if isinstance(tm, TransferMatrix) else np.asarray(tm, dtype=float)
-    if eigen is None:
-        eigen = leading_eigen(A)
+    eigen = leading_eigen(A)
     f = np.asarray(f, dtype=float)
     iterate = f.copy()
     for _ in range(n):

@@ -66,14 +66,13 @@ def mean_energy_at(U, beta):
     return float((w @ U) / w.sum())
 
 
-def solve_beta(system: FiniteSystem, target, tol=1e-12, max_expand=200):
+def solve_beta(system: FiniteSystem, target, tol=1e-12):
     """Inverse temperature with prescribed mean energy.
 
     The map beta -> <U> is strictly increasing with range (min U, max U) for
     a non-constant U, so the solution exists and is unique for any target
     strictly inside that interval.  Bisection brackets the root; Newton steps
     (the derivative is the energy variance) accelerate once inside.
-    ``max_expand`` caps the evaluations of <U>.
     """
     U = system.U
     lo_val, hi_val = float(U.min()), float(U.max())
@@ -87,8 +86,7 @@ def solve_beta(system: FiniteSystem, target, tol=1e-12, max_expand=200):
         eq = finite_equilibrium(FiniteSystem(U, beta))
         return eq.mean_energy(U) - target, eq.var_energy(U)
 
-    return float(bracketed_root(excess, -1.0, 1.0, ftol=tol, with_slope=True,
-                                max_steps=max_expand)[0])
+    return float(bracketed_root(excess, -1.0, 1.0, ftol=tol, with_slope=True)[0])
 
 
 # -- cyclic lattice ring -------------------------------------------------------

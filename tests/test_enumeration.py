@@ -93,6 +93,15 @@ def test_word_blocks_match_product_words_across_block_sizes(T, n, data):
     assert sft_module._count_words(T, n, starts) == len(expected)
 
 
+def product_mass(mu, word):
+    """Reference cylinder mass: pi of the first symbol times each step, in
+    the order the block kernel multiplies them."""
+    mass = mu.pi[word[0]]
+    for a, b in zip(word, word[1:]):
+        mass *= mu.P[a, b]
+    return float(mass)
+
+
 @settings(max_examples=60, deadline=None)
 @given(chains(), st.integers(1, 6))
 def test_support_words_masses_equal_cylinder(mu, n):
@@ -101,7 +110,8 @@ def test_support_words_masses_equal_cylinder(mu, n):
         with mock.patch.object(sft_module, "_BLOCK_ROWS", rows):
             got = list(mu.support_words(n))
         assert [w for w, _ in got] == expected
-        assert all(mass == mu.cylinder(w) for w, mass in got)
+        assert all(mass == product_mass(mu, w) == mu.cylinder(w)
+                   for w, mass in got)
     assert sft_module._count_words(mu.P > 0, n, mu.pi > 0) == len(expected)
 
 

@@ -126,6 +126,14 @@ def test_diagnose_critical_with_infinite_mean_return():
     assert not np.isfinite(report.weighted_tail_bound)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_diagnose_refuses_a_tol_that_is_not_positive_finite(tol):
+    # tol -1 once classified the critical family "unique", tol 0 or nan ran
+    # K to 2^22 before failing
+    with pytest.raises(OutOfRange, match="positive finite"):
+        diagnose(cubic(), tol=tol)
+
+
 class BareCubic(HofbauerPotential):
     """Same a_k as the cubic family but with no analytic tail bounds."""
 
@@ -143,8 +151,9 @@ def test_missing_tail_bound_is_refused_not_guessed():
 def test_default_tail_centres_the_certified_bound():
     fam = InverseSquareFamily(scale=1.0)
     s_K = float(fam.s_array(101)[100])
-    bound = fam.tail_bound(0.5, 100, 0.01, s_K)
-    assert np.isfinite(bound)
+    assert fam.tail_bounds(0.5, 100) == (np.inf, np.inf)
+    # no family bound: the geometric bound from nonincreasing s_k
+    bound = np.exp(0.5 * s_K) * np.exp(-101 * 0.01) / (-np.expm1(-0.01))
     estimate, error, slope = fam.tail(0.5, 100, 0.01, s_K)
     assert estimate == error == 0.5 * bound
     assert slope == -101 * estimate
@@ -284,6 +293,29 @@ def test_pressure_rejects_negative_beta():
         pressure_periodic(cubic(), -0.1, 8)
     with pytest.raises(OutOfRange):
         pressure_periodic(cubic(), 0.5, 0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_pressure_rejects_non_finite_beta(beta):
+    with pytest.raises(OutOfRange, match="finite"):
+        pressure_renewal(cubic(), beta)
+    with pytest.raises(OutOfRange, match="finite"):
+        pressure_periodic(cubic(), beta, 5)
+
+
+@pytest.mark.parametrize("beta", [1e44, 1e300])
+def test_huge_beta_has_zero_pressure_fast(beta):
+    # past p ~ 1.1e44 the Euler-Maclaurin terms overflow while f(K+1)
+    # underflows; the tail is then 0 within the least subnormal, not nan
+    fam = cubic()
+    estimate, error, _ = fam.tail(beta, 4096, 0.0, float(fam.s_array(4097)[4096]))
+    assert estimate == 0.0 and 0.0 <= error <= math.ulp(0.0)
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert pressure_renewal(fam, beta) == 0.0
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 0.05
 
 
 # -- periodic cross-check ---------------------------------------------------------------

@@ -87,6 +87,16 @@ def test_log_cylinder_matches_product_and_support():
     assert abs(np.exp(mu.log_cylinder(word)) - mu.cylinder(word)) < 1e-15
 
 
+@pytest.mark.parametrize("word", [(-1,), (0, 7), (2,)])
+def test_cylinder_masses_refuse_a_non_symbol(word):
+    mu = parry().markov
+    with pytest.raises(ValueError, match="outside 0..1"):
+        mu.cylinder(word)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        mu.log_cylinder(word)
+    assert mu.cylinder(()) == 1.0 and mu.log_cylinder(()) == 0.0
+
+
 def test_support_words_partition_unit_mass():
     mu = parry().markov
     for n in range(1, 7):
@@ -239,6 +249,11 @@ def test_smb_long_path_near_entropy():
 def test_smb_rejects_null_paths():
     with pytest.raises(ZeroMassPath):
         smb_estimate(parry().markov, [0, 1, 1, 0])
+
+
+def test_smb_rejects_an_empty_path():
+    with pytest.raises(ValueError, match="empty"):
+        smb_estimate(parry().markov, [])
 
 
 # -- block entropies ----------------------------------------------------------------

@@ -70,16 +70,20 @@ def test_with_range_identity_and_lift():
 
 
 def brute_birkhoff_extremes(sft, pot, word, n_extra):
-    """Oracle: maximize/minimize S_n over all admissible continuations."""
+    """Oracle: (sup, inf, argmax tail, argmin tail) of S_n over all admissible
+    continuations; of tied tails the first in lex order wins."""
     word = tuple(word)
-    best, worst = -np.inf, np.inf
+    best, worst, best_tail, worst_tail = -np.inf, np.inf, None, None
     for tail in itertools.product(range(sft.m), repeat=n_extra):
         full = word + tail
         if not sft.is_admissible(full):
             continue
         s = sum(pot.table[full[i:i + pot.r]] for i in range(len(word)))
-        best, worst = max(best, s), min(worst, s)
-    return best, worst
+        if s > best:
+            best, best_tail = s, tail
+        if s < worst:
+            worst, worst_tail = s, tail
+    return best, worst, best_tail, worst_tail
 
 
 def test_birkhoff_extremes_match_brute_force():
@@ -87,9 +91,27 @@ def test_birkhoff_extremes_match_brute_force():
     for n in (1, 2, 3, 5):
         for word in sft.cylinders(n):
             sup, inf, _, _ = pot.birkhoff_extremes(word)
-            b_sup, b_inf = brute_birkhoff_extremes(sft, pot, word, pot.r - 1)
+            b_sup, b_inf, _, _ = brute_birkhoff_extremes(sft, pot, word, pot.r - 1)
             assert sup == pytest.approx(b_sup, abs=1e-14)
             assert inf == pytest.approx(b_inf, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_birkhoff_extremes_break_ties_like_brute_force(data):
+    m = data.draw(st.integers(2, 3))
+    flat = data.draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    T = np.array(flat, dtype=np.int8).reshape(m, m)
+    assume(T.sum(axis=0).all() and T.sum(axis=1).all())
+    sft = SubshiftOfFiniteType([str(a) for a in range(m)], T)
+    r = data.draw(st.integers(1, 3))
+    # a small set of dyadic values: sums are exact, so tails really tie
+    value = st.sampled_from([-0.5, 0.0, 0.25, 0.5])
+    pot = LocallyConstantPotential.from_function(sft, r, lambda w: data.draw(value))
+    for n in (1, 2, 3, 5):
+        for word in sft.cylinders(n):
+            assert (pot.birkhoff_extremes(word)
+                    == brute_birkhoff_extremes(sft, pot, word, r - 1))
 
 
 def slack_bound(pot, n):
@@ -108,7 +130,7 @@ def test_birkhoff_range3_potential():
         sft, 3, lambda w: float(w[0] - 0.5 * w[1] + 0.25 * w[2]))
     for word in [(0,), (1, 0), (0, 1, 1, 0)]:
         sup, inf, _, _ = pot.birkhoff_extremes(word)
-        b_sup, b_inf = brute_birkhoff_extremes(sft, pot, word, 2)
+        b_sup, b_inf, _, _ = brute_birkhoff_extremes(sft, pot, word, 2)
         assert sup == pytest.approx(b_sup, abs=1e-14)
         assert inf == pytest.approx(b_inf, abs=1e-14)
         assert sup - inf <= slack_bound(pot, len(word)) + 1e-14

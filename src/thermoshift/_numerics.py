@@ -135,16 +135,20 @@ def expint(p, z) -> float:
 def rescaled_product(X, Y):
     """(X @ Y / peak, log peak) for nonnegative X, Y, where peak is the largest
     entry of the product: the step of every matrix power that must not
-    overflow however fast the powers grow."""
+    overflow however fast the powers grow.  A zero product, whose every entry
+    underflowed, is returned as it is with log peak = -inf."""
     product = X @ Y
     peak = product.max()
+    if peak == 0.0:
+        return product, -math.inf
     product /= peak
     return product, np.log(peak)
 
 
 def log_trace_power(A, n) -> float:
     """log trace(A^n), A nonnegative square, n >= 1, by repeated squaring with
-    ``rescaled_product``, carrying the logs of the dropped scales."""
+    ``rescaled_product``, carrying the logs of the dropped scales; -inf when
+    the trace is zero or underflowed."""
     result, rlog = np.eye(len(A)), 0.0
     base, blog = np.array(A, dtype=float), 0.0
     m = int(n)
@@ -156,7 +160,8 @@ def log_trace_power(A, n) -> float:
         if m:
             base, log_peak = rescaled_product(base, base)
             blog = blog * 2.0 + log_peak
-    return float(np.log(np.trace(result)) + rlog)
+    trace = np.trace(result)
+    return float(np.log(trace) + rlog) if trace > 0 else -math.inf
 
 
 def bracketed_root(f, lo, hi, *, xtol=0.0, ftol=0.0, with_slope=False,

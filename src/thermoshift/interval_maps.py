@@ -22,7 +22,7 @@ import numpy as np
 from ._numerics import bracketed_root
 from .errors import IsRepeller, NotExpanding, NotMarkov
 from .potentials import LocallyConstantPotential
-from .sft import Alphabet, SubshiftOfFiniteType, _check_budget, _word_blocks
+from .sft import Alphabet, SubshiftOfFiniteType, _word_blocks
 from .transfer import gibbs_measure
 
 
@@ -200,11 +200,11 @@ class DistortionCertificate:
 
 
 def distortion_certificate(coded: CodedSystem, n, budget=10 ** 6) -> DistortionCertificate:
-    _check_budget(coded.sft.transition, n, budget)
     imap = coded.map
     lo = hi = None
     normalized_ok = True
-    for word in coded.sft.cylinders(n):
+    blocks = _word_blocks(coded.sft.transition, n, budget=budget)
+    for word in (word for block in blocks for word in block.tolist()):
         length = coded.cylinder_length(word)
         deriv = Fraction(1)
         for sym in word:
@@ -230,10 +230,8 @@ class AcimResult:
 
     def certificate(self, depth, budget=10 ** 6):
         """Enumerated extremes of mass(w) / |I_w| at the given depth."""
-        T = self.coded.sft.transition
-        _check_budget(T, depth, budget)
         lo, hi = np.inf, -np.inf
-        for words in _word_blocks(T, depth):
+        for words in _word_blocks(self.coded.sft.transition, depth, budget=budget):
             lengths = [float(self.coded.cylinder_length(word))
                        for word in words.tolist()]
             ratio = self.measure.markov._masses(words) / np.array(lengths)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._numerics import ordered_sum
 from .errors import OutOfRange, SupportMismatch, ZeroMassPath
-from .sft import SubshiftOfFiniteType, _check_budget, _word_blocks
+from .sft import SubshiftOfFiniteType, _word_blocks
 
 # matches the documented row-stochasticity tolerance: a row-sum defect of
 # eps forces a stationarity residual of the same order, so a stricter check
@@ -103,10 +103,11 @@ class MarkovMeasure:
         for words, mass in self._support_blocks(n):
             yield from zip(map(tuple, words.tolist()), mass)
 
-    def _support_blocks(self, n):
-        """support_words as (words, masses) array blocks (see sft._word_blocks)."""
-        for words in _word_blocks(self.P > 0, n, self.pi > 0):
-            yield words, self._masses(words)
+    def _support_blocks(self, n, budget=None):
+        """support_words as a generator of (words, masses) array blocks; more
+        than ``budget`` words raise DepthTooLarge at the call (sft._word_blocks)."""
+        blocks = _word_blocks(self.P > 0, n, self.pi > 0, budget)
+        return ((words, self._masses(words)) for words in blocks)
 
     def _masses(self, words):
         """Cylinder masses of the rows of a word array: pi of the first symbol
@@ -128,9 +129,6 @@ class MarkovMeasure:
             logs = np.column_stack((np.log(self.pi[words[:, 0]]),
                                     np.log(self.P[words[:, :-1], words[:, 1:]])))
         return np.array([math.fsum(row) for row in logs.tolist()])
-
-    def _guard_depth(self, n, budget):
-        _check_budget(self.P > 0, n, budget, self.pi > 0)
 
     # -- information quantities -------------------------------------------------
 
@@ -275,11 +273,13 @@ class BlockEntropies:
 
 def entropy_by_blocks(measure, n_max, budget=10 ** 7) -> BlockEntropies:
     """Block entropies H_n for n = 1..n_max by exact cylinder enumeration."""
-    measure._guard_depth(n_max, budget)
+    # every support word has a successor, so word counts never fall with the
+    # depth: the budget guard at n_max, taken first, covers every depth
+    deepest = measure._support_blocks(n_max, budget)
     h_n = []
     for n in range(1, n_max + 1):
         total = 0.0
-        for _, mass in measure._support_blocks(n):
+        for _, mass in deepest if n == n_max else measure._support_blocks(n):
             mass = mass[mass > 0]
             total = ordered_sum(-(mass * np.log(mass)), total)
         h_n.append(float(total))
@@ -306,9 +306,8 @@ def relative_entropy(nu: MarkovMeasure, mu: GibbsMeasure) -> float:
 def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
                             budget=10 ** 7) -> float:
     """H_n(nu | mu)/n by exact depth-n cylinder enumeration."""
-    nu._guard_depth(n, budget)
     total = 0.0
-    for words, mass in nu._support_blocks(n):
+    for words, mass in nu._support_blocks(n, budget):
         words, mass = words[mass > 0], mass[mass > 0]
         log_mu = mu.markov._log_masses(words)
         if np.isneginf(log_mu).any():   # argmin: the first null cylinder
@@ -363,11 +362,10 @@ def aep_partition(measure: MarkovMeasure, n, alpha, budget=10 ** 7) -> AepPartit
     """Classify depth-n cylinders as typical or exceptional at level alpha."""
     if alpha <= 0:
         raise OutOfRange("alpha must be positive")
-    measure._guard_depth(n, budget)
     h = measure.entropy()
     lo, hi = -n * (h + alpha), -n * (h - alpha)
     typical, t_mass, e_mass, count = [], 0.0, 0.0, 0
-    for words, mass in measure._support_blocks(n):
+    for words, mass in measure._support_blocks(n, budget):
         count += len(words)
         with np.errstate(divide="ignore"):
             log_mass = np.log(mass)
@@ -390,7 +388,8 @@ def periodic_approximation(sft: SubshiftOfFiniteType, n, word) -> Fraction:
     Exact rational; converges to the measure of the cylinder under the
     measure of maximal entropy as n grows, at the spectral-gap rate.
     """
-    return sft.periodic_fraction(n, tuple(word))
+    return Fraction(sft.periodic_count_with_prefix(n, tuple(word)),
+                    sft.periodic_count(n))
 
 
 # -- entropy production --------------------------------------------------------------

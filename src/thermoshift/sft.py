@@ -9,7 +9,6 @@ the boundary (model files, reports).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -187,12 +186,6 @@ class SubshiftOfFiniteType:
         P = np.linalg.matrix_power(self.transition.astype(object), n - k + 1)
         return int(P[prefix[-1], prefix[0]])
 
-    def periodic_fraction(self, n, prefix) -> Fraction:
-        """Exact fraction of n-periodic points starting with ``prefix``."""
-        total = self.periodic_count(n)
-        hits = self.periodic_count_with_prefix(n, prefix)
-        return Fraction(hits, total)
-
     # -- entropy ---------------------------------------------------------------
 
     def topological_entropy(self, tol=1e-14) -> float:
@@ -231,45 +224,53 @@ _BLOCK_ROWS = 1 << 12
 _PERIOD_CAP = 4096   # periodic counts refuse larger periods
 
 
-def _word_blocks(T, n, starts=None):
-    """Yield the length-n paths of the 0/1 matrix T as (k, n) int arrays.
+def _word_blocks(T, n, starts=None, budget=None):
+    """The length-n paths of the 0/1 matrix T, as a generator of (k, n) int arrays.
 
     A path starts at a symbol where ``starts`` is true (any symbol when
     omitted) and steps a -> b only where T[a, b] is nonzero.  Rows come in
     lexicographic order, at most _BLOCK_ROWS per block: the frontier of
     prefixes is expanded depth-first, a slice at a time, through the
-    successor lists of T.
+    successor lists of T.  With ``budget`` the paths are counted first
+    (``_count_words``), and more than ``budget`` of them raise DepthTooLarge
+    here, at the call, before any block is built: this is the enumeration
+    budget guard of every enumerator.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
+    if budget is not None and _count_words(T, n, starts, stop_above=budget) > budget:
+        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
     T = np.asarray(T) != 0
     succ = np.nonzero(T)[1]              # row-major: ascending within a row
     first = np.concatenate(([0], np.cumsum(T.sum(axis=1))))
     m = T.shape[0]
-    pending = [(np.arange(m) if starts is None
-                else np.flatnonzero(starts))[:, None]]
-    while pending:
-        block = pending.pop()
-        if block.shape[1] == n:
-            for lo in range(0, len(block), _BLOCK_ROWS):
-                yield block[lo:lo + _BLOCK_ROWS]
-            continue
-        last = block[:, -1]
-        deg = first[last + 1] - first[last]
-        ends = np.cumsum(deg)
-        cut = max(1, int(np.searchsorted(ends, _BLOCK_ROWS, side="right")))
-        if cut < len(block):
-            pending.append(block[cut:])
-        total = int(ends[cut - 1]) if len(block) else 0
-        if total == 0:
-            continue
-        deg = deg[:cut]
-        parent = np.repeat(np.arange(cut), deg)
-        # position of each child's symbol in succ: its parent's row start
-        # plus its rank among the parent's children
-        rank = np.arange(total) - np.repeat(ends[:cut] - deg, deg)
-        child = succ[first[last[parent]] + rank]
-        pending.append(np.column_stack((block[parent], child)))
+
+    def expand(pending):
+        while pending:
+            block = pending.pop()
+            if block.shape[1] == n:
+                for lo in range(0, len(block), _BLOCK_ROWS):
+                    yield block[lo:lo + _BLOCK_ROWS]
+                continue
+            last = block[:, -1]
+            deg = first[last + 1] - first[last]
+            ends = np.cumsum(deg)
+            cut = max(1, int(np.searchsorted(ends, _BLOCK_ROWS, side="right")))
+            if cut < len(block):
+                pending.append(block[cut:])
+            total = int(ends[cut - 1]) if len(block) else 0
+            if total == 0:
+                continue
+            deg = deg[:cut]
+            parent = np.repeat(np.arange(cut), deg)
+            # position of each child's symbol in succ: its parent's row start
+            # plus its rank among the parent's children
+            rank = np.arange(total) - np.repeat(ends[:cut] - deg, deg)
+            child = succ[first[last[parent]] + rank]
+            pending.append(np.column_stack((block[parent], child)))
+
+    return expand([(np.arange(m) if starts is None
+                    else np.flatnonzero(starts))[:, None]])
 
 
 def _count_words(T, n, starts=None, stop_above=None):
@@ -306,12 +307,6 @@ def _check_period(n):
         raise ValueError("period must be >= 1")
     if n > _PERIOD_CAP:
         raise PeriodTooLarge(f"period {n} exceeds cap {_PERIOD_CAP}")
-
-
-def _check_budget(T, n, budget, starts=None):
-    """The enumeration budget guard: DepthTooLarge when over budget n-paths."""
-    if _count_words(T, n, starts, stop_above=budget) > budget:
-        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
 
 
 def _check_own_shift(sft, potential):

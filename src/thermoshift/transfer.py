@@ -19,14 +19,7 @@ import numpy as np
 
 from ._numerics import rescaled_product
 from .errors import NoConvergence, OutOfRange, RangeTooLarge
-from .sft import _check_budget, _check_own_shift, _word_blocks
-
-
-@dataclass
-class TransferMatrix:
-    sft: object
-    potential: object
-    A: np.ndarray
+from .sft import _check_own_shift, _word_blocks
 
 
 @dataclass
@@ -48,8 +41,9 @@ class EigenData:
     squarings: int = 0
 
 
-def build(sft, potential) -> TransferMatrix:
-    """Assemble the matrix form of the operator for a range <= 2 potential.
+def build(sft, potential) -> np.ndarray:
+    """The (m, m) matrix A of the operator of a range <= 2 potential (see the
+    module docstring).
 
     Raises OutOfRange when the weight exp(phi) of an admissible transition
     is 0 or not finite as a double: the matrix would drop that transition
@@ -68,8 +62,7 @@ def build(sft, potential) -> TransferMatrix:
         raise OutOfRange(
             f"transition {a} -> {b}: weight exp({phi[a, b]}) is not a "
             "positive finite double")
-    A = np.where(admissible, weights, 0.0)
-    return TransferMatrix(sft=sft, potential=potential, A=A)
+    return np.where(admissible, weights, 0.0)
 
 
 # power steps before any squaring: a gap that lets them converge this soon
@@ -84,8 +77,9 @@ def _positive(x) -> bool:
     return bool(np.all((x > 0) & np.isfinite(x)))
 
 
-def leading_eigen(tm: TransferMatrix, tol=1e-13) -> EigenData:
-    """Leading eigenvalue and both eigenvectors of a primitive matrix A.
+def leading_eigen(A, tol=1e-13) -> EigenData:
+    """Leading eigenvalue and both eigenvectors of a primitive matrix A, such
+    as the transfer matrix from ``build``.
 
     Each round evaluates Av, uA, lam = u.Av / u.v and the sup-norm residuals
     of A v = lam v and u A = lam u.  The result is returned once both are at
@@ -110,7 +104,7 @@ def leading_eigen(tm: TransferMatrix, tol=1e-13) -> EigenData:
     """
     if not 0 < tol < np.inf:
         raise OutOfRange(f"tol must be a positive finite number, got {tol}")
-    A = tm.A if isinstance(tm, TransferMatrix) else np.asarray(tm, dtype=float)
+    A = np.asarray(A, dtype=float)
     m = A.shape[0]
     v = np.full(m, 1.0 / m)
     u = np.full(m, 1.0 / m)
@@ -190,10 +184,10 @@ def gibbs_measure(sft, potential, tol=1e-13) -> GibbsMeasure:
 
     _check_own_shift(sft, potential)
     rec = recode_range2(potential)
-    tm = build(rec.sft, rec.potential)
-    eig = leading_eigen(tm, tol=tol)
+    A = build(rec.sft, rec.potential)
+    eig = leading_eigen(A, tol=tol)
     v, u, lam = eig.v, eig.u, eig.lam
-    P = tm.A * v[None, :] / (lam * v[:, None])
+    P = A * v[None, :] / (lam * v[:, None])
     # remove residual drift so the measure passes strict stationarity checks
     P = P / P.sum(axis=1, keepdims=True)
     pi = u * v
@@ -224,7 +218,6 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     1.0 up to rounding).
     """
     sft = measure.sft
-    _check_budget(sft.transition, n, budget)
     phi = measure.potential.with_range(2).dense_table
     p = measure.pressure
     with np.errstate(divide="ignore"):
@@ -235,7 +228,7 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     tail = p - np.nanmax(phi, axis=1)
     c_min, c_max = np.inf, -np.inf
     argmin = argmax = None
-    for words in _word_blocks(sft.transition, n):
+    for words in _word_blocks(sft.transition, n, budget=budget):
         log_ratio = log_pi[words[:, 0]] + tail[words[:, -1]]
         for j in range(1, n):
             log_ratio = log_ratio + step[words[:, j - 1], words[:, j]]
@@ -250,14 +243,15 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
                        argmin=argmin, argmax=argmax)
 
 
-def rpf_convergence(tm, f, n) -> float:
-    """Sup-norm distance between lam^-n L^n f and its limit.
+def rpf_convergence(A, f, n) -> float:
+    """Sup-norm distance between lam^-n L^n f and its limit, for the operator
+    of the transfer matrix A, (Lf)(b) = sum_a A[a, b] f(a).
 
     The limit is (sum_a f_a v_a) u, the projection onto the leading
     eigenfunction u weighted by the eigenmeasure coordinates v; the distance
     decays like (|second eigenvalue| / lam)^n.
     """
-    A = tm.A if isinstance(tm, TransferMatrix) else np.asarray(tm, dtype=float)
+    A = np.asarray(A, dtype=float)
     eigen = leading_eigen(A)
     f = np.asarray(f, dtype=float)
     iterate = f.copy()
@@ -267,12 +261,11 @@ def rpf_convergence(tm, f, n) -> float:
     return float(np.max(np.abs(iterate - limit)))
 
 
-def spectral_ratio(tm) -> float:
-    """|second eigenvalue| / spectral radius, for convergence-rate reporting.
+def spectral_ratio(A) -> float:
+    """|second eigenvalue| / spectral radius of A, for convergence-rate reporting.
 
-    Uses the full spectrum of the matrix; this is diagnostic only and does
+    Uses the full spectrum of A; this is diagnostic only and does
     not feed any equilibrium computation.
     """
-    A = tm.A if isinstance(tm, TransferMatrix) else np.asarray(tm, dtype=float)
     eigs = np.sort(np.abs(np.linalg.eigvals(A)))[::-1]
     return float(eigs[1] / eigs[0]) if len(eigs) > 1 else 0.0

@@ -16,8 +16,7 @@ from ._numerics import bracketed_root, log_trace_power, logsumexp
 from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
 from .measures import GibbsMeasure
 from .potentials import LocallyConstantPotential
-from .sft import (SubshiftOfFiniteType, _check_budget, _check_own_shift,
-                  _word_blocks, full_shift)
+from .sft import SubshiftOfFiniteType, _check_own_shift, _word_blocks, full_shift
 from .transfer import build, gibbs_measure
 
 
@@ -112,10 +111,9 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22,
     _require_full(sft)
     if n < potential.r:
         raise OutOfRange(f"ring size {n} below potential range {potential.r}")
-    _check_budget(sft.transition, n, budget)
     phi = potential.dense_table
     sums, words = [], []
-    for block in _word_blocks(sft.transition, n):
+    for block in _word_blocks(sft.transition, n, budget=budget):
         # Birkhoff sum around the ring: site i reads sites i..i+r-1 mod n
         total = np.zeros(len(block))
         for i in range(n):
@@ -146,8 +144,7 @@ def lattice_pressure_trace(n, potential, beta) -> float:
         raise OutOfRange("trace route needs range <= 2")
     if n < 1:
         raise OutOfRange("ring size must be >= 1")
-    A = build(sft, potential.scale(beta)).A
-    return log_trace_power(A, n) / n
+    return log_trace_power(build(sft, potential.scale(beta)), n) / n
 
 
 def _require_full(sft):
@@ -176,10 +173,9 @@ def pressure_Pn(sft, potential, n, budget=10 ** 7, with_points=False) -> PnResul
     or an equal copy of it (else ValueError).
     """
     _check_own_shift(sft, potential)
-    _check_budget(sft.transition, n, budget)
     sups = []
     points = [] if with_points else None
-    for words in _word_blocks(sft.transition, n):
+    for words in _word_blocks(sft.transition, n, budget=budget):
         s, tails = potential.birkhoff_sups(words)
         sups.append(s)
         if with_points:

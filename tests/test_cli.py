@@ -549,6 +549,26 @@ def test_malformed_map_rational_names_its_field(capsys, tmp_path, old, new,
     assert "is not a rational number" in err and f"[field: {field}]" in err
 
 
+@pytest.mark.parametrize("values", [[0.0, math.nan], [math.nan, 0.0]])
+def test_certificate_discrepancy_of_a_nan_value_is_nan(values):
+    report = cli.Report("hofbauer-scan", [])
+    report.certificate("pressure(beta=1e4)", ["renewal", "variational"],
+                       values, "nats")
+    assert math.isnan(report.payload["certificates"][0]["discrepancy"])
+
+
+def test_hofbauer_scan_check_at_underflowing_beta(capsys):
+    # every weight underflows at beta = 1e4: both routes give pressure 0, with
+    # no nan in the certificate and nothing on stderr
+    code = main(["hofbauer-scan", str(MODELS / "cubic-family.yaml"), "--check",
+                 "--betas", "1e4"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "nan" not in captured.out
+    cert = certificate(json.loads(captured.out), "pressure(beta=10000)")
+    assert cert["values"] == [0.0, 0.0] and cert["discrepancy"] == 0.0
+
+
 def test_budget_exhaustion_exit_2(capsys):
     code = main(["periodic", str(MODELS / "full-shift.yaml"), "--n", "30",
                  "--check", "--budget", "1000"])

@@ -10,6 +10,7 @@ import itertools
 import math
 import time
 from collections import defaultdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,10 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (CriticalPowerFamily, LocallyConstantPotential,
-                         MarkovMeasure, SubshiftOfFiniteType, full_shift,
-                         gibbs_bounds, gibbs_measure, lattice_equilibrium,
-                         pressure_Pn, relative_entropy_direct)
+                         MarkovMeasure, PiecewiseLinearMarkovMap,
+                         SubshiftOfFiniteType, acim, aep_partition,
+                         entropy_by_blocks, full_shift, gibbs_bounds,
+                         gibbs_measure, lattice_equilibrium, pressure_Pn,
+                         relative_entropy_direct)
 from thermoshift import sft as sft_module
+from thermoshift.cli import main
 from thermoshift._numerics import logsumexp
 from thermoshift.errors import DepthTooLarge, ZeroRowOrColumn
 
@@ -131,6 +135,62 @@ def test_count_words_400_symbols_matches_dict_dp_and_guard_is_fast():
         with pytest.raises(DepthTooLarge):
             pressure_Pn(sft, pot, depth, budget=10 ** 7)
         assert time.perf_counter() - start < 2.0
+
+
+def _coin():
+    return MarkovMeasure([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+
+
+def _periodic_check(n, budget):
+    """`thermoshift periodic --check`, which reports DepthTooLarge as exit 2;
+    raised again here so every entry point is checked alike."""
+    golden = Path(__file__).parent.parent / "demos" / "models" / "golden-mean.yaml"
+    if main(["periodic", str(golden), "--n", str(n), "--check",
+             "--budget", str(budget)]) == 2:
+        raise DepthTooLarge("exit 2")
+
+
+def _relative_entropy_direct(n, budget):
+    mu = gibbs_measure(full_shift(2), LocallyConstantPotential.zero(full_shift(2)))
+    relative_entropy_direct(_coin(), mu, n, budget=budget)
+
+
+def _acim_certificate(n, budget):
+    doubling = PiecewiseLinearMarkovMap(["0", "1/2", "1"],
+                                        [(2, (0, 1)), (2, (0, 1))])
+    acim(doubling).certificate(n, budget=budget)
+
+
+GUARDED = {
+    "relative_entropy_direct": _relative_entropy_direct,
+    "aep_partition": lambda n, budget: aep_partition(_coin(), n, 0.1, budget=budget),
+    "AcimResult.certificate": _acim_certificate,
+    "periodic --check": _periodic_check,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GUARDED))
+def test_deep_request_over_budget_is_refused_fast(entry, capsys):
+    start = time.perf_counter()
+    with pytest.raises(DepthTooLarge):
+        GUARDED[entry](2000, 1000)
+    assert time.perf_counter() - start < 2.0
+    if entry == "periodic --check":
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+
+
+def test_entropy_by_blocks_refuses_before_its_first_block():
+    # 2^10 words fit the budget at depth 10, 2^30 do not at depth 30: the
+    # refusal must come before the shallow depths are enumerated
+    built = []
+    masses = MarkovMeasure._masses
+    with mock.patch.object(MarkovMeasure, "_masses",
+                           lambda self, words: built.append(words) or masses(self, words)):
+        with pytest.raises(DepthTooLarge):
+            entropy_by_blocks(_coin(), 30, budget=1 << 10)
+        assert built == []
+        entropy_by_blocks(_coin(), 10, budget=1 << 10)
+    assert len(built) == 10
 
 
 def test_count_support_words_100_state_chain_matches_dict_dp():

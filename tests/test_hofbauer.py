@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -301,6 +302,15 @@ def test_pressure_rejects_non_finite_beta(beta):
         pressure_renewal(cubic(), beta)
     with pytest.raises(OutOfRange, match="finite"):
         pressure_periodic(cubic(), beta, 5)
+
+
+@pytest.mark.parametrize("beta", [300.0, 1000.0, 1e4, 1e44])
+def test_periodic_pressure_is_zero_when_the_weights_underflow(beta):
+    # every run-length weight exp(beta * a_k) underflows: the trace is 0, so
+    # Z_n holds only the all-ones fixed point, not a nan from a 0 / 0 rescale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pressure_periodic(cubic(), beta, 18) == 0.0
 
 
 @pytest.mark.parametrize("beta", [1e44, 1e300])

@@ -1,6 +1,7 @@
 """The shared numerical primitives, checked against scipy and exact arithmetic."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -101,6 +102,14 @@ def test_log_trace_power_matches_exact_integer_power(seed, n):
     exact = np.linalg.matrix_power(A.astype(object), n)
     ref = math.log(sum(exact[i, i] for i in range(m)))
     assert abs(log_trace_power(A, n) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_log_trace_power_of_an_underflowed_power_is_minus_inf():
+    # 1e-200 squared underflows to 0: the trace is 0, its log -inf, no nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_trace_power(np.full((2, 2), 1e-200), 2) == -math.inf
+        assert log_trace_power(np.zeros((3, 3)), 5) == -math.inf
 
 
 def test_log_trace_power_does_not_overflow():

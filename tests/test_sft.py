@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from thermoshift import (Alphabet, MixingReport, NotPrimitive,
                          SubshiftOfFiniteType, ZeroRowOrColumn, full_shift,
-                         golden_mean_shift)
+                         golden_mean_shift, periodic_approximation)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -133,7 +133,7 @@ def test_periodic_count_with_prefix_brute():
 
 def test_periodic_fraction_is_exact_rational():
     sft = golden_mean_shift()
-    frac = sft.periodic_fraction(12, (0,))
+    frac = periodic_approximation(sft, 12, (0,))
     assert frac.numerator == 233 and frac.denominator == 322
 
 

@@ -76,7 +76,7 @@ def test_leading_eigen_contract():
     assert abs(eig.v.sum() - 1.0) < 1e-12
     assert abs(float(eig.u @ eig.v) - 1.0) < 1e-12
     assert np.all(eig.v > 0) and np.all(eig.u > 0)
-    assert np.max(np.abs(tm.A @ eig.v - eig.lam * eig.v)) < 1e-12 * eig.lam
+    assert np.max(np.abs(tm @ eig.v - eig.lam * eig.v)) < 1e-12 * eig.lam
 
 
 def test_build_rejects_wide_potentials():
@@ -102,7 +102,7 @@ def test_build_refuses_weights_outside_the_float_range(sign):
     # a weight just inside the range is kept
     near = LocallyConstantPotential.from_function(
         sft, 2, lambda w: sign * 700.0 * (w[0] != w[1]))
-    assert np.all(build(sft, near).A > 0)
+    assert np.all(build(sft, near) > 0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])

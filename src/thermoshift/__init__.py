@@ -33,7 +33,7 @@ _ENGINES = {
     "sft": ("Alphabet", "MixingReport", "SubshiftOfFiniteType", "full_shift",
             "golden_mean_shift"),
     "transfer": ("build", "gibbs_bounds", "gibbs_measure", "leading_eigen",
-                 "pressure", "rpf_convergence", "spectral_ratio"),
+                 "pressure"),
     "variational": ("FiniteSystem", "finite_equilibrium", "ising_match",
                     "ising_potential", "ising_pressure_exact",
                     "lattice_equilibrium", "lattice_pressure_trace",

@@ -42,9 +42,6 @@ class HofbauerPotential:
     def a_array(self, K):
         raise NotImplementedError
 
-    def a(self, k):
-        return float(self.a_array(k + 1)[k])
-
     def s_array(self, K):
         return np.cumsum(self.a_array(K))
 
@@ -73,51 +70,29 @@ class HofbauerPotential:
         half = 0.5 * float(min(bounds, default=np.inf))
         return half, half, -(K + 1) * half
 
-    # -- pointwise values and Birkhoff sums ------------------------------------
-
-    def var_k(self, k):
-        """Oscillation over points sharing the first k symbols.
-
-        Points opening with 1^k realize the values {a_k, a_{k+1}, ..., 0};
-        with a_j nondecreasing for j >= 1 the spread is |a_k| for k >= 1,
-        and max(|a_0|, |a_1|) for k = 0.
-        """
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k == 0:
-            return float(max(-self.a(0), -self.a(1)))
-        return float(-self.a(k))
-
-    def birkhoff_extremes(self, word):
-        """(sup, inf, None, None) of S_n phi over the cylinder [word].
-
-        The sup is attained by the all-ones continuation (positions whose run
-        of ones reaches the end of the word contribute 0); the inf by the
-        continuation that opens with a zero (those positions contribute
-        a_{run length}, the most negative choice for a monotone family).
-        """
-        word = tuple(word)
-        n = len(word)
-        a = self.a_array(n + 1)
-        sup = 0.0
-        next_zero = n
-        for i in range(n - 1, -1, -1):
-            if word[i] != _ONE:
-                next_zero = i
-            if next_zero < n:
-                sup += a[next_zero - i]
-        trailing = n - 1 - max(
-            (i for i in range(n) if word[i] != _ONE), default=-1)
-        inf = sup + float(a[1:trailing + 1].sum())
-        return float(sup), float(inf), None, None
-
-    def birkhoff_sup(self, word):
-        return self.birkhoff_extremes(word)[0]
+    # -- Birkhoff sums ---------------------------------------------------------
 
     def birkhoff_sups(self, words):
-        """birkhoff_extremes' sup and tail (None) for each row of a word array."""
-        ext = [self.birkhoff_extremes(word) for word in words.tolist()]
-        return np.array([e[0] for e in ext]), [e[2] for e in ext]
+        """Sup of S_n phi over the cylinder of each row of a (k, n) word array,
+        with its tail (None).
+
+        The sup is attained by the all-ones continuation: a position whose
+        run of ones reaches the end of the word then sees the fixed point and
+        contributes 0, any other position a_(distance to the next zero).
+        """
+        n = words.shape[1]
+        a = self.a_array(n + 1)
+        sups = []
+        for word in words.tolist():
+            sup = 0.0
+            next_zero = n
+            for i in range(n - 1, -1, -1):
+                if word[i] != _ONE:
+                    next_zero = i
+                if next_zero < n:
+                    sup += a[next_zero - i]
+            sups.append(sup)
+        return np.array(sups), [None] * len(sups)
 
     def scale(self, beta):
         if beta <= 0:
@@ -126,7 +101,8 @@ class HofbauerPotential:
 
 
 class _ScaledHofbauer(HofbauerPotential):
-    """beta * phi for a positive beta; sup/inf scale with the same extremals."""
+    """beta * phi for a positive beta; its sups are beta times the base's,
+    with the same maximizing tails."""
 
     def __init__(self, base, beta):
         super().__init__()
@@ -136,9 +112,9 @@ class _ScaledHofbauer(HofbauerPotential):
     def a_array(self, K):
         return self.beta * self.base.a_array(K)
 
-    def birkhoff_extremes(self, word):
-        sup, inf, tmax, tmin = self.base.birkhoff_extremes(word)
-        return self.beta * sup, self.beta * inf, tmax, tmin
+    def birkhoff_sups(self, words):
+        sups, tails = self.base.birkhoff_sups(words)
+        return self.beta * sups, tails
 
     def tail_bounds(self, beta, K):
         return self.base.tail_bounds(beta * self.beta, K)

@@ -57,6 +57,9 @@ class MarkovMeasure:
         if np.max(np.abs(pi @ P - pi)) > _STATIONARY_TOL:
             raise ValueError(f"pi is not stationary for P within {_STATIONARY_TOL}")
         if sft is not None:
+            if sft.m != m:
+                raise ValueError(f"the chain has {m} states but the subshift "
+                                 f"has {sft.m} symbols")
             bad = (P > 0) & (sft.transition == 0)
             if bad.any():
                 a, b = map(int, np.argwhere(bad)[0])
@@ -98,14 +101,10 @@ class MarkovMeasure:
             raise ValueError(f"symbol {row[outside][0]} is outside 0..{self.m - 1}")
         return row
 
-    def support_words(self, n):
-        """Yield (word, mass) for all n-words of positive mass, lex order."""
-        for words, mass in self._support_blocks(n):
-            yield from zip(map(tuple, words.tolist()), mass)
-
     def _support_blocks(self, n, budget=None):
-        """support_words as a generator of (words, masses) array blocks; more
-        than ``budget`` words raise DepthTooLarge at the call (sft._word_blocks)."""
+        """The n-words of positive mass and their masses, in lex order, as a
+        generator of (words, masses) array blocks; more than ``budget`` words
+        raise DepthTooLarge at the call (sft._word_blocks)."""
         blocks = _word_blocks(self.P > 0, n, self.pi > 0, budget)
         return ((words, self._masses(words)) for words in blocks)
 
@@ -387,9 +386,12 @@ def periodic_approximation(sft: SubshiftOfFiniteType, n, word) -> Fraction:
 
     Exact rational; converges to the measure of the cylinder under the
     measure of maximal entropy as n grows, at the spectral-gap rate.
+    OutOfRange when the subshift has no point of period n.
     """
-    return Fraction(sft.periodic_count_with_prefix(n, tuple(word)),
-                    sft.periodic_count(n))
+    total = sft.periodic_count(n)
+    if total == 0:
+        raise OutOfRange(f"no points of period {n}")
+    return Fraction(sft.periodic_count_with_prefix(n, tuple(word)), total)
 
 
 # -- entropy production --------------------------------------------------------------

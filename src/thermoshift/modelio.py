@@ -263,12 +263,11 @@ def bind_potential(model: ModelFile, sft: SubshiftOfFiniteType) -> LocallyConsta
     if any(len(lab) != 1 for lab in labels):
         raise _semantic(model, "word keys need single-character subshift "
                                f"labels, got {list(labels)}", "values")
-    index = {lab: i for i, lab in enumerate(labels)}
     r = model.body["range"]
     table = {}
     for word, val in model.body["values"].items():
         try:
-            key = tuple(index[ch] for ch in word)
+            key = tuple(map(sft.alphabet.index, word))
         except KeyError as exc:
             raise _semantic(model, f"word {word!r} uses unknown label "
                                    f"{exc.args[0]!r}", "values", word) from None

@@ -4,8 +4,7 @@ A potential of range r is a function of the first r coordinates, stored as a
 dense array indexed by the r symbols of a word, NaN off the admissible
 words.  Birkhoff sums over an n-cylinder are computed with the sup
 convention: the at most r-1 coordinates that stick out past the word are
-maximized over admissible continuations (inf variant for two-sided
-certification).
+maximized over admissible continuations.
 """
 
 from __future__ import annotations
@@ -120,22 +119,6 @@ class LocallyConstantPotential:
                              f"word {tuple(np.argwhere(uncovered)[0].tolist())}")
         return self._from_dense(self.sft, a + b)
 
-    # -- variation ------------------------------------------------------------
-
-    def var_k(self, k):
-        """Oscillation over pairs of points agreeing on the first k coordinates.
-
-        Exact: 0 for k >= r, else the largest in-group spread of the table
-        grouped by k-prefix (k = 0 gives the global spread).
-        """
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k >= self.r:
-            return 0.0
-        groups = self.dense_table.reshape(self.sft.m ** k, -1)
-        groups = groups[~np.isnan(groups).all(axis=1)]
-        return float(np.max(np.nanmax(groups, axis=1) - np.nanmin(groups, axis=1)))
-
     # -- Birkhoff sums ----------------------------------------------------------
 
     def _tails(self, last):
@@ -147,32 +130,12 @@ class LocallyConstantPotential:
         tails = np.argwhere(~np.isnan(self.dense_table[last]))
         return list(map(tuple, tails.tolist()))
 
-    def birkhoff_extremes(self, word):
-        """(sup, inf, argmax tail, argmin tail) of S_n over the cylinder [word].
-
-        Ties in the maximizing and minimizing tails are broken
-        lexicographically (first admissible tail in lex order wins).  The sup
-        side is ``birkhoff_sups`` on one row, the inf side the sup side of
-        -phi: negation commutes with rounding, and the first maximum of -S_n
-        is the first minimum of S_n.  The inf is 0.0 minus that sup, so a
-        zero inf is 0.0, never -0.0.
-        """
-        word = tuple(word)
-        if not self.sft.is_admissible(word):
-            raise ValueError(f"word {word} is not admissible")
-        row = np.array([word])
-        (sup,), (best_tail,) = self.birkhoff_sups(row)
-        (neg,), (worst_tail,) = self.scale(-1.0).birkhoff_sups(row)
-        return float(sup), 0.0 - float(neg), best_tail, worst_tail
-
-    def birkhoff_sup(self, word):
-        return self.birkhoff_extremes(word)[0]
-
     def birkhoff_sups(self, words):
         """Sup of S_n and its argmax tail for each row of a (k, n) word array.
 
-        The sup over tails depends on a word only through its last
-        min(n, r-1) symbols, so it is solved once per distinct end.
+        Of tied tails the first admissible one in lex order wins.  The sup
+        over tails depends on a word only through its last min(n, r-1)
+        symbols, so it is solved once per distinct end.
         """
         k, n = words.shape
         r, phi = self.r, self.dense_table

@@ -32,9 +32,6 @@ class Alphabet:
     def __len__(self):
         return len(self.labels)
 
-    def __iter__(self):
-        return iter(range(len(self.labels)))
-
     def index(self, label):
         return self._index[label]
 
@@ -136,11 +133,6 @@ class SubshiftOfFiniteType:
         return report
 
     # -- words and cylinders --------------------------------------------------
-
-    def cylinders(self, n):
-        """Yield all admissible words of length n in lexicographic order."""
-        for block in _word_blocks(self.transition, n):
-            yield from map(tuple, block.tolist())
 
     def admissible_mask(self, r):
         """Boolean array of shape (m,) * r, true exactly at the admissible r-words."""

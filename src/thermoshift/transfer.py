@@ -210,7 +210,7 @@ class GibbsBounds:
 
 
 def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
-    """Extremes of mass(w) / exp(birkhoff_sup(w) - n * pressure) at depth n.
+    """Extremes of mass(w) / exp(sup_[w] S_n phi - n * pressure) at depth n.
 
     The log-ratio is accumulated transition by transition, pairing each
     log P[a, b] with phi(a, b) - pressure, so the terms cancel exactly in
@@ -241,31 +241,3 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
             c_max, argmax = ratio[hi], tuple(words[hi].tolist())
     return GibbsBounds(depth=n, c_min=float(c_min), c_max=float(c_max),
                        argmin=argmin, argmax=argmax)
-
-
-def rpf_convergence(A, f, n) -> float:
-    """Sup-norm distance between lam^-n L^n f and its limit, for the operator
-    of the transfer matrix A, (Lf)(b) = sum_a A[a, b] f(a).
-
-    The limit is (sum_a f_a v_a) u, the projection onto the leading
-    eigenfunction u weighted by the eigenmeasure coordinates v; the distance
-    decays like (|second eigenvalue| / lam)^n.
-    """
-    A = np.asarray(A, dtype=float)
-    eigen = leading_eigen(A)
-    f = np.asarray(f, dtype=float)
-    iterate = f.copy()
-    for _ in range(n):
-        iterate = A.T @ iterate / eigen.lam
-    limit = float(f @ eigen.v) * eigen.u
-    return float(np.max(np.abs(iterate - limit)))
-
-
-def spectral_ratio(A) -> float:
-    """|second eigenvalue| / spectral radius of A, for convergence-rate reporting.
-
-    Uses the full spectrum of A; this is diagnostic only and does
-    not feed any equilibrium computation.
-    """
-    eigs = np.sort(np.abs(np.linalg.eigvals(A)))[::-1]
-    return float(eigs[1] / eigs[0]) if len(eigs) > 1 else 0.0

@@ -112,7 +112,8 @@ def test_support_words_masses_equal_cylinder(mu, n):
     expected = brute_words(mu.P > 0, n, mu.pi > 0)
     for rows in (1, 3):
         with mock.patch.object(sft_module, "_BLOCK_ROWS", rows):
-            got = list(mu.support_words(n))
+            got = [(w, mass) for words, masses in mu._support_blocks(n)
+                   for w, mass in zip(map(tuple, words.tolist()), masses)]
         assert [w for w, _ in got] == expected
         assert all(mass == product_mass(mu, w) == mu.cylinder(w)
                    for w, mass in got)
@@ -262,15 +263,34 @@ def test_pressure_Pn_matches_word_by_word_reference(seed):
         assert res.points == [(w, tail, s) for w, (s, tail) in zip(words, ref)]
 
 
+def brute_hofbauer_sup(pot, word):
+    """Max of S_n phi over the points word.t.0^inf, t in {0,1}^4, and
+    word.1^inf; phi at a point is a_k for k leading ones, 0 at 1^inf."""
+    n = len(word)
+    a = pot.a_array(n + 5)
+
+    def phi(x, ones_forever):
+        k = 0
+        while k < len(x) and x[k] == 1:
+            k += 1
+        return 0.0 if k == len(x) and ones_forever else a[k]
+
+    sums = [sum(phi(word[i:] + t, False) for i in range(n))
+            for t in itertools.product((0, 1), repeat=4)]
+    sums.append(sum(phi(word[i:], True) for i in range(n)))
+    return max(sums)
+
+
 def test_pressure_Pn_on_a_hofbauer_potential_matches_per_word_sups():
     pot = CriticalPowerFamily(exponent=3.0).scale(0.8)
-    for n in (1, 4, 9):
+    for n in range(1, 7):
         words = list(itertools.product(range(2), repeat=n))
-        sups = [pot.birkhoff_extremes(w)[0] for w in words]
+        sups = [brute_hofbauer_sup(pot, w) for w in words]
         with mock.patch.object(sft_module, "_BLOCK_ROWS", 5):
             res = pressure_Pn(pot.sft, pot, n, with_points=True)
-        assert res.value == logsumexp(sups) / n
-        assert res.points == [(w, None, s) for w, s in zip(words, sups)]
+        assert abs(res.value - logsumexp(sups) / n) < 1e-14
+        assert [(w, tail) for w, tail, _ in res.points] == [(w, None) for w in words]
+        assert max(abs(s - ref) for (_, _, s), ref in zip(res.points, sups)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(8))

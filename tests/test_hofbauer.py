@@ -45,31 +45,33 @@ def test_critical_series_sums_to_one():
 
 def test_variation_decay_is_logarithmic():
     fam = cubic()
+    # the variation over points sharing the first k >= 1 symbols is |a_k|
+    a = fam.a_array(41)
     for k in (1, 5, 40):
-        assert abs(fam.var_k(k) - 3.0 * np.log1p(1.0 / k)) < 1e-15
-    assert fam.var_k(0) == max(-fam.a(0), -fam.a(1))
+        assert abs(-a[k] - 3.0 * np.log1p(1.0 / k)) < 1e-15
 
 
-def test_birkhoff_extremes_hand_words():
+def test_birkhoff_sups_hand_words():
     fam = cubic()
     a = fam.a_array(6)
     cases = {
-        (0,): (a[0], a[0]),
-        (1,): (0.0, a[1]),
-        (1, 1, 0, 1): (a[2] + a[1] + a[0], a[2] + a[1] + a[0] + a[1]),
-        (0, 0, 1, 1, 1): (2 * a[0], 2 * a[0] + a[1] + a[2] + a[3]),
+        (0,): a[0],
+        (1,): 0.0,
+        (1, 1, 0, 1): a[2] + a[1] + a[0],
+        (0, 0, 1, 1, 1): 2 * a[0],
     }
-    for word, (sup, inf) in cases.items():
-        got_sup, got_inf, _, _ = fam.birkhoff_extremes(word)
-        assert abs(got_sup - sup) < 1e-15
-        assert abs(got_inf - inf) < 1e-15
+    for word, sup in cases.items():
+        (got,), (tail,) = fam.birkhoff_sups(np.array([word]))
+        assert abs(got - sup) < 1e-15
+        assert tail is None
 
 
 def test_scale_is_linear_on_extremes():
     fam = cubic()
     scaled = fam.scale(2.5)
-    word = (1, 1, 0, 1, 0)
-    assert abs(scaled.birkhoff_sup(word) - 2.5 * fam.birkhoff_sup(word)) < 1e-15
+    words = np.array([(1, 1, 0, 1, 0), (0, 1, 1, 1, 1)])
+    sups, base = scaled.birkhoff_sups(words)[0], fam.birkhoff_sups(words)[0]
+    assert np.max(np.abs(sups - 2.5 * base)) < 1e-15
     assert np.max(np.abs(scaled.a_array(50) - 2.5 * fam.a_array(50))) < 1e-15
     with pytest.raises(OutOfRange):
         fam.scale(0.0)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import (LocallyConstantPotential, MarkovMeasure,
-                         aep_partition, entropy_by_blocks, entropy_production,
+                         SubshiftOfFiniteType, aep_partition,
+                         entropy_by_blocks, entropy_production,
                          full_shift, gibbs_measure, golden_mean_shift,
                          markov_as_gibbs, periodic_approximation,
                          relative_entropy, relative_entropy_direct,
@@ -62,6 +63,14 @@ def test_constructor_rejects_bad_input():
                       sft=golden_mean_shift())
 
 
+def test_constructor_names_both_sizes_of_a_mismatched_subshift():
+    with pytest.raises(ValueError, match="2 states but the subshift has 3"):
+        MarkovMeasure([0.5, 0.5], np.full((2, 2), 0.5), sft=full_shift(3))
+    with pytest.raises(ValueError, match="3 states but the subshift has 2"):
+        MarkovMeasure(np.full(3, 1 / 3), np.full((3, 3), 1 / 3),
+                      sft=full_shift(2))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_constructor_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -97,10 +106,16 @@ def test_cylinder_masses_refuse_a_non_symbol(word):
     assert mu.cylinder(()) == 1.0 and mu.log_cylinder(()) == 0.0
 
 
+def support_words(mu, n):
+    """(word, mass) pairs of the n-words of positive mass, from the blocks."""
+    return [(w, mass) for words, masses in mu._support_blocks(n)
+            for w, mass in zip(map(tuple, words.tolist()), masses)]
+
+
 def test_support_words_partition_unit_mass():
     mu = parry().markov
     for n in range(1, 7):
-        words = list(mu.support_words(n))
+        words = support_words(mu, n)
         assert len(words) == _count_words(mu.P > 0, n, mu.pi > 0)
         assert [w for w, _ in words] == sorted(w for w, _ in words)
         assert abs(math.fsum(m for _, m in words) - 1.0) < 1e-14
@@ -108,7 +123,7 @@ def test_support_words_partition_unit_mass():
 
 def test_support_depth_budget():
     mu = bernoulli(0.5)
-    assert abs(sum(m for _, m in mu.support_words(10)) - 1.0) < 1e-12
+    assert abs(sum(m for _, m in support_words(mu, 10)) - 1.0) < 1e-12
     with pytest.raises(DepthTooLarge):
         entropy_by_blocks(mu, 30, budget=1000)
 
@@ -371,6 +386,15 @@ def test_periodic_approximation_golden_cylinder():
     errs = [abs(float(periodic_approximation(sft, n, (0,))) - pi0)
             for n in (6, 9, 12)]
     assert errs[2] < errs[1] < errs[0]
+
+
+def test_periodic_approximation_without_points_of_period_n():
+    # primitive (p0 = 5), yet trace M = 0: no fixed point to count
+    sft = SubshiftOfFiniteType(["a", "b", "c"],
+                               [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    with pytest.raises(OutOfRange, match="no points of period 1"):
+        periodic_approximation(sft, 1, (0,))
+    assert periodic_approximation(sft, 5, (0,)) == Fraction(1, 5)
 
 
 # -- entropy production ---------------------------------------------------------------

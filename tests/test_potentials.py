@@ -1,4 +1,4 @@
-"""Locally constant potentials: tables, variation, Birkhoff sums, recoding."""
+"""Locally constant potentials: tables, Birkhoff sums, recoding."""
 
 import itertools
 import math
@@ -48,52 +48,44 @@ def test_add_mixed_ranges():
     assert total.value((1, 0)) == pytest.approx(0.4 - 1.0)
 
 
-def test_var_k_vanishes_at_the_range():
-    sft, pot = run_weights()
-    vals = [pot.var_k(k) for k in range(6)]
-    assert vals[2] == vals[3] == vals[4] == vals[5] == 0.0
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    # k = 1: words sharing one symbol; prefix 0 realizes {-0.2, -0.7}
-    assert vals[1] == pytest.approx(0.5)
-    assert vals[0] == pytest.approx(1.1)
-
-
 def test_with_range_identity_and_lift():
     sft, pot = run_weights()
     assert pot.with_range(2) is pot
     lifted = pot.with_range(3)
     assert lifted.r == 3
-    for w in sft.cylinders(3):
+    for w in brute_words(sft.transition, 3):
         assert lifted.table[w] == pot.table[w[:2]]
     with pytest.raises(ValueError):
         pot.with_range(1)
 
 
-def brute_birkhoff_extremes(sft, pot, word, n_extra):
-    """Oracle: (sup, inf, argmax tail, argmin tail) of S_n over all admissible
-    continuations; of tied tails the first in lex order wins."""
-    word = tuple(word)
-    best, worst, best_tail, worst_tail = -np.inf, np.inf, None, None
-    for tail in itertools.product(range(sft.m), repeat=n_extra):
+def brute_birkhoff_sup(sft, pot, word):
+    """Oracle: (sup, argmax tail) of S_n over all admissible continuations;
+    of tied tails the first in lex order wins."""
+    best, best_tail = -np.inf, None
+    for tail in itertools.product(range(sft.m), repeat=pot.r - 1):
         full = word + tail
         if not sft.is_admissible(full):
             continue
         s = sum(pot.table[full[i:i + pot.r]] for i in range(len(word)))
         if s > best:
             best, best_tail = s, tail
-        if s < worst:
-            worst, worst_tail = s, tail
-    return best, worst, best_tail, worst_tail
+    return best, best_tail
+
+
+def birkhoff_sups(pot, words):
+    """pot.birkhoff_sups on a list of words, as (sup, tail) pairs."""
+    sups, tails = pot.birkhoff_sups(np.array(words))
+    return list(zip(sups.tolist(), tails))
 
 
 def test_birkhoff_extremes_match_brute_force():
     sft, pot = run_weights()
     for n in (1, 2, 3, 5):
-        for word in sft.cylinders(n):
-            sup, inf, _, _ = pot.birkhoff_extremes(word)
-            b_sup, b_inf, _, _ = brute_birkhoff_extremes(sft, pot, word, pot.r - 1)
-            assert sup == pytest.approx(b_sup, abs=1e-14)
-            assert inf == pytest.approx(b_inf, abs=1e-14)
+        words = brute_words(sft.transition, n)
+        for (sup, _), word in zip(birkhoff_sups(pot, words), words):
+            assert sup == pytest.approx(brute_birkhoff_sup(sft, pot, word)[0],
+                                        abs=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,19 +101,9 @@ def test_birkhoff_extremes_break_ties_like_brute_force(data):
     value = st.sampled_from([-0.5, 0.0, 0.25, 0.5])
     pot = LocallyConstantPotential.from_function(sft, r, lambda w: data.draw(value))
     for n in (1, 2, 3, 5):
-        for word in sft.cylinders(n):
-            assert (pot.birkhoff_extremes(word)
-                    == brute_birkhoff_extremes(sft, pot, word, r - 1))
-
-
-def slack_bound(pot, n):
-    """Upper bound for sup - inf of S_n on any n-cylinder.
-
-    Term i of the sum sees coordinates i..i+r-1; inside an n-cylinder the
-    first n are pinned, so term i oscillates by at most var_{n-i}.  Only the
-    last min(n, r-1) terms contribute.
-    """
-    return sum(pot.var_k(k) for k in range(1, min(n, pot.r - 1) + 1))
+        words = brute_words(T, n)
+        assert birkhoff_sups(pot, words) == [brute_birkhoff_sup(sft, pot, w)
+                                             for w in words]
 
 
 def test_birkhoff_range3_potential():
@@ -129,19 +111,17 @@ def test_birkhoff_range3_potential():
     pot = LocallyConstantPotential.from_function(
         sft, 3, lambda w: float(w[0] - 0.5 * w[1] + 0.25 * w[2]))
     for word in [(0,), (1, 0), (0, 1, 1, 0)]:
-        sup, inf, _, _ = pot.birkhoff_extremes(word)
-        b_sup, b_inf, _, _ = brute_birkhoff_extremes(sft, pot, word, 2)
-        assert sup == pytest.approx(b_sup, abs=1e-14)
-        assert inf == pytest.approx(b_inf, abs=1e-14)
-        assert sup - inf <= slack_bound(pot, len(word)) + 1e-14
+        ((sup, _),) = birkhoff_sups(pot, [word])
+        assert sup == pytest.approx(brute_birkhoff_sup(sft, pot, word)[0],
+                                    abs=1e-14)
 
 
 def test_range1_has_no_tail_freedom():
     sft = full_shift(2)
     pot = LocallyConstantPotential(sft, 1, {(0,): 0.25, (1,): -1.0})
-    sup, inf, tmax, tmin = pot.birkhoff_extremes((0, 1, 1))
-    assert sup == inf == pytest.approx(0.25 - 2.0)
-    assert tmax == () and tmin == ()
+    ((sup, tail),) = birkhoff_sups(pot, [(0, 1, 1)])
+    assert sup == pytest.approx(0.25 - 2.0)
+    assert tail == ()
 
 
 def test_recode_identity_for_range2():
@@ -191,7 +171,7 @@ def test_recode_word_encoding_round_trip():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(sft, 3, lambda w: float(sum(w)))
     rec = recode_range2(pot)
-    for word in sft.cylinders(5):
+    for word in brute_words(sft.transition, 5):
         enc = rec.encode_word(word)
         assert rec.sft.is_admissible(enc)
         assert len(enc) == len(word) - 1
@@ -242,16 +222,6 @@ def brute_words(T, n):
 
 def ref_lift(T, table, r, r2):
     return {w: table[w[:r]] for w in brute_words(T, r2)}
-
-
-def ref_var_k(table, k, r):
-    if k >= r:
-        return 0.0
-    groups = {}
-    for w, v in table.items():
-        lo, hi = groups.get(w[:k], (np.inf, -np.inf))
-        groups[w[:k]] = (min(lo, v), max(hi, v))
-    return max(hi - lo for lo, hi in groups.values())
 
 
 def ref_recoding(T, table, r):
@@ -312,8 +282,6 @@ def test_dense_table_algebra_matches_the_dict_loops(case):
     a, b = ref_lift(T, t1, r1, r), ref_lift(T, t2, r2, r)
     assert (pot + other).table == {w: a[w] + b[w] for w in a}
     assert LocallyConstantPotential.zero(sft, r2).table == {w: 0.0 for w in t2}
-    for k in range(5):
-        assert pot.var_k(k) == ref_var_k(t1, k, r1)
 
     rec = recode_range2(pot)
     if r1 <= 2:

@@ -20,8 +20,7 @@ from thermoshift import transfer
 from thermoshift.errors import (DepthTooLarge, NoConvergence, OutOfRange,
                                RangeTooLarge)
 from thermoshift.sft import SubshiftOfFiniteType
-from thermoshift.transfer import (build, leading_eigen, rpf_convergence,
-                                  spectral_ratio)
+from thermoshift.transfer import build, leading_eigen
 from thermoshift.variational import ising_potential, ising_pressure_exact
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -193,6 +192,22 @@ def test_gibbs_bounds_depth_budget():
     mu = gibbs_measure(sft, LocallyConstantPotential.zero(sft))
     with pytest.raises(DepthTooLarge):
         gibbs_bounds(mu, 30, budget=1000)
+
+
+def rpf_convergence(A, f, n):
+    """Sup-norm distance between lam^-n L^n f and its limit (sum_a f_a v_a) u,
+    for the operator (Lf)(b) = sum_a A[a, b] f(a) of the transfer matrix A."""
+    eigen = leading_eigen(A)
+    iterate = f.copy()
+    for _ in range(n):
+        iterate = A.T @ iterate / eigen.lam
+    return float(np.max(np.abs(iterate - float(f @ eigen.v) * eigen.u)))
+
+
+def spectral_ratio(A):
+    """|second eigenvalue| / spectral radius of A, from the full spectrum."""
+    eigs = np.sort(np.abs(np.linalg.eigvals(A)))[::-1]
+    return float(eigs[1] / eigs[0])
 
 
 def test_iterates_converge_at_the_spectral_rate():

@@ -179,7 +179,11 @@ def test_pn_collects_maximizing_points():
     res = pressure_Pn(sft, pot, 5, with_points=True)
     assert len(res.points) == sft.count_words(5)
     for word, tail, value in res.points:
-        assert abs(value - pot.birkhoff_sup(word)) < 1e-15
+        # the point word.tail attains the sup over the one free coordinate
+        sums = {t: sum(pot.value((word + (t,))[i:i + 2]) for i in range(5))
+                for t in (0, 1) if sft.is_admissible(word + (t,))}
+        assert tail == (max(sums, key=sums.get),)
+        assert abs(value - sums[tail[0]]) < 1e-15
     with pytest.raises(DepthTooLarge):
         pressure_Pn(sft, pot, 40, budget=1000)
 

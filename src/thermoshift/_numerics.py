@@ -164,22 +164,25 @@ def log_trace_power(A, n) -> float:
     return float(np.log(trace) + rlog) if trace > 0 else -math.inf
 
 
+ROOT_STEPS = 200   # evaluations a root search may spend
+
+
 def bracketed_root(f, lo, hi, *, xtol=0.0, ftol=0.0, with_slope=False,
-                   f_lo=None, max_steps=200):
+                   f_lo=None):
     """(root, evaluations of f) for an increasing f, searched from [lo, hi].
 
     Without a sign change the bracket moves outward, the old end becoming the
     other bound and the width doubling.  Inside, each step bisects, unless
     ``with_slope`` (f returns (value, slope)) gives a Newton point strictly
     inside.  Stops at |f| <= ftol or width <= xtol; raises NoConvergence after
-    ``max_steps`` evaluations.  ``f_lo`` is f(lo), or any number of its sign.
+    ROOT_STEPS evaluations.  ``f_lo`` is f(lo), or any number of its sign.
     """
     steps = 0
 
     def evaluate(x):
         nonlocal steps
-        if steps == max_steps:
-            raise NoConvergence(f"no root within {max_steps} evaluations")
+        if steps == ROOT_STEPS:
+            raise NoConvergence(f"no root within {ROOT_STEPS} evaluations")
         steps += 1
         return f(x) if with_slope else (f(x), None)
 

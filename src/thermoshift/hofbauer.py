@@ -73,8 +73,7 @@ class HofbauerPotential:
     # -- Birkhoff sums ---------------------------------------------------------
 
     def birkhoff_sups(self, words):
-        """Sup of S_n phi over the cylinder of each row of a (k, n) word array,
-        with its tail (None).
+        """Sup of S_n phi over the cylinder of each row of a (k, n) word array.
 
         The sup is attained by the all-ones continuation: a position whose
         run of ones reaches the end of the word then sees the fixed point and
@@ -92,7 +91,7 @@ class HofbauerPotential:
                 if next_zero < n:
                     sup += a[next_zero - i]
             sups.append(sup)
-        return np.array(sups), [None] * len(sups)
+        return np.array(sups)
 
     def scale(self, beta):
         if beta <= 0:
@@ -101,8 +100,7 @@ class HofbauerPotential:
 
 
 class _ScaledHofbauer(HofbauerPotential):
-    """beta * phi for a positive beta; its sups are beta times the base's,
-    with the same maximizing tails."""
+    """beta * phi for a positive beta; its sups are beta times the base's."""
 
     def __init__(self, base, beta):
         super().__init__()
@@ -113,8 +111,7 @@ class _ScaledHofbauer(HofbauerPotential):
         return self.beta * self.base.a_array(K)
 
     def birkhoff_sups(self, words):
-        sups, tails = self.base.birkhoff_sups(words)
-        return self.beta * sups, tails
+        return self.beta * self.base.birkhoff_sups(words)
 
     def tail_bounds(self, beta, K):
         return self.base.tail_bounds(beta * self.beta, K)
@@ -265,6 +262,10 @@ class TransitionDiagnostic:
     tol: float
 
 
+_SERIES_K_MAX = 2 ** 23     # deepest truncation of a renewal series
+_DIAGNOSE_K_MAX = 2 ** 22   # deepest truncation ``diagnose`` tries
+
+
 class RenewalSeries:
     """G(P) = sum_k exp(beta s_k - (k+1) P) for one potential and one beta.
 
@@ -275,11 +276,10 @@ class RenewalSeries:
     the error of G up to rounding.
     """
 
-    def __init__(self, potential, beta, K_max=2 ** 23):
+    def __init__(self, potential, beta):
         self.potential = potential
         self.beta = float(beta)
         self.K = 4096           # the first depth evaluations try
-        self.K_max = K_max
         self._s = np.empty(0)
         self._terms = np.empty(0)
 
@@ -297,7 +297,7 @@ class RenewalSeries:
         doubled first until ``settled(partial, estimate, error)`` holds.
 
         Raises UndeterminedTail when the family has no tail bound and
-        TailUncertified when K would pass K_max.
+        TailUncertified when K would pass _SERIES_K_MAX.
         """
         while True:
             K = self.K
@@ -308,7 +308,7 @@ class RenewalSeries:
                 self.beta, K, P, float(self._s[K]))
             if settled(partial, estimate, error):
                 return partial, estimate, error, d_tail - float(n @ weighted)
-            if K >= self.K_max:
+            if K >= _SERIES_K_MAX:
                 if not np.isfinite(error):
                     raise UndeterminedTail(
                         "family has no analytic tail bound for this series")
@@ -318,15 +318,15 @@ class RenewalSeries:
             self.K = 2 * K
 
 
-def diagnose(potential: HofbauerPotential, tol=1e-8, K_max=2 ** 22) -> TransitionDiagnostic:
+def diagnose(potential: HofbauerPotential, tol=1e-8) -> TransitionDiagnostic:
     """Decide uniqueness from the two series, with certified tails.
 
-    Truncation depth adapts: K doubles from 1024 until either the partial sum
-    provably exceeds 1 (unique), or the certified upper bound
-    ``tail_bounds`` gives for the dropped tail is below tol/10 and the
-    enclosure settles the comparison with 1.  The partial sums read the
-    cached terms of a ``RenewalSeries`` at beta = 1; the reported tail is the
-    bound, not an estimate.  A tol that is not a positive finite number
+    Truncation depth adapts: K doubles from 1024 up to _DIAGNOSE_K_MAX until
+    either the partial sum provably exceeds 1 (unique), or the certified
+    upper bound ``tail_bounds`` gives for the dropped tail is below tol/10
+    and the enclosure settles the comparison with 1.  The partial sums read
+    the cached terms of a ``RenewalSeries`` at beta = 1; the reported tail is
+    the bound, not an estimate.  A tol that is not a positive finite number
     raises OutOfRange.
     """
     if not 0 < tol < np.inf:
@@ -349,12 +349,12 @@ def diagnose(potential: HofbauerPotential, tol=1e-8, K_max=2 ** 22) -> Transitio
             else:
                 cls = "undetermined"
             break
-        if K >= K_max:
+        if K >= _DIAGNOSE_K_MAX:
             if not np.isfinite(tail):
                 raise UndeterminedTail(
                     "family has no analytic tail bound for the defining series")
             raise TailUncertified(
-                f"tail bound {tail} not below {tol / 10} at K={K_max}")
+                f"tail bound {tail} not below {tol / 10} at K={_DIAGNOSE_K_MAX}")
         K *= 2
     return TransitionDiagnostic(
         classification=cls, sum_partial=partial, sum_tail_bound=tail,
@@ -379,8 +379,7 @@ def _tail_settled(partial, estimate, error):
     return error <= 5e-16 * (partial + 1.0)
 
 
-def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
-                     K_max=2 ** 23) -> float:
+def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12) -> float:
     """Pressure of beta * phi from the renewal equation, certified.
 
     Every evaluation of G(P) = sum_k exp(beta s_k - (k+1) P) comes from one
@@ -406,7 +405,7 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
     _check_beta(beta)
     if not 0 < tol < np.inf:
         raise OutOfRange(f"tol must be a positive finite number, got {tol}")
-    series = RenewalSeries(potential, beta, K_max=K_max)
+    series = RenewalSeries(potential, beta)
     cut = 1.0 + 2.0 * tol
 
     def decided(partial, estimate, error):
@@ -435,6 +434,9 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12,
     return float(P - value / slope) if slope > 0 else float(P)
 
 
+_RUN_STATES = 64   # run states of the period-n trace, at least n of them
+
+
 def _runlength_matrix(potential, beta, states):
     """Weighted transition matrix of the leading-run chain, states 0..states-1.
 
@@ -449,12 +451,12 @@ def _runlength_matrix(potential, beta, states):
     return T
 
 
-def pressure_periodic(potential: HofbauerPotential, beta, n, states=64) -> float:
+def pressure_periodic(potential: HofbauerPotential, beta, n) -> float:
     """Pressure estimate log(Z_n)/n from the period-n partition sum.
 
     Z_n sums exp(beta * S_n phi) over all period-n points.  Points containing
     a zero are the length-n cycles of the leading-run chain, so Z_n is a
-    matrix trace over at most max(states, n) run states plus 1 for the
+    matrix trace over max(_RUN_STATES, n) run states plus 1 for the
     all-ones fixed point (whose Birkhoff sum vanishes).  The trace is exact,
     not truncated: a period-n cycle never reaches run length n, so any state
     count >= n gives the identical value.
@@ -466,7 +468,7 @@ def pressure_periodic(potential: HofbauerPotential, beta, n, states=64) -> float
     _check_beta(beta)
     if n < 1:
         raise OutOfRange("period must be at least 1")
-    T = _runlength_matrix(potential, beta, max(int(states), int(n)))
+    T = _runlength_matrix(potential, beta, max(_RUN_STATES, int(n)))
     log_trace = log_trace_power(T, n)
     return float(np.logaddexp(log_trace, 0.0) / n)
 
@@ -478,7 +480,6 @@ class PressureCurve:
     betas: np.ndarray
     pressures: np.ndarray
     kink: float
-    kink_steps: tuple
     left_quotients: dict     # step -> (P(kink-h) - P(kink)) / h
     right_quotients: dict    # step -> (P(kink+h) - P(kink)) / h
 
@@ -513,5 +514,4 @@ def pressure_curve(potential: HofbauerPotential, betas, kink=1.0,
         left[h] = (at(kink - h) - p0) / h
         right[h] = (at(kink + h) - p0) / h
     return PressureCurve(betas=betas, pressures=values, kink=kink,
-                         kink_steps=tuple(kink_steps), left_quotients=left,
-                         right_quotients=right)
+                         left_quotients=left, right_quotients=right)

@@ -265,7 +265,6 @@ class DimensionResult:
     dimension: float
     residual: float
     iterations: int     # pressure evaluations of the root search
-    bracket: tuple      # the interval the search started from
 
 
 def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResult:
@@ -290,8 +289,7 @@ def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResul
     p0 = gibbs_measure(sft, pot.scale(0.0)).pressure
     if p0 <= 0:
         raise IsRepeller("pressure at s = 0 is not positive; nothing to bisect")
-    bracket = (0.0, p0 / np.log(alpha) + 1.0)
-    s, steps = bracketed_root(minus_pressure, *bracket, ftol=tol,
-                              with_slope=True, f_lo=-p0)
+    s, steps = bracketed_root(minus_pressure, 0.0, p0 / np.log(alpha) + 1.0,
+                              ftol=tol, with_slope=True, f_lo=-p0)
     return DimensionResult(dimension=float(s), residual=residual[0],
-                           iterations=steps, bracket=bracket)
+                           iterations=steps)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -345,37 +345,38 @@ def smb_estimate(measure: MarkovMeasure, path) -> float:
 
 @dataclass
 class AepPartition:
-    """Depth-n words split by whether their mass is within exp(-n(h +- alpha))."""
+    """Counts and masses of the depth-n words split by whether their mass is
+    within exp(-n(h +- alpha)); the words themselves are not kept."""
 
     depth: int
     alpha: float
     entropy_rate: float
-    typical: list = field(repr=False)
-    typical_mass: float = 0.0
-    exceptional_mass: float = 0.0
-    typical_count: int = 0
-    word_count: int = 0
+    typical_mass: float
+    exceptional_mass: float
+    typical_count: int
+    word_count: int
 
 
 def aep_partition(measure: MarkovMeasure, n, alpha, budget=10 ** 7) -> AepPartition:
-    """Classify depth-n cylinders as typical or exceptional at level alpha."""
+    """Count and weigh the typical and exceptional depth-n cylinders at
+    level alpha, one enumeration block at a time."""
     if alpha <= 0:
         raise OutOfRange("alpha must be positive")
     h = measure.entropy()
     lo, hi = -n * (h + alpha), -n * (h - alpha)
-    typical, t_mass, e_mass, count = [], 0.0, 0.0, 0
+    t_mass, e_mass, t_count, count = 0.0, 0.0, 0, 0
     for words, mass in measure._support_blocks(n, budget):
         count += len(words)
         with np.errstate(divide="ignore"):
             log_mass = np.log(mass)
         inside = (lo <= log_mass) & (log_mass <= hi)
-        typical.extend(map(tuple, words[inside].tolist()))
+        t_count += int(inside.sum())
         t_mass = ordered_sum(mass[inside], t_mass)
         e_mass = ordered_sum(mass[~inside], e_mass)
-    return AepPartition(depth=n, alpha=alpha, entropy_rate=h, typical=typical,
+    return AepPartition(depth=n, alpha=alpha, entropy_rate=h,
                         typical_mass=float(t_mass),
                         exceptional_mass=float(e_mass),
-                        typical_count=len(typical), word_count=count)
+                        typical_count=t_count, word_count=count)
 
 
 # -- periodic orbits ---------------------------------------------------------------

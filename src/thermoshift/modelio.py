@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -166,6 +167,14 @@ def _require_finite(model, x, what, *path):
         raise _semantic(model, f"{what} must be finite, got {x}", *path)
 
 
+def _require_double(model, x, what, *path):
+    """Refuse an integer past the largest double at the field it came from,
+    where the engines read the field as a float."""
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        raise _semantic(model, f"{what} must fit a double, got an integer of "
+                               f"{len(str(abs(x)))} digits", *path)
+
+
 def _rational(model, x, what, *path):
     """A number as the map reads it, a 'p/q' string as its Fraction; a
     string that is no rational is refused at the field it came from."""
@@ -243,6 +252,7 @@ def _check_potential(model):
         if not _is_number(val):
             raise _schema(model, "potential values must be numbers",
                           "values", word)
+        _require_double(model, val, "potential values", "values", word)
         if len(word) != r:
             raise _semantic(model, f"word {word!r} has length {len(word)}, "
                                    f"expected range {r}", "values", word)
@@ -289,6 +299,7 @@ def _check_markov_chain(model):
     P = np.zeros((n, n))
     for i, j, x in _entries(model, rows, n):
         _require_finite(model, x, "transition entries", "transition", i, j)
+        _require_double(model, x, "transition entries", "transition", i, j)
         if x < 0:
             raise _semantic(model, "transition entries must be >= 0",
                             "transition", i, j)
@@ -314,6 +325,7 @@ def _check_markov_chain(model):
                             "pi")
         for i, x in enumerate(pi):
             _require_finite(model, x, "pi entries", "pi", i)
+            _require_double(model, x, "pi entries", "pi", i)
         v = np.array(pi, dtype=float)
         if np.any(v < 0) or abs(v.sum() - 1.0) > _STOCHASTIC_TOL:
             raise _semantic(model, "pi is not a probability vector", "pi")
@@ -399,6 +411,7 @@ def _check_hofbauer(model):
         if not _is_number(val):
             raise _schema(model, f"field {name!r} must be a number", name)
         _require_finite(model, val, f"field {name!r}", name)
+        _require_double(model, val, f"field {name!r}", name)
     from .hofbauer import CriticalPowerFamily, InverseSquareFamily
 
     family = (CriticalPowerFamily if fam == "critical-power"

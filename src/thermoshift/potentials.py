@@ -122,20 +122,18 @@ class LocallyConstantPotential:
     # -- Birkhoff sums ----------------------------------------------------------
 
     def _tails(self, last):
-        """Admissible continuations of length r-1 after symbol ``last``, lex order."""
+        """Admissible continuations of length r-1 after symbol ``last``."""
         n_tails = self.sft.m ** (self.r - 1)
         if n_tails > _TAIL_BUDGET:
             raise RangeTooLarge(
                 f"{n_tails} tail continuations exceed budget {_TAIL_BUDGET}")
-        tails = np.argwhere(~np.isnan(self.dense_table[last]))
-        return list(map(tuple, tails.tolist()))
+        return np.argwhere(~np.isnan(self.dense_table[last]))
 
     def birkhoff_sups(self, words):
-        """Sup of S_n and its argmax tail for each row of a (k, n) word array.
+        """Sup of S_n over the cylinder of each row of a (k, n) word array.
 
-        Of tied tails the first admissible one in lex order wins.  The sup
-        over tails depends on a word only through its last min(n, r-1)
-        symbols, so it is solved once per distinct end.
+        The sup over tails depends on a word only through its last
+        min(n, r-1) symbols, so it is solved once per distinct end.
         """
         k, n = words.shape
         r, phi = self.r, self.dense_table
@@ -143,14 +141,12 @@ class LocallyConstantPotential:
         for i in range(n - r + 1):
             fixed = fixed + phi[tuple(words[:, i:i + r].T)]
         if r == 1:
-            return fixed, [()] * k
+            return fixed
         ends, end_of = np.unique(words[:, max(0, n - r + 1):], axis=0,
                                  return_inverse=True)
-        end_of = end_of.reshape(-1)
         span = ends.shape[1]
         best = np.empty(len(ends))
-        best_tail = [None] * len(ends)
-        for last in np.unique(ends[:, -1]).tolist():
+        for last in sorted(set(ends[:, -1].tolist())):
             tails = self._tails(last)
             rows = np.flatnonzero(ends[:, -1] == last)
             step = max(1, _BLOCK_ROWS // len(tails))
@@ -159,16 +155,12 @@ class LocallyConstantPotential:
                 shape = (len(chunk), len(tails))
                 ext = np.concatenate((
                     np.broadcast_to(ends[chunk][:, None, :], shape + (span,)),
-                    np.broadcast_to(np.array(tails), shape + (r - 1,))), axis=2)
+                    np.broadcast_to(tails, shape + (r - 1,))), axis=2)
                 s = np.zeros(ext.shape[:2])
                 for i in range(span):
                     s = s + phi[tuple(np.moveaxis(ext[:, :, i:i + r], 2, 0))]
-                # argmax keeps the first maximum: lexicographic tie-break
-                top = s.argmax(axis=1)
-                best[chunk] = s[np.arange(len(chunk)), top]
-                for row, j in zip(chunk.tolist(), top.tolist()):
-                    best_tail[row] = tails[j]
-        return fixed + best[end_of], [best_tail[i] for i in end_of.tolist()]
+                best[chunk] = s.max(axis=1)
+        return fixed + best[end_of.reshape(-1)]
 
     def __repr__(self):
         return f"LocallyConstantPotential(r={self.r}, m={self.sft.m})"

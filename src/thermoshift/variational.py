@@ -14,7 +14,6 @@ import numpy as np
 
 from ._numerics import bracketed_root, log_trace_power, logsumexp
 from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
-from .measures import GibbsMeasure
 from .potentials import LocallyConstantPotential
 from .sft import SubshiftOfFiniteType, _check_own_shift, _word_blocks, full_shift
 from .transfer import build, gibbs_measure
@@ -157,31 +156,23 @@ def _require_full(sft):
 
 @dataclass
 class PnResult:
-    """P_n / n together with the maximizing points (word, tail, value)."""
+    """The cylinder-maximization pressure approximant at depth n."""
 
     n: int
     value: float          # P_n / n
-    points: list | None   # one maximizer per cylinder when collected
 
 
-def pressure_Pn(sft, potential, n, budget=10 ** 7, with_points=False) -> PnResult:
+def pressure_Pn(sft, potential, n, budget=10 ** 7) -> PnResult:
     """Finite pressure approximant log sum_w exp(sup_[w] S_n phi), over n.
 
-    One point per admissible n-cylinder, chosen to maximize the Birkhoff sum
-    (ties broken lexicographically in the continuation); only the value
-    enters P_n.  Works for any potential exposing birkhoff_sups on ``sft``
-    or an equal copy of it (else ValueError).
+    The sum runs over the admissible n-cylinders [w], each with the sup of
+    the Birkhoff sum over its points.  Works for any potential exposing
+    birkhoff_sups on ``sft`` or an equal copy of it (else ValueError).
     """
     _check_own_shift(sft, potential)
-    sups = []
-    points = [] if with_points else None
-    for words in _word_blocks(sft.transition, n, budget=budget):
-        s, tails = potential.birkhoff_sups(words)
-        sups.append(s)
-        if with_points:
-            points.extend(zip(map(tuple, words.tolist()), tails, s.tolist()))
-    value = logsumexp(np.concatenate(sups)) / n
-    return PnResult(n=n, value=value, points=points)
+    sups = [potential.birkhoff_sups(words)
+            for words in _word_blocks(sft.transition, n, budget=budget)]
+    return PnResult(n=n, value=logsumexp(np.concatenate(sups)) / n)
 
 
 # -- named chains -----------------------------------------------------------------

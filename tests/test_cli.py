@@ -512,6 +512,31 @@ def test_non_finite_scalar_in_a_model_is_refused(capsys, tmp_path, name):
     assert [o for o in outcomes if o[2] not in (4, 5)] == []
 
 
+_HUGE = "1" + "0" * 400   # an integer no double can hold
+
+
+@pytest.mark.parametrize("text, argv, field", [
+    (f"kind: markov-chain\ntransition:\n  - [{_HUGE}, 0]\n  - [0.5, 0.5]\n",
+     ["sample", "{}", "--seed", "1"], "transition.0.0"),
+    (f"kind: markov-chain\ntransition:\n  - [0.5, 0.5]\n  - [0.5, 0.5]\n"
+     f"pi: [{_HUGE}, 0.5]\n", ["sample", "{}", "--seed", "1"], "pi.0"),
+    (f'kind: potential\nrange: 2\nvalues:\n  "00": -0.2\n  "01": {_HUGE}\n'
+     f'  "10": 0.4\n', ["pressure", str(MODELS / "golden-mean.yaml"), "{}"],
+     "values.01"),
+    (f"kind: hofbauer-family\nfamily: critical-power\nexponent: {_HUGE}\n",
+     ["hofbauer-scan", "{}"], "exponent"),
+], ids=["transition", "pi", "potential", "exponent"])
+def test_integer_past_the_double_range_is_refused(capsys, tmp_path, text, argv,
+                                                  field):
+    model = tmp_path / "huge.yaml"
+    model.write_text("version: v1\n" + text)
+    assert main([a.format(model) for a in argv]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("semantic error:") and "Traceback" not in err
+    assert "must fit a double, got an integer of 401 digits" in err
+    assert err.rstrip().endswith(f"[field: {field}]")
+
+
 def test_one_label_subshift_exit_5(capsys, tmp_path):
     shift = tmp_path / "one.yaml"
     shift.write_text('version: v1\nkind: sft\nlabels: ["a"]\ntransition: [[1]]\n')

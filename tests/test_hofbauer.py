@@ -61,16 +61,15 @@ def test_birkhoff_sups_hand_words():
         (0, 0, 1, 1, 1): 2 * a[0],
     }
     for word, sup in cases.items():
-        (got,), (tail,) = fam.birkhoff_sups(np.array([word]))
+        (got,) = fam.birkhoff_sups(np.array([word]))
         assert abs(got - sup) < 1e-15
-        assert tail is None
 
 
 def test_scale_is_linear_on_extremes():
     fam = cubic()
     scaled = fam.scale(2.5)
     words = np.array([(1, 1, 0, 1, 0), (0, 1, 1, 1, 1)])
-    sups, base = scaled.birkhoff_sups(words)[0], fam.birkhoff_sups(words)[0]
+    sups, base = scaled.birkhoff_sups(words), fam.birkhoff_sups(words)
     assert np.max(np.abs(sups - 2.5 * base)) < 1e-15
     assert np.max(np.abs(scaled.a_array(50) - 2.5 * fam.a_array(50))) < 1e-15
     with pytest.raises(OutOfRange):
@@ -144,11 +143,13 @@ class BareCubic(HofbauerPotential):
         return cubic().a_array(K)
 
 
-def test_missing_tail_bound_is_refused_not_guessed():
+def test_missing_tail_bound_is_refused_not_guessed(monkeypatch):
+    monkeypatch.setattr(hofbauer, "_DIAGNOSE_K_MAX", 2 ** 13)
+    monkeypatch.setattr(hofbauer, "_SERIES_K_MAX", 2 ** 13)
     with pytest.raises(UndeterminedTail):
-        diagnose(BareCubic(), K_max=2 ** 13)
+        diagnose(BareCubic())
     with pytest.raises(UndeterminedTail):
-        pressure_renewal(BareCubic(), 1.0, K_max=2 ** 13)
+        pressure_renewal(BareCubic(), 1.0)
 
 
 def test_default_tail_centres_the_certified_bound():
@@ -172,10 +173,11 @@ def test_inverse_square_pressures_unchanged():
         assert abs(pressure_renewal(fam, beta) - p) < 1e-12
 
 
-def test_positive_pressure_needs_no_family_tail():
+def test_positive_pressure_needs_no_family_tail(monkeypatch):
     # for P > 0 the geometric tail certifies on its own, so the bare family
     # reproduces the closed-form route wherever the root is positive
-    assert abs(pressure_renewal(BareCubic(), 0.8, K_max=2 ** 16) - P_08) < 1e-9
+    monkeypatch.setattr(hofbauer, "_SERIES_K_MAX", 2 ** 16)
+    assert abs(pressure_renewal(BareCubic(), 0.8) - P_08) < 1e-9
 
 
 # -- renewal pressure ----------------------------------------------------------------
@@ -365,9 +367,12 @@ def test_periodic_sum_counts_points_at_beta_zero():
         assert abs(pressure_periodic(fam, 0.0, n) - np.log(2.0)) < 1e-12
 
 
-def test_periodic_sum_state_count_invariance():
+def test_periodic_sum_state_count_invariance(monkeypatch):
     fam = cubic()
-    vals = [pressure_periodic(fam, 0.8, 18, states=s) for s in (5, 64, 300)]
+    vals = []
+    for states in (5, 64, 300):
+        monkeypatch.setattr(hofbauer, "_RUN_STATES", states)
+        vals.append(pressure_periodic(fam, 0.8, 18))
     assert max(vals) - min(vals) < 1e-14
 
 

@@ -364,6 +364,41 @@ def test_aep_partition_frozen_masses():
     assert masses[14] < masses[8]
 
 
+def brute_aep(mu, n, alpha):
+    """(word count, typical count, typical mass, exceptional mass) over every
+    n-word of positive mass, each mass a left-to-right product, summed in lex
+    order."""
+    h = mu.entropy()
+    words, count, t_mass, e_mass = 0, 0, 0.0, 0.0
+    for word in itertools.product(range(mu.m), repeat=n):
+        mass = mu.pi[word[0]]
+        for a, b in zip(word, word[1:]):
+            mass *= mu.P[a, b]
+        if mass == 0.0:
+            continue
+        words += 1
+        if -n * (h + alpha) <= math.log(mass) <= -n * (h - alpha):
+            count, t_mass = count + 1, t_mass + mass
+        else:
+            e_mass += mass
+    return words, count, t_mass, e_mass
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_aep_partition_matches_word_by_word_reference(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    # a cycle keeps the chain irreducible; other transitions drop at random
+    keep = (rng.random((m, m)) < 0.6) | np.roll(np.eye(m, dtype=bool), 1, axis=1)
+    P = np.where(keep, rng.uniform(0.05, 1.0, (m, m)), 0.0)
+    mu = MarkovMeasure.from_transition(P / P.sum(axis=1, keepdims=True))
+    alpha = float(rng.uniform(0.02, 0.5))
+    for n in range(1, {2: 11, 3: 7, 4: 6}[m]):
+        part = aep_partition(mu, n, alpha)
+        assert (part.word_count, part.typical_count, part.typical_mass,
+                part.exceptional_mass) == brute_aep(mu, n, alpha)
+
+
 def test_aep_partition_edges():
     mu = bernoulli(0.25)
     with pytest.raises(OutOfRange):

@@ -9,6 +9,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from thermoshift import _numerics
 from thermoshift._numerics import (EXPINT_RTOL, ZETA_N, bracketed_root, expint,
                                    log_trace_power, logsumexp, zeta)
 from thermoshift.errors import NoConvergence
@@ -77,15 +78,16 @@ def test_bracketed_root_expands_a_bracket_that_misses():
     assert abs(newton - 100.0) <= 1e-9 and steps < steps_up
 
 
-def test_bracketed_root_raises_at_the_step_cap():
+def test_bracketed_root_raises_at_the_step_cap(monkeypatch):
     calls = []
 
     def no_root(x):
         calls.append(x)
         return -1.0
 
+    monkeypatch.setattr(_numerics, "ROOT_STEPS", 25)
     with pytest.raises(NoConvergence):
-        bracketed_root(no_root, 0.0, 1.0, max_steps=25)
+        bracketed_root(no_root, 0.0, 1.0)
     assert len(calls) == 25
     # a tolerance below the float spacing is never met: no unconverged value
     with pytest.raises(NoConvergence):

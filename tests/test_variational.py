@@ -1,5 +1,9 @@
 """Finite equilibria, lattice rings, and the cylinder pressure approximant."""
 
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,20 +176,36 @@ def test_pn_ising_within_tolerance_at_depth_14():
         assert abs(res.value - ising_pressure_exact(beta)) < 5e-2
 
 
-def test_pn_collects_maximizing_points():
+def test_pn_sums_the_sup_of_each_cylinder():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential(
         sft, 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
-    res = pressure_Pn(sft, pot, 5, with_points=True)
-    assert len(res.points) == sft.count_words(5)
-    for word, tail, value in res.points:
-        # the point word.tail attains the sup over the one free coordinate
-        sums = {t: sum(pot.value((word + (t,))[i:i + 2]) for i in range(5))
-                for t in (0, 1) if sft.is_admissible(word + (t,))}
-        assert tail == (max(sums, key=sums.get),)
-        assert abs(value - sums[tail[0]]) < 1e-15
+    words = [w for w in itertools.product((0, 1), repeat=5)
+             if sft.is_admissible(w)]
+    assert len(words) == sft.count_words(5)
+    # the sup over [word] maximizes over the one free coordinate past it
+    sups = [max(sum(pot.value((word + (t,))[i:i + 2]) for i in range(5))
+                for t in (0, 1) if sft.is_admissible(word + (t,)))
+            for word in words]
+    assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - sups)) < 1e-15
+    value = pressure_Pn(sft, pot, 5).value
+    assert abs(value - np.log(np.exp(sups).sum()) / 5) < 1e-15
     with pytest.raises(DepthTooLarge):
         pressure_Pn(sft, pot, 40, budget=1000)
+
+
+def test_pn_loads_neither_the_measures_nor_numpy_ma():
+    # P_n needs no measure class, and its loop over distinct word ends must
+    # not call the plain np.unique, which imports numpy.ma on numpy >= 2
+    code = ("import sys, numpy; before = 'numpy.ma' in sys.modules\n"
+            "import thermoshift.variational as v\n"
+            "print('thermoshift.measures' in sys.modules)\n"
+            "pot = v.ising_potential(0.5)\n"
+            "v.pressure_Pn(pot.sft, pot, 6)\n"
+            "print(before or 'numpy.ma' not in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("route", [

@@ -18,7 +18,7 @@ def bernoulli(p):
 # -- block entropies converge to the rate ---------------------------------------
 
 sft = golden_mean_shift()
-parry = gibbs_measure(sft, LocallyConstantPotential.zero(sft)).markov
+parry = gibbs_measure(LocallyConstantPotential.zero(sft)).markov
 h = parry.entropy()
 blocks = entropy_by_blocks(parry, 8)
 print("Parry measure of the golden mean shift:")
@@ -38,7 +38,7 @@ print("  direct cylinder route is depth-independent for product measures:")
 for n in (1, 4, 8, 12):
     print(f"    n={n:2d}  {relative_entropy_direct(nu, mu, n):.15f}")
 
-mme = gibbs_measure(full_shift(2), LocallyConstantPotential.zero(full_shift(2)))
+mme = gibbs_measure(LocallyConstantPotential.zero(full_shift(2)))
 print(f"\nParry vs the full-shift coin flip: "
       f"{relative_entropy(parry, mme):.12f}  (= log 2 - log golden)")
 

@@ -17,7 +17,7 @@ print("beta    closed form        spectral gap   ring n=12 gap   ring n=20 gap")
 for beta in (0.25, 0.5, 1.0, 1.5, 2.0):
     pot = ising_potential(beta)
     exact = ising_pressure_exact(beta)
-    spectral = pressure(pot.sft, pot)
+    spectral = pressure(pot)
     ring12 = lattice_pressure_trace(12, pot, 1.0)
     ring20 = lattice_pressure_trace(20, pot, 1.0)
     print(f"{beta:4.2f}   {exact:.12f}   {abs(spectral - exact):.1e}"
@@ -34,7 +34,7 @@ for beta in (0.5, 2.0):
 
 print("\nnearest-neighbour correlation <s_0 s_1> vs tanh(beta):")
 for beta in (0.3, 0.8, 1.4):
-    mu = gibbs_measure(ising_potential(1.0).sft, ising_potential(beta))
+    mu = gibbs_measure(ising_potential(beta))
     corr = mu.expectation(ising_potential(1.0))
     print(f"  beta={beta:3.1f}   {corr:+.12f}   error {corr - np.tanh(beta):+.1e}")
 

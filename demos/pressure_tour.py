@@ -16,15 +16,15 @@ sft = golden_mean_shift()
 pot = LocallyConstantPotential(
     sft, 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
 
-p = pressure(sft, pot)
+p = pressure(pot)
 print(f"spectral pressure          {p:+.15f}")
 
 print("\ncylinder approximants (upper bounds, decreasing):")
 for n in (2, 4, 6, 8, 10, 12, 14):
-    pn = pressure_Pn(sft, pot, n).value
+    pn = pressure_Pn(pot, n).value
     print(f"  n={n:2d}   P_n/n = {pn:+.12f}   gap = {pn - p:.3e}")
 
-mu = gibbs_measure(sft, pot)
+mu = gibbs_measure(pot)
 h = mu.entropy()
 mean = mu.expectation()
 print(f"\nentropy of the equilibrium  {h:+.15f}")

@@ -23,7 +23,7 @@ _ENGINES = {
                  "InverseSquareFamily", "diagnose", "pressure_curve",
                  "pressure_periodic", "pressure_renewal"),
     "interval_maps": ("PiecewiseLinearMarkovMap", "acim", "bowen_dimension",
-                      "code", "distortion_certificate"),
+                      "code"),
     "measures": ("AepPartition", "GibbsMeasure", "MarkovMeasure",
                  "aep_partition", "entropy_by_blocks", "entropy_production",
                  "periodic_approximation", "relative_entropy",

@@ -186,9 +186,10 @@ _KINDS = {"sft": "sft", "potential": "potential", "chain": "markov-chain",
 
 def _load(report, path, kind, loaded):
     """Parse a model file of the given kind, record its digest and return
-    what the handler takes from it: the engine object, bound to the subshift
-    loaded before it if it is a potential, and followed by the labels if it
-    is a chain."""
+    what the handler takes from it: the engine object, followed by the labels
+    if it is a chain.  A potential is bound to the subshift loaded before it
+    and takes that subshift's place in ``loaded``, as it carries it as
+    ``sft``."""
     try:
         model = modelio.parse(path)
     except OSError as exc:
@@ -198,7 +199,7 @@ def _load(report, path, kind, loaded):
             f"{path}: expected kind {kind!r}, got {model.kind!r}", field="kind")
     report.input(model)
     if kind == "potential":
-        return [modelio.bind_potential(model, loaded[-1])]
+        return [modelio.bind_potential(model, loaded.pop())]
     if kind == "markov-chain":
         return [model.obj, modelio.chain_labels(model)]
     return [model.obj]
@@ -222,25 +223,25 @@ def _cmd_entropy(args, report, sft):
                            [h, approx], "nats")
 
 
-def _cmd_pressure(args, report, sft, pot):
+def _cmd_pressure(args, report, pot):
     from .transfer import pressure as spectral_pressure
     from .variational import pressure_Pn
 
     pot = pot.scale(args.beta)
-    p = spectral_pressure(sft, pot, tol=args.tol)
+    p = spectral_pressure(pot, tol=args.tol)
     report.result("pressure", p, "nats", "spectral")
     if args.check:
         n = args.depth
-        pn = pressure_Pn(sft, pot, n, budget=args.budget).value
+        pn = pressure_Pn(pot, n, budget=args.budget).value
         report.result(f"Pn_over_n(n={n})", pn, "nats", "variational")
         report.certificate("pressure_cross_check", ["spectral", "variational"],
                            [p, pn], "nats")
 
 
-def _cmd_gibbs(args, report, sft, pot):
+def _cmd_gibbs(args, report, pot):
     from .transfer import gibbs_measure
 
-    g = gibbs_measure(sft, pot.scale(args.beta), tol=args.tol)
+    g = gibbs_measure(pot.scale(args.beta), tol=args.tol)
     h = g.entropy()
     mean = g.expectation()
     report.result("pressure", g.pressure, "nats", "spectral")
@@ -248,7 +249,7 @@ def _cmd_gibbs(args, report, sft, pot):
     report.result("potential_mean", mean, "nats", "spectral")
     report.result("equilibrium_residual", abs(h + mean - g.pressure), "nats",
                   "spectral")
-    labels = list(g.sft.alphabet.labels)
+    labels = list(g.markov.sft.alphabet.labels)
     report.annotate("states", labels)
     report.annotate("stationary", [float(x) for x in g.markov.pi])
     report.annotate("transition", [[float(x) for x in row]
@@ -260,23 +261,24 @@ def _cmd_gibbs(args, report, sft, pot):
                      [labels, g.markov.pi, *g.markov.P.T])
 
 
-def _cmd_bounds(args, report, sft, pot):
+def _cmd_bounds(args, report, pot):
     from .transfer import gibbs_bounds, gibbs_measure
 
-    g = gibbs_measure(sft, pot.scale(args.beta))
+    g = gibbs_measure(pot.scale(args.beta))
     b = gibbs_bounds(g, args.depth, budget=args.budget)
     report.result("c_min", b.c_min, "ratio", "enumeration")
     report.result("c_max", b.c_max, "ratio", "enumeration")
     report.annotate("depth", b.depth)
-    report.annotate("argmin_word", g.sft.alphabet.word_string(b.argmin))
-    report.annotate("argmax_word", g.sft.alphabet.word_string(b.argmax))
+    alphabet = g.markov.sft.alphabet
+    report.annotate("argmin_word", alphabet.word_string(b.argmin))
+    report.annotate("argmax_word", alphabet.word_string(b.argmax))
 
 
-def _cmd_relent(args, report, sft, pot, nu, labels):
+def _cmd_relent(args, report, pot, nu, labels):
     from .measures import relative_entropy, relative_entropy_direct
     from .transfer import gibbs_measure
 
-    mu = gibbs_measure(sft, pot.scale(args.beta))
+    mu = gibbs_measure(pot.scale(args.beta))
     closed = relative_entropy(nu, mu)
     report.result("relative_entropy", closed, "nats", "spectral")
     report.annotate("chain_states", labels)
@@ -370,7 +372,7 @@ def _cmd_production(args, report, nu, labels):
                            "nats")
 
 
-def _cmd_lattice(args, report, sft, pot):
+def _cmd_lattice(args, report, pot):
     from .variational import lattice_equilibrium, lattice_pressure_trace
 
     eq = lattice_equilibrium(args.n, pot, args.beta, budget=args.budget,
@@ -386,7 +388,7 @@ def _cmd_lattice(args, report, sft, pot):
     if args.out:
         words, masses = zip(*sorted(eq.masses.items()))
         report.table(args.out, ["configuration", "mass"],
-                     [[sft.alphabet.word_string(w) for w in words],
+                     [[pot.sft.alphabet.word_string(w) for w in words],
                       np.array(masses)])
 
 
@@ -398,14 +400,13 @@ def _cmd_ising(args, report):
 
     beta = args.beta
     pot = ising_potential(beta)
-    sft = pot.sft
-    p = spectral_pressure(sft, pot, tol=args.tol)
+    p = spectral_pressure(pot, tol=args.tol)
     exact = ising_pressure_exact(beta)
     report.result("pressure", p, "nats", "spectral")
     report.result("pressure_closed_form", exact, "nats", "variational")
     report.certificate("ising_pressure", ["spectral", "variational"],
                        [p, exact], "nats")
-    g = gibbs_measure(sft, pot, tol=args.tol)
+    g = gibbs_measure(pot, tol=args.tol)
     corr = g.expectation(ising_potential(1.0))
     report.result("correlation", corr, "dimensionless", "spectral")
     report.result("correlation_closed_form", float(np.tanh(beta)),
@@ -503,16 +504,16 @@ def _cmd_acim(args, report, imap):
                       [res.densities[s] for s in range(len(intervals))]])
 
 
-def _cmd_pn_scan(args, report, sft, pot):
+def _cmd_pn_scan(args, report, pot):
     from .transfer import pressure as spectral_pressure
     from .variational import pressure_Pn
 
     pot = pot.scale(args.beta)
-    ref = spectral_pressure(sft, pot)
+    ref = spectral_pressure(pot)
     report.result("pressure", ref, "nats", "spectral")
     values = []
     for n in range(1, args.n_max + 1):
-        pn = pressure_Pn(sft, pot, n, budget=args.budget).value
+        pn = pressure_Pn(pot, n, budget=args.budget).value
         values.append(pn)
         report.result(f"Pn_over_n(n={n})", pn, "nats", "variational")
     report.certificate(f"Pn_vs_spectral(n={args.n_max})",
@@ -584,8 +585,8 @@ _BUDGET = 10 ** 7
 
 # command -> (handler, help, model-file positionals, {flag: default}); main
 # loads the model files in this order and calls the handler with their engine
-# objects.  The flags appear in this order in the usage line, and every
-# command ends with --bits
+# objects, a potential in place of its subshift.  The flags appear in this
+# order in the usage line, and every command ends with --bits
 _COMMANDS = {
     "entropy": (_cmd_entropy, "topological entropy of a subshift", ["sft"],
                 {"tol": 1e-14, "depth": 12, "check": False}),

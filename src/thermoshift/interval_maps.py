@@ -3,11 +3,11 @@
 A map is given by breakpoints 0 = u_0 < ... < u_N = 1 and, on some of the
 intervals (u_{i-1}, u_i), an affine branch whose image is an exact union of
 partition intervals.  Geometry is done in exact rational arithmetic, so the
-Markov consistency checks, cylinder lengths and distortion identities are
-not subject to rounding.  Intervals without a branch are holes: the map is
-then a repeller and only the dimension theory applies, not the invariant
-density.  A branch image is a contiguous run of partition intervals, held as
-a ``range`` of their indices, so its endpoints are two breakpoints.
+Markov consistency checks and cylinder lengths are not subject to
+rounding.  Intervals without a branch are holes: the map is then a repeller
+and only the dimension theory applies, not the invariant density.  A branch
+image is a contiguous run of partition intervals, held as a ``range`` of
+their indices, so its endpoints are two breakpoints.
 """
 
 from __future__ import annotations
@@ -107,10 +107,6 @@ class PiecewiseLinearMarkovMap:
         image = self.branches[i].image
         return self.breakpoints[image.start], self.breakpoints[image.stop]
 
-    def image_length(self, i) -> Fraction:
-        lo, hi = self.image_span(i)
-        return hi - lo
-
     def affine(self, i):
         """(slope, intercept) with T(x) = slope x + intercept on interval i."""
         b = self.branches[i]
@@ -184,42 +180,6 @@ def code(imap: PiecewiseLinearMarkovMap) -> CodedSystem:
 
 
 @dataclass
-class DistortionCertificate:
-    """Extremes of |I_w| * |(T^n)'| over depth-n words, raw and normalized.
-
-    The raw product equals the image length of the final branch, so dividing
-    by it is exactly 1 for every piecewise linear Markov map; for maps whose
-    branches all surject onto [0,1] the raw ratio itself is exactly 1.
-    """
-
-    depth: int
-    ratio_min: float
-    ratio_max: float
-    constant: float
-    normalized_exact: bool
-
-
-def distortion_certificate(coded: CodedSystem, n, budget=10 ** 6) -> DistortionCertificate:
-    imap = coded.map
-    lo = hi = None
-    normalized_ok = True
-    blocks = _word_blocks(coded.sft.transition, n, budget=budget)
-    for word in (word for block in blocks for word in block.tolist()):
-        length = coded.cylinder_length(word)
-        deriv = Fraction(1)
-        for sym in word:
-            deriv *= abs(imap.branches[coded.symbols[sym]].slope)
-        raw = length * deriv
-        normalized_ok &= (raw == imap.image_length(coded.symbols[word[-1]]))
-        lo = raw if lo is None or raw < lo else lo
-        hi = raw if hi is None or raw > hi else hi
-    c = max(float(hi), 1.0 / float(lo))
-    return DistortionCertificate(depth=n, ratio_min=float(lo),
-                                 ratio_max=float(hi), constant=c,
-                                 normalized_exact=bool(normalized_ok))
-
-
-@dataclass
 class AcimResult:
     """Absolutely continuous invariant measure of a covering linear Markov map."""
 
@@ -249,7 +209,7 @@ def acim(imap: PiecewiseLinearMarkovMap, tol=1e-13) -> AcimResult:
     if not imap.covering:
         raise IsRepeller("branches do not cover [0,1]; no invariant density")
     coded = code(imap)
-    meas = gibbs_measure(coded.sft, coded.potential, tol=tol)
+    meas = gibbs_measure(coded.potential, tol=tol)
     if meas.pressure < -1e-10:
         raise IsRepeller(f"geometric pressure {meas.pressure} < 0")
     densities = {s: float(meas.markov.pi[s] / float(imap.lengths[i]))
@@ -277,16 +237,16 @@ def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResul
     |P| <= tol.
     """
     coded = code(imap)
-    sft, pot = coded.sft, coded.potential
+    pot = coded.potential
     residual = []
 
     def minus_pressure(s):
-        g = gibbs_measure(sft, pot.scale(s))
+        g = gibbs_measure(pot.scale(s))
         residual[:] = [abs(g.pressure)]
         return -g.pressure, -g.expectation(pot)
 
     alpha = min(float(abs(imap.branches[i].slope)) for i in imap.branch_ids)
-    p0 = gibbs_measure(sft, pot.scale(0.0)).pressure
+    p0 = gibbs_measure(pot.scale(0.0)).pressure
     if p0 <= 0:
         raise IsRepeller("pressure at s = 0 is not positive; nothing to bisect")
     s, steps = bracketed_root(minus_pressure, 0.0, p0 / np.log(alpha) + 1.0,

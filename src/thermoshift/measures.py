@@ -227,7 +227,6 @@ class GibbsMeasure:
     potential: object
     pressure: float
     eigen: object
-    sft: SubshiftOfFiniteType
     recoding: object = None
 
     def entropy(self):
@@ -242,9 +241,9 @@ class GibbsMeasure:
 
     def cylinder_original(self, word):
         """Mass of a cylinder of the original (pre-recoding) subshift."""
-        if self.recoding is None or self.recoding.original_sft is self.sft:
-            return self.markov.cylinder(word)
         rec = self.recoding
+        if rec is None or rec.original_sft is self.markov.sft:
+            return self.markov.cylinder(word)
         k = rec.original_range - 1
         word = tuple(word)
         if not rec.original_sft.is_admissible(word):

@@ -104,6 +104,42 @@ _schema = partial(_fault, ModelSchemaError)
 _semantic = partial(_fault, ModelSemanticError)
 
 
+def _nodes(node, path=()):
+    """Every node under ``node``, itself included, with its path as _mark
+    takes it."""
+    yield path, node
+    if isinstance(node, yaml.MappingNode):
+        for key, child in node.value:
+            yield from _nodes(child, path + (key.value,))
+    elif isinstance(node, yaml.SequenceNode):
+        for i, child in enumerate(node.value):
+            yield from _nodes(child, path + (i,))
+
+
+class _Constructor(yaml.constructor.SafeConstructor):
+    """PyYAML's safe constructor, except that an integer past Python's
+    int-string limit (4300 digits by default), which no double holds either,
+    is a semantic error at its field rather than a bare ValueError."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.model = model
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:
+            digits = sum(c.isdigit() for c in node.value)
+            path = next((p for p, n in _nodes(self.model.node) if n is node),
+                        ())   # a mapping key has no path of its own
+            raise _semantic(self.model, "integers must fit a double, got an "
+                            f"integer of {digits} digits", *path) from None
+
+
+_Constructor.add_constructor("tag:yaml.org,2002:int",
+                             _Constructor.construct_yaml_int)
+
+
 def _is_number(x, types=(int, float)):
     """Whether x is one of ``types``; YAML's true and false are bools, which
     count as none of them."""
@@ -119,15 +155,16 @@ def parse(path) -> ModelFile:
     bind_potential.
     """
     raw = Path(path).read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
+    model = ModelFile(path=str(path), kind=None, version=VERSION, body=None,
+                      digest=hashlib.sha256(raw).hexdigest())
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelSyntaxError(f"{path}: not valid UTF-8 ({exc})") from None
     try:
-        node = yaml.compose(text, Loader=_LOADER)
-        data = (None if node is None
-                else yaml.constructor.SafeConstructor().construct_document(node))
+        model.node = yaml.compose(text, Loader=_LOADER)
+        data = (None if model.node is None
+                else _Constructor(model).construct_document(model.node))
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         raise ModelSyntaxError(
@@ -137,8 +174,6 @@ def parse(path) -> ModelFile:
     except yaml.YAMLError as exc:
         raise ModelSyntaxError(f"{path}: {exc}") from None
 
-    model = ModelFile(path=str(path), kind=None, version=VERSION, body=data,
-                      digest=digest, node=node)
     if not isinstance(data, dict):
         raise _schema(model, "top level must be a mapping")
     if "version" not in data:
@@ -171,8 +206,12 @@ def _require_double(model, x, what, *path):
     """Refuse an integer past the largest double at the field it came from,
     where the engines read the field as a float."""
     if isinstance(x, int) and abs(x) > sys.float_info.max:
+        # its decimal digits, counted without str(), which refuses more than
+        # 4300 of them: a hex literal reaches that count and still parses
+        digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1
+        digits += abs(x) >= 10 ** digits
         raise _semantic(model, f"{what} must fit a double, got an integer of "
-                               f"{len(str(abs(x)))} digits", *path)
+                               f"{digits} digits", *path)
 
 
 def _rational(model, x, what, *path):
@@ -252,6 +291,7 @@ def _check_potential(model):
         if not _is_number(val):
             raise _schema(model, "potential values must be numbers",
                           "values", word)
+        _require_finite(model, val, "potential values", "values", word)
         _require_double(model, val, "potential values", "values", word)
         if len(word) != r:
             raise _semantic(model, f"word {word!r} has length {len(word)}, "

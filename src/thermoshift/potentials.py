@@ -168,7 +168,8 @@ class LocallyConstantPotential:
 
 @dataclass
 class Recoding:
-    """Outcome of rewriting a range-r potential as range 2 on a block shift.
+    """Outcome of rewriting a range-r potential as range 2 on a block shift,
+    the new potential's ``sft``.
 
     ``blocks[i]`` is the admissible (r-1)-word represented by new symbol i.
     ``encode_word`` maps original admissible words of length >= r-1 to block
@@ -176,7 +177,6 @@ class Recoding:
     through this map.
     """
 
-    sft: SubshiftOfFiniteType
     potential: LocallyConstantPotential
     blocks: tuple
     block_index: dict
@@ -204,7 +204,7 @@ def recode_range2(potential) -> Recoding:
     sft, r = potential.sft, potential.r
     if r <= 2:
         blocks = tuple((a,) for a in range(sft.m))
-        return Recoding(sft=sft, potential=potential, blocks=blocks,
+        return Recoding(potential=potential, blocks=blocks,
                         block_index={b: i for i, b in enumerate(blocks)},
                         original_sft=sft, original_range=max(r, 2))
     words = np.argwhere(sft.admissible_mask(r - 1))
@@ -221,7 +221,7 @@ def recode_range2(potential) -> Recoding:
     dense2 = np.full(M2.shape, np.nan)
     dense2[i, j] = potential.dense_table[tuple(words[i].T) + (words[j, -1],)]
     pot2 = LocallyConstantPotential._from_dense(sft2, dense2)
-    return Recoding(sft=sft2, potential=pot2, blocks=blocks, block_index=index,
+    return Recoding(potential=pot2, blocks=blocks, block_index=index,
                     original_sft=sft, original_range=r)
 
 

@@ -300,13 +300,3 @@ def _check_period(n):
     if n > _PERIOD_CAP:
         raise PeriodTooLarge(f"period {n} exceeds cap {_PERIOD_CAP}")
 
-
-def _check_own_shift(sft, potential):
-    """ValueError unless ``sft`` is the potential's subshift or an equal copy
-    (same alphabet, same transition matrix): the spectral routes read the
-    potential's own subshift, the enumerators the one they are given."""
-    own = potential.sft
-    if sft is not own and not (sft.alphabet == own.alphabet and np.array_equal(
-            sft.transition, own.transition)):
-        raise ValueError("the subshift is not the potential's own: its "
-                         "alphabet or transition matrix differs")

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._numerics import rescaled_product
 from .errors import NoConvergence, OutOfRange, RangeTooLarge
-from .sft import _check_own_shift, _word_blocks
+from .sft import _word_blocks
 
 
 @dataclass
@@ -41,9 +41,9 @@ class EigenData:
     squarings: int = 0
 
 
-def build(sft, potential) -> np.ndarray:
-    """The (m, m) matrix A of the operator of a range <= 2 potential (see the
-    module docstring).
+def build(potential) -> np.ndarray:
+    """The (m, m) matrix A of the operator of a range <= 2 potential on its
+    subshift (see the module docstring).
 
     Raises OutOfRange when the weight exp(phi) of an admissible transition
     is 0 or not finite as a double: the matrix would drop that transition
@@ -51,9 +51,9 @@ def build(sft, potential) -> np.ndarray:
     """
     if potential.r > 2:
         raise RangeTooLarge("matrix form needs range <= 2; recode first")
-    sft.require_primitive()
+    potential.sft.require_primitive()
     phi = potential.with_range(2).dense_table
-    admissible = sft.transition != 0
+    admissible = potential.sft.transition != 0
     with np.errstate(over="ignore"):
         weights = np.exp(phi)
     lost = admissible & ~((weights > 0.0) & (weights < np.inf))
@@ -155,36 +155,32 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
         f"no Perron eigendata within tol={tol} in {_MAX_ROUNDS} rounds")
 
 
-def pressure(sft, potential, tol=1e-13) -> float:
-    """Topological pressure of a locally constant potential (nats).
+def pressure(potential, tol=1e-13) -> float:
+    """Topological pressure of a locally constant potential on its subshift
+    (nats).
 
     Range > 2 potentials are block-recoded internally; the value is
-    log of the spectral radius of the transfer matrix either way.  ``sft``
-    must be the potential's subshift or an equal copy (else ValueError).
+    log of the spectral radius of the transfer matrix either way.
     """
     from .potentials import recode_range2
 
-    _check_own_shift(sft, potential)
-    rec = recode_range2(potential)
-    eig = leading_eigen(build(rec.sft, rec.potential), tol=tol)
+    eig = leading_eigen(build(recode_range2(potential).potential), tol=tol)
     return float(np.log(eig.lam))
 
 
-def gibbs_measure(sft, potential, tol=1e-13) -> GibbsMeasure:
-    """Gibbs state of the potential, in stationary Markov form.
+def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
+    """Gibbs state of the potential on its subshift, in stationary Markov form.
 
     P[a, b] = A[a, b] v_b / (lam v_a) and pi_a = u_a v_a; cylinder masses of
     the returned measure satisfy the two-sided Gibbs inequalities with
     constants read off the eigenvectors.  For range > 2 the state lives on
-    the block recoding (see ``GibbsMeasure.cylinder_original``).  ``sft``
-    must be the potential's subshift or an equal copy (else ValueError).
+    the block recoding (see ``GibbsMeasure.cylinder_original``).
     """
     from .measures import GibbsMeasure, MarkovMeasure
     from .potentials import recode_range2
 
-    _check_own_shift(sft, potential)
     rec = recode_range2(potential)
-    A = build(rec.sft, rec.potential)
+    A = build(rec.potential)
     eig = leading_eigen(A, tol=tol)
     v, u, lam = eig.v, eig.u, eig.lam
     P = A * v[None, :] / (lam * v[:, None])
@@ -192,10 +188,9 @@ def gibbs_measure(sft, potential, tol=1e-13) -> GibbsMeasure:
     P = P / P.sum(axis=1, keepdims=True)
     pi = u * v
     pi = pi / pi.sum()
-    markov = MarkovMeasure(pi, P, sft=rec.sft)
+    markov = MarkovMeasure(pi, P, sft=rec.potential.sft)
     return GibbsMeasure(markov=markov, potential=rec.potential,
-                        pressure=float(np.log(lam)), eigen=eig, sft=rec.sft,
-                        recoding=rec)
+                        pressure=float(np.log(lam)), eigen=eig, recoding=rec)
 
 
 @dataclass
@@ -217,7 +212,6 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     the equality case (zero potential on a full shift gives ratio 1.0, not
     1.0 up to rounding).
     """
-    sft = measure.sft
     phi = measure.potential.with_range(2).dense_table
     p = measure.pressure
     with np.errstate(divide="ignore"):
@@ -228,7 +222,7 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     tail = p - np.nanmax(phi, axis=1)
     c_min, c_max = np.inf, -np.inf
     argmin = argmax = None
-    for words in _word_blocks(sft.transition, n, budget=budget):
+    for words in _word_blocks(measure.markov.sft.transition, n, budget=budget):
         log_ratio = log_pi[words[:, 0]] + tail[words[:, -1]]
         for j in range(1, n):
             log_ratio = log_ratio + step[words[:, j - 1], words[:, j]]

@@ -15,7 +15,7 @@ import numpy as np
 from ._numerics import bracketed_root, log_trace_power, logsumexp
 from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
 from .potentials import LocallyConstantPotential
-from .sft import SubshiftOfFiniteType, _check_own_shift, _word_blocks, full_shift
+from .sft import SubshiftOfFiniteType, _word_blocks, full_shift
 from .transfer import build, gibbs_measure
 
 
@@ -137,13 +137,12 @@ def lattice_pressure_trace(n, potential, beta) -> float:
     Exact identity for range <= 2 potentials on the full alphabet:
     sum over ring configurations of exp(beta S) = trace(A_beta^n).
     """
-    sft = potential.sft
-    _require_full(sft)
+    _require_full(potential.sft)
     if potential.r > 2:
         raise OutOfRange("trace route needs range <= 2")
     if n < 1:
         raise OutOfRange("ring size must be >= 1")
-    return log_trace_power(build(sft, potential.scale(beta)), n) / n
+    return log_trace_power(build(potential.scale(beta)), n) / n
 
 
 def _require_full(sft):
@@ -162,16 +161,15 @@ class PnResult:
     value: float          # P_n / n
 
 
-def pressure_Pn(sft, potential, n, budget=10 ** 7) -> PnResult:
+def pressure_Pn(potential, n, budget=10 ** 7) -> PnResult:
     """Finite pressure approximant log sum_w exp(sup_[w] S_n phi), over n.
 
-    The sum runs over the admissible n-cylinders [w], each with the sup of
-    the Birkhoff sum over its points.  Works for any potential exposing
-    birkhoff_sups on ``sft`` or an equal copy of it (else ValueError).
+    The sum runs over the admissible n-cylinders [w] of the potential's
+    subshift, each with the sup of the Birkhoff sum over its points.  Works
+    for any potential exposing ``sft`` and ``birkhoff_sups``.
     """
-    _check_own_shift(sft, potential)
-    sups = [potential.birkhoff_sups(words)
-            for words in _word_blocks(sft.transition, n, budget=budget)]
+    sups = [potential.birkhoff_sups(words) for words in
+            _word_blocks(potential.sft.transition, n, budget=budget)]
     return PnResult(n=n, value=logsumexp(np.concatenate(sups)) / n)
 
 
@@ -200,9 +198,11 @@ def ising_match(target_correlation, tol=1e-12):
     if not (-1.0 < target_correlation < 1.0):
         raise TargetOutOfRange("correlation must lie strictly inside (-1, 1)")
 
+    spins = ising_potential(1.0)
+
     def excess(beta):
-        meas = gibbs_measure(ising_potential(1.0).sft, ising_potential(beta))
-        return meas.expectation(ising_potential(1.0)) - target_correlation
+        return (gibbs_measure(ising_potential(beta)).expectation(spins)
+                - target_correlation)
 
     return float(bracketed_root(excess, -1.0, 1.0, xtol=tol, ftol=tol)[0])
 
@@ -227,4 +227,4 @@ def markov_as_gibbs(Q, labels=None, tol=1e-13) -> GibbsMeasure:
     sft = SubshiftOfFiniteType(labels, (Q > 0).astype(np.int8))
     sft.require_primitive()
     pot = LocallyConstantPotential.from_function(sft, 2, lambda w: np.log(Q[w]))
-    return gibbs_measure(sft, pot, tol=tol)
+    return gibbs_measure(pot, tol=tol)

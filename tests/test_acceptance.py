@@ -45,7 +45,7 @@ def bernoulli(p):
 
 def parry_measure():
     sft = golden_mean_shift()
-    return gibbs_measure(sft, LocallyConstantPotential.zero(sft))
+    return gibbs_measure(LocallyConstantPotential.zero(sft))
 
 
 def random_chain(rng, m=2):
@@ -105,8 +105,8 @@ def test_03_pressure_three_ways_ising():
         pot = ising_potential(beta)
         exact = ising_pressure_exact(beta)
         assert abs(exact - np.log(2.0 * np.cosh(beta))) < 1e-15
-        assert abs(pressure(pot.sft, pot) - exact) < 1e-10
-        assert abs(pressure_Pn(pot.sft, pot, 14).value - exact) < 5e-2
+        assert abs(pressure(pot) - exact) < 1e-10
+        assert abs(pressure_Pn(pot, 14).value - exact) < 5e-2
         # the ring exceeds the line value by exactly log(1 + tanh^n)/n;
         # at beta=2 that excess is 0.0196, larger than 1e-2 by itself, so
         # the raw gap is bounded where the excess sits below the tolerance
@@ -125,7 +125,7 @@ def test_04_gibbs_ratio_bounds():
     def envelope(mu):
         eig = mu.eigen
         pot2 = mu.potential.with_range(2)
-        sft = mu.sft
+        sft = mu.markov.sft
         tail = np.array([np.exp(mu.pressure -
                                 max(v for w, v in pot2.table.items()
                                     if w[0] == a))
@@ -135,12 +135,12 @@ def test_04_gibbs_ratio_bounds():
                 float(eig.u.max() * last.max()))
 
     sft2 = full_shift(2)
-    uniform = gibbs_measure(sft2, LocallyConstantPotential.zero(sft2))
+    uniform = gibbs_measure(LocallyConstantPotential.zero(sft2))
     for n in range(1, 13):
         b = gibbs_bounds(uniform, n)
         assert b.c_min == 1.0 and b.c_max == 1.0
     ising = ising_potential(1.0)
-    for mu in (parry_measure(), gibbs_measure(ising.sft, ising)):
+    for mu in (parry_measure(), gibbs_measure(ising)):
         b = gibbs_bounds(mu, 10)
         lo, hi = envelope(mu)
         assert b.c_min > 0.0
@@ -177,7 +177,7 @@ def test_06_relative_entropy_routes():
         assert abs(relative_entropy_direct(nu, mu, n) - closed) < 1e-12
     parry = parry_measure().markov
     sft2 = full_shift(2)
-    mme = gibbs_measure(sft2, LocallyConstantPotential.zero(sft2))
+    mme = gibbs_measure(LocallyConstantPotential.zero(sft2))
     assert abs(relative_entropy(parry, mme) - 0.211935) < 1e-6
     assert abs(relative_entropy_direct(parry, mme, 12) - 0.211935) < 0.06
     same = bernoulli(0.25)
@@ -192,7 +192,7 @@ def test_07_variational_strict_positivity():
     sft = full_shift(2)
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        mu = gibbs_measure(sft, random_direction(sft, rng))
+        mu = gibbs_measure(random_direction(sft, rng))
         nu = random_chain(rng)
         assert np.max(np.abs(nu.P - mu.markov.P)) > 1e-8
         assert relative_entropy(nu, mu) > 0.0
@@ -309,8 +309,8 @@ def test_13_subgradient_inequality():
         rng = np.random.default_rng(seed)
         for sft, pot in bases:
             psi = random_direction(sft, rng)
-            mu = gibbs_measure(sft, pot)
-            gain = pressure(sft, pot + psi) - pressure(sft, pot)
+            mu = gibbs_measure(pot)
+            gain = pressure(pot + psi) - pressure(pot)
             assert gain >= mu.markov.expectation(psi.with_range(2)) - 1e-10
 
 

@@ -466,7 +466,8 @@ def test_non_finite_potential_value_exit_5(capsys, tmp_path, bad):
     assert code == 5
     err = capsys.readouterr().err
     assert err.startswith("semantic error:")
-    assert "must be finite" in err and "[field: values]" in err
+    assert "must be finite" in err
+    assert err.rstrip().endswith("[field: values.01]")
 
 
 # the subcommand that loads each kind of model file, with its other arguments
@@ -513,28 +514,34 @@ def test_non_finite_scalar_in_a_model_is_refused(capsys, tmp_path, name):
 
 
 _HUGE = "1" + "0" * 400   # an integer no double can hold
+_CHAIN = "kind: markov-chain\ntransition:\n  - [{}, 0]\n  - [0.5, 0.5]\n"
+_SAMPLE = ["sample", "{}", "--seed", "1"]
 
 
-@pytest.mark.parametrize("text, argv, field", [
-    (f"kind: markov-chain\ntransition:\n  - [{_HUGE}, 0]\n  - [0.5, 0.5]\n",
-     ["sample", "{}", "--seed", "1"], "transition.0.0"),
+@pytest.mark.parametrize("text, argv, field, digits", [
+    (_CHAIN.format(_HUGE), _SAMPLE, "transition.0.0", 401),
     (f"kind: markov-chain\ntransition:\n  - [0.5, 0.5]\n  - [0.5, 0.5]\n"
-     f"pi: [{_HUGE}, 0.5]\n", ["sample", "{}", "--seed", "1"], "pi.0"),
+     f"pi: [{_HUGE}, 0.5]\n", _SAMPLE, "pi.0", 401),
     (f'kind: potential\nrange: 2\nvalues:\n  "00": -0.2\n  "01": {_HUGE}\n'
      f'  "10": 0.4\n', ["pressure", str(MODELS / "golden-mean.yaml"), "{}"],
-     "values.01"),
+     "values.01", 401),
     (f"kind: hofbauer-family\nfamily: critical-power\nexponent: {_HUGE}\n",
-     ["hofbauer-scan", "{}"], "exponent"),
-], ids=["transition", "pi", "potential", "exponent"])
+     ["hofbauer-scan", "{}"], "exponent", 401),
+    # past Python's int-string limit of 4300 digits: int() refuses the
+    # decimal literal, and str() the value of the hex one (16^3600)
+    (_CHAIN.format("1" + "0" * 5000), _SAMPLE, "transition.0.0", 5001),
+    (_CHAIN.format("0x1" + "0" * 3600), _SAMPLE, "transition.0.0", 4335),
+], ids=["transition", "pi", "potential", "exponent", "decimal-5001-digits",
+        "hex-4335-digits"])
 def test_integer_past_the_double_range_is_refused(capsys, tmp_path, text, argv,
-                                                  field):
+                                                  field, digits):
     model = tmp_path / "huge.yaml"
     model.write_text("version: v1\n" + text)
     assert main([a.format(model) for a in argv]) == 5
     err = capsys.readouterr().err
     assert err.startswith("semantic error:") and "Traceback" not in err
-    assert "must fit a double, got an integer of 401 digits" in err
-    assert err.rstrip().endswith(f"[field: {field}]")
+    assert f"must fit a double, got an integer of {digits} digits" in err
+    assert err.rstrip().endswith(f"[field: {field}]") and "(line " in err
 
 
 def test_one_label_subshift_exit_5(capsys, tmp_path):

@@ -134,7 +134,7 @@ def test_count_words_400_symbols_matches_dict_dp_and_guard_is_fast():
     for depth in (30, 2000):
         start = time.perf_counter()
         with pytest.raises(DepthTooLarge):
-            pressure_Pn(sft, pot, depth, budget=10 ** 7)
+            pressure_Pn(pot, depth, budget=10 ** 7)
         assert time.perf_counter() - start < 2.0
 
 
@@ -152,7 +152,7 @@ def _periodic_check(n, budget):
 
 
 def _relative_entropy_direct(n, budget):
-    mu = gibbs_measure(full_shift(2), LocallyConstantPotential.zero(full_shift(2)))
+    mu = gibbs_measure(LocallyConstantPotential.zero(full_shift(2)))
     relative_entropy_direct(_coin(), mu, n, budget=budget)
 
 
@@ -260,7 +260,7 @@ def test_pressure_Pn_matches_word_by_word_reference(seed):
         ref = [brute_sup(pot, w) for w in words]
         assert pot.birkhoff_sups(np.array(words)).tolist() == ref
         with mock.patch.object(sft_module, "_BLOCK_ROWS", 4):
-            res = pressure_Pn(sft, pot, n)
+            res = pressure_Pn(pot, n)
         assert res.value == logsumexp(ref) / n
 
 
@@ -288,7 +288,7 @@ def test_pressure_Pn_on_a_hofbauer_potential_matches_per_word_sups():
         words = list(itertools.product(range(2), repeat=n))
         sups = [brute_hofbauer_sup(pot, w) for w in words]
         with mock.patch.object(sft_module, "_BLOCK_ROWS", 5):
-            res = pressure_Pn(pot.sft, pot, n)
+            res = pressure_Pn(pot, n)
         assert abs(res.value - logsumexp(sups) / n) < 1e-14
         assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - sups)) < 1e-14
 
@@ -297,7 +297,7 @@ def test_pressure_Pn_on_a_hofbauer_potential_matches_per_word_sups():
 def test_gibbs_bounds_match_word_by_word_reference(seed):
     rng = np.random.default_rng(seed)
     sft = random_primitive_sft(rng, int(rng.integers(2, 4)))
-    mu = gibbs_measure(sft, random_potential(rng, sft, 1 + seed % 2))
+    mu = gibbs_measure(random_potential(rng, sft, 1 + seed % 2))
     pot2 = mu.potential.with_range(2)
     p = mu.pressure
     with np.errstate(divide="ignore"):
@@ -325,7 +325,7 @@ def test_gibbs_bounds_match_word_by_word_reference(seed):
 def test_relative_entropy_direct_matches_word_by_word_reference(seed):
     rng = np.random.default_rng(seed)
     sft = random_primitive_sft(rng, 3)
-    mu = gibbs_measure(sft, random_potential(rng, sft, 2))
+    mu = gibbs_measure(random_potential(rng, sft, 2))
     P = np.where(sft.transition == 1, rng.random((3, 3)) + 0.2, 0.0)
     nu = MarkovMeasure.from_transition(P / P.sum(axis=1, keepdims=True))
     for n in (1, 4, 7):

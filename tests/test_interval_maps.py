@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from thermoshift import modelio
-from thermoshift.errors import (DepthTooLarge, IsRepeller, NotExpanding,
-                                NotMarkov)
+from thermoshift.errors import IsRepeller, NotExpanding, NotMarkov
 from thermoshift.interval_maps import (PiecewiseLinearMarkovMap, acim,
-                                       bowen_dimension, code,
-                                       distortion_certificate)
+                                       bowen_dimension, code)
 
 MODELS = Path(__file__).parent.parent / "demos" / "models"
 
@@ -192,18 +190,6 @@ def test_non_finite_breakpoint_or_slope_is_not_markov(bad):
         PiecewiseLinearMarkovMap([0, bad, 1], [(2, (0, 1)), (2, (0, 1))])
     with pytest.raises(NotMarkov, match="finite"):
         PiecewiseLinearMarkovMap(["0", "1/2", "1"], [(bad, (0, 1)), (2, (0, 1))])
-
-
-def test_distortion_is_trivial_for_linear_maps():
-    cert = distortion_certificate(code(doubling_map()), 6)
-    assert (cert.ratio_min, cert.ratio_max) == (1.0, 1.0)
-    assert cert.constant == 1.0 and cert.normalized_exact
-    cert2 = distortion_certificate(code(golden_interval_map()), 6)
-    assert cert2.normalized_exact
-    assert abs(cert2.ratio_min - 2.0 / 3.0) < 1e-15
-    assert cert2.ratio_max == 1.0
-    with pytest.raises(DepthTooLarge):
-        distortion_certificate(code(doubling_map()), 25, budget=1000)
 
 
 # -- invariant densities -----------------------------------------------------------------

@@ -30,7 +30,7 @@ def bernoulli(p):
 
 def parry():
     sft = golden_mean_shift()
-    return gibbs_measure(sft, LocallyConstantPotential.zero(sft))
+    return gibbs_measure(LocallyConstantPotential.zero(sft))
 
 
 THREE_CYCLE = np.array([[0.0, 0.9, 0.1],
@@ -311,7 +311,7 @@ def test_relative_entropy_of_self_is_zero():
 def test_parry_versus_maximal_entropy_of_full_shift():
     nu = parry().markov
     sft2 = full_shift(2)
-    mme = gibbs_measure(sft2, LocallyConstantPotential.zero(sft2))
+    mme = gibbs_measure(LocallyConstantPotential.zero(sft2))
     closed = relative_entropy(nu, mme)
     assert abs(closed - (np.log(2.0) - LOG_GOLDEN)) < 1e-12
     assert abs(closed - 0.211935) < 1e-6
@@ -484,10 +484,10 @@ def test_cylinder_original_matches_the_range4_lift():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(
         sft, 3, lambda w: 0.3 * w[0] - 0.2 * w[1] + 0.15 * w[2] - 0.1 * w[0] * w[2])
-    mu3 = gibbs_measure(sft, pot)
+    mu3 = gibbs_measure(pot)
     # an independent route: the range-4 lift recodes to a different block shift
-    mu4 = gibbs_measure(sft, pot.with_range(4))
-    assert mu3.sft.m == 3 and mu4.sft.m == 5
+    mu4 = gibbs_measure(pot.with_range(4))
+    assert mu3.markov.sft.m == 3 and mu4.markov.sft.m == 5
     for n in range(1, 6):
         masses = []
         for word in itertools.product(range(2), repeat=n):

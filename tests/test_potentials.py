@@ -124,7 +124,7 @@ def test_recode_identity_for_range2():
     sft, pot = run_weights()
     rec = recode_range2(pot)
     assert rec.potential is pot
-    assert rec.sft is sft
+    assert rec.potential.sft is sft
     assert rec.encode_word((0, 1, 0)) == (0, 1, 0)
 
 
@@ -133,8 +133,8 @@ def test_recode_full_shift_range3():
     pot = LocallyConstantPotential.from_function(
         sft, 3, lambda w: 0.1 * w[0] + 0.2 * w[1] + 0.4 * w[2])
     rec = recode_range2(pot)
-    assert rec.sft.m == 4
-    assert int(rec.sft.transition.sum()) == 8
+    assert rec.potential.sft.m == 4
+    assert int(rec.potential.sft.transition.sum()) == 8
     assert rec.potential.r == 2
 
 
@@ -142,9 +142,9 @@ def test_recode_golden_mean_range3():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(sft, 3, lambda w: float(sum(w)))
     rec = recode_range2(pot)
-    assert rec.sft.m == 3
+    assert rec.potential.sft.m == 3
     assert sorted(rec.blocks) == [(0, 0), (0, 1), (1, 0)]
-    assert int(rec.sft.transition.sum()) == 5
+    assert int(rec.potential.sft.transition.sum()) == 5
 
 
 def test_recode_preserves_pressure():
@@ -153,12 +153,12 @@ def test_recode_preserves_pressure():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(
         sft, 3, lambda w: 0.3 * w[0] - 0.2 * w[1] + 0.15 * w[2])
-    p_block = pressure(recode_range2(pot).sft, recode_range2(pot).potential)
+    p_block = pressure(recode_range2(pot).potential)
     # independent route: recode the range-4 lift, a different block system
     rec4 = recode_range2(pot.with_range(4))
-    assert abs(p_block - pressure(rec4.sft, rec4.potential)) < 1e-10
+    assert abs(p_block - pressure(rec4.potential)) < 1e-10
     # and the cylinder approximants on the original system close in from above
-    gaps = [pressure_Pn(sft, pot, n).value - p_block for n in (6, 9, 12)]
+    gaps = [pressure_Pn(pot, n).value - p_block for n in (6, 9, 12)]
     assert all(g >= -1e-12 for g in gaps)
     assert gaps[2] < 5e-2 and gaps[2] < gaps[1] < gaps[0]
 
@@ -169,7 +169,7 @@ def test_recode_word_encoding_round_trip():
     rec = recode_range2(pot)
     for word in brute_words(sft.transition, 5):
         enc = rec.encode_word(word)
-        assert rec.sft.is_admissible(enc)
+        assert rec.potential.sft.is_admissible(enc)
         assert len(enc) == len(word) - 1
         # decode by reading first symbols of the blocks
         dec = tuple(rec.blocks[s][0] for s in enc) + rec.blocks[enc[-1]][1:]
@@ -287,7 +287,7 @@ def test_dense_table_algebra_matches_the_dict_loops(case):
         blocks, M2, table2 = ref_recoding(T, t1, r1)
         assert rec.blocks == blocks
         assert rec.block_index == {b: i for i, b in enumerate(blocks)}
-        assert np.array_equal(rec.sft.transition, M2)
+        assert np.array_equal(rec.potential.sft.transition, M2)
         assert rec.potential.table == table2
-    A = build(rec.sft, rec.potential)
-    assert np.array_equal(A, ref_transfer_matrix(rec.sft.m, table2))
+    A = build(rec.potential)
+    assert np.array_equal(A, ref_transfer_matrix(rec.potential.sft.m, table2))

@@ -43,33 +43,33 @@ def run_weights():
 
 def test_pressure_matches_dense_eig_run_weights():
     sft, pot = run_weights()
-    assert abs(pressure(sft, pot) - dense_log_radius(sft, pot)) < 1e-10
+    assert abs(pressure(pot) - dense_log_radius(sft, pot)) < 1e-10
 
 
 def test_pressure_matches_dense_eig_ising():
     sft = full_shift(2, labels=["+", "-"])
     for beta in (0.5, 1.0, 2.0):
         pot = ising_potential(beta)
-        p = pressure(sft, pot)
+        p = pressure(pot)
         assert abs(p - dense_log_radius(sft, pot)) < 1e-10
         assert abs(p - ising_pressure_exact(beta)) < 1e-10
 
 
 def test_pressure_zero_potential_is_entropy():
     sft = golden_mean_shift()
-    p = pressure(sft, LocallyConstantPotential.zero(sft))
+    p = pressure(LocallyConstantPotential.zero(sft))
     assert abs(p - np.log(GOLDEN)) < 1e-12
 
 
 def test_constant_shift_moves_pressure_by_constant():
-    sft, pot = run_weights()
+    _, pot = run_weights()
     c = 0.37
-    assert abs(pressure(sft, pot.shift(c)) - (pressure(sft, pot) + c)) < 1e-12
+    assert abs(pressure(pot.shift(c)) - (pressure(pot) + c)) < 1e-12
 
 
 def test_leading_eigen_contract():
-    sft, pot = run_weights()
-    tm = build(sft, pot)
+    _, pot = run_weights()
+    tm = build(pot)
     eig = leading_eigen(tm)
     assert eig.residual <= 1e-13 * eig.lam
     assert abs(eig.v.sum() - 1.0) < 1e-12
@@ -82,7 +82,7 @@ def test_build_rejects_wide_potentials():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(sft, 3, lambda w: 0.1 * w[0])
     with pytest.raises(RangeTooLarge):
-        build(sft, pot)
+        build(pot)
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -95,31 +95,31 @@ def test_build_refuses_weights_outside_the_float_range(sign):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRange):
-            build(sft, pot)
+            build(pot)
         with pytest.raises(OutOfRange):
-            gibbs_measure(sft, pot)
+            gibbs_measure(pot)
     # a weight just inside the range is kept
     near = LocallyConstantPotential.from_function(
         sft, 2, lambda w: sign * 700.0 * (w[0] != w[1]))
-    assert np.all(build(sft, near) > 0)
+    assert np.all(build(near) > 0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_tolerance_that_is_not_positive_finite_is_refused(tol):
     # tol 0 would spin max_iter power rounds, a negative tol divides by zero
     # in the renewal root's stopping rule
-    sft, pot = run_weights()
+    _, pot = run_weights()
     start = time.perf_counter()
     with pytest.raises(OutOfRange):
-        pressure(sft, pot, tol=tol)
+        pressure(pot, tol=tol)
     with pytest.raises(OutOfRange):
         pressure_renewal(CriticalPowerFamily(exponent=3.0), 1.0, tol=tol)
     assert time.perf_counter() - start < 1.0
 
 
 def test_gibbs_measure_is_stationary():
-    sft, pot = run_weights()
-    mu = gibbs_measure(sft, pot)
+    _, pot = run_weights()
+    mu = gibbs_measure(pot)
     pi, P = mu.markov.pi, mu.markov.P
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-14
     # pi inherits the power-iteration stopping residual, tol * lam = 1e-13
@@ -130,19 +130,18 @@ def test_gibbs_measure_is_stationary():
 
 def test_gibbs_measure_attains_the_pressure():
     # the variational functional h + integral(phi) equals P at the Gibbs state
-    cases = [run_weights(),
-             (golden_mean_shift(),
-              LocallyConstantPotential.zero(golden_mean_shift())),
-             (full_shift(2, labels=["+", "-"]), ising_potential(1.0))]
-    for sft, pot in cases:
-        mu = gibbs_measure(sft, pot)
+    cases = [run_weights()[1],
+             LocallyConstantPotential.zero(golden_mean_shift()),
+             ising_potential(1.0)]
+    for pot in cases:
+        mu = gibbs_measure(pot)
         value = mu.entropy() + mu.expectation() - mu.pressure
         assert abs(value) < 1e-10
 
 
 def test_parry_measure_closed_form():
     sft = golden_mean_shift()
-    mu = gibbs_measure(sft, LocallyConstantPotential.zero(sft))
+    mu = gibbs_measure(LocallyConstantPotential.zero(sft))
     g = GOLDEN
     P_expected = np.array([[1.0 / g, 1.0 / g ** 2], [1.0, 0.0]])
     pi_expected = np.array([g ** 2, 1.0]) / (1.0 + g ** 2)
@@ -152,7 +151,7 @@ def test_parry_measure_closed_form():
 
 def test_gibbs_ratio_is_exactly_one_on_full_shift():
     sft = full_shift(2)
-    mu = gibbs_measure(sft, LocallyConstantPotential.zero(sft))
+    mu = gibbs_measure(LocallyConstantPotential.zero(sft))
     for n in (1, 4, 8, 12):
         b = gibbs_bounds(mu, n)
         assert b.c_min == 1.0 and b.c_max == 1.0
@@ -163,7 +162,7 @@ def envelope(mu):
     # so state-wise extremes of those factors bound the enumerated ratios
     eig = mu.eigen
     pot2 = mu.potential.with_range(2)
-    sft = mu.sft
+    sft = mu.markov.sft
     tail = np.array([np.exp(mu.pressure -
                             max(v for w, v in pot2.table.items() if w[0] == a))
                      for a in range(sft.m)])
@@ -179,7 +178,7 @@ def test_gibbs_ratios_inside_analytic_envelope(case):
     else:
         sft = full_shift(2, labels=["+", "-"])
         pot = ising_potential(1.0)
-    mu = gibbs_measure(sft, pot)
+    mu = gibbs_measure(pot)
     b = gibbs_bounds(mu, 10)
     lo, hi = envelope(mu)
     assert 0.0 < b.c_min <= b.c_max
@@ -189,7 +188,7 @@ def test_gibbs_ratios_inside_analytic_envelope(case):
 
 def test_gibbs_bounds_depth_budget():
     sft = full_shift(2)
-    mu = gibbs_measure(sft, LocallyConstantPotential.zero(sft))
+    mu = gibbs_measure(LocallyConstantPotential.zero(sft))
     with pytest.raises(DepthTooLarge):
         gibbs_bounds(mu, 30, budget=1000)
 
@@ -211,8 +210,8 @@ def spectral_ratio(A):
 
 
 def test_iterates_converge_at_the_spectral_rate():
-    sft, pot = run_weights()
-    tm = build(sft, pot)
+    _, pot = run_weights()
+    tm = build(pot)
     f = np.array([1.0, 0.3])
     d = {n: rpf_convergence(tm, f, n) for n in (5, 10, 20, 30)}
     assert d[30] < d[20] < d[10] < d[5]
@@ -226,7 +225,7 @@ def test_rpf_convergence_does_not_overflow():
     sft = full_shift(2)
     pot = LocallyConstantPotential(
         sft, 2, {(0, 0): 5.0, (0, 1): 5.3, (1, 0): 4.8, (1, 1): 5.1})
-    tm = build(sft, pot)
+    tm = build(pot)
     f = np.array([1.0, 0.3])
     with np.errstate(over="raise", invalid="raise"):
         far, near = rpf_convergence(tm, f, 500), rpf_convergence(tm, f, 30)
@@ -250,14 +249,14 @@ def random_range2(seed):
 @settings(max_examples=25, deadline=None)
 def test_random_potentials_agree_with_dense_eig(seed):
     sft, pot = random_range2(seed)
-    assert abs(pressure(sft, pot) - dense_log_radius(sft, pot)) < 1e-10
+    assert abs(pressure(pot) - dense_log_radius(sft, pot)) < 1e-10
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_random_gibbs_states_are_equilibria(seed):
-    sft, pot = random_range2(seed)
-    mu = gibbs_measure(sft, pot)
+    _, pot = random_range2(seed)
+    mu = gibbs_measure(pot)
     assert np.max(np.abs(mu.markov.pi @ mu.markov.P - mu.markov.pi)) < 1e-12
     assert abs(mu.entropy() + mu.expectation() - mu.pressure) < 1e-8
 

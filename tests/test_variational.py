@@ -150,12 +150,12 @@ def test_pn_zero_potential_full_shift_is_flat():
     sft = full_shift(2)
     pot = LocallyConstantPotential.zero(sft)
     for n in (1, 4, 7, 10):
-        assert abs(pressure_Pn(sft, pot, n).value - np.log(2.0)) < 1e-12
+        assert abs(pressure_Pn(pot, n).value - np.log(2.0)) < 1e-12
 
 
 def test_pn_zero_potential_counts_words():
     sft = golden_mean_shift()
-    res = pressure_Pn(sft, LocallyConstantPotential.zero(sft), 10)
+    res = pressure_Pn(LocallyConstantPotential.zero(sft), 10)
     assert abs(res.value - np.log(144.0) / 10.0) < 1e-12
 
 
@@ -163,8 +163,8 @@ def test_pn_upper_approximant_decreases_to_pressure():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential(
         sft, 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
-    p = pressure(sft, pot)
-    gaps = [pressure_Pn(sft, pot, n).value - p for n in (4, 8, 12)]
+    p = pressure(pot)
+    gaps = [pressure_Pn(pot, n).value - p for n in (4, 8, 12)]
     assert all(g >= -1e-12 for g in gaps)
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -172,7 +172,7 @@ def test_pn_upper_approximant_decreases_to_pressure():
 def test_pn_ising_within_tolerance_at_depth_14():
     for beta in (0.5, 1.0, 2.0):
         pot = ising_potential(beta)
-        res = pressure_Pn(pot.sft, pot, 14)
+        res = pressure_Pn(pot, 14)
         assert abs(res.value - ising_pressure_exact(beta)) < 5e-2
 
 
@@ -188,10 +188,10 @@ def test_pn_sums_the_sup_of_each_cylinder():
                 for t in (0, 1) if sft.is_admissible(word + (t,)))
             for word in words]
     assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - sups)) < 1e-15
-    value = pressure_Pn(sft, pot, 5).value
+    value = pressure_Pn(pot, 5).value
     assert abs(value - np.log(np.exp(sups).sum()) / 5) < 1e-15
     with pytest.raises(DepthTooLarge):
-        pressure_Pn(sft, pot, 40, budget=1000)
+        pressure_Pn(pot, 40, budget=1000)
 
 
 def test_pn_loads_neither_the_measures_nor_numpy_ma():
@@ -201,31 +201,11 @@ def test_pn_loads_neither_the_measures_nor_numpy_ma():
             "import thermoshift.variational as v\n"
             "print('thermoshift.measures' in sys.modules)\n"
             "pot = v.ising_potential(0.5)\n"
-            "v.pressure_Pn(pot.sft, pot, 6)\n"
+            "v.pressure_Pn(pot, 6)\n"
             "print(before or 'numpy.ma' not in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == ["False", "True"]
-
-
-@pytest.mark.parametrize("route", [
-    lambda sft, pot: pressure(sft, pot),
-    lambda sft, pot: gibbs_measure(sft, pot).pressure,
-    lambda sft, pot: pressure_Pn(sft, pot, 6).value,
-], ids=["pressure", "gibbs_measure", "pressure_Pn"])
-def test_a_subshift_that_is_not_the_potentials_is_refused(route):
-    golden = LocallyConstantPotential(
-        golden_mean_shift(), 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
-    flat = LocallyConstantPotential.zero(full_shift(2))
-    # the spectral routes read the potential's subshift and the enumerator
-    # the one given: on a mismatch the two sides of a check read two systems
-    for other, pot in ((full_shift(2), golden), (golden_mean_shift(), flat)):
-        with pytest.raises(ValueError, match="not the potential's own"):
-            route(other, pot)
-    # an equal but distinct copy is the same system
-    for copy, pot in ((golden_mean_shift(), golden), (full_shift(2), flat)):
-        assert copy is not pot.sft
-        assert route(copy, pot) == route(pot.sft, pot)
 
 
 # -- named chains ------------------------------------------------------------------------
@@ -249,7 +229,7 @@ def test_ising_match_is_artanh():
 
 def test_ising_correlation_round_trip():
     beta = 0.8
-    mu = gibbs_measure(ising_potential(1.0).sft, ising_potential(beta))
+    mu = gibbs_measure(ising_potential(beta))
     assert abs(mu.expectation(ising_potential(1.0)) - np.tanh(beta)) < 1e-12
 
 
@@ -272,11 +252,9 @@ def test_markov_as_gibbs_input_validation():
 
 
 def base_cases():
-    golden = golden_mean_shift()
-    yield golden, LocallyConstantPotential(
-        golden, 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
-    pot = ising_potential(1.0)
-    yield pot.sft, pot
+    yield LocallyConstantPotential(
+        golden_mean_shift(), 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
+    yield ising_potential(1.0)
 
 
 def random_direction(sft, rng):
@@ -291,10 +269,10 @@ def random_direction(sft, rng):
 @settings(max_examples=25, deadline=None)
 def test_gibbs_state_is_a_subgradient(seed):
     rng = np.random.default_rng(seed)
-    for sft, pot in base_cases():
-        psi = random_direction(sft, rng)
-        mu = gibbs_measure(sft, pot)
-        gain = pressure(sft, pot + psi) - pressure(sft, pot)
+    for pot in base_cases():
+        psi = random_direction(pot.sft, rng)
+        mu = gibbs_measure(pot)
+        gain = pressure(pot + psi) - pressure(pot)
         assert gain >= mu.markov.expectation(psi.with_range(2)) - 1e-10
 
 
@@ -302,11 +280,11 @@ def test_gibbs_state_is_a_subgradient(seed):
 @settings(max_examples=25, deadline=None)
 def test_pressure_is_midpoint_convex(seed):
     rng = np.random.default_rng(seed)
-    sft, pot = next(base_cases())
-    psi = random_direction(sft, rng)
+    pot = next(base_cases())
+    psi = random_direction(pot.sft, rng)
     a, b = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
 
     def p(t):
-        return pressure(sft, pot + psi.scale(t))
+        return pressure(pot + psi.scale(t))
 
     assert p(0.5 * (a + b)) <= 0.5 * (p(a) + p(b)) + 1e-12

@@ -21,6 +21,15 @@ def logsumexp(a) -> float:
     return float(np.log1p(rest / k) + np.log(k) + top)
 
 
+# entries a chunk wherever a long array becomes Python objects
+CHUNK = 1 << 14
+
+
+def chunks(n):
+    """The slices that cut range(n) into runs of CHUNK, the last shorter."""
+    return (slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
+
+
 def ordered_sum(values, start=0.0):
     """start + v_0 + v_1 + ..., added left to right as a Python loop would.
 

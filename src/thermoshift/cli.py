@@ -26,9 +26,9 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sized
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -142,16 +142,24 @@ def _cell(x):
     return str(x)
 
 
+def _entries(array):
+    """The entries of a 1-D array as Python objects, a chunk at a time
+    (``_numerics.chunks``), so a long column never exists as one list."""
+    from ._numerics import chunks
+
+    return chain.from_iterable(array[s].tolist() for s in chunks(len(array)))
+
+
 def _fields(column):
     """A column's CSV fields, formatted lazily.  A numeric, bool or string
-    array is formatted by its dtype in one pass: floats map to 17
+    array is formatted by its dtype, a chunk at a time: floats map to 17
     significant digits, and bools, ints and strings go to the csv writer as
     they are, which applies str itself.  A range or an iterator (a ``map``
     over the caller's data, say) is taken to yield finished fields, ints or
     strings, and goes to the writer as it is too.  Any other sequence is
     formatted field by field."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biufU":
-        values = column.tolist()
+        values = _entries(column)
         if column.dtype.kind == "f":
             return map(format, values, repeat(".17g"))
         return values
@@ -168,7 +176,7 @@ class _FileError(Exception):
 def _write_csv(path, header, columns):
     """RFC 4180 table from equal-length columns: CRLF endings, header row,
     floats at 17 significant digits.  Rows are streamed, never built.
-    Returns the row count."""
+    Returns the row count, the length of the first column that has one."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\r\n")
@@ -176,7 +184,7 @@ def _write_csv(path, header, columns):
             writer.writerows(zip(*map(_fields, columns)))
     except OSError as exc:
         raise _FileError(f"cannot write output: {exc}") from None
-    return len(columns[0])
+    return next(len(column) for column in columns if isinstance(column, Sized))
 
 
 # model-file positional -> the kind of file it names
@@ -307,8 +315,8 @@ def _cmd_sample(args, report, nu, labels):
     report.annotate("path_prefix", "".join(labels[s] for s in path[:200]))
     if args.out:
         report.table(args.out, ["step", "symbol", "label"],
-                     [range(len(path)), np.asarray(path),
-                      map(labels.__getitem__, path)])
+                     [range(len(path)), path,
+                      map(labels.__getitem__, _entries(path))])
 
 
 def _cmd_aep(args, report, nu, _labels):
@@ -375,8 +383,7 @@ def _cmd_production(args, report, nu, labels):
 def _cmd_lattice(args, report, pot):
     from .variational import lattice_equilibrium, lattice_pressure_trace
 
-    eq = lattice_equilibrium(args.n, pot, args.beta, budget=args.budget,
-                             with_masses=bool(args.out))
+    eq = lattice_equilibrium(args.n, pot, args.beta, budget=args.budget)
     report.result(f"ring_pressure(n={args.n})", eq.pressure, "nats",
                   "variational")
     if args.check and pot.r <= 2:
@@ -386,10 +393,8 @@ def _cmd_lattice(args, report, pot):
         report.certificate("lattice_cross_check", ["variational", "spectral"],
                            [eq.pressure, trace_val], "nats")
     if args.out:
-        words, masses = zip(*sorted(eq.masses.items()))
         report.table(args.out, ["configuration", "mass"],
-                     [[pot.sft.alphabet.word_string(w) for w in words],
-                      np.array(masses)])
+                     [eq.configurations(pot.sft.alphabet), eq.masses])
 
 
 def _cmd_ising(args, report):

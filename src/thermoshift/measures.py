@@ -13,10 +13,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from ._numerics import ordered_sum
+from ._numerics import chunks, ordered_sum
 from .errors import OutOfRange, SupportMismatch, ZeroMassPath
 from .sft import SubshiftOfFiniteType, _word_blocks
 
@@ -85,20 +86,25 @@ class MarkovMeasure:
     # -- cylinder masses -------------------------------------------------------
 
     def log_cylinder(self, word):
-        """log of the cylinder mass; -inf when the mass is zero (``_log_masses``)."""
-        word = tuple(word)
-        return float(self._log_masses(self._row(word))[0]) if word else 0.0
+        """log of the cylinder mass; -inf when the mass is zero (``_log_terms``)."""
+        row = self._row(word)
+        with np.errstate(divide="ignore"):
+            return math.fsum(chain.from_iterable(
+                logs[0].tolist() for logs in self._log_terms(row)))
 
     def cylinder(self, word):
         word = tuple(word)
         return float(self._masses(self._row(word))[0]) if word else 1.0
 
     def _row(self, word):
-        """A nonempty word as a one-row word array; ValueError for a non-symbol."""
-        row = np.array([word], dtype=np.intp)
-        outside = (row < 0) | (row >= self.m)
-        if outside.any():
-            raise ValueError(f"symbol {row[outside][0]} is outside 0..{self.m - 1}")
+        """A word as a one-row integer array, an integer array uncopied and
+        checked by min and max, which make no temporary the length of a long
+        path; ValueError for a non-symbol."""
+        row = np.asarray(word).reshape(1, -1)
+        row = row if row.dtype.kind in "iu" else row.astype(np.intp)
+        if row.size and (row.min() < 0 or row.max() >= self.m):
+            bad = row[(row < 0) | (row >= self.m)][0]
+            raise ValueError(f"symbol {bad} is outside 0..{self.m - 1}")
         return row
 
     def _support_blocks(self, n, budget=None):
@@ -116,17 +122,24 @@ class MarkovMeasure:
             mass = mass * self.P[words[:, j - 1], words[:, j]]
         return mass
 
-    def _log_masses(self, words):
-        """log cylinder masses of the rows of a word array; -inf for a null one.
+    def _log_terms(self, words):
+        """log pi of the first symbol of each row of a word array, then log P
+        of its steps, in arrays of at most CHUNK columns (-inf for a null one).
 
-        Each row's log start and log steps are summed with math.fsum, so the
-        value is the correctly rounded log-mass, independent of word order;
-        for dyadic masses and power-of-two lengths the SMB estimator then
-        reproduces the entropy rate bit for bit.
+        A cylinder's log-mass is the math.fsum of its row's terms, correctly
+        rounded, independent of word order, and a long word costs one chunk
+        of Python floats; for dyadic masses and power-of-two lengths the SMB
+        estimator then reproduces the entropy rate bit for bit.
         """
+        if words.shape[1]:
+            yield np.log(self.pi[words[:, :1]])
+        for s in chunks(words.shape[1] - 1):
+            yield np.log(self.P[words[:, s], words[:, 1:][:, s]])
+
+    def _log_masses(self, words):
+        """log cylinder masses of the rows of a word array (``_log_terms``)."""
         with np.errstate(divide="ignore"):
-            logs = np.column_stack((np.log(self.pi[words[:, 0]]),
-                                    np.log(self.P[words[:, :-1], words[:, 1:]])))
+            logs = np.hstack(list(self._log_terms(words)))
         return np.array([math.fsum(row) for row in logs.tolist()])
 
     # -- information quantities -------------------------------------------------
@@ -159,30 +172,30 @@ class MarkovMeasure:
     # -- sampling ----------------------------------------------------------------
 
     def sample_path(self, length, seed):
-        """Sample a path of the chain, reproducibly.
+        """Sample a path of the chain, reproducibly, as a 1-D array of the
+        smallest unsigned dtype that holds the symbols.
 
         Uses a counter-based generator keyed by a 64-bit seed; the raw 64-bit
         words are turned into uniforms by the fixed rule (raw >> 11) * 2**-53
         and each step takes the first symbol whose cumulative row mass exceeds
-        the uniform.  The result is therefore bit-identical across platforms.
+        the uniform, or the last symbol when none does.  The result is
+        therefore bit-identical across platforms.
         """
         if length < 1:
             raise ValueError("path length must be >= 1")
         if not (0 <= int(seed) < 2 ** 64):
             raise OutOfRange("seed must fit in 64 bits")
-        u = _uniforms(int(seed), length).tolist()
+        # cumulative rows of P, then of pi as the row of a virtual start
+        # state m; an infinite last entry sends a uniform past a row sum
+        # below 1 to the last symbol
+        cum = np.cumsum(np.vstack((self.P, self.pi)), axis=1)
+        cum[:, -1] = np.inf
+        cum, state = cum.tolist(), self.m
         # bisect on Python floats makes searchsorted's comparisons, per step
         # without numpy's call overhead
-        cum_P = np.cumsum(self.P, axis=1).tolist()
-        last = self.m - 1
-        state = min(bisect_right(np.cumsum(self.pi).tolist(), u[0]), last)
-        path = [state]
-        for x in u[1:]:
-            state = bisect_right(cum_P[state], x)
-            if state > last:         # the uniform passed a row sum below 1
-                state = last
-            path.append(state)
-        return path
+        return np.fromiter((state := bisect_right(cum[state], x)
+                            for x in _uniforms(int(seed), length)),
+                           np.min_scalar_type(self.m - 1), length)
 
     def __repr__(self):
         return f"MarkovMeasure(m={self.m})"
@@ -208,9 +221,14 @@ def stationary_vector(P):
 
 
 def _uniforms(seed, count):
+    """``count`` uniforms of the Philox stream keyed by ``seed``, as Python
+    floats drawn CHUNK at a time; successive draws continue the stream, so
+    they equal one draw of ``count``."""
     gen = np.random.Generator(np.random.Philox(key=seed))
-    raw = gen.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-    return (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    for s in chunks(count):
+        raw = gen.integers(0, 2 ** 64, size=s.stop - s.start, dtype=np.uint64)
+        yield from ((raw >> np.uint64(11)).astype(np.float64)
+                    * (2.0 ** -53)).tolist()
 
 
 @dataclass

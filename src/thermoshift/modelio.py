@@ -119,25 +119,42 @@ def _nodes(node, path=()):
 class _Constructor(yaml.constructor.SafeConstructor):
     """PyYAML's safe constructor, except that an integer past Python's
     int-string limit (4300 digits by default), which no double holds either,
-    is a semantic error at its field rather than a bare ValueError."""
+    and a scalar shaped like an impossible date, such as 2020-13-45, or
+    tagged !!timestamp without a date's shape, are semantic errors at their
+    field rather than a bare ValueError or AttributeError."""
 
     def __init__(self, model):
         super().__init__()
         self.model = model
+
+    def _path(self, node):
+        """The node's path, as _mark takes it; a mapping key has none."""
+        return next((p for p, n in _nodes(self.model.node) if n is node), ())
 
     def construct_yaml_int(self, node):
         try:
             return super().construct_yaml_int(node)
         except ValueError:
             digits = sum(c.isdigit() for c in node.value)
-            path = next((p for p, n in _nodes(self.model.node) if n is node),
-                        ())   # a mapping key has no path of its own
             raise _semantic(self.model, "integers must fit a double, got an "
-                            f"integer of {digits} digits", *path) from None
+                            f"integer of {digits} digits",
+                            *self._path(node)) from None
+
+    def construct_yaml_timestamp(self, node):
+        try:
+            return super().construct_yaml_timestamp(node)
+        except ValueError as exc:
+            reason = str(exc)
+        except AttributeError:     # PyYAML's date regexp did not match
+            reason = "it has no date shape"
+        raise _semantic(self.model, f"{node.value} is not a date: {reason}",
+                        *self._path(node))
 
 
 _Constructor.add_constructor("tag:yaml.org,2002:int",
                              _Constructor.construct_yaml_int)
+_Constructor.add_constructor("tag:yaml.org,2002:timestamp",
+                             _Constructor.construct_yaml_timestamp)
 
 
 def _is_number(x, types=(int, float)):

@@ -9,6 +9,7 @@ P_n = log sum over admissible n-words of exp(sup of the Birkhoff sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -92,15 +93,20 @@ def solve_beta(system: FiniteSystem, target, tol=1e-12):
 
 @dataclass
 class LatticeEquilibrium:
-    """Equilibrium on the ring of n sites: weights over A^n and pressure per site."""
+    """Equilibrium on the ring of n sites: pressure per site and the weight
+    of each configuration of A^n, in lexicographic order."""
 
     n: int
     pressure: float
-    masses: dict | None
+    masses: np.ndarray
+
+    def configurations(self, alphabet):
+        """The configurations spelled by ``alphabet.word_string``, lazily, in
+        the order of ``masses``."""
+        return map("".join, product(map(str, alphabet.labels), repeat=self.n))
 
 
-def lattice_equilibrium(n, potential, beta, budget=2 ** 22,
-                        with_masses=True) -> LatticeEquilibrium:
+def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibrium:
     """Exact ring equilibrium by enumeration of the m^n configurations.
 
     The potential must live on a full shift (the ring imposes no transition
@@ -111,7 +117,7 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22,
     if n < potential.r:
         raise OutOfRange(f"ring size {n} below potential range {potential.r}")
     phi = potential.dense_table
-    sums, words = [], []
+    sums = []
     for block in _word_blocks(sft.transition, n, budget=budget):
         # Birkhoff sum around the ring: site i reads sites i..i+r-1 mod n
         total = np.zeros(len(block))
@@ -119,16 +125,11 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22,
             total = total + phi[tuple(block[:, (i + j) % n]
                                       for j in range(potential.r))]
         sums.append(beta * total)
-        if with_masses:
-            words.append(block)
     sums = np.concatenate(sums)
     log_z = logsumexp(sums)
-    masses = None
-    if with_masses:
-        weights = np.exp(sums - log_z)
-        masses = dict(zip(map(tuple, np.concatenate(words).tolist()),
-                          weights.tolist()))
-    return LatticeEquilibrium(n=n, pressure=log_z / n, masses=masses)
+    sums -= log_z
+    return LatticeEquilibrium(n=n, pressure=log_z / n,
+                              masses=np.exp(sums, out=sums))
 
 
 def lattice_pressure_trace(n, potential, beta) -> float:

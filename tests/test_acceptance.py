@@ -115,8 +115,7 @@ def test_03_pressure_three_ways_ising():
         correction = np.log(1.0 + np.tanh(beta) ** 20) / 20.0
         assert abs(ring20 - exact - correction) < 1e-12
         if beta < 2.0:
-            enum20 = lattice_equilibrium(20, pot, 1.0,
-                                         with_masses=False).pressure
+            enum20 = lattice_equilibrium(20, pot, 1.0).pressure
             assert abs(enum20 - ring20) < 1e-12
             assert abs(enum20 - exact) < 1e-2
 

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          markov_as_gibbs, periodic_approximation,
                          relative_entropy, relative_entropy_direct,
                          smb_estimate, stationary_vector)
+from thermoshift import _numerics
 from thermoshift.errors import (DepthTooLarge, OutOfRange, SupportMismatch,
                                 ZeroMassPath)
 from thermoshift.sft import _count_words
@@ -172,9 +175,9 @@ def test_time_reversal_involution_and_transpose():
 def test_sample_path_reproducible():
     mu = parry().markov
     a = mu.sample_path(200, seed=42)
-    assert a == mu.sample_path(200, seed=42)
-    assert a != mu.sample_path(200, seed=43)
-    assert len(a) == 200
+    assert a.dtype == np.uint8 and a.shape == (200,)
+    assert np.array_equal(a, mu.sample_path(200, seed=42))
+    assert not np.array_equal(a, mu.sample_path(200, seed=43))
 
 
 @given(st.integers(0, 2 ** 64 - 1))
@@ -189,7 +192,7 @@ def test_sample_paths_stay_on_the_subshift(seed):
 def test_sample_path_frequencies_near_stationary():
     mu = parry().markov
     path = mu.sample_path(10 ** 4, seed=7)
-    freq0 = path.count(0) / len(path)
+    freq0 = np.count_nonzero(path == 0) / len(path)
     assert abs(freq0 - mu.pi[0]) < 0.02
 
 
@@ -226,8 +229,8 @@ def test_sample_path_equals_the_searchsorted_walk(m):
     assert (mu.P == 0).any()
     for seed in (0, 7, 2 ** 64 - 1):
         path = mu.sample_path(3000, seed=seed)
-        assert all(type(s) is int for s in path)
-        assert path == searchsorted_walk(mu, philox_uniforms(seed, 3000))
+        assert path.dtype == (np.uint8 if m <= 256 else np.uint16)
+        assert np.array_equal(path, searchsorted_walk(mu, philox_uniforms(seed, 3000)))
 
 
 def test_sample_path_at_ties_and_past_the_row_sum(monkeypatch):
@@ -241,8 +244,24 @@ def test_sample_path_at_ties_and_past_the_row_sum(monkeypatch):
                   0.0, 0.5])
     monkeypatch.setattr("thermoshift.measures._uniforms", lambda seed, n: u[:n])
     path = mu.sample_path(len(u), seed=1)
-    assert path == searchsorted_walk(mu, u)
-    assert path == [2, 0, 2, 2, 2, 0, 1]
+    assert np.array_equal(path, searchsorted_walk(mu, u))
+    assert path.tolist() == [2, 0, 2, 2, 2, 0, 1]
+
+
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.integers(1, 100),
+       st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_chunked_sampling_and_smb_equal_one_full_pass(m, chain_seed, length, seed):
+    # seven steps a chunk puts chunk boundaries inside every path longer
+    # than seven: the chunked draws, walk and log-mass sum must equal one
+    # full Philox draw, one walk and one fsum over the whole path
+    mu = sparse_chain(m, chain_seed)
+    with mock.patch.object(_numerics, "CHUNK", 7):
+        path = mu.sample_path(length, seed=seed)
+        est = smb_estimate(mu, path)
+    assert np.array_equal(path, searchsorted_walk(mu, philox_uniforms(seed, length)))
+    masses = np.concatenate(([mu.pi[path[0]]], mu.P[path[:-1], path[1:]]))
+    assert est == -math.fsum(np.log(masses).tolist()) / length
 
 
 # -- Shannon-McMillan-Breiman -------------------------------------------------------
@@ -269,6 +288,21 @@ def test_smb_rejects_null_paths():
 def test_smb_rejects_an_empty_path():
     with pytest.raises(ValueError, match="empty"):
         smb_estimate(parry().markov, [])
+
+
+def test_a_long_path_and_its_smb_estimate_cost_bytes_not_objects():
+    # with the path a list of Python ints and its log-mass one list of
+    # floats, this peaked at 61.5 MiB of traced memory; a fifth of that bounds
+    # a one-byte-per-step path and chunked Python objects
+    mu = sparse_chain(5, 5)
+    tracemalloc.start()
+    try:
+        path = mu.sample_path(10 ** 6, seed=3)
+        smb_estimate(mu, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 61.5 * 2 ** 20 / 5
 
 
 # -- block entropies ----------------------------------------------------------------

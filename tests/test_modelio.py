@@ -208,6 +208,25 @@ def test_wrong_types_are_schema_errors(tmp_path):
 # -- semantic layer ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("label, value, reason", [
+    ("2020-13-45", "2020-13-45", "month must be in 1..12"),
+    ("2020-12-25 25:00:00", "2020-12-25 25:00:00", "hour must be in 0..23"),
+    ("!!timestamp x", "x", "it has no date shape"),
+])
+def test_an_impossible_date_is_refused_at_its_field(tmp_path, label, value,
+                                                    reason):
+    # YAML reads an unquoted scalar shaped like a date as a timestamp, and
+    # datetime refuses an impossible one with a bare ValueError; an explicit
+    # tag on any other scalar fails PyYAML's date regexp
+    with pytest.raises(ModelSemanticError) as exc:
+        parse(write(tmp_path, "version: v1\nkind: markov-chain\n"
+                              f"labels: [{label}, b]\n"
+                              "transition: [[0.5, 0.5], [0.5, 0.5]]\n"))
+    assert f"{value} is not a date: {reason}" in str(exc.value)
+    assert exc.value.field == "labels.0"
+    assert (exc.value.line, exc.value.column) == (3, 10)
+
+
 def test_transition_entries_must_be_binary(tmp_path):
     with pytest.raises(ModelSemanticError) as exc:
         parse(write(tmp_path, "version: v1\nkind: sft\nlabels: ['a', 'b']\n"

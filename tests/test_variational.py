@@ -96,9 +96,8 @@ def test_lattice_zero_potential_is_uniform():
     sft = full_shift(2)
     eq = lattice_equilibrium(6, LocallyConstantPotential.zero(sft), 1.0)
     assert abs(eq.pressure - np.log(2.0)) < 1e-14
-    assert len(eq.masses) == 64
-    masses = np.array(list(eq.masses.values()))
-    assert np.max(np.abs(masses - 1.0 / 64.0)) < 1e-16
+    assert eq.masses.shape == (64,)
+    assert np.max(np.abs(eq.masses - 1.0 / 64.0)) < 1e-16
 
 
 def test_lattice_site_potential_factorizes():
@@ -117,7 +116,7 @@ def test_lattice_ring_against_ising_closed_form():
     for beta in (0.5, 1.0, 2.0):
         pot = ising_potential(beta)
         exact = ising_pressure_exact(beta)
-        ring12 = lattice_equilibrium(12, pot, 1.0, with_masses=False).pressure
+        ring12 = lattice_equilibrium(12, pot, 1.0).pressure
         # the finite-size excess log(1 + tanh^12 beta)/12 peaks at 0.042 here
         assert abs(ring12 - exact) < 5e-2
         trace12 = lattice_pressure_trace(12, pot, 1.0)

@@ -21,7 +21,7 @@ print(f"spectral pressure          {p:+.15f}")
 
 print("\ncylinder approximants (upper bounds, decreasing):")
 for n in (2, 4, 6, 8, 10, 12, 14):
-    pn = pressure_Pn(pot, n).value
+    pn = pressure_Pn(pot, n)
     print(f"  n={n:2d}   P_n/n = {pn:+.12f}   gap = {pn - p:.3e}")
 
 mu = gibbs_measure(pot)

@@ -133,15 +133,6 @@ class Report:
         print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
 
 
-def _cell(x):
-    """One CSV field: floats at 17 significant digits, anything else by str."""
-    if isinstance(x, (str, int)):      # bools too: str(True) is "True"
-        return str(x)
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
 def _entries(array):
     """The entries of a 1-D array as Python objects, a chunk at a time
     (``_numerics.chunks``), so a long column never exists as one list."""
@@ -151,21 +142,19 @@ def _entries(array):
 
 
 def _fields(column):
-    """A column's CSV fields, formatted lazily.  A numeric, bool or string
-    array is formatted by its dtype, a chunk at a time: floats map to 17
-    significant digits, and bools, ints and strings go to the csv writer as
-    they are, which applies str itself.  A range or an iterator (a ``map``
-    over the caller's data, say) is taken to yield finished fields, ints or
-    strings, and goes to the writer as it is too.  Any other sequence is
-    formatted field by field."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biufU":
-        values = _entries(column)
-        if column.dtype.kind == "f":
-            return map(format, values, repeat(".17g"))
-        return values
+    """A column's CSV fields, formatted lazily.  A range or an iterator (a
+    ``map`` over the caller's data, say) is taken to yield finished fields,
+    ints or strings, and goes to the csv writer as it is.  Any other column,
+    a list or tuple through ``np.asarray``, is formatted by its dtype, a
+    chunk at a time: floats map to 17 significant digits, and bools, ints
+    and strings go to the writer as they are, which applies str itself."""
     if isinstance(column, (range, Iterator)):
         return column
-    return map(_cell, column)
+    column = np.asarray(column)
+    values = _entries(column)
+    if column.dtype.kind == "f":
+        return map(format, values, repeat(".17g"))
+    return values
 
 
 class _FileError(Exception):
@@ -240,7 +229,7 @@ def _cmd_pressure(args, report, pot):
     report.result("pressure", p, "nats", "spectral")
     if args.check:
         n = args.depth
-        pn = pressure_Pn(pot, n, budget=args.budget).value
+        pn = pressure_Pn(pot, n, budget=args.budget)
         report.result(f"Pn_over_n(n={n})", pn, "nats", "variational")
         report.certificate("pressure_cross_check", ["spectral", "variational"],
                            [p, pn], "nats")
@@ -257,7 +246,7 @@ def _cmd_gibbs(args, report, pot):
     report.result("potential_mean", mean, "nats", "spectral")
     report.result("equilibrium_residual", abs(h + mean - g.pressure), "nats",
                   "spectral")
-    labels = list(g.markov.sft.alphabet.labels)
+    labels = list(g.potential.sft.alphabet.labels)
     report.annotate("states", labels)
     report.annotate("stationary", [float(x) for x in g.markov.pi])
     report.annotate("transition", [[float(x) for x in row]
@@ -276,8 +265,8 @@ def _cmd_bounds(args, report, pot):
     b = gibbs_bounds(g, args.depth, budget=args.budget)
     report.result("c_min", b.c_min, "ratio", "enumeration")
     report.result("c_max", b.c_max, "ratio", "enumeration")
-    report.annotate("depth", b.depth)
-    alphabet = g.markov.sft.alphabet
+    report.annotate("depth", args.depth)
+    alphabet = g.potential.sft.alphabet
     report.annotate("argmin_word", alphabet.word_string(b.argmin))
     report.annotate("argmax_word", alphabet.word_string(b.argmax))
 
@@ -330,7 +319,7 @@ def _cmd_aep(args, report, nu, _labels):
                   "enumeration")
     report.result("exceptional_mass", part.exceptional_mass, "probability",
                   "enumeration")
-    report.annotate("entropy_rate", float(nu.entropy()))
+    report.annotate("entropy_rate", part.entropy_rate)
     report.annotate("alpha", args.alpha)
     report.annotate("depth", n)
 
@@ -518,7 +507,7 @@ def _cmd_pn_scan(args, report, pot):
     report.result("pressure", ref, "nats", "spectral")
     values = []
     for n in range(1, args.n_max + 1):
-        pn = pressure_Pn(pot, n, budget=args.budget).value
+        pn = pressure_Pn(pot, n, budget=args.budget)
         values.append(pn)
         report.result(f"Pn_over_n(n={n})", pn, "nats", "variational")
     report.certificate(f"Pn_vs_spectral(n={args.n_max})",

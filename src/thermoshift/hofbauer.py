@@ -259,7 +259,6 @@ class TransitionDiagnostic:
     weighted_partial: float
     weighted_tail_bound: float
     truncation_K: int
-    tol: float
 
 
 _SERIES_K_MAX = 2 ** 23     # deepest truncation of a renewal series
@@ -359,7 +358,7 @@ def diagnose(potential: HofbauerPotential, tol=1e-8) -> TransitionDiagnostic:
     return TransitionDiagnostic(
         classification=cls, sum_partial=partial, sum_tail_bound=tail,
         weighted_partial=weighted_partial, weighted_tail_bound=wtail,
-        truncation_K=K, tol=tol)
+        truncation_K=K)
 
 
 # bound on |computed G - G| where G is near 1: the settled tail error,
@@ -479,7 +478,6 @@ class PressureCurve:
 
     betas: np.ndarray
     pressures: np.ndarray
-    kink: float
     left_quotients: dict     # step -> (P(kink-h) - P(kink)) / h
     right_quotients: dict    # step -> (P(kink+h) - P(kink)) / h
 
@@ -513,5 +511,5 @@ def pressure_curve(potential: HofbauerPotential, betas, kink=1.0,
     for h in kink_steps:
         left[h] = (at(kink - h) - p0) / h
         right[h] = (at(kink + h) - p0) / h
-    return PressureCurve(betas=betas, pressures=values, kink=kink,
-                         left_quotients=left, right_quotients=right)
+    return PressureCurve(betas=betas, pressures=values, left_quotients=left,
+                         right_quotients=right)

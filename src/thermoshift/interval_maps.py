@@ -145,17 +145,17 @@ class PiecewiseLinearMarkovMap:
 
 @dataclass
 class CodedSystem:
-    """Symbolic coding of a map: subshift, geometric potential, exact lengths."""
+    """Symbolic coding of a map: the geometric potential on the coding
+    subshift, its ``sft``, and exact cylinder lengths."""
 
     map: PiecewiseLinearMarkovMap
-    sft: SubshiftOfFiniteType
     potential: LocallyConstantPotential   # -log |slope|, range 1
     symbols: tuple                        # symbol -> partition interval index
 
     def cylinder_length(self, word) -> Fraction:
         """Exact length of the interval cylinder coded by the word."""
         word = tuple(word)
-        if not self.sft.is_admissible(word):
+        if not self.potential.sft.is_admissible(word):
             return Fraction(0)
         total = self.map.lengths[self.symbols[word[-1]]]
         for sym in word[:-1]:
@@ -176,7 +176,7 @@ def code(imap: PiecewiseLinearMarkovMap) -> CodedSystem:
     table = {(s,): float(-np.log(float(abs(imap.branches[i].slope))))
              for s, i in enumerate(ids)}
     pot = LocallyConstantPotential(sft, 1, table)
-    return CodedSystem(map=imap, sft=sft, potential=pot, symbols=ids)
+    return CodedSystem(map=imap, potential=pot, symbols=ids)
 
 
 @dataclass
@@ -191,7 +191,8 @@ class AcimResult:
     def certificate(self, depth, budget=10 ** 6):
         """Enumerated extremes of mass(w) / |I_w| at the given depth."""
         lo, hi = np.inf, -np.inf
-        for words in _word_blocks(self.coded.sft.transition, depth, budget=budget):
+        T = self.coded.potential.sft.transition
+        for words in _word_blocks(T, depth, budget=budget):
             lengths = [float(self.coded.cylinder_length(word))
                        for word in words.tolist()]
             ratio = self.measure.markov._masses(words) / np.array(lengths)

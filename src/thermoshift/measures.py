@@ -35,14 +35,11 @@ class MarkovMeasure:
     pi : array_like
         Stationary probability vector.
     P : array_like
-        Row-stochastic transition matrix with pi P = pi.
-    sft : SubshiftOfFiniteType, optional
-        Subshift the measure lives on; transitions with P[a, b] > 0 must be
-        admissible.  When omitted, the support of P defines the subshift
-        implicitly.
+        Row-stochastic transition matrix with pi P = pi; its support is the
+        subshift the chain lives on.
     """
 
-    def __init__(self, pi, P, sft=None):
+    def __init__(self, pi, P):
         pi = np.asarray(pi, dtype=float)
         P = np.asarray(P, dtype=float)
         m = len(pi)
@@ -57,27 +54,18 @@ class MarkovMeasure:
             raise ValueError("P must be row-stochastic (tolerance 1e-9)")
         if np.max(np.abs(pi @ P - pi)) > _STATIONARY_TOL:
             raise ValueError(f"pi is not stationary for P within {_STATIONARY_TOL}")
-        if sft is not None:
-            if sft.m != m:
-                raise ValueError(f"the chain has {m} states but the subshift "
-                                 f"has {sft.m} symbols")
-            bad = (P > 0) & (sft.transition == 0)
-            if bad.any():
-                a, b = map(int, np.argwhere(bad)[0])
-                raise ValueError(f"P charges a forbidden transition {a}->{b}")
         self.pi = np.clip(pi, 0.0, None)
         self.P = np.clip(P, 0.0, None)
-        self.sft = sft
 
     @classmethod
-    def from_transition(cls, P, sft=None):
+    def from_transition(cls, P):
         """Markov measure with the stationary vector solved from P.
 
         P must be row-stochastic with a unique stationary distribution.
         """
         P = np.asarray(P, dtype=float)
         pi = stationary_vector(P)
-        return cls(pi, P, sft=sft)
+        return cls(pi, P)
 
     @property
     def m(self):
@@ -166,8 +154,7 @@ class MarkovMeasure:
         if (self.pi <= 0).any():
             raise OutOfRange("time reversal needs strictly positive pi")
         Q = (self.P.T * self.pi[None, :]) / self.pi[:, None]
-        # the reversed chain lives on the transposed subshift; drop the link
-        return MarkovMeasure(self.pi, Q, sft=None)
+        return MarkovMeasure(self.pi, Q)
 
     # -- sampling ----------------------------------------------------------------
 
@@ -235,17 +222,17 @@ def _uniforms(seed, count):
 class GibbsMeasure:
     """Gibbs/equilibrium state of a locally constant potential.
 
-    Carries the Markov form, the potential it equilibrates, the pressure, and
-    the eigendata of the transfer operator it was built from.  When the
-    potential needed block recoding the measure lives on the recoded subshift
-    and ``recoding`` maps original words to block words.
+    Carries the Markov form, the range <= 2 potential it equilibrates, the
+    pressure, and the eigendata of the transfer operator it was built from.
+    The chain lives on ``potential.sft``: a potential of range > 2 is block
+    recoded first (``recode_range2``), and the state lives on the block
+    subshift.
     """
 
     markov: MarkovMeasure
     potential: object
     pressure: float
     eigen: object
-    recoding: object = None
 
     def entropy(self):
         return self.markov.entropy()
@@ -256,23 +243,6 @@ class GibbsMeasure:
 
     def cylinder(self, word):
         return self.markov.cylinder(word)
-
-    def cylinder_original(self, word):
-        """Mass of a cylinder of the original (pre-recoding) subshift."""
-        rec = self.recoding
-        if rec is None or rec.original_sft is self.markov.sft:
-            return self.markov.cylinder(word)
-        k = rec.original_range - 1
-        word = tuple(word)
-        if not rec.original_sft.is_admissible(word):
-            return 0.0
-        if len(word) >= k:
-            return self.markov.cylinder(rec.encode_word(word))
-        total = 0.0
-        for block in rec.blocks:
-            if block[:len(word)] == word:
-                total += self.markov.cylinder((rec.block_index[block],))
-        return total
 
 
 # -- block entropies ------------------------------------------------------------
@@ -365,8 +335,6 @@ class AepPartition:
     """Counts and masses of the depth-n words split by whether their mass is
     within exp(-n(h +- alpha)); the words themselves are not kept."""
 
-    depth: int
-    alpha: float
     entropy_rate: float
     typical_mass: float
     exceptional_mass: float
@@ -390,8 +358,7 @@ def aep_partition(measure: MarkovMeasure, n, alpha, budget=10 ** 7) -> AepPartit
         t_count += int(inside.sum())
         t_mass = ordered_sum(mass[inside], t_mass)
         e_mass = ordered_sum(mass[~inside], e_mass)
-    return AepPartition(depth=n, alpha=alpha, entropy_rate=h,
-                        typical_mass=float(t_mass),
+    return AepPartition(entropy_rate=h, typical_mass=float(t_mass),
                         exceptional_mass=float(e_mass),
                         typical_count=t_count, word_count=count)
 

@@ -117,44 +117,42 @@ def _nodes(node, path=()):
 
 
 class _Constructor(yaml.constructor.SafeConstructor):
-    """PyYAML's safe constructor, except that an integer past Python's
-    int-string limit (4300 digits by default), which no double holds either,
-    and a scalar shaped like an impossible date, such as 2020-13-45, or
-    tagged !!timestamp without a date's shape, are semantic errors at their
-    field rather than a bare ValueError or AttributeError."""
+    """PyYAML's safe constructor, except that a scalar its tag's constructor
+    refuses with a bare ValueError, LookupError or AttributeError is a
+    semantic error at its field: ``!!bool x``, ``!!int ""``, an integer past
+    Python's int-string limit (4300 digits by default), which no double holds
+    either, or a scalar shaped like an impossible date, such as 2020-13-45."""
 
     def __init__(self, model):
         super().__init__()
         self.model = model
 
-    def _path(self, node):
-        """The node's path, as _mark takes it; a mapping key has none."""
-        return next((p for p, n in _nodes(self.model.node) if n is node), ())
-
-    def construct_yaml_int(self, node):
+    def construct_object(self, node, deep=False):
         try:
-            return super().construct_yaml_int(node)
-        except ValueError:
-            digits = sum(c.isdigit() for c in node.value)
-            raise _semantic(self.model, "integers must fit a double, got an "
-                            f"integer of {digits} digits",
-                            *self._path(node)) from None
-
-    def construct_yaml_timestamp(self, node):
-        try:
-            return super().construct_yaml_timestamp(node)
-        except ValueError as exc:
-            reason = str(exc)
-        except AttributeError:     # PyYAML's date regexp did not match
-            reason = "it has no date shape"
-        raise _semantic(self.model, f"{node.value} is not a date: {reason}",
-                        *self._path(node))
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError, AttributeError) as exc:
+            if not isinstance(node, yaml.ScalarNode):
+                raise
+            # a mapping key has no path
+            path = next((p for p, n in _nodes(self.model.node) if n is node), ())
+            raise _semantic(self.model, _refusal(node, exc), *path) from None
 
 
-_Constructor.add_constructor("tag:yaml.org,2002:int",
-                             _Constructor.construct_yaml_int)
-_Constructor.add_constructor("tag:yaml.org,2002:timestamp",
-                             _Constructor.construct_yaml_timestamp)
+def _refusal(node, exc):
+    """Why a scalar constructor refused ``node`` with ``exc``."""
+    tag = node.tag.rpartition(":")[2]
+    if tag == "timestamp":
+        # datetime refuses an impossible date with a ValueError; a scalar
+        # that PyYAML's date regexp does not match fails as an AttributeError
+        reason = (str(exc) if isinstance(exc, ValueError)
+                  else "it has no date shape")
+        return f"{node.value} is not a date: {reason}"
+    digits = node.value.replace("_", "").lstrip("+-")
+    # int() reads such a literal in base 10, so only its length can fail it
+    if tag == "int" and digits.isdecimal() and digits[0] != "0":
+        return ("integers must fit a double, got an integer of "
+                f"{len(digits)} digits")
+    return f"{node.value!r} is not a valid !!{tag}"
 
 
 def _is_number(x, types=(int, float)):

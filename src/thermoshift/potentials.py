@@ -9,7 +9,6 @@ maximized over admissible continuations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -166,50 +165,20 @@ class LocallyConstantPotential:
         return f"LocallyConstantPotential(r={self.r}, m={self.sft.m})"
 
 
-@dataclass
-class Recoding:
-    """Outcome of rewriting a range-r potential as range 2 on a block shift,
-    the new potential's ``sft``.
-
-    ``blocks[i]`` is the admissible (r-1)-word represented by new symbol i.
-    ``encode_word`` maps original admissible words of length >= r-1 to block
-    words; cylinder measures computed on the block shift project back exactly
-    through this map.
-    """
-
-    potential: LocallyConstantPotential
-    blocks: tuple
-    block_index: dict
-    original_sft: SubshiftOfFiniteType
-    original_range: int
-
-    def encode_word(self, word):
-        word = tuple(word)
-        k = self.original_range - 1
-        if len(word) < k:
-            raise ValueError(f"need at least {k} symbols to encode")
-        return tuple(self.block_index[word[i:i + k]]
-                     for i in range(len(word) - k + 1))
-
-
-def recode_range2(potential) -> Recoding:
+def recode_range2(potential) -> LocallyConstantPotential:
     """Rewrite a locally constant potential as an equivalent range-2 one.
 
-    For r <= 2 this is the identity recoding (blocks are single symbols when
-    r == 2, and the potential is reused as is).  For r > 2 the new alphabet
-    is the set of admissible (r-1)-words; the overlap condition defines the
-    block transitions, and block pressure, entropy and cylinder measures agree
-    with the original system.
+    For r <= 2 this is the potential itself.  For r > 2 the new potential
+    lives on the block subshift whose symbols are the admissible (r-1)-words
+    in lexicographic order; the overlap condition defines the block
+    transitions, and block pressure, entropy and cylinder measures agree with
+    the original system.
     """
     sft, r = potential.sft, potential.r
     if r <= 2:
-        blocks = tuple((a,) for a in range(sft.m))
-        return Recoding(potential=potential, blocks=blocks,
-                        block_index={b: i for i, b in enumerate(blocks)},
-                        original_sft=sft, original_range=max(r, 2))
+        return potential
     words = np.argwhere(sft.admissible_mask(r - 1))
     blocks = tuple(map(tuple, words.tolist()))
-    index = {b: i for i, b in enumerate(blocks)}
     # block i may precede block j iff the last r-2 symbols of i are the
     # first r-2 of j; compare those overlaps by their integer codes
     overlap = (sft.m,) * (r - 2)
@@ -220,9 +189,7 @@ def recode_range2(potential) -> Recoding:
     i, j = np.nonzero(M2)
     dense2 = np.full(M2.shape, np.nan)
     dense2[i, j] = potential.dense_table[tuple(words[i].T) + (words[j, -1],)]
-    pot2 = LocallyConstantPotential._from_dense(sft2, dense2)
-    return Recoding(potential=pot2, blocks=blocks, block_index=index,
-                    original_sft=sft, original_range=r)
+    return LocallyConstantPotential._from_dense(sft2, dense2)
 
 
 def _block_labels(alphabet, blocks):

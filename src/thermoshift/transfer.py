@@ -164,7 +164,7 @@ def pressure(potential, tol=1e-13) -> float:
     """
     from .potentials import recode_range2
 
-    eig = leading_eigen(build(recode_range2(potential).potential), tol=tol)
+    eig = leading_eigen(build(recode_range2(potential)), tol=tol)
     return float(np.log(eig.lam))
 
 
@@ -174,13 +174,13 @@ def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
     P[a, b] = A[a, b] v_b / (lam v_a) and pi_a = u_a v_a; cylinder masses of
     the returned measure satisfy the two-sided Gibbs inequalities with
     constants read off the eigenvectors.  For range > 2 the state lives on
-    the block recoding (see ``GibbsMeasure.cylinder_original``).
+    the block subshift of ``recode_range2``, the ``sft`` of its potential.
     """
     from .measures import GibbsMeasure, MarkovMeasure
     from .potentials import recode_range2
 
-    rec = recode_range2(potential)
-    A = build(rec.potential)
+    potential = recode_range2(potential)
+    A = build(potential)
     eig = leading_eigen(A, tol=tol)
     v, u, lam = eig.v, eig.u, eig.lam
     P = A * v[None, :] / (lam * v[:, None])
@@ -188,16 +188,14 @@ def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
     P = P / P.sum(axis=1, keepdims=True)
     pi = u * v
     pi = pi / pi.sum()
-    markov = MarkovMeasure(pi, P, sft=rec.potential.sft)
-    return GibbsMeasure(markov=markov, potential=rec.potential,
-                        pressure=float(np.log(lam)), eigen=eig, recoding=rec)
+    return GibbsMeasure(markov=MarkovMeasure(pi, P), potential=potential,
+                        pressure=float(np.log(lam)), eigen=eig)
 
 
 @dataclass
 class GibbsBounds:
     """Enumerated extremes of mass / exp(S_n^sup - n * pressure) at depth n."""
 
-    depth: int
     c_min: float
     c_max: float
     argmin: tuple
@@ -222,7 +220,7 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     tail = p - np.nanmax(phi, axis=1)
     c_min, c_max = np.inf, -np.inf
     argmin = argmax = None
-    for words in _word_blocks(measure.markov.sft.transition, n, budget=budget):
+    for words in _word_blocks(measure.potential.sft.transition, n, budget=budget):
         log_ratio = log_pi[words[:, 0]] + tail[words[:, -1]]
         for j in range(1, n):
             log_ratio = log_ratio + step[words[:, j - 1], words[:, j]]
@@ -233,5 +231,5 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
             c_min, argmin = ratio[lo], tuple(words[lo].tolist())
         if ratio[hi] > c_max:
             c_max, argmax = ratio[hi], tuple(words[hi].tolist())
-    return GibbsBounds(depth=n, c_min=float(c_min), c_max=float(c_max),
+    return GibbsBounds(c_min=float(c_min), c_max=float(c_max),
                        argmin=argmin, argmax=argmax)

@@ -39,7 +39,6 @@ class FiniteEquilibrium:
 
     mu: np.ndarray
     log_partition: float
-    beta: float
 
     def mean_energy(self, U):
         return float(self.mu @ U)
@@ -54,7 +53,7 @@ def finite_equilibrium(system: FiniteSystem) -> FiniteEquilibrium:
     z = system.beta * system.U
     p = logsumexp(z)
     mu = np.exp(z - p)
-    return FiniteEquilibrium(mu=mu, log_partition=p, beta=system.beta)
+    return FiniteEquilibrium(mu=mu, log_partition=p)
 
 
 def mean_energy_at(U, beta):
@@ -154,15 +153,7 @@ def _require_full(sft):
 # -- cylinder-maximization pressure ---------------------------------------------
 
 
-@dataclass
-class PnResult:
-    """The cylinder-maximization pressure approximant at depth n."""
-
-    n: int
-    value: float          # P_n / n
-
-
-def pressure_Pn(potential, n, budget=10 ** 7) -> PnResult:
+def pressure_Pn(potential, n, budget=10 ** 7) -> float:
     """Finite pressure approximant log sum_w exp(sup_[w] S_n phi), over n.
 
     The sum runs over the admissible n-cylinders [w] of the potential's
@@ -171,7 +162,7 @@ def pressure_Pn(potential, n, budget=10 ** 7) -> PnResult:
     """
     sups = [potential.birkhoff_sups(words) for words in
             _word_blocks(potential.sft.transition, n, budget=budget)]
-    return PnResult(n=n, value=logsumexp(np.concatenate(sups)) / n)
+    return logsumexp(np.concatenate(sups)) / n
 
 
 # -- named chains -----------------------------------------------------------------

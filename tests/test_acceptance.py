@@ -106,7 +106,7 @@ def test_03_pressure_three_ways_ising():
         exact = ising_pressure_exact(beta)
         assert abs(exact - np.log(2.0 * np.cosh(beta))) < 1e-15
         assert abs(pressure(pot) - exact) < 1e-10
-        assert abs(pressure_Pn(pot, 14).value - exact) < 5e-2
+        assert abs(pressure_Pn(pot, 14) - exact) < 5e-2
         # the ring exceeds the line value by exactly log(1 + tanh^n)/n;
         # at beta=2 that excess is 0.0196, larger than 1e-2 by itself, so
         # the raw gap is bounded where the excess sits below the tolerance
@@ -124,7 +124,7 @@ def test_04_gibbs_ratio_bounds():
     def envelope(mu):
         eig = mu.eigen
         pot2 = mu.potential.with_range(2)
-        sft = mu.markov.sft
+        sft = mu.potential.sft
         tail = np.array([np.exp(mu.pressure -
                                 max(v for w, v in pot2.table.items()
                                     if w[0] == a))

@@ -863,7 +863,7 @@ def test_csv_columns_are_byte_identical_to_the_per_cell_writer(tmp_path):
             [np.float64(x) for x in floats],
             floats,
             np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, 1.0]),
-            [math.inf, -math.inf, math.nan, 0.1, 1e22, 3, 2 ** 70],
+            [math.inf, -math.inf, math.nan, 0.1, 1e22, 3.0, 2.0 ** 70],
             np.arange(-3, 4),
             [0, -1, 10 ** 30, 7, 8, 9, 10],
             range(10, 17),

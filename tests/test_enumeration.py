@@ -260,8 +260,8 @@ def test_pressure_Pn_matches_word_by_word_reference(seed):
         ref = [brute_sup(pot, w) for w in words]
         assert pot.birkhoff_sups(np.array(words)).tolist() == ref
         with mock.patch.object(sft_module, "_BLOCK_ROWS", 4):
-            res = pressure_Pn(pot, n)
-        assert res.value == logsumexp(ref) / n
+            value = pressure_Pn(pot, n)
+        assert value == logsumexp(ref) / n
 
 
 def brute_hofbauer_sup(pot, word):
@@ -288,8 +288,8 @@ def test_pressure_Pn_on_a_hofbauer_potential_matches_per_word_sups():
         words = list(itertools.product(range(2), repeat=n))
         sups = [brute_hofbauer_sup(pot, w) for w in words]
         with mock.patch.object(sft_module, "_BLOCK_ROWS", 5):
-            res = pressure_Pn(pot, n)
-        assert abs(res.value - logsumexp(sups) / n) < 1e-14
+            value = pressure_Pn(pot, n)
+        assert abs(value - logsumexp(sups) / n) < 1e-14
         assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - sups)) < 1e-14
 
 

@@ -83,7 +83,7 @@ def test_constructor_rejections():
 
 def test_golden_interval_codes_to_golden_mean():
     coded = code(golden_interval_map())
-    assert coded.sft.transition.tolist() == [[1, 1], [1, 0]]
+    assert coded.potential.sft.transition.tolist() == [[1, 1], [1, 0]]
     assert coded.potential.table[(0,)] == -float(np.log(1.5))
     assert coded.potential.table[(1,)] == -float(np.log(2.0))
 
@@ -98,7 +98,7 @@ def test_cylinder_lengths_are_exact():
     # depth-n cylinder lengths tile the branch intervals
     words = itertools.product(range(2), repeat=6)
     total = sum(golden.cylinder_length(w) for w in words
-                if golden.sft.is_admissible(w))
+                if golden.potential.sft.is_admissible(w))
     assert total == Fraction(1)
 
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          SubshiftOfFiniteType, aep_partition,
@@ -61,17 +61,6 @@ def test_constructor_rejects_bad_input():
         MarkovMeasure([0.5, 0.5], [[0.9, 0.0], [0.5, 0.5]])
     with pytest.raises(ValueError):
         MarkovMeasure([0.9, 0.1], np.full((2, 2), 0.5))
-    with pytest.raises(ValueError):
-        MarkovMeasure([0.5, 0.5], np.full((2, 2), 0.5),
-                      sft=golden_mean_shift())
-
-
-def test_constructor_names_both_sizes_of_a_mismatched_subshift():
-    with pytest.raises(ValueError, match="2 states but the subshift has 3"):
-        MarkovMeasure([0.5, 0.5], np.full((2, 2), 0.5), sft=full_shift(3))
-    with pytest.raises(ValueError, match="3 states but the subshift has 2"):
-        MarkovMeasure(np.full(3, 1 / 3), np.full((3, 3), 1 / 3),
-                      sft=full_shift(2))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -514,6 +503,25 @@ def test_production_zero_iff_reversible(seed):
         assert value > 0.0
 
 
+def original_cylinder(mu, sft, r, word):
+    """Mass of a cylinder of ``sft`` under the Gibbs state ``mu`` of a range-r
+    potential, r > 2.  The state lives on the block subshift whose symbols
+    are the admissible (r-1)-words of ``sft`` in lexicographic order, and a
+    word of length >= r-1 encodes as the blocks of its (r-1)-windows."""
+    k = r - 1
+    blocks = [b for b in itertools.product(range(sft.m), repeat=k)
+              if sft.is_admissible(b)]
+    index = {b: i for i, b in enumerate(blocks)}
+    word = tuple(word)
+    if len(word) < k:
+        return math.fsum(mu.cylinder((i,)) for i, b in enumerate(blocks)
+                         if b[:len(word)] == word)
+    windows = [word[i:i + k] for i in range(len(word) - k + 1)]
+    if not all(w in index for w in windows):
+        return 0.0
+    return mu.cylinder([index[w] for w in windows])
+
+
 def test_cylinder_original_matches_the_range4_lift():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(
@@ -521,12 +529,36 @@ def test_cylinder_original_matches_the_range4_lift():
     mu3 = gibbs_measure(pot)
     # an independent route: the range-4 lift recodes to a different block shift
     mu4 = gibbs_measure(pot.with_range(4))
-    assert mu3.markov.sft.m == 3 and mu4.markov.sft.m == 5
+    assert mu3.potential.sft.m == 3 and mu4.potential.sft.m == 5
     for n in range(1, 6):
         masses = []
         for word in itertools.product(range(2), repeat=n):
-            mass = mu3.cylinder_original(word)
-            assert abs(mass - mu4.cylinder_original(word)) < 1e-12
+            mass = original_cylinder(mu3, sft, 3, word)
+            assert abs(mass - original_cylinder(mu4, sft, 4, word)) < 1e-12
             assert mass > 0 if sft.is_admissible(word) else mass == 0.0
             masses.append(mass)
         assert abs(math.fsum(masses) - 1.0) < 1e-12
+
+
+@st.composite
+def primitive_potentials(draw):
+    """A potential of range 1-3 on a primitive 0/1 subshift of m <= 5 symbols."""
+    m = draw(st.integers(2, 5))
+    flat = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    T = np.array(flat, dtype=np.int8).reshape(m, m)
+    assume(T.any(axis=0).all() and T.any(axis=1).all())
+    sft = SubshiftOfFiniteType([str(a) for a in range(m)], T)
+    assume(sft.validate().primitive)
+    values = st.floats(-3.0, 3.0, allow_nan=False)
+    return LocallyConstantPotential.from_function(sft, draw(st.integers(1, 3)),
+                                                  lambda w: draw(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_potentials())
+def test_the_gibbs_chain_charges_exactly_the_subshift_of_its_potential(pot):
+    # the support of P does not depend on the tol; at the default 1e-13 some
+    # of these spectra (a gap near 5e-4) leave leading_eigen's residual
+    # stalled above tol * lam, which is not what this property is about
+    g = gibbs_measure(pot, tol=1e-10)
+    assert np.array_equal(g.markov.P > 0, g.potential.sft.transition != 0)

@@ -227,6 +227,27 @@ def test_an_impossible_date_is_refused_at_its_field(tmp_path, label, value,
     assert (exc.value.line, exc.value.column) == (3, 10)
 
 
+@pytest.mark.parametrize("label, reason", [
+    ("!!bool x", "'x' is not a valid !!bool"),           # a KeyError
+    ("!!float x", "'x' is not a valid !!float"),         # a ValueError
+    ("!!int x", "'x' is not a valid !!int"),
+    ("!!int 09", "'09' is not a valid !!int"),           # octal, by its 0
+    ('!!int ""', "'' is not a valid !!int"),             # an IndexError
+])
+def test_a_scalar_its_tag_refuses_is_refused_at_its_field(tmp_path, label,
+                                                          reason):
+    # any scalar constructor's bare error becomes a diagnostic that names
+    # the tag, where it once escaped as a traceback, a computation error or
+    # the false reason of an integer too long for a double
+    with pytest.raises(ModelSemanticError) as exc:
+        parse(write(tmp_path, "version: v1\nkind: markov-chain\n"
+                              f"labels: [{label}, b]\n"
+                              "transition: [[0.5, 0.5], [0.5, 0.5]]\n"))
+    assert str(exc.value).endswith(reason)
+    assert exc.value.field == "labels.0"
+    assert (exc.value.line, exc.value.column) == (3, 10)
+
+
 def test_transition_entries_must_be_binary(tmp_path):
     with pytest.raises(ModelSemanticError) as exc:
         parse(write(tmp_path, "version: v1\nkind: sft\nlabels: ['a', 'b']\n"

@@ -121,30 +121,27 @@ def test_range1_has_no_tail_freedom():
 
 
 def test_recode_identity_for_range2():
-    sft, pot = run_weights()
-    rec = recode_range2(pot)
-    assert rec.potential is pot
-    assert rec.potential.sft is sft
-    assert rec.encode_word((0, 1, 0)) == (0, 1, 0)
+    _, pot = run_weights()
+    assert recode_range2(pot) is pot
 
 
 def test_recode_full_shift_range3():
     sft = full_shift(2)
     pot = LocallyConstantPotential.from_function(
         sft, 3, lambda w: 0.1 * w[0] + 0.2 * w[1] + 0.4 * w[2])
-    rec = recode_range2(pot)
-    assert rec.potential.sft.m == 4
-    assert int(rec.potential.sft.transition.sum()) == 8
-    assert rec.potential.r == 2
+    pot2 = recode_range2(pot)
+    assert pot2.sft.m == 4
+    assert int(pot2.sft.transition.sum()) == 8
+    assert pot2.r == 2
 
 
 def test_recode_golden_mean_range3():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(sft, 3, lambda w: float(sum(w)))
-    rec = recode_range2(pot)
-    assert rec.potential.sft.m == 3
-    assert sorted(rec.blocks) == [(0, 0), (0, 1), (1, 0)]
-    assert int(rec.potential.sft.transition.sum()) == 5
+    pot2 = recode_range2(pot)
+    # the block symbols are the admissible 2-words in lexicographic order
+    assert list(pot2.sft.alphabet.labels) == ["00", "01", "10"]
+    assert int(pot2.sft.transition.sum()) == 5
 
 
 def test_recode_preserves_pressure():
@@ -153,27 +150,13 @@ def test_recode_preserves_pressure():
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(
         sft, 3, lambda w: 0.3 * w[0] - 0.2 * w[1] + 0.15 * w[2])
-    p_block = pressure(recode_range2(pot).potential)
+    p_block = pressure(recode_range2(pot))
     # independent route: recode the range-4 lift, a different block system
-    rec4 = recode_range2(pot.with_range(4))
-    assert abs(p_block - pressure(rec4.potential)) < 1e-10
+    assert abs(p_block - pressure(recode_range2(pot.with_range(4)))) < 1e-10
     # and the cylinder approximants on the original system close in from above
-    gaps = [pressure_Pn(pot, n).value - p_block for n in (6, 9, 12)]
+    gaps = [pressure_Pn(pot, n) - p_block for n in (6, 9, 12)]
     assert all(g >= -1e-12 for g in gaps)
     assert gaps[2] < 5e-2 and gaps[2] < gaps[1] < gaps[0]
-
-
-def test_recode_word_encoding_round_trip():
-    sft = golden_mean_shift()
-    pot = LocallyConstantPotential.from_function(sft, 3, lambda w: float(sum(w)))
-    rec = recode_range2(pot)
-    for word in brute_words(sft.transition, 5):
-        enc = rec.encode_word(word)
-        assert rec.potential.sft.is_admissible(enc)
-        assert len(enc) == len(word) - 1
-        # decode by reading first symbols of the blocks
-        dec = tuple(rec.blocks[s][0] for s in enc) + rec.blocks[enc[-1]][1:]
-        assert dec == tuple(word)
 
 
 def test_zero_potential_constructor():
@@ -279,15 +262,16 @@ def test_dense_table_algebra_matches_the_dict_loops(case):
     assert (pot + other).table == {w: a[w] + b[w] for w in a}
     assert LocallyConstantPotential.zero(sft, r2).table == {w: 0.0 for w in t2}
 
-    rec = recode_range2(pot)
+    pot2 = recode_range2(pot)
     if r1 <= 2:
-        assert rec.potential is pot
+        assert pot2 is pot
         table2 = ref_lift(T, t1, r1, 2)
     else:
         blocks, M2, table2 = ref_recoding(T, t1, r1)
-        assert rec.blocks == blocks
-        assert rec.block_index == {b: i for i, b in enumerate(blocks)}
-        assert np.array_equal(rec.potential.sft.transition, M2)
-        assert rec.potential.table == table2
-    A = build(rec.potential)
-    assert np.array_equal(A, ref_transfer_matrix(rec.potential.sft.m, table2))
+        # the labels of single-character symbols spell the blocks, in order
+        assert list(pot2.sft.alphabet.labels) == ["".join(map(str, b))
+                                                  for b in blocks]
+        assert np.array_equal(pot2.sft.transition, M2)
+        assert pot2.table == table2
+    A = build(pot2)
+    assert np.array_equal(A, ref_transfer_matrix(pot2.sft.m, table2))

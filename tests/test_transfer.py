@@ -162,7 +162,7 @@ def envelope(mu):
     # so state-wise extremes of those factors bound the enumerated ratios
     eig = mu.eigen
     pot2 = mu.potential.with_range(2)
-    sft = mu.markov.sft
+    sft = mu.potential.sft
     tail = np.array([np.exp(mu.pressure -
                             max(v for w, v in pot2.table.items() if w[0] == a))
                      for a in range(sft.m)])

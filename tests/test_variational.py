@@ -149,13 +149,13 @@ def test_pn_zero_potential_full_shift_is_flat():
     sft = full_shift(2)
     pot = LocallyConstantPotential.zero(sft)
     for n in (1, 4, 7, 10):
-        assert abs(pressure_Pn(pot, n).value - np.log(2.0)) < 1e-12
+        assert abs(pressure_Pn(pot, n) - np.log(2.0)) < 1e-12
 
 
 def test_pn_zero_potential_counts_words():
     sft = golden_mean_shift()
-    res = pressure_Pn(LocallyConstantPotential.zero(sft), 10)
-    assert abs(res.value - np.log(144.0) / 10.0) < 1e-12
+    value = pressure_Pn(LocallyConstantPotential.zero(sft), 10)
+    assert abs(value - np.log(144.0) / 10.0) < 1e-12
 
 
 def test_pn_upper_approximant_decreases_to_pressure():
@@ -163,7 +163,7 @@ def test_pn_upper_approximant_decreases_to_pressure():
     pot = LocallyConstantPotential(
         sft, 2, {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4})
     p = pressure(pot)
-    gaps = [pressure_Pn(pot, n).value - p for n in (4, 8, 12)]
+    gaps = [pressure_Pn(pot, n) - p for n in (4, 8, 12)]
     assert all(g >= -1e-12 for g in gaps)
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -171,8 +171,8 @@ def test_pn_upper_approximant_decreases_to_pressure():
 def test_pn_ising_within_tolerance_at_depth_14():
     for beta in (0.5, 1.0, 2.0):
         pot = ising_potential(beta)
-        res = pressure_Pn(pot, 14)
-        assert abs(res.value - ising_pressure_exact(beta)) < 5e-2
+        value = pressure_Pn(pot, 14)
+        assert abs(value - ising_pressure_exact(beta)) < 5e-2
 
 
 def test_pn_sums_the_sup_of_each_cylinder():
@@ -187,7 +187,7 @@ def test_pn_sums_the_sup_of_each_cylinder():
                 for t in (0, 1) if sft.is_admissible(word + (t,)))
             for word in words]
     assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - sups)) < 1e-15
-    value = pressure_Pn(pot, 5).value
+    value = pressure_Pn(pot, 5)
     assert abs(value - np.log(np.exp(sups).sum()) / 5) < 1e-15
     with pytest.raises(DepthTooLarge):
         pressure_Pn(pot, 40, budget=1000)

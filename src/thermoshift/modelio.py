@@ -1,4 +1,4 @@
-"""Versioned model files for the batch front-end.
+r"""Versioned model files for the batch front-end.
 
 A model file is a YAML mapping carrying `version: v1`, a `kind` selecting one
 of five schemas, and the body fields of that schema.  Validation separates
@@ -8,6 +8,15 @@ three layers so failures map onto distinct exit codes:
   schema    missing/unknown fields or fields of the wrong type,
   semantic  well-typed values violating a model invariant (rows not
             stochastic, transition entries other than 0/1, slope too flat).
+
+No scalar is typed by YAML 1.1's rules.  Mapping keys and quoted or block
+scalars are strings.  A plain scalar is an int [-+]?(0|[1-9][0-9]*), a float
+[-+]?[0-9]+\.[0-9]*([eE][-+][0-9]+)? or \.[0-9]+([eE][-+][0-9]+)?, None if
+~, null, Null, NULL or empty, and else a string: the numbers are the YAML 1.1
+literals Python reads as the same number.  A plain scalar that YAML 1.1
+reads as a number of another form (012, 0x1F, 1_000, 1:30, .inf), a number
+past the double range, a type tag such as !!int and an alias of a list or
+mapping are semantic errors at their field.
 
 Diagnostics name the first offending field and, where the YAML node tree
 provides one, its line and column.  Numeric tolerances follow the library:
@@ -23,7 +32,8 @@ bind_potential and its ``obj`` stays None.
 from __future__ import annotations
 
 import hashlib
-import math
+import re
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,7 +61,19 @@ _STOCHASTIC_TOL = 1e-9
 
 # libyaml composes the same nodes, with the same marks, several times faster;
 # PyYAML builds without it fall back to the pure-Python composer
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+_LOADER = yaml.CBaseLoader if yaml.__with_libyaml__ else yaml.BaseLoader
+
+# the number grammar of a plain scalar, as the module docstring states it
+_GRAMMAR = re.compile(r"(?P<int>[-+]?(?:0|[1-9][0-9]*))"
+                      r"|(?P<float>[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
+                      r"|\.[0-9]+(?:[eE][-+][0-9]+)?)"
+                      r"|(?P<null>~|null|Null|NULL|)")
+_DOUBLE_DIGITS = len(str(int(sys.float_info.max)))
+_DEPTH = 16     # far past any schema's nesting, far short of recursion's
+# the tags the base loader gives an untagged scalar, list and mapping
+_UNTAGGED = {f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map")}
+# asked only whether YAML 1.1 reads a scalar the grammar misses as a number
+_YAML11 = yaml.resolver.Resolver()
 
 
 @dataclass
@@ -104,61 +126,69 @@ _schema = partial(_fault, ModelSchemaError)
 _semantic = partial(_fault, ModelSemanticError)
 
 
-def _nodes(node, path=()):
-    """Every node under ``node``, itself included, with its path as _mark
-    takes it."""
-    yield path, node
-    if isinstance(node, yaml.MappingNode):
-        for key, child in node.value:
-            yield from _nodes(child, path + (key.value,))
-    elif isinstance(node, yaml.SequenceNode):
-        for i, child in enumerate(node.value):
-            yield from _nodes(child, path + (i,))
+def _read(model, node, path, seen):
+    """The data of ``node`` at ``path``, read as the module docstring says;
+    ``seen`` holds the ids of the lists and mappings read so far."""
+    if node.tag not in _UNTAGGED:
+        raise _tagged(model, node, path)
+    if type(node) is yaml.ScalarNode:
+        # libyaml gives a plain scalar the style '', PyYAML's composer None
+        return node.value if node.style else _plain(model, node.value, path)
+    if id(node) in seen:
+        raise _semantic(model, "aliases of lists and mappings are refused",
+                        *path)
+    if len(path) > _DEPTH:
+        raise _schema(model, f"lists and mappings nest at most {_DEPTH} deep",
+                      *path)
+    seen.add(id(node))
+    if type(node) is yaml.SequenceNode:
+        return [_read(model, item, path + (i,), seen)
+                for i, item in enumerate(node.value)]
+    data = {}
+    for key, value in node.value:
+        if type(key) is not yaml.ScalarNode:
+            raise yaml.constructor.ConstructorError(
+                None, None, "a mapping key must be a scalar", key.start_mark)
+        if key.tag not in _UNTAGGED:
+            raise _tagged(model, key, path + (key.value,))
+        data[key.value] = _read(model, value, path + (key.value,), seen)
+    return data
 
 
-class _Constructor(yaml.constructor.SafeConstructor):
-    """PyYAML's safe constructor, except that a scalar its tag's constructor
-    refuses with a bare ValueError, LookupError or AttributeError is a
-    semantic error at its field: ``!!bool x``, ``!!int ""``, an integer past
-    Python's int-string limit (4300 digits by default), which no double holds
-    either, or a scalar shaped like an impossible date, such as 2020-13-45."""
-
-    def __init__(self, model):
-        super().__init__()
-        self.model = model
-
-    def construct_object(self, node, deep=False):
-        try:
-            return super().construct_object(node, deep)
-        except (ValueError, LookupError, AttributeError) as exc:
-            if not isinstance(node, yaml.ScalarNode):
-                raise
-            # a mapping key has no path
-            path = next((p for p, n in _nodes(self.model.node) if n is node), ())
-            raise _semantic(self.model, _refusal(node, exc), *path) from None
+def _tagged(model, node, path):
+    """A YAML 1.1 type tag is refused at its field; a tag that no safe
+    loader knows is malformed YAML, as it is to those loaders."""
+    if node.tag not in yaml.SafeLoader.yaml_constructors:
+        return yaml.constructor.ConstructorError(
+            None, None, "could not determine a constructor for the tag "
+                        f"{node.tag!r}", node.start_mark)
+    tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+    return _semantic(model, f"tags are refused, got {tag}", *path)
 
 
-def _refusal(node, exc):
-    """Why a scalar constructor refused ``node`` with ``exc``."""
-    tag = node.tag.rpartition(":")[2]
-    if tag == "timestamp":
-        # datetime refuses an impossible date with a ValueError; a scalar
-        # that PyYAML's date regexp does not match fails as an AttributeError
-        reason = (str(exc) if isinstance(exc, ValueError)
-                  else "it has no date shape")
-        return f"{node.value} is not a date: {reason}"
-    digits = node.value.replace("_", "").lstrip("+-")
-    # int() reads such a literal in base 10, so only its length can fail it
-    if tag == "int" and digits.isdecimal() and digits[0] != "0":
-        return ("integers must fit a double, got an integer of "
-                f"{len(digits)} digits")
-    return f"{node.value!r} is not a valid !!{tag}"
-
-
-def _is_number(x, types=(int, float)):
-    """Whether x is one of ``types``; YAML's true and false are bools, which
-    count as none of them."""
-    return isinstance(x, types) and not isinstance(x, bool)
+def _plain(model, text, path):
+    """A plain scalar read through the grammar."""
+    m = _GRAMMAR.fullmatch(text)
+    if m is None:
+        if _YAML11.resolve(yaml.ScalarNode, text, (True, False)).endswith(
+                (":int", ":float")):
+            raise _semantic(model, "numbers must be finite decimals, got "
+                                   f"{reprlib.repr(text)}; quote a string",
+                            *path)
+        return text
+    if m.lastgroup == "int":
+        digits = len(text.lstrip("+-"))
+        # counted first: int() refuses more than 4300 digits
+        if digits > _DOUBLE_DIGITS or abs(x := int(text)) > sys.float_info.max:
+            raise _semantic(model, "integers must fit a double, got an "
+                                   f"integer of {digits} digits", *path)
+        return x
+    if m.lastgroup == "float":
+        if abs(x := float(text)) > sys.float_info.max:
+            raise _semantic(model, "floats must fit a double, got "
+                                   f"{reprlib.repr(text)}", *path)
+        return x
+    return None
 
 
 def parse(path) -> ModelFile:
@@ -178,8 +208,7 @@ def parse(path) -> ModelFile:
         raise ModelSyntaxError(f"{path}: not valid UTF-8 ({exc})") from None
     try:
         model.node = yaml.compose(text, Loader=_LOADER)
-        data = (None if model.node is None
-                else _Constructor(model).construct_document(model.node))
+        data = _read(model, model.node, (), set()) if model.node else None
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         raise ModelSyntaxError(
@@ -211,24 +240,6 @@ def parse(path) -> ModelFile:
     return model
 
 
-def _require_finite(model, x, what, *path):
-    """Refuse an infinite or NaN number at the field it came from."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise _semantic(model, f"{what} must be finite, got {x}", *path)
-
-
-def _require_double(model, x, what, *path):
-    """Refuse an integer past the largest double at the field it came from,
-    where the engines read the field as a float."""
-    if isinstance(x, int) and abs(x) > sys.float_info.max:
-        # its decimal digits, counted without str(), which refuses more than
-        # 4300 of them: a hex literal reaches that count and still parses
-        digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1
-        digits += abs(x) >= 10 ** digits
-        raise _semantic(model, f"{what} must fit a double, got an integer of "
-                               f"{digits} digits", *path)
-
-
 def _rational(model, x, what, *path):
     """A number as the map reads it, a 'p/q' string as its Fraction; a
     string that is no rational is refused at the field it came from."""
@@ -245,7 +256,7 @@ def _require(model, name, types, type_name):
     if name not in model.body:
         raise _schema(model, f"missing required field {name!r}", name)
     val = model.body[name]
-    if not _is_number(val, types):
+    if not isinstance(val, types):
         raise _schema(model, f"field {name!r} must be {type_name}", name)
     return val
 
@@ -261,7 +272,7 @@ def _entries(model, rows, n):
             raise _semantic(model, f"transition row {i} has {len(row)} entries, "
                                    f"expected {n}", "transition", i)
         for j, x in enumerate(row):
-            if not _is_number(x):
+            if not isinstance(x, (int, float)):
                 raise _schema(model, "transition entries must be numbers",
                               "transition", i, j)
             yield i, j, x
@@ -301,13 +312,9 @@ def _check_potential(model):
     if not values:
         raise _semantic(model, "values must not be empty", "values")
     for word, val in values.items():
-        if not isinstance(word, str):
-            raise _schema(model, "word keys must be strings", "values")
-        if not _is_number(val):
+        if not isinstance(val, (int, float)):
             raise _schema(model, "potential values must be numbers",
                           "values", word)
-        _require_finite(model, val, "potential values", "values", word)
-        _require_double(model, val, "potential values", "values", word)
         if len(word) != r:
             raise _semantic(model, f"word {word!r} has length {len(word)}, "
                                    f"expected range {r}", "values", word)
@@ -353,8 +360,6 @@ def _check_markov_chain(model):
         raise _semantic(model, "transition must not be empty", "transition")
     P = np.zeros((n, n))
     for i, j, x in _entries(model, rows, n):
-        _require_finite(model, x, "transition entries", "transition", i, j)
-        _require_double(model, x, "transition entries", "transition", i, j)
         if x < 0:
             raise _semantic(model, "transition entries must be >= 0",
                             "transition", i, j)
@@ -373,14 +378,11 @@ def _check_markov_chain(model):
                             "labels")
     pi = model.body.get("pi")
     if pi is not None:
-        if not isinstance(pi, list) or not all(map(_is_number, pi)):
+        if not isinstance(pi, list) or not all(isinstance(x, (int, float)) for x in pi):
             raise _schema(model, "pi must be a list of numbers", "pi")
         if len(pi) != n:
             raise _semantic(model, f"pi has {len(pi)} entries for {n} states",
                             "pi")
-        for i, x in enumerate(pi):
-            _require_finite(model, x, "pi entries", "pi", i)
-            _require_double(model, x, "pi entries", "pi", i)
         v = np.array(pi, dtype=float)
         if np.any(v < 0) or abs(v.sum() - 1.0) > _STOCHASTIC_TOL:
             raise _semantic(model, "pi is not a probability vector", "pi")
@@ -406,10 +408,9 @@ def _check_markov_map(model):
     pts = list(_require(model, "breakpoints", list, "a list of numbers or "
                                                     "'p/q' strings"))
     for i, x in enumerate(pts):
-        if not _is_number(x, (int, float, str)):
+        if not isinstance(x, (int, float, str)):
             raise _schema(model, "breakpoints must be numbers or 'p/q' strings",
                           "breakpoints", i)
-        _require_finite(model, x, "breakpoints", "breakpoints", i)
         pts[i] = _rational(model, x, "breakpoint", "breakpoints", i)
     branches = _require(model, "branches", list, "a list of branch entries")
     specs = []
@@ -428,14 +429,13 @@ def _check_markov_map(model):
             raise _schema(model, f"branch {i} needs 'slope' and 'image'",
                           "branches", i)
         slope = entry["slope"]
-        if not _is_number(slope, (int, float, str)):
+        if not isinstance(slope, (int, float, str)):
             raise _schema(model, "slope must be a number or 'p/q' string",
                           "branches", i, "slope")
-        _require_finite(model, slope, "slope", "branches", i, "slope")
         slope = _rational(model, slope, "slope", "branches", i, "slope")
         image = entry["image"]
         if not isinstance(image, list) or not all(
-                _is_number(j, int) for j in image):
+                isinstance(j, int) for j in image):
             raise _schema(model, "image must be a list of interval indices",
                           "branches", i, "image")
         specs.append((slope, tuple(image)))
@@ -463,10 +463,8 @@ def _check_hofbauer(model):
         if name not in defaults:
             raise _schema(model, f"field {name!r} does not apply to family "
                                  f"{fam}", name)
-        if not _is_number(val):
+        if not isinstance(val, (int, float)):
             raise _schema(model, f"field {name!r} must be a number", name)
-        _require_finite(model, val, f"field {name!r}", name)
-        _require_double(model, val, f"field {name!r}", name)
     from .hofbauer import CriticalPowerFamily, InverseSquareFamily
 
     family = (CriticalPowerFamily if fam == "critical-power"

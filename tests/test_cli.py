@@ -575,29 +575,35 @@ _CHAIN = "kind: markov-chain\ntransition:\n  - [{}, 0]\n  - [0.5, 0.5]\n"
 _SAMPLE = ["sample", "{}", "--seed", "1"]
 
 
-@pytest.mark.parametrize("text, argv, field, digits", [
-    (_CHAIN.format(_HUGE), _SAMPLE, "transition.0.0", 401),
+_DIGITS = "integers must fit a double, got an integer of {} digits"
+
+
+@pytest.mark.parametrize("text, argv, field, reason", [
+    (_CHAIN.format(_HUGE), _SAMPLE, "transition.0.0", _DIGITS.format(401)),
     (f"kind: markov-chain\ntransition:\n  - [0.5, 0.5]\n  - [0.5, 0.5]\n"
-     f"pi: [{_HUGE}, 0.5]\n", _SAMPLE, "pi.0", 401),
+     f"pi: [{_HUGE}, 0.5]\n", _SAMPLE, "pi.0", _DIGITS.format(401)),
     (f'kind: potential\nrange: 2\nvalues:\n  "00": -0.2\n  "01": {_HUGE}\n'
      f'  "10": 0.4\n', ["pressure", str(MODELS / "golden-mean.yaml"), "{}"],
-     "values.01", 401),
+     "values.01", _DIGITS.format(401)),
     (f"kind: hofbauer-family\nfamily: critical-power\nexponent: {_HUGE}\n",
-     ["hofbauer-scan", "{}"], "exponent", 401),
-    # past Python's int-string limit of 4300 digits: int() refuses the
-    # decimal literal, and str() the value of the hex one (16^3600)
-    (_CHAIN.format("1" + "0" * 5000), _SAMPLE, "transition.0.0", 5001),
-    (_CHAIN.format("0x1" + "0" * 3600), _SAMPLE, "transition.0.0", 4335),
+     ["hofbauer-scan", "{}"], "exponent", _DIGITS.format(401)),
+    # past Python's int-string limit of 4300 digits, which int() refuses:
+    # the digits are counted first
+    (_CHAIN.format("1" + "0" * 5000), _SAMPLE, "transition.0.0",
+     _DIGITS.format(5001)),
+    # a hex literal is outside the number grammar, whatever its value (16^3600)
+    (_CHAIN.format("0x1" + "0" * 3600), _SAMPLE, "transition.0.0",
+     "numbers must be finite decimals, got '0x100"),
 ], ids=["transition", "pi", "potential", "exponent", "decimal-5001-digits",
         "hex-4335-digits"])
 def test_integer_past_the_double_range_is_refused(capsys, tmp_path, text, argv,
-                                                  field, digits):
+                                                  field, reason):
     model = tmp_path / "huge.yaml"
     model.write_text("version: v1\n" + text)
     assert main([a.format(model) for a in argv]) == 5
     err = capsys.readouterr().err
     assert err.startswith("semantic error:") and "Traceback" not in err
-    assert f"must fit a double, got an integer of {digits} digits" in err
+    assert reason in err
     assert err.rstrip().endswith(f"[field: {field}]") and "(line " in err
 
 

@@ -2,12 +2,17 @@
 object each file carries."""
 
 import hashlib
+import math
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings, strategies as st
 
+from thermoshift import modelio
 from thermoshift.errors import (ModelSchemaError, ModelSemanticError,
                                 ModelSyntaxError)
 from thermoshift.modelio import bind_potential, chain_labels, parse
@@ -208,44 +213,34 @@ def test_wrong_types_are_schema_errors(tmp_path):
 # -- semantic layer ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("label, value, reason", [
-    ("2020-13-45", "2020-13-45", "month must be in 1..12"),
-    ("2020-12-25 25:00:00", "2020-12-25 25:00:00", "hour must be in 0..23"),
-    ("!!timestamp x", "x", "it has no date shape"),
-])
-def test_an_impossible_date_is_refused_at_its_field(tmp_path, label, value,
-                                                    reason):
-    # YAML reads an unquoted scalar shaped like a date as a timestamp, and
-    # datetime refuses an impossible one with a bare ValueError; an explicit
-    # tag on any other scalar fails PyYAML's date regexp
+@pytest.mark.parametrize("label", ["!!bool x", "!!int 09", "!!timestamp x",
+                                   "!!float x", "!!int x", "!!int 5",
+                                   '!!int ""'])
+def test_a_type_tag_is_refused_at_its_field(tmp_path, loader, label):
+    # a scalar is read by the grammar alone: a tag that would type it
+    # otherwise is refused, whether YAML 1.1 could construct the value or not
     with pytest.raises(ModelSemanticError) as exc:
         parse(write(tmp_path, "version: v1\nkind: markov-chain\n"
                               f"labels: [{label}, b]\n"
                               "transition: [[0.5, 0.5], [0.5, 0.5]]\n"))
-    assert f"{value} is not a date: {reason}" in str(exc.value)
+    assert f"tags are refused, got {label.split()[0]}" in str(exc.value)
     assert exc.value.field == "labels.0"
     assert (exc.value.line, exc.value.column) == (3, 10)
 
 
-@pytest.mark.parametrize("label, reason", [
-    ("!!bool x", "'x' is not a valid !!bool"),           # a KeyError
-    ("!!float x", "'x' is not a valid !!float"),         # a ValueError
-    ("!!int x", "'x' is not a valid !!int"),
-    ("!!int 09", "'09' is not a valid !!int"),           # octal, by its 0
-    ('!!int ""', "'' is not a valid !!int"),             # an IndexError
-])
-def test_a_scalar_its_tag_refuses_is_refused_at_its_field(tmp_path, label,
-                                                          reason):
-    # any scalar constructor's bare error becomes a diagnostic that names
-    # the tag, where it once escaped as a traceback, a computation error or
-    # the false reason of an integer too long for a double
-    with pytest.raises(ModelSemanticError) as exc:
-        parse(write(tmp_path, "version: v1\nkind: markov-chain\n"
-                              f"labels: [{label}, b]\n"
-                              "transition: [[0.5, 0.5], [0.5, 0.5]]\n"))
-    assert str(exc.value).endswith(reason)
-    assert exc.value.field == "labels.0"
-    assert (exc.value.line, exc.value.column) == (3, 10)
+@pytest.mark.parametrize("label", ["2020-13-45", "2020-12-25 25:00:00"])
+def test_a_date_shaped_label_is_a_string(tmp_path, loader, label):
+    model = parse(write(tmp_path, "version: v1\nkind: markov-chain\n"
+                                  f"labels: [{label}, b]\n"
+                                  "transition: [[0.5, 0.5], [0.5, 0.5]]\n"))
+    assert chain_labels(model) == [label, "b"]
+
+
+def test_a_date_shaped_transition_entry_is_a_schema_error(tmp_path, loader):
+    with pytest.raises(ModelSchemaError) as exc:
+        parse(write(tmp_path, "version: v1\nkind: sft\nlabels: [a, b]\n"
+                              "transition: [[1, 2020-01-01], [1, 0]]\n"))
+    assert exc.value.field == "transition.0.1"
 
 
 def test_transition_entries_must_be_binary(tmp_path):
@@ -335,6 +330,163 @@ def test_hofbauer_fields_are_checked_in_file_order(tmp_path, fields, first):
         parse(write(tmp_path, "version: v1\nkind: hofbauer-family\n"
                               "family: critical-power\n" + fields))
     assert exc.value.field == first
+
+
+# -- the number grammar --------------------------------------------------------------
+
+
+@pytest.fixture(params=["default", "pure-python"])
+def loader(request, monkeypatch):
+    """The loader parse composes with: libyaml's where PyYAML has it, and
+    the pure-Python one, which gives a plain scalar the style None, not ''."""
+    if request.param == "pure-python":
+        monkeypatch.setattr(modelio, "_LOADER", yaml.BaseLoader)
+    return modelio._LOADER
+
+
+def _read(text, loader):
+    """``x`` of the one-line document ``x: text`` as parse reads it."""
+    node = yaml.compose(f"x: {text}\n", Loader=loader)
+    model = modelio.ModelFile(path="x.yaml", kind=None, version=None,
+                              body=None, digest=None, node=node)
+    return modelio._read(model, node, (), set())["x"]
+
+
+def _sign(x):
+    return math.copysign(1.0, x) if isinstance(x, float) else None
+
+
+_PIECES = ["0", "1", "7", "9", "-", "+", ".", "e", "E", "_", ":", "0x", "0o",
+           "0b", ".inf", ".nan"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=8).map("".join),
+       st.sampled_from([modelio._LOADER, yaml.BaseLoader]))
+def test_the_grammar_reads_numbers_as_yaml11_does(literal, loader):
+    text = f"x: {literal}\n"
+    try:
+        expected = yaml.load(text, Loader=yaml.SafeLoader)["x"]
+    except yaml.YAMLError:
+        assume(False)       # not a plain scalar in this place
+    except ValueError:
+        # YAML 1.1 types it but cannot build it: an impossible date is no
+        # number, and an int such as 0x_ no number the grammar can read
+        tag = yaml.resolver.Resolver().resolve(yaml.ScalarNode, literal,
+                                               (True, False))
+        expected = math.nan if tag.endswith((":int", ":float")) else literal
+    number = isinstance(expected, (int, float)) and not isinstance(expected,
+                                                                   bool)
+    try:
+        got = _read(literal, loader)
+    except ModelSemanticError as exc:
+        # a YAML 1.1 number the grammar does not take is refused at its field
+        assert number and exc.field == "x" and exc.line == 1, literal
+        return
+    if isinstance(got, (int, float)):
+        assert number and type(got) is type(expected), literal
+        assert got == expected and _sign(got) == _sign(expected), literal
+    else:
+        # never a YAML 1.1 string read as a number, nor the reverse
+        assert not number and got == literal, literal
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("+17", 17), ("0.5", 0.5), ("-0.0", -0.0),
+    (".5", 0.5), ("1.", 1.0), ("00.25", 0.25), ("1.5e-3", 1.5e-3),
+    ("1" + "0" * 308, 10 ** 308), ("~", None), ("null", None), ("", None),
+    ("1e3", "1e3"), ("0o17", "0o17"), ("-.5", "-.5"), ("yes", "yes"),
+    ("08", "08"), ("'012'", "012"), ('"0.1"', "0.1"), ("|\n  7", "7\n"),
+])
+def test_the_grammar_on_chosen_literals(loader, text, value):
+    got = _read(text, loader)
+    assert got == value and type(got) is type(value)
+    assert _sign(got) == _sign(value)
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ("012", "numbers must be finite decimals, got '012'"),
+    ("0x1F", "numbers must be finite decimals, got '0x1F'"),
+    ("0b1", "numbers must be finite decimals, got '0b1'"),
+    ("1_000", "numbers must be finite decimals, got '1_000'"),
+    ("1:30", "numbers must be finite decimals, got '1:30'"),
+    (".inf", "numbers must be finite decimals, got '.inf'"),
+    (".nan", "numbers must be finite decimals, got '.nan'"),
+    ("1.0e+400", "floats must fit a double, got '1.0e+400'"),
+    ("2" + "0" * 308, "integers must fit a double, got an integer of 309 "
+                      "digits"),
+    ("-1" + "0" * 5000, "integers must fit a double, got an integer of 5001 "
+                        "digits"),
+])
+def test_a_number_outside_the_grammar_is_refused_at_its_field(tmp_path, loader,
+                                                              entry, reason):
+    with pytest.raises(ModelSemanticError) as exc:
+        parse(write(tmp_path, "version: v1\nkind: markov-chain\ntransition:\n"
+                              f"  - [0.5, 0.5]\n  - [0.5, {entry}]\n"))
+    assert str(exc.value).startswith(f"{tmp_path / 'model.yaml'}: {reason}")
+    assert exc.value.field == "transition.1.1"
+    assert (exc.value.line, exc.value.column) == (5, 11)
+
+
+def test_quotes_make_a_breakpoint_a_string(tmp_path, loader):
+    text = ("version: v1\nkind: markov-map\nbreakpoints: [0, {}, 1]\n"
+            "branches:\n  - {{slope: 10, image: [0, 1]}}\n"
+            "  - {{slope: '10/9', image: [0, 1]}}\n")
+    quoted = parse(write(tmp_path, text.format('"0.1"')))
+    assert quoted.body["breakpoints"] == [0, "0.1", 1]
+    assert quoted.obj.breakpoints[1] == Fraction(1, 10)
+    # a plain 0.1 is the double nearest 1/10, so branch 0 no longer fits
+    with pytest.raises(ModelSemanticError) as exc:
+        parse(write(tmp_path, text.format("0.1")))
+    assert f"|slope| * length = {10 * Fraction(0.1)} but" in str(exc.value)
+
+
+def test_unquoted_word_keys_bind(tmp_path, loader):
+    sft = parse(MODELS / "golden-mean.yaml").obj
+    pot = bind_potential(parse(write(
+        tmp_path, "version: v1\nkind: potential\nrange: 2\n"
+                  "values: {00: -0.2, 01: -0.7, 10: 0.4}\n")), sft)
+    assert pot.table == {(0, 0): -0.2, (0, 1): -0.7, (1, 0): 0.4}
+
+
+def test_the_demo_models_read_alike_without_libyaml(monkeypatch):
+    monkeypatch.setattr(modelio, "_LOADER", yaml.BaseLoader)
+    test_parse_matches_pure_python_loader_on_every_demo_model()
+
+
+def test_a_billion_laughs_are_refused_at_once(tmp_path, loader):
+    lines = ["version: v1", "kind: sft", "l0: &l0 [" + ", ".join(["lol"] * 9)
+             + "]"]
+    lines += [f"l{k}: &l{k} [" + ", ".join([f"*l{k - 1}"] * 9) + "]"
+              for k in range(1, 9)]
+    start = time.perf_counter()
+    with pytest.raises(ModelSemanticError) as exc:
+        parse(write(tmp_path, "\n".join(lines) + "\n"))
+    assert time.perf_counter() - start < 1.0
+    assert "aliases of lists and mappings are refused" in str(exc.value)
+    assert exc.value.field == "l1.0"
+
+
+def test_a_recursive_alias_is_refused(tmp_path, loader):
+    with pytest.raises(ModelSemanticError) as exc:
+        parse(write(tmp_path, "version: v1\nkind: sft\nlabels: &a [a, *a]\n"))
+    assert exc.value.field == "labels.1"
+
+
+def test_deep_nesting_is_a_schema_error(tmp_path, loader):
+    # the walk recurses once a level, so it stops long before Python must
+    with pytest.raises(ModelSchemaError) as exc:
+        parse(write(tmp_path, "version: v1\nkind: sft\n"
+                              f"labels: {'[' * 300}{']' * 300}\n"))
+    assert exc.value.field == "labels" + ".0" * 16
+
+
+@pytest.mark.parametrize("key", ["[a, b]", "{a: 1}"])
+def test_a_mapping_key_that_is_no_scalar_is_a_syntax_error(tmp_path, loader,
+                                                           key):
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse(write(tmp_path, f"version: v1\nkind: sft\n? {key}\n: 1\n"))
+    assert (exc.value.line, exc.value.column) == (3, 3)
 
 
 # -- binding --------------------------------------------------------------------------

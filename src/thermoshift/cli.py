@@ -13,8 +13,8 @@ same quantity the report includes their discrepancy.  Curves and tables go
 to CSV (RFC 4180: CRLF, headers always) via --out.
 
 Exit codes: 0 success, 1 computation error, 2 budget exceeded, 3 syntax
-(invocation, unreadable model file, unwritable --out path, or malformed
-model text), 4 schema violation, 5 semantic invariant violation.
+(invocation, unreadable model file, unwritable --out path or stdout, or
+malformed model text), 4 schema violation, 5 semantic invariant violation.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Iterator, Sized
@@ -130,7 +131,11 @@ class Report:
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         doc = {"payload": payload, "digest": f"sha256:{digest}",
                "meta": {"wall_time_s": round(wall_time, 6)}}
-        print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
+        try:
+            print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False),
+                  flush=True)
+        except OSError as exc:   # a closed pipe, a full disk
+            raise _FileError(f"cannot write output: {exc}") from None
 
 
 def _entries(array):
@@ -158,8 +163,8 @@ def _fields(column):
 
 
 class _FileError(Exception):
-    """A model file that cannot be read or an --out path that cannot be
-    written; the message says which."""
+    """A model file that cannot be read, or an --out path or stdout that
+    cannot be written; the message says which."""
 
 
 def _write_csv(path, header, columns):
@@ -689,15 +694,36 @@ def main(argv=None) -> int:
         for name in positionals:
             models += _load(report, getattr(args, name), _KINDS[name], models)
         fn(args, report, *models)
+        if args.bits:
+            report.to_bits()
+        report.emit(time.perf_counter() - start)
     except tuple(_EXITS) as exc:
         code, label = next(_EXITS[cls] for cls in _EXITS if isinstance(exc, cls))
         print(label + _diag(exc), file=sys.stderr)
         return code
-    if args.bits:
-        report.to_bits()
-    report.emit(time.perf_counter() - start)
     return EXIT_OK
 
 
+def run():
+    """The process entry point: ``main`` on ``sys.argv``, then the exit.
+
+    When ``main`` returns, its report is flushed (``Report.emit``) and its
+    CSV closed (``_write_csv``), so the process ends at once with
+    ``os._exit`` and skips the interpreter's teardown, module finalisation
+    and garbage collection: 40-50 ms of a 0.3 s call on a 2-vCPU machine
+    (Python 3.11, numpy 2.4).  An exception ``main`` does not map to an exit
+    code, a usage error's ``SystemExit`` included, takes the normal exit.
+    ``main`` stays the in-process entry.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:   # a stream the process was started without
+            try:
+                stream.flush()
+            except OSError:
+                pass   # main reported the failed write already: exit 3
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

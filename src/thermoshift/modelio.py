@@ -217,6 +217,11 @@ def parse(path) -> ModelFile:
             column=None if mark is None else mark.column + 1) from None
     except yaml.YAMLError as exc:
         raise ModelSyntaxError(f"{path}: {exc}") from None
+    except RecursionError:
+        # the pure-Python composer recurses once a nesting level, before the
+        # walk can refuse the depth; libyaml's does not
+        raise ModelSyntaxError(
+            f"{path}: lists and mappings nest too deep to compose") from None
 
     if not isinstance(data, dict):
         raise _schema(model, "top level must be a mapping")

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -800,6 +801,86 @@ def test_module_invocation_subprocess():
     entry = next(e for e in doc["payload"]["results"]
                  if e["name"] == "topological_entropy")
     assert abs(entry["value"] - np.log(2.0)) < 1e-12
+
+
+def _verified(doc):
+    """The report's payload, once its digest is checked."""
+    assert doc["digest"] == "sha256:" + hashlib.sha256(
+        canonical(doc).encode("utf-8")).hexdigest()
+    return doc["payload"]
+
+
+@pytest.mark.parametrize("module", ["thermoshift", "thermoshift.cli"])
+def test_the_process_exits_as_main_returns(capsys, tmp_path, module):
+    # the process skips the interpreter's teardown once main returns; its
+    # codes, diagnostics, reports and CSV files stay those of main
+    future = tmp_path / "future.yaml"
+    future.write_text("version: v2\nkind: sft\nlabels: ['0']\n"
+                      "transition: [[1]]\n")
+    calls = {
+        0: ["entropy", MODELS / "golden-mean.yaml", "--check"],
+        2: ["periodic", MODELS / "full-shift.yaml", "--n", "30", "--check",
+            "--budget", "1000"],
+        3: ["entropy", MODELS],
+        4: ["entropy", future],
+        5: ["entropy", MODELS / "site-energy.yaml"],
+    }
+    for want, argv in calls.items():
+        argv = [str(a) for a in argv]
+        assert main(argv) == want
+        inproc = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == want, proc.stderr
+        assert proc.stderr == inproc.err
+        if want == 0:
+            assert (_verified(json.loads(proc.stdout))
+                    == _verified(json.loads(inproc.out)))
+        else:
+            assert proc.stdout == inproc.out == ""
+    # run the way -m runs it, the module ends the process before the
+    # interpreter's teardown would call an exit hook
+    hooked = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'teardown', file=sys.stderr)\n"
+              "sys.argv = sys.argv[1:]\n"
+              "runpy.run_module(sys.argv[0], run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", hooked, module, "entropy",
+                           str(MODELS / "golden-mean.yaml")],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    argv = ["sample", str(MODELS / "lazy-coin.yaml"), "--seed", "7",
+            "--depth", "100000", "--out"]
+    assert main(argv + [str(tmp_path / "inproc.csv")]) == 0
+    capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", module, *argv,
+                           str(tmp_path / "proc.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    artifact, = _verified(json.loads(proc.stdout))["artifacts"]
+    written = (tmp_path / "proc.csv").read_bytes()
+    assert artifact["rows"] == 100000 == written.count(b"\r\n") - 1
+    assert written == (tmp_path / "inproc.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+def test_stdout_that_cannot_be_written_is_a_syntax_exit(stdout):
+    if stdout == "/dev/full" and not Path(stdout).exists():
+        pytest.skip("no /dev/full")
+    if stdout == "closed pipe":
+        read_end, sink = os.pipe()
+        os.close(read_end)
+    else:
+        sink = os.open(stdout, os.O_WRONLY)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermoshift", "entropy",
+             str(MODELS / "golden-mean.yaml")],
+            stdout=sink, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(sink)
+    assert proc.returncode == 3
+    line, = proc.stderr.splitlines()
+    assert line.startswith("cannot write output: [Errno ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -481,6 +481,20 @@ def test_deep_nesting_is_a_schema_error(tmp_path, loader):
     assert exc.value.field == "labels" + ".0" * 16
 
 
+def test_nesting_too_deep_to_compose_is_a_syntax_error(tmp_path, loader):
+    # the pure-Python composer recurses once a level and reaches Python's
+    # recursion limit before the walk sees the depth; libyaml's composes it
+    path = write(tmp_path, "version: v1\nkind: sft\n"
+                           f"labels: {'[' * 2000}{']' * 2000}\n")
+    if loader is yaml.BaseLoader:
+        with pytest.raises(ModelSyntaxError, match="nest too deep to compose"):
+            parse(path)
+    else:
+        with pytest.raises(ModelSchemaError) as exc:
+            parse(path)
+        assert exc.value.field == "labels" + ".0" * 16
+
+
 @pytest.mark.parametrize("key", ["[a, b]", "{a: 1}"])
 def test_a_mapping_key_that_is_no_scalar_is_a_syntax_error(tmp_path, loader,
                                                            key):

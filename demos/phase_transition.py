@@ -9,9 +9,7 @@ and one-sided difference quotients show the kink: the left slope stays
 near 1/2 while the right slope vanishes identically.
 """
 
-import numpy as np
-
-from thermoshift import (CriticalPowerFamily, diagnose, pressure_curve,
+from thermoshift import (CriticalPowerFamily, diagnose, kink_quotients,
                          pressure_periodic, pressure_renewal)
 
 fam = CriticalPowerFamily(exponent=3.0)
@@ -35,13 +33,11 @@ periodic = pressure_periodic(fam, beta, 18)
 print(f"\ncross-check at beta={beta}: renewal {renewal:.9f}"
       f" vs periodic-orbit {periodic:.9f}  (gap {abs(renewal - periodic):.1e})")
 
-curve = pressure_curve(fam, betas=[0.8, 0.9, 1.0, 1.1],
-                       kink=1.0, kink_steps=(1e-2, 1e-3, 1e-4))
+left, right = kink_quotients(fam, kink=1.0, steps=(1e-2, 1e-3, 1e-4))
 print("\none-sided difference quotients at the critical point beta=1:")
 print("  step     left quotient       right quotient")
 for h in (1e-2, 1e-3, 1e-4):
-    print(f"  {h:.0e}   {curve.left_quotients[h]:.12f}     "
-          f"{curve.right_quotients[h]:.12f}")
+    print(f"  {h:.0e}   {left[h]:.12f}     {right[h]:.12f}")
 print("\nthe left slope converges to a positive limit, the right slope is 0:")
 print("the pressure is continuous but not differentiable at beta = 1,")
 print("so the equilibrium state is not unique there.")

@@ -20,7 +20,7 @@ from .errors import (BudgetError, ComputationError, DegenerateObservable,
 # `import thermoshift` or a CLI call loads only the engines it uses
 _ENGINES = {
     "hofbauer": ("CriticalPowerFamily", "HofbauerPotential",
-                 "InverseSquareFamily", "diagnose", "pressure_curve",
+                 "InverseSquareFamily", "diagnose", "kink_quotients",
                  "pressure_periodic", "pressure_renewal"),
     "interval_maps": ("PiecewiseLinearMarkovMap", "acim", "bowen_dimension",
                       "code"),

@@ -428,7 +428,7 @@ def _cmd_ising(args, report):
 
 
 def _cmd_hofbauer_scan(args, report, fam):
-    from .hofbauer import (diagnose, pressure_curve, pressure_periodic,
+    from .hofbauer import (diagnose, kink_quotients, pressure_periodic,
                            pressure_renewal)
 
     diag = diagnose(fam)
@@ -452,12 +452,11 @@ def _cmd_hofbauer_scan(args, report, fam):
             oracle = pressure_periodic(fam, beta, n=18)
             report.certificate(f"pressure(beta={beta:g})",
                                ["renewal", "variational"], [p, oracle], "nats")
-        curve = pressure_curve(fam, args.betas, kink=args.kink,
-                               kink_steps=tuple(args.steps), tol=args.tol,
-                               pressures=pressures)
-        for h, q in sorted(curve.left_quotients.items()):
+        left, right = kink_quotients(fam, args.kink, args.steps, args.tol,
+                                     dict(zip(args.betas, pressures)))
+        for h, q in sorted(left.items()):
             report.result(f"left_quotient(h={h:g})", q, "nats", "renewal")
-        for h, q in sorted(curve.right_quotients.items()):
+        for h, q in sorted(right.items()):
             report.result(f"right_quotient(h={h:g})", q, "nats", "renewal")
     if args.out:
         report.table(args.out, ["beta", "pressure"], [args.betas, pressures])
@@ -560,7 +559,8 @@ _FLAGS = {
     "betas": {"type": _typed(_comma_list(_finite), bool,
                              "a comma list of finite numbers"),
               "help": "comma-separated inverse temperatures"},
-    "kink": {"type": _finite},
+    "kink": {"type": _finite, "help": "the beta the --check quotients probe; "
+             "the kink is at 1 only at depression 0 (default %(default)s)"},
     "steps": {"type": _typed(_comma_list(_positive), bool,
                              "a comma list of positive finite numbers"),
               "help": "difference-quotient steps used with --check"},

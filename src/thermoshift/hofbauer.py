@@ -472,44 +472,28 @@ def pressure_periodic(potential: HofbauerPotential, beta, n) -> float:
     return float(np.logaddexp(log_trace, 0.0) / n)
 
 
-@dataclass
-class PressureCurve:
-    """Sampled beta -> pressure map with slope data and the kink study."""
+def kink_quotients(potential: HofbauerPotential, kink=1.0,
+                   steps=(1e-2, 1e-3, 1e-4), tol=1e-12, known=None):
+    """One-sided difference quotients of beta -> P(beta * phi) at ``kink``:
+    the dicts step h -> (P(kink - h) - P(kink)) / h and step h ->
+    (P(kink + h) - P(kink)) / h.
 
-    betas: np.ndarray
-    pressures: np.ndarray
-    left_quotients: dict     # step -> (P(kink-h) - P(kink)) / h
-    right_quotients: dict    # step -> (P(kink+h) - P(kink)) / h
-
-
-def pressure_curve(potential: HofbauerPotential, betas, kink=1.0,
-                   kink_steps=(1e-2, 1e-3, 1e-4), tol=1e-12,
-                   pressures=None) -> PressureCurve:
-    """Evaluate the renewal pressure on a grid and probe the kink.
-
-    ``pressures``, when given, are the renewal pressures already computed at
-    ``betas`` (same order, same tol); they and the kink, when it lies on the
-    grid, are not solved again.  Every other value is ``pressure_renewal``,
+    ``known`` maps betas to renewal pressures already solved at this tol;
+    they are not solved again.  Every other value is ``pressure_renewal``,
     so it carries that function's certified tail.
 
-    The left quotient (P(kink - h) - P(kink)) / h stays above a positive
-    constant while the right quotient is identically zero past a first-order
-    transition; both are difference-quotient estimates, reported with their
-    step, not certified derivatives.
+    The left quotient stays above a positive constant while the right
+    quotient is identically zero past a first-order transition; both are
+    difference-quotient estimates, reported with their step, not certified
+    derivatives.
     """
-    known = {} if pressures is None else dict(zip(betas, pressures))
+    known = dict(known or {})
 
     def at(beta):
         if beta not in known:
             known[beta] = pressure_renewal(potential, beta, tol=tol)
         return known[beta]
 
-    betas = np.asarray(sorted(betas), dtype=float)
-    values = np.array([at(b) for b in betas])
     p0 = at(kink)
-    left, right = {}, {}
-    for h in kink_steps:
-        left[h] = (at(kink - h) - p0) / h
-        right[h] = (at(kink + h) - p0) / h
-    return PressureCurve(betas=betas, pressures=values, left_quotients=left,
-                         right_quotients=right)
+    return ({h: (at(kink - h) - p0) / h for h in steps},
+            {h: (at(kink + h) - p0) / h for h in steps})

@@ -241,18 +241,14 @@ class GibbsMeasure:
         return self.markov.expectation(self.potential if potential is None
                                        else potential)
 
-    def cylinder(self, word):
-        return self.markov.cylinder(word)
-
 
 # -- block entropies ------------------------------------------------------------
 
 
 @dataclass
 class BlockEntropies:
-    """H_n of the n-blocks plus the two standard entropy-rate estimators."""
+    """The two standard entropy-rate estimators of the block entropies H_n."""
 
-    h_n: list
     rates: list          # H_n / n
     increments: list     # H_{n+1} - H_n
 
@@ -271,7 +267,7 @@ def entropy_by_blocks(measure, n_max, budget=10 ** 7) -> BlockEntropies:
         h_n.append(float(total))
     rates = [h_n[i] / (i + 1) for i in range(len(h_n))]
     increments = [h_n[i + 1] - h_n[i] for i in range(len(h_n) - 1)]
-    return BlockEntropies(h_n=h_n, rates=rates, increments=increments)
+    return BlockEntropies(rates=rates, increments=increments)
 
 
 # -- relative entropy -------------------------------------------------------------

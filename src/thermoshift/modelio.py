@@ -9,14 +9,14 @@ three layers so failures map onto distinct exit codes:
   semantic  well-typed values violating a model invariant (rows not
             stochastic, transition entries other than 0/1, slope too flat).
 
-No scalar is typed by YAML 1.1's rules.  Mapping keys and quoted or block
-scalars are strings.  A plain scalar is an int [-+]?(0|[1-9][0-9]*), a float
-[-+]?[0-9]+\.[0-9]*([eE][-+][0-9]+)? or \.[0-9]+([eE][-+][0-9]+)?, None if
-~, null, Null, NULL or empty, and else a string: the numbers are the YAML 1.1
-literals Python reads as the same number.  A plain scalar that YAML 1.1
-reads as a number of another form (012, 0x1F, 1_000, 1:30, .inf), a number
-past the double range, a type tag such as !!int and an alias of a list or
-mapping are semantic errors at their field.
+No scalar is typed by YAML 1.1's rules.  Mapping keys and quoted, block or
+!!str scalars are strings.  A plain scalar is an int [-+]?(0|[1-9][0-9]*), a
+float [-+]?[0-9]+\.[0-9]*([eE][-+][0-9]+)? or \.[0-9]+([eE][-+][0-9]+)?, None
+if ~, null, Null, NULL or empty, and else a string: the numbers are the YAML
+1.1 literals Python reads as the same number.  A plain scalar that YAML 1.1
+reads as a number of another form (012, 0x1F, 1_000, 1:30, .inf), a number past
+the double range, a type tag such as !!int and an alias of a list or mapping
+are semantic errors at their field.
 
 Diagnostics name the first offending field and, where the YAML node tree
 provides one, its line and column.  Numeric tolerances follow the library:
@@ -59,9 +59,17 @@ _FIELDS = {
 
 _STOCHASTIC_TOL = 1e-9
 
+# the tag of a plain scalar written without one, the only scalar the grammar
+# reads; no file can write it, as a tag holds no space
+_PLAIN = "plain scalar"
+# a loader's resolve asks its implicit resolvers only about such a scalar
+# (the parser's implicit flag), and the empty pattern matches any text
+_RESOLVERS = {"yaml_implicit_resolvers": {None: [(_PLAIN, re.compile(""))]}}
 # libyaml composes the same nodes, with the same marks, several times faster;
 # PyYAML builds without it fall back to the pure-Python composer
-_LOADER = yaml.CBaseLoader if yaml.__with_libyaml__ else yaml.BaseLoader
+_PyLoader = type("_PyLoader", (yaml.BaseLoader,), _RESOLVERS)
+_LOADER = (type("_CLoader", (yaml.CBaseLoader,), _RESOLVERS)
+           if yaml.__with_libyaml__ else _PyLoader)
 
 # the number grammar of a plain scalar, as the module docstring states it
 _GRAMMAR = re.compile(r"(?P<int>[-+]?(?:0|[1-9][0-9]*))"
@@ -70,8 +78,9 @@ _GRAMMAR = re.compile(r"(?P<int>[-+]?(?:0|[1-9][0-9]*))"
                       r"|(?P<null>~|null|Null|NULL|)")
 _DOUBLE_DIGITS = len(str(int(sys.float_info.max)))
 _DEPTH = 16     # far past any schema's nesting, far short of recursion's
-# the tags the base loader gives an untagged scalar, list and mapping
-_UNTAGGED = {f"tag:yaml.org,2002:{kind}" for kind in ("str", "seq", "map")}
+# the tags of a scalar, list or mapping written without one, and !!str
+_UNTAGGED = {_PLAIN} | {f"tag:yaml.org,2002:{kind}"
+                        for kind in ("str", "seq", "map")}
 # asked only whether YAML 1.1 reads a scalar the grammar misses as a number
 _YAML11 = yaml.resolver.Resolver()
 
@@ -82,7 +91,6 @@ class ModelFile:
 
     path: str
     kind: str
-    version: str
     body: dict
     digest: str                      # sha256 of the raw file bytes
     node: object = field(repr=False, default=None)
@@ -132,8 +140,8 @@ def _read(model, node, path, seen):
     if node.tag not in _UNTAGGED:
         raise _tagged(model, node, path)
     if type(node) is yaml.ScalarNode:
-        # libyaml gives a plain scalar the style '', PyYAML's composer None
-        return node.value if node.style else _plain(model, node.value, path)
+        return (_plain(model, node.value, path) if node.tag == _PLAIN
+                else node.value)
     if id(node) in seen:
         raise _semantic(model, "aliases of lists and mappings are refused",
                         *path)
@@ -200,7 +208,7 @@ def parse(path) -> ModelFile:
     bind_potential.
     """
     raw = Path(path).read_bytes()
-    model = ModelFile(path=str(path), kind=None, version=VERSION, body=None,
+    model = ModelFile(path=str(path), kind=None, body=None,
                       digest=hashlib.sha256(raw).hexdigest())
     try:
         text = raw.decode("utf-8")

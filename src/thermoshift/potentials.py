@@ -85,9 +85,6 @@ class LocallyConstantPotential:
         values = self.dense_table[tuple(words.T)].tolist()
         return MappingProxyType(dict(zip(map(tuple, words.tolist()), values)))
 
-    def value(self, word):
-        return self.table[tuple(word)]
-
     # -- algebra (used for beta scaling and subgradient perturbations) --------
 
     def scale(self, c):

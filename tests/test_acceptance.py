@@ -20,9 +20,9 @@ from thermoshift import (Alphabet, CriticalPowerFamily, FiniteSystem,
                          entropy_production, finite_equilibrium, full_shift,
                          gibbs_bounds, gibbs_measure, golden_mean_shift,
                          ising_potential, ising_pressure_exact,
-                         lattice_equilibrium, lattice_pressure_trace,
-                         markov_as_gibbs, mean_energy_at,
-                         periodic_approximation, pressure, pressure_curve,
+                         kink_quotients, lattice_equilibrium,
+                         lattice_pressure_trace, markov_as_gibbs,
+                         mean_energy_at, periodic_approximation, pressure,
                          pressure_periodic, pressure_renewal, pressure_Pn,
                          relative_entropy, relative_entropy_direct,
                          smb_estimate, stationary_vector)
@@ -210,11 +210,10 @@ def test_08_hofbauer_phase_transition():
     p08 = pressure_renewal(fam, 0.8)
     assert p08 > 0.0
     assert abs(pressure_periodic(fam, 0.8, 18) - p08) < 5e-2
-    curve = pressure_curve(fam, betas=[0.8, 1.0, 1.2], kink=1.0,
-                           kink_steps=(1e-2, 1e-3, 1e-4))
+    left, right = kink_quotients(fam, kink=1.0, steps=(1e-2, 1e-3, 1e-4))
     for h in (1e-2, 1e-3, 1e-4):
-        assert abs(curve.right_quotients[h]) <= 1e-10
-        assert curve.left_quotients[h] > 0.1
+        assert abs(right[h]) <= 1e-10
+        assert left[h] > 0.1
 
 
 def test_09_bowen_dimension():

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
-from thermoshift import _numerics, cli, golden_mean_shift, modelio
+from thermoshift import _numerics, cli, golden_mean_shift, hofbauer, modelio
 from thermoshift import sft as sft_module
 from thermoshift.cli import main
 from thermoshift.variational import lattice_equilibrium
@@ -771,6 +771,24 @@ def test_hofbauer_scan_cli(capsys):
     p08 = result(doc, "pressure(beta=0.8)")["value"]
     assert abs(p08 - 0.10838656549867665) < 1e-9
     assert result(doc, "pressure(beta=1.2)")["value"] == 0.0
+
+
+def test_hofbauer_scan_check_solves_each_beta_once(capsys, monkeypatch):
+    solved = []
+    real = hofbauer.pressure_renewal
+
+    def spy(potential, beta, tol=1e-12):
+        solved.append(beta)
+        return real(potential, beta, tol=tol)
+
+    monkeypatch.setattr(hofbauer, "pressure_renewal", spy)
+    code, doc = run(capsys, "hofbauer-scan", MODELS / "cubic-family.yaml",
+                    "--check")
+    assert code == 0
+    assert result(doc, "right_quotient(h=0.01)")["value"] == 0.0
+    # the grid and kink -/+ h for each step; the kink itself is on the grid
+    kink = [1.0 + s * h for h in (1e-2, 1e-3, 1e-4) for s in (-1, 1)]
+    assert sorted(solved) == sorted([0.8, 0.9, 1.0, 1.1, 1.2] + kink)
 
 
 def test_pn_scan_csv(capsys, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import zeta
 
 from thermoshift import (CriticalPowerFamily, InverseSquareFamily, diagnose,
-                         pressure_curve, pressure_periodic, pressure_renewal)
+                         kink_quotients, pressure_periodic, pressure_renewal)
 from thermoshift import hofbauer
 from thermoshift.errors import OutOfRange, UndeterminedTail
 from thermoshift.hofbauer import HofbauerPotential, RenewalSeries
@@ -389,26 +389,19 @@ def test_periodic_sums_converge_to_renewal_pressure():
 
 
 def test_kink_quotients():
-    fam = cubic()
-    curve = pressure_curve(fam, betas=[0.5, 0.8, 1.0, 1.2],
-                           kink=1.0, kink_steps=(1e-2, 1e-3, 1e-4))
-    for h, q in curve.right_quotients.items():
-        assert q == 0.0
-    for h, q in curve.left_quotients.items():
-        assert q > 0.1
+    left, right = kink_quotients(cubic(), kink=1.0, steps=(1e-2, 1e-3, 1e-4))
+    assert all(q == 0.0 for q in right.values())
+    assert all(q > 0.1 for q in left.values())
     frozen = {1e-2: 0.499205440564765,
               1e-3: 0.49630801231614896,
               1e-4: 0.49588927595323185}
     for h, q in frozen.items():
-        assert abs(curve.left_quotients[h] - q) < 1e-8
-    assert np.all(np.diff(curve.pressures) <= 1e-12)
-    assert curve.pressures[-1] == 0.0
+        assert abs(left[h] - q) < 1e-8
 
 
-def test_pressure_curve_reuses_the_computed_grid(monkeypatch):
+def test_kink_quotients_solve_only_what_is_not_known(monkeypatch):
     fam = cubic()
-    betas = [0.8, 1.0, 0.9]
-    grid = [pressure_renewal(fam, b) for b in betas]
+    known = {b: pressure_renewal(fam, b) for b in (0.8, 1.0, 0.9)}
     solved = []
     real = hofbauer.pressure_renewal
 
@@ -417,18 +410,18 @@ def test_pressure_curve_reuses_the_computed_grid(monkeypatch):
         return real(potential, beta, tol=tol)
 
     monkeypatch.setattr(hofbauer, "pressure_renewal", spy)
-    curve = pressure_curve(fam, betas, kink_steps=(1e-2,), pressures=grid)
+    quotients = kink_quotients(fam, steps=(1e-2,), known=known)
     assert solved == [1.0 - 1e-2, 1.0 + 1e-2]
-    assert list(curve.betas) == [0.8, 0.9, 1.0]
-    assert list(curve.pressures) == [grid[0], grid[2], grid[1]]
+    assert sorted(known) == [0.8, 0.9, 1.0]     # the caller's dict is kept
     solved.clear()
-    again = pressure_curve(fam, betas, kink_steps=(1e-2,))
-    assert sorted(solved) == [0.8, 0.9, 1.0 - 1e-2, 1.0, 1.0 + 1e-2]
-    assert again.left_quotients == curve.left_quotients
+    assert kink_quotients(fam, steps=(1e-2,)) == quotients
+    assert solved == [1.0, 1.0 - 1e-2, 1.0 + 1e-2]
 
 
 def test_grid_quotients_shape():
-    curve = pressure_curve(cubic(), betas=[0.2, 0.6, 1.0], kink_steps=(1e-2,))
-    # the pressure falls along the grid: every one-sided slope is <= 0
-    slopes = np.diff(curve.pressures) / np.diff(curve.betas)
-    assert len(slopes) == 2 and np.all(slopes <= 0.0)
+    # the pressure falls along the grid, every one-sided slope is <= 0, and
+    # it is 0 past the kink
+    fam = cubic()
+    grid = [pressure_renewal(fam, b) for b in (0.2, 0.5, 0.6, 0.8, 1.0, 1.2)]
+    assert np.all(np.diff(grid) <= 0.0)
+    assert grid[-1] == 0.0

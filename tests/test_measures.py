@@ -304,7 +304,7 @@ def test_block_entropy_increments_are_exact_for_markov():
     # H_n = H(pi) + (n-1) h for a Markov chain, so increments equal h
     assert all(abs(inc - h) < 1e-12 for inc in blocks.increments)
     assert all(b > a for a, b in zip(blocks.rates[1:], blocks.rates))
-    assert abs(blocks.rates[-1] - h) <= (blocks.h_n[0] - h) / 8 + 1e-12
+    assert abs(blocks.rates[-1] - h) <= (blocks.rates[0] - h) / 8 + 1e-12
     assert abs(blocks.rates[-1] - h) > 1e-3
 
 
@@ -514,12 +514,13 @@ def original_cylinder(mu, sft, r, word):
     index = {b: i for i, b in enumerate(blocks)}
     word = tuple(word)
     if len(word) < k:
-        return math.fsum(mu.cylinder((i,)) for i, b in enumerate(blocks)
+        return math.fsum(mu.markov.cylinder((i,))
+                         for i, b in enumerate(blocks)
                          if b[:len(word)] == word)
     windows = [word[i:i + k] for i in range(len(word) - k + 1)]
     if not all(w in index for w in windows):
         return 0.0
-    return mu.cylinder([index[w] for w in windows])
+    return mu.markov.cylinder([index[w] for w in windows])
 
 
 def test_cylinder_original_matches_the_range4_lift():

@@ -13,6 +13,7 @@ import yaml
 from hypothesis import assume, given, settings, strategies as st
 
 from thermoshift import modelio
+from thermoshift.cli import main
 from thermoshift.errors import (ModelSchemaError, ModelSemanticError,
                                 ModelSyntaxError)
 from thermoshift.modelio import bind_potential, chain_labels, parse
@@ -147,7 +148,7 @@ def test_parse_matches_pure_python_loader_on_every_demo_model():
         ref = yaml.compose(f.read_text(), Loader=yaml.SafeLoader)
         data = yaml.constructor.SafeConstructor().construct_document(ref)
         model = parse(f)
-        assert {"version": model.version, "kind": model.kind,
+        assert {"version": modelio.VERSION, "kind": model.kind,
                 **model.body} == data
         for path, node in paths(ref):
             assert model.mark(*path) == (node.start_mark.line + 1,
@@ -234,6 +235,20 @@ def test_a_date_shaped_label_is_a_string(tmp_path, loader, label):
                                   f"labels: [{label}, b]\n"
                                   "transition: [[0.5, 0.5], [0.5, 0.5]]\n"))
     assert chain_labels(model) == [label, "b"]
+
+
+def test_a_str_tag_makes_a_string_as_quotes_do(tmp_path, loader, capsys):
+    text = ("version: v1\nkind: markov-chain\nlabels: [{}, b]\n"
+            "transition: [[0.5, 0.5], [0.5, 0.5]]\n")
+    tagged = write(tmp_path, text.format("!!str 012"))
+    assert chain_labels(parse(tagged)) == ["012", "b"]
+    assert main(["sample", str(tagged), "--seed", "1", "--depth", "8"]) == 0
+    assert '"path_prefix": "012b' in capsys.readouterr().out
+    # untagged, 012 is still a number outside the grammar
+    plain = write(tmp_path, text.format("012"))
+    assert main(["sample", str(plain), "--seed", "1"]) == 5
+    assert capsys.readouterr().err.endswith(
+        "got '012'; quote a string (line 3, column 10) [field: labels.0]\n")
 
 
 def test_a_date_shaped_transition_entry_is_a_schema_error(tmp_path, loader):
@@ -338,17 +353,17 @@ def test_hofbauer_fields_are_checked_in_file_order(tmp_path, fields, first):
 @pytest.fixture(params=["default", "pure-python"])
 def loader(request, monkeypatch):
     """The loader parse composes with: libyaml's where PyYAML has it, and
-    the pure-Python one, which gives a plain scalar the style None, not ''."""
+    the pure-Python one."""
     if request.param == "pure-python":
-        monkeypatch.setattr(modelio, "_LOADER", yaml.BaseLoader)
+        monkeypatch.setattr(modelio, "_LOADER", modelio._PyLoader)
     return modelio._LOADER
 
 
 def _read(text, loader):
     """``x`` of the one-line document ``x: text`` as parse reads it."""
     node = yaml.compose(f"x: {text}\n", Loader=loader)
-    model = modelio.ModelFile(path="x.yaml", kind=None, version=None,
-                              body=None, digest=None, node=node)
+    model = modelio.ModelFile(path="x.yaml", kind=None, body=None,
+                              digest=None, node=node)
     return modelio._read(model, node, (), set())["x"]
 
 
@@ -362,7 +377,7 @@ _PIECES = ["0", "1", "7", "9", "-", "+", ".", "e", "E", "_", ":", "0x", "0o",
 
 @settings(max_examples=600, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), min_size=1, max_size=8).map("".join),
-       st.sampled_from([modelio._LOADER, yaml.BaseLoader]))
+       st.sampled_from([modelio._LOADER, modelio._PyLoader]))
 def test_the_grammar_reads_numbers_as_yaml11_does(literal, loader):
     text = f"x: {literal}\n"
     try:
@@ -450,7 +465,7 @@ def test_unquoted_word_keys_bind(tmp_path, loader):
 
 
 def test_the_demo_models_read_alike_without_libyaml(monkeypatch):
-    monkeypatch.setattr(modelio, "_LOADER", yaml.BaseLoader)
+    monkeypatch.setattr(modelio, "_LOADER", modelio._PyLoader)
     test_parse_matches_pure_python_loader_on_every_demo_model()
 
 
@@ -486,7 +501,7 @@ def test_nesting_too_deep_to_compose_is_a_syntax_error(tmp_path, loader):
     # recursion limit before the walk sees the depth; libyaml's composes it
     path = write(tmp_path, "version: v1\nkind: sft\n"
                            f"labels: {'[' * 2000}{']' * 2000}\n")
-    if loader is yaml.BaseLoader:
+    if loader is modelio._PyLoader:
         with pytest.raises(ModelSyntaxError, match="nest too deep to compose"):
             parse(path)
     else:

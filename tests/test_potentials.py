@@ -32,9 +32,9 @@ def test_table_coverage_is_exact():
 
 def test_value_scale_shift_add():
     sft, pot = run_weights()
-    assert pot.value((0, 1)) == -0.7
-    assert pot.scale(2.0).value((0, 1)) == -1.4
-    assert pot.shift(1.0).value((0, 1)) == pytest.approx(0.3)
+    assert pot.table[0, 1] == -0.7
+    assert pot.scale(2.0).table[0, 1] == -1.4
+    assert pot.shift(1.0).table[0, 1] == pytest.approx(0.3)
     both = pot + pot.scale(-1.0)
     assert all(v == 0.0 for v in both.table.values())
 
@@ -44,8 +44,8 @@ def test_add_mixed_ranges():
     site = LocallyConstantPotential(sft, 1, {(0,): 1.0, (1,): -1.0})
     total = pot + site
     assert total.r == 2
-    assert total.value((0, 1)) == pytest.approx(-0.7 + 1.0)
-    assert total.value((1, 0)) == pytest.approx(0.4 - 1.0)
+    assert total.table[0, 1] == pytest.approx(-0.7 + 1.0)
+    assert total.table[1, 0] == pytest.approx(0.4 - 1.0)
 
 
 def test_with_range_identity_and_lift():

@@ -386,3 +386,36 @@ def test_leading_eigen_calls_no_dense_eigensolver(monkeypatch):
     monkeypatch.undo()
     assert eig.squarings > 0
     assert_matches_dense_eig(A, eig)
+
+
+# -- a small spectral gap ----------------------------------------------------------
+
+
+def small_gap():
+    """phi = 3 on the transition 1 -> 2 of a 4-symbol subshift and 0
+    elsewhere: |lambda_2| / lambda = 0.99949."""
+    sft = SubshiftOfFiniteType(list("abcd"), [[0, 1, 0, 1], [1, 0, 1, 0],
+                                              [0, 1, 0, 0], [0, 0, 1, 1]])
+    return sft, LocallyConstantPotential.from_function(
+        sft, 2, lambda w: 3.0 if tuple(w) == (1, 2) else 0.0)
+
+
+def test_a_small_gap_stalls_fast_and_typed_at_the_default_tol():
+    sft, pot = small_gap()
+    A = sft.transition.astype(float)
+    A[1, 2] = np.exp(3.0)
+    ratio = np.divide(*np.sort(np.abs(np.linalg.eigvals(A)))[-2:])
+    assert 0.9994 < ratio < 0.9996
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="stalled"):
+        pressure(pot)
+    assert time.perf_counter() - start < 1.0
+    assert abs(pressure(pot, tol=1e-12) - dense_log_radius(sft, pot)) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergence,
+                   reason="the default tol 1e-13 is below the residual floor "
+                          "of the squared iterates at this gap")
+def test_a_small_gap_converges_at_the_default_tol():
+    sft, pot = small_gap()
+    assert abs(pressure(pot) - dense_log_radius(sft, pot)) < 1e-12

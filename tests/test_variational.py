@@ -183,7 +183,7 @@ def test_pn_sums_the_sup_of_each_cylinder():
              if sft.is_admissible(w)]
     assert len(words) == sft.count_words(5)
     # the sup over [word] maximizes over the one free coordinate past it
-    sups = [max(sum(pot.value((word + (t,))[i:i + 2]) for i in range(5))
+    sups = [max(sum(pot.table[(word + (t,))[i:i + 2]] for i in range(5))
                 for t in (0, 1) if sft.is_admissible(word + (t,)))
             for word in words]
     assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - sups)) < 1e-15

@@ -30,7 +30,7 @@ class NotPrimitive(ComputationError):
 # -- potentials ---------------------------------------------------------------
 
 class RangeTooLarge(BudgetError):
-    """Recoding would produce an alphabet larger than the configured budget."""
+    """A matrix form was asked of a potential of range > 2; recode it first."""
 
 
 # -- transfer operator --------------------------------------------------------

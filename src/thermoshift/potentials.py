@@ -14,10 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import RangeTooLarge
-from .sft import _BLOCK_ROWS, Alphabet, SubshiftOfFiniteType
-
-_TAIL_BUDGET = 10 ** 6   # tail continuations a Birkhoff sup may search
+from .sft import Alphabet, SubshiftOfFiniteType
 
 
 class LocallyConstantPotential:
@@ -117,46 +114,34 @@ class LocallyConstantPotential:
 
     # -- Birkhoff sums ----------------------------------------------------------
 
-    def _tails(self, last):
-        """Admissible continuations of length r-1 after symbol ``last``."""
-        n_tails = self.sft.m ** (self.r - 1)
-        if n_tails > _TAIL_BUDGET:
-            raise RangeTooLarge(
-                f"{n_tails} tail continuations exceed budget {_TAIL_BUDGET}")
-        return np.argwhere(~np.isnan(self.dense_table[last]))
+    @cached_property
+    def _tail_sups(self):
+        """k -> T_k of ``birkhoff_sups``, each filled on first use."""
+        return {}
 
     def birkhoff_sups(self, words):
-        """Sup of S_n over the cylinder of each row of a (k, n) word array.
+        """Sup of S_n over the cylinder of each row of a (rows, n) word array.
 
-        The sup over tails depends on a word only through its last
-        min(n, r-1) symbols, so it is solved once per distinct end.
+        The k = min(n, r-1) terms that read past a word are maximized by a
+        backward max-plus recursion over the dense table: U_0 = 0 on
+        (r-1)-words, U_j(s) = max_b [phi(s b) + U_{j-1}(s[1:] b)], with
+        ``fmax`` dropping the NaN of inadmissible words.  T_k, which is U_k
+        maximized over the r-1-k symbols that complete a shorter word, is
+        read at the word's last k symbols.  The tail sum associates right to
+        left, so for r >= 4 a sup can differ from a left-to-right sum by an ulp.
         """
-        k, n = words.shape
+        n = words.shape[1]
         r, phi = self.r, self.dense_table
-        fixed = np.zeros(k)
+        fixed = np.zeros(len(words))
         for i in range(n - r + 1):
             fixed = fixed + phi[tuple(words[:, i:i + r].T)]
-        if r == 1:
-            return fixed
-        ends, end_of = np.unique(words[:, max(0, n - r + 1):], axis=0,
-                                 return_inverse=True)
-        span = ends.shape[1]
-        best = np.empty(len(ends))
-        for last in sorted(set(ends[:, -1].tolist())):
-            tails = self._tails(last)
-            rows = np.flatnonzero(ends[:, -1] == last)
-            step = max(1, _BLOCK_ROWS // len(tails))
-            for lo in range(0, len(rows), step):
-                chunk = rows[lo:lo + step]
-                shape = (len(chunk), len(tails))
-                ext = np.concatenate((
-                    np.broadcast_to(ends[chunk][:, None, :], shape + (span,)),
-                    np.broadcast_to(tails, shape + (r - 1,))), axis=2)
-                s = np.zeros(ext.shape[:2])
-                for i in range(span):
-                    s = s + phi[tuple(np.moveaxis(ext[:, :, i:i + r], 2, 0))]
-                best[chunk] = s.max(axis=1)
-        return fixed + best[end_of.reshape(-1)]
+        k = min(n, r - 1)
+        if k not in self._tail_sups:
+            u = np.zeros((self.sft.m,) * (r - 1))
+            for _ in range(k):
+                u = np.fmax.reduce(phi + u[None], axis=-1)
+            self._tail_sups[k] = np.fmax.reduce(u, axis=tuple(range(k, r - 1)))
+        return fixed + self._tail_sups[k][tuple(words[:, n - k:].T)]
 
     def __repr__(self):
         return f"LocallyConstantPotential(r={self.r}, m={self.sft.m})"

@@ -264,6 +264,41 @@ def test_pressure_Pn_matches_word_by_word_reference(seed):
         assert value == logsumexp(ref) / n
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_birkhoff_sups_at_range_4_and_5_match_word_by_word_reference(seed):
+    # real values: the engine sums the tail right to left and the reference
+    # left to right, so the two may differ in the last bit
+    rng = np.random.default_rng(seed)
+    sft = random_primitive_sft(rng, int(rng.integers(2, 4)))
+    for r in (4, 5):
+        pot = LocallyConstantPotential.from_function(
+            sft, r, lambda w: float(rng.normal()))
+        for n in (1, 3, 6):
+            words = brute_words(sft.transition, n)
+            ref = [brute_sup(pot, w) for w in words]
+            assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - ref)) < 1e-14
+
+
+def test_pressure_Pn_builds_each_tail_sup_once():
+    built = []
+
+    class Builds(dict):
+        def __setitem__(self, k, v):
+            built.append(k)
+            super().__setitem__(k, v)
+
+    rng = np.random.default_rng(3)
+    sft = random_primitive_sft(rng, 3)
+    pot = random_potential(rng, sft, 4)
+    pot.__dict__["_tail_sups"] = Builds()
+    with mock.patch.object(sft_module, "_BLOCK_ROWS", 4):
+        assert len(list(sft_module._word_blocks(sft.transition, 6))) > 10
+        for n in (1, 2, 6, 8, 6):
+            pressure_Pn(pot, n)
+    # one T_k per depth class k = min(n, r - 1), however many blocks
+    assert built == [1, 2, 3]
+
+
 def brute_hofbauer_sup(pot, word):
     """Max of S_n phi over the points word.t.0^inf, t in {0,1}^4, and
     word.1^inf; phi at a point is a_k for k leading ones, 0 at 1^inf."""

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, SubshiftOfFiniteType,
-                         full_shift, golden_mean_shift, pressure, recode_range2)
+                         full_shift, golden_mean_shift, pressure, pressure_Pn,
+                         recode_range2)
 from thermoshift.transfer import build
 
 
@@ -92,9 +93,10 @@ def test_birkhoff_sups_are_exact_where_tails_tie(data):
     T = np.array(flat, dtype=np.int8).reshape(m, m)
     assume(T.sum(axis=0).all() and T.sum(axis=1).all())
     sft = SubshiftOfFiniteType([str(a) for a in range(m)], T)
-    r = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(1, 5))
     # a small set of dyadic values: sums are exact, so tails really tie and
-    # the sup must come out bit for bit
+    # the sup must come out bit for bit; n < r - 1 leaves part of the tail
+    # past the word free
     value = st.sampled_from([-0.5, 0.0, 0.25, 0.5])
     pot = LocallyConstantPotential.from_function(sft, r, lambda w: data.draw(value))
     for n in (1, 2, 3, 5):
@@ -111,6 +113,20 @@ def test_birkhoff_range3_potential():
         (sup,) = birkhoff_sups(pot, [word])
         assert sup == pytest.approx(brute_birkhoff_sup(sft, pot, word),
                                     abs=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_birkhoff_sups_need_no_tail_budget():
+    # the lift has 2^20 tails per word end; the sups come from the max-plus
+    # recursion over its table, and building it must not warn
+    sft = full_shift(2)
+    pot = LocallyConstantPotential(
+        sft, 2, {(0, 0): 0.5, (0, 1): -0.25, (1, 0): 0.75, (1, 1): -0.5})
+    lifted = pot.with_range(21)
+    for n in (1, 3, 6):
+        words = list(itertools.product(range(2), repeat=n))
+        assert birkhoff_sups(lifted, words) == birkhoff_sups(pot, words)
+    assert pressure_Pn(lifted, 4) == pressure_Pn(pot, 4)
 
 
 def test_range1_has_no_tail_freedom():
@@ -145,8 +161,6 @@ def test_recode_golden_mean_range3():
 
 
 def test_recode_preserves_pressure():
-    from thermoshift import pressure_Pn
-
     sft = golden_mean_shift()
     pot = LocallyConstantPotential.from_function(
         sft, 3, lambda w: 0.3 * w[0] - 0.2 * w[1] + 0.15 * w[2])

@@ -227,12 +227,12 @@ def _cmd_entropy(args, report, sft):
 
 def _cmd_pressure(args, report, pot):
     from .transfer import pressure as spectral_pressure
-    from .variational import pressure_Pn
 
     pot = pot.scale(args.beta)
     p = spectral_pressure(pot, tol=args.tol)
     report.result("pressure", p, "nats", "spectral")
     if args.check:
+        from .variational import pressure_Pn
         n = args.depth
         pn = pressure_Pn(pot, n, budget=args.budget)
         report.result(f"Pn_over_n(n={n})", pn, "nats", "variational")

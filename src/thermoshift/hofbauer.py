@@ -1,10 +1,11 @@
 """Hofbauer-type potentials on the full binary shift.
 
 The potential takes the value a_k on the cylinder of points that open with
-exactly k ones before the first zero, and 0 at the all-ones fixed point.
-With s_k = a_0 + ... + a_k, the equilibrium state of phi is non-unique
-exactly when sum_k exp(s_k) = 1 and sum_k (k+1) exp(s_k) < infinity; the
-pressure of beta * phi solves the renewal equation
+exactly k ones before the first zero, and 0 at the all-ones fixed point; a
+family is held as its run-length series a_k alone, with no subshift,
+Birkhoff sums or ``scale``.  With s_k = a_0 + ... + a_k, the equilibrium
+state of phi is non-unique exactly when sum_k exp(s_k) = 1 and sum_k (k+1)
+exp(s_k) < infinity; the pressure of beta * phi solves the renewal equation
 
     G(P) = sum_k exp(beta s_k - (k+1) P) = 1
 
@@ -27,16 +28,11 @@ import numpy as np
 from ._numerics import (_BERNOULLI_DIV, EXPINT_RTOL, bracketed_root, expint,
                         log_trace_power, zeta)
 from .errors import OutOfRange, TailUncertified, UndeterminedTail
-from .sft import full_shift
-
-_ONE = 1  # symbol index of "1" in the canonical binary alphabet
 
 
 class HofbauerPotential:
-    """Base class: a family a_k < 0, a_k -> 0, nondecreasing for k >= 1."""
-
-    def __init__(self):
-        self.sft = full_shift(2, labels=["0", "1"])
+    """Base class: a family a_k < 0, a_k -> 0, nondecreasing for k >= 1, held
+    as its series alone, with no subshift, Birkhoff sums or ``scale``."""
 
     # subclasses provide a_array(K) -> a_0..a_{K-1} and the tail bounds
     def a_array(self, K):
@@ -69,52 +65,6 @@ class HofbauerPotential:
             bounds.append(np.exp(beta * s_K) * np.exp(-(K + 1) * P) / (-np.expm1(-P)))
         half = 0.5 * float(min(bounds, default=np.inf))
         return half, half, -(K + 1) * half
-
-    # -- Birkhoff sums ---------------------------------------------------------
-
-    def birkhoff_sups(self, words):
-        """Sup of S_n phi over the cylinder of each row of a (k, n) word array.
-
-        The sup is attained by the all-ones continuation: a position whose
-        run of ones reaches the end of the word then sees the fixed point and
-        contributes 0, any other position a_(distance to the next zero).
-        """
-        n = words.shape[1]
-        a = self.a_array(n + 1)
-        sups = []
-        for word in words.tolist():
-            sup = 0.0
-            next_zero = n
-            for i in range(n - 1, -1, -1):
-                if word[i] != _ONE:
-                    next_zero = i
-                if next_zero < n:
-                    sup += a[next_zero - i]
-            sups.append(sup)
-        return np.array(sups)
-
-    def scale(self, beta):
-        if beta <= 0:
-            raise OutOfRange("scale factor must be positive")
-        return _ScaledHofbauer(self, beta)
-
-
-class _ScaledHofbauer(HofbauerPotential):
-    """beta * phi for a positive beta; its sups are beta times the base's."""
-
-    def __init__(self, base, beta):
-        super().__init__()
-        self.base = base
-        self.beta = float(beta)
-
-    def a_array(self, K):
-        return self.beta * self.base.a_array(K)
-
-    def birkhoff_sups(self, words):
-        return self.beta * self.base.birkhoff_sups(words)
-
-    def tail_bounds(self, beta, K):
-        return self.base.tail_bounds(beta * self.beta, K)
 
 
 _EM_TERMS = 4   # Bernoulli terms of the Euler-Maclaurin tails
@@ -173,7 +123,6 @@ class CriticalPowerFamily(HofbauerPotential):
     """
 
     def __init__(self, exponent=3.0, depression=0.0):
-        super().__init__()
         if not (math.isfinite(exponent) and math.isfinite(depression)):
             raise OutOfRange("exponent and depression must be finite")
         if exponent <= 1.0:
@@ -236,7 +185,6 @@ class InverseSquareFamily(HofbauerPotential):
     """
 
     def __init__(self, scale=1.0):
-        super().__init__()
         if not math.isfinite(scale):
             raise OutOfRange("scale must be finite")
         if scale <= 0:

@@ -21,10 +21,10 @@ from ._numerics import chunks, ordered_sum
 from .errors import OutOfRange, SupportMismatch, ZeroMassPath
 from .sft import SubshiftOfFiniteType, _word_blocks
 
-# matches the documented row-stochasticity tolerance: a row-sum defect of
-# eps forces a stationarity residual of the same order, so a stricter check
-# here would reject inputs the input contract admits
-_STATIONARY_TOL = 1e-9
+# row sums, probability vectors and stationarity of every chain read or
+# built: a row-sum defect of eps forces a stationarity residual of the same
+# order, so a stricter check would reject chains the model files may hold
+_STOCHASTIC_TOL = 1e-9
 
 
 class MarkovMeasure:
@@ -47,13 +47,13 @@ class MarkovMeasure:
             raise ValueError("pi and P have mismatched sizes")
         if not (np.isfinite(pi).all() and np.isfinite(P).all()):
             raise ValueError("pi and P must be finite")
-        if (pi < -1e-15).any() or abs(pi.sum() - 1.0) > 1e-9:
+        if (pi < -1e-15).any() or abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:
             raise ValueError("pi must be a probability vector")
         rows = P.sum(axis=1)
-        if (P < -1e-15).any() or np.max(np.abs(rows - 1.0)) > 1e-9:
+        if (P < -1e-15).any() or np.max(np.abs(rows - 1.0)) > _STOCHASTIC_TOL:
             raise ValueError("P must be row-stochastic (tolerance 1e-9)")
-        if np.max(np.abs(pi @ P - pi)) > _STATIONARY_TOL:
-            raise ValueError(f"pi is not stationary for P within {_STATIONARY_TOL}")
+        if np.max(np.abs(pi @ P - pi)) > _STOCHASTIC_TOL:
+            raise ValueError(f"pi is not stationary for P within {_STOCHASTIC_TOL}")
         self.pi = np.clip(pi, 0.0, None)
         self.P = np.clip(P, 0.0, None)
 

@@ -57,8 +57,6 @@ _FIELDS = {
     "hofbauer-family": {"family", "exponent", "depression", "scale"},
 }
 
-_STOCHASTIC_TOL = 1e-9
-
 # the tag of a plain scalar written without one, the only scalar the grammar
 # reads; no file can write it, as a tag holds no space
 _PLAIN = "plain scalar"
@@ -367,6 +365,8 @@ def bind_potential(model: ModelFile, sft: SubshiftOfFiniteType) -> LocallyConsta
 
 
 def _check_markov_chain(model):
+    from .measures import _STOCHASTIC_TOL, MarkovMeasure, stationary_vector
+
     rows = _require(model, "transition", list, "a matrix (list of rows)")
     n = len(rows)
     if n == 0:
@@ -399,8 +399,6 @@ def _check_markov_chain(model):
         v = np.array(pi, dtype=float)
         if np.any(v < 0) or abs(v.sum() - 1.0) > _STOCHASTIC_TOL:
             raise _semantic(model, "pi is not a probability vector", "pi")
-    from .measures import MarkovMeasure, stationary_vector
-
     try:
         return MarkovMeasure(v if pi is not None else stationary_vector(P), P)
     except ValueError as exc:

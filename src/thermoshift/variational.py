@@ -153,12 +153,12 @@ def _require_full(sft):
 # -- cylinder-maximization pressure ---------------------------------------------
 
 
-def pressure_Pn(potential, n, budget=10 ** 7) -> float:
+def pressure_Pn(potential: LocallyConstantPotential, n, budget=10 ** 7) -> float:
     """Finite pressure approximant log sum_w exp(sup_[w] S_n phi), over n.
 
     The sum runs over the admissible n-cylinders [w] of the potential's
-    subshift, each with the sup of the Birkhoff sum over its points.  Works
-    for any potential exposing ``sft`` and ``birkhoff_sups``.
+    subshift, each with the sup of the Birkhoff sum over its points; the
+    potential is a ``LocallyConstantPotential``, which carries both.
     """
     sups = [potential.birkhoff_sups(words) for words in
             _word_blocks(potential.sft.transition, n, budget=budget)]
@@ -208,11 +208,13 @@ def markov_as_gibbs(Q, labels=None, tol=1e-13) -> GibbsMeasure:
     support.  Q must be primitive: the spectral machinery needs mixing, so a
     merely irreducible periodic chain is rejected.
     """
+    from .measures import _STOCHASTIC_TOL
+
     Q = np.asarray(Q, dtype=float)
     m = Q.shape[0]
     if Q.shape != (m, m):
         raise ValueError("Q must be square")
-    if np.max(np.abs(Q.sum(axis=1) - 1.0)) > 1e-9 or (Q < 0).any():
+    if np.max(np.abs(Q.sum(axis=1) - 1.0)) > _STOCHASTIC_TOL or (Q < 0).any():
         raise ValueError("Q must be row-stochastic (tolerance 1e-9)")
     if labels is None:
         labels = [str(i) for i in range(m)]

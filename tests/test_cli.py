@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -903,7 +904,7 @@ def test_stdout_that_cannot_be_written_is_a_syntax_exit(stdout):
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only oracle; the command line must not pull it in, and
-    # each call loads only the engines its handler uses
+    # importing it loads no engine
     code = ("import sys, thermoshift.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print(sorted(m for m in sys.modules if m.startswith('thermoshift')))")
@@ -913,16 +914,65 @@ def test_cli_import_loads_no_scipy():
     assert scipy_mods == "[]"
     assert ours == str(["thermoshift", "thermoshift.cli", "thermoshift.errors",
                         "thermoshift.modelio"])
+
+
+def _model(name):
+    return str(MODELS / f"{name}.yaml")
+
+
+_GOLDEN = [_model("golden-mean"), _model("run-weights")]
+_SPECTRAL = "_numerics potentials sft transfer"
+
+# every call of the benchmark's demo suite, and `pressure --check`, with the
+# thermoshift modules it loads besides cli, errors and modelio
+_CALL_MODULES = [
+    (["entropy", _model("golden-mean"), "--check"], "_numerics sft transfer"),
+    (["pressure", *_GOLDEN, "--beta", "1.5"], _SPECTRAL),
+    (["pressure", *_GOLDEN, "--check"], _SPECTRAL + " variational"),
+    (["gibbs", *_GOLDEN, "--out", "{tmp}/gibbs.csv"], _SPECTRAL + " measures"),
+    (["bounds", *_GOLDEN], _SPECTRAL + " measures"),
+    (["relent", _model("full-shift"), _model("site-energy"), _model("lazy-coin"),
+      "--check"], _SPECTRAL + " measures"),
+    (["sample", _model("lazy-coin"), "--seed", "7", "--depth", "10000", "--out",
+      "{tmp}/path.csv"], "_numerics measures sft"),
+    (["aep", _model("lazy-coin"), "--depth", "12", "--alpha", "0.1"],
+     "_numerics measures sft"),
+    (["periodic", _model("golden-mean"), "--n", "12", "--check"], "sft"),
+    (["production", _model("three-cycle"), "--check"],
+     _SPECTRAL + " measures variational"),
+    (["lattice", _model("full-shift"), _model("site-energy"), "--n", "16",
+      "--check"], _SPECTRAL + " variational"),
+    (["ising", "--beta", "0.8", "--n", "16", "--target", "0.5"],
+     _SPECTRAL + " measures variational"),
+    (["hofbauer-scan", _model("cubic-family"), "--check"], "_numerics hofbauer"),
+    (["dimension", _model("cantor-thirds"), "--check"],
+     _SPECTRAL + " interval_maps measures"),
+    (["dimension", _model("uneven-repeller"), "--check"],
+     _SPECTRAL + " interval_maps measures"),
+    (["acim", _model("golden-interval"), "--check", "--out", "{tmp}/density.csv"],
+     _SPECTRAL + " interval_maps measures"),
+    (["pn-scan", *_GOLDEN, "--n-max", "12", "--out", "{tmp}/curve.csv"],
+     _SPECTRAL + " variational"),
+]
+
+
+def test_each_call_loads_only_the_engines_it_runs(tmp_path):
+    # a fresh process per call: a module loaded is a module compiled and run
     code = ("import io, sys, contextlib; from thermoshift.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main(['entropy', {str(MODELS / 'golden-mean.yaml')!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('thermoshift')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    loaded = proc.stdout.strip()
-    for engine in ("hofbauer", "interval_maps", "variational", "measures"):
-        assert f"'thermoshift.{engine}'" not in loaded
-    assert "'thermoshift.sft'" in loaded
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(*sorted(m[12:] for m in sys.modules if m.startswith('thermoshift.')))")
+
+    def loaded(argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.split()
+
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(loaded, (argv for argv, _ in _CALL_MODULES)))
+    for (argv, modules), mods in zip(_CALL_MODULES, got):
+        assert mods == sorted(["cli", "errors", "modelio", *modules.split()]), argv
 
 
 def test_package_names_load_on_first_access():

@@ -18,12 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (CriticalPowerFamily, LocallyConstantPotential,
-                         MarkovMeasure, PiecewiseLinearMarkovMap,
-                         SubshiftOfFiniteType, acim, aep_partition,
-                         entropy_by_blocks, full_shift, gibbs_bounds,
-                         gibbs_measure, lattice_equilibrium, pressure_Pn,
-                         relative_entropy_direct)
+from thermoshift import (LocallyConstantPotential, MarkovMeasure,
+                         PiecewiseLinearMarkovMap, SubshiftOfFiniteType, acim,
+                         aep_partition, entropy_by_blocks, full_shift,
+                         gibbs_bounds, gibbs_measure, lattice_equilibrium,
+                         pressure_Pn, relative_entropy_direct)
 from thermoshift import sft as sft_module
 from thermoshift.cli import main
 from thermoshift._numerics import logsumexp
@@ -297,35 +296,6 @@ def test_pressure_Pn_builds_each_tail_sup_once():
             pressure_Pn(pot, n)
     # one T_k per depth class k = min(n, r - 1), however many blocks
     assert built == [1, 2, 3]
-
-
-def brute_hofbauer_sup(pot, word):
-    """Max of S_n phi over the points word.t.0^inf, t in {0,1}^4, and
-    word.1^inf; phi at a point is a_k for k leading ones, 0 at 1^inf."""
-    n = len(word)
-    a = pot.a_array(n + 5)
-
-    def phi(x, ones_forever):
-        k = 0
-        while k < len(x) and x[k] == 1:
-            k += 1
-        return 0.0 if k == len(x) and ones_forever else a[k]
-
-    sums = [sum(phi(word[i:] + t, False) for i in range(n))
-            for t in itertools.product((0, 1), repeat=4)]
-    sums.append(sum(phi(word[i:], True) for i in range(n)))
-    return max(sums)
-
-
-def test_pressure_Pn_on_a_hofbauer_potential_matches_per_word_sups():
-    pot = CriticalPowerFamily(exponent=3.0).scale(0.8)
-    for n in range(1, 7):
-        words = list(itertools.product(range(2), repeat=n))
-        sups = [brute_hofbauer_sup(pot, w) for w in words]
-        with mock.patch.object(sft_module, "_BLOCK_ROWS", 5):
-            value = pressure_Pn(pot, n)
-        assert abs(value - logsumexp(sups) / n) < 1e-14
-        assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - sups)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(8))

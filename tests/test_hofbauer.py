@@ -29,6 +29,9 @@ def cubic():
 def test_s_array_matches_cumsum_of_a():
     fam = cubic()
     assert np.max(np.abs(fam.s_array(500) - np.cumsum(fam.a_array(500)))) < 1e-12
+    # the inverse-square series is linear in its scale
+    unit, scaled = InverseSquareFamily(scale=1.0), InverseSquareFamily(scale=2.5)
+    assert np.max(np.abs(scaled.a_array(50) - 2.5 * unit.a_array(50))) < 1e-15
 
 
 def series_closed_form(fam, beta):
@@ -51,35 +54,6 @@ def test_variation_decay_is_logarithmic():
         assert abs(-a[k] - 3.0 * np.log1p(1.0 / k)) < 1e-15
 
 
-def test_birkhoff_sups_hand_words():
-    fam = cubic()
-    a = fam.a_array(6)
-    cases = {
-        (0,): a[0],
-        (1,): 0.0,
-        (1, 1, 0, 1): a[2] + a[1] + a[0],
-        (0, 0, 1, 1, 1): 2 * a[0],
-    }
-    for word, sup in cases.items():
-        (got,) = fam.birkhoff_sups(np.array([word]))
-        assert abs(got - sup) < 1e-15
-
-
-def test_scale_is_linear_on_extremes():
-    fam = cubic()
-    scaled = fam.scale(2.5)
-    words = np.array([(1, 1, 0, 1, 0), (0, 1, 1, 1, 1)])
-    sups, base = scaled.birkhoff_sups(words), fam.birkhoff_sups(words)
-    assert np.max(np.abs(sups - 2.5 * base)) < 1e-15
-    assert np.max(np.abs(scaled.a_array(50) - 2.5 * fam.a_array(50))) < 1e-15
-    with pytest.raises(OutOfRange):
-        fam.scale(0.0)
-    with pytest.raises(OutOfRange):
-        CriticalPowerFamily(exponent=0.9)
-    with pytest.raises(OutOfRange):
-        InverseSquareFamily(scale=-1.0)
-
-
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_families_reject_non_finite_parameters(bad):
     with pytest.raises(OutOfRange, match="finite"):
@@ -88,6 +62,10 @@ def test_families_reject_non_finite_parameters(bad):
         CriticalPowerFamily(depression=bad)
     with pytest.raises(OutOfRange, match="finite"):
         InverseSquareFamily(scale=bad)
+    with pytest.raises(OutOfRange, match="exceed 1"):
+        CriticalPowerFamily(exponent=0.9)
+    with pytest.raises(OutOfRange, match="positive"):
+        InverseSquareFamily(scale=-1.0)
 
 
 # -- uniqueness diagnosis ---------------------------------------------------------------

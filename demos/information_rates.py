@@ -18,7 +18,7 @@ def bernoulli(p):
 # -- block entropies converge to the rate ---------------------------------------
 
 sft = golden_mean_shift()
-parry = gibbs_measure(LocallyConstantPotential.zero(sft)).markov
+parry = gibbs_measure(LocallyConstantPotential.zero(sft))
 h = parry.entropy()
 blocks = entropy_by_blocks(parry, 8)
 print("Parry measure of the golden mean shift:")

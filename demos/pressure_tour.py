@@ -32,9 +32,9 @@ print(f"mean of the potential       {mean:+.15f}")
 print(f"h + <phi> - P               {h + mean - p:+.3e}")
 
 print("\nMarkov form of the equilibrium state:")
-print("  pi =", np.array_str(mu.markov.pi, precision=12))
+print("  pi =", np.array_str(mu.pi, precision=12))
 print("  P  =")
-for row in mu.markov.P:
+for row in mu.P:
     print("      ", np.array_str(row, precision=12))
 
 # uniform comparability of cylinder masses with exp(S_n phi - n P)

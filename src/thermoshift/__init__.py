@@ -12,9 +12,9 @@ from .errors import (BudgetError, ComputationError, DegenerateObservable,
                      DepthTooLarge, IsRepeller, ModelSchemaError,
                      ModelSemanticError, ModelSyntaxError, NoConvergence,
                      NotExpanding, NotMarkov, NotPrimitive, OutOfRange,
-                     PeriodTooLarge, RangeTooLarge, SupportMismatch,
-                     TailUncertified, TargetOutOfRange, ThermoshiftError,
-                     UndeterminedTail, ZeroMassPath, ZeroRowOrColumn)
+                     PeriodTooLarge, SupportMismatch, TailUncertified,
+                     TargetOutOfRange, ThermoshiftError, UndeterminedTail,
+                     ZeroMassPath, ZeroRowOrColumn)
 
 # public name -> engine module, imported on first access (PEP 562), so that
 # `import thermoshift` or a CLI call loads only the engines it uses

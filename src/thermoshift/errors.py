@@ -27,12 +27,6 @@ class NotPrimitive(ComputationError):
     """The transition matrix has no power with all entries positive."""
 
 
-# -- potentials ---------------------------------------------------------------
-
-class RangeTooLarge(BudgetError):
-    """A matrix form was asked of a potential of range > 2; recode it first."""
-
-
 # -- transfer operator --------------------------------------------------------
 
 class NoConvergence(ComputationError):

@@ -195,7 +195,7 @@ class AcimResult:
         for words in _word_blocks(T, depth, budget=budget):
             lengths = [float(self.coded.cylinder_length(word))
                        for word in words.tolist()]
-            ratio = self.measure.markov._masses(words) / np.array(lengths)
+            ratio = self.measure._masses(words) / np.array(lengths)
             lo, hi = min(lo, ratio.min()), max(hi, ratio.max())
         return float(lo), float(hi)
 
@@ -213,7 +213,7 @@ def acim(imap: PiecewiseLinearMarkovMap, tol=1e-13) -> AcimResult:
     meas = gibbs_measure(coded.potential, tol=tol)
     if meas.pressure < -1e-10:
         raise IsRepeller(f"geometric pressure {meas.pressure} < 0")
-    densities = {s: float(meas.markov.pi[s] / float(imap.lengths[i]))
+    densities = {s: float(meas.pi[s] / float(imap.lengths[i]))
                  for s, i in enumerate(coded.symbols)}
     return AcimResult(coded=coded, measure=meas,
                       pressure_residual=abs(meas.pressure), densities=densities)

@@ -57,15 +57,14 @@ class MarkovMeasure:
         self.pi = np.clip(pi, 0.0, None)
         self.P = np.clip(P, 0.0, None)
 
-    @classmethod
-    def from_transition(cls, P):
+    @staticmethod
+    def from_transition(P):
         """Markov measure with the stationary vector solved from P.
 
         P must be row-stochastic with a unique stationary distribution.
         """
         P = np.asarray(P, dtype=float)
-        pi = stationary_vector(P)
-        return cls(pi, P)
+        return MarkovMeasure(stationary_vector(P), P)
 
     @property
     def m(self):
@@ -185,7 +184,7 @@ class MarkovMeasure:
                            np.min_scalar_type(self.m - 1), length)
 
     def __repr__(self):
-        return f"MarkovMeasure(m={self.m})"
+        return f"{type(self).__name__}(m={self.m})"
 
 
 def stationary_vector(P):
@@ -218,28 +217,23 @@ def _uniforms(seed, count):
                     * (2.0 ** -53)).tolist()
 
 
-@dataclass
-class GibbsMeasure:
-    """Gibbs/equilibrium state of a locally constant potential.
-
-    Carries the Markov form, the range <= 2 potential it equilibrates, the
-    pressure, and the eigendata of the transfer operator it was built from.
-    The chain lives on ``potential.sft``: a potential of range > 2 is block
-    recoded first (``recode_range2``), and the state lives on the block
-    subshift.
+class GibbsMeasure(MarkovMeasure):
+    """Gibbs/equilibrium state of a locally constant potential: the
+    stationary Markov chain (pi, P) that ``transfer.gibbs_measure`` reads off
+    the transfer operator, with the range <= 2 potential it equilibrates,
+    the pressure, and the eigendata of that operator.  The chain lives on
+    ``potential.sft``: a potential of range > 2 is block recoded first
+    (``recode_range2``), and the state lives on the block subshift.
     """
 
-    markov: MarkovMeasure
-    potential: object
-    pressure: float
-    eigen: object
-
-    def entropy(self):
-        return self.markov.entropy()
+    def __init__(self, pi, P, potential, pressure, eigen):
+        super().__init__(pi, P)
+        self.potential, self.pressure, self.eigen = potential, pressure, eigen
 
     def expectation(self, potential=None):
-        return self.markov.expectation(self.potential if potential is None
-                                       else potential)
+        """Integral of a potential, by default the one the state equilibrates."""
+        return super().expectation(self.potential if potential is None
+                                   else potential)
 
 
 # -- block entropies ------------------------------------------------------------
@@ -291,7 +285,7 @@ def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
     total = 0.0
     for words, mass in nu._support_blocks(n, budget):
         words, mass = words[mass > 0], mass[mass > 0]
-        log_mu = mu.markov._log_masses(words)
+        log_mu = mu._log_masses(words)
         if np.isneginf(log_mu).any():   # argmin: the first null cylinder
             word = tuple(words[np.argmin(log_mu)].tolist())
             raise SupportMismatch(f"nu charges the mu-null cylinder {word}")
@@ -300,15 +294,16 @@ def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
 
 
 def _check_support(nu, mu):
-    P_mu = mu.markov.P
-    pi_mu = mu.markov.pi
-    if nu.m != mu.markov.m:
-        raise SupportMismatch("alphabet sizes differ")
+    if nu.m != mu.m:
+        raise SupportMismatch(
+            f"alphabet sizes differ: nu has {nu.m} symbols and mu {mu.m}; "
+            "the Gibbs state of a potential of range r > 2 lives on its "
+            "subshift of (r-1)-blocks")
     for a in range(nu.m):
-        if nu.pi[a] > 0 and pi_mu[a] == 0:
+        if nu.pi[a] > 0 and mu.pi[a] == 0:
             raise SupportMismatch(f"nu charges symbol {a} outside mu's support")
         for b in range(nu.m):
-            if nu.pi[a] * nu.P[a, b] > 0 and P_mu[a, b] == 0:
+            if nu.pi[a] * nu.P[a, b] > 0 and mu.P[a, b] == 0:
                 raise SupportMismatch(
                     f"nu charges transition {a}->{b} outside mu's support")
 
@@ -384,4 +379,4 @@ def entropy_production(mu_plus: GibbsMeasure, mu_minus: GibbsMeasure) -> float:
     Zero exactly when the two Markov forms coincide (detailed balance for a
     chain and its time reversal).
     """
-    return relative_entropy(mu_plus.markov, mu_minus)
+    return relative_entropy(mu_plus, mu_minus)

@@ -8,7 +8,8 @@ functions of the first symbol and is the m x m matrix
 indexed so that A[a, b] weighs the transition a -> b and the operator sends
 f to (Lf)(b) = sum_a A[a, b] f(a).  Its spectral radius is exp(pressure);
 stochasticizing A with the right eigenvector gives the Gibbs state in Markov
-form.  Potentials of higher range are block-recoded to range 2 first.
+form.  ``build`` block-recodes a potential of higher range to range 2 first
+(``recode_range2``), so ``pressure`` and ``gibbs_measure`` take any range.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import rescaled_product
-from .errors import NoConvergence, OutOfRange, RangeTooLarge
+from .errors import NoConvergence, OutOfRange
 from .sft import _word_blocks
 
 
@@ -42,15 +43,18 @@ class EigenData:
 
 
 def build(potential) -> np.ndarray:
-    """The (m, m) matrix A of the operator of a range <= 2 potential on its
-    subshift (see the module docstring).
+    """The matrix A of the operator of a locally constant potential on its
+    subshift (see the module docstring).  A potential of range r > 2 is
+    block-recoded first (``recode_range2``), so A is indexed by its
+    admissible (r-1)-words; a potential of range <= 2 gives the (m, m) matrix.
 
     Raises OutOfRange when the weight exp(phi) of an admissible transition
     is 0 or not finite as a double: the matrix would drop that transition
     or carry inf, and the spectral data would be wrong or undefined.
     """
-    if potential.r > 2:
-        raise RangeTooLarge("matrix form needs range <= 2; recode first")
+    from .potentials import recode_range2
+
+    potential = recode_range2(potential)
     potential.sft.require_primitive()
     phi = potential.with_range(2).dense_table
     admissible = potential.sft.transition != 0
@@ -156,16 +160,10 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
 
 
 def pressure(potential, tol=1e-13) -> float:
-    """Topological pressure of a locally constant potential on its subshift
-    (nats).
-
-    Range > 2 potentials are block-recoded internally; the value is
-    log of the spectral radius of the transfer matrix either way.
+    """Topological pressure of a locally constant potential of any range on
+    its subshift (nats): log of the spectral radius of ``build(potential)``.
     """
-    from .potentials import recode_range2
-
-    eig = leading_eigen(build(recode_range2(potential)), tol=tol)
-    return float(np.log(eig.lam))
+    return float(np.log(leading_eigen(build(potential), tol=tol).lam))
 
 
 def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
@@ -176,7 +174,7 @@ def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
     constants read off the eigenvectors.  For range > 2 the state lives on
     the block subshift of ``recode_range2``, the ``sft`` of its potential.
     """
-    from .measures import GibbsMeasure, MarkovMeasure
+    from .measures import GibbsMeasure
     from .potentials import recode_range2
 
     potential = recode_range2(potential)
@@ -188,7 +186,7 @@ def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
     P = P / P.sum(axis=1, keepdims=True)
     pi = u * v
     pi = pi / pi.sum()
-    return GibbsMeasure(markov=MarkovMeasure(pi, P), potential=potential,
+    return GibbsMeasure(pi, P, potential=potential,
                         pressure=float(np.log(lam)), eigen=eig)
 
 
@@ -213,8 +211,8 @@ def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     phi = measure.potential.with_range(2).dense_table
     p = measure.pressure
     with np.errstate(divide="ignore"):
-        log_pi = np.log(measure.markov.pi)
-        log_P = np.log(measure.markov.P)
+        log_pi = np.log(measure.pi)
+        log_P = np.log(measure.P)
     # admissible entries only are read: phi is NaN off the subshift
     step = log_P - phi + p
     tail = p - np.nanmax(phi, axis=1)

@@ -132,14 +132,13 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibriu
 
 
 def lattice_pressure_trace(n, potential, beta) -> float:
-    """Ring pressure by transfer-matrix trace, cost m^3 log n.
+    """Ring pressure log trace(A_beta^n) / n of the matrix of ``build``,
+    cost k^3 log n for its size k (m^(r-1) at range r > 2).
 
-    Exact identity for range <= 2 potentials on the full alphabet:
-    sum over ring configurations of exp(beta S) = trace(A_beta^n).
+    Exact for any range on the full alphabet: the closed paths of length n
+    through the (r-1)-blocks are the ring configurations.
     """
     _require_full(potential.sft)
-    if potential.r > 2:
-        raise OutOfRange("trace route needs range <= 2")
     if n < 1:
         raise OutOfRange("ring size must be >= 1")
     return log_trace_power(build(potential.scale(beta)), n) / n

@@ -174,7 +174,7 @@ def test_06_relative_entropy_routes():
     assert abs(closed - 0.143841) < 1e-6
     for n in range(1, 13):
         assert abs(relative_entropy_direct(nu, mu, n) - closed) < 1e-12
-    parry = parry_measure().markov
+    parry = parry_measure()
     sft2 = full_shift(2)
     mme = gibbs_measure(LocallyConstantPotential.zero(sft2))
     assert abs(relative_entropy(parry, mme) - 0.211935) < 1e-6
@@ -193,9 +193,9 @@ def test_07_variational_strict_positivity():
         rng = np.random.default_rng(seed)
         mu = gibbs_measure(random_direction(sft, rng))
         nu = random_chain(rng)
-        assert np.max(np.abs(nu.P - mu.markov.P)) > 1e-8
+        assert np.max(np.abs(nu.P - mu.P)) > 1e-8
         assert relative_entropy(nu, mu) > 0.0
-        assert relative_entropy(mu.markov, mu) <= 1e-12
+        assert relative_entropy(mu, mu) <= 1e-12
 
 
 def test_08_hofbauer_phase_transition():
@@ -239,7 +239,7 @@ def test_10_smb_and_aep():
     for n in (64, 512, 1024):
         path = coin.sample_path(n, seed=5)
         assert smb_estimate(coin, path) == np.log(2.0)
-    parry = parry_measure().markov
+    parry = parry_measure()
     path = parry.sample_path(10 ** 5, seed=20260817)
     assert abs(smb_estimate(parry, path) - LOG_GOLDEN) < 0.01
     skew = bernoulli(0.25)
@@ -309,7 +309,7 @@ def test_13_subgradient_inequality():
             psi = random_direction(sft, rng)
             mu = gibbs_measure(pot)
             gain = pressure(pot + psi) - pressure(pot)
-            assert gain >= mu.markov.expectation(psi.with_range(2)) - 1e-10
+            assert gain >= mu.expectation(psi.with_range(2)) - 1e-10
 
 
 def test_14_cli_determinism(capsys):

@@ -200,6 +200,21 @@ def test_relent_support_mismatch_is_computation_error(capsys):
     assert captured.out == ""
 
 
+def test_relent_on_a_wide_potential_names_both_alphabets(capsys, tmp_path):
+    # the range-3 Gibbs state lives on the 3 admissible 2-blocks 00, 01, 10
+    weights = tmp_path / "range-3.yaml"
+    weights.write_text("version: v1\nkind: potential\nrange: 3\nvalues:\n" +
+                       "".join(f'  "{w}": 0.1\n'
+                               for w in ("000", "001", "010", "100", "101")))
+    code = main(["relent", str(MODELS / "golden-mean.yaml"), str(weights),
+                 str(MODELS / "lazy-coin.yaml")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("computation error: alphabet sizes differ: "
+                                   "nu has 2 symbols and mu 3;")
+    assert "range r > 2 lives on its subshift of (r-1)-blocks" in captured.err
+
+
 def test_sample_seeded_and_reproducible(capsys, tmp_path):
     out = tmp_path / "path.csv"
     argv = ("sample", MODELS / "lazy-coin.yaml", "--seed", "11",
@@ -727,7 +742,7 @@ def test_ising_surface(capsys):
     assert abs(matched - np.arctanh(0.25)) < 1e-9
 
 
-def test_lattice_trace_cross_check(capsys):
+def test_lattice_trace_cross_check(capsys, tmp_path):
     code, doc = run(capsys, "lattice", MODELS / "full-shift.yaml",
                     MODELS / "site-energy.yaml", "--n", "10", "--check")
     assert code == 0
@@ -736,6 +751,17 @@ def test_lattice_trace_cross_check(capsys):
     ring = result(doc, "ring_pressure(n=10)")["value"]
     # a single-site energy factorizes, so the ring value is already exact
     assert abs(ring - np.log(1.0 + np.exp(-0.5))) < 1e-12
+    # a wider potential is certified too, its trace taken on the block matrix
+    for r in (3, 4):
+        weights = tmp_path / f"range-{r}.yaml"
+        weights.write_text(
+            f"version: v1\nkind: potential\nrange: {r}\nvalues:\n" + "".join(
+                f'  "{"".join(w)}": {math.sin(3 * k):.3f}\n'
+                for k, w in enumerate(itertools.product("01", repeat=r))))
+        code, doc = run(capsys, "lattice", MODELS / "full-shift.yaml",
+                        weights, "--n", "10", "--check")
+        assert code == 0
+        assert certificate(doc, "lattice_cross_check")["discrepancy"] <= 1e-15
 
 
 def test_dimension_with_square_check(capsys):
@@ -764,14 +790,24 @@ def test_acim_densities_and_csv(capsys, tmp_path):
     assert len(lines) == 3
 
 
-def test_hofbauer_scan_cli(capsys):
+def test_hofbauer_scan_cli(capsys, tmp_path):
+    out = tmp_path / "scan.csv"
     code, doc = run(capsys, "hofbauer-scan", MODELS / "cubic-family.yaml",
-                    "--betas", "0.8,1.2")
+                    "--betas", "0.8,1.2", "--out", out)
     assert code == 0
     assert doc["payload"]["annotations"]["classification"] == "non-unique"
     p08 = result(doc, "pressure(beta=0.8)")["value"]
     assert abs(p08 - 0.10838656549867665) < 1e-9
     assert result(doc, "pressure(beta=1.2)")["value"] == 0.0
+    # one CRLF row per beta, each float written in full .17g form
+    lines = out.read_bytes().decode().split("\r\n")
+    assert lines[0] == "beta,pressure" and lines[-1] == ""
+    assert len(lines) == 2 + 2 and "\n" not in "".join(lines)
+    for line, beta in zip(lines[1:-1], (0.8, 1.2)):
+        cells = line.split(",")
+        assert cells == [format(float(c), ".17g") for c in cells]
+        assert float(cells[0]) == beta
+        assert float(cells[1]) == result(doc, f"pressure(beta={beta:g})")["value"]
 
 
 def test_hofbauer_scan_check_solves_each_beta_once(capsys, monkeypatch):

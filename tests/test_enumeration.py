@@ -306,7 +306,7 @@ def test_gibbs_bounds_match_word_by_word_reference(seed):
     pot2 = mu.potential.with_range(2)
     p = mu.pressure
     with np.errstate(divide="ignore"):
-        log_pi, log_P = np.log(mu.markov.pi), np.log(mu.markov.P)
+        log_pi, log_P = np.log(mu.pi), np.log(mu.P)
     tail = [p - max(v for w, v in pot2.table.items() if w[0] == a)
             for a in range(sft.m)]
     for n in (1, 3, 6):
@@ -343,8 +343,8 @@ def test_relative_entropy_direct_matches_word_by_word_reference(seed):
                 mass *= nu.P[a, b]
             if mass <= 0:
                 continue
-            log_mu = math.fsum([float(np.log(mu.markov.pi[w[0]]))] +
-                               [float(np.log(mu.markov.P[a, b]))
+            log_mu = math.fsum([float(np.log(mu.pi[w[0]]))] +
+                               [float(np.log(mu.P[a, b]))
                                 for a, b in zip(w, w[1:])])
             total += mass * (np.log(mass) - log_mu)
         with mock.patch.object(sft_module, "_BLOCK_ROWS", 5):

@@ -82,7 +82,7 @@ def test_log_cylinder_is_fsum_exact_for_dyadic_masses():
 
 
 def test_log_cylinder_matches_product_and_support():
-    mu = parry().markov
+    mu = parry()
     assert mu.log_cylinder((1, 1)) == -np.inf
     word = (0, 1, 0, 0, 1)
     assert abs(np.exp(mu.log_cylinder(word)) - mu.cylinder(word)) < 1e-15
@@ -90,7 +90,7 @@ def test_log_cylinder_matches_product_and_support():
 
 @pytest.mark.parametrize("word", [(-1,), (0, 7), (2,)])
 def test_cylinder_masses_refuse_a_non_symbol(word):
-    mu = parry().markov
+    mu = parry()
     with pytest.raises(ValueError, match="outside 0..1"):
         mu.cylinder(word)
     with pytest.raises(ValueError, match="outside 0..1"):
@@ -105,7 +105,7 @@ def support_words(mu, n):
 
 
 def test_support_words_partition_unit_mass():
-    mu = parry().markov
+    mu = parry()
     for n in range(1, 7):
         words = support_words(mu, n)
         assert len(words) == _count_words(mu.P > 0, n, mu.pi > 0)
@@ -129,7 +129,7 @@ def test_entropy_closed_forms():
     target = -(p * np.log(p) + (1 - p) * np.log(1 - p))
     assert abs(bernoulli(p).entropy() - target) < 1e-15
     # the Parry measure maximizes entropy, attaining log of the golden ratio
-    assert abs(parry().markov.entropy() - LOG_GOLDEN) < 1e-12
+    assert abs(parry().entropy() - LOG_GOLDEN) < 1e-12
 
 
 def test_expectation_hand_value():
@@ -162,7 +162,7 @@ def test_time_reversal_involution_and_transpose():
 
 
 def test_sample_path_reproducible():
-    mu = parry().markov
+    mu = parry()
     a = mu.sample_path(200, seed=42)
     assert a.dtype == np.uint8 and a.shape == (200,)
     assert np.array_equal(a, mu.sample_path(200, seed=42))
@@ -172,14 +172,14 @@ def test_sample_path_reproducible():
 @given(st.integers(0, 2 ** 64 - 1))
 @settings(max_examples=40, deadline=None)
 def test_sample_paths_stay_on_the_subshift(seed):
-    mu = parry().markov
+    mu = parry()
     path = mu.sample_path(60, seed=seed)
     assert all(s in (0, 1) for s in path)
     assert (1, 1) not in set(zip(path, path[1:]))
 
 
 def test_sample_path_frequencies_near_stationary():
-    mu = parry().markov
+    mu = parry()
     path = mu.sample_path(10 ** 4, seed=7)
     freq0 = np.count_nonzero(path == 0) / len(path)
     assert abs(freq0 - mu.pi[0]) < 0.02
@@ -264,19 +264,19 @@ def test_smb_is_bitwise_entropy_for_fair_coin():
 
 
 def test_smb_long_path_near_entropy():
-    mu = parry().markov
+    mu = parry()
     path = mu.sample_path(10 ** 5, seed=20260817)
     assert abs(smb_estimate(mu, path) - LOG_GOLDEN) < 0.01
 
 
 def test_smb_rejects_null_paths():
     with pytest.raises(ZeroMassPath):
-        smb_estimate(parry().markov, [0, 1, 1, 0])
+        smb_estimate(parry(), [0, 1, 1, 0])
 
 
 def test_smb_rejects_an_empty_path():
     with pytest.raises(ValueError, match="empty"):
-        smb_estimate(parry().markov, [])
+        smb_estimate(parry(), [])
 
 
 def test_a_long_path_and_its_smb_estimate_cost_bytes_not_objects():
@@ -298,7 +298,7 @@ def test_a_long_path_and_its_smb_estimate_cost_bytes_not_objects():
 
 
 def test_block_entropy_increments_are_exact_for_markov():
-    mu = parry().markov
+    mu = parry()
     blocks = entropy_by_blocks(mu, 8)
     h = mu.entropy()
     # H_n = H(pi) + (n-1) h for a Markov chain, so increments equal h
@@ -332,7 +332,7 @@ def test_relative_entropy_of_self_is_zero():
 
 
 def test_parry_versus_maximal_entropy_of_full_shift():
-    nu = parry().markov
+    nu = parry()
     sft2 = full_shift(2)
     mme = gibbs_measure(LocallyConstantPotential.zero(sft2))
     closed = relative_entropy(nu, mme)
@@ -514,13 +514,13 @@ def original_cylinder(mu, sft, r, word):
     index = {b: i for i, b in enumerate(blocks)}
     word = tuple(word)
     if len(word) < k:
-        return math.fsum(mu.markov.cylinder((i,))
+        return math.fsum(mu.cylinder((i,))
                          for i, b in enumerate(blocks)
                          if b[:len(word)] == word)
     windows = [word[i:i + k] for i in range(len(word) - k + 1)]
     if not all(w in index for w in windows):
         return 0.0
-    return mu.markov.cylinder([index[w] for w in windows])
+    return mu.cylinder([index[w] for w in windows])
 
 
 def test_cylinder_original_matches_the_range4_lift():
@@ -562,4 +562,4 @@ def test_the_gibbs_chain_charges_exactly_the_subshift_of_its_potential(pot):
     # of these spectra (a gap near 5e-4) leave leading_eigen's residual
     # stalled above tol * lam, which is not what this property is about
     g = gibbs_measure(pot, tol=1e-10)
-    assert np.array_equal(g.markov.P > 0, g.potential.sft.transition != 0)
+    assert np.array_equal(g.P > 0, g.potential.sft.transition != 0)

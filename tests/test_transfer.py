@@ -17,8 +17,8 @@ from thermoshift import (CriticalPowerFamily, LocallyConstantPotential,
                          full_shift, gibbs_bounds, gibbs_measure,
                          golden_mean_shift, pressure, pressure_renewal)
 from thermoshift import transfer
-from thermoshift.errors import (DepthTooLarge, NoConvergence, OutOfRange,
-                               RangeTooLarge)
+from thermoshift.errors import DepthTooLarge, NoConvergence, OutOfRange
+from thermoshift.potentials import recode_range2
 from thermoshift.sft import SubshiftOfFiniteType
 from thermoshift.transfer import build, leading_eigen
 from thermoshift.variational import ising_potential, ising_pressure_exact
@@ -78,11 +78,13 @@ def test_leading_eigen_contract():
     assert np.max(np.abs(tm @ eig.v - eig.lam * eig.v)) < 1e-12 * eig.lam
 
 
-def test_build_rejects_wide_potentials():
+def test_build_recodes_wide_potentials():
     sft = golden_mean_shift()
-    pot = LocallyConstantPotential.from_function(sft, 3, lambda w: 0.1 * w[0])
-    with pytest.raises(RangeTooLarge):
-        build(pot)
+    pot = LocallyConstantPotential.from_function(
+        sft, 3, lambda w: 0.1 * w[0] - 0.3 * w[2])
+    # the golden mean shift has three admissible 2-words, the block states
+    assert build(pot).shape == (3, 3)
+    assert np.array_equal(build(pot), build(recode_range2(pot)))
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -120,7 +122,7 @@ def test_tolerance_that_is_not_positive_finite_is_refused(tol):
 def test_gibbs_measure_is_stationary():
     _, pot = run_weights()
     mu = gibbs_measure(pot)
-    pi, P = mu.markov.pi, mu.markov.P
+    pi, P = mu.pi, mu.P
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-14
     # pi inherits the power-iteration stopping residual, tol * lam = 1e-13
     assert np.max(np.abs(pi @ P - pi)) < 1e-13
@@ -145,8 +147,8 @@ def test_parry_measure_closed_form():
     g = GOLDEN
     P_expected = np.array([[1.0 / g, 1.0 / g ** 2], [1.0, 0.0]])
     pi_expected = np.array([g ** 2, 1.0]) / (1.0 + g ** 2)
-    assert np.max(np.abs(mu.markov.P - P_expected)) < 1e-12
-    assert np.max(np.abs(mu.markov.pi - pi_expected)) < 1e-12
+    assert np.max(np.abs(mu.P - P_expected)) < 1e-12
+    assert np.max(np.abs(mu.pi - pi_expected)) < 1e-12
 
 
 def test_gibbs_ratio_is_exactly_one_on_full_shift():
@@ -257,7 +259,7 @@ def test_random_potentials_agree_with_dense_eig(seed):
 def test_random_gibbs_states_are_equilibria(seed):
     _, pot = random_range2(seed)
     mu = gibbs_measure(pot)
-    assert np.max(np.abs(mu.markov.pi @ mu.markov.P - mu.markov.pi)) < 1e-12
+    assert np.max(np.abs(mu.pi @ mu.P - mu.pi)) < 1e-12
     assert abs(mu.entropy() + mu.expectation() - mu.pressure) < 1e-8
 
 

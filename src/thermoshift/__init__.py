@@ -38,7 +38,7 @@ _ENGINES = {
                     "ising_potential", "ising_pressure_exact",
                     "lattice_equilibrium", "lattice_pressure_trace",
                     "markov_as_gibbs", "mean_energy_at", "pressure_Pn",
-                    "solve_beta"),
+                    "pressure_Pn_curve", "solve_beta"),
 }
 _LAZY = {name: module for module, names in _ENGINES.items() for name in names}
 

@@ -501,15 +501,13 @@ def _cmd_acim(args, report, imap):
 
 def _cmd_pn_scan(args, report, pot):
     from .transfer import pressure as spectral_pressure
-    from .variational import pressure_Pn
+    from .variational import pressure_Pn_curve
 
     pot = pot.scale(args.beta)
     ref = spectral_pressure(pot)
     report.result("pressure", ref, "nats", "spectral")
-    values = []
-    for n in range(1, args.n_max + 1):
-        pn = pressure_Pn(pot, n, budget=args.budget)
-        values.append(pn)
+    values = pressure_Pn_curve(pot, args.n_max, budget=args.budget)
+    for n, pn in enumerate(values, 1):
         report.result(f"Pn_over_n(n={n})", pn, "nats", "variational")
     report.certificate(f"Pn_vs_spectral(n={args.n_max})",
                        ["variational", "spectral"], [values[-1], ref], "nats")
@@ -565,7 +563,7 @@ _FLAGS = {
             "help": "residual tolerance (default %(default)s)"},
     "depth": {"type": _count,
               "help": "cylinder depth / path length (default %(default)s)"},
-    "budget": {"type": _count, "help": "enumeration budget"},
+    "budget": {"type": _count, "help": "cap on words or path-sum price"},
     "seed": {"type": _typed(int, lambda s: 0 <= s < 2 ** 64,
                             "an integer in [0, 2^64)"),
              "help": "64-bit RNG seed"},

@@ -282,6 +282,7 @@ def relative_entropy(nu: MarkovMeasure, mu: GibbsMeasure) -> float:
 def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
                             budget=10 ** 7) -> float:
     """H_n(nu | mu)/n by exact depth-n cylinder enumeration."""
+    _check_support(nu, mu)
     total = 0.0
     for words, mass in nu._support_blocks(n, budget):
         words, mass = words[mass > 0], mass[mass > 0]
@@ -299,13 +300,13 @@ def _check_support(nu, mu):
             f"alphabet sizes differ: nu has {nu.m} symbols and mu {mu.m}; "
             "the Gibbs state of a potential of range r > 2 lives on its "
             "subshift of (r-1)-blocks")
-    for a in range(nu.m):
-        if nu.pi[a] > 0 and mu.pi[a] == 0:
-            raise SupportMismatch(f"nu charges symbol {a} outside mu's support")
-        for b in range(nu.m):
-            if nu.pi[a] * nu.P[a, b] > 0 and mu.P[a, b] == 0:
-                raise SupportMismatch(
-                    f"nu charges transition {a}->{b} outside mu's support")
+    # the first fault row by row: symbol a, then its transitions in order
+    faults = np.column_stack(((nu.pi > 0) & (mu.pi == 0),
+                              (nu.pi[:, None] * nu.P > 0) & (mu.P == 0)))
+    if faults.any():
+        a, c = divmod(int(faults.argmax()), nu.m + 1)
+        what = f"symbol {a}" if c == 0 else f"transition {a}->{c - 1}"
+        raise SupportMismatch(f"nu charges {what} outside mu's support")
 
 
 # -- almost sure convergence of -log mass / n ------------------------------------

@@ -1,10 +1,7 @@
 """Locally constant potentials on a subshift.
 
 A potential of range r is a function of the first r coordinates, stored as a
-dense array indexed by the r symbols of a word, NaN off the admissible
-words.  Birkhoff sums over an n-cylinder are computed with the sup
-convention: the at most r-1 coordinates that stick out past the word are
-maximized over admissible continuations.
+dense array indexed by the r symbols of a word, NaN off the admissible words.
 """
 
 from __future__ import annotations
@@ -111,37 +108,6 @@ class LocallyConstantPotential:
             raise ValueError("the second potential does not cover the admissible "
                              f"word {tuple(np.argwhere(uncovered)[0].tolist())}")
         return self._from_dense(self.sft, a + b)
-
-    # -- Birkhoff sums ----------------------------------------------------------
-
-    @cached_property
-    def _tail_sups(self):
-        """k -> T_k of ``birkhoff_sups``, each filled on first use."""
-        return {}
-
-    def birkhoff_sups(self, words):
-        """Sup of S_n over the cylinder of each row of a (rows, n) word array.
-
-        The k = min(n, r-1) terms that read past a word are maximized by a
-        backward max-plus recursion over the dense table: U_0 = 0 on
-        (r-1)-words, U_j(s) = max_b [phi(s b) + U_{j-1}(s[1:] b)], with
-        ``fmax`` dropping the NaN of inadmissible words.  T_k, which is U_k
-        maximized over the r-1-k symbols that complete a shorter word, is
-        read at the word's last k symbols.  The tail sum associates right to
-        left, so for r >= 4 a sup can differ from a left-to-right sum by an ulp.
-        """
-        n = words.shape[1]
-        r, phi = self.r, self.dense_table
-        fixed = np.zeros(len(words))
-        for i in range(n - r + 1):
-            fixed = fixed + phi[tuple(words[:, i:i + r].T)]
-        k = min(n, r - 1)
-        if k not in self._tail_sups:
-            u = np.zeros((self.sft.m,) * (r - 1))
-            for _ in range(k):
-                u = np.fmax.reduce(phi + u[None], axis=-1)
-            self._tail_sups[k] = np.fmax.reduce(u, axis=tuple(range(k, r - 1)))
-        return fixed + self._tail_sups[k][tuple(words[:, n - k:].T)]
 
     def __repr__(self):
         return f"LocallyConstantPotential(r={self.r}, m={self.sft.m})"

@@ -842,6 +842,22 @@ def test_pn_scan_csv(capsys, tmp_path):
     assert len(lines) == 7
 
 
+def test_deep_path_sums_give_values_and_are_priced_first(capsys):
+    # depth 60 once spent 16 s enumerating before it exited 2; the path sum
+    # gives the whole curve, and a depth it cannot afford is refused at once
+    models = (MODELS / "golden-mean.yaml", MODELS / "run-weights.yaml")
+    code, doc = run(capsys, "pn-scan", *models, "--n-max", "60")
+    assert code == 0
+    curve = [result(doc, f"Pn_over_n(n={n})")["value"] for n in range(1, 61)]
+    assert all(a > b for a, b in zip(curve, curve[1:]))
+    assert curve[-1] > result(doc, "pressure")["value"]
+    start = time.perf_counter()
+    code = main(["pressure", *map(str, models), "--check", "--depth",
+                 "1000000000000"])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("budget exceeded: the path sum")
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "thermoshift", "entropy",

@@ -22,8 +22,10 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          PiecewiseLinearMarkovMap, SubshiftOfFiniteType, acim,
                          aep_partition, entropy_by_blocks, full_shift,
                          gibbs_bounds, gibbs_measure, lattice_equilibrium,
-                         pressure_Pn, relative_entropy_direct)
+                         pressure_Pn, pressure_Pn_curve,
+                         relative_entropy_direct)
 from thermoshift import sft as sft_module
+from thermoshift import variational
 from thermoshift.cli import main
 from thermoshift._numerics import logsumexp
 from thermoshift.errors import DepthTooLarge, ZeroRowOrColumn
@@ -128,9 +130,9 @@ def test_count_words_400_symbols_matches_dict_dp_and_guard_is_fast():
     sft = SubshiftOfFiniteType([f"s{i}" for i in range(400)], M)
     assert sft.count_words(30) == dict_count(M, 30)
     pot = LocallyConstantPotential.zero(sft)
-    # the guard stops counting at the first depth past the budget, so a
-    # deep request costs no more than a shallow one
-    for depth in (30, 2000):
+    # the recursion is priced before its first step, so a deep request
+    # costs no more than a shallow one
+    for depth in (100, 2000):
         start = time.perf_counter()
         with pytest.raises(DepthTooLarge):
             pressure_Pn(pot, depth, budget=10 ** 7)
@@ -249,6 +251,51 @@ def brute_sup(pot, word):
     return fixed + best
 
 
+U = 2.0 ** -53
+
+
+def pn_rounding_bound(pot, n, words):
+    """Bound on |P_n - logsumexp(sups)/n| between the path-sum recursion and
+    the enumeration of ``words``, from rounding alone (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.1 and §4.2).
+
+    With N = n + r, Phi = max |phi| and V = N (Phi + log m), every value
+    either route forms lies in [-V, V], and gamma_k <= 2ku.  The sups and
+    tail sups are float sums of at most N terms: gamma_N V each.  A
+    logsumexp of k values shifts by the maximum (2uV), exponentiates (u),
+    sums (gamma_k) and adds back log1p, log k and the maximum (3uV): at most
+    u (5V + 1) + 2ku.  Each of the N recursion steps adds phi (uV) and folds
+    m terms by m - 1 logaddexps, each of which subtracts (2uV), takes
+    exp and log1p (2u) and adds the maximum (uV); logaddexp is 1-Lipschitz
+    in the max norm, so errors carried in are not amplified.  The last
+    logsumexp, over W words or m^(r-1) states, follows adding the tail sup
+    (uV), and dividing by n rounds each side by u |P_n| <= uV/n.  In all,
+    n |dP_n| <= u (N (3mV + 4V + 2m) + 13V + 2W + 2m^(r-1) + 2).
+    """
+    phi = np.abs(np.nan_to_num(pot.dense_table))
+    m, r = pot.sft.m, max(pot.r, 2)
+    N = n + r
+    V = N * (float(phi.max()) + math.log(m))
+    return U * (N * (3 * m * V + 4 * V + 2 * m) + 13 * V + 2 * len(words)
+                + 2 * m ** (r - 1) + 2) / n
+
+
+def windows_and_tail(pot, words):
+    """The sup of S_n over each word's cylinder: the windows inside the word,
+    summed left to right, plus the engine's max-plus tail sup at its last
+    min(n, r - 1) symbols."""
+    words = np.array(words)
+    n, r = words.shape[1], pot.r
+    fixed = np.zeros(len(words))
+    for i in range(n - r + 1):
+        fixed = fixed + pot.dense_table[tuple(words[:, i:i + r].T)]
+    k = min(n, r - 1)
+    if k == 0:
+        return fixed
+    *_, tail = variational._max_plus_tails(pot.dense_table, k)
+    return fixed + tail[tuple(words[:, n - k:].T)]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pressure_Pn_matches_word_by_word_reference(seed):
     rng = np.random.default_rng(seed)
@@ -257,16 +304,15 @@ def test_pressure_Pn_matches_word_by_word_reference(seed):
     for n in (1, 2, 5):
         words = brute_words(sft.transition, n)
         ref = [brute_sup(pot, w) for w in words]
-        assert pot.birkhoff_sups(np.array(words)).tolist() == ref
-        with mock.patch.object(sft_module, "_BLOCK_ROWS", 4):
-            value = pressure_Pn(pot, n)
-        assert value == logsumexp(ref) / n
+        assert windows_and_tail(pot, words).tolist() == ref
+        assert (abs(pressure_Pn(pot, n) - logsumexp(ref) / n)
+                <= pn_rounding_bound(pot, n, words))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_birkhoff_sups_at_range_4_and_5_match_word_by_word_reference(seed):
-    # real values: the engine sums the tail right to left and the reference
-    # left to right, so the two may differ in the last bit
+    # real values: the tail sup sums right to left and the reference left
+    # to right, so the two may differ in the last bit
     rng = np.random.default_rng(seed)
     sft = random_primitive_sft(rng, int(rng.integers(2, 4)))
     for r in (4, 5):
@@ -275,27 +321,45 @@ def test_birkhoff_sups_at_range_4_and_5_match_word_by_word_reference(seed):
         for n in (1, 3, 6):
             words = brute_words(sft.transition, n)
             ref = [brute_sup(pot, w) for w in words]
-            assert np.max(np.abs(pot.birkhoff_sups(np.array(words)) - ref)) < 1e-14
+            assert np.max(np.abs(windows_and_tail(pot, words) - ref)) < 1e-14
+            assert (abs(pressure_Pn(pot, n) - logsumexp(ref) / n)
+                    <= pn_rounding_bound(pot, n, words))
 
 
-def test_pressure_Pn_builds_each_tail_sup_once():
-    built = []
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pressure_Pn_is_the_enumerated_sum_within_its_rounding_bound(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m, r = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 5))
+    sft = random_primitive_sft(rng, m)
+    if data.draw(st.booleans()):
+        pot = random_potential(rng, sft, r)
+    else:
+        scale = data.draw(st.sampled_from([0.1, 1.0, 30.0]))
+        pot = LocallyConstantPotential.from_function(
+            sft, r, lambda w: scale * float(rng.normal()))
+    # the brute words and sups walk m^n words and m^(r-1) tails each
+    n = data.draw(st.integers(1, max(n for n in range(1, 13)
+                                     if m ** (n + r - 1) <= 4096)))
+    words = brute_words(sft.transition, n)
+    ref = logsumexp([brute_sup(pot, w) for w in words]) / n
+    curve = pressure_Pn_curve(pot, n)
+    assert abs(curve[-1] - ref) <= pn_rounding_bound(pot, n, words)
+    # one implementation: every depth of the curve is pressure_Pn bit for bit
+    assert curve == [pressure_Pn(pot, j) for j in range(1, n + 1)]
 
-    class Builds(dict):
-        def __setitem__(self, k, v):
-            built.append(k)
-            super().__setitem__(k, v)
 
-    rng = np.random.default_rng(3)
-    sft = random_primitive_sft(rng, 3)
-    pot = random_potential(rng, sft, 4)
-    pot.__dict__["_tail_sups"] = Builds()
-    with mock.patch.object(sft_module, "_BLOCK_ROWS", 4):
-        assert len(list(sft_module._word_blocks(sft.transition, 6))) > 10
-        for n in (1, 2, 6, 8, 6):
-            pressure_Pn(pot, n)
-    # one T_k per depth class k = min(n, r - 1), however many blocks
-    assert built == [1, 2, 3]
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pressure_Pn_keeps_every_path_at_phi_800(sign):
+    # exp(800) overflows and exp(-800) underflows: a linear pass rescaled
+    # once per step would lose the paths that later dominate
+    pot = LocallyConstantPotential.from_function(
+        full_shift(3), 2, lambda w: sign * 800.0 * (w[0] != w[1]))
+    curve = pressure_Pn_curve(pot, 8)
+    for n in range(1, 9):
+        words = brute_words(pot.sft.transition, n)
+        ref = logsumexp([brute_sup(pot, w) for w in words]) / n
+        assert abs(curve[n - 1] - ref) <= pn_rounding_bound(pot, n, words)
 
 
 @pytest.mark.parametrize("seed", range(8))

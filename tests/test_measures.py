@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
 from thermoshift import _numerics
 from thermoshift.errors import (DepthTooLarge, OutOfRange, SupportMismatch,
                                 ZeroMassPath)
+from thermoshift.measures import _check_support
 from thermoshift.sft import _count_words
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -348,6 +350,72 @@ def test_support_mismatch_both_routes():
         relative_entropy(nu, mu)
     with pytest.raises(SupportMismatch):
         relative_entropy_direct(nu, mu, 4)
+
+
+def test_direct_route_refuses_a_gibbs_state_on_blocks():
+    # the range-3 Gibbs state lives on the 3 admissible 2-blocks, the chain
+    # on the 2 symbols: both routes refuse with the same size message
+    sft = golden_mean_shift()
+    mu = gibbs_measure(LocallyConstantPotential.from_function(
+        sft, 3, lambda w: 0.25 * w[0] - 0.5 * w[2]))
+    nu = MarkovMeasure.from_transition([[0.5, 0.5], [1.0, 0.0]])
+    messages = []
+    for route in (lambda: relative_entropy(nu, mu),
+                  lambda: relative_entropy_direct(nu, mu, 6)):
+        with pytest.raises(SupportMismatch) as err:
+            route()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("alphabet sizes differ: nu has 2 symbols and mu 3")
+
+
+def loop_support_fault(nu, mu):
+    """The first fault of the pre-array double loop: symbol a, then the
+    transitions out of a, row by row."""
+    for a in range(nu.m):
+        if nu.pi[a] > 0 and mu.pi[a] == 0:
+            return f"nu charges symbol {a} outside mu's support"
+        for b in range(nu.m):
+            if nu.pi[a] * nu.P[a, b] > 0 and mu.P[a, b] == 0:
+                return f"nu charges transition {a}->{b} outside mu's support"
+    return None
+
+
+@pytest.mark.parametrize("route", [
+    relative_entropy, lambda nu, mu: relative_entropy_direct(nu, mu, 1)])
+def test_support_faults_are_reported_in_row_order(route):
+    uniform = MarkovMeasure.from_transition(np.full((3, 3), 1 / 3))
+    # mu: symbol 2 is transient and 0->0 is null; row 0's transition fault
+    # comes before symbol 2's fault, at depth 1 too
+    mu = MarkovMeasure([0.5, 0.5, 0.0], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                         [0.5, 0.5, 0.0]])
+    with pytest.raises(SupportMismatch,
+                       match=r"^nu charges transition 0->0 outside mu's support$"):
+        route(uniform, mu)
+    # mu: symbol 0 is transient and 0->0 is null; symbol 0's fault comes
+    # before its row's transitions
+    mu = MarkovMeasure([0.0, 0.5, 0.5], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                         [0.0, 1.0, 0.0]])
+    with pytest.raises(SupportMismatch,
+                       match=r"^nu charges symbol 0 outside mu's support$"):
+        route(uniform, mu)
+
+
+def test_array_support_check_matches_the_double_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m = int(rng.integers(1, 5))
+        pi, P = rng.random(m) * (rng.random(m) < 0.8), rng.random((m, m))
+        P = P * (rng.random((m, m)) < 0.7)
+        nu = SimpleNamespace(m=m, pi=pi, P=P)
+        mu = SimpleNamespace(m=m, pi=pi * (rng.random(m) < 0.8),
+                             P=P * (rng.random((m, m)) < 0.8))
+        want = loop_support_fault(nu, mu)
+        if want is None:
+            _check_support(nu, mu)
+        else:
+            with pytest.raises(SupportMismatch, match=f"^{want}$"):
+                _check_support(nu, mu)
 
 
 def random_chain(rng, m=2):

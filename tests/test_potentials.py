@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from thermoshift import (LocallyConstantPotential, SubshiftOfFiniteType,
                          full_shift, golden_mean_shift, pressure, pressure_Pn,
                          recode_range2)
+from thermoshift._numerics import logsumexp
 from thermoshift.transfer import build
+from thermoshift.variational import _max_plus_tails
 
 
 def run_weights():
@@ -72,8 +74,19 @@ def brute_birkhoff_sup(sft, pot, word):
 
 
 def birkhoff_sups(pot, words):
-    """pot.birkhoff_sups on a list of words, as a list of floats."""
-    return pot.birkhoff_sups(np.array(words)).tolist()
+    """The sups of S_n over the cylinders of a list of words, as floats: the
+    windows inside each word, summed left to right, plus the max-plus tail
+    sup that ``pressure_Pn`` reads, at the word's last min(n, r-1) symbols."""
+    words = np.array(words)
+    n, r = words.shape[1], pot.r
+    fixed = np.zeros(len(words))
+    for i in range(n - r + 1):
+        fixed = fixed + pot.dense_table[tuple(words[:, i:i + r].T)]
+    k = min(n, r - 1)
+    if k:
+        *_, tail = _max_plus_tails(pot.dense_table, k)
+        fixed = fixed + tail[tuple(words[:, n - k:].T)]
+    return fixed.tolist()
 
 
 def test_birkhoff_extremes_match_brute_force():
@@ -126,7 +139,10 @@ def test_birkhoff_sups_need_no_tail_budget():
     for n in (1, 3, 6):
         words = list(itertools.product(range(2), repeat=n))
         assert birkhoff_sups(lifted, words) == birkhoff_sups(pot, words)
-    assert pressure_Pn(lifted, 4) == pressure_Pn(pot, 4)
+    # below the lift's range P_n is the logsumexp of its tail sups, which
+    # are exact here (dyadic values), as the range-2 sups are
+    words = list(itertools.product(range(2), repeat=4))
+    assert pressure_Pn(lifted, 4) == logsumexp(birkhoff_sups(pot, words)) / 4
 
 
 def test_range1_has_no_tail_freedom():

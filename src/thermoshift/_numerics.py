@@ -25,9 +25,11 @@ def logsumexp(a) -> float:
 CHUNK = 1 << 14
 
 
-def chunks(n):
-    """The slices that cut range(n) into runs of CHUNK, the last shorter."""
-    return (slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
+def chunks(n, width=1):
+    """The slices that cut range(n) into runs of CHUNK // width (at least
+    one), the last shorter: rows of ``width`` entries, CHUNK entries a run."""
+    run = max(1, CHUNK // width)
+    return (slice(lo, min(lo + run, n)) for lo in range(0, n, run))
 
 
 def ordered_sum(values, start=0.0):

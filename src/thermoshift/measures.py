@@ -124,10 +124,14 @@ class MarkovMeasure:
             yield np.log(self.P[words[:, s], words[:, 1:][:, s]])
 
     def _log_masses(self, words):
-        """log cylinder masses of the rows of a word array (``_log_terms``)."""
+        """log cylinder masses of the rows of a word array (``_log_terms``),
+        the terms made Python floats for math.fsum a chunk of rows at a time."""
+        sums = []
         with np.errstate(divide="ignore"):
-            logs = np.hstack(list(self._log_terms(words)))
-        return np.array([math.fsum(row) for row in logs.tolist()])
+            for s in chunks(len(words), words.shape[1]):
+                logs = np.hstack(list(self._log_terms(words[s])))
+                sums.extend(map(math.fsum, logs.tolist()))
+        return np.array(sums)
 
     # -- information quantities -------------------------------------------------
 

@@ -210,14 +210,18 @@ def golden_mean_shift() -> SubshiftOfFiniteType:
     return SubshiftOfFiniteType(Alphabet(["0", "1"]), [[1, 1], [1, 0]])
 
 
-# most rows in one block of _word_blocks; bounds the memory of every
-# enumeration at about _BLOCK_ROWS * (depth + alphabet size) integers
+# most rows in one block of _word_blocks.  Its frontier holds at most one
+# block per depth d <= n, of at most max(_BLOCK_ROWS, m) rows of d symbols,
+# one byte each for m <= 256: an enumeration at depth n holds at most
+# max(_BLOCK_ROWS, m) * n (n + 1) / 2 bytes of words (0.9 MiB at n = 21),
+# plus intp indices for the one block it expands
 _BLOCK_ROWS = 1 << 12
 _PERIOD_CAP = 4096   # periodic counts refuse larger periods
 
 
 def _word_blocks(T, n, starts=None, budget=None):
-    """The length-n paths of the 0/1 matrix T, as a generator of (k, n) int arrays.
+    """The length-n paths of the 0/1 matrix T, as a generator of (k, n) arrays
+    of the smallest unsigned dtype that holds a symbol.
 
     A path starts at a symbol where ``starts`` is true (any symbol when
     omitted) and steps a -> b only where T[a, b] is nonzero.  Rows come in
@@ -233,9 +237,10 @@ def _word_blocks(T, n, starts=None, budget=None):
     if budget is not None and _count_words(T, n, starts, stop_above=budget) > budget:
         raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
     T = np.asarray(T) != 0
-    succ = np.nonzero(T)[1]              # row-major: ascending within a row
-    first = np.concatenate(([0], np.cumsum(T.sum(axis=1))))
     m = T.shape[0]
+    dtype = np.min_scalar_type(m - 1)
+    succ = np.nonzero(T)[1].astype(dtype)   # row-major: ascending within a row
+    first = np.concatenate(([0], np.cumsum(T.sum(axis=1))))
 
     def expand(pending):
         while pending:
@@ -244,7 +249,7 @@ def _word_blocks(T, n, starts=None, budget=None):
                 for lo in range(0, len(block), _BLOCK_ROWS):
                     yield block[lo:lo + _BLOCK_ROWS]
                 continue
-            last = block[:, -1]
+            last = block[:, -1].astype(np.intp)   # last + 1 must not wrap at 255
             deg = first[last + 1] - first[last]
             ends = np.cumsum(deg)
             cut = max(1, int(np.searchsorted(ends, _BLOCK_ROWS, side="right")))
@@ -262,7 +267,7 @@ def _word_blocks(T, n, starts=None, budget=None):
             pending.append(np.column_stack((block[parent], child)))
 
     return expand([(np.arange(m) if starts is None
-                    else np.flatnonzero(starts))[:, None]])
+                    else np.flatnonzero(starts)).astype(dtype)[:, None]])
 
 
 def _count_words(T, n, starts=None, stop_above=None):

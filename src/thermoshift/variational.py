@@ -116,15 +116,16 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibriu
     if n < potential.r:
         raise OutOfRange(f"ring size {n} below potential range {potential.r}")
     phi = potential.dense_table
-    sums = []
-    for block in _word_blocks(sft.transition, n, budget=budget):
+    blocks = _word_blocks(sft.transition, n, budget=budget)   # priced first
+    sums, lo = np.empty(sft.m ** n), 0
+    for block in blocks:
         # Birkhoff sum around the ring: site i reads sites i..i+r-1 mod n
         total = np.zeros(len(block))
         for i in range(n):
             total = total + phi[tuple(block[:, (i + j) % n]
                                       for j in range(potential.r))]
-        sums.append(beta * total)
-    sums = np.concatenate(sums)
+        sums[lo:lo + len(block)] = beta * total
+        lo += len(block)
     log_z = logsumexp(sums)
     sums -= log_z
     return LatticeEquilibrium(n=n, pressure=log_z / n,
@@ -154,17 +155,26 @@ def _require_full(sft):
 
 def pressure_Pn(potential: LocallyConstantPotential, n, budget=10 ** 7) -> float:
     """log sum_w exp(sup_[w] S_n phi) / n over the admissible n-cylinders
-    [w]: the last entry of ``pressure_Pn_curve``."""
-    return pressure_Pn_curve(potential, n, budget)[-1]
+    [w]: the last entry of ``pressure_Pn_curve``, one logsumexp taken."""
+    for sums in _path_sums(potential, n, budget):
+        pass
+    return logsumexp(sums) / n
 
 
 def pressure_Pn_curve(potential: LocallyConstantPotential, n_max,
                       budget=10 ** 7) -> list:
-    """P_n/n for n = 1..n_max, from one path sum over the (r-1)-words, r >= 2.
+    """P_n/n for n = 1..n_max, from one path sum over the (r-1)-words, r >= 2
+    (``_path_sums``)."""
+    return [logsumexp(sums) / n
+            for n, sums in enumerate(_path_sums(potential, n_max, budget), 1)]
 
-    n P_n is logsumexp(T_n) up to depth r-1 (``_max_plus_tails``), and past
-    it logsumexp_s(L_n(s) + T_{r-1}(s)) with L_{r-1} = 0 on every (r-1)-word
-    and, in the log domain so that no path underflows, L_{j+1}(s[1:] b) =
+
+def _path_sums(potential, n_max, budget):
+    """For n = 1..n_max, the values whose logsumexp is n P_n.
+
+    They are T_n up to depth r-1 (``_max_plus_tails``), and past it
+    L_n(s) + T_{r-1}(s) with L_{r-1} = 0 on every (r-1)-word and, in the log
+    domain so that no path underflows, L_{j+1}(s[1:] b) =
     logaddexp_a [L_j(a s[1:]) + phi(a s[1:] b)], phi -inf off the subshift.
     A price of n_max (m^r + 40) over ``budget`` raises DepthTooLarge first.
     """
@@ -178,13 +188,12 @@ def pressure_Pn_curve(potential: LocallyConstantPotential, n_max,
                             f"word-equivalents, over the budget {budget}")
     phi = potential.with_range(r).dense_table
     tails = list(_max_plus_tails(phi, min(n_max, r - 1)))
-    curve = [logsumexp(t[~np.isnan(t)]) / n for n, t in enumerate(tails, 1)]
+    yield from (t[~np.isnan(t)] for t in tails)
     phi, tail = (np.where(np.isnan(a), -np.inf, a) for a in (phi, tails[-1]))
     log_paths = np.zeros(tail.shape)
-    for n in range(r, n_max + 1):
+    for _ in range(r, n_max + 1):
         log_paths = np.logaddexp.reduce(log_paths[..., None] + phi, axis=0)
-        curve.append(logsumexp(log_paths + tail) / n)
-    return curve
+        yield log_paths + tail
 
 
 def _max_plus_tails(phi, k):

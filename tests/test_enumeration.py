@@ -9,6 +9,7 @@ bit.
 import itertools
 import math
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          gibbs_bounds, gibbs_measure, lattice_equilibrium,
                          pressure_Pn, pressure_Pn_curve,
                          relative_entropy_direct)
+from thermoshift import _numerics
 from thermoshift import sft as sft_module
 from thermoshift import variational
 from thermoshift.cli import main
@@ -96,6 +98,61 @@ def test_word_blocks_match_product_words_across_block_sizes(T, n, data):
         assert all(0 < len(b) <= rows and b.shape[1] == n for b in blocks)
         assert [tuple(w) for b in blocks for w in b.tolist()] == expected
     assert sft_module._count_words(T, n, starts) == len(expected)
+
+
+def test_blocks_hold_the_smallest_unsigned_dtype_of_a_symbol():
+    for m, dtype in ((2, np.uint8), (256, np.uint8), (257, np.uint16)):
+        T = np.ones((m, m), dtype=np.int8)
+        blocks = list(sft_module._word_blocks(T, 2))
+        assert {b.dtype for b in blocks} == {np.dtype(dtype)}
+        assert sum(map(len, blocks)) == m * m
+
+
+def test_symbol_255_of_a_256_symbol_cycle_does_not_wrap():
+    # a step to itself or to the next symbol mod 256: 255 -> 0 and 255 -> 255
+    # are words, and the successors of 255 are read at first[255 + 1]
+    m = 256
+    T = np.zeros((m, m), dtype=np.int8)
+    T[np.arange(m), np.arange(m)] = 1
+    T[np.arange(m), (np.arange(m) + 1) % m] = 1
+    succ = [[b for b in range(m) if T[a][b]] for a in range(m)]
+    expected = [(a, b, c) for a in range(m) for b in succ[a] for c in succ[b]]
+    with mock.patch.object(sft_module, "_BLOCK_ROWS", 100):
+        got = [tuple(w) for b in sft_module._word_blocks(T, 3)
+               for w in b.tolist()]
+    assert got == expected
+
+
+def test_depth_21_enumeration_holds_one_byte_a_symbol():
+    # the frontier holds one block per depth: 4096 rows of d symbols at each
+    # d <= 21 is 0.9 MiB at a byte a symbol, where int64 words peaked at
+    # 6.6 MiB of traced memory
+    T = np.ones((2, 2), dtype=np.int8)
+    for _ in sft_module._word_blocks(T, 4):   # numpy's first-call caches
+        pass
+    tracemalloc.start()
+    try:
+        count = sum(len(b) for b in sft_module._word_blocks(T, 21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 ** 21
+    assert peak < 1.5 * 2 ** 20
+
+
+def test_log_masses_across_chunk_boundaries():
+    # ten entries a chunk cuts a block of 81 4-symbol words into runs of two
+    # rows and a last run of one: each log-mass is the fsum of its terms
+    rng = np.random.default_rng(7)
+    P = rng.random((3, 3)) + 0.1
+    mu = MarkovMeasure.from_transition(P / P.sum(axis=1, keepdims=True))
+    words = brute_words(np.ones((3, 3)), 4)
+    with mock.patch.object(_numerics, "CHUNK", 10):
+        got = mu._log_masses(np.array(words, dtype=np.uint8))
+    assert got.tolist() == [
+        math.fsum([float(np.log(mu.pi[w[0]]))] +
+                  [float(np.log(mu.P[a, b])) for a, b in zip(w, w[1:])])
+        for w in words]
 
 
 def product_mass(mu, word):

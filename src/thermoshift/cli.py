@@ -285,10 +285,9 @@ def _cmd_relent(args, report, pot, nu, labels):
     report.result("relative_entropy", closed, "nats", "spectral")
     report.annotate("chain_states", labels)
     if args.check:
-        n = args.depth
-        direct = relative_entropy_direct(nu, mu, n, budget=args.budget)
-        report.result(f"relative_entropy_direct(n={n})", direct, "nats",
-                      "enumeration")
+        direct = relative_entropy_direct(nu, mu, args.depth, budget=args.budget)
+        report.result(f"relative_entropy_direct(n={args.depth})", direct,
+                      "nats", "enumeration")
         report.certificate("relent_cross_check", ["spectral", "enumeration"],
                            [closed, direct], "nats")
 
@@ -590,7 +589,7 @@ _COMMANDS = {
                   "check": False}),
     "gibbs": (_cmd_gibbs, "equilibrium state in Markov form",
               ["sft", "potential"], {"beta": 1.0, "tol": 1e-13, "out": None}),
-    "bounds": (_cmd_bounds, "enumerated Gibbs ratio envelope",
+    "bounds": (_cmd_bounds, "Gibbs ratio envelope at depth n",
                ["sft", "potential"],
                {"beta": 1.0, "depth": 8, "budget": _BUDGET}),
     "relent": (_cmd_relent, "relative entropy rate h(chain | gibbs)",

@@ -34,7 +34,7 @@ class NoConvergence(ComputationError):
 
 
 class DepthTooLarge(BudgetError):
-    """Cylinder enumeration at the requested depth exceeds the budget."""
+    """A cylinder enumeration or path sum at that depth exceeds the budget."""
 
 
 # -- measures -----------------------------------------------------------------

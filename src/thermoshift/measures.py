@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._numerics import chunks, ordered_sum
+from ._numerics import chunks, ordered_sum, path_sum_price
 from .errors import OutOfRange, SupportMismatch, ZeroMassPath
 from .sft import SubshiftOfFiniteType, _word_blocks
 
@@ -73,11 +73,13 @@ class MarkovMeasure:
     # -- cylinder masses -------------------------------------------------------
 
     def log_cylinder(self, word):
-        """log of the cylinder mass; -inf when the mass is zero (``_log_terms``)."""
-        row = self._row(word)
+        """log of the cylinder mass (-inf if 0): math.fsum of log pi and log P of
+        each step, a chunk of floats at a time (exact SMB on dyadic masses)."""
+        w = self._row(word)[0]
+        steps = (self.P[w[s], w[1:][s]] for s in chunks(len(w) - 1))
         with np.errstate(divide="ignore"):
             return math.fsum(chain.from_iterable(
-                logs[0].tolist() for logs in self._log_terms(row)))
+                np.log(x).tolist() for x in chain([self.pi[w[:1]]], steps)))
 
     def cylinder(self, word):
         word = tuple(word)
@@ -108,30 +110,6 @@ class MarkovMeasure:
         for j in range(1, words.shape[1]):
             mass = mass * self.P[words[:, j - 1], words[:, j]]
         return mass
-
-    def _log_terms(self, words):
-        """log pi of the first symbol of each row of a word array, then log P
-        of its steps, in arrays of at most CHUNK columns (-inf for a null one).
-
-        A cylinder's log-mass is the math.fsum of its row's terms, correctly
-        rounded, independent of word order, and a long word costs one chunk
-        of Python floats; for dyadic masses and power-of-two lengths the SMB
-        estimator then reproduces the entropy rate bit for bit.
-        """
-        if words.shape[1]:
-            yield np.log(self.pi[words[:, :1]])
-        for s in chunks(words.shape[1] - 1):
-            yield np.log(self.P[words[:, s], words[:, 1:][:, s]])
-
-    def _log_masses(self, words):
-        """log cylinder masses of the rows of a word array (``_log_terms``),
-        the terms made Python floats for math.fsum a chunk of rows at a time."""
-        sums = []
-        with np.errstate(divide="ignore"):
-            for s in chunks(len(words), words.shape[1]):
-                logs = np.hstack(list(self._log_terms(words[s])))
-                sums.extend(map(math.fsum, logs.tolist()))
-        return np.array(sums)
 
     # -- information quantities -------------------------------------------------
 
@@ -252,20 +230,37 @@ class BlockEntropies:
 
 
 def entropy_by_blocks(measure, n_max, budget=10 ** 7) -> BlockEntropies:
-    """Block entropies H_n for n = 1..n_max by exact cylinder enumeration."""
-    # every support word has a successor, so word counts never fall with the
-    # depth: the budget guard at n_max, taken first, covers every depth
-    deepest = measure._support_blocks(n_max, budget)
-    h_n = []
-    for n in range(1, n_max + 1):
-        total = 0.0
-        for _, mass in deepest if n == n_max else measure._support_blocks(n):
-            mass = mass[mass > 0]
-            total = ordered_sum(-(mass * np.log(mass)), total)
-        h_n.append(float(total))
-    rates = [h_n[i] / (i + 1) for i in range(len(h_n))]
-    increments = [h_n[i + 1] - h_n[i] for i in range(len(h_n) - 1)]
-    return BlockEntropies(rates=rates, increments=increments)
+    """Block entropies H_n, n = 1..n_max, from one pass of ``_log_term_sums``."""
+    with np.errstate(divide="ignore"):
+        h_n = [float(acc.sum()) for acc in _log_term_sums(
+            measure, -np.log(measure.pi), -np.log(measure.P), n_max, budget)]
+    return BlockEntropies(rates=[h / n for n, h in enumerate(h_n, 1)],
+                          increments=[b - a for a, b in zip(h_n, h_n[1:])])
+
+
+def _log_term_sums(nu, first, step, n_max, budget):
+    """For n = 1..n_max, acc(b): the sum over the n-words w ending at b of
+    nu[w] (first(w_0) + step(w_0, w_1) + ... + step(w_(n-2), w_(n-1))).
+
+    One forward pass in the expectation semiring (Eisner, ACL 2002), with
+    mass(b) the nu-mass of those words: acc <- acc P + mass (P * step) and
+    mass <- mass P, by elementwise products and sums (no BLAS).  An infinite
+    step from positive mass raises SupportMismatch; a price of n_max (m^2 +
+    40) over ``budget`` raises DepthTooLarge first (``path_sum_price``)."""
+    path_sum_price(n_max, nu.m ** 2, budget)
+    null = (nu.P > 0) & np.isinf(step)
+    # (mass, acc) times this block; where P > 0 a step is finite or null
+    block = np.block([[nu.P, nu.P * np.where(np.isfinite(step), step, 0.0)],
+                      [np.zeros_like(nu.P), nu.P]])
+    state = np.concatenate((nu.pi, nu.pi * np.where(nu.pi > 0, first, 0.0)))
+    charged = np.flatnonzero(null.any(axis=1)).tolist()
+    yield state[nu.m:]
+    for n in range(2, n_max + 1):
+        if charged and state[charged].any():
+            b, c = np.argwhere((state[:nu.m, None] > 0) & null)[0]
+            raise SupportMismatch(f"nu charges a mu-null {n}-cylinder at {b}->{c}")
+        state = (state[:, None] * block).sum(axis=0)
+        yield state[nu.m:]
 
 
 # -- relative entropy -------------------------------------------------------------
@@ -279,23 +274,19 @@ def relative_entropy(nu: MarkovMeasure, mu: GibbsMeasure) -> float:
     is infinite and SupportMismatch is raised.
     """
     _check_support(nu, mu)
-    value = mu.pressure - nu.expectation(mu.potential) - nu.entropy()
-    return float(value)
+    return float(mu.pressure - nu.expectation(mu.potential) - nu.entropy())
 
 
 def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
                             budget=10 ** 7) -> float:
-    """H_n(nu | mu)/n by exact depth-n cylinder enumeration."""
+    """H_n(nu | mu)/n from one forward pass over nu's chain (``_log_term_sums``)
+    with the terms log pi - log pi' and log P - log P' of mu = (pi', P')."""
     _check_support(nu, mu)
-    total = 0.0
-    for words, mass in nu._support_blocks(n, budget):
-        words, mass = words[mass > 0], mass[mass > 0]
-        log_mu = mu._log_masses(words)
-        if np.isneginf(log_mu).any():   # argmin: the first null cylinder
-            word = tuple(words[np.argmin(log_mu)].tolist())
-            raise SupportMismatch(f"nu charges the mu-null cylinder {word}")
-        total = ordered_sum(mass * (np.log(mass) - log_mu), total)
-    return float(total / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first, step = np.log(nu.pi) - np.log(mu.pi), np.log(nu.P) - np.log(mu.P)
+    for acc in _log_term_sums(nu, first, step, n, budget):
+        pass
+    return float(acc.sum() / n)
 
 
 def _check_support(nu, mu):

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import DepthTooLarge, NotPrimitive, PeriodTooLarge, ZeroRowOrColumn
 
-Word = tuple  # tuple of symbol indices
-
 
 class Alphabet:
     """Ordered alphabet of distinct hashable labels, size >= 2."""

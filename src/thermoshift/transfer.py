@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import rescaled_product
+from ._numerics import chunks, path_sum_price, rescaled_product
 from .errors import NoConvergence, OutOfRange
-from .sft import _word_blocks
 
 
 @dataclass
@@ -192,7 +191,7 @@ def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
 
 @dataclass
 class GibbsBounds:
-    """Enumerated extremes of mass / exp(S_n^sup - n * pressure) at depth n."""
+    """Extreme Gibbs ratios at depth n, each at its lexicographically first word."""
 
     c_min: float
     c_max: float
@@ -203,31 +202,36 @@ class GibbsBounds:
 def gibbs_bounds(measure: GibbsMeasure, n, budget=10 ** 7) -> GibbsBounds:
     """Extremes of mass(w) / exp(sup_[w] S_n phi - n * pressure) at depth n.
 
-    The log-ratio is accumulated transition by transition, pairing each
-    log P[a, b] with phi(a, b) - pressure, so the terms cancel exactly in
-    the equality case (zero potential on a full shift gives ratio 1.0, not
-    1.0 up to rounding).
+    log ratio(w) = log pi(w_0) + step(w_0, w_1) + ... + tail(w_(n-1)), with
+    tail(a) = pressure - max_b phi(a, b) and step = log P - phi + pressure,
+    whose terms cancel in the equality case (the zero potential on the full
+    2-, 3- or 4-shift gives 1.0 exactly).  A backward (min, +) pass on step
+    and on -step, G_k(a) = min_b (step[a, b] + G_(k-1)(b)) from G_0 = tail,
+    points back to the smallest such b; from the smallest extreme a of
+    log pi + G_(n-1), they spell the lexicographically first extreme word.
+    A price of n (m^2 + 40) over ``budget`` raises DepthTooLarge first.
     """
+    m, p = measure.m, measure.pressure
+    path_sum_price(n, m * m, budget)
     phi = measure.potential.with_range(2).dense_table
-    p = measure.pressure
     with np.errstate(divide="ignore"):
-        log_pi = np.log(measure.pi)
-        log_P = np.log(measure.P)
+        log_pi, step = np.log(measure.pi), np.log(measure.P) - phi + p
     # admissible entries only are read: phi is NaN off the subshift
-    step = log_P - phi + p
+    steps = np.where(measure.potential.sft.transition != 0,
+                     np.stack((step, -step)), np.inf)
     tail = p - np.nanmax(phi, axis=1)
-    c_min, c_max = np.inf, -np.inf
-    argmin = argmax = None
-    for words in _word_blocks(measure.potential.sft.transition, n, budget=budget):
-        log_ratio = log_pi[words[:, 0]] + tail[words[:, -1]]
-        for j in range(1, n):
-            log_ratio = log_ratio + step[words[:, j - 1], words[:, j]]
-        ratio = np.exp(log_ratio)
-        lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
-        # first occurrence, so ties go to the lexicographically first word
-        if ratio[lo] < c_min:
-            c_min, argmin = ratio[lo], tuple(words[lo].tolist())
-        if ratio[hi] > c_max:
-            c_max, argmax = ratio[hi], tuple(words[hi].tolist())
-    return GibbsBounds(c_min=float(c_min), c_max=float(c_max),
-                       argmin=argmin, argmax=argmax)
+    best = np.stack((tail, -tail))
+    pointers = np.empty((n - 1, 2, m), dtype=np.min_scalar_type(m - 1))
+    for k in range(n - 1):
+        paths = steps + best[:, None, :]
+        pointers[k] = paths.argmin(axis=2)
+        best = paths.min(axis=2)
+    best += np.stack((log_pi, -log_pi))
+    words = [[a] for a in best.argmin(axis=1).tolist()]
+    for s in chunks(n - 1, 2 * m):   # Python ints a chunk at a time
+        for rows in pointers[::-1][s].tolist():
+            for word, row in zip(words, rows):
+                word.append(row[word[-1]])
+    return GibbsBounds(c_min=float(np.exp(best[0, words[0][0]])),
+                       c_max=float(np.exp(-best[1, words[1][0]])),
+                       argmin=tuple(words[0]), argmax=tuple(words[1]))

@@ -13,8 +13,8 @@ from itertools import product
 
 import numpy as np
 
-from ._numerics import bracketed_root, log_trace_power, logsumexp
-from .errors import DegenerateObservable, DepthTooLarge, OutOfRange, TargetOutOfRange
+from ._numerics import bracketed_root, log_trace_power, logsumexp, path_sum_price
+from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
 from .potentials import LocallyConstantPotential
 from .sft import SubshiftOfFiniteType, _word_blocks, full_shift
 from .transfer import build, gibbs_measure
@@ -178,14 +178,8 @@ def _path_sums(potential, n_max, budget):
     logaddexp_a [L_j(a s[1:]) + phi(a s[1:] b)], phi -inf off the subshift.
     A price of n_max (m^r + 40) over ``budget`` raises DepthTooLarge first.
     """
-    if n_max < 1:
-        raise ValueError("word length must be >= 1")
     r = max(potential.r, 2)
-    # a step costs ~40 words: 8.4 us against 0.14-0.42 us a word (2-vCPU x86-64)
-    price = n_max * (potential.sft.m ** r + 40)
-    if price > budget:
-        raise DepthTooLarge(f"the path sum to depth {n_max} costs {price} "
-                            f"word-equivalents, over the budget {budget}")
+    path_sum_price(n_max, potential.sft.m ** r, budget)
     phi = potential.with_range(r).dense_table
     tails = list(_max_plus_tails(phi, min(n_max, r - 1)))
     yield from (t[~np.isnan(t)] for t in tails)

@@ -878,6 +878,25 @@ def test_deep_path_sums_give_values_and_are_priced_first(capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: the path sum")
 
 
+@pytest.mark.parametrize("command, models, flags", [
+    ("bounds", ["golden-mean", "run-weights"], []),
+    ("relent", ["full-shift", "site-energy", "lazy-coin"], ["--check"]),
+    ("production", ["three-cycle"], ["--check"]),
+])
+def test_deep_chain_passes_give_values_and_are_priced_first(command, models,
+                                                            flags, capsys):
+    # depth 60 once meant more than 10^7 cylinders and exit 2; the pass over
+    # the chain gives a value, and a depth it cannot afford is refused at once
+    argv = [command, *(str(MODELS / f"{m}.yaml") for m in models), *flags]
+    code, doc = run(capsys, *argv, "--depth", "60")
+    assert code == 0
+    assert all(math.isfinite(r["value"]) for r in doc["payload"]["results"])
+    start = time.perf_counter()
+    code = main([*argv, "--depth", "1000000000000"])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("budget exceeded: the path sum")
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "thermoshift", "entropy",

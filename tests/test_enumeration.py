@@ -3,7 +3,8 @@
 Every reference here walks ``itertools.product`` word by word in plain
 Python, so none of them shares the enumeration engine it checks.  Where the
 engine keeps the per-word arithmetic order the results must agree bit for
-bit.
+bit; a path sum over the chain or the (r-1)-words agrees within a rounding
+bound derived beside its test.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          gibbs_bounds, gibbs_measure, lattice_equilibrium,
                          pressure_Pn, pressure_Pn_curve,
                          relative_entropy_direct)
-from thermoshift import _numerics
+from thermoshift import measures
 from thermoshift import sft as sft_module
 from thermoshift import variational
 from thermoshift.cli import main
@@ -140,21 +142,6 @@ def test_depth_21_enumeration_holds_one_byte_a_symbol():
     assert peak < 1.5 * 2 ** 20
 
 
-def test_log_masses_across_chunk_boundaries():
-    # ten entries a chunk cuts a block of 81 4-symbol words into runs of two
-    # rows and a last run of one: each log-mass is the fsum of its terms
-    rng = np.random.default_rng(7)
-    P = rng.random((3, 3)) + 0.1
-    mu = MarkovMeasure.from_transition(P / P.sum(axis=1, keepdims=True))
-    words = brute_words(np.ones((3, 3)), 4)
-    with mock.patch.object(_numerics, "CHUNK", 10):
-        got = mu._log_masses(np.array(words, dtype=np.uint8))
-    assert got.tolist() == [
-        math.fsum([float(np.log(mu.pi[w[0]]))] +
-                  [float(np.log(mu.P[a, b])) for a, b in zip(w, w[1:])])
-        for w in words]
-
-
 def product_mass(mu, word):
     """Reference cylinder mass: pi of the first symbol times each step, in
     the order the block kernel multiplies them."""
@@ -239,17 +226,26 @@ def test_deep_request_over_budget_is_refused_fast(entry, capsys):
 
 
 def test_entropy_by_blocks_refuses_before_its_first_block():
-    # 2^10 words fit the budget at depth 10, 2^30 do not at depth 30: the
-    # refusal must come before the shallow depths are enumerated
-    built = []
-    masses = MarkovMeasure._masses
-    with mock.patch.object(MarkovMeasure, "_masses",
-                           lambda self, words: built.append(words) or masses(self, words)):
-        with pytest.raises(DepthTooLarge):
-            entropy_by_blocks(_coin(), 30, budget=1 << 10)
-        assert built == []
+    # the pass is priced before its first step: 10 (2^2 + 40) word-equivalents
+    # fit a budget of 2^10 and 30 (2^2 + 40) do not, and a refused call
+    # yields no depth, however deep the request
+    steps = []
+    forward = measures._log_term_sums
+
+    def spy(*args):
+        for acc in forward(*args):
+            steps.append(acc)
+            yield acc
+
+    with mock.patch.object(measures, "_log_term_sums", spy):
+        for n in (30, 10 ** 12):
+            start = time.perf_counter()
+            with pytest.raises(DepthTooLarge):
+                entropy_by_blocks(_coin(), n, budget=1 << 10)
+            assert time.perf_counter() - start < 1.0
+        assert steps == []
         entropy_by_blocks(_coin(), 10, budget=1 << 10)
-    assert len(built) == 10
+    assert len(steps) == 10
 
 
 def test_count_support_words_100_state_chain_matches_dict_dp():
@@ -419,32 +415,136 @@ def test_pressure_Pn_keeps_every_path_at_phi_800(sign):
         assert abs(curve[n - 1] - ref) <= pn_rounding_bound(pot, n, words)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_gibbs_bounds_match_word_by_word_reference(seed):
-    rng = np.random.default_rng(seed)
-    sft = random_primitive_sft(rng, int(rng.integers(2, 4)))
-    mu = gibbs_measure(random_potential(rng, sft, 1 + seed % 2))
+def gamma(k):
+    """Higham's gamma_k = ku / (1 - ku): a float sum or product of k + 1
+    terms errs by at most gamma_k times the sum of their absolute values."""
+    return k * U / (1 - k * U)
+
+
+def brute_gibbs_log_ratios(mu, n):
+    """(log-ratio, word) of every admissible n-word of mu's subshift, summed
+    left to right: log pi(w_0) + tail(w_(n-1)), then each step
+    log P - phi + pressure; and V, the largest |term| of those sums."""
     pot2 = mu.potential.with_range(2)
     p = mu.pressure
     with np.errstate(divide="ignore"):
         log_pi, log_P = np.log(mu.pi), np.log(mu.P)
     tail = [p - max(v for w, v in pot2.table.items() if w[0] == a)
-            for a in range(sft.m)]
+            for a in range(mu.m)]
+    steps = {(a, b): log_P[a, b] - v + p for (a, b), v in pot2.table.items()}
+    sums = []
+    for w in brute_words(mu.potential.sft.transition, n):
+        log_ratio = log_pi[w[0]] + tail[w[-1]]
+        for a, b in zip(w, w[1:]):
+            log_ratio += steps[(a, b)]
+        sums.append((log_ratio, w))
+    V = max(map(abs, [*log_pi, *tail, *steps.values()]))
+    return sums, V
+
+
+def gibbs_bounds_log_error(n, V):
+    """Bound on the distance between the path sum's extreme log-ratios and
+    the enumeration's (Higham, §4.2).  Both add the same n + 1 doubles,
+    log pi, the n - 1 steps and the tail, each at most V: the enumeration
+    left to right, the (min, +) pass right to left.  Each order errs by at
+    most gamma_n (n + 1) V, so one word's two sums differ by at most
+    2 gamma_n (n + 1) V, and a min or max over the words moves by no more
+    than its terms do."""
+    return 2 * gamma(n) * (n + 1) * V
+
+
+def check_gibbs_bounds_against_words(mu, n):
+    """gibbs_bounds(mu, n) against the word-by-word enumeration.
+
+    With delta from ``gibbs_bounds_log_error`` and exp rounded to within
+    two ulps (4u relative) on each side, each extreme ratio c is within
+    c expm1(delta + 9u) of the enumeration's, and so is the enumeration's
+    ratio of the word returned with it.  That word must be the
+    enumeration's, its lexicographically first, wherever the runner-up, the
+    most extreme ratio of another word, lies beyond the best by a factor
+    over exp(2 (delta + 9u)): no rounding within the bounds can then reorder
+    the two.
+    """
+    sums, V = brute_gibbs_log_ratios(mu, n)
+    rel = math.expm1(gibbs_bounds_log_error(n, V) + 9 * U)
+    b = gibbs_bounds(mu, n)
+    ratios = {w: float(np.exp(s)) for s, w in sums}
+    for got, word, sign in ((b.c_min, b.argmin, 1), (b.c_max, b.argmax, -1)):
+        best_word = min(ratios, key=lambda w: sign * ratios[w])
+        best = ratios[best_word]
+        assert abs(got - best) <= best * rel
+        assert abs(ratios[word] - got) <= got * rel
+        others = [r for w, r in ratios.items() if w != best_word]
+        if others and (sign * math.log(min(others, key=lambda r: sign * r) / best)
+                       > 2 * math.log1p(rel)):
+            assert word == best_word
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gibbs_bounds_match_word_by_word_reference(seed):
+    rng = np.random.default_rng(seed)
+    sft = random_primitive_sft(rng, int(rng.integers(2, 4)))
+    mu = gibbs_measure(random_potential(rng, sft, 1 + seed % 2))
     for n in (1, 3, 6):
-        c_min, c_max, argmin, argmax = np.inf, -np.inf, None, None
-        for w in brute_words(sft.transition, n):
-            log_ratio = log_pi[w[0]] + tail[w[-1]]
-            for a, b in zip(w, w[1:]):
-                log_ratio += log_P[a, b] - pot2.table[(a, b)] + p
-            ratio = np.exp(log_ratio)
-            if ratio < c_min:
-                c_min, argmin = ratio, w
-            if ratio > c_max:
-                c_max, argmax = ratio, w
-        with mock.patch.object(sft_module, "_BLOCK_ROWS", 3):
-            b = gibbs_bounds(mu, n)
-        assert (b.c_min, b.c_max, b.argmin, b.argmax) == (c_min, c_max,
-                                                          argmin, argmax)
+        check_gibbs_bounds_against_words(mu, n)
+
+
+def random_chain_under(rng, mu):
+    """A chain with random positive weights on the support of mu's."""
+    P = np.where(mu.P > 0, rng.random(mu.P.shape) + 0.2, 0.0)
+    return MarkovMeasure.from_transition(P / P.sum(axis=1, keepdims=True))
+
+
+def brute_relent(nu, mu, n):
+    """(H_n(nu | mu), words): the sum over nu's n-words of positive mass of
+    mass * (log mass - log mu[w]), left to right, each mass a product of
+    pi and the steps and each log mu[w] the fsum of its log terms."""
+    total, words = 0.0, brute_words(nu.P > 0, n, nu.pi > 0)
+    for w in words:
+        mass = nu.pi[w[0]]
+        for a, b in zip(w, w[1:]):
+            mass *= nu.P[a, b]
+        if mass <= 0:
+            continue
+        log_mu = math.fsum([float(np.log(mu.pi[w[0]]))] +
+                           [float(np.log(mu.P[a, b])) for a, b in zip(w, w[1:])])
+        total += mass * (np.log(mass) - log_mu)
+    return total, words
+
+
+def log_extent(*arrays):
+    """L, the largest |log x| over the positive entries of the arrays."""
+    return max(float(np.abs(np.log(x[x > 0])).max()) for x in arrays)
+
+
+def forward_pass_error(m, n, L):
+    """Bound on the rounding of the forward pass's H_n (Higham, §3.1 and
+    §4.2), the terms being logs or differences of logs of entries at most
+    L in |log|: each term is at most 2L, so every sum of |mass * term| over
+    the words, whose masses add up to one, is at most 2nL.  The pass rounds
+    each term by at most 4uL (two logs and a difference), n 4uL over a
+    word.  Its state entries are sums of products of nonnegative masses
+    with those terms: the first state is one product, each step forms
+    P * step once (u), multiplies the state in (u) and sums 2m products
+    (gamma_2m), and the last sum adds m entries, so in all
+    gamma_((2m + 2) n + m + 1) on at most 2nL."""
+    return 4 * n * U * L + gamma((2 * m + 2) * n + m + 1) * 2 * n * L
+
+
+def relent_rounding_bound(nu, mu, n, words):
+    """Bound on |H_n(nu | mu)/n| between the forward pass and
+    ``brute_relent`` over ``words``, to first order in u.  The pass errs by
+    ``forward_pass_error``.  The reference forms each word's mass by n - 1
+    products (gamma_n relative), its log (u nL, plus |log(1 + gamma_n)| <=
+    2 gamma_n), the fsum of n rounded logs (n uL + u nL) and their
+    difference (2u nL): at most 2 gamma_n + 5u nL a word.  The product with
+    the mass adds u + gamma_n relative on at most 2nL, and the ordered sum
+    of the W words gamma_W on at most 2nL.  Dividing by n rounds each side
+    by u |H_n/n| <= 2uL."""
+    m, L, W = nu.m, log_extent(nu.pi, nu.P, mu.pi, mu.P), len(words)
+    reference = (2 * gamma(n) + 5 * n * U * L
+                 + (U + gamma(n) + gamma(W)) * 2 * n * L)
+    return (forward_pass_error(m, n, L) + reference) / n + 4 * U * L
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -452,24 +552,75 @@ def test_relative_entropy_direct_matches_word_by_word_reference(seed):
     rng = np.random.default_rng(seed)
     sft = random_primitive_sft(rng, 3)
     mu = gibbs_measure(random_potential(rng, sft, 2))
-    P = np.where(sft.transition == 1, rng.random((3, 3)) + 0.2, 0.0)
-    nu = MarkovMeasure.from_transition(P / P.sum(axis=1, keepdims=True))
+    nu = random_chain_under(rng, mu)
     for n in (1, 4, 7):
-        total = 0.0
-        for w in itertools.product(range(3), repeat=n):
-            if nu.pi[w[0]] == 0 or any(nu.P[a, b] == 0 for a, b in zip(w, w[1:])):
-                continue
-            mass = nu.pi[w[0]]
-            for a, b in zip(w, w[1:]):
-                mass *= nu.P[a, b]
-            if mass <= 0:
-                continue
-            log_mu = math.fsum([float(np.log(mu.pi[w[0]]))] +
-                               [float(np.log(mu.P[a, b]))
-                                for a, b in zip(w, w[1:])])
-            total += mass * (np.log(mass) - log_mu)
-        with mock.patch.object(sft_module, "_BLOCK_ROWS", 5):
-            assert relative_entropy_direct(nu, mu, n) == float(total / n)
+        total, words = brute_relent(nu, mu, n)
+        assert (abs(relative_entropy_direct(nu, mu, n) - total / n)
+                <= relent_rounding_bound(nu, mu, n, words))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chain_passes_are_the_enumerated_sums_within_their_rounding_bounds(data):
+    # gibbs_bounds, relative_entropy_direct and entropy_by_blocks on random
+    # primitive subshifts with m <= 4, r <= 3 and n <= 12; a range-3 Gibbs
+    # state lives on the 2-blocks, whose n-words are (n + 1)-words
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m, r = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+    sft = random_primitive_sft(rng, m)
+    if data.draw(st.booleans()):
+        pot = random_potential(rng, sft, r)
+    else:
+        # wider values can leave a spectral gap that leading_eigen stalls
+        # on at the default tol (ROADMAP item 3), and the passes need a
+        # Gibbs state: it is solved to tol 1e-10
+        scale = data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+        pot = LocallyConstantPotential.from_function(
+            sft, r, lambda w: scale * float(rng.normal()))
+    mu = gibbs_measure(pot, tol=1e-10)
+    n = data.draw(st.integers(1, max(n for n in range(1, 13)
+                                     if m ** (n + max(r, 2) - 1) <= 4096)))
+    check_gibbs_bounds_against_words(mu, n)
+    nu = random_chain_under(rng, mu)
+    total, words = brute_relent(nu, mu, n)
+    assert (abs(relative_entropy_direct(nu, mu, n) - total / n)
+            <= relent_rounding_bound(nu, mu, n, words))
+    # -sum mass log mass: the relative entropy's terms with mu's logs at 0,
+    # so its bound covers them
+    rates = entropy_by_blocks(nu, n).rates
+    for j in range(1, n + 1):
+        words = brute_words(nu.P > 0, j, nu.pi > 0)
+        masses = [nu.pi[w[0]] * math.prod(nu.P[a, b] for a, b in zip(w, w[1:]))
+                  for w in words]
+        h = 0.0
+        for mass in masses:
+            h -= mass * math.log(mass) if mass > 0 else 0.0
+        assert abs(rates[j - 1] - h / j) <= relent_rounding_bound(nu, nu, j, words)
+
+
+def test_relative_entropy_direct_is_the_exact_identity_at_depth_10000():
+    # H_n(nu | mu) = KL(pi || pi') + (n - 1) sum_a pi_a KL(P_a || P'_a) for
+    # a stationary chain nu = (pi, P) and mu = (pi', P'); this chain's pi
+    # is stationary in floats (dyadic and doubly stochastic), so the pass
+    # errs by its rounding alone, and mpmath sums the identity exactly.  The
+    # bound is far below the 1/n term (KL(pi || pi') - rate)/n, which a pass
+    # one step short or long would miss by
+    P = np.array([[4, 2, 1, 1], [1, 4, 2, 1], [1, 1, 4, 2], [2, 1, 1, 4]]) / 8
+    nu = MarkovMeasure([0.25] * 4, P)
+    rng = np.random.default_rng(11)
+    mu = gibbs_measure(LocallyConstantPotential.from_function(
+        full_shift(4), 2, lambda w: float(rng.normal())))
+    n = 10 ** 4
+    with mpmath.workdps(40):
+        log = mpmath.log
+        kl_pi = mpmath.fsum(a * (log(a) - log(b)) for a, b in zip(nu.pi, mu.pi))
+        rate = mpmath.fsum(nu.pi[a] * P[a, b] * (log(P[a, b]) - log(mu.P[a, b]))
+                           for a in range(4) for b in range(4))
+        exact = float((kl_pi + (n - 1) * rate) / n)
+    L = log_extent(nu.pi, nu.P, mu.pi, mu.P)
+    bound = forward_pass_error(4, n, L) / n + 2 * U * L
+    assert abs(relative_entropy_direct(nu, mu, n) - exact) <= bound
+    assert bound < abs(float(kl_pi - rate)) / n / 100
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -352,6 +352,22 @@ def test_support_mismatch_both_routes():
         relative_entropy_direct(nu, mu, 4)
 
 
+def test_direct_route_refuses_a_null_cylinder_behind_a_near_zero_pi():
+    # nu reaches symbol 2, where pi is 0, through 0 -> 2 of weight eps, and
+    # then 2 -> 2, which mu forbids: no symbol or transition of nu's
+    # stationary support is mu-null, yet nu charges the cylinder (0, 2, 2)
+    eps = 1e-10
+    nu = MarkovMeasure([0.5, 0.5, 0.0], [[0.5 - eps, 0.5, eps], [0.5, 0.5, 0.0],
+                                         [0.0, 0.5, 0.5]])
+    mu = MarkovMeasure([0.5, 0.5, 0.0], [[0.5 - eps, 0.5, eps], [0.5, 0.5, 0.0],
+                                         [0.0, 1.0, 0.0]])
+    assert relative_entropy_direct(nu, mu, 1) == 0.0
+    assert relative_entropy_direct(nu, mu, 2) == 0.0
+    for n in (3, 12):
+        with pytest.raises(SupportMismatch, match="mu-null"):
+            relative_entropy_direct(nu, mu, n)
+
+
 def test_direct_route_refuses_a_gibbs_state_on_blocks():
     # the range-3 Gibbs state lives on the 3 admissible 2-blocks, the chain
     # on the 2 symbols: both routes refuse with the same size message

@@ -1,6 +1,7 @@
 """The shared numerical primitives, checked against scipy and exact arithmetic."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -24,6 +25,50 @@ _ENTRY = st.one_of(st.sampled_from([0.0, 2.5, -3.0, 700.0]),
 def test_logsumexp_is_bitwise_scipy(values):
     a = np.array(values)
     assert logsumexp(a) == float(scipy.special.logsumexp(a))
+
+
+def logsumexp_with_mask(a):
+    """The formula logsumexp used before it kept one float array: a bool mask
+    of the maximal entries, then the np.where copy and its exp."""
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    at_top = a == top
+    k = float(np.count_nonzero(at_top))
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+    return float(np.log1p(rest / k) + np.log(k) + top)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [1.5, 1.5, 1.5, -2.0],              # repeated maxima
+    [3.0, -1.0, 3.0],
+    [np.inf, 2.0, np.inf], [np.inf, -np.inf],
+    [-np.inf, 4.0, -np.inf],
+    [np.nan, 1.0], [1.0, np.nan, np.inf],
+    [0.25], [-np.inf], [np.inf], [np.nan],
+    [-np.inf, -np.inf, -np.inf],        # nan by the formula, not -inf
+])
+def test_logsumexp_is_bitwise_its_masked_formula(values):
+    with np.errstate(all="ignore"):
+        assert _bits(logsumexp(values)) == _bits(logsumexp_with_mask(values))
+        if all(v == -np.inf for v in values):
+            assert math.isnan(logsumexp(values))
+
+
+def test_logsumexp_holds_one_float_array():
+    a = np.random.default_rng(3).normal(size=2 ** 16)
+    logsumexp(a)   # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        logsumexp(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a - top (8 bytes an entry) and the mask of the maxima (1 byte)
+    assert peak < 9.5 * len(a)
 
 
 def test_zeta_matches_scipy_with_certified_remainder():

@@ -26,9 +26,8 @@ _ENGINES = {
                       "code"),
     "measures": ("AepPartition", "GibbsMeasure", "MarkovMeasure",
                  "aep_partition", "entropy_by_blocks", "entropy_production",
-                 "periodic_approximation", "relative_entropy",
-                 "relative_entropy_direct", "smb_estimate",
-                 "stationary_vector"),
+                 "relative_entropy", "relative_entropy_direct",
+                 "smb_estimate", "stationary_vector"),
     "potentials": ("LocallyConstantPotential", "recode_range2"),
     "sft": ("Alphabet", "MixingReport", "SubshiftOfFiniteType", "full_shift",
             "golden_mean_shift"),

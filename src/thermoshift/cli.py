@@ -28,7 +28,6 @@ import os
 import sys
 import time
 from collections.abc import Iterator, Sized
-from fractions import Fraction
 from itertools import chain, repeat
 
 import numpy as np
@@ -66,8 +65,6 @@ def _sanitize(obj):
         if np.isfinite(obj):
             return obj
         return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

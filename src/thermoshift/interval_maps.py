@@ -3,11 +3,11 @@
 A map is given by breakpoints 0 = u_0 < ... < u_N = 1 and, on some of the
 intervals (u_{i-1}, u_i), an affine branch whose image is an exact union of
 partition intervals.  Geometry is done in exact rational arithmetic, so the
-Markov consistency checks and cylinder lengths are not subject to
-rounding.  Intervals without a branch are holes: the map is then a repeller
-and only the dimension theory applies, not the invariant density.  A branch
-image is a contiguous run of partition intervals, held as a ``range`` of
-their indices, so its endpoints are two breakpoints.
+Markov consistency checks are not subject to rounding.  Intervals without a
+branch are holes: the map is then a repeller and only the dimension theory
+applies, not the invariant density.  A branch image is a contiguous run of
+partition intervals, held as a ``range`` of their indices, so its endpoints
+are two breakpoints.
 """
 
 from __future__ import annotations
@@ -146,21 +146,11 @@ class PiecewiseLinearMarkovMap:
 @dataclass
 class CodedSystem:
     """Symbolic coding of a map: the geometric potential on the coding
-    subshift, its ``sft``, and exact cylinder lengths."""
+    subshift (its ``sft``) and the interval of each symbol."""
 
     map: PiecewiseLinearMarkovMap
     potential: LocallyConstantPotential   # -log |slope|, range 1
     symbols: tuple                        # symbol -> partition interval index
-
-    def cylinder_length(self, word) -> Fraction:
-        """Exact length of the interval cylinder coded by the word."""
-        word = tuple(word)
-        if not self.potential.sft.is_admissible(word):
-            return Fraction(0)
-        total = self.map.lengths[self.symbols[word[-1]]]
-        for sym in word[:-1]:
-            total /= abs(self.map.branches[self.symbols[sym]].slope)
-        return total
 
 
 def code(imap: PiecewiseLinearMarkovMap) -> CodedSystem:
@@ -189,13 +179,24 @@ class AcimResult:
     densities: dict            # symbol -> density value on its interval
 
     def certificate(self, depth, budget=10 ** 6):
-        """Enumerated extremes of mass(w) / |I_w| at the given depth."""
+        """Extremes of mass(w) / |I_w| over the admissible depth-n words.
+
+        Each ratio is one product of O(1) factors, pi(w_0) prod_i P(w_i,
+        w_(i+1)) |T'(I_(w_i))| / |I_(w_(n-1))|: the Gibbs chain gives the
+        masses and the map's slopes and lengths the geometry.  Its 2n
+        roundings keep it within about 2n u of the exact ratio of the
+        chain's floats; over ``budget`` words raise DepthTooLarge first."""
+        imap, mu, ids = self.coded.map, self.measure, self.coded.symbols
+        stretch = np.array([float(abs(imap.branches[i].slope)) for i in ids])
+        length = np.array([float(imap.lengths[i]) for i in ids])
+        step = mu.P * stretch[:, None]
         lo, hi = np.inf, -np.inf
         T = self.coded.potential.sft.transition
         for words in _word_blocks(T, depth, budget=budget):
-            lengths = [float(self.coded.cylinder_length(word))
-                       for word in words.tolist()]
-            ratio = self.measure._masses(words) / np.array(lengths)
+            ratio = mu.pi[words[:, 0]]
+            for j in range(1, depth):
+                ratio = ratio * step[words[:, j - 1], words[:, j]]
+            ratio = ratio / length[words[:, -1]]
             lo, hi = min(lo, ratio.min()), max(hi, ratio.max())
         return float(lo), float(hi)
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
 from ._numerics import chunks, ordered_sum, path_sum_price
 from .errors import OutOfRange, SupportMismatch, ZeroMassPath
-from .sft import SubshiftOfFiniteType, _word_blocks
+from .sft import _word_blocks
 
 # row sums, probability vectors and stationarity of every chain read or
 # built: a row-sum defect of eps forces a stationarity residual of the same
@@ -81,10 +80,6 @@ class MarkovMeasure:
             return math.fsum(chain.from_iterable(
                 np.log(x).tolist() for x in chain([self.pi[w[:1]]], steps)))
 
-    def cylinder(self, word):
-        word = tuple(word)
-        return float(self._masses(self._row(word))[0]) if word else 1.0
-
     def _row(self, word):
         """A word as a one-row integer array, an integer array uncopied and
         checked by min and max, which make no temporary the length of a long
@@ -95,13 +90,6 @@ class MarkovMeasure:
             bad = row[(row < 0) | (row >= self.m)][0]
             raise ValueError(f"symbol {bad} is outside 0..{self.m - 1}")
         return row
-
-    def _support_blocks(self, n, budget=None):
-        """The n-words of positive mass and their masses, in lex order, as a
-        generator of (words, masses) array blocks; more than ``budget`` words
-        raise DepthTooLarge at the call (sft._word_blocks)."""
-        blocks = _word_blocks(self.P > 0, n, self.pi > 0, budget)
-        return ((words, self._masses(words)) for words in blocks)
 
     def _masses(self, words):
         """Cylinder masses of the rows of a word array: pi of the first symbol
@@ -120,15 +108,19 @@ class MarkovMeasure:
         return float(-(self.pi @ terms.sum(axis=1)))
 
     def expectation(self, potential) -> float:
-        """Integral of a locally constant potential against the measure."""
-        total = 0.0
-        for words, mass in self._support_blocks(potential.r):
-            values = potential.dense_table[tuple(words.T)]
-            if np.isnan(values).any():
-                word = tuple(words[np.argmax(np.isnan(values))].tolist())
-                raise ValueError(f"the potential is not defined on {word}")
-            total = ordered_sum(mass * values, total)
-        return float(total)
+        """Integral of a range-r potential: ``dense_table`` contracted with
+        the r-word masses pi_a0 P_a0a1 ..., built left to right, on the words
+        of positive pi and steps, added in lex order (``ordered_sum``); a NaN
+        on that support, even where the mass underflowed, is a ValueError."""
+        mass, support = self.pi, self.pi > 0
+        for _ in range(potential.r - 1):
+            mass = mass[..., None] * self.P
+            support = support[..., None] & (self.P > 0)
+        bad = support & np.isnan(potential.dense_table)
+        if bad.any():
+            word = tuple(np.argwhere(bad)[0].tolist())
+            raise ValueError(f"the potential is not defined on {word}")
+        return float(ordered_sum(mass[support] * potential.dense_table[support]))
 
     def time_reversal(self) -> "MarkovMeasure":
         """Reversed chain Q_ab = pi_b P_ba / pi_a; same stationary vector."""
@@ -337,7 +329,8 @@ def aep_partition(measure: MarkovMeasure, n, alpha, budget=10 ** 7) -> AepPartit
     h = measure.entropy()
     lo, hi = -n * (h + alpha), -n * (h - alpha)
     t_mass, e_mass, t_count, count = 0.0, 0.0, 0, 0
-    for words, mass in measure._support_blocks(n, budget):
+    for words in _word_blocks(measure.P > 0, n, measure.pi > 0, budget):
+        mass = measure._masses(words)
         count += len(words)
         with np.errstate(divide="ignore"):
             log_mass = np.log(mass)
@@ -348,22 +341,6 @@ def aep_partition(measure: MarkovMeasure, n, alpha, budget=10 ** 7) -> AepPartit
     return AepPartition(entropy_rate=h, typical_mass=float(t_mass),
                         exceptional_mass=float(e_mass),
                         typical_count=t_count, word_count=count)
-
-
-# -- periodic orbits ---------------------------------------------------------------
-
-
-def periodic_approximation(sft: SubshiftOfFiniteType, n, word) -> Fraction:
-    """Fraction of n-periodic points whose initial symbols spell ``word``.
-
-    Exact rational; converges to the measure of the cylinder under the
-    measure of maximal entropy as n grows, at the spectral-gap rate.
-    OutOfRange when the subshift has no point of period n.
-    """
-    total = sft.periodic_count(n)
-    if total == 0:
-        raise OutOfRange(f"no points of period {n}")
-    return Fraction(sft.periodic_count_with_prefix(n, tuple(word)), total)
 
 
 # -- entropy production --------------------------------------------------------------

@@ -155,26 +155,11 @@ class SubshiftOfFiniteType:
         Exact in arbitrary precision.  ``_PERIOD_CAP`` guards against
         accidental huge requests; the arithmetic itself has no overflow.
         """
-        _check_period(n)
+        if n <= 0:
+            raise ValueError("period must be >= 1")
+        if n > _PERIOD_CAP:
+            raise PeriodTooLarge(f"period {n} exceeds cap {_PERIOD_CAP}")
         return int(np.trace(np.linalg.matrix_power(self.transition.astype(object), n)))
-
-    def periodic_count_with_prefix(self, n, prefix):
-        """Exact count of n-periodic points whose first symbols equal ``prefix``."""
-        _check_period(n)
-        k = len(prefix)
-        if k > n:
-            raise ValueError("prefix longer than the period")
-        if not self.is_admissible(prefix):
-            return 0
-        if k == 0:
-            return self.periodic_count(n)
-        # transitions inside the prefix are already checked; close the loop
-        # with a path of n - k + 1 steps from the last prefix symbol back to
-        # the first (for k == n this closes the word directly).
-        if k == n:
-            return 1 if self.transition[prefix[-1], prefix[0]] else 0
-        P = np.linalg.matrix_power(self.transition.astype(object), n - k + 1)
-        return int(P[prefix[-1], prefix[0]])
 
     # -- entropy ---------------------------------------------------------------
 
@@ -295,11 +280,4 @@ def _count_words(T, n, starts=None, stop_above=None):
         vec = nxt
         count = sum(vec.tolist())
     return count
-
-
-def _check_period(n):
-    if n <= 0:
-        raise ValueError("period must be >= 1")
-    if n > _PERIOD_CAP:
-        raise PeriodTooLarge(f"period {n} exceeds cap {_PERIOD_CAP}")
 

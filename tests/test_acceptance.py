@@ -22,7 +22,7 @@ from thermoshift import (Alphabet, CriticalPowerFamily, FiniteSystem,
                          ising_potential, ising_pressure_exact,
                          kink_quotients, lattice_equilibrium,
                          lattice_pressure_trace, markov_as_gibbs,
-                         mean_energy_at, periodic_approximation, pressure,
+                         mean_energy_at, pressure,
                          pressure_periodic, pressure_renewal, pressure_Pn,
                          relative_entropy, relative_entropy_direct,
                          smb_estimate, stationary_vector)
@@ -254,12 +254,28 @@ def test_10_smb_and_aep():
     assert abs(masses[14] - 0.5395930223166943) < 1e-12
 
 
+def periodic_points_in(M, n, a):
+    """Points of period n whose first symbol is a: the closed n-step paths
+    from a back to a, the (a, a) entry of M^n in Python integers."""
+    return int(np.linalg.matrix_power(np.array(M, dtype=object), n)[a, a])
+
+
 def test_11_periodic_orbit_approximation():
+    # the share of the period-n points that lie in the cylinder [0] tends to
+    # its mass under the measure of maximal entropy, at the spectral-gap rate
     sft = golden_mean_shift()
-    frac = periodic_approximation(sft, 12, (0,))
-    assert frac == Fraction(233, 322)
+    M = sft.transition.tolist()
     pi0 = GOLDEN ** 2 / (1.0 + GOLDEN ** 2)
-    assert abs(float(frac) - pi0) / pi0 < 3e-5
+    errs = []
+    for n in (6, 9, 12):
+        brute = sum(1 for w in itertools.product(range(2), repeat=n)
+                    if w[0] == 0 and all(M[w[i]][w[(i + 1) % n]] for i in range(n)))
+        assert periodic_points_in(M, n, 0) == brute
+        frac = Fraction(brute, sft.periodic_count(n))
+        errs.append(abs(float(frac) - pi0))
+    assert frac == Fraction(233, 322)
+    assert errs[2] / pi0 < 3e-5
+    assert errs[2] < errs[1] < errs[0]
 
 
 def test_12_entropy_production():

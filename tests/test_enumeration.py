@@ -157,12 +157,52 @@ def test_support_words_masses_equal_cylinder(mu, n):
     expected = brute_words(mu.P > 0, n, mu.pi > 0)
     for rows in (1, 3):
         with mock.patch.object(sft_module, "_BLOCK_ROWS", rows):
-            got = [(w, mass) for words, masses in mu._support_blocks(n)
-                   for w, mass in zip(map(tuple, words.tolist()), masses)]
+            got = [(w, mass)
+                   for words in sft_module._word_blocks(mu.P > 0, n, mu.pi > 0)
+                   for w, mass in zip(map(tuple, words.tolist()), mu._masses(words))]
         assert [w for w, _ in got] == expected
-        assert all(mass == product_mass(mu, w) == mu.cylinder(w)
-                   for w, mass in got)
+        assert all(mass == product_mass(mu, w) for w, mass in got)
     assert sft_module._count_words(mu.P > 0, n, mu.pi > 0) == len(expected)
+
+
+def enumerated_expectation(mu, potential):
+    """The expectation as the cylinder enumeration summed it: the r-words of
+    positive pi and steps in lex order, each mass times its table entry,
+    added left to right; the first word where the table is NaN raises."""
+    total = 0.0
+    for w in brute_words(mu.P > 0, potential.r, mu.pi > 0):
+        value = potential.dense_table[w]
+        if math.isnan(value):
+            raise ValueError(f"the potential is not defined on {w}")
+        total += product_mass(mu, w) * value
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(), st.integers(1, 4), st.booleans(), st.data())
+def test_expectation_is_the_enumerated_sum(mu, r, inside, data):
+    # the potential lives on a random subshift that holds the chain's
+    # support when ``inside``, and otherwise may miss some of its words
+    m = mu.m
+    allowed = np.array(data.draw(st.lists(st.booleans(), min_size=m * m,
+                                          max_size=m * m))).reshape(m, m)
+    allowed[np.arange(m), (np.arange(m) + 1) % m] = True   # no stranded symbol
+    if inside:
+        allowed |= mu.P > 0
+    sft = SubshiftOfFiniteType([str(a) for a in range(m)], allowed.astype(np.int8))
+    values = np.reshape(data.draw(st.lists(
+        st.floats(-1e3, 1e3, allow_subnormal=False), min_size=m ** r,
+        max_size=m ** r)), (m,) * r)
+    pot = LocallyConstantPotential.from_function(sft, r, lambda w: values[w])
+    try:
+        expected = enumerated_expectation(mu, pot)
+    except ValueError as exc:
+        assert not inside
+        with pytest.raises(ValueError) as got:
+            mu.expectation(pot)
+        assert str(got.value) == str(exc)
+    else:
+        assert mu.expectation(pot) == expected
 
 
 # -- budget guards on large alphabets ------------------------------------------------

@@ -88,18 +88,29 @@ def test_golden_interval_codes_to_golden_mean():
     assert coded.potential.table[(1,)] == -float(np.log(2.0))
 
 
+def cylinder_length(coded, word):
+    """Exact length of the interval cylinder coded by the word: 0 off the
+    coding subshift, else the last interval's length over the slopes of the
+    intervals before it."""
+    word = tuple(word)
+    if not coded.potential.sft.is_admissible(word):
+        return Fraction(0)
+    total = coded.map.lengths[coded.symbols[word[-1]]]
+    for sym in word[:-1]:
+        total /= abs(coded.map.branches[coded.symbols[sym]].slope)
+    return total
+
+
 def test_cylinder_lengths_are_exact():
     coded = code(cantor_map())
-    assert coded.cylinder_length((0, 1, 0)) == Fraction(1, 27)
-    assert coded.cylinder_length((1, 1, 1, 1)) == Fraction(1, 81)
+    assert cylinder_length(coded, (0, 1, 0)) == Fraction(1, 27)
+    assert cylinder_length(coded, (1, 1, 1, 1)) == Fraction(1, 81)
     golden = code(golden_interval_map())
-    assert golden.cylinder_length((1, 1)) == Fraction(0)
-    assert golden.cylinder_length((0, 1)) == Fraction(1, 3) / Fraction(3, 2)
+    assert cylinder_length(golden, (1, 1)) == Fraction(0)
+    assert cylinder_length(golden, (0, 1)) == Fraction(1, 3) / Fraction(3, 2)
     # depth-n cylinder lengths tile the branch intervals
     words = itertools.product(range(2), repeat=6)
-    total = sum(golden.cylinder_length(w) for w in words
-                if golden.potential.sft.is_admissible(w))
-    assert total == Fraction(1)
+    assert sum(cylinder_length(golden, w) for w in words) == Fraction(1)
 
 
 def test_squared_map_refines_the_partition():
@@ -210,6 +221,33 @@ def test_acim_golden_interval_hand_densities():
     lo, hi = result.certificate(8)
     assert abs(lo - 0.75) < 1e-12
     assert abs(hi - 1.125) < 1e-12
+
+
+def exact_ratio_extremes(result, n):
+    """Extremes of mass(w) / |I_w| over the depth-n words, in exact rational
+    arithmetic on the chain's floats and the map's exact cylinder lengths."""
+    pi, P = result.measure.pi, result.measure.P
+    masses = {(a,): Fraction(x) for a, x in enumerate(pi)}
+    for _ in range(n - 1):
+        masses = {w + (b,): mass * Fraction(x) for w, mass in masses.items()
+                  for b, x in enumerate(P[w[-1]]) if x > 0}
+    ratios = [mass / length for w, mass in masses.items()
+              if (length := cylinder_length(result.coded, w))]
+    return min(ratios), max(ratios)
+
+
+@pytest.mark.parametrize("imap, depths", [
+    (golden_interval_map(), range(1, 15)), (doubling_map(), (1, 2, 7, 14))])
+def test_certificate_is_the_exact_ratio_within_its_rounding(imap, depths):
+    # a ratio rounds n - 1 steps P |T'| (the slopes are exact floats), n - 1
+    # products, the length of the last interval and the division: 2n
+    # roundings, within gamma_2n = 2n u / (1 - 2n u) of the exact ratio
+    result = acim(imap)
+    u = 2.0 ** -53
+    for n in depths:
+        gamma = 2 * n * u / (1 - 2 * n * u)
+        for got, exact in zip(result.certificate(n), exact_ratio_extremes(result, n)):
+            assert abs(Fraction(got) - exact) <= Fraction(gamma) * exact
 
 
 def test_acim_needs_full_cover():

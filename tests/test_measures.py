@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,14 +14,14 @@ from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          SubshiftOfFiniteType, aep_partition,
                          entropy_by_blocks, entropy_production,
                          full_shift, gibbs_measure, golden_mean_shift,
-                         markov_as_gibbs, periodic_approximation,
-                         relative_entropy, relative_entropy_direct,
-                         smb_estimate, stationary_vector)
+                         markov_as_gibbs, relative_entropy,
+                         relative_entropy_direct, smb_estimate,
+                         stationary_vector)
 from thermoshift import _numerics
 from thermoshift.errors import (DepthTooLarge, OutOfRange, SupportMismatch,
                                 ZeroMassPath)
 from thermoshift.measures import _check_support
-from thermoshift.sft import _count_words
+from thermoshift.sft import _count_words, _word_blocks
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 LOG_GOLDEN = float(np.log(GOLDEN))
@@ -83,27 +82,30 @@ def test_log_cylinder_is_fsum_exact_for_dyadic_masses():
         assert mu.log_cylinder(word) == n * math.log(0.5)
 
 
+def cylinder_mass(mu, word):
+    """Mass of a cylinder: pi of the first symbol times each step."""
+    return math.prod([mu.pi[word[0]]] + [mu.P[a, b] for a, b in zip(word, word[1:])])
+
+
 def test_log_cylinder_matches_product_and_support():
     mu = parry()
     assert mu.log_cylinder((1, 1)) == -np.inf
     word = (0, 1, 0, 0, 1)
-    assert abs(np.exp(mu.log_cylinder(word)) - mu.cylinder(word)) < 1e-15
+    assert abs(np.exp(mu.log_cylinder(word)) - cylinder_mass(mu, word)) < 1e-15
 
 
 @pytest.mark.parametrize("word", [(-1,), (0, 7), (2,)])
 def test_cylinder_masses_refuse_a_non_symbol(word):
     mu = parry()
     with pytest.raises(ValueError, match="outside 0..1"):
-        mu.cylinder(word)
-    with pytest.raises(ValueError, match="outside 0..1"):
         mu.log_cylinder(word)
-    assert mu.cylinder(()) == 1.0 and mu.log_cylinder(()) == 0.0
+    assert mu.log_cylinder(()) == 0.0
 
 
 def support_words(mu, n):
     """(word, mass) pairs of the n-words of positive mass, from the blocks."""
-    return [(w, mass) for words, masses in mu._support_blocks(n)
-            for w, mass in zip(map(tuple, words.tolist()), masses)]
+    return [(w, mass) for words in _word_blocks(mu.P > 0, n, mu.pi > 0)
+            for w, mass in zip(map(tuple, words.tolist()), mu._masses(words))]
 
 
 def test_support_words_partition_unit_mass():
@@ -142,6 +144,17 @@ def test_expectation_hand_value():
     pot2 = LocallyConstantPotential(
         sft, 2, {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): -1.0})
     assert abs(mu.expectation(pot2) - (0.25 * 0.25 - 0.75 * 0.75)) < 1e-15
+
+
+def test_expectation_refuses_an_undefined_word_whose_mass_underflowed():
+    # pi_1 P_11 = 1e-200 * 1e-200 is 0 in floats, yet the chain steps 1 -> 1,
+    # which the golden mean forbids: the potential is not defined there
+    mu = MarkovMeasure([1.0, 1e-200], [[1.0, 1e-200], [1.0, 1e-200]])
+    assert mu.pi[1] * mu.P[1, 1] == 0.0 < mu.pi[1]
+    pot = LocallyConstantPotential.zero(golden_mean_shift(), 2)
+    with pytest.raises(ValueError, match=r"not defined on \(1, 1\)"):
+        mu.expectation(pot)
+    assert mu.expectation(LocallyConstantPotential.zero(full_shift(2), 2)) == 0.0
 
 
 def test_time_reversal_involution_and_transpose():
@@ -516,29 +529,6 @@ def test_aep_partition_edges():
     assert abs(wide.entropy_rate - mu.entropy()) < 1e-15
 
 
-# -- periodic orbit approximation ----------------------------------------------------
-
-
-def test_periodic_approximation_golden_cylinder():
-    sft = golden_mean_shift()
-    frac = periodic_approximation(sft, 12, (0,))
-    assert frac == Fraction(233, 322)
-    pi0 = GOLDEN ** 2 / (1.0 + GOLDEN ** 2)
-    assert abs(float(frac) - pi0) / pi0 < 3e-5
-    errs = [abs(float(periodic_approximation(sft, n, (0,))) - pi0)
-            for n in (6, 9, 12)]
-    assert errs[2] < errs[1] < errs[0]
-
-
-def test_periodic_approximation_without_points_of_period_n():
-    # primitive (p0 = 5), yet trace M = 0: no fixed point to count
-    sft = SubshiftOfFiniteType(["a", "b", "c"],
-                               [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
-    with pytest.raises(OutOfRange, match="no points of period 1"):
-        periodic_approximation(sft, 1, (0,))
-    assert periodic_approximation(sft, 5, (0,)) == Fraction(1, 5)
-
-
 # -- entropy production ---------------------------------------------------------------
 
 
@@ -598,13 +588,12 @@ def original_cylinder(mu, sft, r, word):
     index = {b: i for i, b in enumerate(blocks)}
     word = tuple(word)
     if len(word) < k:
-        return math.fsum(mu.cylinder((i,))
-                         for i, b in enumerate(blocks)
+        return math.fsum(mu.pi[i] for i, b in enumerate(blocks)
                          if b[:len(word)] == word)
     windows = [word[i:i + k] for i in range(len(word) - k + 1)]
     if not all(w in index for w in windows):
         return 0.0
-    return mu.cylinder([index[w] for w in windows])
+    return cylinder_mass(mu, [index[w] for w in windows])
 
 
 def test_cylinder_original_matches_the_range4_lift():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (Alphabet, MixingReport, NotPrimitive,
-                         SubshiftOfFiniteType, ZeroRowOrColumn, full_shift,
-                         golden_mean_shift, periodic_approximation)
+                         PeriodTooLarge, SubshiftOfFiniteType,
+                         ZeroRowOrColumn, full_shift, golden_mean_shift)
 from thermoshift.sft import _word_blocks
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -127,21 +127,17 @@ def test_entropy_matches_word_growth():
     assert abs(h - math.log(lam)) < 1e-10
 
 
-def test_periodic_count_with_prefix_brute():
+def test_periodic_count_refuses_a_period_outside_one_to_its_cap():
     sft = golden_mean_shift()
-    M = [[1, 1], [1, 0]]
-    for n in range(2, 10):
-        brute = sum(
-            1 for word in itertools.product(range(2), repeat=n)
-            if word[0] == 0 and all(M[word[i]][word[(i + 1) % n]]
-                                    for i in range(n)))
-        assert sft.periodic_count_with_prefix(n, (0,)) == brute
-
-
-def test_periodic_fraction_is_exact_rational():
-    sft = golden_mean_shift()
-    frac = periodic_approximation(sft, 12, (0,))
-    assert frac.numerator == 233 and frac.denominator == 322
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        sft.periodic_count(0)
+    with pytest.raises(PeriodTooLarge, match="period 4097 exceeds cap 4096"):
+        sft.periodic_count(4097)
+    # the trace of M^n on the golden mean shift is the Lucas number L_n
+    lucas = [2, 1]
+    while len(lucas) <= 4096:
+        lucas.append(lucas[-1] + lucas[-2])
+    assert sft.periodic_count(4096) == lucas[4096]
 
 
 def test_mixing_report():

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import bracketed_root
+from ._numerics import bracketed_root, path_sum_price
 from .errors import IsRepeller, NotExpanding, NotMarkov
 from .potentials import LocallyConstantPotential
-from .sft import Alphabet, SubshiftOfFiniteType, _word_blocks
+from .sft import Alphabet, SubshiftOfFiniteType
 from .transfer import gibbs_measure
 
 
@@ -178,27 +178,25 @@ class AcimResult:
     pressure_residual: float
     densities: dict            # symbol -> density value on its interval
 
-    def certificate(self, depth, budget=10 ** 6):
+    def certificate(self, depth, budget=10 ** 7):
         """Extremes of mass(w) / |I_w| over the admissible depth-n words.
 
-        Each ratio is one product of O(1) factors, pi(w_0) prod_i P(w_i,
-        w_(i+1)) |T'(I_(w_i))| / |I_(w_(n-1))|: the Gibbs chain gives the
-        masses and the map's slopes and lengths the geometry.  Its 2n
-        roundings keep it within about 2n u of the exact ratio of the
-        chain's floats; over ``budget`` words raise DepthTooLarge first."""
+        A ratio pi(w_0) prod_i P(w_i, w_(i+1)) |T'(I_(w_i))| / |I_(w_(n-1))|
+        rounds 2n times left to right, within about 2n u of the exact ratio of
+        the chain's floats.  Rounding is monotone on positive factors, so one
+        forward (min, x) and (max, x) pass gives the rounded extremes exactly;
+        over ``budget`` it raises DepthTooLarge first (``path_sum_price``)."""
         imap, mu, ids = self.coded.map, self.measure, self.coded.symbols
+        T = self.coded.potential.sft.transition != 0
+        path_sum_price(depth, T.size, budget)
         stretch = np.array([float(abs(imap.branches[i].slope)) for i in ids])
         length = np.array([float(imap.lengths[i]) for i in ids])
         step = mu.P * stretch[:, None]
-        lo, hi = np.inf, -np.inf
-        T = self.coded.potential.sft.transition
-        for words in _word_blocks(T, depth, budget=budget):
-            ratio = mu.pi[words[:, 0]]
-            for j in range(1, depth):
-                ratio = ratio * step[words[:, j - 1], words[:, j]]
-            ratio = ratio / length[words[:, -1]]
-            lo, hi = min(lo, ratio.min()), max(hi, ratio.max())
-        return float(lo), float(hi)
+        lo = hi = mu.pi
+        for _ in range(depth - 1):
+            lo = (lo[:, None] * step).min(axis=0, initial=np.inf, where=T)
+            hi = (hi[:, None] * step).max(axis=0, initial=-np.inf, where=T)
+        return float((lo / length).min()), float((hi / length).max())
 
 
 def acim(imap: PiecewiseLinearMarkovMap, tol=1e-13) -> AcimResult:

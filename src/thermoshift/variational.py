@@ -14,9 +14,9 @@ from itertools import product
 import numpy as np
 
 from ._numerics import bracketed_root, log_trace_power, logsumexp, path_sum_price
-from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
+from .errors import DegenerateObservable, DepthTooLarge, OutOfRange, TargetOutOfRange
 from .potentials import LocallyConstantPotential
-from .sft import SubshiftOfFiniteType, _word_blocks, full_shift
+from .sft import SubshiftOfFiniteType, _count_words, full_shift
 from .transfer import build, gibbs_measure
 
 
@@ -106,7 +106,8 @@ class LatticeEquilibrium:
 
 
 def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibrium:
-    """Exact ring equilibrium by enumeration of the m^n configurations.
+    """Exact ring equilibrium over the m^n configurations, summed on the
+    array of shape (m,) * n whose C order is their lexicographic order.
 
     The potential must live on a full shift (the ring imposes no transition
     constraints).  Weights are exp(beta * ring sum - n * pressure).
@@ -115,21 +116,22 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibriu
     _require_full(sft)
     if n < potential.r:
         raise OutOfRange(f"ring size {n} below potential range {potential.r}")
+    # priced by counting, which stops past the budget: m ** n is never formed
+    if _count_words(sft.transition, n, stop_above=budget) > budget:
+        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
     phi = potential.dense_table
-    blocks = _word_blocks(sft.transition, n, budget=budget)   # priced first
-    sums, lo = np.empty(sft.m ** n), 0
-    for block in blocks:
-        # Birkhoff sum around the ring: site i reads sites i..i+r-1 mod n
-        total = np.zeros(len(block))
-        for i in range(n):
-            total = total + phi[tuple(block[:, (i + j) % n]
-                                      for j in range(potential.r))]
-        sums[lo:lo + len(block)] = beta * total
-        lo += len(block)
+    sums = np.zeros((sft.m,) * n)
+    for i in range(n):
+        # Birkhoff sum around the ring: site i reads sites i..i+r-1 mod n,
+        # the table broadcast on those axes without a copy
+        window = [(i + j) % n for j in range(potential.r)]
+        sums += np.expand_dims(phi.transpose(np.argsort(window)),
+                               tuple(set(range(n)) - set(window)))
+    sums *= beta
     log_z = logsumexp(sums)
     sums -= log_z
     return LatticeEquilibrium(n=n, pressure=log_z / n,
-                              masses=np.exp(sums, out=sums))
+                              masses=np.exp(sums, out=sums).ravel())
 
 
 def lattice_pressure_trace(n, potential, beta) -> float:

@@ -21,7 +21,6 @@ import pytest
 import yaml
 
 from thermoshift import _numerics, cli, golden_mean_shift, hofbauer, modelio
-from thermoshift import sft as sft_module
 from thermoshift.cli import main
 from thermoshift.variational import lattice_equilibrium
 
@@ -250,10 +249,9 @@ def _tables(capsys, tmp_path):
 def test_sample_and_lattice_tables_across_chunk_boundaries(capsys, tmp_path,
                                                             monkeypatch):
     tables = _tables(capsys, tmp_path)
-    # seven entries a chunk and five rows an enumeration block put chunk and
-    # block boundaries inside both tables: neither payload nor byte moves
+    # seven entries a chunk put chunk boundaries inside both tables: neither
+    # payload nor byte moves
     monkeypatch.setattr(_numerics, "CHUNK", 7)
-    monkeypatch.setattr(sft_module, "_BLOCK_ROWS", 5)
     assert _tables(capsys, tmp_path) == tables
     # and the rows are those written one step or one configuration at a time
     chain = modelio.parse(MODELS / "lazy-coin.yaml").obj

@@ -663,12 +663,14 @@ def test_relative_entropy_direct_is_the_exact_identity_at_depth_10000():
     assert bound < abs(float(kl_pi - rate)) / n / 100
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(8))
 def test_lattice_equilibrium_matches_word_by_word_reference(seed):
     rng = np.random.default_rng(seed)
-    m, r = 2 + seed % 2, 1 + seed % 3
+    # seeds 6 and 7: a window spanning the whole ring (n = r) and one that
+    # wraps around it (n = r + 1)
+    m, r, n = (2 + seed % 2, 1 + seed % 3, 6) if seed < 6 else (3, 3, seed - 3)
     pot = random_potential(rng, full_shift(m), r)
-    beta, n = 0.7, 6
+    beta = 0.7
     words = list(itertools.product(range(m), repeat=n))
     sums = []
     for w in words:
@@ -677,8 +679,7 @@ def test_lattice_equilibrium_matches_word_by_word_reference(seed):
             total += pot.table[tuple(w[(i + j) % n] for j in range(r))]
         sums.append(beta * total)
     log_z = logsumexp(sums)
-    with mock.patch.object(sft_module, "_BLOCK_ROWS", 7):
-        eq = lattice_equilibrium(n, pot, beta)
+    eq = lattice_equilibrium(n, pot, beta)
     assert eq.pressure == log_z / n
     # itertools.product runs in lexicographic order, the order of eq.masses
     weights = np.exp(np.array(sums) - log_z)

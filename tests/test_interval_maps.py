@@ -1,6 +1,7 @@
 """Piecewise linear Markov maps: exact geometry, densities, and dimensions."""
 
 import itertools
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,8 +237,28 @@ def exact_ratio_extremes(result, n):
     return min(ratios), max(ratios)
 
 
+def rounded_ratio_extremes(result, n):
+    """Extremes of the same ratios in floats, word by word, each rounded left
+    to right: pi(w_0), then one factor P(a, b) |T'_a| a step, then the
+    division by the last interval's length."""
+    imap, pi, P = result.coded.map, result.measure.pi, result.measure.P
+    stretch = [float(abs(imap.branches[i].slope)) for i in result.coded.symbols]
+    length = [float(imap.lengths[i]) for i in result.coded.symbols]
+    T = result.coded.potential.sft.transition
+    ratios = []
+    for w in itertools.product(range(len(pi)), repeat=n):
+        if all(T[a, b] for a, b in zip(w, w[1:])):
+            ratio = pi[w[0]]
+            for a, b in zip(w, w[1:]):
+                ratio = ratio * (P[a, b] * stretch[a])
+            ratios.append(ratio / length[w[-1]])
+    return min(ratios), max(ratios)
+
+
 @pytest.mark.parametrize("imap, depths", [
-    (golden_interval_map(), range(1, 15)), (doubling_map(), (1, 2, 7, 14))])
+    (golden_interval_map(), range(1, 15)), (doubling_map(), (1, 2, 7, 14)),
+    # four intervals, slopes -2, -3, 3, -2 and six forbidden transitions
+    (grid_map(8, 4, 0, True), range(1, 9))])
 def test_certificate_is_the_exact_ratio_within_its_rounding(imap, depths):
     # a ratio rounds n - 1 steps P |T'| (the slopes are exact floats), n - 1
     # products, the length of the last interval and the division: 2n
@@ -248,6 +269,18 @@ def test_certificate_is_the_exact_ratio_within_its_rounding(imap, depths):
         gamma = 2 * n * u / (1 - 2 * n * u)
         for got, exact in zip(result.certificate(n), exact_ratio_extremes(result, n)):
             assert abs(Fraction(got) - exact) <= Fraction(gamma) * exact
+        # rounding is monotone, so the pass meets the word-by-word extremes
+        # of the rounded ratios bit for bit
+        assert result.certificate(n) == rounded_ratio_extremes(result, n)
+
+
+def test_deep_certificate_is_one_pass():
+    # 10^5 steps of the chain, where listing the words would not end
+    start = time.perf_counter()
+    lo, hi = acim(golden_interval_map()).certificate(10 ** 5)
+    assert time.perf_counter() - start < 2.0
+    assert abs(lo - 0.75) < 1e-6
+    assert abs(hi - 1.125) < 1e-6
 
 
 def test_acim_needs_full_cover():

@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,12 @@ def test_lattice_input_validation():
         lattice_equilibrium(2, wide, 1.0)
     with pytest.raises(DepthTooLarge):
         lattice_equilibrium(24, LocallyConstantPotential.zero(sft), 1.0)
+    # the ring is priced by a count that stops past the budget, so a ring
+    # of 10^12 sites is refused at once
+    start = time.perf_counter()
+    with pytest.raises(DepthTooLarge):
+        lattice_equilibrium(10 ** 12, LocallyConstantPotential.zero(sft), 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("m, r", [(2, 3), (2, 4), (2, 5), (3, 3)])

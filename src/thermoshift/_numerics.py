@@ -54,34 +54,6 @@ def ordered_sum(values, start=0.0):
     return np.cumsum(np.concatenate(([start], values)))[-1]
 
 
-ZETA_N = 10
-_BERNOULLI_DIV = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,   # (2k)!/B_2k
-                  -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12)
-
-
-def zeta(q) -> float:
-    """Riemann zeta(q), q > 1, by Euler-Maclaurin (DLMF 25.2.9) at N = ZETA_N
-    with 8 Bernoulli terms.  As |B~_17| <= 2 * 17! zeta(17) / (2 pi)^17, the
-    dropped remainder is at most 2 zeta(17) q (q+1)...(q+15) N^(-q-16) / (2 pi)^17,
-    below 1e-16 zeta(q) for every q > 1."""
-    q = float(q)
-    if not q > 1.0:
-        raise ValueError(f"zeta needs q > 1, got {q}")
-    head = ZETA_N ** -q
-    terms, rising, power = [], 1.0, head
-    for j, div in enumerate(_BERNOULLI_DIV):
-        rising *= q + 2 * j
-        power /= ZETA_N
-        terms.append(rising * power / div)
-        rising *= q + (2 * j + 1)
-        power /= ZETA_N
-    # smallest terms first and the leading 1 last keep the rounding low
-    tail = sum(reversed(terms)) + (head * ZETA_N / (q - 1.0) - 0.5 * head)
-    for k in range(ZETA_N, 1, -1):
-        tail += float(k) ** -q
-    return 1.0 + tail
-
-
 EXPINT_RTOL = 1e-14
 
 
@@ -172,9 +144,12 @@ def rescaled_product(X, Y):
 def log_trace_power(A, n) -> float:
     """log trace(A^n), A nonnegative square, n >= 1, by repeated squaring with
     ``rescaled_product``, carrying the logs of the dropped scales; -inf when
-    the trace is zero or underflowed."""
+    the trace is zero or underflowed.  A peak of A outside (1e-150, 1e150/m),
+    whose square could leave the float range, is rescaled first."""
     result, rlog = np.eye(len(A)), 0.0
     base, blog = np.array(A, dtype=float), 0.0
+    if not 1e-150 < base.max() < 1e150 / len(A):
+        base, blog = rescaled_product(result, base)
     m = int(n)
     while m:
         if m & 1:

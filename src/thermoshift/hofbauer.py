@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import (_BERNOULLI_DIV, EXPINT_RTOL, bracketed_root, expint,
-                        log_trace_power, zeta)
+from ._numerics import EXPINT_RTOL, bracketed_root, expint
 from .errors import OutOfRange, TailUncertified, UndeterminedTail
 
 
@@ -68,6 +67,7 @@ class HofbauerPotential:
 
 
 _EM_TERMS = 4   # Bernoulli terms of the Euler-Maclaurin tails
+_BERNOULLI_DIV = (12.0, -720.0, 30240.0, -1209600.0)   # (2s)! / B_2s
 _ULP = 2.0 ** -52
 
 
@@ -86,13 +86,12 @@ def _power_exp_tail(r, P, N):
     (B_2m - B~_2m(x)) / (2m)! f^(2m)(x) dx, lies between 0 and 2 t_m, so
     |R| <= |t_m|.  The error adds EXPINT_RTOL of the integral term and
     2 (1 + PN) ulps of the sum, the rounding of PN carried through e^-PN and
-    E_r(PN).  Needs P > 0, or P = 0 and r > 1 (the zeta tail, as in
-    ``zeta``).
+    E_r(PN).  Needs P > 0, or P = 0 and r > 1 (the tail of zeta(r)).
 
     Past r ~ 1.1e44 the rising factorial (r)_(2m-1) overflows, and the sum
     is below the least subnormal: f(n) <= f(N) (N/n)^r gives sum_{n > N}
     f(n) <= f(N) N / (r - 1) <= f(N), so the sum is at most 2 f(N) <=
-    2^(1-r) for N >= 2 (the callers' N = K + 1 exceeds 4096).  There the
+    2^(1-r) for N >= 2 (the callers' N is 64 or K + 1 > 4096).  There the
     estimate is 0 and the error that least subnormal.
     """
     rising = [1.0]
@@ -119,7 +118,8 @@ class CriticalPowerFamily(HofbauerPotential):
     At depression 0 the family is critical: exp(s_k) = (k+1)^-q / zeta(q),
     so sum_k exp(s_k) = 1 exactly, and the weighted sum is finite for q > 2.
     A positive depression shifts every s_k down and makes the series sum to
-    exp(-depression) < 1.
+    exp(-depression) < 1; one below -log zeta(q) (a_0 > 0) raises OutOfRange.
+    zeta(q) sums k^-q to 63 plus its Euler-Maclaurin tail (|t_4| < 1e-16 zeta).
     """
 
     def __init__(self, exponent=3.0, depression=0.0):
@@ -129,7 +129,12 @@ class CriticalPowerFamily(HofbauerPotential):
             raise OutOfRange("exponent must exceed 1")
         self.exponent = float(exponent)
         self.depression = float(depression)
-        self.a0 = -float(np.log(zeta(self.exponent))) - self.depression
+        zeta = sum(float(k) ** -self.exponent for k in range(63, 0, -1))
+        zeta += _power_exp_tail(self.exponent, 0.0, 64)[0]
+        self.a0 = -float(np.log(zeta)) - self.depression
+        if self.a0 > 0.0:
+            raise OutOfRange(f"depression must be at least -log zeta(exponent) "
+                             f"= {-float(np.log(zeta))}, got {self.depression}")
 
     def a_array(self, K):
         if K <= 0:
@@ -381,32 +386,16 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12) -> float:
     return float(P - value / slope) if slope > 0 else float(P)
 
 
-_RUN_STATES = 64   # run states of the period-n trace, at least n of them
-
-
-def _runlength_matrix(potential, beta, states):
-    """Weighted transition matrix of the leading-run chain, states 0..states-1.
-
-    State k holds the points opening with exactly k ones before a zero; the
-    shift sends k to k - 1 and state 0 to any state.  Edge weights carry
-    exp(beta * a_source), so weighted cycle sums reproduce Birkhoff sums of
-    beta * phi over periodic points that contain a zero.
-    """
-    w = np.exp(beta * potential.a_array(states))
-    T = np.diag(w[1:], -1)
-    T[0, :] = w[0]
-    return T
-
-
 def pressure_periodic(potential: HofbauerPotential, beta, n) -> float:
     """Pressure estimate log(Z_n)/n from the period-n partition sum.
 
-    Z_n sums exp(beta * S_n phi) over all period-n points.  Points containing
-    a zero are the length-n cycles of the leading-run chain, so Z_n is a
-    matrix trace over max(_RUN_STATES, n) run states plus 1 for the
-    all-ones fixed point (whose Birkhoff sum vanishes).  The trace is exact,
-    not truncated: a period-n cycle never reaches run length n, so any state
-    count >= n gives the identical value.
+    A period-n point with a zero splits cyclically into blocks 1^(l-1) 0 of
+    weight w_l = exp(beta (a_0 + ... + a_(l-1))), read off ``a_array``, never
+    the series engine's ``s_array``.  By the renewal recursion c_0 = 1,
+    c_j = sum_l w_l c_(j-l), Z_n = 1 + sum_l l w_l c_(n-l): the block that
+    holds site 0 has l sites, and 1 is the all-ones fixed point.  The sums
+    are taken in logs on w_l e^(-l t), adding n t back; t = log(Z_n - 1)/n,
+    from a first pass, keeps each log c_j near 0, where it rounds least.
 
     Serves as the independent cross-check for pressure_renewal; the two agree
     up to the O(1/n) defect of finite-period sums.  A beta that is not a
@@ -415,9 +404,18 @@ def pressure_periodic(potential: HofbauerPotential, beta, n) -> float:
     _check_beta(beta)
     if n < 1:
         raise OutOfRange("period must be at least 1")
-    T = _runlength_matrix(potential, beta, max(_RUN_STATES, int(n)))
-    log_trace = log_trace_power(T, n)
-    return float(np.logaddexp(log_trace, 0.0) / n)
+    n = int(n)
+    log_w = beta * np.cumsum(potential.a_array(n))
+    blocks = np.arange(1.0, n + 1)
+    shift = 0.0
+    for _ in range(2):
+        shifted = log_w - shift * blocks
+        log_c = np.zeros(n)
+        for j in range(1, n):
+            log_c[j] = np.logaddexp.reduce(shifted[:j] + log_c[j - 1::-1])
+        log_z = n * shift + np.logaddexp.reduce(np.log(blocks) + shifted + log_c[::-1])
+        shift = log_z / n if log_z > -np.inf else 0.0
+    return float(np.logaddexp(log_z, 0.0) / n)
 
 
 def kink_quotients(potential: HofbauerPotential, kink=1.0,

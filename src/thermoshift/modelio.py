@@ -457,8 +457,7 @@ def _check_markov_map(model):
         raise _semantic(model, str(exc), "branches") from None
 
 
-# family -> {numeric field: default}; the first field is the one the family
-# refuses out of range
+# family -> {numeric field: default}; a family's OutOfRange opens with its field
 _FAMILIES = {"critical-power": {"exponent": 3.0, "depression": 0.0},
              "inverse-square": {"scale": 1.0}}
 
@@ -484,7 +483,7 @@ def _check_hofbauer(model):
         return family(**{name: model.body.get(name, default)
                          for name, default in defaults.items()})
     except OutOfRange as exc:
-        raise _semantic(model, str(exc), next(iter(defaults))) from None
+        raise _semantic(model, str(exc), str(exc).split()[0]) from None
 
 
 _VALIDATORS = {

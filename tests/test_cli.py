@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -782,6 +783,23 @@ def test_lattice_trace_cross_check(capsys, tmp_path):
         assert certificate(doc, "lattice_cross_check")["discrepancy"] <= 1e-15
 
 
+def test_ring_traces_of_huge_weights_are_finite(capsys):
+    # a transfer-matrix entry past 1e154 once overflowed in the first square
+    # of the ring trace, which came out -inf with RuntimeWarnings and exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run(capsys, "lattice", MODELS / "full-shift.yaml",
+                        MODELS / "site-energy.yaml", "--n", "8",
+                        "--beta=-1000", "--check")
+        assert code == 0
+        assert result(doc, "ring_pressure_trace(n=8)")["value"] == 500.0
+        assert certificate(doc, "lattice_cross_check")["discrepancy"] < 1e-12
+        code, doc = run(capsys, "ising", "--beta", "400", "--n", "16")
+        assert code == 0
+        ring = result(doc, "ring_pressure(n=16)")["value"]
+        assert abs(ring - (400.0 + math.log(2.0) / 16.0)) < 1e-12
+
+
 def test_dimension_with_square_check(capsys):
     code, doc = run(capsys, "dimension", MODELS / "cantor-thirds.yaml",
                     "--check")
@@ -826,6 +844,26 @@ def test_hofbauer_scan_cli(capsys, tmp_path):
         assert cells == [format(float(c), ".17g") for c in cells]
         assert float(cells[0]) == beta
         assert float(cells[1]) == result(doc, f"pressure(beta={beta:g})")["value"]
+
+
+def test_hofbauer_families_at_the_ends_of_a0(capsys, tmp_path):
+    # zeta(1e30) rounds to 1, so a_0 = 0: the scan exits 0 with no nan,
+    # where a nan a_0 once left the family with no tail bound (exit 1)
+    model = tmp_path / "family.yaml"
+    head = "version: v1\nkind: hofbauer-family\nfamily: critical-power\n"
+    model.write_text(head + "exponent: 1.0e+30\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["hofbauer-scan", str(model), "--check"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "" and "nan" not in captured.out
+    # a depression below -log zeta(q) would make a_0 positive, where the scan
+    # once certified a pressure of 0 against P >= beta a_0
+    model.write_text(head + "exponent: 2.5\ndepression: -0.3\n")
+    assert main(["hofbauer-scan", str(model), "--check", "--betas", "1e44"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("semantic error:") and "Traceback" not in err
+    assert err.rstrip().endswith("[field: depression]")
 
 
 def test_hofbauer_scan_check_solves_each_beta_once(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from scipy.special import zeta
 from thermoshift import (CriticalPowerFamily, InverseSquareFamily, diagnose,
                          kink_quotients, pressure_periodic, pressure_renewal)
 from thermoshift import hofbauer
+from thermoshift._numerics import log_trace_power
 from thermoshift.errors import OutOfRange, UndeterminedTail
 from thermoshift.hofbauer import HofbauerPotential, RenewalSeries
 
@@ -66,6 +67,27 @@ def test_families_reject_non_finite_parameters(bad):
         CriticalPowerFamily(exponent=0.9)
     with pytest.raises(OutOfRange, match="positive"):
         InverseSquareFamily(scale=-1.0)
+
+
+def test_a_depression_that_makes_a0_positive_is_refused():
+    # -log zeta(2.5) = -0.2938: depression -0.3 would give a_0 = +0.0062,
+    # where P >= beta a_0 from the all-zeros fixed point
+    with pytest.raises(OutOfRange, match="^depression"):
+        CriticalPowerFamily(exponent=2.5, depression=-0.3)
+    assert CriticalPowerFamily(exponent=2.5, depression=-0.29).a0 < 0.0
+    # past q ~ 53 zeta(q) rounds to 1, and a_0 = -0.0 stays accepted
+    assert CriticalPowerFamily(exponent=60.0).a0 == 0.0
+
+
+def test_a_huge_exponent_has_a0_zero_not_nan():
+    # zeta(1e30) = 1: the Euler-Maclaurin tail from 64 underflows to 0
+    fam = CriticalPowerFamily(exponent=1e30)
+    assert fam.a0 == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diagnose(fam).classification == "non-unique"
+        assert pressure_renewal(fam, 0.8) == 0.0
+        assert pressure_periodic(fam, 0.8, 18) >= 0.0
 
 
 # -- uniqueness diagnosis ---------------------------------------------------------------
@@ -345,13 +367,24 @@ def test_periodic_sum_counts_points_at_beta_zero():
         assert abs(pressure_periodic(fam, 0.0, n) - np.log(2.0)) < 1e-12
 
 
-def test_periodic_sum_state_count_invariance(monkeypatch):
+def runlength_matrix_periodic_sum(fam, beta, n):
+    """Oracle: log(1 + trace T^n)/n, T the weighted leading-run chain on
+    max(64, n) states: state k holds the points that open with exactly k
+    ones, the shift sends k to k - 1 and 0 to any state, and each edge
+    carries exp(beta a_source).  A period-n cycle never reaches run length
+    n, so any state count >= n gives the same trace."""
+    w = np.exp(beta * fam.a_array(max(64, n)))
+    T = np.diag(w[1:], -1)
+    T[0, :] = w[0]
+    return float(np.logaddexp(log_trace_power(T, n), 0.0) / n)
+
+
+@pytest.mark.parametrize("n", [1, 6, 18, 64, 256])
+def test_periodic_sum_is_the_run_length_matrix_trace(n):
     fam = cubic()
-    vals = []
-    for states in (5, 64, 300):
-        monkeypatch.setattr(hofbauer, "_RUN_STATES", states)
-        vals.append(pressure_periodic(fam, 0.8, 18))
-    assert max(vals) - min(vals) < 1e-14
+    for beta in (0.0, 0.4, 0.8, 1.1, 300.0):
+        ref = runlength_matrix_periodic_sum(fam, beta, n)
+        assert abs(pressure_periodic(fam, beta, n) - ref) <= 1e-14 * ref
 
 
 def test_periodic_sums_converge_to_renewal_pressure():

@@ -11,9 +11,10 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import _numerics
-from thermoshift._numerics import (EXPINT_RTOL, ZETA_N, bracketed_root, expint,
-                                   log_trace_power, logsumexp, zeta)
-from thermoshift.errors import NoConvergence
+from thermoshift._numerics import (EXPINT_RTOL, bracketed_root, expint,
+                                   log_trace_power, logsumexp)
+from thermoshift.errors import NoConvergence, OutOfRange
+from thermoshift.hofbauer import CriticalPowerFamily
 
 # ties with the maximum come from the sampled values
 _ENTRY = st.one_of(st.sampled_from([0.0, 2.5, -3.0, 700.0]),
@@ -72,18 +73,22 @@ def test_logsumexp_holds_one_float_array():
 
 
 def test_zeta_matches_scipy_with_certified_remainder():
+    # a_0 = -log zeta(q), zeta(q) summed to k = 63 plus its Euler-Maclaurin
+    # tail from 64: zeta within 2e-15 of scipy's moves a_0 by at most 2e-15
+    # (1 + 2e-15), plus the roundings of the two logs
     grid = np.concatenate([np.linspace(1.001, 60.0, 600),
                            [1.0001, 1.5, 2.0, 3.0, 4.0, 10.0]])
     for q in grid:
         ref = float(scipy.special.zeta(q))
-        assert abs(zeta(q) - ref) <= 2e-15 * ref
-        # the truncation bound stated in zeta's docstring, zeta(17) rounded up
-        bound = (2.0 * 1.0000077 * math.prod(q + j for j in range(16))
-                 * ZETA_N ** (-q - 16.0) / (2.0 * math.pi) ** 17)
-        assert bound < 1e-16 * ref
-    assert zeta(3.0) == float(scipy.special.zeta(3.0))
-    with pytest.raises(ValueError):
-        zeta(1.0)
+        a0 = CriticalPowerFamily(q).a0
+        assert abs(a0 + math.log(ref)) <= 2.1e-15 + math.ulp(abs(a0)), q
+        # the remainder |t_4| of the tail, B_8 / 8! (q)_7 64^(-q-7), that
+        # _power_exp_tail drops
+        t4 = math.prod(q + j for j in range(7)) * 64.0 ** (-q - 7.0) / 1209600.0
+        assert t4 < 1e-16 * ref
+    assert CriticalPowerFamily(3.0).a0 == -np.log(scipy.special.zeta(3.0))
+    with pytest.raises(OutOfRange):
+        CriticalPowerFamily(1.0)
 
 
 def test_expint_matches_mpmath_within_its_stated_error():
@@ -152,11 +157,25 @@ def test_log_trace_power_matches_exact_integer_power(seed, n):
 
 
 def test_log_trace_power_of_an_underflowed_power_is_minus_inf():
-    # 1e-200 squared underflows to 0: the trace is 0, its log -inf, no nan
+    # A is rescaled before its first square: 1e-200 squared would underflow
+    # to 0, but the trace of the power is 4e-400, and its log is finite
+    ref = math.log(4.0) - 400.0 * math.log(10.0)
+    assert abs(log_trace_power(np.full((2, 2), 1e-200), 2) - ref) <= 1e-12 * abs(ref)
+    # a zero matrix, and a power whose one diagonal entry underflows against
+    # its peak 1e-200: the trace is 0, its log -inf, with no nan or warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert log_trace_power(np.full((2, 2), 1e-200), 2) == -math.inf
+        assert log_trace_power(np.array([[1e-200, 1.0], [0.0, 0.0]]), 2) == -math.inf
         assert log_trace_power(np.zeros((3, 3)), 5) == -math.inf
+
+
+def test_log_trace_power_of_a_huge_matrix_does_not_overflow():
+    # an entry past 1e154 once overflowed in the first square
+    A = np.array([[1e300, 1.0], [1.0, 1e-300]])
+    ref = 2.0 * 300.0 * math.log(10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(log_trace_power(A, 2) - ref) <= 1e-12 * ref
 
 
 def test_log_trace_power_does_not_overflow():

@@ -424,3 +424,27 @@ def test_a_small_gap_stalls_fast_and_typed_at_the_default_tol():
 def test_a_small_gap_converges_at_the_default_tol():
     sft, pot = small_gap()
     assert abs(pressure(pot) - dense_log_radius(sft, pot)) < 1e-12
+
+
+def stalling_chain_matrix(seed, m):
+    """The block matrix on which test_enumeration's chain-pass property
+    stalls at tol 1e-10: its random primitive m-symbol subshift at this rng
+    seed, with 4 N(0, 1) on each 3-word, as the property draws them."""
+    from test_enumeration import random_primitive_sft
+
+    rng = np.random.default_rng(seed)
+    sft = random_primitive_sft(rng, m)
+    return build(LocallyConstantPotential.from_function(
+        sft, 3, lambda w: 4.0 * float(rng.normal())))
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergence,
+                   reason="the second eigenvalue is -lambda within 2e-11 and "
+                          "4e-9: the residual stalls at 0.019 and 3.2e-8")
+@pytest.mark.parametrize("seed, m, gap", [(15416825, 3, 1e-10), (53, 2, 1e-8)])
+def test_a_gap_at_minus_lambda_converges_at_tol_1e_10(seed, m, gap):
+    A = stalling_chain_matrix(seed, m)
+    spectrum = sorted(np.linalg.eigvals(A), key=abs)
+    lam, second = abs(spectrum[-1]), spectrum[-2]
+    assert abs(second.imag) < 1e-12 * lam and -1.0 < second.real / lam < -1.0 + gap
+    assert abs(leading_eigen(A, tol=1e-10).lam - lam) <= 1e-9 * lam

@@ -101,9 +101,15 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
     should Bv or uB still have a zero or non-finite entry, squaring stops for
     good, as it does after ``_MAX_SQUARINGS``, and power steps go on.
     Once squaring has stopped, max(m, 64) rounds in a row that bring the
-    residual to no new minimum raise NoConvergence: the tol is below what
-    rounding lets the residual reach.  ``_MAX_ROUNDS`` caps the rounds.  A tol
-    that is not a positive finite number raises OutOfRange.
+    residual to no new minimum end the power steps on A.  Squaring cannot
+    split lambda from an eigenvalue near -lambda within rounding: the
+    squared iterates keep an error of about u / gap in that direction, whose
+    residual is twice as large.  So the power steps go on with A + lam I,
+    lam the estimate at that round, which has the same Perron vectors and
+    maps that eigenvalue near 0.  A second such run of rounds raises
+    NoConvergence: the tol is below what rounding lets the residual reach.
+    ``_MAX_ROUNDS`` caps the rounds.  A tol that is not a positive finite
+    number raises OutOfRange.
     """
     if not 0 < tol < np.inf:
         raise OutOfRange(f"tol must be a positive finite number, got {tol}")
@@ -111,7 +117,7 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
     m = A.shape[0]
     v = np.full(m, 1.0 / m)
     u = np.full(m, 1.0 / m)
-    B, squarings, accelerate = None, 0, True
+    B, squarings, accelerate, shift = None, 0, True, 0.0
     plain = max(m, _PLAIN_ROUNDS)
     best, best_it = np.inf, 0
     for it in range(1, _MAX_ROUNDS + 1):
@@ -136,9 +142,11 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
             best, best_it = res, it
         elif (it - best_it >= plain
               and not (accelerate and squarings < _MAX_SQUARINGS)):
-            raise NoConvergence(
-                f"no Perron eigendata within tol={tol}: the residual stalled "
-                f"at {best:.2g} after {it} rounds")
+            if shift:
+                raise NoConvergence(
+                    f"no Perron eigendata within tol={tol}: the residual "
+                    f"stalled at {best:.2g} after {it} rounds")
+            shift, best_it = lam, it
         if it > plain and accelerate and squarings < _MAX_SQUARINGS:
             if B is None:
                 scale = v
@@ -152,8 +160,10 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
                 u = uB / uB.sum()
                 continue
             accelerate = False
-        v = Av / sv
-        u = uA / su
+        v = Av + shift * v
+        u = uA + shift * u
+        v = v / v.sum()
+        u = u / u.sum()
     raise NoConvergence(
         f"no Perron eigendata within tol={tol} in {_MAX_ROUNDS} rounds")
 

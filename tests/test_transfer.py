@@ -405,31 +405,32 @@ def small_gap():
         sft, 2, lambda w: 3.0 if tuple(w) == (1, 2) else 0.0)
 
 
-def test_a_small_gap_stalls_fast_and_typed_at_the_default_tol():
+def test_a_small_gap_converges_at_the_default_tol():
+    # lambda_2 is near -lambda: the squared iterates stall at residual
+    # 5.9e-13 lambda, and the power steps on A + lam I take it below 1e-13
     sft, pot = small_gap()
     A = sft.transition.astype(float)
     A[1, 2] = np.exp(3.0)
-    ratio = np.divide(*np.sort(np.abs(np.linalg.eigvals(A)))[-2:])
-    assert 0.9994 < ratio < 0.9996
+    spectrum = sorted(np.linalg.eigvals(A), key=abs)
+    assert -0.9996 < spectrum[-2].real / spectrum[-1].real < -0.9994
+    eig = leading_eigen(build(pot))
+    assert eig.squarings == transfer._MAX_SQUARINGS
+    assert abs(np.log(eig.lam) - dense_log_radius(sft, pot)) < 1e-12
+
+
+def test_a_tol_below_the_rounding_floor_stalls_fast_and_typed():
+    # the residual cannot fall below about 1e-16 lambda, on A or on A + lam I
+    sft, pot = small_gap()
     start = time.perf_counter()
     with pytest.raises(NoConvergence, match="stalled"):
-        pressure(pot)
+        pressure(pot, tol=1e-18)
     assert time.perf_counter() - start < 1.0
-    assert abs(pressure(pot, tol=1e-12) - dense_log_radius(sft, pot)) < 1e-12
-
-
-@pytest.mark.xfail(strict=True, raises=NoConvergence,
-                   reason="the default tol 1e-13 is below the residual floor "
-                          "of the squared iterates at this gap")
-def test_a_small_gap_converges_at_the_default_tol():
-    sft, pot = small_gap()
-    assert abs(pressure(pot) - dense_log_radius(sft, pot)) < 1e-12
 
 
 def stalling_chain_matrix(seed, m):
-    """The block matrix on which test_enumeration's chain-pass property
-    stalls at tol 1e-10: its random primitive m-symbol subshift at this rng
-    seed, with 4 N(0, 1) on each 3-word, as the property draws them."""
+    """A block matrix that test_enumeration's chain-pass property draws,
+    whose second eigenvalue is near -lambda: its random primitive m-symbol
+    subshift at this rng seed, with 4 N(0, 1) on each 3-word."""
     from test_enumeration import random_primitive_sft
 
     rng = np.random.default_rng(seed)
@@ -438,9 +439,8 @@ def stalling_chain_matrix(seed, m):
         sft, 3, lambda w: 4.0 * float(rng.normal())))
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergence,
-                   reason="the second eigenvalue is -lambda within 2e-11 and "
-                          "4e-9: the residual stalls at 0.019 and 3.2e-8")
+# the squared iterates stall at residual 0.019 and 3.2e-8; the power steps
+# on A + lam I finish them
 @pytest.mark.parametrize("seed, m, gap", [(15416825, 3, 1e-10), (53, 2, 1e-8)])
 def test_a_gap_at_minus_lambda_converges_at_tol_1e_10(seed, m, gap):
     A = stalling_chain_matrix(seed, m)

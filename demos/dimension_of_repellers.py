@@ -9,7 +9,8 @@ hand.
 
 import numpy as np
 
-from thermoshift import PiecewiseLinearMarkovMap, acim, bowen_dimension
+from thermoshift import (PiecewiseLinearMarkovMap, acim, bowen_dimension,
+                         bowen_root, code, square_coding)
 
 # -- middle-thirds Cantor set --------------------------------------------------
 
@@ -31,8 +32,9 @@ print(f"\nslopes (2,4):  dim = {res.dimension:.12f}")
 print(f"  root of 2^-s + 4^-s = 1 in closed form, log2(phi): {root:.12f}"
       f"   (difference {abs(res.dimension - root):.1e})")
 
-# dimension is invariant under passing to the second iterate
-res2 = bowen_dimension(uneven.squared())
+# dimension is invariant under passing to the second iterate, whose coding
+# is the 2-word shift of T's coding with potential phi(a) + phi(b)
+res2 = bowen_root(square_coding(code(uneven).potential))
 print(f"  dim of T^2 = {res2.dimension:.12f}"
       f"   (difference {abs(res2.dimension - res.dimension):.1e})")
 

@@ -23,7 +23,7 @@ _ENGINES = {
                  "InverseSquareFamily", "diagnose", "kink_quotients",
                  "pressure_periodic", "pressure_renewal"),
     "interval_maps": ("PiecewiseLinearMarkovMap", "acim", "bowen_dimension",
-                      "code"),
+                      "bowen_root", "code", "square_coding"),
     "measures": ("AepPartition", "GibbsMeasure", "MarkovMeasure",
                  "aep_partition", "entropy_by_blocks", "entropy_production",
                  "relative_entropy", "relative_entropy_direct",

@@ -144,12 +144,10 @@ def rescaled_product(X, Y):
 def log_trace_power(A, n) -> float:
     """log trace(A^n), A nonnegative square, n >= 1, by repeated squaring with
     ``rescaled_product``, carrying the logs of the dropped scales; -inf when
-    the trace is zero or underflowed.  A peak of A outside (1e-150, 1e150/m),
-    whose square could leave the float range, is rescaled first."""
+    the trace is zero or underflowed.  A is rescaled to peak 1 first, so its
+    first square cannot leave the float range."""
     result, rlog = np.eye(len(A)), 0.0
-    base, blog = np.array(A, dtype=float), 0.0
-    if not 1e-150 < base.max() < 1e150 / len(A):
-        base, blog = rescaled_product(result, base)
+    base, blog = rescaled_product(result, np.asarray(A, dtype=float))
     m = int(n)
     while m:
         if m & 1:

@@ -456,14 +456,14 @@ def _cmd_hofbauer_scan(args, report, fam):
 
 
 def _cmd_dimension(args, report, imap):
-    from .interval_maps import bowen_dimension
+    from .interval_maps import bowen_dimension, bowen_root, code, square_coding
 
     res = bowen_dimension(imap, tol=args.tol)
     report.result("dimension", res.dimension, "dimensionless", "spectral")
     report.result("pressure_residual", res.residual, "nats", "spectral")
     report.annotate("iterations", res.iterations)
     if args.check:
-        res2 = bowen_dimension(imap.squared(), tol=args.tol)
+        res2 = bowen_root(square_coding(code(imap).potential), tol=args.tol)
         report.result("dimension_of_square", res2.dimension, "dimensionless",
                       "spectral")
         report.certificate("square_recoding", ["spectral", "spectral"],

@@ -13,7 +13,6 @@ are two breakpoints.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._numerics import bracketed_root, path_sum_price
 from .errors import IsRepeller, NotExpanding, NotMarkov
-from .potentials import LocallyConstantPotential
+from .potentials import LocallyConstantPotential, _block_labels
 from .sft import Alphabet, SubshiftOfFiniteType
 from .transfer import gibbs_measure
 
@@ -103,45 +102,6 @@ class PiecewiseLinearMarkovMap:
     def interval(self, i):
         return self.breakpoints[i], self.breakpoints[i + 1]
 
-    def image_span(self, i):
-        image = self.branches[i].image
-        return self.breakpoints[image.start], self.breakpoints[image.stop]
-
-    def affine(self, i):
-        """(slope, intercept) with T(x) = slope x + intercept on interval i."""
-        b = self.branches[i]
-        lo, _ = self.interval(i)
-        img_lo, img_hi = self.image_span(i)
-        if b.slope > 0:
-            intercept = img_lo - b.slope * lo
-        else:
-            intercept = img_hi - b.slope * lo
-        return b.slope, intercept
-
-    def preimage_in_branch(self, i, lo, hi):
-        """Exact preimage of [lo, hi] under branch i (subset of its image)."""
-        s, c = self.affine(i)
-        a, b = (lo - c) / s, (hi - c) / s
-        return (a, b) if a <= b else (b, a)
-
-    def squared(self) -> "PiecewiseLinearMarkovMap":
-        """The second iterate as a piecewise linear Markov map.
-
-        Branch intervals of the square are the 2-cylinders; their images are
-        the original branch images, re-expressed in the refined partition.
-        """
-        cyl = [(a, b, self.preimage_in_branch(a, *self.interval(b)))
-               for a in self.branch_ids for b in self.branches[a].image
-               if self.branches[b] is not None]
-        pts = sorted(set(self.breakpoints).union(*(span for _, _, span in cyl)))
-        branches = [None] * (len(pts) - 1)
-        for a, b, (lo, _) in cyl:
-            img_lo, img_hi = self.image_span(b)
-            slope = self.branches[a].slope * self.branches[b].slope
-            branches[bisect_left(pts, lo)] = (
-                slope, range(bisect_left(pts, img_lo), bisect_left(pts, img_hi)))
-        return PiecewiseLinearMarkovMap(pts, branches)
-
 
 @dataclass
 class CodedSystem:
@@ -167,6 +127,23 @@ def code(imap: PiecewiseLinearMarkovMap) -> CodedSystem:
              for s, i in enumerate(ids)}
     pot = LocallyConstantPotential(sft, 1, table)
     return CodedSystem(map=imap, potential=pot, symbols=ids)
+
+
+def square_coding(pot: LocallyConstantPotential) -> LocallyConstantPotential:
+    """The coding of T^2 from the range-1 coding potential phi of T.
+
+    It is the second higher power shift (Lind-Marcus, Symbolic Dynamics and
+    Coding, 1.4): its symbols are the admissible 2-words ab in lex order,
+    ab -> cd is allowed iff b -> c is, and ab carries phi(a) + phi(b).  Every
+    symbol of a subshift has a successor and a predecessor, so every 2-word
+    has both too.
+    """
+    sft = pot.sft
+    a, b = np.nonzero(sft.transition)
+    labels = _block_labels(sft.alphabet, zip(a.tolist(), b.tolist()))
+    sft2 = SubshiftOfFiniteType(Alphabet(labels), sft.transition[np.ix_(b, a)])
+    phi = pot.dense_table
+    return LocallyConstantPotential._from_dense(sft2, phi[a] + phi[b])
 
 
 @dataclass
@@ -228,16 +205,18 @@ class DimensionResult:
 
 
 def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResult:
-    """Hausdorff dimension of the invariant set from the pressure equation.
+    """Hausdorff dimension of the invariant set: ``bowen_root`` of -log|T'|."""
+    return bowen_root(code(imap).potential, tol=tol)
 
-    The map s -> P(-s log|T'|) is strictly decreasing (slope at most
-    -log of the expansion constant), positive at s = 0, so its unique root
+
+def bowen_root(pot: LocallyConstantPotential, tol=1e-12) -> DimensionResult:
+    """Root of s -> P(s phi) for a range-1 geometric potential phi = -log|T'|.
+
+    The map is strictly decreasing (slope at most -log of the expansion
+    constant alpha = exp(-max phi)), positive at s = 0, so its unique root
     is bracketed in [0, P(0)/log(alpha) + 1].  Bisection plus Newton steps
-    (the derivative is the Gibbs expectation of the potential) stop when
-    |P| <= tol.
+    (the derivative is the Gibbs expectation of phi) stop when |P| <= tol.
     """
-    coded = code(imap)
-    pot = coded.potential
     residual = []
 
     def minus_pressure(s):
@@ -245,11 +224,11 @@ def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResul
         residual[:] = [abs(g.pressure)]
         return -g.pressure, -g.expectation(pot)
 
-    alpha = min(float(abs(imap.branches[i].slope)) for i in imap.branch_ids)
     p0 = gibbs_measure(pot.scale(0.0)).pressure
     if p0 <= 0:
-        raise IsRepeller("pressure at s = 0 is not positive; nothing to bisect")
-    s, steps = bracketed_root(minus_pressure, 0.0, p0 / np.log(alpha) + 1.0,
+        raise IsRepeller("pressure at s = 0 is not positive; no root to bracket")
+    s, steps = bracketed_root(minus_pressure, 0.0,
+                              p0 / -np.nanmax(pot.dense_table) + 1.0,
                               ftol=tol, with_slope=True, f_lo=-p0)
     return DimensionResult(dimension=float(s), residual=residual[0],
                            iterations=steps)

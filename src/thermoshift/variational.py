@@ -70,7 +70,8 @@ def solve_beta(system: FiniteSystem, target, tol=1e-12):
     The map beta -> <U> is strictly increasing with range (min U, max U) for
     a non-constant U, so the solution exists and is unique for any target
     strictly inside that interval.  Bisection brackets the root; Newton steps
-    (the derivative is the energy variance) accelerate once inside.
+    (the derivative is the energy variance) accelerate once inside.  It stops
+    when the bracket is within tol: <U> is flat near its range's ends.
     """
     U = system.U
     lo_val, hi_val = float(U.min()), float(U.max())
@@ -84,7 +85,7 @@ def solve_beta(system: FiniteSystem, target, tol=1e-12):
         eq = finite_equilibrium(FiniteSystem(U, beta))
         return eq.mean_energy(U) - target, eq.var_energy(U)
 
-    return float(bracketed_root(excess, -1.0, 1.0, ftol=tol, with_slope=True)[0])
+    return float(bracketed_root(excess, -1.0, 1.0, xtol=tol, with_slope=True)[0])
 
 
 # -- cyclic lattice ring -------------------------------------------------------
@@ -223,7 +224,8 @@ def ising_match(target_correlation, tol=1e-12):
 
     Solves <x0 x1> = target under the equilibrium chain; the solution is
     artanh(target).  Root-finding runs on the computed Gibbs expectation so
-    the result round-trips through the same machinery callers use.
+    the result round-trips through the same machinery callers use.  It stops
+    when the beta bracket is within tol: the correlation is flat near +-1.
     """
     if not (-1.0 < target_correlation < 1.0):
         raise TargetOutOfRange("correlation must lie strictly inside (-1, 1)")
@@ -234,7 +236,7 @@ def ising_match(target_correlation, tol=1e-12):
         return (gibbs_measure(ising_potential(beta)).expectation(spins)
                 - target_correlation)
 
-    return float(bracketed_root(excess, -1.0, 1.0, xtol=tol, ftol=tol)[0])
+    return float(bracketed_root(excess, -1.0, 1.0, xtol=tol)[0])
 
 
 def markov_as_gibbs(Q, labels=None, tol=1e-13) -> GibbsMeasure:

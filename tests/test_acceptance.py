@@ -16,7 +16,8 @@ from scipy.optimize import brentq
 from thermoshift import (Alphabet, CriticalPowerFamily, FiniteSystem,
                          LocallyConstantPotential, MarkovMeasure,
                          PiecewiseLinearMarkovMap, SubshiftOfFiniteType,
-                         aep_partition, bowen_dimension, diagnose,
+                         aep_partition, bowen_dimension, bowen_root, code,
+                         diagnose,
                          entropy_production, finite_equilibrium, full_shift,
                          gibbs_bounds, gibbs_measure, golden_mean_shift,
                          ising_potential, ising_pressure_exact,
@@ -25,7 +26,7 @@ from thermoshift import (Alphabet, CriticalPowerFamily, FiniteSystem,
                          mean_energy_at, pressure,
                          pressure_periodic, pressure_renewal, pressure_Pn,
                          relative_entropy, relative_entropy_direct,
-                         smb_estimate, stationary_vector)
+                         smb_estimate, square_coding, stationary_vector)
 from thermoshift.cli import main
 
 MODELS = Path(__file__).parent.parent / "demos" / "models"
@@ -221,14 +222,16 @@ def test_09_bowen_dimension():
         ["0", "1/3", "2/3", "1"], [(3, (0, 1, 2)), None, (3, (0, 1, 2))])
     dim = bowen_dimension(cantor).dimension
     assert abs(dim - np.log(2.0) / np.log(3.0)) < 1e-8
-    assert abs(bowen_dimension(cantor.squared()).dimension - dim) < 1e-10
+    square = square_coding(code(cantor).potential)
+    assert abs(bowen_root(square).dimension - dim) < 1e-10
     uneven = PiecewiseLinearMarkovMap(
         ["0", "1/2", "3/4", "1"], [(2, (0, 1, 2)), (4, (0, 1, 2)), None])
     root = brentq(lambda s: 2.0 ** -s + 4.0 ** -s - 1.0, 0.1, 1.0,
                   xtol=1e-14)
     dim = bowen_dimension(uneven).dimension
     assert abs(dim - root) < 1e-8
-    assert abs(bowen_dimension(uneven.squared()).dimension - dim) < 1e-10
+    square = square_coding(code(uneven).potential)
+    assert abs(bowen_root(square).dimension - dim) < 1e-10
     doubling = PiecewiseLinearMarkovMap(
         ["0", "1/2", "1"], [(2, (0, 1)), (2, (0, 1))])
     assert abs(bowen_dimension(doubling).dimension - 1.0) < 1e-10

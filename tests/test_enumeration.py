@@ -611,13 +611,10 @@ def test_chain_passes_are_the_enumerated_sums_within_their_rounding_bounds(data)
     if data.draw(st.booleans()):
         pot = random_potential(rng, sft, r)
     else:
-        # wider values can leave a spectral gap that leading_eigen stalls
-        # on at the default tol (ROADMAP item 3), and the passes need a
-        # Gibbs state: it is solved to tol 1e-10
         scale = data.draw(st.sampled_from([0.1, 1.0, 4.0]))
         pot = LocallyConstantPotential.from_function(
             sft, r, lambda w: scale * float(rng.normal()))
-    mu = gibbs_measure(pot, tol=1e-10)
+    mu = gibbs_measure(pot)
     n = data.draw(st.integers(1, max(n for n in range(1, 13)
                                      if m ** (n + max(r, 2) - 1) <= 4096)))
     check_gibbs_bounds_against_words(mu, n)

@@ -13,7 +13,9 @@ from scipy.optimize import brentq
 from thermoshift import modelio
 from thermoshift.errors import IsRepeller, NotExpanding, NotMarkov
 from thermoshift.interval_maps import (PiecewiseLinearMarkovMap, acim,
-                                       bowen_dimension, code)
+                                       bowen_dimension, bowen_root, code,
+                                       square_coding)
+from thermoshift.potentials import _block_labels
 
 MODELS = Path(__file__).parent.parent / "demos" / "models"
 
@@ -46,10 +48,6 @@ def uneven_repeller():
 def test_geometry_is_exact_rational():
     imap = cantor_map()
     assert imap.lengths == (Fraction(1, 3),) * 3
-    slope, intercept = imap.affine(2)
-    assert (slope, intercept) == (Fraction(3), Fraction(-2))
-    assert imap.preimage_in_branch(2, Fraction(0), Fraction(1)) == \
-        (Fraction(2, 3), Fraction(1))
     assert not imap.covering
     assert doubling_map().covering
 
@@ -57,8 +55,6 @@ def test_geometry_is_exact_rational():
 def test_negative_slopes_are_supported():
     tent = PiecewiseLinearMarkovMap(
         ["0", "1/2", "1"], [(2, (0, 1)), (-2, (0, 1))])
-    slope, intercept = tent.affine(1)
-    assert (slope, intercept) == (Fraction(-2), Fraction(2))
     result = acim(tent)
     assert all(abs(d - 1.0) < 1e-12 for d in result.densities.values())
 
@@ -114,25 +110,32 @@ def test_cylinder_lengths_are_exact():
     assert sum(cylinder_length(golden, w) for w in words) == Fraction(1)
 
 
-def test_squared_map_refines_the_partition():
-    sq = cantor_map().squared()
-    assert [str(x) for x in sq.breakpoints] == \
-        ["0", "1/9", "2/9", "1/3", "2/3", "7/9", "8/9", "1"]
-    assert all(b is None or abs(b.slope) == 9 for b in sq.branches)
-    sq2 = doubling_map().squared()
-    assert len(sq2.branch_ids) == 4
-    assert sq2.covering
+def image_span(imap, i):
+    image = imap.branches[i].image
+    return imap.breakpoints[image.start], imap.breakpoints[image.stop]
+
+
+def preimage_in_branch(imap, i, lo, hi):
+    """Exact preimage of [lo, hi], inside the image of branch i, under it:
+    the branch is T(x) = T(x0) + slope (x - x0) from the left end x0."""
+    slope = imap.branches[i].slope
+    x0, _ = imap.interval(i)
+    img_lo, img_hi = image_span(imap, i)
+    start = img_lo if slope > 0 else img_hi
+    a, b = x0 + (lo - start) / slope, x0 + (hi - start) / slope
+    return min(a, b), max(a, b)
 
 
 def squared_by_partition_scan(imap):
-    """The square built by scanning the refined partition for every cylinder
-    and every image: the reference for PiecewiseLinearMarkovMap.squared."""
+    """The square T^2 built by scanning the refined partition for every
+    cylinder and every image, and the pair (a, b) of T's intervals whose
+    2-cylinder each of its branch intervals is."""
     cyl = {}
     for a in imap.branch_ids:
         for b in imap.branch_ids:
             if b in imap.branches[a].image:
                 lo, hi = imap.interval(b)
-                cyl[(a, b)] = imap.preimage_in_branch(a, lo, hi)
+                cyl[(a, b)] = preimage_in_branch(imap, a, lo, hi)
     points = set(imap.breakpoints)
     for lo, hi in cyl.values():
         points.add(lo)
@@ -143,19 +146,54 @@ def squared_by_partition_scan(imap):
         index_of[(pts[k], pts[k + 1])] = k
     n_new = len(pts) - 1
     branches = [None] * n_new
+    words = {}
     for (a, b), (lo, hi) in cyl.items():
         i_new = index_of[(lo, hi)]
-        img_lo, img_hi = imap.image_span(b)
+        img_lo, img_hi = image_span(imap, b)
         image = tuple(k for k in range(n_new)
                       if img_lo <= pts[k] and pts[k + 1] <= img_hi)
         slope = imap.branches[a].slope * imap.branches[b].slope
         branches[i_new] = (slope, image)
-    return PiecewiseLinearMarkovMap(pts, branches)
+        words[i_new] = (a, b)
+    return PiecewiseLinearMarkovMap(pts, branches), words
 
 
-def geometry(imap):
-    return imap.breakpoints, [None if b is None else (b.slope, tuple(b.image))
-                              for b in imap.branches]
+def test_squared_map_refines_the_partition():
+    sq, _ = squared_by_partition_scan(cantor_map())
+    assert [str(x) for x in sq.breakpoints] == \
+        ["0", "1/9", "2/9", "1/3", "2/3", "7/9", "8/9", "1"]
+    assert all(b is None or abs(b.slope) == 9 for b in sq.branches)
+    sq2, _ = squared_by_partition_scan(doubling_map())
+    assert len(sq2.branch_ids) == 4
+    assert sq2.covering
+    square = square_coding(code(cantor_map()).potential)
+    assert square.sft.alphabet.labels == ("I0I0", "I0I2", "I2I0", "I2I2")
+    assert square.sft.transition.all()
+    assert (square.dense_table == -2 * float(np.log(3.0))).all()
+
+
+def check_squares(imap, times):
+    """square_coding is code(T^2) for the geometric square T^2, ``times``
+    squares up from imap: the same 2-word for each symbol, the same
+    transitions, and the potentials within 1 ulp."""
+    coded = code(imap)
+    pot, symbol = coded.potential, {i: s for s, i in enumerate(coded.symbols)}
+    for _ in range(times):
+        sq, words = squared_by_partition_scan(imap)
+        square = square_coding(pot)
+        pairs = list(map(tuple, np.argwhere(pot.sft.transition).tolist()))
+        assert square.sft.alphabet.labels == tuple(
+            _block_labels(pot.sft.alphabet, pairs))
+        index = {pair: k for k, pair in enumerate(pairs)}
+        symbol = {i: index[symbol[a], symbol[b]] for i, (a, b) in words.items()}
+        geo = code(sq)
+        order = [symbol[i] for i in geo.symbols]
+        assert sorted(order) == list(range(square.sft.m))
+        assert np.array_equal(square.sft.transition[np.ix_(order, order)],
+                              geo.potential.sft.transition)
+        values, exact = square.dense_table[order], geo.potential.dense_table
+        assert (np.abs(values - exact) <= np.spacing(np.abs(exact))).all()
+        pot, imap = square, sq
 
 
 def grid_map(seed, n, holes, signed):
@@ -178,10 +216,7 @@ SHIPPED_MAPS = [path.name for path in sorted(MODELS.glob("*.yaml"))
 
 @pytest.mark.parametrize("name", SHIPPED_MAPS)
 def test_square_of_shipped_map_matches_partition_scan(name):
-    imap = modelio.parse(MODELS / name).obj
-    sq = imap.squared()
-    assert geometry(sq) == geometry(squared_by_partition_scan(imap))
-    assert geometry(sq.squared()) == geometry(squared_by_partition_scan(sq))
+    check_squares(modelio.parse(MODELS / name).obj, 2)
 
 
 @pytest.mark.parametrize("n, holes, signed, seed", [
@@ -190,10 +225,7 @@ def test_square_of_shipped_map_matches_partition_scan(name):
 def test_square_of_generated_map_matches_partition_scan(n, holes, signed, seed):
     imap = grid_map(seed, n, holes, signed)
     assert any(b.slope < 0 for b in imap.branches if b) == signed
-    sq = imap.squared()
-    assert geometry(sq) == geometry(squared_by_partition_scan(imap))
-    if n <= 8:
-        assert geometry(sq.squared()) == geometry(squared_by_partition_scan(sq))
+    check_squares(imap, 2 if n <= 8 else 1)
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
@@ -321,8 +353,10 @@ def test_dimension_of_covering_map_is_one():
 def test_dimension_invariant_under_squaring():
     for imap in (cantor_map(), uneven_repeller()):
         d1 = bowen_dimension(imap).dimension
-        d2 = bowen_dimension(imap.squared()).dimension
+        d2 = bowen_root(square_coding(code(imap).potential)).dimension
         assert abs(d1 - d2) < 1e-10
+        sq, _ = squared_by_partition_scan(imap)
+        assert abs(bowen_dimension(sq).dimension - d2) < 1e-10
 
 
 @given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))

@@ -631,8 +631,5 @@ def primitive_potentials(draw):
 @settings(max_examples=60, deadline=None)
 @given(primitive_potentials())
 def test_the_gibbs_chain_charges_exactly_the_subshift_of_its_potential(pot):
-    # the support of P does not depend on the tol; at the default 1e-13 some
-    # of these spectra (a gap near 5e-4) leave leading_eigen's residual
-    # stalled above tol * lam, which is not what this property is about
-    g = gibbs_measure(pot, tol=1e-10)
+    g = gibbs_measure(pot)
     assert np.array_equal(g.P > 0, g.potential.sft.transition != 0)

@@ -74,6 +74,15 @@ def test_solve_beta_round_trip():
         assert abs(beta - beta_true) < 1e-6
 
 
+def test_solve_beta_near_the_range_end_stops_on_the_bracket():
+    # the mean is flat in beta near max U, so a stop on |mean - target|
+    # would end far from log(t / (1 - t)); the bracket ends within the
+    # rounding of the computed mean, about u / (1 - t) in beta
+    target = 1.0 - 1e-12
+    beta = solve_beta(FiniteSystem(np.array([0.0, 1.0])), target)
+    assert abs(beta - np.log(target / (1.0 - target))) < 1e-3
+
+
 def test_solve_beta_rejects_bad_targets():
     with pytest.raises(DegenerateObservable):
         solve_beta(FiniteSystem(np.full(4, 1.5)), 1.5)
@@ -237,6 +246,10 @@ def test_ising_match_is_artanh():
     for target in (-0.6, 0.0, 0.46211715726000974):
         beta = ising_match(target)
         assert abs(beta - np.arctanh(target)) < 1e-9
+    # near +-1 the correlation is flat in beta, so a stop on
+    # |corr - target| would end far from artanh: the search stops on beta
+    for target in (0.999999, -0.999999, 1.0 - 2.0 ** -53):
+        assert abs(ising_match(target) - np.arctanh(target)) < 1e-9
     with pytest.raises(TargetOutOfRange):
         ising_match(1.0)
     with pytest.raises(TargetOutOfRange):

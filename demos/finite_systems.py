@@ -10,8 +10,7 @@ increasing, so matching a target energy is a well-posed scalar solve.
 
 import numpy as np
 
-from thermoshift import (FiniteSystem, finite_equilibrium, mean_energy_at,
-                         solve_beta)
+from thermoshift import FiniteSystem, finite_equilibrium, solve_beta
 
 U = np.array([-1.0, 0.2, 0.5, 2.0])
 beta = 0.7
@@ -32,11 +31,16 @@ for h in (1e-4, 1e-5, 1e-6):
     fd1 = (p(beta + h) - p(beta - h)) / (2 * h)
     print(f"  h={h:.0e}   d/dbeta gap = {fd1 - eq.mean_energy(U):+.2e}")
 
+
+def mean_energy(b):
+    return finite_equilibrium(FiniteSystem(U, b)).mean_energy(U)
+
+
 print("\nmean energy is increasing in beta:")
 for b in (-2.0, -1.0, 0.0, 1.0, 2.0):
-    print(f"  beta={b:+4.1f}   <U> = {mean_energy_at(U, b):+.9f}")
+    print(f"  beta={b:+4.1f}   <U> = {mean_energy(b):+.9f}")
 
 target = 1.2
 matched = solve_beta(FiniteSystem(U), target)
 print(f"\nsolving <U> = {target}: beta = {matched:.12f}")
-print(f"  mean energy at that beta: {mean_energy_at(U, matched):.12f}")
+print(f"  mean energy at that beta: {mean_energy(matched):.12f}")

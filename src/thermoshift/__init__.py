@@ -12,9 +12,9 @@ from .errors import (BudgetError, ComputationError, DegenerateObservable,
                      DepthTooLarge, IsRepeller, ModelSchemaError,
                      ModelSemanticError, ModelSyntaxError, NoConvergence,
                      NotExpanding, NotMarkov, NotPrimitive, OutOfRange,
-                     PeriodTooLarge, SupportMismatch, TailUncertified,
-                     TargetOutOfRange, ThermoshiftError, UndeterminedTail,
-                     ZeroMassPath, ZeroRowOrColumn)
+                     SupportMismatch, TailUncertified, TargetOutOfRange,
+                     ThermoshiftError, UndeterminedTail, ZeroMassPath,
+                     ZeroRowOrColumn)
 
 # public name -> engine module, imported on first access (PEP 562), so that
 # `import thermoshift` or a CLI call loads only the engines it uses
@@ -36,8 +36,8 @@ _ENGINES = {
     "variational": ("FiniteSystem", "finite_equilibrium", "ising_match",
                     "ising_potential", "ising_pressure_exact",
                     "lattice_equilibrium", "lattice_pressure_trace",
-                    "markov_as_gibbs", "mean_energy_at", "pressure_Pn",
-                    "pressure_Pn_curve", "solve_beta"),
+                    "markov_as_gibbs", "pressure_Pn", "pressure_Pn_curve",
+                    "solve_beta"),
 }
 _LAZY = {name: module for module, names in _ENGINES.items() for name in names}
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DepthTooLarge, NoConvergence
+from .errors import NoConvergence, price
 
 
 def logsumexp(a) -> float:
@@ -29,9 +29,7 @@ def path_sum_price(n, width, budget):
     word-equivalents (a step, 5-8 us on 2 x86-64 vCPUs, is ~40 words)."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if (price := n * (width + 40)) > budget:
-        raise DepthTooLarge(f"the path sum to depth {n} costs {price} "
-                            f"word-equivalents, over the budget {budget}")
+    price(n * (width + 40), budget, f"the path sum to depth {n}")
 
 
 # entries a chunk wherever a long array becomes Python objects

@@ -326,15 +326,16 @@ def _cmd_aep(args, report, nu, _labels):
 
 
 def _cmd_periodic(args, report, sft):
+    from decimal import Decimal   # whose str has no int-string digit limit
     from .sft import _word_blocks
 
-    count = sft.periodic_count(args.n)
+    count = sft.periodic_count(args.n, args.budget)
     try:
         value = float(count)
     except OverflowError:   # reported as "inf"; exact_count keeps the digits
         value = math.inf
     report.result(f"periodic_count(n={args.n})", value, "count", "spectral")
-    report.annotate("exact_count", str(count))
+    report.annotate("exact_count", str(Decimal(count)))
     if args.check:
         T = sft.transition
         brute = sum(int(T[w[:, -1], w[:, 0]].sum())
@@ -345,7 +346,8 @@ def _cmd_periodic(args, report, sft):
                            [float(count), float(brute)], "count")
     if args.out:
         ns = range(1, args.n + 1)
-        report.table(args.out, ["n", "count"], [ns, map(sft.periodic_count, ns)])
+        report.table(args.out, ["n", "count"],
+                     [ns, (str(Decimal(sft.periodic_count(k, args.budget))) for k in ns)])
 
 
 def _cmd_production(args, report, nu, labels):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthTooLarge, NotPrimitive, PeriodTooLarge, ZeroRowOrColumn
+from .errors import NotPrimitive, ZeroRowOrColumn, price
 
 
 class Alphabet:
@@ -149,16 +149,17 @@ class SubshiftOfFiniteType:
             raise ValueError("word length must be >= 1")
         return _count_words(self.transition, n)
 
-    def periodic_count(self, n) -> int:
-        """Number of points of period n (not necessarily least): trace of M^n.
-
-        Exact in arbitrary precision.  ``_PERIOD_CAP`` guards against
-        accidental huge requests; the arithmetic itself has no overflow.
-        """
+    def periodic_count(self, n, budget=10 ** 7) -> int:
+        """Number of points of period n (not necessarily least): trace of M^n,
+        exact by squaring in Python ints, priced first (``errors.price``): 2
+        log2(n) products of m^3 multiply-adds of d-digit ints (30-bit digits,
+        m^n bounds an entry), each (d + 7) / 50 + d^2 / 150000 word-equivalents
+        (20 ns at d = 2, 0.4 us at 133, 21 us at 3333 on 2 x86-64 vCPUs)."""
         if n <= 0:
             raise ValueError("period must be >= 1")
-        if n > _PERIOD_CAP:
-            raise PeriodTooLarge(f"period {n} exceeds cap {_PERIOD_CAP}")
+        m, d = self.m, n * self.m.bit_length() // 30 + 1
+        price(2 * n.bit_length() * m ** 3 * (3000 * (d + 7) + d * d) // 150000,
+              budget, f"the trace of M^{n} over {m} symbols")
         return int(np.trace(np.linalg.matrix_power(self.transition.astype(object), n)))
 
     # -- entropy ---------------------------------------------------------------
@@ -199,7 +200,6 @@ def golden_mean_shift() -> SubshiftOfFiniteType:
 # max(_BLOCK_ROWS, m) * n (n + 1) / 2 bytes of words (0.9 MiB at n = 21),
 # plus intp indices for the one block it expands
 _BLOCK_ROWS = 1 << 12
-_PERIOD_CAP = 4096   # periodic counts refuse larger periods
 
 
 def _word_blocks(T, n, starts=None, budget=None):
@@ -210,15 +210,13 @@ def _word_blocks(T, n, starts=None, budget=None):
     omitted) and steps a -> b only where T[a, b] is nonzero.  Rows come in
     lexicographic order, at most _BLOCK_ROWS per block: the frontier of
     prefixes is expanded depth-first, a slice at a time, through the
-    successor lists of T.  With ``budget`` the paths are counted first
-    (``_count_words``), and more than ``budget`` of them raise DepthTooLarge
-    here, at the call, before any block is built: this is the enumeration
-    budget guard of every enumerator.
+    successor lists of T.  With ``budget`` the paths are counted first, and
+    ``_count_words`` refuses more than that at the call, before any block.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if budget is not None and _count_words(T, n, starts, stop_above=budget) > budget:
-        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
+    if budget is not None:
+        _count_words(T, n, starts, budget)
     T = np.asarray(T) != 0
     m = T.shape[0]
     dtype = np.min_scalar_type(m - 1)
@@ -253,14 +251,13 @@ def _word_blocks(T, n, starts=None, budget=None):
                     else np.flatnonzero(starts)).astype(dtype)[:, None]])
 
 
-def _count_words(T, n, starts=None, stop_above=None):
+def _count_words(T, n, starts=None, budget=None):
     """Exact number of length-n paths of the 0/1 matrix T (see _word_blocks).
 
     Iterates the vector of path counts per end symbol in Python integers,
-    so the count never overflows.  With ``stop_above`` the iteration stops
-    once the count of some shorter length exceeds it, and that count is
-    returned; every symbol must then have a successor in T, so counts never
-    decrease with the length and the true count exceeds ``stop_above`` too.
+    so the count never overflows.  With ``budget`` it stops once the count
+    of some shorter length exceeds it and refuses (``errors.price``): counts
+    never decrease with the length, as every symbol must have a successor.
     """
     T = np.asarray(T) != 0
     m = T.shape[0]
@@ -272,12 +269,13 @@ def _count_words(T, n, starts=None, stop_above=None):
     seg = (np.cumsum(indeg) - indeg)[indeg > 0]
     count = sum(vec.tolist())
     for _ in range(n - 1):
-        if stop_above is not None and count > stop_above:
+        if budget is not None and count > budget:
             break
         nxt = np.zeros(m, dtype=object)
         if len(src):
             nxt[indeg > 0] = np.add.reduceat(vec[src], seg)
         vec = nxt
         count = sum(vec.tolist())
+    price(count, budget, f"listing the {n}-words", counted=True)
     return count
 

@@ -53,8 +53,8 @@ def build(potential) -> np.ndarray:
     """
     from .potentials import recode_range2
 
+    potential.sft.require_primitive()   # mixing iff its block presentation is
     potential = recode_range2(potential)
-    potential.sft.require_primitive()
     phi = potential.with_range(2).dense_table
     admissible = potential.sft.transition != 0
     with np.errstate(over="ignore"):
@@ -101,15 +101,17 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
     should Bv or uB still have a zero or non-finite entry, squaring stops for
     good, as it does after ``_MAX_SQUARINGS``, and power steps go on.
     Once squaring has stopped, max(m, 64) rounds in a row that bring the
-    residual to no new minimum end the power steps on A.  Squaring cannot
-    split lambda from an eigenvalue near -lambda within rounding: the
-    squared iterates keep an error of about u / gap in that direction, whose
-    residual is twice as large.  So the power steps go on with A + lam I,
-    lam the estimate at that round, which has the same Perron vectors and
-    maps that eigenvalue near 0.  A second such run of rounds raises
-    NoConvergence: the tol is below what rounding lets the residual reach.
-    ``_MAX_ROUNDS`` caps the rounds.  A tol that is not a positive finite
-    number raises OutOfRange.
+    residual to no new minimum end the power steps on A, as does a check,
+    every max(m, 64) rounds, that finds the residual would reach tol * lam
+    only past ``_MAX_ROUNDS`` at the rate it fell since the last check.
+    Squaring cannot split lambda from an eigenvalue near -lambda within
+    rounding: the squared iterates keep an error of about u / gap in that
+    direction, whose residual is twice as large.  So the power steps go on
+    with A + lam I, lam the estimate at that round, which has the same
+    Perron vectors and maps that eigenvalue near 0.  A second such stall
+    raises NoConvergence: the residual falls too slowly, or rounding keeps
+    it above tol.  ``_MAX_ROUNDS`` caps the rounds.  A tol that is not a
+    positive finite number raises OutOfRange.
     """
     if not 0 < tol < np.inf:
         raise OutOfRange(f"tol must be a positive finite number, got {tol}")
@@ -140,13 +142,19 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
                              squarings=squarings)
         if res < best:
             best, best_it = res, it
-        elif (it - best_it >= plain
-              and not (accelerate and squarings < _MAX_SQUARINGS)):
-            if shift:
-                raise NoConvergence(
-                    f"no Perron eigendata within tol={tol}: the residual "
-                    f"stalled at {best:.2g} after {it} rounds")
-            shift, best_it = lam, it
+        if accelerate and squarings < _MAX_SQUARINGS:
+            mark, mark_res = it, res
+        elif it - best_it >= plain or it - mark >= plain:
+            # at the rate since the mark, tol * lam lies past _MAX_ROUNDS
+            slow = ((it - mark) * np.log(res / (tol * lam))
+                    > (_MAX_ROUNDS - it) * np.log(mark_res / res))
+            if it - best_it >= plain or slow:
+                if shift:
+                    raise NoConvergence(
+                        f"no Perron eigendata within tol={tol}: the residual "
+                        f"falls too slowly; it stalled at {best:.2g} after {it} rounds")
+                shift, best_it = lam, it
+            mark, mark_res = it, res
         if it > plain and accelerate and squarings < _MAX_SQUARINGS:
             if B is None:
                 scale = v
@@ -186,8 +194,8 @@ def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
     from .measures import GibbsMeasure
     from .potentials import recode_range2
 
-    potential = recode_range2(potential)
     A = build(potential)
+    potential = recode_range2(potential)
     eig = leading_eigen(A, tol=tol)
     v, u, lam = eig.v, eig.u, eig.lam
     P = A * v[None, :] / (lam * v[:, None])

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from ._numerics import bracketed_root, log_trace_power, logsumexp, path_sum_price
-from .errors import DegenerateObservable, DepthTooLarge, OutOfRange, TargetOutOfRange
+from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
 from .potentials import LocallyConstantPotential
 from .sft import SubshiftOfFiniteType, _count_words, full_shift
 from .transfer import build, gibbs_measure
@@ -54,14 +54,6 @@ def finite_equilibrium(system: FiniteSystem) -> FiniteEquilibrium:
     p = logsumexp(z)
     mu = np.exp(z - p)
     return FiniteEquilibrium(mu=mu, log_partition=p)
-
-
-def mean_energy_at(U, beta):
-    """<U> under the finite equilibrium at inverse temperature beta (stable)."""
-    z = beta * np.asarray(U, dtype=float)
-    z = z - z.max()
-    w = np.exp(z)
-    return float((w @ U) / w.sum())
 
 
 def solve_beta(system: FiniteSystem, target, tol=1e-12):
@@ -118,8 +110,7 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibriu
     if n < potential.r:
         raise OutOfRange(f"ring size {n} below potential range {potential.r}")
     # priced by counting, which stops past the budget: m ** n is never formed
-    if _count_words(sft.transition, n, stop_above=budget) > budget:
-        raise DepthTooLarge(f"more than {budget} cylinders at depth {n}")
+    _count_words(sft.transition, n, budget=budget)
     phi = potential.dense_table
     sums = np.zeros((sft.m,) * n)
     for i in range(n):
@@ -128,9 +119,12 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibriu
         window = [(i + j) % n for j in range(potential.r)]
         sums += np.expand_dims(phi.transpose(np.argsort(window)),
                                tuple(set(range(n)) - set(window)))
-    sums *= beta
-    log_z = logsumexp(sums)
-    sums -= log_z
+    with np.errstate(over="ignore"):   # -inf weighs 0, as it would; +inf is refused
+        sums *= beta
+        if sums.max() == np.inf:
+            raise OutOfRange(f"beta = {beta} takes a ring weight past the float range")
+        log_z = logsumexp(sums)
+        sums -= log_z
     return LatticeEquilibrium(n=n, pressure=log_z / n,
                               masses=np.exp(sums, out=sums).ravel())
 

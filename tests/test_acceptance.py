@@ -23,7 +23,7 @@ from thermoshift import (Alphabet, CriticalPowerFamily, FiniteSystem,
                          ising_potential, ising_pressure_exact,
                          kink_quotients, lattice_equilibrium,
                          lattice_pressure_trace, markov_as_gibbs,
-                         mean_energy_at, pressure,
+                         pressure,
                          pressure_periodic, pressure_renewal, pressure_Pn,
                          relative_entropy, relative_entropy_direct,
                          smb_estimate, square_coding, stationary_vector)

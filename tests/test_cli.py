@@ -2,6 +2,7 @@
 digest stability, CSV artifacts."""
 
 import argparse
+import contextlib
 import copy
 import csv
 import hashlib
@@ -727,6 +728,66 @@ def test_periodic_count_past_the_float_range(capsys):
     assert code == 0
     assert doc["payload"]["annotations"]["exact_count"] == str(2 ** 1100)
     assert result(doc, "periodic_count(n=1100)")["value"] == "inf"
+
+
+@contextlib.contextmanager
+def _int_str_digits(limit):
+    """Python's int-string conversion limit set to ``limit`` (0: none)
+    within the block, and restored after it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_periodic_prints_a_count_past_the_int_string_limit(capsys, tmp_path):
+    # 12^4096 has 4421 digits, past the default limit of 4300: the trace of
+    # the all-ones 12 x 12 matrix, whose eigenvalues are 12 and 0
+    model = tmp_path / "full12.yaml"
+    model.write_text("version: v1\nkind: sft\nlabels: [%s]\ntransition:\n%s" % (
+        ", ".join(f"s{i}" for i in range(12)), "  - [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]\n" * 12))
+    code, doc = run(capsys, "periodic", model, "--n", "4096")
+    assert code == 0
+    with _int_str_digits(0):
+        digits = str(12 ** 4096)
+    assert len(digits) == 4421
+    assert doc["payload"]["annotations"]["exact_count"] == digits
+
+
+def test_periodic_table_writes_counts_past_the_int_string_limit(capsys, tmp_path):
+    # one --out row a period: 2^2200 has 663 digits, past a limit of 640 (the
+    # least Python allows); a table that reaches 12^4096 re-squares 4096 times
+    out = tmp_path / "counts.csv"
+    with _int_str_digits(640):
+        code, doc = run(capsys, "periodic", MODELS / "full-shift.yaml",
+                        "--n", "2200", "--out", out)
+    assert code == 0
+    assert doc["payload"]["annotations"]["exact_count"] == str(2 ** 2200)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2201
+    assert lines[-1] == f"2200,{2 ** 2200}"
+    assert lines[1:4] == ["1,2", "2,4", "3,8"]
+
+
+@pytest.mark.parametrize("beta", ["-1e308", "1e308"])
+def test_lattice_near_the_float_range_is_finite_or_typed(capsys, beta):
+    # beta * S at -1e308 puts a ring weight past the float range: refused,
+    # where "inf" once came out with RuntimeWarnings and exit 0; at 1e308
+    # the sums overflow only to -inf, weights that underflow anyway
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lattice", str(MODELS / "full-shift.yaml"),
+                     str(MODELS / "site-energy.yaml"), "--n", "4", f"--beta={beta}"])
+    out, err = capsys.readouterr()
+    if beta == "-1e308":
+        assert code == 1 and out == ""
+        assert err.startswith("computation error: beta = -1e+308 takes a ring "
+                              "weight past the float range")
+    else:
+        assert code == 0 and err == ""
+        assert result(json.loads(out), "ring_pressure(n=4)")["value"] == 0.0
 
 
 def test_production_three_cycle(capsys):

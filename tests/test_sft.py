@@ -2,15 +2,16 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoshift import (Alphabet, MixingReport, NotPrimitive,
-                         PeriodTooLarge, SubshiftOfFiniteType,
-                         ZeroRowOrColumn, full_shift, golden_mean_shift)
+from thermoshift import (Alphabet, DepthTooLarge, MixingReport, NotPrimitive,
+                         SubshiftOfFiniteType, ZeroRowOrColumn, full_shift,
+                         golden_mean_shift)
 from thermoshift.sft import _word_blocks
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -128,16 +129,32 @@ def test_entropy_matches_word_growth():
 
 
 def test_periodic_count_refuses_a_period_outside_one_to_its_cap():
+    # the cap is the budget, which prices the bigint power before it starts
     sft = golden_mean_shift()
     with pytest.raises(ValueError, match="period must be >= 1"):
         sft.periodic_count(0)
-    with pytest.raises(PeriodTooLarge, match="period 4097 exceeds cap 4096"):
-        sft.periodic_count(4097)
-    # the trace of M^n on the golden mean shift is the Lucas number L_n
+    with pytest.raises(DepthTooLarge, match=r"^the trace of M\^4097 over 2 "
+                       r"symbols costs \d+ word-equivalents, over the budget 1000$"):
+        sft.periodic_count(4097, budget=1000)
+    # the trace of M^n on the golden mean shift is the Lucas number L_n, at
+    # n = 4097 too, past the fixed cap of 4096 that the budget replaced
     lucas = [2, 1]
-    while len(lucas) <= 4096:
+    while len(lucas) <= 4097:
         lucas.append(lucas[-1] + lucas[-2])
     assert sft.periodic_count(4096) == lucas[4096]
+    assert sft.periodic_count(4097) == lucas[4097]
+
+
+def test_periodic_count_on_1000_symbols_is_refused_at_once():
+    # at density 0.3, n = 6 took 0.78 s at m = 200 and 166 s at m = 1000 on
+    # a 2-vCPU x86-64 machine
+    rng = np.random.default_rng(1000)
+    M = (rng.random((1000, 1000)) < 0.3).astype(np.int8)
+    sft = SubshiftOfFiniteType([f"s{i}" for i in range(1000)], M)
+    start = time.perf_counter()
+    with pytest.raises(DepthTooLarge, match="over the budget 10000000$"):
+        sft.periodic_count(6)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_mixing_report():

@@ -8,6 +8,7 @@ them shares code with ``leading_eigen``'s power steps and rescaled squarings.
 import itertools
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from thermoshift import (CriticalPowerFamily, LocallyConstantPotential,
                          full_shift, gibbs_bounds, gibbs_measure,
                          golden_mean_shift, pressure, pressure_renewal)
 from thermoshift import transfer
-from thermoshift.errors import DepthTooLarge, NoConvergence, OutOfRange
+from thermoshift.errors import (DepthTooLarge, NoConvergence, NotPrimitive,
+                               OutOfRange)
 from thermoshift.potentials import recode_range2
 from thermoshift.sft import SubshiftOfFiniteType
 from thermoshift.transfer import build, leading_eigen
@@ -371,6 +373,48 @@ def test_underflowed_squares_fall_back_to_power_steps():
     assert eig.iterations > transfer._PLAIN_ROUNDS + 2
     assert np.all(eig.v > 0) and np.all(eig.u > 0)
     assert_matches_dense_eig(A, eig)
+
+
+def test_power_steps_that_cannot_reach_tol_end_at_once():
+    # the matrix above with a small coupling g: the power steps after the
+    # one squaring converge at a rate of about 1 - g, and at g = 1e-5 the
+    # residual would reach tol only past _MAX_ROUNDS (it once crept on for
+    # 763,504 rounds, 20-32 s, before it raised)
+    tiny = np.exp(-400.0)
+
+    def coupled(g):
+        return np.array([[1.0, tiny, g], [tiny, 1e-3, tiny], [g, tiny, 1.0 - g]])
+
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match="falls too slowly"):
+        leading_eigen(coupled(1e-5))
+    assert time.perf_counter() - start < 1.0
+    eig = leading_eigen(coupled(1e-3))
+    assert (eig.iterations, eig.squarings) == (9793, 1)
+    assert_matches_dense_eig(coupled(1e-3), eig)
+
+
+def test_primitivity_is_decided_on_the_base_subshift():
+    # the (r-1)-block presentation is conjugate to the base, so build checks
+    # the 2 symbols of the base and never the 4 blocks of a range-3 potential
+    values = {w: 0.1 * i for i, w in enumerate(itertools.product(range(2), repeat=3))}
+    pot = LocallyConstantPotential.from_function(full_shift(2), 3, values.get)
+    validate = SubshiftOfFiniteType.validate
+    seen = []
+
+    def spy(self):
+        seen.append(self.m)
+        return validate(self)
+
+    with mock.patch.object(SubshiftOfFiniteType, "validate", spy):
+        lam = pressure(pot)
+        mu = gibbs_measure(pot)
+    assert seen and set(seen) == {2}
+    assert mu.m == 4 and mu.pressure == lam
+    # a base that is not mixing is refused, with the base's Wielandt bound
+    flip = SubshiftOfFiniteType(["a", "b"], [[0, 1], [1, 0]])
+    with pytest.raises(NotPrimitive, match=r"Wielandt bound 2\)"):
+        pressure(LocallyConstantPotential.from_function(flip, 3, lambda w: 0.0))
 
 
 def test_perron_entry_below_the_float_range_is_refused():

@@ -13,8 +13,8 @@ from thermoshift import (FiniteSystem, LocallyConstantPotential, finite_equilibr
                          full_shift, gibbs_measure, golden_mean_shift,
                          ising_match, ising_potential, ising_pressure_exact,
                          lattice_equilibrium, lattice_pressure_trace,
-                         markov_as_gibbs, mean_energy_at, pressure, pressure_Pn,
-                         solve_beta, stationary_vector)
+                         markov_as_gibbs, pressure, pressure_Pn, solve_beta,
+                         stationary_vector)
 from thermoshift.errors import (DegenerateObservable, DepthTooLarge, NotPrimitive,
                                 OutOfRange, TargetOutOfRange)
 
@@ -56,11 +56,17 @@ def test_derivatives_of_log_partition(seed):
     assert abs(fd2 - var) < 1e-6
 
 
-def test_mean_energy_at_matches_equilibrium():
+def mean_energy(U, beta):
+    return finite_equilibrium(FiniteSystem(U, beta)).mean_energy(U)
+
+
+def test_equilibrium_mean_energy_matches_shifted_weights():
     system = random_system(99)
-    eq = finite_equilibrium(system)
-    assert abs(mean_energy_at(system.U, system.beta) -
-               eq.mean_energy(system.U)) < 1e-13
+    # the weights exp(beta U - max), normalized once at the end
+    z = system.beta * system.U
+    w = np.exp(z - z.max())
+    assert abs(mean_energy(system.U, system.beta) -
+               (w @ system.U) / w.sum()) < 1e-13
 
 
 def test_solve_beta_round_trip():
@@ -68,9 +74,9 @@ def test_solve_beta_round_trip():
     for _ in range(10):
         U = rng.uniform(-3.0, 3.0, size=int(rng.integers(2, 8)))
         beta_true = float(rng.uniform(-4.0, 4.0))
-        target = mean_energy_at(U, beta_true)
+        target = mean_energy(U, beta_true)
         beta = solve_beta(FiniteSystem(U), target)
-        assert abs(mean_energy_at(U, beta) - target) <= 1e-11
+        assert abs(mean_energy(U, beta) - target) <= 1e-11
         assert abs(beta - beta_true) < 1e-6
 
 
@@ -95,7 +101,7 @@ def test_solve_beta_rejects_bad_targets():
 
 def test_mean_energy_is_increasing_in_beta():
     U = np.array([-1.0, 0.3, 2.0])
-    values = [mean_energy_at(U, b) for b in np.linspace(-5, 5, 21)]
+    values = [mean_energy(U, b) for b in np.linspace(-5, 5, 21)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 

@@ -34,7 +34,7 @@ print(f"  root of 2^-s + 4^-s = 1 in closed form, log2(phi): {root:.12f}"
 
 # dimension is invariant under passing to the second iterate, whose coding
 # is the 2-word shift of T's coding with potential phi(a) + phi(b)
-res2 = bowen_root(square_coding(code(uneven).potential))
+res2 = bowen_root(square_coding(code(uneven)))
 print(f"  dim of T^2 = {res2.dimension:.12f}"
       f"   (difference {abs(res2.dimension - res.dimension):.1e})")
 
@@ -50,7 +50,7 @@ golden = PiecewiseLinearMarkovMap(
     ["0", "2/3", "1"], [("3/2", (0, 1)), (2, (0,))])
 result = acim(golden)
 print("\ngolden interval map ([0,2/3] at slope 3/2, [2/3,1] at slope 2):")
-for s, i in enumerate(result.coded.symbols):
+for s, i in enumerate(golden.branch_ids):
     lo, hi = golden.interval(i)
     print(f"  density on [{lo}, {hi}] = {result.densities[s]:.12f}")
 lo, hi = result.certificate(8)

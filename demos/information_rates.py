@@ -5,9 +5,8 @@ import numpy as np
 
 from thermoshift import (LocallyConstantPotential, MarkovMeasure,
                          aep_partition, entropy_by_blocks, full_shift,
-                         gibbs_measure, golden_mean_shift, markov_as_gibbs,
-                         relative_entropy, relative_entropy_direct,
-                         smb_estimate)
+                         gibbs_measure, golden_mean_shift, relative_entropy,
+                         relative_entropy_direct, smb_estimate)
 
 
 def bernoulli(p):
@@ -31,7 +30,9 @@ print("  every increment H_{n+1} - H_n equals the rate exactly:",
 # -- relative entropy two ways ----------------------------------------------------
 
 nu = bernoulli(0.5)
-mu = markov_as_gibbs(bernoulli(0.25).P)
+# Bernoulli(1/4) is the Gibbs state of phi(a) = log p_a on the full 2-shift
+mu = gibbs_measure(LocallyConstantPotential.from_function(
+    full_shift(2), 1, lambda w: np.log((0.25, 0.75)[w[0]])))
 closed = relative_entropy(nu, mu)
 print(f"\nKL rate of fair coin against Bernoulli(1/4): {closed:.12f}")
 print("  direct cylinder route is depth-independent for product measures:")

@@ -36,8 +36,7 @@ _ENGINES = {
     "variational": ("FiniteSystem", "finite_equilibrium", "ising_match",
                     "ising_potential", "ising_pressure_exact",
                     "lattice_equilibrium", "lattice_pressure_trace",
-                    "markov_as_gibbs", "pressure_Pn", "pressure_Pn_curve",
-                    "solve_beta"),
+                    "pressure_Pn", "pressure_Pn_curve", "solve_beta"),
 }
 _LAZY = {name: module for module, names in _ENGINES.items() for name in names}
 

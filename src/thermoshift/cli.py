@@ -327,7 +327,7 @@ def _cmd_aep(args, report, nu, _labels):
 
 def _cmd_periodic(args, report, sft):
     from decimal import Decimal   # whose str has no int-string digit limit
-    from .sft import _word_blocks
+    from .sft import _trace_powers, _word_blocks
 
     count = sft.periodic_count(args.n, args.budget)
     try:
@@ -345,25 +345,22 @@ def _cmd_periodic(args, report, sft):
         report.certificate("periodic_cross_check", ["spectral", "enumeration"],
                            [float(count), float(brute)], "count")
     if args.out:
-        ns = range(1, args.n + 1)
+        counts = _trace_powers(sft.transition, args.n, args.budget)
         report.table(args.out, ["n", "count"],
-                     [ns, (str(Decimal(sft.periodic_count(k, args.budget))) for k in ns)])
+                     [range(1, args.n + 1), map(str, map(Decimal, counts))])
 
 
-def _cmd_production(args, report, nu, labels):
+def _cmd_production(args, report, nu, _labels):
     from .measures import entropy_production, relative_entropy_direct
-    from .variational import markov_as_gibbs
 
-    forward = markov_as_gibbs(nu.P, labels=labels)
-    reversed_chain = nu.time_reversal()
-    backward = markov_as_gibbs(reversed_chain.P, labels=labels)
-    ep = entropy_production(forward, backward)
+    ep = entropy_production(nu)
     report.result("entropy_production", ep, "nats", "variational")
+    reversed_chain = nu.time_reversal()
     reversible = bool(np.max(np.abs(nu.P - reversed_chain.P)) <= 1e-12)
     report.annotate("reversible", reversible)
     if args.check:
         n = args.depth
-        direct = relative_entropy_direct(forward, backward, n, budget=args.budget)
+        direct = relative_entropy_direct(nu, reversed_chain, n, budget=args.budget)
         report.result(f"entropy_production_direct(n={n})", direct, "nats",
                       "enumeration")
         report.certificate("production_cross_check",
@@ -465,7 +462,7 @@ def _cmd_dimension(args, report, imap):
     report.result("pressure_residual", res.residual, "nats", "spectral")
     report.annotate("iterations", res.iterations)
     if args.check:
-        res2 = bowen_root(square_coding(code(imap).potential), tol=args.tol)
+        res2 = bowen_root(square_coding(code(imap)), tol=args.tol)
         report.result("dimension_of_square", res2.dimension, "dimensionless",
                       "spectral")
         report.certificate("square_recoding", ["spectral", "spectral"],
@@ -480,7 +477,7 @@ def _cmd_acim(args, report, imap):
                   "spectral")
     report.result("entropy", res.measure.entropy(), "nats", "spectral")
     intervals = []
-    for s, i in enumerate(res.coded.symbols):
+    for s, i in enumerate(imap.branch_ids):
         lo, hi = imap.interval(i)
         intervals.append([str(lo), str(hi)])
         report.result(f"density[{s}]", res.densities[s], "density", "spectral")

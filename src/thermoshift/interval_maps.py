@@ -103,21 +103,12 @@ class PiecewiseLinearMarkovMap:
         return self.breakpoints[i], self.breakpoints[i + 1]
 
 
-@dataclass
-class CodedSystem:
-    """Symbolic coding of a map: the geometric potential on the coding
-    subshift (its ``sft``) and the interval of each symbol."""
-
-    map: PiecewiseLinearMarkovMap
-    potential: LocallyConstantPotential   # -log |slope|, range 1
-    symbols: tuple                        # symbol -> partition interval index
-
-
-def code(imap: PiecewiseLinearMarkovMap) -> CodedSystem:
-    """Symbolic coding: symbol j follows i iff interval j sits in T(interval i)."""
+def code(imap: PiecewiseLinearMarkovMap) -> LocallyConstantPotential:
+    """Symbolic coding: the geometric potential -log |slope| (range 1) on the
+    subshift where symbol j follows i iff interval j sits in T(interval i);
+    symbol s codes the interval ``imap.branch_ids[s]``."""
     ids = imap.branch_ids
-    n = len(ids)
-    if n < 2:
+    if len(ids) < 2:
         raise NotMarkov("coding needs at least two branch intervals")
     M = np.array([[j in imap.branches[i].image for j in ids] for i in ids],
                  dtype=np.int8)
@@ -125,8 +116,7 @@ def code(imap: PiecewiseLinearMarkovMap) -> CodedSystem:
     sft = SubshiftOfFiniteType(Alphabet(labels), M)
     table = {(s,): float(-np.log(float(abs(imap.branches[i].slope))))
              for s, i in enumerate(ids)}
-    pot = LocallyConstantPotential(sft, 1, table)
-    return CodedSystem(map=imap, potential=pot, symbols=ids)
+    return LocallyConstantPotential(sft, 1, table)
 
 
 def square_coding(pot: LocallyConstantPotential) -> LocallyConstantPotential:
@@ -150,7 +140,7 @@ def square_coding(pot: LocallyConstantPotential) -> LocallyConstantPotential:
 class AcimResult:
     """Absolutely continuous invariant measure of a covering linear Markov map."""
 
-    coded: CodedSystem
+    map: PiecewiseLinearMarkovMap
     measure: object            # GibbsMeasure of -log|T'|
     pressure_residual: float
     densities: dict            # symbol -> density value on its interval
@@ -163,8 +153,8 @@ class AcimResult:
         the chain's floats.  Rounding is monotone on positive factors, so one
         forward (min, x) and (max, x) pass gives the rounded extremes exactly;
         over ``budget`` it raises DepthTooLarge first (``path_sum_price``)."""
-        imap, mu, ids = self.coded.map, self.measure, self.coded.symbols
-        T = self.coded.potential.sft.transition != 0
+        imap, mu = self.map, self.measure
+        ids, T = imap.branch_ids, mu.potential.sft.transition != 0
         path_sum_price(depth, T.size, budget)
         stretch = np.array([float(abs(imap.branches[i].slope)) for i in ids])
         length = np.array([float(imap.lengths[i]) for i in ids])
@@ -185,13 +175,12 @@ def acim(imap: PiecewiseLinearMarkovMap, tol=1e-13) -> AcimResult:
     """
     if not imap.covering:
         raise IsRepeller("branches do not cover [0,1]; no invariant density")
-    coded = code(imap)
-    meas = gibbs_measure(coded.potential, tol=tol)
+    meas = gibbs_measure(code(imap), tol=tol)
     if meas.pressure < -1e-10:
         raise IsRepeller(f"geometric pressure {meas.pressure} < 0")
     densities = {s: float(meas.pi[s] / float(imap.lengths[i]))
-                 for s, i in enumerate(coded.symbols)}
-    return AcimResult(coded=coded, measure=meas,
+                 for s, i in enumerate(imap.branch_ids)}
+    return AcimResult(map=imap, measure=meas,
                       pressure_residual=abs(meas.pressure), densities=densities)
 
 
@@ -206,7 +195,7 @@ class DimensionResult:
 
 def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResult:
     """Hausdorff dimension of the invariant set: ``bowen_root`` of -log|T'|."""
-    return bowen_root(code(imap).potential, tol=tol)
+    return bowen_root(code(imap), tol=tol)
 
 
 def bowen_root(pot: LocallyConstantPotential, tol=1e-12) -> DimensionResult:

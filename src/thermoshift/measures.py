@@ -269,7 +269,7 @@ def relative_entropy(nu: MarkovMeasure, mu: GibbsMeasure) -> float:
     return float(mu.pressure - nu.expectation(mu.potential) - nu.entropy())
 
 
-def relative_entropy_direct(nu: MarkovMeasure, mu: GibbsMeasure, n,
+def relative_entropy_direct(nu: MarkovMeasure, mu: MarkovMeasure, n,
                             budget=10 ** 7) -> float:
     """H_n(nu | mu)/n from one forward pass over nu's chain (``_log_term_sums``)
     with the terms log pi - log pi' and log P - log P' of mu = (pi', P')."""
@@ -346,10 +346,14 @@ def aep_partition(measure: MarkovMeasure, n, alpha, budget=10 ** 7) -> AepPartit
 # -- entropy production --------------------------------------------------------------
 
 
-def entropy_production(mu_plus: GibbsMeasure, mu_minus: GibbsMeasure) -> float:
-    """Relative entropy rate of the forward state with respect to the backward one.
-
-    Zero exactly when the two Markov forms coincide (detailed balance for a
-    chain and its time reversal).
-    """
-    return relative_entropy(mu_plus, mu_minus)
+def entropy_production(nu: MarkovMeasure) -> float:
+    """Relative entropy rate of a stationary chain against its time reversal
+    Q: e_p = sum_ab pi_a P_ab log(pi_a P_ab / (pi_b P_ba)) (Jiang, Qian and
+    Qian, LNM 1833), log P_ab - log Q_ab added along each row and the rows
+    weighed by pi, in index order.  Zero exactly under detailed balance; a
+    transition whose reverse is forbidden raises SupportMismatch."""
+    rev = nu.time_reversal()
+    _check_support(nu, rev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(nu.P > 0, np.log(nu.P) - np.log(rev.P), 0.0)
+    return float(ordered_sum(nu.pi * [ordered_sum(row) for row in nu.P * step]))

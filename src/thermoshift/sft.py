@@ -9,6 +9,7 @@ the boundary (model files, reports).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,10 +145,11 @@ class SubshiftOfFiniteType:
         return mask
 
     def count_words(self, n) -> int:
-        """Exact number of admissible n-words: total of the entries of M^(n-1)."""
+        """Exact number of admissible n-words: total of the entries of M^(n-1),
+        its bigint steps priced against a budget of 10^7 (``_count_words``)."""
         if n <= 0:
             raise ValueError("word length must be >= 1")
-        return _count_words(self.transition, n)
+        return _count_words(self.transition, n, budget=10 ** 7)
 
     def periodic_count(self, n, budget=10 ** 7) -> int:
         """Number of points of period n (not necessarily least): trace of M^n,
@@ -211,12 +213,12 @@ def _word_blocks(T, n, starts=None, budget=None):
     lexicographic order, at most _BLOCK_ROWS per block: the frontier of
     prefixes is expanded depth-first, a slice at a time, through the
     successor lists of T.  With ``budget`` the paths are counted first, and
-    ``_count_words`` refuses more than that at the call, before any block.
+    ``_count_words`` refuses a walk that costs more, before any block.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
     if budget is not None:
-        _count_words(T, n, starts, budget)
+        _count_words(T, n, starts, budget, listing=True)
     T = np.asarray(T) != 0
     m = T.shape[0]
     dtype = np.min_scalar_type(m - 1)
@@ -251,31 +253,61 @@ def _word_blocks(T, n, starts=None, budget=None):
                     else np.flatnonzero(starts)).astype(dtype)[:, None]])
 
 
-def _count_words(T, n, starts=None, budget=None):
-    """Exact number of length-n paths of the 0/1 matrix T (see _word_blocks).
-
-    Iterates the vector of path counts per end symbol in Python integers,
-    so the count never overflows.  With ``budget`` it stops once the count
-    of some shorter length exceeds it and refuses (``errors.price``): counts
-    never decrease with the length, as every symbol must have a successor.
-    """
+def _count_words(T, n, starts=None, budget=None, listing=False):
+    """Exact number of length-n paths of the 0/1 matrix T (see _word_blocks),
+    from path counts per end symbol in Python ints, priced step by step
+    (``errors.price``): a step is 40 word-equivalents plus (d + 25)/85 a
+    transition at counts of d 30-bit digits, and ``listing`` adds the walk of
+    _word_blocks: 1 a word and, at depth k, 150 a block of up to _BLOCK_ROWS
+    prefixes and k/1000 a prefix.  Counts never fall (every symbol has a
+    successor), so step k refuses once the steps made, n - k more at its cost
+    and the words so far pass the budget: a request far over it, before its
+    first step (fitted at 0.1 us a word-equivalent, 2 x86-64 vCPUs)."""
     T = np.asarray(T) != 0
-    m = T.shape[0]
-    vec = (np.ones(m, dtype=np.int64) if starts is None
+    step, nnz = _summing_step(T), int(T.sum())
+    vec = (np.ones(len(T), dtype=np.int64) if starts is None
            else (np.asarray(starts) != 0).astype(np.int64)).astype(object)
-    # predecessor lists, grouped by end symbol
-    end, src = np.nonzero(T.T)
-    indeg = np.bincount(end, minlength=m)
-    seg = (np.cumsum(indeg) - indeg)[indeg > 0]
-    count = sum(vec.tolist())
-    for _ in range(n - 1):
-        if budget is not None and count > budget:
-            break
-        nxt = np.zeros(m, dtype=object)
-        if len(src):
-            nxt[indeg > 0] = np.add.reduceat(vec[src], seg)
-        vec = nxt
+    what = f"{'listing' if listing else 'counting'} the {n}-words"
+    count, spent = sum(vec.tolist()), 0
+    for k in range(1, n):
+        cost = 40 + nnz * (count.bit_length() // 30 + 26) // 85
+        if listing:
+            cost += 150 * -(-count // _BLOCK_ROWS) + count * k // 1000
+        price(spent + (n - k) * cost + listing * count, budget, what, counted=True)
+        spent += cost
+        vec = step(vec)
         count = sum(vec.tolist())
-    price(count, budget, f"listing the {n}-words", counted=True)
+    price(spent + listing * count, budget, what)
     return count
 
+
+def _trace_powers(T, n, budget=None):
+    """trace(M^k), k = 1..n, from one running product M^k = M^(k-1) M of the
+    0/1 matrix T in Python ints, priced at the call (``errors.price``): step k
+    adds nnz m ints of d_k = k ceil(log2 e)/30 + 1 digits (e the largest
+    in-degree), (d_k + 25)/85 each, and prints one in d_k^2/70 + 80; summed
+    over k, n (d_n + 51)/2 and n d_n^2/3."""
+    T = np.asarray(T) != 0
+    m, nnz, e = len(T), int(T.sum()), int(T.sum(axis=0).max())
+    d = n * (e - 1).bit_length() // 30 + 1
+    price(nnz * m * n * (d + 51) // 170 + n * d * d // 210 + 80 * n, budget,
+          f"the traces of M^1..M^{n} over {m} symbols")
+    step = _summing_step(T)
+    powers = accumulate(range(n - 1), lambda power, _: step(power),
+                        initial=T.astype(np.int64).astype(object))
+    return (int(power.trace()) for power in powers)
+
+
+def _summing_step(T):
+    """x -> x T on the last axis of an object array of Python ints, for the
+    0/1 matrix T: each end symbol sums its predecessors' entries."""
+    end, src = np.nonzero(T.T)
+    into, seg = np.unique(end, return_index=True)
+
+    def step(x):
+        nxt = np.zeros(x.shape, dtype=object)
+        if len(src):
+            nxt[..., into] = np.add.reduceat(x[..., src], seg, axis=-1)
+        return nxt
+
+    return step

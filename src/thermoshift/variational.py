@@ -14,9 +14,9 @@ from itertools import product
 import numpy as np
 
 from ._numerics import bracketed_root, log_trace_power, logsumexp, path_sum_price
-from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange
+from .errors import DegenerateObservable, OutOfRange, TargetOutOfRange, price
 from .potentials import LocallyConstantPotential
-from .sft import SubshiftOfFiniteType, _count_words, full_shift
+from .sft import full_shift
 from .transfer import build, gibbs_measure
 
 
@@ -109,8 +109,9 @@ def lattice_equilibrium(n, potential, beta, budget=2 ** 22) -> LatticeEquilibriu
     _require_full(sft)
     if n < potential.r:
         raise OutOfRange(f"ring size {n} below potential range {potential.r}")
-    # priced by counting, which stops past the budget: m ** n is never formed
-    _count_words(sft.transition, n, budget=budget)
+    # m ** n configurations, never formed past the budget's bits
+    k = n if budget is None else min(n, budget.bit_length() + 1)
+    price(sft.m ** k, budget, f"listing the {n}-words", counted=True)
     phi = potential.dense_table
     sums = np.zeros((sft.m,) * n)
     for i in range(n):
@@ -231,28 +232,3 @@ def ising_match(target_correlation, tol=1e-12):
                 - target_correlation)
 
     return float(bracketed_root(excess, -1.0, 1.0, xtol=tol)[0])
-
-
-def markov_as_gibbs(Q, labels=None, tol=1e-13) -> GibbsMeasure:
-    """Present a primitive stochastic matrix as the Gibbs state of log Q.
-
-    The potential phi(a, b) = log Q[a, b] on the subshift supported by Q has
-    pressure zero and its Gibbs state is exactly the chain (pi_Q, Q).
-    Forbidden transitions (zero entries) are removed from the subshift
-    support.  Q must be primitive: the spectral machinery needs mixing, so a
-    merely irreducible periodic chain is rejected.
-    """
-    from .measures import _STOCHASTIC_TOL
-
-    Q = np.asarray(Q, dtype=float)
-    m = Q.shape[0]
-    if Q.shape != (m, m):
-        raise ValueError("Q must be square")
-    if np.max(np.abs(Q.sum(axis=1) - 1.0)) > _STOCHASTIC_TOL or (Q < 0).any():
-        raise ValueError("Q must be row-stochastic (tolerance 1e-9)")
-    if labels is None:
-        labels = [str(i) for i in range(m)]
-    sft = SubshiftOfFiniteType(labels, (Q > 0).astype(np.int8))
-    sft.require_primitive()
-    pot = LocallyConstantPotential.from_function(sft, 2, lambda w: np.log(Q[w]))
-    return gibbs_measure(pot, tol=tol)

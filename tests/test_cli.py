@@ -758,7 +758,7 @@ def test_periodic_prints_a_count_past_the_int_string_limit(capsys, tmp_path):
 
 def test_periodic_table_writes_counts_past_the_int_string_limit(capsys, tmp_path):
     # one --out row a period: 2^2200 has 663 digits, past a limit of 640 (the
-    # least Python allows); a table that reaches 12^4096 re-squares 4096 times
+    # least Python allows); the rows come from one running product
     out = tmp_path / "counts.csv"
     with _int_str_digits(640):
         code, doc = run(capsys, "periodic", MODELS / "full-shift.yaml",
@@ -769,6 +769,25 @@ def test_periodic_table_writes_counts_past_the_int_string_limit(capsys, tmp_path
     assert len(lines) == 2201
     assert lines[-1] == f"2200,{2 ** 2200}"
     assert lines[1:4] == ["1,2", "2,4", "3,8"]
+
+
+def test_periodic_table_over_budget_writes_no_file(capsys, tmp_path):
+    # the whole table is priced before the CSV is opened: the full 12-shift
+    # to n = 4096 is refused at once by the default budget, and n = 200 fits
+    model = tmp_path / "full12.yaml"
+    model.write_text("version: v1\nkind: sft\nlabels: [%s]\ntransition:\n%s" % (
+        ", ".join(f"s{i}" for i in range(12)), "  - [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]\n" * 12))
+    out = tmp_path / "counts.csv"
+    start = time.perf_counter()
+    code = main(["periodic", str(model), "--n", "4096", "--out", str(out)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith(
+        "budget exceeded: the traces of M^1..M^4096 over 12 symbols costs ")
+    code, doc = run(capsys, "periodic", model, "--n", "200", "--out", out)
+    assert code == 0 and doc["payload"]["artifacts"][0]["rows"] == 200
+    with _int_str_digits(0):
+        assert out.read_text().splitlines()[-1] == f"200,{12 ** 200}"
 
 
 @pytest.mark.parametrize("beta", ["-1e308", "1e308"])
@@ -799,6 +818,33 @@ def test_production_three_cycle(capsys):
     assert doc["payload"]["annotations"]["reversible"] is False
     cert = certificate(doc, "production_cross_check")
     assert cert["discrepancy"] < 0.2
+
+
+def chain_model(tmp_path, rows):
+    path = tmp_path / "chain.yaml"
+    path.write_text("version: v1\nkind: markov-chain\ntransition:\n" +
+                    "".join(f"  - {list(row)}\n" for row in rows))
+    return path
+
+
+def test_production_of_a_periodic_chain(tmp_path, capsys):
+    # a biased four-cycle of period 2, which no Perron solve would take
+    chain = chain_model(tmp_path, [[0.0, 0.9, 0.0, 0.1], [0.1, 0.0, 0.9, 0.0],
+                                   [0.0, 0.1, 0.0, 0.9], [0.9, 0.0, 0.1, 0.0]])
+    code, doc = run(capsys, "production", chain, "--check")
+    assert code == 0
+    ep = result(doc, "entropy_production")["value"]
+    assert abs(ep - 1.7577796618689756) <= math.ulp(ep)   # 0.8 ln 9
+
+
+def test_production_refuses_a_one_way_transition(tmp_path):
+    chain = chain_model(tmp_path, [[0.0, 1.0, 0.0], [0.0, 0.5, 0.5],
+                                   [0.5, 0.0, 0.5]])
+    proc = subprocess.run([sys.executable, "-m", "thermoshift", "production",
+                           str(chain)], capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("computation error: nu charges transition 0->1 "
+                           "outside mu's support\n")
 
 
 def test_aep_masses_sum_to_one(capsys):
@@ -1127,7 +1173,7 @@ _CALL_MODULES = [
      "_numerics measures sft"),
     (["periodic", _model("golden-mean"), "--n", "12", "--check"], "sft"),
     (["production", _model("three-cycle"), "--check"],
-     _SPECTRAL + " measures variational"),
+     "_numerics measures sft"),
     (["lattice", _model("full-shift"), _model("site-energy"), "--n", "16",
       "--check"], _SPECTRAL + " variational"),
     (["ising", "--beta", "0.8", "--n", "16", "--target", "0.5"],

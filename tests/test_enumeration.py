@@ -291,6 +291,22 @@ def test_deep_request_over_budget_is_refused_fast(entry):
     assert REFUSAL.match(str(refused.value).strip()), str(refused.value)
 
 
+def test_a_walk_that_never_branches_is_priced_by_its_depth():
+    # the support of a 2-cycle is two words at every depth, so the count
+    # never passes the budget; its steps and the walk's blocks are priced
+    # instead, and refused before the first at 10^6 and 10^8, where 10^5
+    # took 3.1 s on a 2-vCPU x86-64 machine
+    flip = MarkovMeasure([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    for n in (10 ** 6, 10 ** 8):
+        start = time.perf_counter()
+        with pytest.raises(DepthTooLarge, match=rf"^listing the {n}-words costs "
+                           r"more than 10000000 word-equivalents"):
+            aep_partition(flip, n, 0.1)
+        assert time.perf_counter() - start < 0.1
+    part = aep_partition(flip, 1000, 0.1)
+    assert part.word_count == 2 and part.typical_mass == 1.0
+
+
 def test_entropy_by_blocks_refuses_before_its_first_block():
     # the pass is priced before its first step: 10 (2^2 + 40) word-equivalents
     # fit a budget of 2^10 and 30 (2^2 + 40) do not, and a refused call

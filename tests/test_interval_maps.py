@@ -79,30 +79,33 @@ def test_constructor_rejections():
 
 
 def test_golden_interval_codes_to_golden_mean():
-    coded = code(golden_interval_map())
-    assert coded.potential.sft.transition.tolist() == [[1, 1], [1, 0]]
-    assert coded.potential.table[(0,)] == -float(np.log(1.5))
-    assert coded.potential.table[(1,)] == -float(np.log(2.0))
+    pot = code(golden_interval_map())
+    assert pot.sft.transition.tolist() == [[1, 1], [1, 0]]
+    assert pot.table[(0,)] == -float(np.log(1.5))
+    assert pot.table[(1,)] == -float(np.log(2.0))
 
 
-def cylinder_length(coded, word):
-    """Exact length of the interval cylinder coded by the word: 0 off the
-    coding subshift, else the last interval's length over the slopes of the
-    intervals before it."""
+def cylinder_length(imap, word):
+    """Exact length of the interval cylinder coded by the word (symbol s is
+    the branch interval ``imap.branch_ids[s]``): 0 unless each interval's
+    image holds the next, else the last interval's length over the slopes of
+    the intervals before it."""
+    ids = imap.branch_ids
     word = tuple(word)
-    if not coded.potential.sft.is_admissible(word):
+    if not all(ids[b] in imap.branches[ids[a]].image
+               for a, b in zip(word, word[1:])):
         return Fraction(0)
-    total = coded.map.lengths[coded.symbols[word[-1]]]
+    total = imap.lengths[ids[word[-1]]]
     for sym in word[:-1]:
-        total /= abs(coded.map.branches[coded.symbols[sym]].slope)
+        total /= abs(imap.branches[ids[sym]].slope)
     return total
 
 
 def test_cylinder_lengths_are_exact():
-    coded = code(cantor_map())
-    assert cylinder_length(coded, (0, 1, 0)) == Fraction(1, 27)
-    assert cylinder_length(coded, (1, 1, 1, 1)) == Fraction(1, 81)
-    golden = code(golden_interval_map())
+    cantor = cantor_map()
+    assert cylinder_length(cantor, (0, 1, 0)) == Fraction(1, 27)
+    assert cylinder_length(cantor, (1, 1, 1, 1)) == Fraction(1, 81)
+    golden = golden_interval_map()
     assert cylinder_length(golden, (1, 1)) == Fraction(0)
     assert cylinder_length(golden, (0, 1)) == Fraction(1, 3) / Fraction(3, 2)
     # depth-n cylinder lengths tile the branch intervals
@@ -166,7 +169,7 @@ def test_squared_map_refines_the_partition():
     sq2, _ = squared_by_partition_scan(doubling_map())
     assert len(sq2.branch_ids) == 4
     assert sq2.covering
-    square = square_coding(code(cantor_map()).potential)
+    square = square_coding(code(cantor_map()))
     assert square.sft.alphabet.labels == ("I0I0", "I0I2", "I2I0", "I2I2")
     assert square.sft.transition.all()
     assert (square.dense_table == -2 * float(np.log(3.0))).all()
@@ -176,8 +179,7 @@ def check_squares(imap, times):
     """square_coding is code(T^2) for the geometric square T^2, ``times``
     squares up from imap: the same 2-word for each symbol, the same
     transitions, and the potentials within 1 ulp."""
-    coded = code(imap)
-    pot, symbol = coded.potential, {i: s for s, i in enumerate(coded.symbols)}
+    pot, symbol = code(imap), {i: s for s, i in enumerate(imap.branch_ids)}
     for _ in range(times):
         sq, words = squared_by_partition_scan(imap)
         square = square_coding(pot)
@@ -187,11 +189,11 @@ def check_squares(imap, times):
         index = {pair: k for k, pair in enumerate(pairs)}
         symbol = {i: index[symbol[a], symbol[b]] for i, (a, b) in words.items()}
         geo = code(sq)
-        order = [symbol[i] for i in geo.symbols]
+        order = [symbol[i] for i in sq.branch_ids]
         assert sorted(order) == list(range(square.sft.m))
         assert np.array_equal(square.sft.transition[np.ix_(order, order)],
-                              geo.potential.sft.transition)
-        values, exact = square.dense_table[order], geo.potential.dense_table
+                              geo.sft.transition)
+        values, exact = square.dense_table[order], geo.dense_table
         assert (np.abs(values - exact) <= np.spacing(np.abs(exact))).all()
         pot, imap = square, sq
 
@@ -265,7 +267,7 @@ def exact_ratio_extremes(result, n):
         masses = {w + (b,): mass * Fraction(x) for w, mass in masses.items()
                   for b, x in enumerate(P[w[-1]]) if x > 0}
     ratios = [mass / length for w, mass in masses.items()
-              if (length := cylinder_length(result.coded, w))]
+              if (length := cylinder_length(result.map, w))]
     return min(ratios), max(ratios)
 
 
@@ -273,10 +275,10 @@ def rounded_ratio_extremes(result, n):
     """Extremes of the same ratios in floats, word by word, each rounded left
     to right: pi(w_0), then one factor P(a, b) |T'_a| a step, then the
     division by the last interval's length."""
-    imap, pi, P = result.coded.map, result.measure.pi, result.measure.P
-    stretch = [float(abs(imap.branches[i].slope)) for i in result.coded.symbols]
-    length = [float(imap.lengths[i]) for i in result.coded.symbols]
-    T = result.coded.potential.sft.transition
+    imap, pi, P = result.map, result.measure.pi, result.measure.P
+    stretch = [float(abs(imap.branches[i].slope)) for i in imap.branch_ids]
+    length = [float(imap.lengths[i]) for i in imap.branch_ids]
+    T = result.measure.potential.sft.transition
     ratios = []
     for w in itertools.product(range(len(pi)), repeat=n):
         if all(T[a, b] for a, b in zip(w, w[1:])):
@@ -353,7 +355,7 @@ def test_dimension_of_covering_map_is_one():
 def test_dimension_invariant_under_squaring():
     for imap in (cantor_map(), uneven_repeller()):
         d1 = bowen_dimension(imap).dimension
-        d2 = bowen_root(square_coding(code(imap).potential)).dimension
+        d2 = bowen_root(square_coding(code(imap))).dimension
         assert abs(d1 - d2) < 1e-10
         sq, _ = squared_by_partition_scan(imap)
         assert abs(bowen_dimension(sq).dimension - d2) < 1e-10

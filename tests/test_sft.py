@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from thermoshift import (Alphabet, DepthTooLarge, MixingReport, NotPrimitive,
                          SubshiftOfFiniteType, ZeroRowOrColumn, full_shift,
                          golden_mean_shift)
-from thermoshift.sft import _word_blocks
+from thermoshift.sft import _trace_powers, _word_blocks
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -155,6 +155,47 @@ def test_periodic_count_on_1000_symbols_is_refused_at_once():
     with pytest.raises(DepthTooLarge, match="over the budget 10000000$"):
         sft.periodic_count(6)
     assert time.perf_counter() - start < 0.1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_trace_table_rows_are_the_periodic_counts(seed):
+    # every row of the running product is the squaring route's count
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 9))
+    while True:
+        M = (rng.random((m, m)) < rng.uniform(0.2, 0.9)).astype(np.int8)
+        if M.sum(axis=0).all() and M.sum(axis=1).all():
+            break
+    sft = SubshiftOfFiniteType([str(i) for i in range(m)], M)
+    assert list(_trace_powers(M, 40)) == [sft.periodic_count(k)
+                                          for k in range(1, 41)]
+
+
+def test_trace_table_is_priced_once_at_the_call():
+    # the full 12-shift to n = 4096: 3.1e7 word-equivalents (2.3 s on a
+    # 2-vCPU x86-64 machine), refused before the first product is drawn
+    M = np.ones((12, 12), dtype=np.int8)
+    start = time.perf_counter()
+    with pytest.raises(DepthTooLarge, match=r"^the traces of M\^1..M\^4096 over "
+                       r"12 symbols costs \d+ word-equivalents, over the budget "
+                       r"10000000$"):
+        _trace_powers(M, 4096, budget=10 ** 7)
+    assert time.perf_counter() - start < 0.1
+    rows = _trace_powers(M, 3, budget=10 ** 7)
+    assert list(rows) == [12, 144, 1728]
+
+
+def test_count_words_prices_its_steps_but_not_its_count():
+    sft = golden_mean_shift()
+    # the 34-words are 14,930,352, past the default budget of 10^7
+    assert sft.count_words(34) == 14930352
+    start = time.perf_counter()
+    for n in (10 ** 6, 10 ** 9):
+        with pytest.raises(DepthTooLarge, match=rf"^counting the {n}-words costs "
+                           r"more than 10000000 word-equivalents"):
+            sft.count_words(n)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_mixing_report():

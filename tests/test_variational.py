@@ -13,10 +13,11 @@ from thermoshift import (FiniteSystem, LocallyConstantPotential, finite_equilibr
                          full_shift, gibbs_measure, golden_mean_shift,
                          ising_match, ising_potential, ising_pressure_exact,
                          lattice_equilibrium, lattice_pressure_trace,
-                         markov_as_gibbs, pressure, pressure_Pn, solve_beta,
-                         stationary_vector)
-from thermoshift.errors import (DegenerateObservable, DepthTooLarge, NotPrimitive,
-                                OutOfRange, TargetOutOfRange)
+                         pressure, pressure_Pn, solve_beta, stationary_vector)
+from thermoshift.errors import (DegenerateObservable, DepthTooLarge, OutOfRange,
+                                TargetOutOfRange)
+
+from gibbs_oracle import gibbs_of_chain
 
 
 def random_system(seed):
@@ -268,19 +269,13 @@ def test_ising_correlation_round_trip():
     assert abs(mu.expectation(ising_potential(1.0)) - np.tanh(beta)) < 1e-12
 
 
-def test_markov_as_gibbs_round_trip():
+def test_gibbs_state_of_log_q_round_trip():
+    # the Gibbs state of log Q is the chain of Q, with pressure 0
     Q = np.array([[0.6, 0.4], [0.9, 0.1]])
-    mu = markov_as_gibbs(Q)
+    mu = gibbs_of_chain(Q)
     assert abs(mu.pressure) < 1e-12
     assert np.max(np.abs(mu.P - Q)) < 1e-12
     assert np.max(np.abs(mu.pi - stationary_vector(Q))) < 1e-12
-
-
-def test_markov_as_gibbs_input_validation():
-    with pytest.raises(ValueError):
-        markov_as_gibbs(np.array([[0.5, 0.499999], [0.5, 0.5]]))
-    with pytest.raises(NotPrimitive):
-        markov_as_gibbs(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 # -- subgradient and convexity -------------------------------------------------------------

@@ -162,22 +162,27 @@ class MarkovMeasure:
 
 
 def stationary_vector(P):
-    """Unique stationary probability vector of a row-stochastic matrix.
-
-    Solves (P^T - I) pi = 0 with the normalization row appended; requires the
-    chain to have a single recurrent class.
-    """
-    P = np.asarray(P, dtype=float)
-    m = P.shape[0]
-    A = P.T - np.eye(m)
-    A[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    if (pi < -1e-10).any():
-        raise ValueError("stationary vector is not unique or not positive")
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    """Unique stationary probability vector of a row-stochastic matrix, by
+    Grassmann-Taksar-Heyman elimination (Oper. Res. 33 (1985)): states are
+    censored out from the last down, each pivot the mass its state sends to
+    lower ones, so nothing is subtracted, entries are O(m u) accurate and
+    transient states exactly 0.  A zero pivot proves its state recurrent, so
+    rerun with it last: a zero pivot then is a second recurrent class."""
+    order = np.arange(len(P))
+    for _ in range(2):
+        A, k = np.asarray(P, float)[np.ix_(order, order)], len(P) - 1
+        while k and (pivot := A[k, :k].sum()):
+            A[:k, k] /= pivot
+            A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+            k -= 1
+        if not k:
+            pi = np.ones(len(A))
+            for j in range(1, len(A)):
+                pi[j] = (pi[:j] * A[:j, j]).sum()
+            return (pi / pi.sum())[np.argsort(order)]
+        order = np.r_[order[k], np.delete(order, k)]   # order[k] is recurrent
+    raise ValueError("states %d and %d lie in different recurrent classes"
+                     % tuple(sorted(order[:2])))
 
 
 def _uniforms(seed, count):

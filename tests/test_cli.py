@@ -847,6 +847,43 @@ def test_production_refuses_a_one_way_transition(tmp_path):
                            "outside mu's support\n")
 
 
+def test_a_chain_report_is_the_same_at_any_blas_thread_count(tmp_path):
+    # a 100-state chain: random support of density 0.25 plus the ring i -> i+1,
+    # integer weights over their row sums; a threaded LAPACK solve once gave
+    # its stationary vector, and the sample digest, one ulp apart
+    rng = np.random.default_rng(5)
+    ring = np.roll(np.eye(100, dtype=bool), 1, axis=1)
+    W = (rng.random((100, 100)) < 0.25) | ring
+    W = W * rng.integers(1, 1025, size=(100, 100))
+    chain = chain_model(tmp_path, (W / W.sum(axis=1, keepdims=True)).tolist())
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermoshift", "sample", str(chain),
+             "--seed", "1", "--depth", "1000"], capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout)["digest"])
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("rows, code, err", [
+    ([[1, 0, 0], [0.5, 0, 0.5], [0, 0, 1]], 5,
+     "states 0 and 2 lie in different recurrent classes"),
+    # state 0 is transient: it gets mass 0, and the chain sits on state 1
+    ([[0.5, 0.5], [0, 1]], 0, ""),
+])
+def test_a_chain_needs_one_recurrent_class(capsys, tmp_path, rows, code, err):
+    chain = chain_model(tmp_path, rows)
+    assert main(["sample", str(chain), "--seed", "1"]) == code
+    out = capsys.readouterr()
+    assert err in out.err and "Traceback" not in out.err
+    if code:
+        assert out.err.rstrip().endswith("[field: transition]")
+    else:
+        assert result(json.loads(out.out), "entropy_rate")["value"] == 0.0
+
+
 def test_aep_masses_sum_to_one(capsys):
     code, doc = run(capsys, "aep", MODELS / "lazy-coin.yaml",
                     "--depth", "10", "--alpha", "0.1")

@@ -472,7 +472,7 @@ def _cmd_dimension(args, report, imap):
 def _cmd_acim(args, report, imap):
     from .interval_maps import acim
 
-    res = acim(imap, tol=args.tol)
+    res = acim(imap)
     report.result("pressure_residual", res.pressure_residual, "nats",
                   "spectral")
     report.result("entropy", res.measure.entropy(), "nats", "spectral")
@@ -616,8 +616,7 @@ _COMMANDS = {
                   "Hausdorff dimension via the pressure equation", ["map"],
                   {"tol": 1e-12, "check": False}),
     "acim": (_cmd_acim, "invariant density of a covering map", ["map"],
-             {"tol": 1e-13, "depth": 8, "budget": _BUDGET, "check": False,
-              "out": None}),
+             {"depth": 8, "budget": _BUDGET, "check": False, "out": None}),
     "pn-scan": (_cmd_pn_scan, "finite pressure approximants P_n/n",
                 ["sft", "potential"],
                 {"n-max": 12, "beta": 1.0, "budget": _BUDGET, "out": None}),

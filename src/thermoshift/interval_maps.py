@@ -19,10 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._numerics import bracketed_root, path_sum_price
-from .errors import IsRepeller, NotExpanding, NotMarkov
-from .potentials import LocallyConstantPotential, _block_labels
+from .errors import IsRepeller, NotExpanding, NotMarkov, NotPrimitive
+from .measures import MarkovMeasure
 from .sft import Alphabet, SubshiftOfFiniteType
-from .transfer import gibbs_measure
 
 
 @dataclass
@@ -48,7 +47,9 @@ class PiecewiseLinearMarkovMap:
         One entry per interval: either None (hole) or a pair
         (slope, image_interval_indices).  Slopes are signed; |slope| must
         exceed 1 and |slope| * interval length must equal the total image
-        length exactly.
+        length exactly.  A branch's |slope| must be a finite double and its
+        length must not round to 0, so no float the engines read overflows
+        and no transition of the Gibbs chain underflows.
     """
 
     def __init__(self, breakpoints, branches):
@@ -76,6 +77,9 @@ class PiecewiseLinearMarkovMap:
             image = tuple(int(j) for j in image)
             if abs(slope) <= 1:
                 raise NotExpanding(f"branch {i} has |slope| {abs(slope)} <= 1")
+            if abs(slope) > np.finfo(float).max or not float(self.lengths[i]):
+                raise NotMarkov(f"branch {i}: its |slope| or its length is "
+                                "outside the range of a double")
             if not image:
                 raise NotMarkov(f"branch {i} has an empty image")
             if any(not 0 <= j < n_int for j in image):
@@ -107,6 +111,8 @@ def code(imap: PiecewiseLinearMarkovMap) -> LocallyConstantPotential:
     """Symbolic coding: the geometric potential -log |slope| (range 1) on the
     subshift where symbol j follows i iff interval j sits in T(interval i);
     symbol s codes the interval ``imap.branch_ids[s]``."""
+    from .potentials import LocallyConstantPotential
+
     ids = imap.branch_ids
     if len(ids) < 2:
         raise NotMarkov("coding needs at least two branch intervals")
@@ -128,6 +134,8 @@ def square_coding(pot: LocallyConstantPotential) -> LocallyConstantPotential:
     symbol of a subshift has a successor and a predecessor, so every 2-word
     has both too.
     """
+    from .potentials import LocallyConstantPotential, _block_labels
+
     sft = pot.sft
     a, b = np.nonzero(sft.transition)
     labels = _block_labels(sft.alphabet, zip(a.tolist(), b.tolist()))
@@ -141,9 +149,9 @@ class AcimResult:
     """Absolutely continuous invariant measure of a covering linear Markov map."""
 
     map: PiecewiseLinearMarkovMap
-    measure: object            # GibbsMeasure of -log|T'|
+    measure: MarkovMeasure     # the Gibbs chain of -log|T'|
     pressure_residual: float
-    densities: dict            # symbol -> density value on its interval
+    densities: dict            # interval -> density value on it
 
     def certificate(self, depth, budget=10 ** 7):
         """Extremes of mass(w) / |I_w| over the admissible depth-n words.
@@ -153,11 +161,10 @@ class AcimResult:
         the chain's floats.  Rounding is monotone on positive factors, so one
         forward (min, x) and (max, x) pass gives the rounded extremes exactly;
         over ``budget`` it raises DepthTooLarge first (``path_sum_price``)."""
-        imap, mu = self.map, self.measure
-        ids, T = imap.branch_ids, mu.potential.sft.transition != 0
+        mu, T = self.measure, self.measure.P > 0
         path_sum_price(depth, T.size, budget)
-        stretch = np.array([float(abs(imap.branches[i].slope)) for i in ids])
-        length = np.array([float(imap.lengths[i]) for i in ids])
+        stretch = np.array([float(abs(b.slope)) for b in self.map.branches])
+        length = np.array([float(x) for x in self.map.lengths])
         step = mu.P * stretch[:, None]
         lo = hi = mu.pi
         for _ in range(depth - 1):
@@ -166,22 +173,31 @@ class AcimResult:
         return float((lo / length).min()), float((hi / length).max())
 
 
-def acim(imap: PiecewiseLinearMarkovMap, tol=1e-13) -> AcimResult:
-    """Invariant density via the Gibbs state of the geometric potential.
-
-    Requires the branches to cover [0,1]; the pressure of -log|T'| is then 0
-    (up to the eigen residual) and the Gibbs state, divided by the interval
-    lengths, is the piecewise constant invariant density.
-    """
+def acim(imap: PiecewiseLinearMarkovMap) -> AcimResult:
+    """Invariant density of a covering map, read off the Gibbs chain of
+    -log|T'| with no eigen solve: the lengths x solve A x = x for its
+    transfer operator A_ab = [I_b in T(I_a)] / |T'_a|, so the chain is
+    P(a, b) = |I_b| / (|T'_a| |I_a|), each entry rounded once from the
+    rationals.  pi / x is the density, 0 on a transient interval; two
+    recurrent classes raise NotPrimitive.  ``pressure_residual`` is the
+    Collatz-Wielandt bound max_a |log((A x)_a / x_a)| on |P(-log|T'|)|."""
     if not imap.covering:
         raise IsRepeller("branches do not cover [0,1]; no invariant density")
-    meas = gibbs_measure(code(imap), tol=tol)
-    if meas.pressure < -1e-10:
-        raise IsRepeller(f"geometric pressure {meas.pressure} < 0")
-    densities = {s: float(meas.pi[s] / float(imap.lengths[i]))
-                 for s, i in enumerate(imap.branch_ids)}
-    return AcimResult(map=imap, measure=meas,
-                      pressure_residual=abs(meas.pressure), densities=densities)
+    P = np.zeros((len(imap.lengths),) * 2)
+    for a, (branch, length_a) in enumerate(zip(imap.branches, imap.lengths)):
+        for b in branch.image:
+            P[a, b] = imap.lengths[b] / (abs(branch.slope) * length_a)
+    try:
+        mu = MarkovMeasure.from_transition(P)
+    except ValueError as exc:
+        a, b = ("[%s, %s]" % imap.interval(i) for i in exc.states)
+        raise NotPrimitive(f"intervals {a} and {b} lie in different "
+                           "recurrent classes") from None
+    stretch = np.array([float(abs(b.slope)) for b in imap.branches])
+    length = np.array([float(x) for x in imap.lengths])
+    ax = np.where(P > 0, length, 0.0).sum(axis=1) / stretch
+    return AcimResult(imap, mu, float(np.abs(np.log(ax / length)).max()),
+                      dict(enumerate((mu.pi / length).tolist())))
 
 
 @dataclass
@@ -206,6 +222,8 @@ def bowen_root(pot: LocallyConstantPotential, tol=1e-12) -> DimensionResult:
     is bracketed in [0, P(0)/log(alpha) + 1].  Bisection plus Newton steps
     (the derivative is the Gibbs expectation of phi) stop when |P| <= tol.
     """
+    from .transfer import gibbs_measure
+
     residual = []
 
     def minus_pressure(s):

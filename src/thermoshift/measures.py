@@ -167,7 +167,8 @@ def stationary_vector(P):
     censored out from the last down, each pivot the mass its state sends to
     lower ones, so nothing is subtracted, entries are O(m u) accurate and
     transient states exactly 0.  A zero pivot proves its state recurrent, so
-    rerun with it last: a zero pivot then is a second recurrent class."""
+    rerun with it last: a zero pivot then is a second recurrent class, and
+    the ValueError carries one state of each class as ``states``."""
     order = np.arange(len(P))
     for _ in range(2):
         A, k = np.asarray(P, float)[np.ix_(order, order)], len(P) - 1
@@ -181,8 +182,10 @@ def stationary_vector(P):
                 pi[j] = (pi[:j] * A[:j, j]).sum()
             return (pi / pi.sum())[np.argsort(order)]
         order = np.r_[order[k], np.delete(order, k)]   # order[k] is recurrent
-    raise ValueError("states %d and %d lie in different recurrent classes"
-                     % tuple(sorted(order[:2])))
+    states = tuple(sorted(order[:2].tolist()))
+    exc = ValueError("states %d and %d lie in different recurrent classes" % states)
+    exc.states = states
+    raise exc
 
 
 def _uniforms(seed, count):

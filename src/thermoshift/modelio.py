@@ -402,6 +402,9 @@ def _check_markov_chain(model):
     try:
         return MarkovMeasure(v if pi is not None else stationary_vector(P), P)
     except ValueError as exc:
+        if labels is not None and hasattr(exc, "states"):
+            exc = "states %r and %r lie in different recurrent classes" % tuple(
+                labels[s] for s in exc.states)
         raise _semantic(model, str(exc),
                         "pi" if pi is not None else "transition") from None
 

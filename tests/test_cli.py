@@ -481,8 +481,8 @@ USAGE = {
     "hofbauer-scan": "[-h] [--betas BETAS] [--kink KINK] [--steps STEPS] "
                      "[--tol TOL] [--check] [--out PATH.CSV] [--bits] family",
     "dimension": "[-h] [--tol TOL] [--check] [--bits] map",
-    "acim": "[-h] [--tol TOL] [--depth DEPTH] [--budget BUDGET] [--check] "
-            "[--out PATH.CSV] [--bits] map",
+    "acim": "[-h] [--depth DEPTH] [--budget BUDGET] [--check] [--out PATH.CSV] "
+            "[--bits] map",
     "pn-scan": "[-h] [--n-max N_MAX] [--beta BETA] [--budget BUDGET] "
                "[--out PATH.CSV] [--bits] sft potential",
 }
@@ -490,7 +490,7 @@ USAGE = {
 # the defaults the handlers applied themselves before the parser held them
 DEFAULTS = {
     "tol": {"entropy": 1e-14, "pressure": 1e-13, "gibbs": 1e-13,
-            "ising": 1e-13, "acim": 1e-13, "hofbauer-scan": 1e-12,
+            "ising": 1e-13, "hofbauer-scan": 1e-12,
             "dimension": 1e-12},
     "depth": {"entropy": 12, "pressure": 12, "relent": 12, "production": 12,
               "bounds": 8, "acim": 8, "aep": 10, "sample": 1000},
@@ -821,8 +821,11 @@ def test_production_three_cycle(capsys):
 
 
 def chain_model(tmp_path, rows):
+    """A markov-chain file of these rows; a dict of rows labels each by its key."""
+    labels = f"labels: {list(rows)}\n" if isinstance(rows, dict) else ""
+    rows = rows.values() if isinstance(rows, dict) else rows
     path = tmp_path / "chain.yaml"
-    path.write_text("version: v1\nkind: markov-chain\ntransition:\n" +
+    path.write_text("version: v1\nkind: markov-chain\n" + labels + "transition:\n" +
                     "".join(f"  - {list(row)}\n" for row in rows))
     return path
 
@@ -872,6 +875,9 @@ def test_a_chain_report_is_the_same_at_any_blas_thread_count(tmp_path):
      "states 0 and 2 lie in different recurrent classes"),
     # state 0 is transient: it gets mass 0, and the chain sits on state 1
     ([[0.5, 0.5], [0, 1]], 0, ""),
+    # a file with labels has its two states named by them
+    ({"a": [1, 0, 0], "b": [0.5, 0, 0.5], "c": [0, 0, 1]}, 5,
+     "states 'a' and 'c' lie in different recurrent classes"),
 ])
 def test_a_chain_needs_one_recurrent_class(capsys, tmp_path, rows, code, err):
     chain = chain_model(tmp_path, rows)
@@ -968,6 +974,41 @@ def test_acim_densities_and_csv(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "left,right,density"
     assert len(lines) == 3
+
+
+_TEN_400 = 10 ** 400
+
+
+@pytest.mark.parametrize("argv, breakpoints, branches, code, err", [
+    # [0, 1/3] is transient: density 0 there, where the coding was refused
+    (["acim"], ["0", "1/3", "2/3", "1"],
+     [(3, [0, 1, 2]), (2, [1, 2]), (-2, [1, 2])], 0, ""),
+    (["acim"], ["0", "1/4", "1/2", "3/4", "1"],
+     [(2, [0, 1]), (-2, [0, 1]), (2, [2, 3]), (2, [2, 3])], 1,
+     "computation error: intervals [0, 1/4] and [1/2, 3/4] lie in different "
+     "recurrent classes"),
+    # [0, 10^-400] at slope 10^400, where float(|slope|) once raised
+    # OverflowError out of both commands
+    *((argv, ["0", f"1/{_TEN_400}", "1/2", "1"],
+       [(_TEN_400, [0, 1, 2]), (f"{2 * _TEN_400 - 2}/{_TEN_400 - 2}", [1, 2]),
+        (2, [0, 1, 2])], 5, "outside the range of a double")
+      for argv in (["acim", "--check"], ["dimension", "--check"])),
+], ids=["transient", "two-classes", "tiny-acim", "tiny-dimension"])
+def test_covering_maps_are_solved_or_refused_by_type(capsys, tmp_path, argv,
+                                                      breakpoints, branches,
+                                                      code, err):
+    path = tmp_path / "map.yaml"
+    path.write_text("version: v1\nkind: markov-map\nbreakpoints: "
+                    + json.dumps(breakpoints) + "\nbranches:\n" + "".join(
+                        f'  - {{slope: "{slope}", image: {image}}}\n'
+                        for slope, image in branches))
+    assert main([argv[0], str(path), *argv[1:]]) == code
+    out = capsys.readouterr()
+    assert err in out.err
+    if code == 5:
+        assert out.err.rstrip().endswith("[field: branches]")
+    if code == 0:
+        assert result(json.loads(out.out), "density[0]")["value"] == 0.0
 
 
 def test_hofbauer_scan_cli(capsys, tmp_path):
@@ -1221,7 +1262,7 @@ _CALL_MODULES = [
     (["dimension", _model("uneven-repeller"), "--check"],
      _SPECTRAL + " interval_maps measures"),
     (["acim", _model("golden-interval"), "--check", "--out", "{tmp}/density.csv"],
-     _SPECTRAL + " interval_maps measures"),
+     "_numerics interval_maps measures sft"),
     (["pn-scan", *_GOLDEN, "--n-max", "12", "--out", "{tmp}/curve.csv"],
      _SPECTRAL + " variational"),
 ]

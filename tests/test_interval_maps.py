@@ -7,15 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from thermoshift import modelio
-from thermoshift.errors import IsRepeller, NotExpanding, NotMarkov
+from thermoshift.errors import IsRepeller, NotExpanding, NotMarkov, NotPrimitive
 from thermoshift.interval_maps import (PiecewiseLinearMarkovMap, acim,
                                        bowen_dimension, bowen_root, code,
                                        square_coding)
 from thermoshift.potentials import _block_labels
+
+from gibbs_oracle import exact_stationary, recurrent_classes
 
 MODELS = Path(__file__).parent.parent / "demos" / "models"
 
@@ -198,14 +200,20 @@ def check_squares(imap, times):
         pot, imap = square, sq
 
 
-def grid_map(seed, n, holes, signed):
+def grid_map(seed, n, holes, signed, period=1):
     """n equal intervals, ``holes`` of them holes (never interval 0); each
-    branch maps onto a random run of k >= 2 intervals with slope +-k."""
+    branch maps onto a random run of k >= 2 intervals with slope +-k.  With
+    ``period`` p the intervals fall into p runs of at least n // p, and a
+    branch in run g maps into run g + 1 mod p, so every cycle of the coding
+    has a length divisible by p."""
     rng = np.random.default_rng(seed)
+    cuts = [-(-g * n // period) for g in range(period + 1)]
     branches = [None] * n
     for i in [0] + (1 + rng.permutation(n - 1)[holes:]).tolist():
-        k = int(rng.integers(2, n + 1))
-        start = int(rng.integers(0, n - k + 1))
+        g = (i * period // n + 1) % period
+        size = cuts[g + 1] - cuts[g]
+        k = int(rng.integers(2, size + 1))
+        start = cuts[g] + int(rng.integers(0, size - k + 1))
         sign = -1 if signed and rng.random() < 0.5 else 1
         branches[i] = (sign * k, range(start, start + k))
     return PiecewiseLinearMarkovMap([Fraction(i, n) for i in range(n + 1)],
@@ -236,6 +244,32 @@ def test_non_finite_breakpoint_or_slope_is_not_markov(bad):
         PiecewiseLinearMarkovMap([0, bad, 1], [(2, (0, 1)), (2, (0, 1))])
     with pytest.raises(NotMarkov, match="finite"):
         PiecewiseLinearMarkovMap(["0", "1/2", "1"], [(bad, (0, 1)), (2, (0, 1))])
+
+
+def steep_map(tiny):
+    """[0, tiny] onto [0, 1] at slope 1 / tiny, (tiny, 1/2) onto (tiny, 1)
+    and (1/2, 1) onto [0, 1]."""
+    half = Fraction(1, 2)
+    return [0, tiny, half, 1], [(1 / tiny, (0, 1, 2)),
+                                ((1 - tiny) / (half - tiny), (1, 2)),
+                                (2, (0, 1, 2))]
+
+
+@pytest.mark.parametrize("breakpoints, branches", [
+    # a slope of 10^309 is past the largest double, a length of 10^-309 not
+    steep_map(Fraction(1, 10 ** 309)),
+    # a length of 10^-400 rounds to 0, and the slope 10^400 is past range
+    steep_map(Fraction(1, 10 ** 400)),
+    # [0, 10^-400] onto an interval twice its length: the first branch
+    # fails on its length alone
+    ([0, Fraction(1, 10 ** 400), Fraction(3, 10 ** 400), 1],
+     [(2, (1,)), (Fraction(10 ** 400, 2), (0, 1, 2)),
+      (1 / (1 - Fraction(3, 10 ** 400)), (0, 1, 2))]),
+])
+def test_geometry_a_double_cannot_hold_is_not_markov(breakpoints, branches):
+    # the coding's float(|slope|) once raised OverflowError here
+    with pytest.raises(NotMarkov, match="outside the range of a double"):
+        PiecewiseLinearMarkovMap(breakpoints, branches)
 
 
 # -- invariant densities -----------------------------------------------------------------
@@ -278,7 +312,7 @@ def rounded_ratio_extremes(result, n):
     imap, pi, P = result.map, result.measure.pi, result.measure.P
     stretch = [float(abs(imap.branches[i].slope)) for i in imap.branch_ids]
     length = [float(imap.lengths[i]) for i in imap.branch_ids]
-    T = result.measure.potential.sft.transition
+    T = P > 0
     ratios = []
     for w in itertools.product(range(len(pi)), repeat=n):
         if all(T[a, b] for a, b in zip(w, w[1:])):
@@ -315,6 +349,87 @@ def test_deep_certificate_is_one_pass():
     assert time.perf_counter() - start < 2.0
     assert abs(lo - 0.75) < 1e-6
     assert abs(hi - 1.125) < 1e-6
+
+
+def lebesgue_chain(imap):
+    """The exact chain of Lebesgue mass under T: the share of I_a that T maps
+    onto I_b, |I_b| over the length of the image of I_a."""
+    n = len(imap.lengths)
+    P = [[Fraction(0)] * n for _ in range(n)]
+    for a, branch in enumerate(imap.branches):
+        image = branch.image
+        for b in image:
+            P[a][b] = imap.lengths[b] / (imap.breakpoints[image.stop]
+                                         - imap.breakpoints[image.start])
+    return P
+
+
+# the 13 covering maps of grid_map(seed, n, 0, seed odd), seeds 0-59 and
+# n in {4, 8, 16, 32}, that the Perron route refused as not primitive, or
+# for an interval in no image
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 32), st.integers(1, 3),
+       st.booleans())
+@example(1, 4, 1, True)
+@example(3, 4, 1, True)
+@example(14, 4, 1, False)
+@example(17, 4, 1, True)
+@example(25, 4, 1, True)
+@example(38, 4, 1, False)
+@example(52, 4, 1, False)
+@example(53, 4, 1, True)
+@example(57, 4, 1, True)
+@example(22, 8, 1, False)
+@example(55, 8, 1, True)
+@example(45, 16, 1, True)
+@example(15, 32, 1, True)
+@settings(max_examples=40, deadline=None)
+def test_acim_is_the_exact_density_entry_by_entry(seed, m, period, signed):
+    # one rounding of each chain entry, GTH's O(m u) and the division by the
+    # rounded length; a transient interval carries exactly no mass
+    assume(m >= 2 * period)
+    imap = grid_map(seed, m, 0, signed, period)
+    P = lebesgue_chain(imap)
+    recurrent, classes = recurrent_classes(P)
+    if classes > 1:
+        with pytest.raises(NotPrimitive):
+            acim(imap)
+        return
+    densities = acim(imap).densities
+    bound = (2 * m + 1) * Fraction(2.0 ** -53)
+    for a, mass in enumerate(exact_stationary(P)):
+        exact = mass / imap.lengths[a]
+        assert abs(Fraction(densities[a]) - exact) <= bound * exact
+        assert (densities[a] == 0.0) == (not recurrent[a])
+
+
+@pytest.mark.parametrize("imap, exact", [
+    # period 2: [0, 2/5] maps onto the other two intervals, each back onto it
+    (PiecewiseLinearMarkovMap(["0", "2/5", "7/10", "1"],
+                              [("3/2", (1, 2)), ("4/3", (0,)), ("-4/3", (0,))]),
+     ("5/4", "5/6", "5/6")),
+    # [0, 1/3] maps onto all three, and no interval maps back into it
+    (PiecewiseLinearMarkovMap(["0", "1/3", "2/3", "1"],
+                              [(3, (0, 1, 2)), (2, (1, 2)), (-2, (1, 2))]),
+     ("0", "3/2", "3/2")),
+    # [0, 1/3] lies in no branch's image
+    (PiecewiseLinearMarkovMap(["0", "1/3", "2/3", "1"],
+                              [(2, (1, 2)), (2, (1, 2)), (-2, (1, 2))]),
+     ("0", "3/2", "3/2")),
+])
+def test_acim_of_periodic_and_transient_codings(imap, exact):
+    result = acim(imap)
+    for got, want in zip(result.densities.values(), map(Fraction, exact)):
+        assert abs(Fraction(got) - want) <= 7 * Fraction(2.0 ** -53) * want
+    assert result.pressure_residual <= 1e-15
+
+
+def test_two_recurrent_classes_are_named_by_their_intervals():
+    two_classes = PiecewiseLinearMarkovMap(
+        ["0", "1/4", "1/2", "3/4", "1"],
+        [(2, (0, 1)), (-2, (0, 1)), (2, (2, 3)), (2, (2, 3))])
+    with pytest.raises(NotPrimitive, match=r"^intervals \[0, 1/4\] and "
+                       r"\[1/2, 3/4\] lie in different recurrent classes$"):
+        acim(two_classes)
 
 
 def test_acim_needs_full_cover():

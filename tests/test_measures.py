@@ -23,7 +23,7 @@ from thermoshift.errors import (DepthTooLarge, OutOfRange, SupportMismatch,
 from thermoshift.measures import _check_support
 from thermoshift.sft import _count_words, _word_blocks
 
-from gibbs_oracle import gibbs_of_chain
+from gibbs_oracle import exact_stationary, gibbs_of_chain, recurrent_classes
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 LOG_GOLDEN = float(np.log(GOLDEN))
@@ -83,31 +83,13 @@ def _chain_with_transients(seed, m):
 
 
 def _exact_stationary(P):
-    """pi Q = 0, sum pi = 1 by Gauss-Jordan elimination in Fractions, where Q
-    takes P's off-diagonal entries exactly and its diagonal is minus their row
-    sum: the chain whose off-diagonal floats the elimination reads."""
-    m = len(P)
+    """The exact stationary vector of the chain whose off-diagonal floats the
+    elimination reads: P's off-diagonal entries exactly, and on the diagonal
+    1 minus their row sum."""
     Q = [[Fraction(x) for x in row] for row in P.tolist()]
-    for i in range(m):
-        Q[i][i] = -sum(Q[i][j] for j in range(m) if j != i)
-    A = [[Q[i][j] for i in range(m)] + [Fraction(0)] for j in range(m)]
-    A[-1] = [Fraction(1)] * m + [Fraction(1)]
-    for c in range(m):
-        p = next(i for i in range(c, m) if A[i][c] != 0)
-        A[c], A[p] = A[p], A[c]
-        A[c] = [x / A[c][c] for x in A[c]]
-        for i in range(m):
-            if i != c and A[i][c] != 0:
-                A[i] = [x - A[i][c] * y for x, y in zip(A[i], A[c])]
-    return [row[-1] for row in A]
-
-
-def _recurrent(P):
-    """States every state they reach reaches back: the reachability oracle."""
-    reach = (P > 0) | np.eye(len(P), dtype=bool)
-    for k in range(len(P)):
-        reach |= reach[:, [k]] & reach[[k], :]
-    return (reach <= reach.T).all(axis=1)
+    for i, row in enumerate(Q):
+        row[i] = 1 - sum(x for j, x in enumerate(row) if j != i)
+    return exact_stationary(Q)
 
 
 # O'Cinneide (Numer. Math. 65 (1993)): GTH is accurate entry by entry to
@@ -130,7 +112,7 @@ def test_stationary_vector_is_the_exact_solve_entry_by_entry(seed, m):
 def test_transient_states_get_exactly_zero(seed, m):
     P = _chain_with_transients(seed, m)
     pi = stationary_vector(P)
-    assert ((pi == 0.0) == ~_recurrent(P)).all()
+    assert ((pi == 0.0) == ~recurrent_classes(P)[0]).all()
 
 
 @pytest.mark.parametrize("P, states", [

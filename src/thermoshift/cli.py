@@ -253,7 +253,7 @@ def _cmd_gibbs(args, report, pot):
     report.annotate("stationary", [float(x) for x in g.pi])
     report.annotate("transition", [[float(x) for x in row]
                                    for row in g.P])
-    report.annotate("eigen_residual", float(g.eigen.residual))
+    report.annotate("eigen_bracket_width", g.eigen.hi / g.eigen.lo - 1.0)
     if args.out:
         report.table(args.out,
                      ["state", "stationary", *(f"to_{lab}" for lab in labels)],
@@ -555,7 +555,7 @@ _FLAGS = {
                              "a comma list of positive finite numbers"),
               "help": "difference-quotient steps used with --check"},
     "tol": {"type": _positive,
-            "help": "residual tolerance (default %(default)s)"},
+            "help": "stopping tolerance (default %(default)s)"},
     "depth": {"type": _count,
               "help": "cylinder depth / path length (default %(default)s)"},
     "budget": {"type": _count, "help": "cap on words or path-sum price"},

@@ -168,7 +168,9 @@ def stationary_vector(P):
     lower ones, so nothing is subtracted, entries are O(m u) accurate and
     transient states exactly 0.  A zero pivot proves its state recurrent, so
     rerun with it last: a zero pivot then is a second recurrent class, and
-    the ValueError carries one state of each class as ``states``."""
+    the ValueError carries one state of each class as ``states``.  It reads
+    no diagonal entry, so for any nonnegative P it gives the stationary
+    vector of the jump rates P[a, b], the pi with pi P = pi diag(P 1)."""
     order = np.arange(len(P))
     for _ in range(2):
         A, k = np.asarray(P, float)[np.ix_(order, order)], len(P) - 1

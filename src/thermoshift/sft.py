@@ -170,8 +170,8 @@ class SubshiftOfFiniteType:
         """log of the spectral radius of M, from ``transfer.leading_eigen``
         (power steps, then squared powers of M for a small spectral gap).
 
-        Requires primitivity.  ``tol`` is the relative residual on both the
-        left and right eigenvector equations.
+        Requires primitivity.  ``tol`` is the relative width of the
+        Collatz-Wielandt bracket on the spectral radius.
         """
         from .transfer import leading_eigen   # deferred: transfer imports sft
         self.require_primitive()

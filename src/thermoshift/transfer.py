@@ -6,10 +6,12 @@ functions of the first symbol and is the m x m matrix
     A[a, b] = M[a, b] * exp(phi(a, b)),
 
 indexed so that A[a, b] weighs the transition a -> b and the operator sends
-f to (Lf)(b) = sum_a A[a, b] f(a).  Its spectral radius is exp(pressure);
-stochasticizing A with the right eigenvector gives the Gibbs state in Markov
-form.  ``build`` block-recodes a potential of higher range to range 2 first
-(``recode_range2``), so ``pressure`` and ``gibbs_measure`` take any range.
+f to (Lf)(b) = sum_a A[a, b] f(a).  Its spectral radius is exp(pressure),
+bracketed by the ratios (A v) / v of the right Perron vector v, the one
+vector solved; stochasticizing A with v gives the Gibbs chain, and GTH
+elimination its stationary vector.  ``build`` block-recodes a potential of
+higher range to range 2 first (``recode_range2``), so ``pressure`` and
+``gibbs_measure`` take any range.
 """
 
 from __future__ import annotations
@@ -26,17 +28,18 @@ from .errors import NoConvergence, OutOfRange
 class EigenData:
     """Leading eigendata of a transfer matrix.
 
-    lam is the spectral radius; v the entrywise positive right eigenvector
-    normalized to sum 1; u the left eigenvector normalized by u . v = 1.
-    residual is the final sup-norm residual of both eigen equations.
-    iterations counts the rounds, each one evaluation of both residuals, and
-    squarings the matrix squarings among them (see ``leading_eigen``).
+    v is the positive right eigenvector, normalized to sum 1, and [lo, hi]
+    the Collatz-Wielandt bracket of its ratios (A v)_a / v_a, each end one
+    ulp outward: it holds the spectral radius up to the rounding of the
+    ratios, at most (m + 1) u relative, and so does lam = sum(A v) / sum(v).
+    iterations counts the rounds of ``leading_eigen``, squarings the matrix
+    squarings among them.
     """
 
     lam: float
     v: np.ndarray
-    u: np.ndarray
-    residual: float
+    lo: float
+    hi: float
     iterations: int
     squarings: int = 0
 
@@ -81,80 +84,77 @@ def _positive(x) -> bool:
 
 
 def leading_eigen(A, tol=1e-13) -> EigenData:
-    """Leading eigenvalue and both eigenvectors of a primitive matrix A, such
+    """Leading eigenvalue and right eigenvector of a primitive matrix A, such
     as the transfer matrix from ``build``.
 
-    Each round evaluates Av, uA, lam = u.Av / u.v and the sup-norm residuals
-    of A v = lam v and u A = lam u.  The result is returned once both are at
-    most tol * lam with Av and uA entrywise positive: a positive vector that
-    passes this test is the Perron vector.
+    Each round evaluates A v and the ratios r = (A v) / v, whose extremes,
+    each moved one ulp outward, are the Collatz-Wielandt bracket
+    lo <= lam <= hi (Meyer, Matrix Analysis, 8.3).  The result is returned
+    once hi <= (1 + tol) lo, so tol bounds the relative error of lam, and to
+    first order v is the Perron vector to tol / gap entry by entry (gap
+    1 - |lambda_2| / lambda).  A ratio that is 0 or not finite raises
+    NoConvergence at once: an entry of v left the float range.
 
     The first max(m, 64) rounds (m the size of A) are power steps from the
     uniform start, so a gap that lets them converge never pays for a matrix
     product, which costs about m matrix-vector products.  Each later round
-    squares B once and moves the iterates to Bv and uB, where B is A^(2^k) in
-    the scale of the iterate v0 of the first squaring, diag(v0)^-1 A^(2^k)
+    squares B once and moves the iterate to Bv, where B is A^(2^k) in the
+    scale of the iterate v0 of the first squaring, diag(v0)^-1 A^(2^k)
     diag(v0), divided by its largest entry before every product
     (``rescaled_product``).  A spectral gap g then costs about log2(1/g)
     rounds instead of log(1/tol) / g.  In that scale the entries of A are at
     most (A v0)_i / v0_i, so wide weights do not underflow in the products;
-    should Bv or uB still have a zero or non-finite entry, squaring stops for
+    should Bv still have a zero or non-finite entry, squaring stops for
     good, as it does after ``_MAX_SQUARINGS``, and power steps go on.
     Once squaring has stopped, max(m, 64) rounds in a row that bring the
-    residual to no new minimum end the power steps on A, as does a check,
-    every max(m, 64) rounds, that finds the residual would reach tol * lam
+    width hi / lo - 1 to no new minimum end the power steps on A, as does a
+    check, every max(m, 64) rounds, that finds the width would reach tol
     only past ``_MAX_ROUNDS`` at the rate it fell since the last check.
     Squaring cannot split lambda from an eigenvalue near -lambda within
     rounding: the squared iterates keep an error of about u / gap in that
-    direction, whose residual is twice as large.  So the power steps go on
-    with A + lam I, lam the estimate at that round, which has the same
-    Perron vectors and maps that eigenvalue near 0.  A second such stall
-    raises NoConvergence: the residual falls too slowly, or rounding keeps
-    it above tol.  ``_MAX_ROUNDS`` caps the rounds.  A tol that is not a
-    positive finite number raises OutOfRange.
+    direction.  So the power steps go on with A + lam I, lam the estimate
+    at that round, which has the same Perron vector and maps that
+    eigenvalue near 0.  A second such stall raises NoConvergence: the width
+    falls too slowly, or rounding keeps it above a tol below about 2 ulps.
+    ``_MAX_ROUNDS`` caps the rounds; a tol that is not positive and finite
+    raises OutOfRange.
     """
     if not 0 < tol < np.inf:
         raise OutOfRange(f"tol must be a positive finite number, got {tol}")
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
     v = np.full(m, 1.0 / m)
-    u = np.full(m, 1.0 / m)
     B, squarings, accelerate, shift = None, 0, True, 0.0
     plain = max(m, _PLAIN_ROUNDS)
     best, best_it = np.inf, 0
     for it in range(1, _MAX_ROUNDS + 1):
         Av = A @ v
-        uA = u @ A
-        lam = float(u @ Av) / float(u @ v)
-        res = max(float(np.max(np.abs(Av - lam * v))),
-                  float(np.max(np.abs(uA - lam * u))))
-        sv, su = Av.sum(), uA.sum()
-        if sv <= 0 or su <= 0 or not np.isfinite(lam):
-            raise NoConvergence("power iteration collapsed")
-        if res <= tol * lam:
-            if not (_positive(Av) and _positive(uA)):
-                raise NoConvergence("an entry of the Perron vectors underflowed")
-            v = Av / sv
-            u = uA / su
-            v = v / v.sum()
-            u = u / float(u @ v)
-            return EigenData(lam=lam, v=v, u=u, residual=res, iterations=it,
-                             squarings=squarings)
-        if res < best:
-            best, best_it = res, it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = Av / v
+        if not _positive(r):
+            raise NoConvergence("a Perron vector entry left the float range")
+        lo = float(np.nextafter(r.min(), 0.0))
+        hi = float(np.nextafter(r.max(), np.inf))
+        lam = min(max(float(Av.sum()) / float(v.sum()), lo), hi)
+        if hi <= (1.0 + tol) * lo:
+            return EigenData(lam, v, lo, hi, it, squarings)
+        width = hi / lo - 1.0
+        if width < best:
+            best, best_it = width, it
         if accelerate and squarings < _MAX_SQUARINGS:
-            mark, mark_res = it, res
+            mark, mark_width = it, width
         elif it - best_it >= plain or it - mark >= plain:
-            # at the rate since the mark, tol * lam lies past _MAX_ROUNDS
-            slow = ((it - mark) * np.log(res / (tol * lam))
-                    > (_MAX_ROUNDS - it) * np.log(mark_res / res))
+            # at the rate since the mark, tol lies past _MAX_ROUNDS
+            slow = ((it - mark) * np.log(width / tol)
+                    > (_MAX_ROUNDS - it) * np.log(mark_width / width))
             if it - best_it >= plain or slow:
                 if shift:
                     raise NoConvergence(
-                        f"no Perron eigendata within tol={tol}: the residual "
-                        f"falls too slowly; it stalled at {best:.2g} after {it} rounds")
+                        f"no Perron eigendata within tol={tol}: the bracket "
+                        f"width falls too slowly; it stalled at {best:.2g} "
+                        f"after {it} rounds")
                 shift, best_it = lam, it
-            mark, mark_res = it, res
+            mark, mark_width = it, width
         if it > plain and accelerate and squarings < _MAX_SQUARINGS:
             if B is None:
                 scale = v
@@ -162,16 +162,13 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
                 B = B / B.max()
             B = rescaled_product(B, B)[0]
             squarings += 1
-            Bv, uB = scale * (B @ (v / scale)), (u * scale) @ B / scale
-            if _positive(Bv) and _positive(uB):
+            Bv = scale * (B @ (v / scale))
+            if _positive(Bv):
                 v = Bv / Bv.sum()
-                u = uB / uB.sum()
                 continue
             accelerate = False
         v = Av + shift * v
-        u = uA + shift * u
         v = v / v.sum()
-        u = u / u.sum()
     raise NoConvergence(
         f"no Perron eigendata within tol={tol} in {_MAX_ROUNDS} rounds")
 
@@ -186,25 +183,25 @@ def pressure(potential, tol=1e-13) -> float:
 def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
     """Gibbs state of the potential on its subshift, in stationary Markov form.
 
-    P[a, b] = A[a, b] v_b / (lam v_a) and pi_a = u_a v_a; cylinder masses of
-    the returned measure satisfy the two-sided Gibbs inequalities with
-    constants read off the eigenvectors.  For range > 2 the state lives on
-    the block subshift of ``recode_range2``, the ``sft`` of its potential.
+    P[a, b] = A[a, b] v_b / (A v)_a, row-stochastic by construction, for
+    the Perron vector v of ``leading_eigen``, and pi = (A v) w normalized,
+    for w the ``stationary_vector`` of the rates A[a, b] v_b: the left
+    Perron vector up to scale, so pi is as accurate as v entry by entry and
+    stationary for P to O(m u), also where an entry of P underflows.  For
+    range > 2 the state lives on the block subshift of ``recode_range2``,
+    the ``sft`` of its potential.
     """
-    from .measures import GibbsMeasure
+    from .measures import GibbsMeasure, stationary_vector
     from .potentials import recode_range2
 
     A = build(potential)
     potential = recode_range2(potential)
     eig = leading_eigen(A, tol=tol)
-    v, u, lam = eig.v, eig.u, eig.lam
-    P = A * v[None, :] / (lam * v[:, None])
-    # remove residual drift so the measure passes strict stationarity checks
-    P = P / P.sum(axis=1, keepdims=True)
-    pi = u * v
-    pi = pi / pi.sum()
-    return GibbsMeasure(pi, P, potential=potential,
-                        pressure=float(np.log(lam)), eigen=eig)
+    W = A * eig.v[None, :]
+    Av = W.sum(axis=1)
+    pi = Av * stationary_vector(W)
+    return GibbsMeasure(pi / pi.sum(), W / Av[:, None], potential=potential,
+                        pressure=float(np.log(eig.lam)), eigen=eig)
 
 
 @dataclass

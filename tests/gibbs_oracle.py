@@ -6,12 +6,15 @@ its Gibbs state is the chain (pi_Q, Q) itself, read back through the
 transfer operator's Perron solve.  Tests use it as a reference measure built
 by a route independent of the chain's own closed forms.  Besides it, the
 exact stationary vector of a chain of Fractions, which floating-point
-stationary vectors are measured against entry by entry, and the recurrent
-states of a chain by reachability.
+stationary vectors are measured against entry by entry, the recurrent
+states of a chain by reachability, and the Perron data of a double matrix
+from mpmath's dense eigensolver, for Gibbs chains whose masses span many
+orders of magnitude.
 """
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from thermoshift import (LocallyConstantPotential, SubshiftOfFiniteType,
@@ -53,3 +56,20 @@ def recurrent_classes(P):
         reach |= reach[:, [k]] & reach[[k], :]
     recurrent = (reach <= reach.T).all(axis=1)
     return recurrent, len({tuple(row) for row in reach[recurrent].tolist()})
+
+
+def mp_perron(A, dps=60):
+    """lam, the gap 1 - |lambda_2| / lam, and the right and left Perron
+    vectors v and u of the double matrix A, u . v = 1, as mpf lists from one
+    mpmath eigensolve at dps digits.  Call it inside mpmath.workdps(dps) to
+    compute with the results at that precision."""
+    m = len(A)
+    with mpmath.workdps(dps):
+        E, left, right = mpmath.eig(mpmath.matrix(A.tolist()), left=True, right=True)
+        k = max(range(m), key=lambda i: mpmath.re(E[i]))
+        lam = mpmath.re(E[k])
+        gap = 1 - sorted(abs(e) for e in E)[-2] / lam
+        v = [abs(mpmath.re(right[i, k])) for i in range(m)]
+        u = [abs(mpmath.re(left[k, i])) for i in range(m)]
+        mass = mpmath.fsum(x * y for x, y in zip(u, v))
+        return lam, gap, v, [x / mass for x in u]

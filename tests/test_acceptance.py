@@ -125,6 +125,7 @@ def test_03_pressure_three_ways_ising():
 def test_04_gibbs_ratio_bounds():
     def envelope(mu):
         eig = mu.eigen
+        u = mu.pi / eig.v   # the left vector, u . v = 1
         pot2 = mu.potential.with_range(2)
         sft = mu.potential.sft
         tail = np.array([np.exp(mu.pressure -
@@ -132,8 +133,7 @@ def test_04_gibbs_ratio_bounds():
                                     if w[0] == a))
                          for a in range(sft.m)])
         last = eig.v * tail
-        return (float(eig.u.min() * last.min()),
-                float(eig.u.max() * last.max()))
+        return (float(u.min() * last.min()), float(u.max() * last.max()))
 
     sft2 = full_shift(2)
     uniform = gibbs_measure(LocallyConstantPotential.zero(sft2))

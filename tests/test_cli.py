@@ -18,13 +18,19 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import yaml
 
-from thermoshift import _numerics, cli, golden_mean_shift, hofbauer, modelio
+from thermoshift import (LocallyConstantPotential, _numerics, cli, gibbs_measure,
+                         golden_mean_shift, hofbauer, modelio)
 from thermoshift.cli import main
+from thermoshift.sft import SubshiftOfFiniteType
+from thermoshift.transfer import build
 from thermoshift.variational import lattice_equilibrium
+
+from gibbs_oracle import mp_perron
 
 MODELS = Path(__file__).parent.parent / "demos" / "models"
 
@@ -169,6 +175,94 @@ def test_bounds_command(capsys):
     notes = doc["payload"]["annotations"]
     assert notes["depth"] == 8
     assert len(notes["argmin_word"]) == 8
+
+
+# a range-2 potential whose weights span e^-16 to e^24 on a 6-symbol
+# subshift: its Gibbs masses run from 1 down to 2.4e-49, so a pi that is
+# accurate only in the sup norm puts c_max orders of magnitude above 1
+WIDE_ROWS = [[1, 0, 0, 0, 1, 0], [1, 1, 0, 1, 1, 0], [0, 0, 1, 0, 0, 1],
+             [0, 0, 1, 1, 0, 1], [0, 1, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0]]
+WIDE_VALUES = {"aa": "21.946254", "ae": "6.712575", "ba": "7.915837",
+               "bb": "-5.059592", "bd": "-8.044109", "be": "-7.971486",
+               "cc": "18.840701", "cf": "13.218415", "dc": "-0.204204",
+               "dd": "3.007395", "df": "-6.902013", "eb": "24.397105",
+               "ee": "5.219778", "fa": "-16.444177", "fc": "-4.458045"}
+
+
+def wide_model(tmp_path):
+    sft, pot = tmp_path / "wide-sft.yaml", tmp_path / "wide-potential.yaml"
+    sft.write_text("version: v1\nkind: sft\nlabels: [a, b, c, d, e, f]\n"
+                   "transition:\n" + "".join(f"  - {row}\n" for row in WIDE_ROWS))
+    pot.write_text("version: v1\nkind: potential\nrange: 2\nvalues:\n" + "".join(
+        f'  "{w}": {x}\n' for w, x in WIDE_VALUES.items()))
+    return sft, pot
+
+
+def closed_form_gibbs_constants(A, n, dps=60):
+    """c_min and c_max at depth n of the Gibbs state of the matrix A, in
+    mpmath at dps digits.  The ratio of a word telescopes to u(w_0) g(w_(n-1)),
+    u and v the left and right Perron vectors (u . v = 1) and
+    g(z) = v_z lam / max_b A[z, b], so the extremes are those of u_a g_b over
+    the pairs (a, b) joined by an admissible (n-1)-path."""
+    m = len(A)
+    joined = np.linalg.matrix_power((A > 0).astype(object), n - 1)
+    with mpmath.workdps(dps):
+        lam, _, v, u = mp_perron(A, dps)
+        ratios = [u[a] * v[b] * lam / mpmath.mpf(max(A[b]))
+                  for a in range(m) for b in range(m) if joined[a, b]]
+        return min(ratios), max(ratios), v, [x * y for x, y in zip(u, v)]
+
+
+@pytest.mark.parametrize("depth", [8, 20, 200])
+def test_wide_model_gibbs_constants_are_the_closed_form(capsys, tmp_path, depth):
+    # the pass telescopes the returned chain to pi_a / v_a * v_b * lam e^-max
+    # phi(b) times n - 1 factors lam / r, r = (A v) / v, each within the
+    # bracket: against the closed form its log is off by at most
+    # e_pi + s_v (the largest |log| entry error of pi, and the spread of the
+    # log entry errors of v, whose scale cancels), n times the
+    # bracket's log width plus (m + 1) u on each side of every ratio, and
+    # (n + 1)^2 (m + 4 + 3 T) u for rounding the n + 1 terms of the sum (each
+    # to (m + 4 + 3 T) u, T the largest |log pi| or |log P| + |phi| + p)
+    code, doc = run(capsys, "bounds", *wide_model(tmp_path), "--depth", depth)
+    assert code == 0
+    sft = SubshiftOfFiniteType(list("abcdef"), WIDE_ROWS)
+    pot = LocallyConstantPotential(sft, 2, {
+        ("abcdef".index(w[0]), "abcdef".index(w[1])): float(x)
+        for w, x in WIDE_VALUES.items()})
+    mu, A = gibbs_measure(pot), build(pot)
+    c_min, c_max, v, pi = closed_form_gibbs_constants(A, depth)
+    errors = [abs(math.log(result(doc, name)["value"] / float(exact)))
+              for name, exact in (("c_min", c_min), ("c_max", c_max))]
+    assert max(errors) < 1e-8
+    log_v = [math.log(float(x / y)) for x, y in zip(mu.eigen.v, v)]
+    s_v = max(log_v) - min(log_v)
+    e_pi = max(abs(math.log(float(x / y))) for x, y in zip(mu.pi, pi))
+    u, m, n = np.finfo(float).eps / 2, 6, depth
+    admissible = A > 0
+    T = max(float(np.max(-np.log(mu.pi))), float(np.max(
+        np.abs(np.log(mu.P[admissible])) + np.abs(np.log(A[admissible]))
+        + abs(mu.pressure))))
+    bound = (e_pi + s_v + n * (math.log(mu.eigen.hi / mu.eigen.lo)
+                                   + 2 * (m + 1) * u)
+             + (n + 1) ** 2 * (m + 4 + 3 * T) * u)
+    assert max(errors) <= bound < 1e-8
+    # the closed form is 1 - 1.48e-12 and 1.0733e-52 at every depth here
+    assert abs(float(c_max) - 1.0) < 2e-12
+    assert abs(float(c_min) / 1.0733430058992484e-52 - 1.0) < 1e-12
+
+
+def test_gibbs_at_couplings_of_400_keeps_both_states(capsys, tmp_path):
+    # the off-diagonal of P is e^-800, 0 as a double, so P alone has two
+    # recurrent classes; pi comes from the rates A v, which keep both joined
+    pot = tmp_path / "couplings.yaml"
+    pot.write_text("version: v1\nkind: potential\nrange: 2\n"
+                   'values: {"00": 400, "01": -400, "10": -400, "11": 400}\n')
+    code, doc = run(capsys, "gibbs", MODELS / "full-shift.yaml", pot)
+    assert code == 0
+    notes = doc["payload"]["annotations"]
+    assert notes["transition"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert notes["stationary"] == [0.5, 0.5]
+    assert 0.0 < notes["eigen_bracket_width"] <= 1e-13
 
 
 def test_relent_cross_check(capsys, tmp_path):
@@ -353,26 +447,29 @@ def test_unwritable_out_maps_to_syntax_exit(capsys, tmp_path, out):
 
 @pytest.mark.parametrize("argv, counted", [
     (["entropy", "golden-mean.yaml"], ["sft"]),
+    # relent also solves the stationary vector of its Gibbs state, so it
+    # counts the chain file's MarkovMeasure, not stationary_vector
     (["relent", "full-shift.yaml", "site-energy.yaml", "lazy-coin.yaml"],
-     ["sft", "stationary"]),
+     ["sft", "chain"]),
     (["sample", "lazy-coin.yaml", "--seed", "1"], ["stationary"]),
     (["dimension", "cantor-thirds.yaml"], ["map"]),
 ])
 def test_each_model_file_is_built_once(capsys, monkeypatch, argv, counted):
     from thermoshift import interval_maps, measures, sft
 
-    calls = {"sft": 0, "stationary": 0, "map": 0}
+    calls = {"sft": 0, "stationary": 0, "chain": 0, "map": 0}
 
-    def counting(owner, name, key):
+    def counting(owner, name, key, only=None):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[key] += only is None or type(args[0]) is only
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(sft.SubshiftOfFiniteType, "__init__", "sft")
     counting(measures, "stationary_vector", "stationary")
+    counting(measures.MarkovMeasure, "__init__", "chain", measures.MarkovMeasure)
     counting(interval_maps.PiecewiseLinearMarkovMap, "__init__", "map")
     cmd, *files = argv
     args = [cmd] + [str(MODELS / a) if a.endswith(".yaml") else a for a in files]

@@ -3,6 +3,8 @@
 The oracles are numpy's full eigendecomposition of the weighted transition
 matrix, closed-form eigendata and a plain power loop written here; none of
 them shares code with ``leading_eigen``'s power steps and rescaled squarings.
+Gibbs chains on wide weights are compared entry by entry with 60-digit mpmath
+eigenvectors.
 """
 
 import itertools
@@ -10,13 +12,15 @@ import time
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoshift import (CriticalPowerFamily, LocallyConstantPotential,
                          full_shift, gibbs_bounds, gibbs_measure,
-                         golden_mean_shift, pressure, pressure_renewal)
+                         golden_mean_shift, pressure, pressure_renewal,
+                         stationary_vector)
 from thermoshift import transfer
 from thermoshift.errors import (DepthTooLarge, NoConvergence, NotPrimitive,
                                OutOfRange)
@@ -24,6 +28,9 @@ from thermoshift.potentials import recode_range2
 from thermoshift.sft import SubshiftOfFiniteType
 from thermoshift.transfer import build, leading_eigen
 from thermoshift.variational import ising_potential, ising_pressure_exact
+
+from gibbs_oracle import mp_perron
+from test_enumeration import random_primitive_sft
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -73,10 +80,12 @@ def test_leading_eigen_contract():
     _, pot = run_weights()
     tm = build(pot)
     eig = leading_eigen(tm)
-    assert eig.residual <= 1e-13 * eig.lam
+    # the bracket holds the ratios of v and lam, and is tol wide
+    ratios = tm @ eig.v / eig.v
+    assert eig.lo < ratios.min() <= ratios.max() < eig.hi
+    assert eig.lo <= eig.lam <= eig.hi <= (1.0 + 1e-13) * eig.lo
     assert abs(eig.v.sum() - 1.0) < 1e-12
-    assert abs(float(eig.u @ eig.v) - 1.0) < 1e-12
-    assert np.all(eig.v > 0) and np.all(eig.u > 0)
+    assert np.all(eig.v > 0)
     assert np.max(np.abs(tm @ eig.v - eig.lam * eig.v)) < 1e-12 * eig.lam
 
 
@@ -166,15 +175,17 @@ def test_gibbs_ratio_is_exactly_one_on_full_shift():
 
 def envelope(mu):
     # telescoping the transition products leaves u[first] * v[last] * tail,
-    # so state-wise extremes of those factors bound the enumerated ratios
+    # with u = pi / v the left vector, so state-wise extremes of those
+    # factors bound the enumerated ratios
     eig = mu.eigen
+    u = mu.pi / eig.v
     pot2 = mu.potential.with_range(2)
     sft = mu.potential.sft
     tail = np.array([np.exp(mu.pressure -
                             max(v for w, v in pot2.table.items() if w[0] == a))
                      for a in range(sft.m)])
     last = eig.v * tail
-    return (float(eig.u.min() * last.min()), float(eig.u.max() * last.max()))
+    return (float(u.min() * last.min()), float(u.max() * last.max()))
 
 
 @pytest.mark.parametrize("case", ["parry", "ising"])
@@ -202,12 +213,18 @@ def test_gibbs_bounds_depth_budget():
 
 def rpf_convergence(A, f, n):
     """Sup-norm distance between lam^-n L^n f and its limit (sum_a f_a v_a) u,
-    for the operator (Lf)(b) = sum_a A[a, b] f(a) of the transfer matrix A."""
-    eigen = leading_eigen(A)
+    for the operator (Lf)(b) = sum_a A[a, b] f(a) of the transfer matrix A,
+    with u the left vector, u . v = 1: the stationary vector of the rates
+    A[a, b] v_b is u up to scale.  lam is accurate to the bracket's width,
+    and lam^-n multiplies that error by n, so the limit is solved at tol
+    1e-15, below the distances measured."""
+    eigen = leading_eigen(A, tol=1e-15)
+    u = stationary_vector(A * eigen.v[None, :])
+    u = u / float(u @ eigen.v)
     iterate = f.copy()
     for _ in range(n):
         iterate = A.T @ iterate / eigen.lam
-    return float(np.max(np.abs(iterate - float(f @ eigen.v) * eigen.u)))
+    return float(np.max(np.abs(iterate - float(f @ eigen.v) * u)))
 
 
 def spectral_ratio(A):
@@ -294,8 +311,8 @@ def test_gap_family_meets_its_closed_form(m, log10_gap, spread, seed):
     eig = leading_eigen(A)
     lam, v = eig.lam, eig.v
     assert abs(lam - c) <= 1e-13 * c
-    assert eig.residual <= 1e-13 * lam
-    assert np.all(v > 0) and np.all(eig.u > 0)
+    assert eig.lo <= lam <= eig.hi <= (1.0 + 1e-13) * eig.lo
+    assert np.all(v > 0)
     # w = D^-1 v = alpha 1 + z with pi . z = 0, and M z = (1 - g) z, so the
     # residual r = A v - lam v gives ((1 - g) - lam / c) z = (I - 1 pi^T) D^-1 r / c
     # and |z| <= 2 |D^-1 r| / (c (g - |lam / c - 1|)).  r is its computed value
@@ -308,20 +325,16 @@ def test_gap_family_meets_its_closed_form(m, log10_gap, spread, seed):
 
 
 def plain_power_loop(A, tol=1e-13):
-    """Power steps until both residuals are <= tol * lam: the engine as it
-    stood before squaring."""
-    m = A.shape[0]
-    v = np.full(m, 1.0 / m)
-    u = np.full(m, 1.0 / m)
+    """Power steps from the uniform vector until the ratios Av / v, widened
+    one ulp each way, agree to a relative tol: the engine without squaring."""
+    v = np.full(A.shape[0], 1.0 / A.shape[0])
     for it in itertools.count(1):
-        Av, uA = A @ v, u @ A
-        lam = float(u @ Av) / float(u @ v)
-        res = max(float(np.max(np.abs(Av - lam * v))),
-                  float(np.max(np.abs(uA - lam * u))))
-        v, u = Av / Av.sum(), uA / uA.sum()
-        if res <= tol * lam:
-            v = v / v.sum()
-            return lam, v, u / float(u @ v), res, it
+        Av = A @ v
+        lo = np.nextafter(np.min(Av / v), 0.0)
+        hi = np.nextafter(np.max(Av / v), np.inf)
+        if hi <= (1.0 + tol) * lo:
+            return min(max(float(Av.sum()) / float(v.sum()), lo), hi), v, lo, hi, it
+        v = Av / Av.sum()
 
 
 def test_fast_gaps_never_square_and_match_the_plain_loop():
@@ -331,10 +344,10 @@ def test_fast_gaps_never_square_and_match_the_plain_loop():
     golden = golden_mean_shift().transition.astype(float)
     for A in (chain, golden):
         eig = leading_eigen(A)
-        lam, v, u, res, it = plain_power_loop(A)
+        lam, v, lo, hi, it = plain_power_loop(A)
         assert eig.squarings == 0 and eig.iterations == it
-        assert eig.lam == lam and eig.residual == res
-        assert np.array_equal(eig.v, v) and np.array_equal(eig.u, u)
+        assert (eig.lam, eig.lo, eig.hi) == (lam, lo, hi)
+        assert np.array_equal(eig.v, v)
     assert 1 < it <= 64   # the golden mean takes tens of power steps
 
 
@@ -362,36 +375,41 @@ def test_weights_spanning_e300_square_in_the_iterate_scale():
     assert_matches_dense_eig(A, eig)
 
 
-def test_underflowed_squares_fall_back_to_power_steps():
-    # state 1 is coupled by e^-400, so its Gibbs mass u_1 v_1 ~ e^-800 is not
-    # a double and the first squared step has a zero entry
-    tiny, g = np.exp(-400.0), 0.05
-    A = np.array([[1.0, tiny, g], [tiny, 1e-3, tiny], [g, tiny, 1.0 - g]])
-    eig = leading_eigen(A)
-    # the first squared step already has the zero, and squaring stops for good
-    assert eig.squarings == 1
-    assert eig.iterations > transfer._PLAIN_ROUNDS + 2
-    assert np.all(eig.v > 0) and np.all(eig.u > 0)
-    assert_matches_dense_eig(A, eig)
+def coupled(g):
+    """State 1 is coupled by e^-400 to states 0 and 2, which are coupled by
+    g: the Gibbs mass u_1 v_1 ~ e^-800 of state 1 is not a double, though
+    u_1 and v_1 each are, and the gap is about g."""
+    tiny = np.exp(-400.0)
+    return np.array([[1.0, tiny, g], [tiny, 1e-3, tiny], [g, tiny, 1.0 - g]])
+
+
+def test_gibbs_masses_below_the_float_range_still_square():
+    # the mass u_1 v_1 underflows, but the squared step Bv needs only v,
+    # which stays in range: every gap squares to the end, in about
+    # log2(1 / g) rounds past the power steps
+    rounds = {}
+    for g in (0.05, 1e-3, 1e-5):
+        eig = leading_eigen(coupled(g))
+        rounds[g] = (eig.iterations, eig.squarings)
+        assert np.all(eig.v > 0)
+        assert_matches_dense_eig(coupled(g), eig)
+    assert rounds == {0.05: (72, 7), 1e-3: (78, 13), 1e-5: (84, 19)}
 
 
 def test_power_steps_that_cannot_reach_tol_end_at_once():
-    # the matrix above with a small coupling g: the power steps after the
-    # one squaring converge at a rate of about 1 - g, and at g = 1e-5 the
-    # residual would reach tol only past _MAX_ROUNDS (it once crept on for
-    # 763,504 rounds, 20-32 s, before it raised)
-    tiny = np.exp(-400.0)
-
-    def coupled(g):
-        return np.array([[1.0, tiny, g], [tiny, 1e-3, tiny], [g, tiny, 1.0 - g]])
-
-    start = time.perf_counter()
-    with pytest.raises(NoConvergence, match="falls too slowly"):
-        leading_eigen(coupled(1e-5))
-    assert time.perf_counter() - start < 1.0
-    eig = leading_eigen(coupled(1e-3))
-    assert (eig.iterations, eig.squarings) == (9793, 1)
-    assert_matches_dense_eig(coupled(1e-3), eig)
+    # a weighted 3-cycle, weights 1e-10, 1 and 1e10, with a loop of 1e-30:
+    # primitive, but its other eigenvalues are lambda e^(+-2 pi i / 3) to
+    # within 1e-30, so the squared powers only rotate v and the power steps
+    # on A stall.  The shift is the estimate lam at that round, about
+    # 3e-10 lambda, and on A + lam I the width then falls like 1 / k: it
+    # would reach tol only far past _MAX_ROUNDS, and the rate check ends the
+    # run after 20353 rounds (without it, all 10^6 rounds run)
+    A = np.array([[1e-30, 1e-10, 0.0], [0.0, 0.0, 1.0], [1e10, 0.0, 0.0]])
+    spectrum = np.linalg.eigvals(A)
+    assert np.allclose(np.abs(spectrum), 1.0, rtol=1e-15, atol=0.0)
+    with pytest.raises(NoConvergence,
+                       match="falls too slowly; .* after 20353 rounds"):
+        leading_eigen(A)
 
 
 def test_primitivity_is_decided_on_the_base_subshift():
@@ -475,8 +493,6 @@ def stalling_chain_matrix(seed, m):
     """A block matrix that test_enumeration's chain-pass property draws,
     whose second eigenvalue is near -lambda: its random primitive m-symbol
     subshift at this rng seed, with 4 N(0, 1) on each 3-word."""
-    from test_enumeration import random_primitive_sft
-
     rng = np.random.default_rng(seed)
     sft = random_primitive_sft(rng, m)
     return build(LocallyConstantPotential.from_function(
@@ -492,3 +508,80 @@ def test_a_gap_at_minus_lambda_converges_at_tol_1e_10(seed, m, gap):
     lam, second = abs(spectrum[-1]), spectrum[-2]
     assert abs(second.imag) < 1e-12 * lam and -1.0 < second.real / lam < -1.0 + gap
     assert abs(leading_eigen(A, tol=1e-10).lam - lam) <= 1e-9 * lam
+
+
+# -- the Gibbs chain entry by entry: 60-digit mpmath ---------------------------
+
+
+def mp_gibbs_chain(A, dps=60):
+    """lam, the gap 1 - |lambda_2| / lam, P[a][b] = A[a, b] v_b / (lam v_a)
+    and pi_a = u_a v_a of the double matrix A at dps digits."""
+    m = len(A)
+    with mpmath.workdps(dps):
+        lam, gap, v, u = mp_perron(A, dps)
+        P = [[A[a, b] * v[b] / (lam * v[a]) for b in range(m)] for a in range(m)]
+        return lam, gap, P, [x * y for x, y in zip(u, v)]
+
+
+def entrywise_error(x, exact):
+    """Largest relative error of x against exact over entries above 1e-280;
+    below that a mass is a subnormal double or 0, rounding rather than error,
+    and x must be there too."""
+    worst = 0.0
+    for got, want in zip(np.ravel(x).tolist(), exact):
+        if want > 1e-280:
+            worst = max(worst, float(abs(got - want) / want))
+        else:
+            assert got < 1e-270
+    return worst
+
+
+@given(st.integers(2, 8), st.floats(0.5, 12.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_gibbs_chain_is_the_mpmath_chain_entry_by_entry(m, sigma, seed):
+    # a positive v whose ratios agree to a relative width d is, to first
+    # order, the Perron vector to d / gap entry by entry: P reads v_b / v_a,
+    # and pi = (A v) w with w GTH's left vector, O(m u) off for the v it is
+    # given.  The bound is 4 d / gap + 8 m u: over 600 draws (m 2-8, sigma
+    # 0.5-12) the worst error was 1.98 d / gap, while a pi accurate only in
+    # the sup norm is up to 1e18 off at sigma = 12
+    rng = np.random.default_rng(seed)
+    sft = random_primitive_sft(rng, m)
+    pot = LocallyConstantPotential(sft, 2, {
+        (a, b): float(rng.normal(0.0, sigma))
+        for a in range(m) for b in np.flatnonzero(sft.transition[a]).tolist()})
+    A = build(pot)
+    mu = gibbs_measure(pot)
+    eig = mu.eigen
+    lam, gap, P, pi = mp_gibbs_chain(A)
+    # the bracket holds lam up to the rounding of the ratios (A v)_a / v_a,
+    # at most (m + 1) u relative for a sum of m nonnegative products; the
+    # one ulp it is widened by covers most draws, not all (4 in 1000)
+    assert eig.lo <= eig.lam <= eig.hi
+    slack = (m + 1) * EPS
+    assert eig.lo * (1.0 - slack) <= lam <= eig.hi * (1.0 + slack)
+    bound = 4.0 * (eig.hi / eig.lo - 1.0) / float(gap) + 8 * m * EPS
+    assert entrywise_error(mu.P, [x for row in P for x in row]) <= bound
+    assert entrywise_error(mu.pi, pi) <= bound
+
+
+def dense_left(A):
+    values, vectors = np.linalg.eig(A.T)
+    return np.abs(vectors[:, np.argmax(values.real)].real)
+
+
+# at beta 400 the roots e^400 +- e^-400 are one double, so dense eig cannot
+# split them; the symmetric matrix has the left vector (1, 1)
+@pytest.mark.parametrize("A, u", [(build(ising_potential(400.0)), np.ones(2)),
+                                  (coupled(0.05), dense_left(coupled(0.05)))],
+                         ids=["ising-400", "coupled-e-400"])
+def test_rates_a_v_give_the_left_vector_where_the_chain_underflows(A, u):
+    # P[a, b] = A[a, b] v_b / (A v)_a drops a transition of A (e^-800
+    # underflows), so GTH on P would see the wrong classes; the rates
+    # A[a, b] v_b keep every transition, and their stationary vector is the
+    # left Perron vector up to scale
+    v = leading_eigen(A).v
+    P = A * v[None, :] / (A @ v)[:, None]
+    assert np.count_nonzero(P) < np.count_nonzero(A)
+    w = stationary_vector(A * v[None, :])
+    assert np.max(np.abs(w / w.max() - u / u.max())) <= 1e-13

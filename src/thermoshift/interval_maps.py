@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._numerics import bracketed_root, path_sum_price
+from ._numerics import bracketed_root
 from .errors import IsRepeller, NotExpanding, NotMarkov, NotPrimitive
 from .measures import MarkovMeasure
 from .sft import Alphabet, SubshiftOfFiniteType
@@ -148,29 +148,9 @@ def square_coding(pot: LocallyConstantPotential) -> LocallyConstantPotential:
 class AcimResult:
     """Absolutely continuous invariant measure of a covering linear Markov map."""
 
-    map: PiecewiseLinearMarkovMap
     measure: MarkovMeasure     # the Gibbs chain of -log|T'|
     pressure_residual: float
     densities: dict            # interval -> density value on it
-
-    def certificate(self, depth, budget=10 ** 7):
-        """Extremes of mass(w) / |I_w| over the admissible depth-n words.
-
-        A ratio pi(w_0) prod_i P(w_i, w_(i+1)) |T'(I_(w_i))| / |I_(w_(n-1))|
-        rounds 2n times left to right, within about 2n u of the exact ratio of
-        the chain's floats.  Rounding is monotone on positive factors, so one
-        forward (min, x) and (max, x) pass gives the rounded extremes exactly;
-        over ``budget`` it raises DepthTooLarge first (``path_sum_price``)."""
-        mu, T = self.measure, self.measure.P > 0
-        path_sum_price(depth, T.size, budget)
-        stretch = np.array([float(abs(b.slope)) for b in self.map.branches])
-        length = np.array([float(x) for x in self.map.lengths])
-        step = mu.P * stretch[:, None]
-        lo = hi = mu.pi
-        for _ in range(depth - 1):
-            lo = (lo[:, None] * step).min(axis=0, initial=np.inf, where=T)
-            hi = (hi[:, None] * step).max(axis=0, initial=-np.inf, where=T)
-        return float((lo / length).min()), float((hi / length).max())
 
 
 def acim(imap: PiecewiseLinearMarkovMap) -> AcimResult:
@@ -178,9 +158,11 @@ def acim(imap: PiecewiseLinearMarkovMap) -> AcimResult:
     -log|T'| with no eigen solve: the lengths x solve A x = x for its
     transfer operator A_ab = [I_b in T(I_a)] / |T'_a|, so the chain is
     P(a, b) = |I_b| / (|T'_a| |I_a|), each entry rounded once from the
-    rationals.  pi / x is the density, 0 on a transient interval; two
-    recurrent classes raise NotPrimitive.  ``pressure_residual`` is the
-    Collatz-Wielandt bound max_a |log((A x)_a / x_a)| on |P(-log|T'|)|."""
+    rationals.  pi / x is the density, 0 on a transient interval, and every
+    cylinder w has mass(w) / |I_w| = pi(w_0) / |I_(w_0)| (Boyarsky-Gora,
+    Laws of Chaos, 1997); two recurrent classes raise NotPrimitive.
+    ``pressure_residual`` is the Collatz-Wielandt bound
+    max_a |log((A x)_a / x_a)| on |P(-log|T'|)|."""
     if not imap.covering:
         raise IsRepeller("branches do not cover [0,1]; no invariant density")
     P = np.zeros((len(imap.lengths),) * 2)
@@ -196,7 +178,7 @@ def acim(imap: PiecewiseLinearMarkovMap) -> AcimResult:
     stretch = np.array([float(abs(b.slope)) for b in imap.branches])
     length = np.array([float(x) for x in imap.lengths])
     ax = np.where(P > 0, length, 0.0).sum(axis=1) / stretch
-    return AcimResult(imap, mu, float(np.abs(np.log(ax / length)).max()),
+    return AcimResult(mu, float(np.abs(np.log(ax / length)).max()),
                       dict(enumerate((mu.pi / length).tolist())))
 
 
@@ -222,7 +204,7 @@ def bowen_root(pot: LocallyConstantPotential, tol=1e-12) -> DimensionResult:
     is bracketed in [0, P(0)/log(alpha) + 1].  Bisection plus Newton steps
     (the derivative is the Gibbs expectation of phi) stop when |P| <= tol.
     """
-    from .transfer import gibbs_measure
+    from .transfer import gibbs_measure, pressure
 
     residual = []
 
@@ -231,7 +213,7 @@ def bowen_root(pot: LocallyConstantPotential, tol=1e-12) -> DimensionResult:
         residual[:] = [abs(g.pressure)]
         return -g.pressure, -g.expectation(pot)
 
-    p0 = gibbs_measure(pot.scale(0.0)).pressure
+    p0 = pressure(pot.scale(0.0))
     if p0 <= 0:
         raise IsRepeller("pressure at s = 0 is not positive; no root to bracket")
     s, steps = bracketed_root(minus_pressure, 0.0,

@@ -29,11 +29,11 @@ class EigenData:
     """Leading eigendata of a transfer matrix.
 
     v is the positive right eigenvector, normalized to sum 1, and [lo, hi]
-    the Collatz-Wielandt bracket of its ratios (A v)_a / v_a, each end one
-    ulp outward: it holds the spectral radius up to the rounding of the
-    ratios, at most (m + 1) u relative, and so does lam = sum(A v) / sum(v).
-    iterations counts the rounds of ``leading_eigen``, squarings the matrix
-    squarings among them.
+    the Collatz-Wielandt bracket of its ratios (A v)_a / v_a, each end moved
+    outward by gamma_(m+1) = (m + 1) u / (1 - (m + 1) u), the rounding bound
+    of a ratio (u = 2^-53), and then one ulp: it holds the spectral radius,
+    and lam = sum(A v) / sum(v) lies in it.  iterations counts the rounds of
+    ``leading_eigen``, squarings the matrix squarings among them.
     """
 
     lam: float
@@ -77,6 +77,7 @@ _PLAIN_ROUNDS = 64
 # A^(2^64) resolves every gap a double can hold, so squaring stops there
 _MAX_SQUARINGS = 64
 _MAX_ROUNDS = 10 ** 6
+_U = 2.0 ** -53     # unit roundoff
 
 
 def _positive(x) -> bool:
@@ -90,9 +91,10 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
     Each round evaluates A v and the ratios r = (A v) / v, whose extremes,
     each moved one ulp outward, are the Collatz-Wielandt bracket
     lo <= lam <= hi (Meyer, Matrix Analysis, 8.3).  The result is returned
-    once hi <= (1 + tol) lo, so tol bounds the relative error of lam, and to
-    first order v is the Perron vector to tol / gap entry by entry (gap
-    1 - |lambda_2| / lambda).  A ratio that is 0 or not finite raises
+    once hi <= (1 + tol) lo, so tol bounds the relative error of lam up to
+    the rounding of the ratios, by which the returned bracket is widened
+    (see ``EigenData``), and to first order v is the Perron vector to
+    tol / gap entry by entry (gap 1 - |lambda_2| / lambda).  A ratio that is 0 or not finite raises
     NoConvergence at once: an entry of v left the float range.
 
     The first max(m, 64) rounds (m the size of A) are power steps from the
@@ -137,7 +139,10 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
         hi = float(np.nextafter(r.max(), np.inf))
         lam = min(max(float(Av.sum()) / float(v.sum()), lo), hi)
         if hi <= (1.0 + tol) * lo:
-            return EigenData(lam, v, lo, hi, it, squarings)
+            gamma = (m + 1) * _U / (1.0 - (m + 1) * _U)
+            return EigenData(lam, v, float(np.nextafter(lo - lo * gamma, 0.0)),
+                             float(np.nextafter(hi + hi * gamma, np.inf)),
+                             it, squarings)
         width = hi / lo - 1.0
         if width < best:
             best, best_it = width, it

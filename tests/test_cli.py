@@ -242,8 +242,9 @@ def test_wide_model_gibbs_constants_are_the_closed_form(capsys, tmp_path, depth)
     T = max(float(np.max(-np.log(mu.pi))), float(np.max(
         np.abs(np.log(mu.P[admissible])) + np.abs(np.log(A[admissible]))
         + abs(mu.pressure))))
-    bound = (e_pi + s_v + n * (math.log(mu.eigen.hi / mu.eigen.lo)
-                                   + 2 * (m + 1) * u)
+    # log(hi / lo) holds the rounding of the ratios, 2 (m + 1) u, by which
+    # the bracket is widened
+    bound = (e_pi + s_v + n * math.log(mu.eigen.hi / mu.eigen.lo)
              + (n + 1) ** 2 * (m + 4 + 3 * T) * u)
     assert max(errors) <= bound < 1e-8
     # the closed form is 1 - 1.48e-12 and 1.0733e-52 at every depth here
@@ -262,7 +263,9 @@ def test_gibbs_at_couplings_of_400_keeps_both_states(capsys, tmp_path):
     notes = doc["payload"]["annotations"]
     assert notes["transition"] == [[1.0, 0.0], [0.0, 1.0]]
     assert notes["stationary"] == [0.5, 0.5]
-    assert 0.0 < notes["eigen_bracket_width"] <= 1e-13
+    # tol, and each end moved out by gamma_3 = 3u / (1 - 3u) and one ulp
+    gamma, eps = 3 * 2.0 ** -53 / (1 - 3 * 2.0 ** -53), 2.0 ** -52
+    assert 0.0 < notes["eigen_bracket_width"] <= 1e-13 + 2 * gamma + 6 * eps
 
 
 def test_relent_cross_check(capsys, tmp_path):
@@ -578,8 +581,7 @@ USAGE = {
     "hofbauer-scan": "[-h] [--betas BETAS] [--kink KINK] [--steps STEPS] "
                      "[--tol TOL] [--check] [--out PATH.CSV] [--bits] family",
     "dimension": "[-h] [--tol TOL] [--check] [--bits] map",
-    "acim": "[-h] [--depth DEPTH] [--budget BUDGET] [--check] [--out PATH.CSV] "
-            "[--bits] map",
+    "acim": "[-h] [--check] [--out PATH.CSV] [--bits] map",
     "pn-scan": "[-h] [--n-max N_MAX] [--beta BETA] [--budget BUDGET] "
                "[--out PATH.CSV] [--bits] sft potential",
 }
@@ -590,10 +592,10 @@ DEFAULTS = {
             "ising": 1e-13, "hofbauer-scan": 1e-12,
             "dimension": 1e-12},
     "depth": {"entropy": 12, "pressure": 12, "relent": 12, "production": 12,
-              "bounds": 8, "acim": 8, "aep": 10, "sample": 1000},
+              "bounds": 8, "aep": 10, "sample": 1000},
     "budget": {"lattice": 2 ** 22, **dict.fromkeys(
         ["pressure", "bounds", "relent", "aep", "periodic", "production",
-         "acim", "pn-scan"], 10 ** 7)},
+         "pn-scan"], 10 ** 7)},
     "beta": dict.fromkeys(["pressure", "gibbs", "bounds", "relent", "lattice",
                            "ising", "pn-scan"], 1.0),
     "alpha": {"aep": 0.1},
@@ -1063,14 +1065,31 @@ def test_acim_densities_and_csv(capsys, tmp_path):
     assert code == 0
     assert abs(result(doc, "density[0]")["value"] - 9.0 / 8.0) < 1e-10
     assert abs(result(doc, "density[1]")["value"] - 3.0 / 4.0) < 1e-10
+    # the ratio extremes are the density extremes, exactly 3/4 and 9/8
     cert = certificate(doc, "density_ratio_extremes")
-    assert abs(min(cert["values"]) - 0.75) < 1e-10
-    assert abs(max(cert["values"]) - 1.125) < 1e-10
+    assert cert["values"] == [0.75, 1.125]
+    assert cert["methods"] == ["spectral"]
     assert doc["payload"]["annotations"]["intervals"] == [["0", "2/3"],
                                                           ["2/3", "1"]]
     lines = out.read_text().splitlines()
     assert lines[0] == "left,right,density"
     assert len(lines) == 3
+
+
+def test_acim_check_on_an_interval_in_no_image_is_clean(tmp_path):
+    # [0, 1/3] lies in no branch's image: density 0 there, and the depth-8
+    # ratio pass once printed RuntimeWarnings of inf * 0 on it, exit 0
+    path = tmp_path / "map.yaml"
+    path.write_text('version: v1\nkind: markov-map\nbreakpoints: ["0", "1/3", '
+                    '"2/3", "1"]\nbranches:\n  - {slope: 2, image: [1, 2]}\n'
+                    '  - {slope: 2, image: [1, 2]}\n  - {slope: -2, image: [1, 2]}\n')
+    proc = subprocess.run([sys.executable, "-m", "thermoshift", "acim",
+                           str(path), "--check"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    densities = [result(doc, f"density[{s}]")["value"] for s in range(3)]
+    values = certificate(doc, "density_ratio_extremes")["values"]
+    assert values == [min(densities), max(densities)] == [0.0, 1.5]
 
 
 _TEN_400 = 10 ** 400

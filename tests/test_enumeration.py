@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (LocallyConstantPotential, MarkovMeasure,
-                         PiecewiseLinearMarkovMap, SubshiftOfFiniteType, acim,
-                         aep_partition, entropy_by_blocks, full_shift,
+                         SubshiftOfFiniteType, aep_partition,
+                         entropy_by_blocks, full_shift,
                          gibbs_bounds, gibbs_measure, lattice_equilibrium,
                          pressure_Pn, pressure_Pn_curve,
                          relative_entropy_direct)
@@ -248,12 +248,6 @@ def _relative_entropy_direct(n, budget):
     relative_entropy_direct(_coin(), mu, n, budget=budget)
 
 
-def _acim_certificate(n, budget):
-    doubling = PiecewiseLinearMarkovMap(["0", "1/2", "1"],
-                                        [(2, (0, 1)), (2, (0, 1))])
-    acim(doubling).certificate(n, budget=budget)
-
-
 def _zero():
     return LocallyConstantPotential.zero(full_shift(2))
 
@@ -267,7 +261,6 @@ GUARDED = {
     "entropy_by_blocks": lambda n, budget: entropy_by_blocks(_coin(), n,
                                                              budget=budget),
     "aep_partition": lambda n, budget: aep_partition(_coin(), n, 0.1, budget=budget),
-    "AcimResult.certificate": _acim_certificate,
     "periodic --check": _periodic_check,
     "lattice_equilibrium": lambda n, budget: lattice_equilibrium(
         n, _zero(), 1.0, budget=budget),

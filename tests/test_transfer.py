@@ -76,14 +76,24 @@ def test_constant_shift_moves_pressure_by_constant():
     assert abs(pressure(pot.shift(c)) - (pressure(pot) + c)) < 1e-12
 
 
+def widened(tol, m):
+    """Largest width hi / lo of a bracket the engine returns at tol on an
+    m x m matrix: tol, each end moved out by gamma_(m+1), the rounding bound
+    of a ratio (A v)_a / v_a, and then one ulp, which also covers the
+    rounding of the move."""
+    gamma = (m + 1) * EPS / 2 / (1 - (m + 1) * EPS / 2)
+    return (1.0 + tol) * (1.0 + 2 * gamma + 4 * EPS)
+
+
 def test_leading_eigen_contract():
     _, pot = run_weights()
     tm = build(pot)
     eig = leading_eigen(tm)
-    # the bracket holds the ratios of v and lam, and is tol wide
+    # the bracket holds the ratios of v and lam, and is tol wide plus the
+    # rounding of the ratios
     ratios = tm @ eig.v / eig.v
     assert eig.lo < ratios.min() <= ratios.max() < eig.hi
-    assert eig.lo <= eig.lam <= eig.hi <= (1.0 + 1e-13) * eig.lo
+    assert eig.lo <= eig.lam <= eig.hi <= widened(1e-13, 2) * eig.lo
     assert abs(eig.v.sum() - 1.0) < 1e-12
     assert np.all(eig.v > 0)
     assert np.max(np.abs(tm @ eig.v - eig.lam * eig.v)) < 1e-12 * eig.lam
@@ -311,7 +321,7 @@ def test_gap_family_meets_its_closed_form(m, log10_gap, spread, seed):
     eig = leading_eigen(A)
     lam, v = eig.lam, eig.v
     assert abs(lam - c) <= 1e-13 * c
-    assert eig.lo <= lam <= eig.hi <= (1.0 + 1e-13) * eig.lo
+    assert eig.lo <= lam <= eig.hi <= widened(1e-13, m) * eig.lo
     assert np.all(v > 0)
     # w = D^-1 v = alpha 1 + z with pi . z = 0, and M z = (1 - g) z, so the
     # residual r = A v - lam v gives ((1 - g) - lam / c) z = (I - 1 pi^T) D^-1 r / c
@@ -326,14 +336,19 @@ def test_gap_family_meets_its_closed_form(m, log10_gap, spread, seed):
 
 def plain_power_loop(A, tol=1e-13):
     """Power steps from the uniform vector until the ratios Av / v, widened
-    one ulp each way, agree to a relative tol: the engine without squaring."""
-    v = np.full(A.shape[0], 1.0 / A.shape[0])
+    one ulp each way, agree to a relative tol: the engine without squaring.
+    The bracket it returns is widened by gamma_(m+1) and one more ulp."""
+    m = A.shape[0]
+    v = np.full(m, 1.0 / m)
     for it in itertools.count(1):
         Av = A @ v
         lo = np.nextafter(np.min(Av / v), 0.0)
         hi = np.nextafter(np.max(Av / v), np.inf)
         if hi <= (1.0 + tol) * lo:
-            return min(max(float(Av.sum()) / float(v.sum()), lo), hi), v, lo, hi, it
+            lam = min(max(float(Av.sum()) / float(v.sum()), lo), hi)
+            gamma = (m + 1) * 2.0 ** -53 / (1.0 - (m + 1) * 2.0 ** -53)
+            return (lam, v, np.nextafter(lo - lo * gamma, 0.0),
+                    np.nextafter(hi + hi * gamma, np.inf), it)
         v = Av / Av.sum()
 
 
@@ -554,13 +569,15 @@ def test_gibbs_chain_is_the_mpmath_chain_entry_by_entry(m, sigma, seed):
     mu = gibbs_measure(pot)
     eig = mu.eigen
     lam, gap, P, pi = mp_gibbs_chain(A)
-    # the bracket holds lam up to the rounding of the ratios (A v)_a / v_a,
-    # at most (m + 1) u relative for a sum of m nonnegative products; the
-    # one ulp it is widened by covers most draws, not all (4 in 1000)
+    # the bracket is widened by the rounding of the ratios (A v)_a / v_a,
+    # gamma_(m+1) for a sum of m nonnegative products and a division, so it
+    # holds lam; one ulp alone missed it in 4 draws of 1000
     assert eig.lo <= eig.lam <= eig.hi
-    slack = (m + 1) * EPS
-    assert eig.lo * (1.0 - slack) <= lam <= eig.hi * (1.0 + slack)
-    bound = 4.0 * (eig.hi / eig.lo - 1.0) / float(gap) + 8 * m * EPS
+    assert eig.lo <= lam <= eig.hi
+    # d is the width the engine stopped at, before that widening
+    ratios = A @ eig.v / eig.v
+    d = np.nextafter(ratios.max(), np.inf) / np.nextafter(ratios.min(), 0.0) - 1.0
+    bound = 4.0 * d / float(gap) + 8 * m * EPS
     assert entrywise_error(mu.P, [x for row in P for x in row]) <= bound
     assert entrywise_error(mu.pi, pi) <= bound
 

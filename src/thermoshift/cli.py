@@ -9,8 +9,9 @@ The payload is deterministic for a fixed invocation (same files, flags,
 seed); wall time lives in meta, outside the digest.  Every numeric result
 carries a method tag naming the engine that produced it (spectral,
 variational, renewal, enumeration), and whenever two engines computed the
-same quantity the report includes their discrepancy.  Curves and tables go
-to CSV (RFC 4180: CRLF, headers always) via --out.
+same quantity the report includes their discrepancy.  Entropies, pressures
+and rates are in nats.  Curves and tables go to CSV (RFC 4180: CRLF, headers
+always) via --out.
 
 Exit codes: 0 success, 1 computation error, 2 budget exceeded, 3 syntax
 (invocation, unreadable model file, unwritable --out path or stdout, or
@@ -20,7 +21,6 @@ malformed model text), 4 schema violation, 5 semantic invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -43,9 +43,6 @@ EXIT_BUDGET = 2
 EXIT_SYNTAX = 3
 EXIT_SCHEMA = 4
 EXIT_SEMANTIC = 5
-
-_LN2 = float(np.log(2.0))
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped onto the syntax exit code."""
@@ -110,17 +107,6 @@ class Report:
         self.payload["artifacts"].append(
             {"path": str(path), "columns": list(columns), "rows": rows})
 
-    def to_bits(self):
-        for entry in self.payload["results"]:
-            if entry["units"] == "nats" and isinstance(entry["value"], float):
-                entry["value"] = entry["value"] / _LN2
-                entry["units"] = "bits"
-        for cert in self.payload["certificates"]:
-            if cert["units"] == "nats":
-                cert["values"] = [v / _LN2 for v in cert["values"]]
-                cert["discrepancy"] = cert["discrepancy"] / _LN2
-                cert["units"] = "bits"
-
     def emit(self, wall_time):
         payload = _sanitize(self.payload)
         canonical = json.dumps(payload, sort_keys=True,
@@ -168,6 +154,8 @@ def _write_csv(path, header, columns):
     """RFC 4180 table from equal-length columns: CRLF endings, header row,
     floats at 17 significant digits.  Rows are streamed, never built.
     Returns the row count, the length of the first column that has one."""
+    import csv
+
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\r\n")
@@ -208,7 +196,7 @@ def _load(report, path, kind, loaded):
 
 
 def _cmd_entropy(args, report, sft):
-    h = sft.topological_entropy(tol=args.tol)
+    h = sft.topological_entropy()
     report.result("topological_entropy", h, "nats", "spectral")
     mix = sft.validate()
     report.annotate("primitive", mix.primitive)
@@ -226,7 +214,7 @@ def _cmd_pressure(args, report, pot):
     from .transfer import pressure as spectral_pressure
 
     pot = pot.scale(args.beta)
-    p = spectral_pressure(pot, tol=args.tol)
+    p = spectral_pressure(pot)
     report.result("pressure", p, "nats", "spectral")
     if args.check:
         from .variational import pressure_Pn
@@ -240,7 +228,7 @@ def _cmd_pressure(args, report, pot):
 def _cmd_gibbs(args, report, pot):
     from .transfer import gibbs_measure
 
-    g = gibbs_measure(pot.scale(args.beta), tol=args.tol)
+    g = gibbs_measure(pot.scale(args.beta))
     h = g.entropy()
     mean = g.expectation()
     report.result("pressure", g.pressure, "nats", "spectral")
@@ -391,7 +379,7 @@ def _cmd_ising(args, report):
                               lattice_pressure_trace)
 
     beta = args.beta
-    g = gibbs_measure(ising_potential(beta), tol=args.tol)
+    g = gibbs_measure(ising_potential(beta))
     p = g.pressure
     exact = ising_pressure_exact(beta)
     report.result("pressure", p, "nats", "spectral")
@@ -436,7 +424,7 @@ def _cmd_hofbauer_scan(args, report, fam):
     report.annotate("truncation_K", diag.truncation_K)
     pressures = []
     for beta in args.betas:
-        p = pressure_renewal(fam, beta, tol=args.tol)
+        p = pressure_renewal(fam, beta)
         pressures.append(p)
         report.result(f"pressure(beta={beta:g})", p, "nats", "renewal")
     if args.check:
@@ -444,8 +432,8 @@ def _cmd_hofbauer_scan(args, report, fam):
             oracle = pressure_periodic(fam, beta, n=18)
             report.certificate(f"pressure(beta={beta:g})",
                                ["renewal", "variational"], [p, oracle], "nats")
-        left, right = kink_quotients(fam, args.kink, args.steps, args.tol,
-                                     dict(zip(args.betas, pressures)))
+        left, right = kink_quotients(fam, args.kink, args.steps,
+                                     known=dict(zip(args.betas, pressures)))
         for h, q in sorted(left.items()):
             report.result(f"left_quotient(h={h:g})", q, "nats", "renewal")
         for h, q in sorted(right.items()):
@@ -457,12 +445,12 @@ def _cmd_hofbauer_scan(args, report, fam):
 def _cmd_dimension(args, report, imap):
     from .interval_maps import bowen_dimension, bowen_root, code, square_coding
 
-    res = bowen_dimension(imap, tol=args.tol)
+    res = bowen_dimension(imap)
     report.result("dimension", res.dimension, "dimensionless", "spectral")
     report.result("pressure_residual", res.residual, "nats", "spectral")
     report.annotate("iterations", res.iterations)
     if args.check:
-        res2 = bowen_root(square_coding(code(imap)), tol=args.tol)
+        res2 = bowen_root(square_coding(code(imap)))
         report.result("dimension_of_square", res2.dimension, "dimensionless",
                       "spectral")
         report.certificate("square_recoding", ["spectral", "spectral"],
@@ -552,8 +540,6 @@ _FLAGS = {
     "steps": {"type": _typed(_comma_list(_positive), bool,
                              "a comma list of positive finite numbers"),
               "help": "difference-quotient steps used with --check"},
-    "tol": {"type": _positive,
-            "help": "stopping tolerance (default %(default)s)"},
     "depth": {"type": _count,
               "help": "cylinder depth / path length (default %(default)s)"},
     "budget": {"type": _count, "help": "cap on words or path-sum price"},
@@ -563,8 +549,6 @@ _FLAGS = {
     "check": {"action": "store_true",
               "help": "run the second-method cross-validation"},
     "out": {"metavar": "PATH.CSV", "help": "write the tabular artifact here"},
-    "bits": {"action": "store_true",
-             "help": "report nats-valued quantities in bits"},
 }
 
 _REQUIRED = object()     # the default of a flag the command cannot run without
@@ -573,16 +557,15 @@ _BUDGET = 10 ** 7
 # command -> (handler, help, model-file positionals, {flag: default}); main
 # loads the model files in this order and calls the handler with their engine
 # objects, a potential in place of its subshift.  The flags appear in this
-# order in the usage line, and every command ends with --bits
+# order in the usage line.
 _COMMANDS = {
     "entropy": (_cmd_entropy, "topological entropy of a subshift", ["sft"],
-                {"tol": 1e-14, "depth": 12, "check": False}),
+                {"depth": 12, "check": False}),
     "pressure": (_cmd_pressure, "topological pressure of a potential",
                  ["sft", "potential"],
-                 {"beta": 1.0, "tol": 1e-13, "depth": 12, "budget": _BUDGET,
-                  "check": False}),
+                 {"beta": 1.0, "depth": 12, "budget": _BUDGET, "check": False}),
     "gibbs": (_cmd_gibbs, "equilibrium state in Markov form",
-              ["sft", "potential"], {"beta": 1.0, "tol": 1e-13, "out": None}),
+              ["sft", "potential"], {"beta": 1.0, "out": None}),
     "bounds": (_cmd_bounds, "Gibbs ratio envelope at depth n",
                ["sft", "potential"],
                {"beta": 1.0, "depth": 8, "budget": _BUDGET}),
@@ -603,16 +586,16 @@ _COMMANDS = {
                 {"n": _REQUIRED, "beta": 1.0, "budget": 2 ** 22,
                  "check": False, "out": None}),
     "ising": (_cmd_ising, "nearest-neighbour spin chain", [],
-              {"beta": 1.0, "n": None, "target": None, "tol": 1e-13}),
+              {"beta": 1.0, "n": None, "target": None}),
     "hofbauer-scan": (_cmd_hofbauer_scan,
                       "renewal pressure scan of a run-length family",
                       ["family"],
                       {"betas": "0.8,0.9,1.0,1.1,1.2", "kink": 1.0,
-                       "steps": "1e-2,1e-3,1e-4", "tol": 1e-12,
-                       "check": False, "out": None}),
+                       "steps": "1e-2,1e-3,1e-4", "check": False,
+                       "out": None}),
     "dimension": (_cmd_dimension,
                   "Hausdorff dimension via the pressure equation", ["map"],
-                  {"tol": 1e-12, "check": False}),
+                  {"check": False}),
     "acim": (_cmd_acim, "invariant density of a covering map", ["map"],
              {"check": False, "out": None}),
     "pn-scan": (_cmd_pn_scan, "finite pressure approximants P_n/n",
@@ -635,7 +618,7 @@ def build_parser(argv=()) -> _Parser:
             continue
         for model in models:
             sp.add_argument(model)
-        for flag, default in {**flags, "bits": False}.items():
+        for flag, default in flags.items():
             given = ({"required": True} if default is _REQUIRED
                      else {"default": default})
             sp.add_argument(f"--{flag}", **given, **_FLAGS[flag])
@@ -681,8 +664,6 @@ def main(argv=None) -> int:
         for name in positionals:
             models += _load(report, getattr(args, name), _KINDS[name], models)
         fn(args, report, *models)
-        if args.bits:
-            report.to_bits()
         report.emit(time.perf_counter() - start)
     except tuple(_EXITS) as exc:
         code, label = next(_EXITS[cls] for cls in _EXITS if isinstance(exc, cls))

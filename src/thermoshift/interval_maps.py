@@ -172,6 +172,8 @@ def acim(imap: PiecewiseLinearMarkovMap) -> AcimResult:
     try:
         mu = MarkovMeasure.from_transition(P)
     except ValueError as exc:
+        if not hasattr(exc, "states"):
+            raise
         a, b = ("[%s, %s]" % imap.interval(i) for i in exc.states)
         raise NotPrimitive(f"intervals {a} and {b} lie in different "
                            "recurrent classes") from None

@@ -36,7 +36,6 @@ import re
 import reprlib
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -254,6 +253,8 @@ def parse(path) -> ModelFile:
 def _rational(model, x, what, *path):
     """A number as the map reads it, a 'p/q' string as its Fraction; a
     string that is no rational is refused at the field it came from."""
+    from fractions import Fraction
+
     if not isinstance(x, str):
         return x
     try:

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -106,19 +107,6 @@ def test_entropy_check_past_the_int64_range(capsys):
     assert count > 2 ** 63
     assert (result(doc, "log_word_count_over_n(n=100)")["value"]
             == math.log(count) / 100)
-
-
-def test_bits_flag_rescales(capsys):
-    code, doc = run(capsys, "entropy", MODELS / "full-shift.yaml", "--bits")
-    assert code == 0
-    entry = result(doc, "topological_entropy")
-    assert entry["units"] == "bits"
-    assert abs(entry["value"] - 1.0) < 1e-12
-    code, doc = run(capsys, "entropy", MODELS / "golden-mean.yaml",
-                    "--check", "--bits")
-    assert code == 0
-    cert = certificate(doc, "entropy_cross_check")
-    assert cert["units"] == "bits"
 
 
 def test_payload_identical_across_runs(capsys):
@@ -513,10 +501,10 @@ def test_bad_number_lists_and_counts_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["pressure", "golden-mean.yaml", "run-weights.yaml", "--tol", "0"],
-    ["gibbs", "golden-mean.yaml", "run-weights.yaml", "--tol", "-1"],
-    ["entropy", "golden-mean.yaml", "--tol", "-1"],
-    ["hofbauer-scan", "cubic-family.yaml", "--tol", "-1"],
+    ["pressure", "golden-mean.yaml", "run-weights.yaml", "--depth", "0"],
+    ["gibbs", "golden-mean.yaml", "run-weights.yaml", "--beta", "inf"],
+    ["entropy", "golden-mean.yaml", "--depth=-1"],
+    ["hofbauer-scan", "cubic-family.yaml", "--kink", "nan"],
     ["hofbauer-scan", "cubic-family.yaml", "--check", "--steps", "0"],
     ["hofbauer-scan", "cubic-family.yaml", "--check", "--steps=-0.01"],
     ["hofbauer-scan", "cubic-family.yaml", "--betas", ","],
@@ -545,52 +533,37 @@ def test_largest_seed_runs(capsys):
     assert doc["payload"]["annotations"]["seed"] == 2 ** 64 - 1
 
 
-def test_unreachable_tolerance_fails_fast(capsys):
-    # rounding keeps the residual near 1e-16, so the solver must stop once
-    # it no longer falls rather than run its 10^6 rounds
-    start = time.perf_counter()
-    code = main(["pressure", str(MODELS / "golden-mean.yaml"),
-                 str(MODELS / "run-weights.yaml"), "--tol", "1e-300"])
-    assert time.perf_counter() - start < 2.0
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("computation error:") and "stalled at" in err
-
-
 # each command's arguments as the hand-written subparsers built them
 USAGE = {
-    "entropy": "[-h] [--tol TOL] [--depth DEPTH] [--check] [--bits] sft",
-    "pressure": "[-h] [--beta BETA] [--tol TOL] [--depth DEPTH] "
-                "[--budget BUDGET] [--check] [--bits] sft potential",
-    "gibbs": "[-h] [--beta BETA] [--tol TOL] [--out PATH.CSV] [--bits] "
-             "sft potential",
-    "bounds": "[-h] [--beta BETA] [--depth DEPTH] [--budget BUDGET] [--bits] "
+    "entropy": "[-h] [--depth DEPTH] [--check] sft",
+    "pressure": "[-h] [--beta BETA] [--depth DEPTH] [--budget BUDGET] "
+                "[--check] sft potential",
+    "gibbs": "[-h] [--beta BETA] [--out PATH.CSV] sft potential",
+    "bounds": "[-h] [--beta BETA] [--depth DEPTH] [--budget BUDGET] "
               "sft potential",
     "relent": "[-h] [--beta BETA] [--depth DEPTH] [--budget BUDGET] [--check] "
-              "[--bits] sft potential chain",
-    "sample": "[-h] [--depth DEPTH] --seed SEED [--out PATH.CSV] [--bits] chain",
-    "aep": "[-h] [--alpha ALPHA] [--depth DEPTH] [--budget BUDGET] [--bits] "
-           "chain",
-    "periodic": "[-h] --n N [--budget BUDGET] [--check] [--out PATH.CSV] "
-                "[--bits] sft",
-    "production": "[-h] [--depth DEPTH] [--budget BUDGET] [--check] [--bits] "
-                  "chain",
+              "sft potential chain",
+    "sample": "[-h] [--depth DEPTH] --seed SEED [--out PATH.CSV] chain",
+    "aep": "[-h] [--alpha ALPHA] [--depth DEPTH] [--budget BUDGET] chain",
+    "periodic": "[-h] --n N [--budget BUDGET] [--check] [--out PATH.CSV] sft",
+    "production": "[-h] [--depth DEPTH] [--budget BUDGET] [--check] chain",
     "lattice": "[-h] --n N [--beta BETA] [--budget BUDGET] [--check] "
-               "[--out PATH.CSV] [--bits] sft potential",
-    "ising": "[-h] [--beta BETA] [--n N] [--target TARGET] [--tol TOL] [--bits]",
+               "[--out PATH.CSV] sft potential",
+    "ising": "[-h] [--beta BETA] [--n N] [--target TARGET]",
     "hofbauer-scan": "[-h] [--betas BETAS] [--kink KINK] [--steps STEPS] "
-                     "[--tol TOL] [--check] [--out PATH.CSV] [--bits] family",
-    "dimension": "[-h] [--tol TOL] [--check] [--bits] map",
-    "acim": "[-h] [--check] [--out PATH.CSV] [--bits] map",
+                     "[--check] [--out PATH.CSV] family",
+    "dimension": "[-h] [--check] map",
+    "acim": "[-h] [--check] [--out PATH.CSV] map",
     "pn-scan": "[-h] [--n-max N_MAX] [--beta BETA] [--budget BUDGET] "
-               "[--out PATH.CSV] [--bits] sft potential",
+               "[--out PATH.CSV] sft potential",
 }
+
+# the flags a command needs before it runs at all
+REQUIRED = {"sample": ["--seed", "1"], "periodic": ["--n", "2"],
+            "lattice": ["--n", "2"]}
 
 # the defaults the handlers applied themselves before the parser held them
 DEFAULTS = {
-    "tol": {"entropy": 1e-14, "pressure": 1e-13, "gibbs": 1e-13,
-            "ising": 1e-13, "hofbauer-scan": 1e-12,
-            "dimension": 1e-12},
     "depth": {"entropy": 12, "pressure": 12, "relent": 12, "production": 12,
               "bounds": 8, "aep": 10, "sample": 1000},
     "budget": {"lattice": 2 ** 22, **dict.fromkeys(
@@ -618,12 +591,44 @@ def test_parser_keeps_each_commands_arguments_and_defaults(cmd):
     usage = " ".join(sp.format_usage().split())
     assert usage == f"usage: thermoshift {cmd} {USAGE[cmd]}"
     positionals = [a.dest for a in sp._actions if not a.option_strings]
-    required = {"sample": ["--seed", "1"], "periodic": ["--n", "2"],
-                "lattice": ["--n", "2"]}
-    args = sp.parse_args(positionals + required.get(cmd, []))
+    args = sp.parse_args(positionals + REQUIRED.get(cmd, []))
     for dest, by_cmd in DEFAULTS.items():
         if cmd in by_cmd:
             assert getattr(args, dest) == by_cmd[cmd], dest
+
+
+def test_each_command_runs_its_engines_at_their_own_tolerance():
+    # the command line sets no tolerance: each handler takes these defaults
+    from thermoshift import interval_maps, transfer
+
+    engines = {SubshiftOfFiniteType.topological_entropy: 1e-14,
+               transfer.pressure: 1e-13, transfer.gibbs_measure: 1e-13,
+               hofbauer.pressure_renewal: 1e-12, hofbauer.kink_quotients: 1e-12,
+               interval_maps.bowen_dimension: 1e-12,
+               interval_maps.bowen_root: 1e-12}
+    for fn, tol in engines.items():
+        assert inspect.signature(fn).parameters["tol"].default == tol, fn
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--bits"]],
+                         ids=["tol", "bits"])
+@pytest.mark.parametrize("cmd", sorted(USAGE))
+def test_every_command_refuses_tol_and_bits(capsys, monkeypatch, cmd, flag):
+    # every report is in nats at the engines' own tolerances
+    def parse(path):
+        raise AssertionError(f"{path} read before the usage error")
+
+    monkeypatch.setattr(modelio, "parse", parse)
+    (sub,) = [a for a in cli.build_parser([cmd])._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    positionals = [f"{a.dest}.yaml" for a in sub.choices[cmd]._actions
+                   if not a.option_strings]
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, *positionals, *REQUIRED.get(cmd, []), *flag])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert "Traceback" not in err
 
 
 def test_schema_violation_exit_4(capsys, tmp_path):
@@ -1127,6 +1132,25 @@ def test_covering_maps_are_solved_or_refused_by_type(capsys, tmp_path, argv,
         assert result(json.loads(out.out), "density[0]")["value"] == 0.0
 
 
+def test_acim_passes_on_a_chain_error_that_names_no_states(capsys,
+                                                           monkeypatch):
+    from thermoshift.interval_maps import MarkovMeasure, acim
+
+    error = ValueError("P must be row-stochastic (tolerance 1e-9)")
+
+    def from_transition(P):
+        raise error
+
+    monkeypatch.setattr(MarkovMeasure, "from_transition", from_transition)
+    imap = modelio.parse(MODELS / "golden-interval.yaml").obj
+    with pytest.raises(ValueError) as exc:
+        acim(imap)
+    assert exc.value is error
+    assert main(["acim", str(MODELS / "golden-interval.yaml")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"computation error: {error}\n"
+
+
 def test_hofbauer_scan_cli(capsys, tmp_path):
     out = tmp_path / "scan.csv"
     code, doc = run(capsys, "hofbauer-scan", MODELS / "cubic-family.yaml",
@@ -1401,6 +1425,18 @@ def test_each_call_loads_only_the_engines_it_runs(tmp_path):
         got = list(pool.map(loaded, (argv for argv, _ in _CALL_MODULES)))
     for (argv, modules), mods in zip(_CALL_MODULES, got):
         assert mods == sorted(["cli", "errors", "modelio", *modules.split()]), argv
+
+
+def test_entropy_loads_no_rational_decimal_or_csv_module():
+    # fractions (and the decimal it imports) read map slopes, csv writes --out
+    code = ("import io, sys, contextlib; from thermoshift.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(sys.argv[1:]) == 0\n"
+            "print(*sorted({'fractions', 'decimal', 'csv'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, "entropy",
+                           _model("golden-mean"), "--check"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_package_names_load_on_first_access():

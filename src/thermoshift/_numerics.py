@@ -169,8 +169,10 @@ def bracketed_root(f, lo, hi, *, xtol=0.0, ftol=0.0, with_slope=False,
     Without a sign change the bracket moves outward, the old end becoming the
     other bound and the width doubling.  Inside, each step bisects, unless
     ``with_slope`` (f returns (value, slope)) gives a Newton point strictly
-    inside.  Stops at |f| <= ftol or width <= xtol; raises NoConvergence after
-    ROOT_STEPS evaluations.  ``f_lo`` is f(lo), or any number of its sign.
+    inside.  Stops at the first evaluated point with |f| <= ftol, an end of
+    the bracket included though not the starting lo, or at width <= xtol;
+    raises NoConvergence after ROOT_STEPS evaluations.  ``f_lo`` is f(lo),
+    or any number of its sign.
     """
     steps = 0
 
@@ -183,14 +185,19 @@ def bracketed_root(f, lo, hi, *, xtol=0.0, ftol=0.0, with_slope=False,
 
     if f_lo is None:
         f_lo = evaluate(lo)[0]
-    f_hi = evaluate(hi)[0]
-    while f_lo > 0 or f_hi < 0:
+    x = hi
+    fx = f_hi = evaluate(hi)[0]
+    while (f_lo > 0 or f_hi < 0) and abs(fx) > ftol:
         if f_lo > 0:
             lo, hi, f_hi = lo - 2.0 * (hi - lo), lo, f_lo
-            f_lo = evaluate(lo)[0]
+            x = lo
+            fx = f_lo = evaluate(lo)[0]
         else:
             lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
-            f_hi = evaluate(hi)[0]
+            x = hi
+            fx = f_hi = evaluate(hi)[0]
+    if abs(fx) <= ftol:
+        return x, steps
     x = 0.5 * (lo + hi)
     while hi - lo > xtol:
         fx, slope = evaluate(x)

@@ -216,6 +216,8 @@ class TransitionDiagnostic:
 
 _SERIES_K_MAX = 2 ** 23     # deepest truncation of a renewal series
 _DIAGNOSE_K_MAX = 2 ** 22   # deepest truncation ``diagnose`` tries
+_DIAGNOSE_TOL = 1e-8        # margin of ``diagnose``'s comparisons with 1
+_RENEWAL_TOL = 1e-12        # certified error of ``pressure_renewal``
 
 
 class RenewalSeries:
@@ -270,19 +272,18 @@ class RenewalSeries:
             self.K = 2 * K
 
 
-def diagnose(potential: HofbauerPotential, tol=1e-8) -> TransitionDiagnostic:
+def diagnose(potential: HofbauerPotential) -> TransitionDiagnostic:
     """Decide uniqueness from the two series, with certified tails.
 
     Truncation depth adapts: K doubles from 1024 up to _DIAGNOSE_K_MAX until
     either the partial sum provably exceeds 1 (unique), or the certified
     upper bound ``tail_bounds`` gives for the dropped tail is below tol/10
-    and the enclosure settles the comparison with 1.  The partial sums read
-    the cached terms of a ``RenewalSeries`` at beta = 1; the reported tail is
-    the bound, not an estimate.  A tol that is not a positive finite number
-    raises OutOfRange.
+    and the enclosure settles the comparison with 1, for tol =
+    _DIAGNOSE_TOL.  The partial sums read the cached terms of a
+    ``RenewalSeries`` at beta = 1; the reported tail is the bound, not an
+    estimate.
     """
-    if not 0 < tol < np.inf:
-        raise OutOfRange(f"tol must be a positive finite number, got {tol}")
+    tol = _DIAGNOSE_TOL
     series = RenewalSeries(potential, 1.0)
     K = 1024
     while True:
@@ -331,7 +332,7 @@ def _tail_settled(partial, estimate, error):
     return error <= 5e-16 * (partial + 1.0)
 
 
-def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12) -> float:
+def pressure_renewal(potential: HofbauerPotential, beta) -> float:
     """Pressure of beta * phi from the renewal equation, certified.
 
     Every evaluation of G(P) = sum_k exp(beta s_k - (k+1) P) comes from one
@@ -340,23 +341,22 @@ def pressure_renewal(potential: HofbauerPotential, beta, tol=1e-12) -> float:
     5e-16 (partial + 1).  For ``CriticalPowerFamily`` the Euler-Maclaurin
     tail meets that at K = 4096 for every P >= 0.
 
-    Returns 0 when G(0) = sum_k exp(beta s_k) is certified at most 1 + 2 tol
-    (the true root is then at most log of that, below 2 tol).  Otherwise the
-    strictly decreasing, convex G has a unique positive root of 1 - G, found
-    by Newton steps guarded by bisection from [0, 1].  Newton reaches the
-    root of this concave deficit from one side, so it also stops once
+    Write tol for _RENEWAL_TOL, 1e-12.  Returns 0 when G(0) =
+    sum_k exp(beta s_k) is certified at most 1 + 2 tol (the true root is
+    then at most log of that, below 2 tol).  Otherwise the strictly
+    decreasing, convex G has a unique positive root of 1 - G, found by
+    Newton steps guarded by bisection from [0, 1].  Newton reaches the root
+    of this concave deficit from one side, so it also stops once
     |1 - G(P)| <= tol / (1 + tol) - _G_ERROR: as |G'| >= G (every weight
     k + 1 >= 1), that certifies |P - root| <= tol.  The value returned is
     the Newton point of that last evaluation: from the left it lies between
     the evaluated point and the root, from the right it falls short of the
     root by at most |1 - G| / |G'| <= tol, so the certificate holds and the
-    error is Newton's, far below tol.  A tol that is not a positive finite
-    number, or a beta that is not a nonnegative finite one, raises
-    OutOfRange.
+    error is Newton's, far below tol.  A beta that is not a nonnegative
+    finite number raises OutOfRange.
     """
     _check_beta(beta)
-    if not 0 < tol < np.inf:
-        raise OutOfRange(f"tol must be a positive finite number, got {tol}")
+    tol = _RENEWAL_TOL
     series = RenewalSeries(potential, beta)
     cut = 1.0 + 2.0 * tol
 
@@ -419,14 +419,14 @@ def pressure_periodic(potential: HofbauerPotential, beta, n) -> float:
 
 
 def kink_quotients(potential: HofbauerPotential, kink=1.0,
-                   steps=(1e-2, 1e-3, 1e-4), tol=1e-12, known=None):
+                   steps=(1e-2, 1e-3, 1e-4), known=None):
     """One-sided difference quotients of beta -> P(beta * phi) at ``kink``:
     the dicts step h -> (P(kink - h) - P(kink)) / h and step h ->
     (P(kink + h) - P(kink)) / h.
 
-    ``known`` maps betas to renewal pressures already solved at this tol;
-    they are not solved again.  Every other value is ``pressure_renewal``,
-    so it carries that function's certified tail.
+    ``known`` maps betas to renewal pressures already solved; they are not
+    solved again.  Every other value is ``pressure_renewal``, so it carries
+    that function's certified tail.
 
     The left quotient stays above a positive constant while the right
     quotient is identically zero past a first-order transition; both are
@@ -437,7 +437,7 @@ def kink_quotients(potential: HofbauerPotential, kink=1.0,
 
     def at(beta):
         if beta not in known:
-            known[beta] = pressure_renewal(potential, beta, tol=tol)
+            known[beta] = pressure_renewal(potential, beta)
         return known[beta]
 
     p0 = at(kink)

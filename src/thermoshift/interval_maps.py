@@ -193,33 +193,47 @@ class DimensionResult:
     iterations: int     # pressure evaluations of the root search
 
 
-def bowen_dimension(imap: PiecewiseLinearMarkovMap, tol=1e-12) -> DimensionResult:
+def bowen_dimension(imap: PiecewiseLinearMarkovMap) -> DimensionResult:
     """Hausdorff dimension of the invariant set: ``bowen_root`` of -log|T'|."""
-    return bowen_root(code(imap), tol=tol)
+    return bowen_root(code(imap))
 
 
-def bowen_root(pot: LocallyConstantPotential, tol=1e-12) -> DimensionResult:
-    """Root of s -> P(s phi) for a range-1 geometric potential phi = -log|T'|.
+def bowen_root(pot: LocallyConstantPotential) -> DimensionResult:
+    """Root of s -> P(s phi) for a range-1 negative potential phi, such as
+    the geometric potential -log|T'|.
 
-    The map is strictly decreasing (slope at most -log of the expansion
-    constant alpha = exp(-max phi)), positive at s = 0, so its unique root
-    is bracketed in [0, P(0)/log(alpha) + 1].  Bisection plus Newton steps
-    (the derivative is the Gibbs expectation of phi) stop when |P| <= tol.
+    P(s phi) is convex and strictly decreasing in s, with slope the Gibbs
+    expectation of phi, and positive at s = 0.  The search starts from
+    [0, 1]: for a linear Markov map P(-log|T'|) <= 0, since its n-cylinder
+    sums are sum_w |I_w| / |T^n I_w| <= 1 / min_j |I_j|, so the root lies
+    in [0, 1].  For any other negative phi the upper end moves outward, the
+    width doubling, until P < 0 (``bracketed_root``).  Bisection plus Newton
+    steps stop when |P| <= 1e-12, and the result is the Newton point
+    s + P / chi of that last evaluation, chi = -E(phi) the Lyapunov exponent
+    of its Gibbs state: h(mu_s) / chi(mu_s), since P = h - s chi.  It is
+    kept inside the bracket, and ``residual`` is the last |P|.
     """
     from .transfer import gibbs_measure, pressure
 
-    residual = []
+    bracket = [0.0, np.inf]     # largest s with P > 0, smallest with P < 0
+    last = []
 
     def minus_pressure(s):
         g = gibbs_measure(pot.scale(s))
-        residual[:] = [abs(g.pressure)]
-        return -g.pressure, -g.expectation(pot)
+        chi = -g.expectation(pot)
+        last[:] = s, g.pressure, chi
+        if g.pressure > 0:
+            bracket[0] = max(bracket[0], s)
+        elif g.pressure < 0:
+            bracket[1] = min(bracket[1], s)
+        return -g.pressure, chi
 
     p0 = pressure(pot.scale(0.0))
     if p0 <= 0:
         raise IsRepeller("pressure at s = 0 is not positive; no root to bracket")
-    s, steps = bracketed_root(minus_pressure, 0.0,
-                              p0 / -np.nanmax(pot.dense_table) + 1.0,
-                              ftol=tol, with_slope=True, f_lo=-p0)
-    return DimensionResult(dimension=float(s), residual=residual[0],
+    _, steps = bracketed_root(minus_pressure, 0.0, 1.0, ftol=1e-12,
+                              with_slope=True, f_lo=-p0)
+    s, p, chi = last
+    newton = min(max(s + p / chi, bracket[0]), bracket[1])
+    return DimensionResult(dimension=float(newton), residual=abs(p),
                            iterations=steps)

@@ -95,12 +95,9 @@ class ModelFile:
     # Hofbauer family; None for a potential
     obj: object = field(repr=False, default=None)
 
-    def mark(self, *path):
-        """1-based (line, column) of a field, or (None, None) if untracked."""
-        return _mark(self.node, path)
-
 
 def _mark(node, path):
+    """1-based (line, column) of a field, or (None, None) if untracked."""
     cur = node
     for step in path:
         if isinstance(cur, yaml.MappingNode) and isinstance(step, str):

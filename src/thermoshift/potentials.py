@@ -84,9 +84,6 @@ class LocallyConstantPotential:
     def scale(self, c):
         return self._from_dense(self.sft, c * self.dense_table)
 
-    def shift(self, c):
-        return self._from_dense(self.sft, self.dense_table + c)
-
     def with_range(self, r2):
         """Same potential written as a table of range r2 >= r."""
         if r2 < self.r:

@@ -166,16 +166,16 @@ class SubshiftOfFiniteType:
 
     # -- entropy ---------------------------------------------------------------
 
-    def topological_entropy(self, tol=1e-14) -> float:
+    def topological_entropy(self) -> float:
         """log of the spectral radius of M, from ``transfer.leading_eigen``
         (power steps, then squared powers of M for a small spectral gap).
 
-        Requires primitivity.  ``tol`` is the relative width of the
-        Collatz-Wielandt bracket on the spectral radius.
+        Requires primitivity.  The solve stops once the Collatz-Wielandt
+        bracket on the spectral radius is 1e-14 wide, relative.
         """
         from .transfer import leading_eigen   # deferred: transfer imports sft
         self.require_primitive()
-        eig = leading_eigen(self.transition.astype(float), tol)
+        eig = leading_eigen(self.transition.astype(float), 1e-14)
         return float(np.log(eig.lam))
 
     def __repr__(self):

@@ -178,14 +178,15 @@ def leading_eigen(A, tol=1e-13) -> EigenData:
         f"no Perron eigendata within tol={tol} in {_MAX_ROUNDS} rounds")
 
 
-def pressure(potential, tol=1e-13) -> float:
+def pressure(potential) -> float:
     """Topological pressure of a locally constant potential of any range on
-    its subshift (nats): log of the spectral radius of ``build(potential)``.
+    its subshift (nats): log of the spectral radius of ``build(potential)``,
+    at ``leading_eigen``'s default tol.
     """
-    return float(np.log(leading_eigen(build(potential), tol=tol).lam))
+    return float(np.log(leading_eigen(build(potential)).lam))
 
 
-def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
+def gibbs_measure(potential) -> GibbsMeasure:
     """Gibbs state of the potential on its subshift, in stationary Markov form.
 
     P[a, b] = A[a, b] v_b / (A v)_a, row-stochastic by construction, for
@@ -201,7 +202,7 @@ def gibbs_measure(potential, tol=1e-13) -> GibbsMeasure:
 
     A = build(potential)
     potential = recode_range2(potential)
-    eig = leading_eigen(A, tol=tol)
+    eig = leading_eigen(A)
     W = A * eig.v[None, :]
     Av = W.sum(axis=1)
     pi = Av * stationary_vector(W)

@@ -19,6 +19,9 @@ from .potentials import LocallyConstantPotential
 from .sft import full_shift
 from .transfer import build, gibbs_measure
 
+# width of the beta bracket at which ``solve_beta`` and ``ising_match`` stop
+_BETA_XTOL = 1e-12
+
 
 @dataclass
 class FiniteSystem:
@@ -56,14 +59,14 @@ def finite_equilibrium(system: FiniteSystem) -> FiniteEquilibrium:
     return FiniteEquilibrium(mu=mu, log_partition=p)
 
 
-def solve_beta(system: FiniteSystem, target, tol=1e-12):
+def solve_beta(system: FiniteSystem, target):
     """Inverse temperature with prescribed mean energy.
 
     The map beta -> <U> is strictly increasing with range (min U, max U) for
     a non-constant U, so the solution exists and is unique for any target
     strictly inside that interval.  Bisection brackets the root; Newton steps
     (the derivative is the energy variance) accelerate once inside.  It stops
-    when the bracket is within tol: <U> is flat near its range's ends.
+    when the bracket is within _BETA_XTOL: <U> is flat near its range's ends.
     """
     U = system.U
     lo_val, hi_val = float(U.min()), float(U.max())
@@ -77,7 +80,8 @@ def solve_beta(system: FiniteSystem, target, tol=1e-12):
         eq = finite_equilibrium(FiniteSystem(U, beta))
         return eq.mean_energy(U) - target, eq.var_energy(U)
 
-    return float(bracketed_root(excess, -1.0, 1.0, xtol=tol, with_slope=True)[0])
+    return float(bracketed_root(excess, -1.0, 1.0, xtol=_BETA_XTOL,
+                                with_slope=True)[0])
 
 
 # -- cyclic lattice ring -------------------------------------------------------
@@ -214,13 +218,14 @@ def ising_pressure_exact(beta) -> float:
     return float(np.log(2.0 * np.cosh(beta)))
 
 
-def ising_match(target_correlation, tol=1e-12):
+def ising_match(target_correlation):
     """Inverse temperature reproducing a prescribed nearest-neighbour correlation.
 
     Solves <x0 x1> = target under the equilibrium chain; the solution is
     artanh(target).  Root-finding runs on the computed Gibbs expectation so
     the result round-trips through the same machinery callers use.  It stops
-    when the beta bracket is within tol: the correlation is flat near +-1.
+    when the beta bracket is within _BETA_XTOL: the correlation is flat near
+    +-1.
     """
     if not (-1.0 < target_correlation < 1.0):
         raise TargetOutOfRange("correlation must lie strictly inside (-1, 1)")
@@ -231,4 +236,4 @@ def ising_match(target_correlation, tol=1e-12):
         return (gibbs_measure(ising_potential(beta)).expectation(spins)
                 - target_correlation)
 
-    return float(bracketed_root(excess, -1.0, 1.0, xtol=tol)[0])
+    return float(bracketed_root(excess, -1.0, 1.0, xtol=_BETA_XTOL)[0])

@@ -17,6 +17,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -597,17 +598,41 @@ def test_parser_keeps_each_commands_arguments_and_defaults(cmd):
             assert getattr(args, dest) == by_cmd[cmd], dest
 
 
-def test_each_command_runs_its_engines_at_their_own_tolerance():
-    # the command line sets no tolerance: each handler takes these defaults
-    from thermoshift import interval_maps, transfer
+def test_each_command_runs_its_engines_at_their_own_tolerance(monkeypatch):
+    # the command line sets no tolerance and neither does a library caller:
+    # only leading_eigen takes a tol, which entropy sets to 1e-14 and
+    # pressure and gibbs leave at its default of 1e-13
+    from thermoshift import interval_maps, transfer, variational
 
-    engines = {SubshiftOfFiniteType.topological_entropy: 1e-14,
-               transfer.pressure: 1e-13, transfer.gibbs_measure: 1e-13,
-               hofbauer.pressure_renewal: 1e-12, hofbauer.kink_quotients: 1e-12,
-               interval_maps.bowen_dimension: 1e-12,
-               interval_maps.bowen_root: 1e-12}
-    for fn, tol in engines.items():
-        assert inspect.signature(fn).parameters["tol"].default == tol, fn
+    sft = golden_mean_shift()
+    pot = LocallyConstantPotential.from_function(sft, 1, lambda w: -1.0 - w[0])
+    family = hofbauer.CriticalPowerFamily(exponent=3.0)
+    imap = modelio.parse(str(MODELS / "cantor-thirds.yaml")).obj
+    calls = [(SubshiftOfFiniteType.topological_entropy, sft),
+             (transfer.pressure, pot), (transfer.gibbs_measure, pot),
+             (hofbauer.diagnose, family),
+             (hofbauer.pressure_renewal, family, 1.0),
+             (hofbauer.kink_quotients, family),
+             (interval_maps.bowen_dimension, imap),
+             (interval_maps.bowen_root, interval_maps.code(imap)),
+             (variational.solve_beta, variational.FiniteSystem([0.0, 1.0]), 0.5),
+             (variational.ising_match, 0.5)]
+    for fn, *args in calls:
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            fn(*args, tol=1e-12)
+
+    real, seen = transfer.leading_eigen, []
+
+    def spy(A, *args, **kwargs):
+        bound = inspect.signature(real).bind(A, *args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["tol"])
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "leading_eigen", spy)
+    sft.topological_entropy()
+    assert transfer.gibbs_measure(pot).pressure == transfer.pressure(pot)
+    assert seen == [1e-14, 1e-13, 1e-13]
 
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--bits"]],
@@ -1063,6 +1088,53 @@ def test_dimension_with_square_check(capsys):
     assert certificate(doc, "square_recoding")["discrepancy"] < 1e-8
 
 
+def near_neutral_map(K):
+    """A markov-map file in 'p/q' breakpoints: intervals J_k of length
+    1 / (2 (k+1)^2), k = 0..K, laid leftward from J_0 = [1/2, 1], with a
+    hole [0, left end of J_K].  J_0 maps onto [0, 1] with slope 2 and J_k
+    onto J_(k-1) with slope ((k+1)/k)^2, so the survivor set has the
+    dimension t of sum_(k <= K) |J_k|^t = 1."""
+    J = [Fraction(1, 2 * (k + 1) ** 2) for k in range(K + 1)]
+    left = [1 - s for s in itertools.accumulate(J)]       # left end of J_k
+    points = [0, *left[::-1], 1]
+    n = len(points) - 1
+    branches = ["  - null"] + [
+        f'  - {{slope: "{J[k - 1] / J[k]}", image: [{K + 2 - k}]}}'
+        for k in range(K, 0, -1)]
+    branches.append(f"  - {{slope: 2, image: {list(range(n))}}}")
+    return ("version: v1\nkind: markov-map\nbreakpoints: ["
+            + ", ".join(f'"{x}"' for x in points) + "]\nbranches:\n"
+            + "\n".join(branches) + "\n")
+
+
+def test_dimension_of_a_near_neutral_map_exits_0(capsys, tmp_path):
+    # slopes down to (257/256)^2: an upper bracket end of P(0) / (-max phi)
+    # + 1, about 90, once took the Perron vector past the float range, and
+    # the command exited 1
+    K = 256
+    model = tmp_path / "near-neutral.yaml"
+    model.write_text(near_neutral_map(K))
+    code, doc = run(capsys, "dimension", model)
+    assert code == 0
+    with mpmath.workdps(30):
+        root = mpmath.findroot(lambda t: mpmath.fsum(
+            (mpmath.mpf(1) / (2 * (k + 1) ** 2)) ** t for k in range(K + 1)) - 1,
+            0.9)
+        assert abs(result(doc, "dimension")["value"] - root) < 1e-13
+
+
+def test_dimension_of_the_uneven_repeller_is_within_4_ulps(capsys):
+    # 2^-s + 4^-s = 1 at 2^-s = 1 / phi: the result is the Newton step off
+    # the last evaluation, where the point that met |P| <= 1e-12 was
+    # 2.8e-13 off
+    code, doc = run(capsys, "dimension", MODELS / "uneven-repeller.yaml")
+    assert code == 0
+    dim = result(doc, "dimension")["value"]
+    with mpmath.workdps(30):
+        exact = mpmath.log(mpmath.phi, 2)
+        assert abs(dim - exact) <= 4 * np.spacing(dim)
+
+
 def test_acim_densities_and_csv(capsys, tmp_path):
     out = tmp_path / "density.csv"
     code, doc = run(capsys, "acim", MODELS / "golden-interval.yaml",
@@ -1195,9 +1267,9 @@ def test_hofbauer_scan_check_solves_each_beta_once(capsys, monkeypatch):
     solved = []
     real = hofbauer.pressure_renewal
 
-    def spy(potential, beta, tol=1e-12):
+    def spy(potential, beta):
         solved.append(beta)
-        return real(potential, beta, tol=tol)
+        return real(potential, beta)
 
     monkeypatch.setattr(hofbauer, "pressure_renewal", spy)
     code, doc = run(capsys, "hofbauer-scan", MODELS / "cubic-family.yaml",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from thermoshift import modelio
+from thermoshift import LocallyConstantPotential, full_shift, modelio
 from thermoshift.errors import IsRepeller, NotExpanding, NotMarkov, NotPrimitive
 from thermoshift.interval_maps import (PiecewiseLinearMarkovMap, acim,
                                        bowen_dimension, bowen_root, code,
@@ -447,9 +447,20 @@ def test_dimension_uneven_repeller():
     assert abs(res.dimension - oracle) < 1e-8
 
 
+def test_bowen_root_above_1_moves_the_bracket_outward():
+    # phi = -1/2 on the full 2-shift: P(s phi) = log 2 - s / 2 is positive
+    # at the bracket's end s = 1, so the search grows it to reach 2 log 2
+    sft = full_shift(2)
+    res = bowen_root(LocallyConstantPotential.from_function(
+        sft, 1, lambda w: -0.5))
+    assert abs(res.dimension - 2.0 * np.log(2.0)) <= 4 * np.spacing(2.0)
+    assert res.residual <= 1e-12
+
+
 def test_dimension_of_covering_map_is_one():
+    # P(-log 2) = 0 at the bracket's end s = 1 stops the search there
     res = bowen_dimension(doubling_map())
-    assert abs(res.dimension - 1.0) < 1e-10
+    assert res.dimension == 1.0 and res.iterations == 1
 
 
 def test_dimension_invariant_under_squaring():

@@ -127,9 +127,9 @@ def test_digest_is_sha256_of_raw_bytes():
 
 def test_mark_reports_line_and_column():
     model = parse(MODELS / "golden-mean.yaml")
-    line, col = model.mark("transition", 1, 0)
+    line, col = modelio._mark(model.node, ("transition", 1, 0))
     assert line == 7 and col >= 5
-    assert model.mark("no-such-field") == (None, None)
+    assert modelio._mark(model.node, ("no-such-field",)) == (None, None)
 
 
 def test_parse_matches_pure_python_loader_on_every_demo_model():
@@ -151,8 +151,8 @@ def test_parse_matches_pure_python_loader_on_every_demo_model():
         assert {"version": modelio.VERSION, "kind": model.kind,
                 **model.body} == data
         for path, node in paths(ref):
-            assert model.mark(*path) == (node.start_mark.line + 1,
-                                         node.start_mark.column + 1), (f, path)
+            assert modelio._mark(model.node, path) == (
+                node.start_mark.line + 1, node.start_mark.column + 1), (f, path)
 
 
 # -- syntax layer -------------------------------------------------------------------

@@ -37,7 +37,8 @@ def test_value_scale_shift_add():
     sft, pot = run_weights()
     assert pot.table[0, 1] == -0.7
     assert pot.scale(2.0).table[0, 1] == -1.4
-    assert pot.shift(1.0).table[0, 1] == pytest.approx(0.3)
+    one = LocallyConstantPotential.from_function(sft, 1, lambda w: 1.0)
+    assert (pot + one).table[0, 1] == pytest.approx(0.3)
     both = pot + pot.scale(-1.0)
     assert all(v == 0.0 for v in both.table.values())
 
@@ -286,7 +287,8 @@ def test_dense_table_algebra_matches_the_dict_loops(case):
     for r in range(r1, 5):
         assert pot.with_range(r).table == ref_lift(T, t1, r1, r)
     assert pot.scale(c).table == {w: c * v for w, v in t1.items()}
-    assert pot.shift(c).table == {w: v + c for w, v in t1.items()}
+    constant = LocallyConstantPotential.from_function(sft, 1, lambda w: c)
+    assert (pot + constant).table == {w: v + c for w, v in t1.items()}
     r = max(r1, r2)
     a, b = ref_lift(T, t1, r1, r), ref_lift(T, t2, r2, r)
     assert (pot + other).table == {w: a[w] + b[w] for w in a}

@@ -443,14 +443,15 @@ def _cmd_hofbauer_scan(args, report, fam):
 
 
 def _cmd_dimension(args, report, imap):
-    from .interval_maps import bowen_dimension, bowen_root, code, square_coding
+    from .interval_maps import bowen_root, code, square_coding
 
-    res = bowen_dimension(imap)
+    pot = code(imap)
+    res = bowen_root(pot)
     report.result("dimension", res.dimension, "dimensionless", "spectral")
     report.result("pressure_residual", res.residual, "nats", "spectral")
     report.annotate("iterations", res.iterations)
     if args.check:
-        res2 = bowen_root(square_coding(code(imap)))
+        res2 = bowen_root(square_coding(pot))
         report.result("dimension_of_square", res2.dimension, "dimensionless",
                       "spectral")
         report.certificate("square_recoding", ["spectral", "spectral"],
@@ -635,6 +636,7 @@ _EXITS = {
     _FileError: (EXIT_SYNTAX, ""),
     ThermoshiftError: (EXIT_COMPUTE, "computation error: "),
     ValueError: (EXIT_COMPUTE, "computation error: "),
+    MemoryError: (EXIT_COMPUTE, "computation error: "),
 }
 
 

@@ -13,9 +13,10 @@ whenever sum_k exp(beta s_k) > 1, and is 0 otherwise.  One ``RenewalSeries``
 per potential and beta evaluates G: a partial sum over a cached array of
 exp(beta s_k) plus the family's estimate of the dropped tail with a
 certified bound on its error (``HofbauerPotential.tail``).  By default that
-estimate centres an analytic upper bound; ``CriticalPowerFamily`` sums its
-tail by Euler-Maclaurin, so its depth stays fixed however close the root is
-to 0.  No result is reported from a bare truncation.
+estimate centres the geometric bound, for P > 0; ``CriticalPowerFamily``
+sums its tail by Euler-Maclaurin, so its depth stays fixed however close the
+root is to 0.  ``diagnose`` reads the same series and tails at P = 0.  No
+result is reported from a bare truncation.
 """
 
 from __future__ import annotations
@@ -33,36 +34,27 @@ class HofbauerPotential:
     """Base class: a family a_k < 0, a_k -> 0, nondecreasing for k >= 1, held
     as its series alone, with no subshift, Birkhoff sums or ``scale``."""
 
-    # subclasses provide a_array(K) -> a_0..a_{K-1} and the tail bounds
+    # subclasses provide a_array(K) -> a_0..a_{K-1}, and may certify ``tail``
     def a_array(self, K):
         raise NotImplementedError
 
     def s_array(self, K):
         return np.cumsum(self.a_array(K))
 
-    def tail_bounds(self, beta, K):
-        """Certified upper bounds for sum_{k >= K} exp(beta s_k) and for
-        sum_{k >= K} (k+1) exp(beta s_k); inf where nothing certifies."""
-        return np.inf, np.inf
-
     def tail(self, beta, K, P, s_K):
         """(estimate, error, slope) for T = sum_{k >= K} exp(beta s_k - (k+1) P).
 
-        |T - estimate| <= error, and slope approximates dT/dP; it only steers
-        Newton steps.  This default centres a certified bound b on T, the
-        smaller of the family bound times e^-(K+1)P and, for P > 0, the
-        geometric bound from nonincreasing s_k; b is inf if neither certifies
-        (an inf family bound stays out of the product, where an underflowed
-        exp would make it nan).  Estimate and error are b / 2, and slope is
-        -(K+1) b / 2, since every weight k + 1 in dT/dP is at least K + 1.
+        |T - estimate| <= error, and slope approximates dT/dP, steering Newton
+        steps; at P = 0, -slope must bound the weighted tail sum_{k >= K}
+        (k+1) exp(beta s_k), or be inf.  This default centres the geometric
+        bound b = exp(beta s_K) e^-(K+1)P / (1 - e^-P) from nonincreasing s_k,
+        for P > 0: estimate and error are b / 2, and slope is -(K+1) b / 2,
+        since every weight k + 1 in dT/dP is at least K + 1.  At P = 0
+        nothing certifies T: estimate and error are inf, and slope is -inf.
         """
-        bounds = []
-        family = self.tail_bounds(beta, K)[0]
-        if np.isfinite(family):
-            bounds.append(family * np.exp(-(K + 1) * P))
-        if P > 0:
-            bounds.append(np.exp(beta * s_K) * np.exp(-(K + 1) * P) / (-np.expm1(-P)))
-        half = 0.5 * float(min(bounds, default=np.inf))
+        if not P > 0:
+            return np.inf, np.inf, -np.inf
+        half = 0.5 * np.exp(beta * s_K) * np.exp(-(K + 1) * P) / (-np.expm1(-P))
         return half, half, -(K + 1) * half
 
 
@@ -154,19 +146,13 @@ class CriticalPowerFamily(HofbauerPotential):
     def _coef(self, beta):
         return float(np.exp(beta * self.a0))
 
-    def tail_bounds(self, beta, K):
-        p, coef = self.exponent * beta, self._coef(beta)
-        if K < 1:
-            return np.inf, np.inf
-        return (coef * K ** (1.0 - p) / (p - 1.0) if p > 1.0 else np.inf,
-                coef * K ** (2.0 - p) / (p - 2.0) if p > 2.0 else np.inf)
-
     def tail(self, beta, K, P, s_K):
         """Euler-Maclaurin estimate of T = C sum_{n > K} n^-p e^-nP, with
         C = exp(beta a_0) and p = q beta; see ``_power_exp_tail`` for the
         remainder bound.  T diverges at P = 0 when p <= 1 (estimate and error
-        inf), and the slope -C sum_{n > K} n^(1-p) e^-nP is -inf at P = 0 when
-        p <= 2; for p < 1 it falls back to -(K+1) times the estimate.
+        inf).  For p >= 1 the slope is -(estimate + error) of -dT/dP =
+        C sum_{n > K} n^(1-p) e^-nP, -inf at P = 0 when p <= 2; for p < 1 it
+        falls back to -(K+1) times the estimate.
         """
         p, coef = self.exponent * beta, self._coef(beta)
         if P == 0.0 and p <= 1.0:
@@ -175,7 +161,7 @@ class CriticalPowerFamily(HofbauerPotential):
         if P == 0.0 and p <= 2.0:
             slope = -np.inf
         elif p >= 1.0:
-            slope = -_power_exp_tail(p - 1.0, P, K + 1)[0]
+            slope = -sum(_power_exp_tail(p - 1.0, P, K + 1))
         else:
             slope = -(K + 1) * estimate
         return coef * estimate, coef * error, coef * slope
@@ -215,7 +201,6 @@ class TransitionDiagnostic:
 
 
 _SERIES_K_MAX = 2 ** 23     # deepest truncation of a renewal series
-_DIAGNOSE_K_MAX = 2 ** 22   # deepest truncation ``diagnose`` tries
 _DIAGNOSE_TOL = 1e-8        # margin of ``diagnose``'s comparisons with 1
 _RENEWAL_TOL = 1e-12        # certified error of ``pressure_renewal``
 
@@ -247,27 +232,32 @@ class RenewalSeries:
         return self._terms[:K]
 
     def __call__(self, P, settled):
-        """(partial, tail estimate, tail error, G'(P)) at the current depth K,
-        doubled first until ``settled(partial, estimate, error)`` holds.
+        """(partial, tail estimate, tail error, weighted partial, tail slope)
+        at depth K, doubled first until ``settled(partial, estimate, error)``
+        holds; G'(P) is the tail slope minus the weighted partial, sum_{k < K}
+        (k + 1) times term k.  At P = 0 no factor e^-(k+1)P = 1 is computed.
 
         Raises UndeterminedTail when the family has no tail bound and
         TailUncertified when K would pass _SERIES_K_MAX.
         """
         while True:
             K = self.K
-            n = np.arange(1.0, K + 1.0)
-            weighted = self.terms(K) * np.exp(-P * n)
+            weighted = self.terms(K)
+            if P != 0.0:
+                weighted = weighted * np.exp(-P * np.arange(1.0, K + 1.0))
             partial = float(weighted.sum())
-            estimate, error, d_tail = self.potential.tail(
+            estimate, error, slope = self.potential.tail(
                 self.beta, K, P, float(self._s[K]))
             if settled(partial, estimate, error):
-                return partial, estimate, error, d_tail - float(n @ weighted)
+                n = np.arange(1.0, K + 1.0)
+                return partial, estimate, error, float(n @ weighted), slope
             if K >= _SERIES_K_MAX:
                 if not np.isfinite(error):
                     raise UndeterminedTail(
                         "family has no analytic tail bound for this series")
                 raise TailUncertified(
-                    f"tail error {error} not certified at K={K} "
+                    f"the tail estimate and its error ({estimate}, {error}) "
+                    f"do not settle the series at K={K} "
                     f"(beta={self.beta}, P={P})")
             self.K = 2 * K
 
@@ -275,44 +265,30 @@ class RenewalSeries:
 def diagnose(potential: HofbauerPotential) -> TransitionDiagnostic:
     """Decide uniqueness from the two series, with certified tails.
 
-    Truncation depth adapts: K doubles from 1024 up to _DIAGNOSE_K_MAX until
-    either the partial sum provably exceeds 1 (unique), or the certified
-    upper bound ``tail_bounds`` gives for the dropped tail is below tol/10
-    and the enclosure settles the comparison with 1, for tol =
-    _DIAGNOSE_TOL.  The partial sums read the cached terms of a
-    ``RenewalSeries`` at beta = 1; the reported tail is the bound, not an
-    estimate.
+    Both are read off one ``RenewalSeries`` at beta = 1 and P = 0, whose K
+    doubles from 4096 until the partial sum exceeds 1 + tol (unique), or the
+    tail estimate plus its error, ``sum_tail_bound``, is at most tol / 10,
+    for tol = _DIAGNOSE_TOL.  Then [partial, partial + sum_tail_bound] below
+    1 - tol is unique; within tol of 1 it is non-unique if the weighted tail
+    bound, minus the tail slope, is finite (unique, on the fixed point, if
+    not); otherwise undetermined.  The series' refusals pass through.
     """
     tol = _DIAGNOSE_TOL
     series = RenewalSeries(potential, 1.0)
-    K = 1024
-    while True:
-        terms = series.terms(K)
-        partial = float(terms.sum())
-        weighted_partial = float((np.arange(1, K + 1) * terms).sum())
-        tail, wtail = map(float, potential.tail_bounds(1.0, K))
-        if partial > 1.0 + tol:
-            cls, tail = "unique", 0.0
-            break
-        if np.isfinite(tail) and tail <= tol / 10.0:
-            if partial + tail < 1.0 - tol:
-                cls = "unique"
-            elif partial >= 1.0 - tol and partial + tail <= 1.0 + tol:
-                cls = "non-unique" if np.isfinite(wtail) else "unique"
-            else:
-                cls = "undetermined"
-            break
-        if K >= _DIAGNOSE_K_MAX:
-            if not np.isfinite(tail):
-                raise UndeterminedTail(
-                    "family has no analytic tail bound for the defining series")
-            raise TailUncertified(
-                f"tail bound {tail} not below {tol / 10} at K={_DIAGNOSE_K_MAX}")
-        K *= 2
+    partial, estimate, error, weighted, slope = series(
+        0.0, lambda partial, estimate, error:
+        partial > 1.0 + tol or estimate + error <= tol / 10.0)
+    tail = estimate + error
+    if partial > 1.0 + tol or partial + tail < 1.0 - tol:
+        cls = "unique"
+    elif partial >= 1.0 - tol and partial + tail <= 1.0 + tol:
+        cls = "non-unique" if np.isfinite(slope) else "unique"
+    else:
+        cls = "undetermined"
     return TransitionDiagnostic(
         classification=cls, sum_partial=partial, sum_tail_bound=tail,
-        weighted_partial=weighted_partial, weighted_tail_bound=wtail,
-        truncation_K=K)
+        weighted_partial=weighted, weighted_tail_bound=-slope,
+        truncation_K=series.K)
 
 
 # bound on |computed G - G| where G is near 1: the settled tail error,
@@ -367,15 +343,15 @@ def pressure_renewal(potential: HofbauerPotential, beta) -> float:
                 or partial + estimate + error <= cut)
 
     # phase 1: compare the P = 0 series with 1
-    partial, estimate, error, _ = series(0.0, decided)
+    partial, estimate, error, _, _ = series(0.0, decided)
     if partial + estimate + error <= cut:
         return 0.0
 
     evaluations = {}
 
     def deficit(P):
-        partial, estimate, _, slope = series(P, _tail_settled)
-        evaluations[P] = (1.0 - (partial + estimate), -slope)
+        partial, estimate, _, weighted, slope = series(P, _tail_settled)
+        evaluations[P] = (1.0 - (partial + estimate), weighted - slope)
         return evaluations[P]
 
     # G(0) > 1 was just certified, so the root lies above P = 0

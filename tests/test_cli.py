@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -977,6 +978,21 @@ def test_production_refuses_a_one_way_transition(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == ("computation error: nu charges transition 0->1 "
                            "outside mu's support\n")
+
+
+def test_an_allocation_that_fails_exits_1_on_one_line():
+    # a path of 10^10 steps needs 9.3 GiB, past a 4 GiB address space set in
+    # the child alone: numpy's MemoryError is one diagnostic, no traceback
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "thermoshift", "sample",
+         str(MODELS / "lazy-coin.yaml"), "--seed", "1", "--depth", "10000000000"],
+        capture_output=True, text=True, preexec_fn=limit)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("computation error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_a_chain_report_is_the_same_at_any_blas_thread_count(tmp_path):

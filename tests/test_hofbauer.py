@@ -121,12 +121,28 @@ def test_diagnose_critical_with_infinite_mean_return(monkeypatch):
     # K^(-1/2) tail cannot certify 1e-8, and the refusal is explicit
     from thermoshift.errors import TailUncertified
 
-    with pytest.raises(TailUncertified):
+    t0 = time.perf_counter()
+    with pytest.raises(TailUncertified, match="^the tail estimate and its error"):
         diagnose(CriticalPowerFamily(exponent=1.5))
+    assert time.perf_counter() - t0 < 1.0
     monkeypatch.setattr(hofbauer, "_DIAGNOSE_TOL", 5e-3)
     report = diagnose(CriticalPowerFamily(exponent=1.5))
     assert report.classification == "unique"
     assert not np.isfinite(report.weighted_tail_bound)
+
+
+@pytest.mark.parametrize("q", [3.0, 2.5])
+def test_diagnose_tails_are_certified_and_sharp(q):
+    # at P = 0 the dropped tails are Hurwitz zetas: sum_{k >= K} exp(s_k) =
+    # zeta(q, K+1) / zeta(q) and sum_{k >= K} (k+1) exp(s_k) =
+    # zeta(q-1, K+1) / zeta(q); integral bounds are 1e-5 relative loose
+    mpmath.mp.dps = 30
+    report = diagnose(CriticalPowerFamily(exponent=q))
+    N, q = report.truncation_K + 1, mpmath.mpf(q)
+    for bound, exact in ((report.sum_tail_bound, mpmath.zeta(q, N)),
+                         (report.weighted_tail_bound, mpmath.zeta(q - 1, N))):
+        exact = float(exact / mpmath.zeta(q))
+        assert exact <= bound <= exact * (1.0 + 1e-12)
 
 
 class BareCubic(HofbauerPotential):
@@ -137,7 +153,6 @@ class BareCubic(HofbauerPotential):
 
 
 def test_missing_tail_bound_is_refused_not_guessed(monkeypatch):
-    monkeypatch.setattr(hofbauer, "_DIAGNOSE_K_MAX", 2 ** 13)
     monkeypatch.setattr(hofbauer, "_SERIES_K_MAX", 2 ** 13)
     with pytest.raises(UndeterminedTail):
         diagnose(BareCubic())
@@ -148,8 +163,7 @@ def test_missing_tail_bound_is_refused_not_guessed(monkeypatch):
 def test_default_tail_centres_the_certified_bound():
     fam = InverseSquareFamily(scale=1.0)
     s_K = float(fam.s_array(101)[100])
-    assert fam.tail_bounds(0.5, 100) == (np.inf, np.inf)
-    # no family bound: the geometric bound from nonincreasing s_k
+    # the geometric bound from nonincreasing s_k
     bound = np.exp(0.5 * s_K) * np.exp(-101 * 0.01) / (-np.expm1(-0.01))
     estimate, error, slope = fam.tail(0.5, 100, 0.01, s_K)
     assert estimate == error == 0.5 * bound
@@ -209,7 +223,8 @@ def test_series_matches_lerch_oracle_within_remainder_bound(beta):
     coef = mpmath.mpf(math.exp(beta * fam.a0))
     p, N = mpmath.mpf(fam.exponent * beta), series.K + 1
     for P in (0.0, 1e-9, 1e-6, 1e-4, 1e-2, 0.1, math.log(2.0)):
-        partial, estimate, error, slope = series(P, lambda *_: True)
+        partial, estimate, error, weighted, tail_slope = series(P, lambda *_: True)
+        slope = tail_slope - weighted
         x = mpmath.exp(-mpmath.mpf(P))
         # sum_{n >= N} n^-p x^n = x^N Phi(x, p, N), the Lerch transcendent
         tail = coef * (mpmath.zeta(p, N) if P == 0.0
@@ -258,7 +273,7 @@ def test_cubic_family_evaluations_stay_at_depth_4096(monkeypatch):
         for P in (0.0, 1e-300, 1e-12, 1e-6, 1e-2, 1.0):
             series(P, hofbauer._tail_settled)
     assert max(depths) == 4096
-    # diagnose keeps its own schedule
+    # diagnose settles on the tail itself, deeper
     assert diagnose(fam).truncation_K == 32768
 
 

@@ -33,7 +33,7 @@ periodic = pressure_periodic(fam, beta, 18)
 print(f"\ncross-check at beta={beta}: renewal {renewal:.9f}"
       f" vs periodic-orbit {periodic:.9f}  (gap {abs(renewal - periodic):.1e})")
 
-left, right = kink_quotients(fam, kink=1.0, steps=(1e-2, 1e-3, 1e-4))
+left, right = kink_quotients(fam, kink=1.0)
 print("\none-sided difference quotients at the critical point beta=1:")
 print("  step     left quotient       right quotient")
 for h in (1e-2, 1e-3, 1e-4):

@@ -164,7 +164,8 @@ ROOT_STEPS = 200   # evaluations a root search may spend
 
 def bracketed_root(f, lo, hi, *, xtol=0.0, ftol=0.0, with_slope=False,
                    f_lo=None):
-    """(root, evaluations of f) for an increasing f, searched from [lo, hi].
+    """(root, evaluations of f, f at the last evaluation) for an increasing f,
+    searched from [lo, hi].
 
     Without a sign change the bracket moves outward, the old end becoming the
     other bound and the width doubling.  Inside, each step bisects, unless
@@ -173,18 +174,34 @@ def bracketed_root(f, lo, hi, *, xtol=0.0, ftol=0.0, with_slope=False,
     the bracket included though not the starting lo, or at width <= xtol;
     raises NoConvergence after ROOT_STEPS evaluations.  ``f_lo`` is f(lo),
     or any number of its sign.
+
+    Where the last evaluation x has a positive slope, the root is its Newton
+    point x - f(x) / f'(x), clamped to the bracket the evaluations proved:
+    from the largest point with f < 0 to the smallest with f > 0 (lo counting
+    by the sign of f_lo), -inf or inf on a side with none.  Otherwise it is
+    that point when |f(x)| <= ftol, or the next step's point.
     """
-    steps = 0
+    steps, last = 0, None
+    proven = [-math.inf, math.inf]   # largest x with f < 0, smallest with f > 0
+
+    def prove(x, fx):
+        if fx < 0:
+            proven[0] = max(proven[0], x)
+        elif fx > 0:
+            proven[1] = min(proven[1], x)
 
     def evaluate(x):
-        nonlocal steps
+        nonlocal steps, last
         if steps == ROOT_STEPS:
             raise NoConvergence(f"no root within {ROOT_STEPS} evaluations")
         steps += 1
-        return f(x) if with_slope else (f(x), None)
+        last = (x, *(f(x) if with_slope else (f(x), None)))
+        prove(*last[:2])
+        return last[1:]
 
     if f_lo is None:
         f_lo = evaluate(lo)[0]
+    prove(lo, f_lo)
     x = hi
     fx = f_hi = evaluate(hi)[0]
     while (f_lo > 0 or f_hi < 0) and abs(fx) > ftol:
@@ -196,17 +213,19 @@ def bracketed_root(f, lo, hi, *, xtol=0.0, ftol=0.0, with_slope=False,
             lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
             x = hi
             fx = f_hi = evaluate(hi)[0]
-    if abs(fx) <= ftol:
-        return x, steps
-    x = 0.5 * (lo + hi)
-    while hi - lo > xtol:
-        fx, slope = evaluate(x)
-        if abs(fx) <= ftol:
-            break
-        if fx < 0:
-            lo = x
-        else:
-            hi = x
-        newton = x - fx / slope if slope else None
-        x = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)
-    return x, steps
+    if abs(fx) > ftol:
+        x = 0.5 * (lo + hi)
+        while hi - lo > xtol:
+            fx, slope = evaluate(x)
+            if abs(fx) <= ftol:
+                break
+            if fx < 0:
+                lo = x
+            else:
+                hi = x
+            newton = x - fx / slope if slope else None
+            x = newton if newton is not None and lo < newton < hi else 0.5 * (lo + hi)
+    at, fx, slope = last
+    if slope is not None and slope > 0:
+        x = min(max(at - fx / slope, proven[0]), proven[1])
+    return x, steps, fx

@@ -432,7 +432,7 @@ def _cmd_hofbauer_scan(args, report, fam):
             oracle = pressure_periodic(fam, beta, n=18)
             report.certificate(f"pressure(beta={beta:g})",
                                ["renewal", "variational"], [p, oracle], "nats")
-        left, right = kink_quotients(fam, args.kink, args.steps,
+        left, right = kink_quotients(fam, args.kink,
                                      known=dict(zip(args.betas, pressures)))
         for h, q in sorted(left.items()):
             report.result(f"left_quotient(h={h:g})", q, "nats", "renewal")
@@ -538,9 +538,6 @@ _FLAGS = {
               "help": "comma-separated inverse temperatures"},
     "kink": {"type": _finite, "help": "the beta the --check quotients probe; "
              "the kink is at 1 only at depression 0 (default %(default)s)"},
-    "steps": {"type": _typed(_comma_list(_positive), bool,
-                             "a comma list of positive finite numbers"),
-              "help": "difference-quotient steps used with --check"},
     "depth": {"type": _count,
               "help": "cylinder depth / path length (default %(default)s)"},
     "budget": {"type": _count, "help": "cap on words or path-sum price"},
@@ -592,8 +589,7 @@ _COMMANDS = {
                       "renewal pressure scan of a run-length family",
                       ["family"],
                       {"betas": "0.8,0.9,1.0,1.1,1.2", "kink": 1.0,
-                       "steps": "1e-2,1e-3,1e-4", "check": False,
-                       "out": None}),
+                       "check": False, "out": None}),
     "dimension": (_cmd_dimension,
                   "Hausdorff dimension via the pressure equation", ["map"],
                   {"check": False}),

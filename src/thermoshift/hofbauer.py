@@ -10,9 +10,9 @@ exp(s_k) < infinity; the pressure of beta * phi solves the renewal equation
     G(P) = sum_k exp(beta s_k - (k+1) P) = 1
 
 whenever sum_k exp(beta s_k) > 1, and is 0 otherwise.  One ``RenewalSeries``
-per potential and beta evaluates G: a partial sum over a cached array of
-exp(beta s_k) plus the family's estimate of the dropped tail with a
-certified bound on its error (``HofbauerPotential.tail``).  By default that
+per potential and beta evaluates G: a partial sum of exp(beta s_k) plus
+the family's estimate of the dropped tail with a certified bound on its
+error (``HofbauerPotential.tail``).  By default that
 estimate centres the geometric bound, for P > 0; ``CriticalPowerFamily``
 sums its tail by Euler-Maclaurin, so its depth stays fixed however close the
 root is to 0.  ``diagnose`` reads the same series and tails at P = 0.  No
@@ -143,9 +143,6 @@ class CriticalPowerFamily(HofbauerPotential):
             return np.empty(0)
         return self.a0 - self.exponent * np.log(np.arange(1, K + 1))
 
-    def _coef(self, beta):
-        return float(np.exp(beta * self.a0))
-
     def tail(self, beta, K, P, s_K):
         """Euler-Maclaurin estimate of T = C sum_{n > K} n^-p e^-nP, with
         C = exp(beta a_0) and p = q beta; see ``_power_exp_tail`` for the
@@ -154,7 +151,7 @@ class CriticalPowerFamily(HofbauerPotential):
         C sum_{n > K} n^(1-p) e^-nP, -inf at P = 0 when p <= 2; for p < 1 it
         falls back to -(K+1) times the estimate.
         """
-        p, coef = self.exponent * beta, self._coef(beta)
+        p, coef = self.exponent * beta, float(np.exp(beta * self.a0))
         if P == 0.0 and p <= 1.0:
             return np.inf, np.inf, -np.inf
         estimate, error = _power_exp_tail(p, P, K + 1)
@@ -208,28 +205,16 @@ _RENEWAL_TOL = 1e-12        # certified error of ``pressure_renewal``
 class RenewalSeries:
     """G(P) = sum_k exp(beta s_k - (k+1) P) for one potential and one beta.
 
-    exp(beta s_k) is read through ``potential.s_array`` once and kept; when
-    the depth K must grow, the cached array is extended, never rebuilt.  An
-    evaluation at P sums the first K terms and their slope weights (k + 1)
-    in one pass and adds the family's tail estimate, whose error bound is
-    the error of G up to rounding.
+    Each evaluation at P reads s_0..s_K through ``potential.s_array``, sums
+    the first K terms exp(beta s_k - (k+1) P) and their slope weights
+    (k + 1) in one pass, and adds the family's tail estimate from s_K, whose
+    error bound is the error of G up to rounding.
     """
 
     def __init__(self, potential, beta):
         self.potential = potential
         self.beta = float(beta)
         self.K = 4096           # the first depth evaluations try
-        self._s = np.empty(0)
-        self._terms = np.empty(0)
-
-    def terms(self, K):
-        """exp(beta s_k) for k < K; s_K is cached too, for the tail."""
-        done = len(self._s)
-        if done <= K:
-            s = self.potential.s_array(K + 1)
-            self._terms = np.concatenate((self._terms, np.exp(self.beta * s[done:])))
-            self._s = s
-        return self._terms[:K]
 
     def __call__(self, P, settled):
         """(partial, tail estimate, tail error, weighted partial, tail slope)
@@ -242,12 +227,13 @@ class RenewalSeries:
         """
         while True:
             K = self.K
-            weighted = self.terms(K)
+            s = self.potential.s_array(K + 1)
+            weighted = np.exp(self.beta * s[:K])
             if P != 0.0:
                 weighted = weighted * np.exp(-P * np.arange(1.0, K + 1.0))
             partial = float(weighted.sum())
             estimate, error, slope = self.potential.tail(
-                self.beta, K, P, float(self._s[K]))
+                self.beta, K, P, float(s[K]))
             if settled(partial, estimate, error):
                 n = np.arange(1.0, K + 1.0)
                 return partial, estimate, error, float(n @ weighted), slope
@@ -325,7 +311,8 @@ def pressure_renewal(potential: HofbauerPotential, beta) -> float:
     of this concave deficit from one side, so it also stops once
     |1 - G(P)| <= tol / (1 + tol) - _G_ERROR: as |G'| >= G (every weight
     k + 1 >= 1), that certifies |P - root| <= tol.  The value returned is
-    the Newton point of that last evaluation: from the left it lies between
+    ``bracketed_root``'s Newton end, the Newton point of that last
+    evaluation kept inside the proven bracket: from the left it lies between
     the evaluated point and the root, from the right it falls short of the
     root by at most |1 - G| / |G'| <= tol, so the certificate holds and the
     error is Newton's, far below tol.  A beta that is not a nonnegative
@@ -347,19 +334,14 @@ def pressure_renewal(potential: HofbauerPotential, beta) -> float:
     if partial + estimate + error <= cut:
         return 0.0
 
-    evaluations = {}
-
     def deficit(P):
         partial, estimate, _, weighted, slope = series(P, _tail_settled)
-        evaluations[P] = (1.0 - (partial + estimate), weighted - slope)
-        return evaluations[P]
+        return 1.0 - (partial + estimate), weighted - slope
 
     # G(0) > 1 was just certified, so the root lies above P = 0
     ftol = max(tol / (1.0 + tol) - _G_ERROR, 0.0)
-    P, _ = bracketed_root(deficit, 0.0, 1.0, xtol=tol, ftol=ftol,
-                          with_slope=True, f_lo=-1.0)
-    value, slope = evaluations.get(P, (0.0, 0.0))
-    return float(P - value / slope) if slope > 0 else float(P)
+    return float(bracketed_root(deficit, 0.0, 1.0, xtol=tol, ftol=ftol,
+                                with_slope=True, f_lo=-1.0)[0])
 
 
 def pressure_periodic(potential: HofbauerPotential, beta, n) -> float:
@@ -394,11 +376,13 @@ def pressure_periodic(potential: HofbauerPotential, beta, n) -> float:
     return float(np.logaddexp(log_z, 0.0) / n)
 
 
-def kink_quotients(potential: HofbauerPotential, kink=1.0,
-                   steps=(1e-2, 1e-3, 1e-4), known=None):
+_KINK_STEPS = (1e-2, 1e-3, 1e-4)   # the steps h of ``kink_quotients``
+
+
+def kink_quotients(potential: HofbauerPotential, kink=1.0, known=None):
     """One-sided difference quotients of beta -> P(beta * phi) at ``kink``:
     the dicts step h -> (P(kink - h) - P(kink)) / h and step h ->
-    (P(kink + h) - P(kink)) / h.
+    (P(kink + h) - P(kink)) / h, for h in _KINK_STEPS.
 
     ``known`` maps betas to renewal pressures already solved; they are not
     solved again.  Every other value is ``pressure_renewal``, so it carries
@@ -417,5 +401,5 @@ def kink_quotients(potential: HofbauerPotential, kink=1.0,
         return known[beta]
 
     p0 = at(kink)
-    return ({h: (at(kink - h) - p0) / h for h in steps},
-            {h: (at(kink + h) - p0) / h for h in steps})
+    return ({h: (at(kink - h) - p0) / h for h in _KINK_STEPS},
+            {h: (at(kink + h) - p0) / h for h in _KINK_STEPS})

@@ -208,32 +208,22 @@ def bowen_root(pot: LocallyConstantPotential) -> DimensionResult:
     sums are sum_w |I_w| / |T^n I_w| <= 1 / min_j |I_j|, so the root lies
     in [0, 1].  For any other negative phi the upper end moves outward, the
     width doubling, until P < 0 (``bracketed_root``).  Bisection plus Newton
-    steps stop when |P| <= 1e-12, and the result is the Newton point
-    s + P / chi of that last evaluation, chi = -E(phi) the Lyapunov exponent
-    of its Gibbs state: h(mu_s) / chi(mu_s), since P = h - s chi.  It is
-    kept inside the bracket, and ``residual`` is the last |P|.
+    steps stop when |P| <= 1e-12, and the result is ``bracketed_root``'s
+    Newton end: the point s + P / chi of that last evaluation, chi = -E(phi)
+    the Lyapunov exponent of its Gibbs state, kept inside the bracket the
+    evaluations proved.  It is h(mu_s) / chi(mu_s), since P = h - s chi, and
+    ``residual`` is the last |P|.
     """
     from .transfer import gibbs_measure, pressure
 
-    bracket = [0.0, np.inf]     # largest s with P > 0, smallest with P < 0
-    last = []
-
     def minus_pressure(s):
         g = gibbs_measure(pot.scale(s))
-        chi = -g.expectation(pot)
-        last[:] = s, g.pressure, chi
-        if g.pressure > 0:
-            bracket[0] = max(bracket[0], s)
-        elif g.pressure < 0:
-            bracket[1] = min(bracket[1], s)
-        return -g.pressure, chi
+        return -g.pressure, -g.expectation(pot)
 
     p0 = pressure(pot.scale(0.0))
     if p0 <= 0:
         raise IsRepeller("pressure at s = 0 is not positive; no root to bracket")
-    _, steps = bracketed_root(minus_pressure, 0.0, 1.0, ftol=1e-12,
-                              with_slope=True, f_lo=-p0)
-    s, p, chi = last
-    newton = min(max(s + p / chi, bracket[0]), bracket[1])
-    return DimensionResult(dimension=float(newton), residual=abs(p),
+    s, steps, minus_p = bracketed_root(minus_pressure, 0.0, 1.0, ftol=1e-12,
+                                       with_slope=True, f_lo=-p0)
+    return DimensionResult(dimension=float(s), residual=abs(minus_p),
                            iterations=steps)

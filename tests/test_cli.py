@@ -507,8 +507,8 @@ def test_bad_number_lists_and_counts_are_usage_errors(capsys, argv):
     ["gibbs", "golden-mean.yaml", "run-weights.yaml", "--beta", "inf"],
     ["entropy", "golden-mean.yaml", "--depth=-1"],
     ["hofbauer-scan", "cubic-family.yaml", "--kink", "nan"],
-    ["hofbauer-scan", "cubic-family.yaml", "--check", "--steps", "0"],
-    ["hofbauer-scan", "cubic-family.yaml", "--check", "--steps=-0.01"],
+    ["hofbauer-scan", "cubic-family.yaml", "--check", "--kink", "inf"],
+    ["hofbauer-scan", "cubic-family.yaml", "--check", "--betas=0.8,-inf"],
     ["hofbauer-scan", "cubic-family.yaml", "--betas", ","],
     ["lattice", "golden-mean.yaml", "run-weights.yaml", "--n", "4",
      "--beta", "nan"],
@@ -552,8 +552,8 @@ USAGE = {
     "lattice": "[-h] --n N [--beta BETA] [--budget BUDGET] [--check] "
                "[--out PATH.CSV] sft potential",
     "ising": "[-h] [--beta BETA] [--n N] [--target TARGET]",
-    "hofbauer-scan": "[-h] [--betas BETAS] [--kink KINK] [--steps STEPS] "
-                     "[--check] [--out PATH.CSV] family",
+    "hofbauer-scan": "[-h] [--betas BETAS] [--kink KINK] [--check] "
+                     "[--out PATH.CSV] family",
     "dimension": "[-h] [--check] map",
     "acim": "[-h] [--check] [--out PATH.CSV] map",
     "pn-scan": "[-h] [--n-max N_MAX] [--beta BETA] [--budget BUDGET] "
@@ -577,7 +577,6 @@ DEFAULTS = {
     "n_max": {"pn-scan": 12},
     "kink": {"hofbauer-scan": 1.0},
     "betas": {"hofbauer-scan": [0.8, 0.9, 1.0, 1.1, 1.2]},
-    "steps": {"hofbauer-scan": [1e-2, 1e-3, 1e-4]},
 }
 
 
@@ -636,11 +635,13 @@ def test_each_command_runs_its_engines_at_their_own_tolerance(monkeypatch):
     assert seen == [1e-14, 1e-13, 1e-13]
 
 
-@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--bits"]],
-                         ids=["tol", "bits"])
+@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--bits"],
+                                  ["--steps", "1e-2"]],
+                         ids=["tol", "bits", "steps"])
 @pytest.mark.parametrize("cmd", sorted(USAGE))
 def test_every_command_refuses_tol_and_bits(capsys, monkeypatch, cmd, flag):
-    # every report is in nats at the engines' own tolerances
+    # every report is in nats at the engines' own tolerances, and the kink
+    # quotients take their own steps
     def parse(path):
         raise AssertionError(f"{path} read before the usage error")
 

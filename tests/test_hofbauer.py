@@ -408,7 +408,7 @@ def test_periodic_sums_converge_to_renewal_pressure():
 
 
 def test_kink_quotients():
-    left, right = kink_quotients(cubic(), kink=1.0, steps=(1e-2, 1e-3, 1e-4))
+    left, right = kink_quotients(cubic(), kink=1.0)
     assert all(q == 0.0 for q in right.values())
     assert all(q > 0.1 for q in left.values())
     frozen = {1e-2: 0.499205440564765,
@@ -420,7 +420,7 @@ def test_kink_quotients():
 
 def test_kink_quotients_solve_only_what_is_not_known(monkeypatch):
     fam = cubic()
-    known = {b: pressure_renewal(fam, b) for b in (0.8, 1.0, 0.9)}
+    known = {b: pressure_renewal(fam, b) for b in (0.8, 1.0, 1.0 - 1e-2)}
     solved = []
     real = hofbauer.pressure_renewal
 
@@ -429,12 +429,13 @@ def test_kink_quotients_solve_only_what_is_not_known(monkeypatch):
         return real(potential, beta)
 
     monkeypatch.setattr(hofbauer, "pressure_renewal", spy)
-    quotients = kink_quotients(fam, steps=(1e-2,), known=known)
-    assert solved == [1.0 - 1e-2, 1.0 + 1e-2]
-    assert sorted(known) == [0.8, 0.9, 1.0]     # the caller's dict is kept
+    quotients = kink_quotients(fam, known=known)
+    assert solved == [1.0 - 1e-3, 1.0 - 1e-4, 1.0 + 1e-2, 1.0 + 1e-3, 1.0 + 1e-4]
+    assert sorted(known) == [0.8, 1.0 - 1e-2, 1.0]   # the caller's dict is kept
     solved.clear()
-    assert kink_quotients(fam, steps=(1e-2,)) == quotients
-    assert solved == [1.0, 1.0 - 1e-2, 1.0 + 1e-2]
+    assert kink_quotients(fam) == quotients
+    assert solved == [1.0, 1.0 - 1e-2, 1.0 - 1e-3, 1.0 - 1e-4,
+                      1.0 + 1e-2, 1.0 + 1e-3, 1.0 + 1e-4]
 
 
 def test_grid_quotients_shape():

@@ -118,14 +118,48 @@ def test_expint_matches_mpmath_within_its_stated_error():
 
 
 def test_bracketed_root_expands_a_bracket_that_misses():
-    up, steps_up = bracketed_root(lambda x: x - 100.0, 0.0, 1.0, xtol=1e-12)
+    up, steps_up, _ = bracketed_root(lambda x: x - 100.0, 0.0, 1.0, xtol=1e-12)
     assert abs(up - 100.0) <= 1e-12
-    down, _ = bracketed_root(lambda x: x + 50.0, 0.0, 1.0, xtol=1e-12)
+    down, _, _ = bracketed_root(lambda x: x + 50.0, 0.0, 1.0, xtol=1e-12)
     assert abs(down + 50.0) <= 1e-12
     # a linear function is solved by the first Newton step after expansion
-    newton, steps = bracketed_root(lambda x: (x - 100.0, 1.0), 0.0, 1.0,
-                                   ftol=1e-9, with_slope=True)
+    newton, steps, _ = bracketed_root(lambda x: (x - 100.0, 1.0), 0.0, 1.0,
+                                      ftol=1e-9, with_slope=True)
     assert abs(newton - 100.0) <= 1e-9 and steps < steps_up
+
+
+_OFFSET = st.floats(1e-3, 60.0)
+
+
+@given(a=st.floats(0.1, 10.0), b=st.floats(0.0, 5.0), r=st.floats(-50.0, 50.0),
+       below=_OFFSET, above=_OFFSET, side=st.sampled_from([-1, 0, 1]),
+       xtol=st.floats(1e-10, 1e-2), ftol=st.floats(0.0, 1e-3),
+       give_f_lo=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_bracketed_root_ends_at_the_newton_point_of_its_last_evaluation(
+        a, b, r, below, above, side, xtol, ftol, give_f_lo):
+    # side 0: the start [lo, hi] holds r; -1 or 1: it lies wholly below or above
+    lo, hi = {0: (r - below, r + above), -1: (r - below - above, r - below),
+              1: (r + below, r + below + above)}[side]
+    evaluations = []
+
+    def f(x):
+        value = a * (x - r) + b * (x - r) ** 3
+        evaluations.append((x, value, a + 3.0 * b * (x - r) ** 2))
+        return evaluations[-1][1:]
+
+    f_lo = f(lo)[0] if give_f_lo else None
+    evaluations.clear()
+    root, steps, f_last = bracketed_root(f, lo, hi, xtol=xtol, ftol=ftol,
+                                         with_slope=True, f_lo=f_lo)
+    assert steps == len(evaluations)
+    known = evaluations + ([(lo, f_lo)] if give_f_lo else [])
+    proven = (max([x for x, v, *_ in known if v < 0], default=-math.inf),
+              min([x for x, v, *_ in known if v > 0], default=math.inf))
+    x, value, slope = evaluations[-1]
+    assert f_last == value
+    assert root == min(max(x - value / slope, proven[0]), proven[1])
+    assert proven[0] <= root <= proven[1]
 
 
 def test_bracketed_root_raises_at_the_step_cap(monkeypatch):
